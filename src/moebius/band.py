@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from .dyadic import Dyadic, CircleAngle, ZERO, ONE, TWO, floor_div2, parse_dyadic
+from .dyadic import Dyadic, CircleAngle, ONE, TWO, parse_dyadic
 from .errors import BandBoundary, NotBasicAligned, ParseError
 
 Rep = tuple[Dyadic, Dyadic]
@@ -23,10 +23,10 @@ class Obj:
     __slots__ = ("x", "delta")
 
     def __init__(self, x: Dyadic, delta: Dyadic):
-        if not (ZERO <= delta < ONE):
+        # 0 <= delta < 1 and 0 <= x < (2 if delta > 0 else 1), on numerators
+        if not 0 <= delta.num < 1 << delta.exp:
             raise ValueError("delta out of canonical range")
-        hi = TWO if delta > ZERO else ONE
-        if not (ZERO <= x < hi):
+        if not 0 <= x.num < (2 if delta.num else 1) << x.exp:
             raise ValueError("x out of canonical range")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "delta", delta)
@@ -40,10 +40,14 @@ class Obj:
 
     def reps(self) -> tuple[Rep, Rep]:
         """Canonical representative and its flip (each modulo translation by 2)."""
-        return ((self.x, self.y), (self.y + ONE, self.x + ONE))
+        x = self.x
+        y = x + self.delta
+        return ((x, y), (y + ONE, x + ONE))
 
     def max_exp(self) -> int:
-        return max(self.x.exp, self.y.exp)
+        # equals max(x.exp, y.exp): y = x + delta has exponent max(x.exp,
+        # delta.exp) when those differ, and no more than it when they agree
+        return max(self.x.exp, self.delta.exp)
 
     def sort_key(self):
         return (self.x.num, self.x.exp, self.delta.num, self.delta.exp)
@@ -68,11 +72,9 @@ def normal_form(x: Dyadic, y: Dyadic) -> Obj:
         x, delta = y + ONE, -delta
     if delta >= ONE:
         raise BandBoundary(f"({x}, {y}) lies outside the open band")
-    if delta.num == 0:
-        x = x - Dyadic(x.floor())
-    else:
-        x = x - Dyadic(2 * floor_div2(x))
-    return Obj(x, delta)
+    # translate x into [0, 1) when delta = 0, else into [0, 2)
+    period = 2 if delta.num else 1
+    return Obj(Dyadic(x.num % (period << x.exp), x.exp), delta)
 
 
 def obj_from_ends(e1: CircleAngle, e2: CircleAngle) -> Obj:
@@ -92,12 +94,12 @@ def ends(obj: Obj) -> frozenset[CircleAngle]:
 
 def mesh(objs) -> Dyadic:
     """Smallest positive circular gap among all ends; 1 for the empty set."""
-    values = sorted({e.v for obj in objs for e in ends(obj)}, key=Dyadic.as_fraction)
+    values = sorted({e.v for obj in objs for e in ends(obj)})
     if len(values) < 2:
         return ONE
     gaps = [values[i + 1] - values[i] for i in range(len(values) - 1)]
     gaps.append(values[0] + TWO - values[-1])
-    return min(gaps, key=Dyadic.as_fraction)
+    return min(gaps)
 
 
 def hom_c_configs(src: Obj, dst: Obj) -> list[tuple[Rep, Rep]]:
@@ -105,15 +107,23 @@ def hom_c_configs(src: Obj, dst: Obj) -> list[tuple[Rep, Rep]]:
 
     A pair witnesses a nonzero morphism when y-1 < a <= x and x-1 < b <= y;
     for each of the 2x2 representative families there is at most one
-    translation placing a in the half-open window (y-1, x].
+    translation placing a in the half-open window (y-1, x].  The window
+    test runs on integer numerators at the common scale 2^e.
     """
+    e = max(src.max_exp(), dst.max_exp())
+    one, period = 1 << e, 2 << e
+
+    def scaled(rep: Rep) -> tuple[int, int]:
+        return (rep[0].num << (e - rep[0].exp), rep[1].num << (e - rep[1].exp))
+
+    dst_reps = [(rep, scaled(rep)) for rep in dst.reps()]
     out = []
-    for (a0, b0) in src.reps():
-        for (x, y) in dst.reps():
-            shift = Dyadic(2 * floor_div2(x - a0))
+    for (a0, b0) in map(scaled, src.reps()):
+        for rep, (x, y) in dst_reps:
+            shift = (x - a0) // period * period
             a, b = a0 + shift, b0 + shift
-            if y - ONE < a and x - ONE < b <= y:
-                out.append(((a, b), (x, y)))
+            if y - one < a and x - one < b <= y:
+                out.append(((Dyadic(a, e), Dyadic(b, e)), rep))
     return out
 
 

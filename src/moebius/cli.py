@@ -23,10 +23,6 @@ from .checks import run_all
 from .errors import MoebiusError, ParseError
 
 
-def _obj_json(x) -> str:
-    return str(x)
-
-
 def _morphism_from_json(data) -> MorQ:
     try:
         src = SumObj([parse_obj(s) for s in data["src"]])
@@ -139,9 +135,9 @@ def _cmd_kernel(args, which: str) -> int:
 
 def _cmd_digits(args) -> int:
     v = parse_cluster_pt(args.v)
-    digits = tuple(int(d) for d in args.digits)
-    if any(d not in (0, 1) for d in digits):
+    if any(d not in ("0", "1") for d in args.digits):
         raise ParseError("digits must be 0 or 1")
+    digits = tuple(int(d) for d in args.digits)
     p = DigitPrefix(v, digits)
     am, bm = digits_to_coords(p)
     w = digit_vertex(p)
@@ -153,6 +149,9 @@ def _cmd_digits(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.depth < 1:
+        # depth 0 leaves most criteria with nothing to check
+        raise ParseError(f"--depth must be at least 1, got {args.depth}")
     results = run_all(args.depth)
     payload = []
     for r in results:
@@ -188,11 +187,18 @@ def _parse_render_spec(data) -> RenderSpec:
 def _cmd_render(args) -> int:
     data = {}
     if args.spec:
-        if args.spec == "-":
-            data = json.load(sys.stdin)
-        else:
-            with open(args.spec) as fh:
-                data = json.load(fh)
+        try:
+            if args.spec == "-":
+                data = json.load(sys.stdin)
+            else:
+                with open(args.spec) as fh:
+                    data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"render spec is not JSON: {exc}")
+        except OSError as exc:
+            raise ParseError(f"cannot read render spec: {exc}")
+        if not isinstance(data, dict):
+            raise ParseError("render spec must be a JSON object")
     spec = _parse_render_spec(data)
     for s in args.walk or []:
         spec.walks.append(parse_obj(s))

@@ -18,7 +18,11 @@ from .errors import NotInCluster, UnboundedRect, DepthLimit, ParseError
 
 
 def _max_depth() -> int:
-    return int(os.environ.get("MOEBIUS_MAX_DEPTH", "16"))
+    raw = os.environ.get("MOEBIUS_MAX_DEPTH", "16")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParseError(f"MOEBIUS_MAX_DEPTH must be an integer, got {raw!r}") from None
 
 
 class ClusterPt:
@@ -78,7 +82,7 @@ def chord_str(v: ClusterPt) -> str:
 @lru_cache(maxsize=None)
 def member(x: Obj) -> ClusterPt | None:
     """The cluster point with the same iso class, if the ends are adjacent dyadics."""
-    e1, e2 = sorted(ends(x), key=lambda a: a.v.as_fraction())
+    e1, e2 = sorted(ends(x), key=lambda a: a.v)
     for p, q in ((e1, e2), (e2, e1)):
         gap = p.gap_to(q)
         if gap.num != 1:
@@ -137,22 +141,7 @@ def out_neighbors(v: ClusterPt) -> tuple[ClusterPt, ClusterPt]:
 
 # -- enumeration ------------------------------------------------------------
 
-def _t_range(lo: Dyadic, lo_open: bool, hi: Dyadic, hi_open: bool, n: int):
-    """Integers t with t/2^n in the interval."""
-    def scaled_floor(d: Dyadic):
-        # floor(d * 2^n) and whether the product is an integer
-        if n >= d.exp:
-            return d.num << (n - d.exp), True
-        return d.num >> (d.exp - n), (d.num % (1 << (d.exp - n))) == 0
-
-    lo_i, lo_exact = scaled_floor(lo)
-    t_min = lo_i + (1 if lo_open else 0) if lo_exact else lo_i + 1
-    hi_i, hi_exact = scaled_floor(hi)
-    t_max = hi_i - (1 if hi_open else 0) if hi_exact else hi_i
-    return range(t_min, t_max + 1)
-
-
-def _tighter(a: tuple[Dyadic, bool], b: tuple[Dyadic, bool], lower: bool):
+def _tighter(a: tuple[int, bool], b: tuple[int, bool], lower: bool):
     """Combine two interval bounds, openness winning ties."""
     (va, oa), (vb, ob) = a, b
     if va == vb:
@@ -163,22 +152,28 @@ def _tighter(a: tuple[Dyadic, bool], b: tuple[Dyadic, bool], lower: bool):
 
 
 def _level_hits(rect: Rect, n: int):
-    """Cluster points of depth n with a representative in rect, with that rep."""
-    delta = ONE - Dyadic(1, n)
+    """Cluster points of depth n with a representative in rect, with that rep.
+
+    Depth-n representatives are (t/2^n, t/2^n +- delta) with delta = 1 - 1/2^n;
+    the bounds on t are found on integer numerators at the common scale 2^k.
+    """
+    k = max(n, rect.max_exp())
+    x_lo, x_hi, y_lo, y_hi = (d.num << (k - d.exp)
+                              for d in (rect.x_lo, rect.x_hi, rect.y_lo, rect.y_hi))
+    step = 1 << (k - n)  # 1/2^n at scale 2^k
+    delta = (1 << n) - 1  # numerator of 1 - 1/2^n at scale 2^n
     hits = []
-    for family in ("A", "B"):
-        sign = ONE if family == "A" else -ONE
-        # y = x + sign*delta, so the y-bounds shift the x-interval by -sign*delta
-        lo = _tighter((rect.x_lo, rect.open_x_lo),
-                      (rect.y_lo - sign * delta, rect.open_y_lo), lower=True)
-        hi = _tighter((rect.x_hi, rect.open_x_hi),
-                      (rect.y_hi - sign * delta, rect.open_y_hi), lower=False)
-        if lo[0] > hi[0]:
-            continue
-        for t in _t_range(lo[0], lo[1], hi[0], hi[1], n):
-            x = Dyadic(t, n)
-            m = t % (1 << (n + 1)) if family == "A" else (t + 1) % (1 << (n + 1))
-            hits.append((ClusterPt(n, m), (x, x + sign * delta)))
+    for sign in (1, -1):  # y = x + delta, then y = x - delta
+        # the y-bounds shift the x-interval by -sign*delta
+        lo, lo_open = _tighter((x_lo, rect.open_x_lo),
+                               (y_lo - sign * delta * step, rect.open_y_lo), lower=True)
+        hi, hi_open = _tighter((x_hi, rect.open_x_hi),
+                               (y_hi - sign * delta * step, rect.open_y_hi), lower=False)
+        t_min = lo // step + 1 if lo_open else -(-lo // step)
+        t_max = -(-hi // step) - 1 if hi_open else hi // step
+        for t in range(t_min, t_max + 1):
+            m = (t if sign > 0 else t + 1) % (2 << n)
+            hits.append((ClusterPt(n, m), (Dyadic(t, n), Dyadic(t + sign * delta, n))))
     return hits
 
 
@@ -285,7 +280,7 @@ def mutate(overlay: ClusterOverlay, x: Obj) -> tuple[ClusterOverlay, Obj]:
     """Flip the chord of x inside the cluster; returns the new overlay and x*."""
     if not overlay.contains_obj(x):
         raise NotInCluster(f"{x} is not in the cluster")
-    p, q = sorted(ends(x), key=lambda a: a.v.as_fraction())
+    p, q = sorted(ends(x), key=lambda a: a.v)
     r = _apex(overlay, p, q, 0)
     s = _apex(overlay, p, q, 1)
     x_star = obj_from_ends(r, s)

@@ -2,8 +2,17 @@
 
 All angular quantities in this package are stored in units of pi, so the
 circle is R/2Z and dyadic rationals num/2^exp are closed under every
-operation we need.  Values are always kept reduced: the numerator is odd
-unless the exponent is zero.
+operation we need.
+
+Reduced form: every value is stored with an odd numerator unless its
+exponent is zero (and zero itself is 0/2^0), so equal values have equal
+(num, exp) and hash alike.  `Dyadic.__init__` restores the invariant by
+stripping the trailing zero bits of the numerator in one shift, and an
+odd numerator costs a single parity test.  A sum or difference of two
+reduced values with unequal exponents is already reduced: aligned at the
+larger exponent, one numerator is odd and the shifted other is even, so
+the result is odd.  Only equal exponents (odd + odd) can carry factors of
+two.  Comparisons align the numerators by a shift and allocate nothing.
 """
 
 from __future__ import annotations
@@ -19,16 +28,20 @@ class Dyadic:
     __slots__ = ("num", "exp")
 
     def __init__(self, num: int, exp: int = 0):
-        if exp < 0:
+        if exp > 0:
+            if not num & 1:
+                if num:
+                    tz = (num & -num).bit_length() - 1
+                    if tz > exp:
+                        tz = exp
+                    num >>= tz
+                    exp -= tz
+                else:
+                    exp = 0
+        elif exp:
             raise ValueError("exponent must be nonnegative")
-        if num == 0:
-            exp = 0
-        else:
-            while exp > 0 and num % 2 == 0:
-                num //= 2
-                exp -= 1
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
+        _set_num(self, num)
+        _set_exp(self, exp)
 
     def __setattr__(self, name, value):
         raise AttributeError("Dyadic is immutable")
@@ -36,16 +49,20 @@ class Dyadic:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Dyadic") -> "Dyadic":
-        a, b = self, other
-        if a.exp >= b.exp:
-            return Dyadic(a.num + (b.num << (a.exp - b.exp)), a.exp)
-        return Dyadic(b.num + (a.num << (b.exp - a.exp)), b.exp)
+        d = self.exp - other.exp
+        if d == 0:
+            return Dyadic(self.num + other.num, self.exp)
+        if d > 0:
+            return Dyadic(self.num + (other.num << d), self.exp)
+        return Dyadic((self.num << -d) + other.num, other.exp)
 
     def __sub__(self, other: "Dyadic") -> "Dyadic":
-        a, b = self, other
-        if a.exp >= b.exp:
-            return Dyadic(a.num - (b.num << (a.exp - b.exp)), a.exp)
-        return Dyadic((a.num << (b.exp - a.exp)) - b.num, b.exp)
+        d = self.exp - other.exp
+        if d == 0:
+            return Dyadic(self.num - other.num, self.exp)
+        if d > 0:
+            return Dyadic(self.num - (other.num << d), self.exp)
+        return Dyadic((self.num << -d) - other.num, other.exp)
 
     def __neg__(self) -> "Dyadic":
         return Dyadic(-self.num, self.exp)
@@ -64,24 +81,33 @@ class Dyadic:
 
     # -- comparisons --------------------------------------------------------
 
-    def _cmp(self, other: "Dyadic") -> int:
-        d = (self - other).num
-        return (d > 0) - (d < 0)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Dyadic) and self.num == other.num and self.exp == other.exp
 
+    # Order by numerators aligned at the larger exponent.
     def __lt__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) < 0
+        d = self.exp - other.exp
+        if d >= 0:
+            return self.num < other.num << d
+        return self.num << -d < other.num
 
     def __le__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) <= 0
+        d = self.exp - other.exp
+        if d >= 0:
+            return self.num <= other.num << d
+        return self.num << -d <= other.num
 
     def __gt__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) > 0
+        d = self.exp - other.exp
+        if d >= 0:
+            return self.num > other.num << d
+        return self.num << -d > other.num
 
     def __ge__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) >= 0
+        d = self.exp - other.exp
+        if d >= 0:
+            return self.num >= other.num << d
+        return self.num << -d >= other.num
 
     def __hash__(self):
         return hash((self.num, self.exp))
@@ -100,9 +126,6 @@ class Dyadic:
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.exp)
-
-    def __float__(self) -> float:
-        return self.num / (1 << self.exp)
 
     def __str__(self) -> str:
         if self.exp == 0:
@@ -124,6 +147,10 @@ class Dyadic:
         frac = frac.rstrip("0")
         return sign + whole + ("." + frac if frac else "")
 
+
+# Slot setters, bypassing the __setattr__ that makes instances immutable.
+_set_num = Dyadic.num.__set__
+_set_exp = Dyadic.exp.__set__
 
 ZERO = Dyadic(0)
 ONE = Dyadic(1)

@@ -101,7 +101,7 @@ def string_to_obj(w: StringWord) -> Obj:
         att_r = _attach_at(w.verts[-1], w.letter(len(w.directs) - 1).triangle)
     rep_l = _step_rep(reps[0], att_l.src, outward=True)
     rep_r = _step_rep(reps[-1], att_r.src, outward=True)
-    (a1, a2), (b1, b2) = sorted((rep_l, rep_r), key=lambda r: r[0].as_fraction())
+    (a1, a2), (b1, b2) = sorted((rep_l, rep_r), key=lambda r: r[0])
     if not (a1 < b1 and a2 > b2):
         raise AssertionError(f"attach corners of {w} not in general position")
     return normal_form(b1, a2)
@@ -148,14 +148,18 @@ class DigitPrefix:
 
 def digits_to_coords(p: DigitPrefix) -> Rep:
     """Coordinates (a_m, b_m) of the vertex reached from the base:
-    b_m = b + sum d_i theta/2^i and a_m = b_m - 1 + theta/2^m."""
-    a, b = object_of(p.base).reps()[0]
-    theta = a + ONE - b
-    bm = b
-    for i, d in enumerate(p.digits, start=1):
-        if d:
-            bm = bm + theta.scaled_pow2(i)
-    am = bm - ONE + theta.scaled_pow2(len(p.digits))
+    b_m = b + sum d_i theta/2^i and a_m = b_m - 1 + theta/2^m.
+
+    The sum is theta * D / 2^m with D the digit string read as a binary
+    integer, so b_m takes one multiplication instead of m additions."""
+    base = object_of(p.base)  # its representative (a, b) = (base.x, base.y)
+    theta = ONE - base.delta  # a + 1 - b
+    m = len(p.digits)
+    digits = 0
+    for d in p.digits:
+        digits = 2 * digits + d
+    bm = base.y + Dyadic(theta.num * digits, theta.exp + m)
+    am = bm - ONE + theta.scaled_pow2(m)
     if member(normal_form(am, bm)) is None:
         raise AssertionError("digit walk left the cluster")
     return (am, bm)

@@ -112,19 +112,5 @@ def invert(a: Matrix) -> Matrix:
     return x
 
 
-def hstack(mats) -> Matrix:
-    mats = [m for m in mats if m and m[0]]
-    if not mats:
-        return ()
-    rows = len(mats[0])
-    return tuple(tuple(v for m in mats for v in m[i]) for i in range(rows))
-
-
-def columns(a: Matrix) -> list[tuple[Fraction, ...]]:
-    if not a:
-        return []
-    return [tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0]))]
-
-
 def from_columns(cols, nrows: int) -> Matrix:
     return tuple(tuple(col[i] for col in cols) for i in range(nrows))

@@ -60,8 +60,8 @@ class _Canvas:
 
     def diagonal(self, c: Dyadic, cls: str):
         """Clipped segment of the line y = x + c."""
-        xa = max(self.x_lo, self.y_lo - c, key=Dyadic.as_fraction)
-        xb = min(self.x_hi, self.y_hi - c, key=Dyadic.as_fraction)
+        xa = max(self.x_lo, self.y_lo - c)
+        xb = min(self.x_hi, self.y_hi - c)
         if xa <= xb:
             self.line(xa, xa + c, xb, xb + c, cls)
 
@@ -91,10 +91,10 @@ def render(spec: RenderSpec) -> str:
         for v in w.vertices:
             xs.append(v.rep[0])
             ys.append(v.rep[1])
-    x_lo = min(xs, key=Dyadic.as_fraction) - PAD
-    x_hi = max(xs, key=Dyadic.as_fraction) + PAD
-    y_lo = min(ys, key=Dyadic.as_fraction) - PAD
-    y_hi = max(ys, key=Dyadic.as_fraction) + PAD
+    x_lo = min(xs) - PAD
+    x_hi = max(xs) + PAD
+    y_lo = min(ys) - PAD
+    y_hi = max(ys) + PAD
     cv = _Canvas(x_lo, x_hi, y_lo, y_hi)
 
     cv.diagonal(ONE, "boundary")

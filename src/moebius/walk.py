@@ -109,7 +109,7 @@ def _upper_endpoint(x: Dyadic, y: Dyadic) -> Rep:
 
 
 def _assemble(reps_pts: list[tuple[ClusterPt, Rep]]) -> Walk:
-    ordered = sorted(reps_pts, key=lambda pr: (-pr[1][0].as_fraction(), pr[1][1].as_fraction()))
+    ordered = sorted(reps_pts, key=lambda pr: (-pr[1][0], pr[1][1]))
     pts = [p for p, _ in ordered]
     if len(set(pts)) != len(pts):
         raise AssertionError("walk visits an object twice")

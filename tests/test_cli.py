@@ -143,3 +143,41 @@ def test_check_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert len(data) == 11 and all(d["ok"] for d in data)
+
+
+def test_max_depth_not_integer_exit_2():
+    # a fresh process, so no cached support hides the enumeration
+    import os, subprocess, sys
+    env = dict(os.environ, MOEBIUS_MAX_DEPTH="abc")
+    proc = subprocess.run([sys.executable, "-m", "moebius.cli", "support", "M(1/4,3/4)"],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("parse error: ") and proc.stderr.count("\n") == 1
+    assert "MOEBIUS_MAX_DEPTH" in proc.stderr
+
+
+def test_digits_not_binary_exit_2(capsys):
+    code, out, err = run(capsys, "digits", "T(0,0)", "x")
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
+def test_render_spec_bad_json_exit_2(capsys, monkeypatch):
+    code, out, err = run(capsys, "render", "--spec", "-", stdin="{bad", monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    code, _, err = run(capsys, "render", "--spec", "-", stdin="[1]", monkeypatch=monkeypatch)
+    assert code == 2 and err.startswith("parse error: ")
+
+
+def test_render_spec_missing_file_exit_2(capsys, tmp_path):
+    code, out, err = run(capsys, "render", "--spec", str(tmp_path / "absent.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_check_rejects_depth_below_one(capsys, depth):
+    code, out, err = run(capsys, "check", "--depth", depth)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and "--depth" in err

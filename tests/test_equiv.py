@@ -119,6 +119,28 @@ def test_digit_examples():
     assert digit_vertex(p) == T(2, 7)
 
 
+def _digits_to_coords_by_terms(p):
+    """The digit sum b_m = b + sum d_i theta/2^i added one term at a time."""
+    from moebius.dyadic import ONE
+    a, b = object_of(p.base).reps()[0]
+    theta = a + ONE - b
+    bm = b
+    for i, d in enumerate(p.digits, start=1):
+        if d:
+            bm = bm + theta.scaled_pow2(i)
+    return (bm - ONE + theta.scaled_pow2(len(p.digits)), bm)
+
+
+def test_digits_closed_form_matches_term_sum():
+    from itertools import product
+    from moebius.checks import cluster_points
+    for v in cluster_points(3):
+        for m in range(9):
+            for digits in product((0, 1), repeat=m):
+                p = DigitPrefix(v, digits)
+                assert digits_to_coords(p) == _digits_to_coords_by_terms(p), p
+
+
 def test_digit_roundtrips():
     for v in (T(0, 0), T(1, 1), T(2, 5)):
         for digits in [(1,), (0,), (1, 0), (0, 1, 1), (1, 0, 0, 1)]:
