@@ -18,7 +18,7 @@ from .walk import walk_of, support, approximation, hom_ct_dim
 from .strings import parse_word
 from .equiv import obj_to_string, string_to_obj, simple_object, DigitPrefix, digits_to_coords, digit_vertex
 from .quotient import SumObj, MorQ, kernel, cokernel
-from .render import RenderSpec, render
+from .render import MAX_CLUSTER_DEPTH, RenderSpec, render
 from .checks import run_all
 from .errors import MoebiusError, ParseError
 
@@ -165,22 +165,38 @@ def _cmd_check(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
+def _spec_list(data, key: str) -> list:
+    items = data.get(key, [])
+    if not isinstance(items, list):
+        raise ParseError(f"render spec {key!r} must be a list")
+    return items
+
+
 def _parse_render_spec(data) -> RenderSpec:
     spec = RenderSpec()
-    for s in data.get("objects", []):
-        spec.objects.append(parse_obj(s))
-    for s in data.get("walks", []):
-        spec.walks.append(parse_obj(s))
-    for r in data.get("rects", []):
+    for key, out in (("objects", spec.objects), ("walks", spec.walks)):
+        for s in _spec_list(data, key):
+            if not isinstance(s, str):
+                raise ParseError(f"render spec {key!r} must hold object strings, got {s!r}")
+            out.append(parse_obj(s))
+    for r in _spec_list(data, "rects"):
         try:
-            x_lo, x_hi = (parse_dyadic(str(v)) for v in r["x"])
-            y_lo, y_hi = (parse_dyadic(str(v)) for v in r["y"])
-            flags = r.get("open", [False, False, False, False])
-            spec.rects.append(Rect(x_lo, x_hi, y_lo, y_hi, *map(bool, flags)))
+            xs, ys, flags = r["x"], r["y"], r.get("open", [False, False, False, False])
+            if not all(isinstance(b, list) and len(b) == 2 for b in (xs, ys)):
+                raise ValueError("x and y must be lists of two bounds")
+            if not (isinstance(flags, list) and len(flags) == 4
+                    and all(isinstance(b, bool) for b in flags)):
+                raise ValueError("open must be a list of four booleans")
+            x_lo, x_hi = (parse_dyadic(str(v)) for v in xs)
+            y_lo, y_hi = (parse_dyadic(str(v)) for v in ys)
+            spec.rects.append(Rect(x_lo, x_hi, y_lo, y_hi, *flags))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad rect: {exc}")
     if "cluster_depth" in data:
-        spec.cluster_depth = int(data["cluster_depth"])
+        depth = data["cluster_depth"]
+        if not isinstance(depth, int) or isinstance(depth, bool):
+            raise ParseError(f"render spec 'cluster_depth' must be an integer, got {depth!r}")
+        spec.cluster_depth = depth
     return spec
 
 
@@ -206,6 +222,9 @@ def _cmd_render(args) -> int:
         spec.objects.append(parse_obj(s))
     if args.cluster_depth is not None:
         spec.cluster_depth = args.cluster_depth
+    if spec.cluster_depth is not None and not 0 <= spec.cluster_depth <= MAX_CLUSTER_DEPTH:
+        raise ParseError(f"cluster depth must be between 0 and {MAX_CLUSTER_DEPTH}, "
+                         f"got {spec.cluster_depth}")
     doc = render(spec)
     if args.out == "-":
         sys.stdout.write(doc)
@@ -257,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", help="JSON spec file, or - for stdin")
     p.add_argument("--walk", action="append", metavar="OBJ")
     p.add_argument("--object", action="append", metavar="OBJ")
-    p.add_argument("--cluster-depth", type=int)
+    p.add_argument("--cluster-depth", type=int,
+                   help=f"draw cluster dots down to this depth, 0-{MAX_CLUSTER_DEPTH}")
     return ap
 
 

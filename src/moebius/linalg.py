@@ -28,6 +28,10 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         for i in range(len(a)))
 
 
+def matvec(a: Matrix, vec) -> tuple[Fraction, ...]:
+    return tuple(sum((a[i][j] * vec[j] for j in range(len(vec))), Fraction(0)) for i in range(len(a)))
+
+
 def _rref(a: Matrix) -> tuple[list[list[Fraction]], list[int]]:
     m = [list(row) for row in a]
     rows = len(m)
@@ -39,12 +43,19 @@ def _rref(a: Matrix) -> tuple[list[list[Fraction]], list[int]]:
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
+        prow = m[r]
+        # columns left of c are zero in the pivot row, so scaling and
+        # elimination only touch its nonzero columns from c on
+        nz = [k for k in range(c, cols) if prow[k] != 0]
+        inv = 1 / prow[c]
+        for k in nz:
+            prow[k] *= inv
         for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [vi - f * vr for vi, vr in zip(m[i], m[r])]
+            row = m[i]
+            f = row[c]
+            if i != r and f != 0:
+                for k in nz:
+                    row[k] -= f * prow[k]
         pivots.append(c)
         r += 1
         if r == rows:

@@ -1,9 +1,13 @@
 """The additive quotient category on dyadic objects: formal sums, scalar
 matrices over basic morphisms, classification, kernels and cokernels.
 
-Kernels are computed on the string-module side (vertexwise nullspaces,
-then splitting into strings) and transported back through the object-word
-dictionary; cokernels dually via vertexwise quotients.
+A single nonzero basic morphism takes the closed form: its kernel and
+cokernel are the pieces of the two words left after deleting the overlap of
+the graph map (`strings.kernel_cokernel_strings`).  Sums of basic morphisms
+take the vertexwise path: kernels by vertexwise nullspaces on the
+string-module side, then splitting into strings and transporting back
+through the object-word dictionary; cokernels dually via vertexwise
+quotients.  Both paths order the summands alike, so they agree exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from .cluster import ClusterPt, member
 from .walk import support, hom_ct_dim, compose_basic_nonzero, concrete_epsilon, shifted
 from .cluster import object_of
 from .strings import (StringWord, to_rep, direct_sum, decompose_rep,
-                      hom_dim_strings, overlap, RepFin)
+                      kernel_cokernel_strings, overlap, RepFin)
 from .equiv import obj_to_string, string_to_obj
 from .errors import ShapeMismatch
 
@@ -186,34 +190,32 @@ def hom_dim(a: SumObj, b: SumObj) -> int:
 
 # -- kernels and cokernels ----------------------------------------------------
 
-def _rep_of_sum(x: SumObj) -> tuple[RepFin, list[StringWord], list[dict]]:
+def _rep_of_sum(x: SumObj) -> tuple[RepFin, list[StringWord]]:
     words = [obj_to_string(s) for s in x]
-    reps = [to_rep(w) for w in words]
-    total, incls = direct_sum(reps)
-    return (total, words, incls)
+    return (direct_sum([to_rep(w) for w in words]), words)
 
 
-def _vertex_matrix(f: MorQ, words_src, words_dst, v: ClusterPt):
-    cols = [j for j, w in enumerate(words_src) if v in w.support()]
-    rows = [i for i, w in enumerate(words_dst) if v in w.support()]
-    m = []
-    for i in rows:
-        r = []
-        for j in cols:
-            c = f.entries[i][j]
-            if c and hom_dim_strings(words_src[j], words_dst[i]) == 1 \
-                    and v in overlap(words_src[j], words_dst[i]):
-                r.append(c)
-            else:
-                r.append(Fraction(0))
-        m.append(tuple(r))
-    return (tuple(m), rows, cols)
+def _vertex_matrices(f: MorQ, words_src, words_dst, verts):
+    """Per vertex v, the matrix of f on the summands present at v, with the
+    indices of those summands: (matrix, dst rows, src cols).  Entry (i, j)
+    is f's scalar where v lies in the graph map words_src[j] -> words_dst[i],
+    found by one occurrence scan per nonzero entry."""
+    ovs = {(i, j): overlap(words_src[j], words_dst[i])
+           for i, row in enumerate(f.entries) for j, c in enumerate(row) if c}
+    out = {}
+    for v in verts:
+        cols = [j for j, w in enumerate(words_src) if v in w.verts]
+        rows = [i for i, w in enumerate(words_dst) if v in w.verts]
+        m = tuple(tuple(f.entries[i][j] if f.entries[i][j] and v in ovs[(i, j)] else Fraction(0)
+                        for j in cols) for i in rows)
+        out[v] = (m, rows, cols)
+    return out
 
 
-def _scalar_of_component(word: StringWord, target: StringWord, values: dict[ClusterPt, Fraction]):
-    """values[v] must trace out scalar * (basic graph map word -> target)."""
-    if hom_dim_strings(word, target) == 1:
-        ov = overlap(word, target)
+def _scalar_of_component(ov: frozenset[ClusterPt], values: dict[ClusterPt, Fraction]):
+    """values[v] must trace out scalar * (the basic graph map with support
+    ov, empty when the hom space vanishes)."""
+    if ov:
         scal = None
         for v, val in values.items():
             if v in ov:
@@ -229,19 +231,47 @@ def _scalar_of_component(word: StringWord, target: StringWord, values: dict[Clus
     return Fraction(0)
 
 
+def _basic_words(f: MorQ) -> tuple[list[StringWord], list[StringWord]] | None:
+    """Kernel and cokernel words of a single nonzero basic morphism, in the
+    order decompose_rep peels them; None for any other morphism."""
+    if len(f.src) != 1 or len(f.dst) != 1 or not f.entries[0][0]:
+        return None
+    ker, cok = kernel_cokernel_strings(obj_to_string(f.src.summands[0]),
+                                       obj_to_string(f.dst.summands[0]))
+    return (sorted(ker, key=StringWord.sort_key), sorted(cok, key=StringWord.sort_key))
+
+
 def kernel(f: MorQ) -> tuple[SumObj, MorQ]:
-    """Kernel object and its inclusion, via vertexwise nullspaces on the
-    string side."""
+    """Kernel object and its inclusion."""
+    words = _basic_words(f)
+    if words is None:
+        return _kernel_rep(f)
+    k_obj = SumObj([string_to_obj(w) for w in words[0]])
+    return (k_obj, MorQ(k_obj, f.src, ((Fraction(1),) * len(k_obj),)))
+
+
+def cokernel(f: MorQ) -> tuple[SumObj, MorQ]:
+    """Cokernel object and its projection."""
+    words = _basic_words(f)
+    if words is None:
+        return _cokernel_rep(f)
+    c_obj = SumObj([string_to_obj(w) for w in words[1]])
+    return (c_obj, MorQ(f.dst, c_obj, ((Fraction(1),),) * len(c_obj)))
+
+
+def _kernel_rep(f: MorQ) -> tuple[SumObj, MorQ]:
+    """Kernel via vertexwise nullspaces on the string side."""
     if not len(f.src):
         z = SumObj()
         return (z, zero_mor(z, f.src))
-    rep_src, words_src, _ = _rep_of_sum(f.src)
+    rep_src, words_src = _rep_of_sum(f.src)
     words_dst = [obj_to_string(s) for s in f.dst]
     verts = sorted(rep_src.dims, key=lambda p: (p.n, p.m))
+    vmats = _vertex_matrices(f, words_src, words_dst, verts)
     basis = {}
     dims = {}
     for v in verts:
-        m, rows, cols = _vertex_matrix(f, words_src, words_dst, v)
+        m, _, cols = vmats[v]
         kern = linalg.nullspace(m, len(cols))
         basis[v] = linalg.from_columns(kern, len(cols)) if kern else linalg.zeros(len(cols), 0)
         dims[v] = len(kern)
@@ -256,96 +286,79 @@ def kernel(f: MorQ) -> tuple[SumObj, MorQ]:
             raise AssertionError("vertexwise kernel not arrow-stable")
         if any(x != 0 for row in coords for x in row):
             mats[(u, w)] = coords
-    krep = RepFin(dims, mats)
-    pieces = decompose_rep(krep)
-    kernel_words = [w for w, _ in pieces]
-    k_obj = SumObj([string_to_obj(w) for w in kernel_words])
+    pieces = decompose_rep(RepFin(dims, mats))
+    k_obj = SumObj([string_to_obj(w) for w, _ in pieces])
+    # each piece's embedding at v, in the coordinates of the summands at v
+    vecs = [{v: linalg.matvec(basis[v], emb[v]) for v in wk.verts} for wk, emb in pieces]
     entries = []
     for j, wj in enumerate(words_src):
         row = []
-        for (wk, emb) in pieces:
-            values = {}
-            for v in wk.verts:
-                col_index = [jj for jj, w in enumerate(words_src) if v in w.support()]
-                vec = _apply_basis(basis[v], emb[v])
-                for pos, jj in enumerate(col_index):
-                    if jj == j:
-                        values[v] = vec[pos]
-            row.append(_scalar_of_component(wk, wj, values))
+        for (wk, _), vec in zip(pieces, vecs):
+            values = {v: vec[v][vmats[v][2].index(j)] for v in wk.verts if j in vmats[v][2]}
+            row.append(_scalar_of_component(overlap(wk, wj), values))
         entries.append(tuple(row))
-    incl = MorQ(k_obj, f.src, tuple(entries))
-    return (k_obj, incl)
+    return (k_obj, MorQ(k_obj, f.src, tuple(entries)))
 
 
-def _apply_basis(basis_matrix, vec):
-    return tuple(sum((basis_matrix[i][j] * vec[j] for j in range(len(vec))), Fraction(0))
-                 for i in range(len(basis_matrix)))
-
-
-def cokernel(f: MorQ) -> tuple[SumObj, MorQ]:
-    """Cokernel object and its projection, via vertexwise quotients."""
+def _cokernel_rep(f: MorQ) -> tuple[SumObj, MorQ]:
+    """Cokernel via vertexwise quotients on the string side."""
     if not len(f.dst):
         z = SumObj()
         return (z, zero_mor(f.dst, z))
-    rep_dst, words_dst, _ = _rep_of_sum(f.dst)
+    rep_dst, words_dst = _rep_of_sum(f.dst)
     words_src = [obj_to_string(s) for s in f.src]
     verts = sorted(rep_dst.dims, key=lambda p: (p.n, p.m))
+    vmats = _vertex_matrices(f, words_src, words_dst, verts)
     proj = {}
     section = {}
     dims = {}
     for v in verts:
-        m, rows, cols = _vertex_matrix(f, words_src, words_dst, v)
-        n_v = len(rows)
-        image_cols = [tuple(m[i][j] for i in range(n_v)) for j in range(len(cols))]
-        pivots = linalg.column_space_basis(m) if cols else []
-        im_basis = [image_cols[j] for j in pivots]
-        # extend by coordinate vectors to a basis of the whole space
-        full = list(im_basis)
-        comp_idx = []
-        for i in range(n_v):
-            e = tuple(Fraction(int(k == i)) for k in range(n_v))
-            trial = linalg.from_columns(full + [e], n_v)
-            if linalg.rank(trial) > len(full):
-                full.append(e)
-                comp_idx.append(i)
-        T = linalg.from_columns(full, n_v)
-        T_inv = linalg.invert(T)
-        c_dim = n_v - len(im_basis)
-        proj[v] = tuple(T_inv[len(im_basis) + i] for i in range(c_dim))  # rows
-        section[v] = linalg.from_columns([tuple(Fraction(int(k == idx)) for k in range(n_v))
-                                          for idx in comp_idx], n_v)
-        dims[v] = c_dim
+        m, rows, cols = vmats[v]
+        n_v, n_c = len(rows), len(cols)
+        # the pivot columns of [m | I] are a basis of the image followed by
+        # the coordinate vectors that extend it to the whole space
+        eye = linalg.identity(n_v)
+        pivots = linalg.column_space_basis(tuple(m[i] + eye[i] for i in range(n_v)))
+        full = [tuple(m[i][j] for i in range(n_v)) for j in pivots if j < n_c]
+        im_dim = len(full)
+        comp_idx = [j - n_c for j in pivots if j >= n_c]
+        full.extend(eye[i] for i in comp_idx)
+        T_inv = linalg.invert(linalg.from_columns(full, n_v))
+        dims[v] = n_v - im_dim
+        proj[v] = T_inv[im_dim:]  # rows
+        section[v] = linalg.from_columns([eye[i] for i in comp_idx], n_v)
     mats = {}
     for arr in rep_dst.arrows():
         u, w = arr.src, arr.dst
         if dims.get(u, 0) == 0 or dims.get(w, 0) == 0:
             continue
         a = rep_dst.matrix(u, w)
-        mat = linalg.matmul(tuple(proj[w]), linalg.matmul(a, section[u]))
+        mat = linalg.matmul(proj[w], linalg.matmul(a, section[u]))
         if any(x != 0 for row in mat for x in row):
             mats[(u, w)] = mat
-    crep = RepFin(dims, mats)
-    pieces = decompose_rep(crep)
-    cok_words = [w for w, _ in pieces]
-    c_obj = SumObj([string_to_obj(w) for w in cok_words])
+    pieces = decompose_rep(RepFin(dims, mats))
+    c_obj = SumObj([string_to_obj(w) for w, _ in pieces])
+    # rho at v: rows are the coordinates of the pieces present at v
+    rho = {}
+    for v in dims:
+        present = [k for k, (_, emb) in enumerate(pieces) if v in emb]
+        if present:
+            emb_block = linalg.from_columns([pieces[k][1][v] for k in present], dims[v])
+            rho[v] = (present, linalg.invert(emb_block))
     entries = []
-    for k, (wk, emb) in enumerate(pieces):
+    for k, (wk, _) in enumerate(pieces):
         row = []
         for i, wi in enumerate(words_dst):
             values = {}
             for v in wk.verts:
-                rows_at_v = [ii for ii, w in enumerate(words_dst) if v in w.support()]
+                rows_at_v = vmats[v][1]
                 if i not in rows_at_v:
                     continue
                 # rho_k . pi at v applied to the inclusion of summand i
-                present = [kk for kk, (_, e) in enumerate(pieces) if v in e]
-                emb_block = linalg.from_columns([pieces[kk][1][v] for kk in present], dims[v])
-                rho = linalg.invert(emb_block)
-                k_index = present.index(k)
+                present, inv = rho[v]
                 pi_col = tuple(proj[v][r][rows_at_v.index(i)] for r in range(dims[v]))
-                val = sum((rho[k_index][r] * pi_col[r] for r in range(dims[v])), Fraction(0))
-                values[v] = val
-            row.append(_scalar_of_component(wi, wk, values))
+                values[v] = sum((inv[present.index(k)][r] * pi_col[r] for r in range(dims[v])),
+                                Fraction(0))
+            row.append(_scalar_of_component(overlap(wi, wk), values))
         entries.append(tuple(row))
-    projection = MorQ(f.dst, c_obj, tuple(entries))
-    return (c_obj, projection)
+    return (c_obj, MorQ(f.dst, c_obj, tuple(entries)))

@@ -18,6 +18,7 @@ from .walk import Walk, walk_of
 SCALE = Dyadic(240)
 PAD = Dyadic(1, 3)
 DOT_R = {0: "5", 1: "4", 2: "3", 3: "2.5", 4: "2", None: "1.5"}
+MAX_CLUSTER_DEPTH = 12  # 2^(d+1) - 1 dots; depth 12 writes about 0.5 MB
 
 
 @dataclass

@@ -88,6 +88,10 @@ class StringWord:
     def __len__(self) -> int:
         return len(self.verts)
 
+    def sort_key(self):
+        """Longest first, then by vertices and letter directions."""
+        return (-len(self.verts), tuple((p.n, p.m) for p in self.verts), self.directs)
+
     @property
     def marked(self) -> bool:
         return self.lmark or self.rmark
@@ -170,51 +174,55 @@ def _occurrences(w1: StringWord, w2: StringWord):
         raise InvalidWord("graph maps are defined on unmarked words")
     occs = []
     seen = set()
-    variants = [(w2.verts, w2.directs, False)]
     rv, rd = w2.reversed_copy()
-    variants.append((rv, rd, True))
+    # vertices of a word are distinct, so a segment can only start where
+    # its first vertex sits
+    variants = [(verts2, directs2, is_rev, {v: i for i, v in enumerate(verts2)})
+                for verts2, directs2, is_rev in ((w2.verts, w2.directs, False), (rv, rd, True))]
     n1, n2 = len(w1.verts), len(w2.verts)
     for i1 in range(n1):
+        # factor conditions in w1
+        if i1 > 0 and w1.directs[i1 - 1]:
+            continue  # arrow points into the subword: not a factor
         for j1 in range(i1, n1):
-            seg_v = w1.verts[i1:j1 + 1]
-            seg_d = w1.directs[i1:j1]
-            # factor conditions in w1
-            if i1 > 0 and w1.directs[i1 - 1]:
-                continue  # arrow points into the subword: not a factor
             if j1 < n1 - 1 and not w1.directs[j1]:
                 continue
-            for verts2, directs2, is_rev in variants:
-                for i2 in range(n2 - (j1 - i1)):
-                    j2 = i2 + (j1 - i1)
-                    if verts2[i2:j2 + 1] != seg_v or directs2[i2:j2] != seg_d:
-                        continue
-                    # submodule conditions in w2
-                    if i2 > 0 and not directs2[i2 - 1]:
-                        continue
-                    if j2 < n2 - 1 and directs2[j2]:
-                        continue
-                    lo, hi = (n2 - 1 - j2, n2 - 1 - i2) if is_rev else (i2, j2)
-                    key = (i1, j1, lo, hi)
-                    if key not in seen:
-                        seen.add(key)
-                        occs.append((i1, j1, lo, hi))
+            seg_v = w1.verts[i1:j1 + 1]
+            seg_d = w1.directs[i1:j1]
+            for verts2, directs2, is_rev, start in variants:
+                i2 = start.get(seg_v[0])
+                if i2 is None:
+                    continue
+                j2 = i2 + (j1 - i1)
+                if j2 >= n2 or verts2[i2:j2 + 1] != seg_v or directs2[i2:j2] != seg_d:
+                    continue
+                # submodule conditions in w2
+                if i2 > 0 and not directs2[i2 - 1]:
+                    continue
+                if j2 < n2 - 1 and directs2[j2]:
+                    continue
+                lo, hi = (n2 - 1 - j2, n2 - 1 - i2) if is_rev else (i2, j2)
+                key = (i1, j1, lo, hi)
+                if key not in seen:
+                    seen.add(key)
+                    occs.append((i1, j1, lo, hi))
     return occs
 
 
 @lru_cache(maxsize=None)
 def hom_dim_strings(w1: StringWord, w2: StringWord) -> int:
-    """Graph-map dimension; 0 or 1 over this quiver (asserted)."""
-    occs = _occurrences(w1, w2)
-    if len(occs) > 1:
-        raise AssertionError(f"hom space not at most one dimensional: {w1} -> {w2}")
-    return len(occs)
+    """Graph-map dimension; 0 or 1 over this quiver."""
+    return 1 if overlap(w1, w2) else 0
 
 
 def overlap(w1: StringWord, w2: StringWord) -> frozenset[ClusterPt]:
-    """Support of the unique graph map w1 -> w2."""
+    """Support of the unique graph map w1 -> w2, empty when there is none;
+    hom spaces over this quiver are at most one dimensional (asserted)."""
     occs = _occurrences(w1, w2)
+    if len(occs) > 1:
+        raise AssertionError(f"hom space not at most one dimensional: {w1} -> {w2}")
     if not occs:
-        raise NoMorphism(f"no basic morphism {w1} -> {w2}")
+        return frozenset()
     i1, j1, _, _ = occs[0]
     return frozenset(w1.verts[i1:j1 + 1])
 
@@ -308,8 +316,8 @@ def to_rep(w: StringWord) -> RepFin:
     return RepFin(dims, mats)
 
 
-def direct_sum(reps: list[RepFin]) -> tuple[RepFin, list[dict[ClusterPt, linalg.Matrix]]]:
-    """Direct sum plus, per summand, the inclusion blocks at each vertex."""
+def direct_sum(reps: list[RepFin]) -> RepFin:
+    """Direct sum, summands stacked in order at each vertex."""
     verts = sorted({v for r in reps for v in r.dims}, key=lambda p: (p.n, p.m))
     dims = {v: sum(r.dim(v) for r in reps) for v in verts}
     offsets = []
@@ -339,105 +347,85 @@ def direct_sum(reps: list[RepFin]) -> tuple[RepFin, list[dict[ClusterPt, linalg.
                         block[off[u] + i][off[v] + j] = sub[i][j]
             if nz:
                 mats[(v, u)] = tuple(tuple(row) for row in block)
-    incls = []
-    for r, off in zip(reps, offsets):
-        blocks = {}
-        for v in r.dims:
-            m = [[Fraction(0)] * r.dim(v) for _ in range(dims[v])]
-            for i in range(r.dim(v)):
-                m[off[v] + i][i] = Fraction(1)
-            blocks[v] = tuple(tuple(row) for row in m)
-        incls.append(blocks)
-    return (RepFin(dims, mats), incls)
+    return RepFin(dims, mats)
 
 
 # -- decomposition ------------------------------------------------------------
 
 def _candidate_words(supp: list[ClusterPt]) -> list[StringWord]:
+    """Every reduced word on the support, longest first.  Paths grow one
+    letter at a time and stop where a letter composes with the previous
+    one inside a triangle; distinct vertices already rule out backtracking."""
     adj = {v: [] for v in supp}
-    sset = set(supp)
     for v in supp:
         for arr in arrows_at(v)[1]:
-            if arr.dst in sset:
-                adj[v].append(arr.dst)
-                adj[arr.dst].append(v)
+            if arr.dst in adj:
+                adj[v].append((arr.dst, True, arr.triangle))
+                adj[arr.dst].append((v, False, arr.triangle))
     words = set()
     for start in supp:
-        stack = [(start,)]
+        stack = [((start,), (), None)]
         while stack:
-            path = stack.pop()
-            try:
-                words.add(word(path))
-            except InvalidWord:
-                continue
-            for nxt in adj[path[-1]]:
-                if nxt not in path:
-                    stack.append(path + (nxt,))
-    key = lambda w: (-len(w), tuple((p.n, p.m) for p in w.verts), w.directs)
-    return sorted(words, key=key)
+            path, directs, tri = stack.pop()
+            words.add(StringWord(path, directs))
+            last = directs[-1] if directs else None
+            for nxt, d, t in adj[path[-1]]:
+                if nxt not in path and not (d == last and t == tri):
+                    stack.append((path + (nxt,), directs + (d,), t))
+    return sorted(words, key=StringWord.sort_key)
+
+
+def _word_coords(w: StringWord, rep: RepFin):
+    """Offsets of the vertices of w in the stacked coordinates of rep, their
+    total, and the letters of w as (src, dst) pairs; None when rep vanishes
+    at a vertex of w."""
+    if any(rep.dim(v) == 0 for v in w.verts):
+        return None
+    offs, total = {}, 0
+    for v in w.verts:
+        offs[v] = total
+        total += rep.dim(v)
+    letters = {(arr.src, arr.dst) for arr in map(w.letter, range(len(w.directs)))}
+    return (offs, total, letters)
+
+
+def _solutions(rows, offs, total, rep) -> list[dict[ClusterPt, tuple[Fraction, ...]]]:
+    """Nullspace basis of the constraint rows, split into one vector per vertex."""
+    basis = linalg.nullspace(tuple(tuple(r) for r in rows), total)
+    return [{v: tuple(vec[offs[v] + i] for i in range(rep.dim(v))) for v in offs} for vec in basis]
 
 
 def _hom_word_to_rep(w: StringWord, rep: RepFin) -> list[dict[ClusterPt, tuple[Fraction, ...]]]:
     """Basis of module maps from the standard module of w into rep,
     each given by its vector at every vertex of w."""
-    wsupp = list(w.verts)
-    if any(rep.dim(v) == 0 for v in wsupp):
+    coords = _word_coords(w, rep)
+    if coords is None:
         return []
-    offs, total = {}, 0
-    for v in wsupp:
-        offs[v] = total
-        total += rep.dim(v)
-    letters = {}
-    for i in range(len(w.directs)):
-        arr = w.letter(i)
-        letters[(arr.src, arr.dst)] = True
+    offs, total, letters = coords
     rows = []
-
-    def add_rows(mat_block):
-        rows.extend(mat_block)
-
-    for v in wsupp:
+    for v in w.verts:
         for arr in arrows_at(v)[1]:
             u = arr.dst
             if rep.dim(u) == 0:
                 continue
-            a = rep.matrix(v, u)  # rep map M_v -> M_u
-            if u in offs:
-                block = [[Fraction(0)] * total for _ in range(rep.dim(u))]
-                for i in range(rep.dim(u)):
-                    for j in range(rep.dim(v)):
-                        block[i][offs[v] + j] = a[i][j]
-                if letters.get((v, u)):
-                    for i in range(rep.dim(u)):
-                        block[i][offs[u] + i] -= Fraction(1)
-                add_rows(block)
-            else:
-                # arrow leaves the word support: image must vanish
-                block = [[Fraction(0)] * total for _ in range(rep.dim(u))]
-                for i in range(rep.dim(u)):
-                    for j in range(rep.dim(v)):
-                        block[i][offs[v] + j] = a[i][j]
-                add_rows(block)
-    basis = linalg.nullspace(tuple(tuple(r) for r in rows), total)
-    out = []
-    for vec in basis:
-        out.append({v: tuple(vec[offs[v] + i] for i in range(rep.dim(v))) for v in wsupp})
-    return out
+            # rep map M_v -> M_u; along an arrow leaving the word the image must vanish
+            a = rep.matrix(v, u)
+            block = [[Fraction(0)] * total for _ in range(rep.dim(u))]
+            for i in range(rep.dim(u)):
+                for j in range(rep.dim(v)):
+                    block[i][offs[v] + j] = a[i][j]
+                if (v, u) in letters:
+                    block[i][offs[u] + i] -= Fraction(1)
+            rows.extend(block)
+    return _solutions(rows, offs, total, rep)
 
 
 def _hom_rep_to_word(rep: RepFin, w: StringWord) -> list[dict[ClusterPt, tuple[Fraction, ...]]]:
     """Basis of module maps rep -> standard module of w, as row functionals."""
-    wsupp = list(w.verts)
-    if any(rep.dim(v) == 0 for v in wsupp):
+    coords = _word_coords(w, rep)
+    if coords is None:
         return []
-    offs, total = {}, 0
-    for v in wsupp:
-        offs[v] = total
-        total += rep.dim(v)
-    letters = {}
-    for i in range(len(w.directs)):
-        arr = w.letter(i)
-        letters[(arr.src, arr.dst)] = True
+    offs, total, letters = coords
     rows = []
     for v in rep.dims:
         for arr in arrows_at(v)[1]:
@@ -450,14 +438,10 @@ def _hom_rep_to_word(rep: RepFin, w: StringWord) -> list[dict[ClusterPt, tuple[F
             for j in range(rep.dim(v)):
                 for i in range(rep.dim(u)):
                     block[j][offs[u] + i] = a[i][j]
-                if v in offs and letters.get((v, u)):
+                if (v, u) in letters:
                     block[j][offs[v] + j] -= Fraction(1)
             rows.extend(block)
-    basis = linalg.nullspace(tuple(tuple(r) for r in rows), total)
-    out = []
-    for vec in basis:
-        out.append({v: tuple(vec[offs[v] + i] for i in range(rep.dim(v))) for v in wsupp})
-    return out
+    return _solutions(rows, offs, total, rep)
 
 
 def decompose_rep(rep: RepFin) -> list[tuple[StringWord, dict[ClusterPt, tuple[Fraction, ...]]]]:
@@ -496,13 +480,9 @@ def decompose_rep(rep: RepFin) -> list[tuple[StringWord, dict[ClusterPt, tuple[F
         if split is None:
             raise NotAModule("representation does not split into strings")
         w, phi, psi = split
-        out.append((w, {v: _apply(acc[v], phi[v]) for v in w.verts}))
+        out.append((w, {v: linalg.matvec(acc[v], phi[v]) for v in w.verts}))
         current, acc = _peel(current, acc, w, psi)
     return out
-
-
-def _apply(m: linalg.Matrix, vec) -> tuple[Fraction, ...]:
-    return tuple(sum((m[i][j] * vec[j] for j in range(len(vec))), Fraction(0)) for i in range(len(m)))
 
 
 def _peel(rep: RepFin, acc, w: StringWord, psi):

@@ -181,3 +181,42 @@ def test_check_rejects_depth_below_one(capsys, depth):
     code, out, err = run(capsys, "check", "--depth", depth)
     assert code == 2 and out == ""
     assert err.startswith("parse error: ") and "--depth" in err
+
+
+def _render_spec_error(capsys, monkeypatch, spec):
+    code, out, err = run(capsys, "render", "--spec", "-", stdin=json.dumps(spec),
+                         monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    return err
+
+
+def test_render_spec_cluster_depth_not_integer_exit_2(capsys, monkeypatch):
+    err = _render_spec_error(capsys, monkeypatch, {"cluster_depth": "x"})
+    assert "cluster_depth" in err
+
+
+def test_render_spec_object_not_string_exit_2(capsys, monkeypatch):
+    err = _render_spec_error(capsys, monkeypatch, {"objects": [1]})
+    assert "objects" in err
+
+
+def test_render_spec_cluster_depth_above_cap_exit_2(capsys, monkeypatch):
+    err = _render_spec_error(capsys, monkeypatch, {"cluster_depth": 99})
+    assert "between 0 and 12" in err
+
+
+@pytest.mark.parametrize("depth", ["-1", "13"])
+def test_render_cluster_depth_flag_out_of_range_exit_2(capsys, depth):
+    code, out, err = run(capsys, "render", "--cluster-depth", depth)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and "between 0 and 12" in err
+
+
+@pytest.mark.parametrize("rect", [{"x": "01", "y": ["0", "1"]},
+                                  {"x": ["0", "1"], "y": ["0", "1"], "open": "xy"},
+                                  {"x": ["0", "1"], "y": ["0", "1"], "open": [0, 0, 0, 0]},
+                                  ["0", "1"]])
+def test_render_spec_malformed_rect_exit_2(capsys, monkeypatch, rect):
+    err = _render_spec_error(capsys, monkeypatch, {"rects": [rect]})
+    assert "bad rect" in err

@@ -77,7 +77,7 @@ def test_decompose_random_twists():
     for trial in range(25):
         picks = rng.sample(objs, rng.randint(1, 3))
         words = [obj_to_string(o) for o in picks]
-        total, _ = direct_sum([to_rep(w) for w in words])
+        total = direct_sum([to_rep(w) for w in words])
         twisted = _random_basis_twist(total, rng)
         pieces = decompose_rep(twisted)
         assert sorted(str(p[0]) for p in pieces) == sorted(str(w) for w in words), picks

@@ -1,13 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from moebius.band import parse_obj
-from moebius.cluster import ClusterPt
+from moebius.band import Obj, normal_form, parse_obj
+from moebius.checks import _basics, grid_off_cluster
+from moebius.cluster import ClusterPt, member
+from moebius.dyadic import Dyadic
 from moebius.equiv import obj_to_string
 from moebius.quotient import (SumObj, MorQ, identity_mor, zero_mor, basic_mor,
-                              compose, classify, kernel, cokernel, hom_dim)
-from moebius.errors import ShapeMismatch
+                              compose, classify, kernel, cokernel, hom_dim,
+                              _kernel_rep, _cokernel_rep)
+from moebius.errors import MoebiusError, ShapeMismatch
+from moebius.walk import hom_ct_dim
 
 T = ClusterPt
 M = parse_obj
@@ -158,3 +163,60 @@ def test_morphism_shape_validation():
     x, y = M("M(1/8,1/4)"), M("M(1/4,3/4)")
     with pytest.raises(ShapeMismatch):
         MorQ(SumObj([x]), SumObj([y]), ((Fraction(1), Fraction(2)),))
+
+
+def _assert_paths_agree(f):
+    # SumObj and MorQ equality compare summand order and every entry
+    assert kernel(f) == _kernel_rep(f)
+    assert cokernel(f) == _cokernel_rep(f)
+
+
+def test_closed_form_kernels_match_rep_path_depth3():
+    for (x, y) in _basics(3):
+        _assert_paths_agree(basic_mor(x, y))
+
+
+def test_closed_form_kernels_match_rep_path_depth4_sample():
+    objs = grid_off_cluster(4)
+    rng = random.Random(4)
+    checked = 0
+    while checked < 500:
+        x, y = rng.choice(objs), rng.choice(objs)
+        if hom_ct_dim(x, y):
+            _assert_paths_agree(basic_mor(x, y, Fraction(-3, 4)))
+            checked += 1
+
+
+def _seeded_basic_pairs(rng, e, count):
+    """Objects off the cluster with coordinates of exponent e, each with a
+    nonzero quotient hom to a nearby object."""
+    pairs = []
+    while len(pairs) < count:
+        x = Obj(Dyadic(rng.randrange(1 << (e + 1)), e), Dyadic(rng.randrange(1, 1 << e), e))
+        try:
+            y = normal_form(x.x + Dyadic(rng.randrange(1 << (e - 1)), e),
+                            x.y + Dyadic(rng.randrange(1 << (e - 1)), e))
+        except MoebiusError:
+            continue
+        if x.max_exp() == e and member(x) is None and member(y) is None and hom_ct_dim(x, y):
+            pairs.append((x, y))
+    return pairs
+
+
+@pytest.mark.parametrize("e", [7, 8, 9, 10])
+def test_closed_form_kernels_match_rep_path_seeded(e):
+    rng = random.Random(e)
+    for (x, y) in _seeded_basic_pairs(rng, e, 20):
+        _assert_paths_agree(basic_mor(x, y, Fraction(rng.choice((-2, 1, 3)), rng.choice((1, 2)))))
+
+
+def test_zero_entry_morphism_takes_rep_path():
+    x, y = M("M(1/8,1/4)"), M("M(1/4,3/4)")
+    dead = basic_mor(M("M(1/4,3/4)"), M("M(1/2,9/8)"))  # entry cleaned to 0
+    for f in (basic_mor(x, y, 0), dead):
+        assert f.entries == ((Fraction(0),),)
+        _assert_paths_agree(f)
+        k_obj, incl = kernel(f)
+        assert k_obj == f.src and incl == identity_mor(f.src)
+        c_obj, proj = cokernel(f)
+        assert c_obj == f.dst and proj == identity_mor(f.dst)

@@ -7,7 +7,7 @@ from moebius.cluster import ClusterPt, object_of
 from moebius.strings import (arrows_at, arrow_between, word, validate_word,
                              hom_dim_strings, overlap, kernel_cokernel_strings,
                              to_rep, direct_sum, decompose_rep, RepFin,
-                             StringWord, parse_word)
+                             StringWord, parse_word, _candidate_words, _occurrences)
 from moebius.errors import InvalidWord, NoMorphism, NotAModule, ParseError
 from moebius import linalg
 
@@ -116,7 +116,7 @@ def test_to_rep_and_roundtrip():
 
 def test_decompose_direct_sum_of_simples():
     s = to_rep(word([T(0, 0)]))
-    total, _ = direct_sum([s, s])
+    total = direct_sum([s, s])
     pieces = decompose_rep(total)
     assert len(pieces) == 2
     assert all(p[0] == word([T(0, 0)]) for p in pieces)
@@ -127,7 +127,7 @@ def test_decompose_direct_sum_of_simples():
 
 def test_decompose_mixed_sum():
     reps = [to_rep(w_of("M(1/8,1/4)")), to_rep(word([T(0, 0)])), to_rep(w_of("M(1/4,3/4)"))]
-    total, _ = direct_sum(reps)
+    total = direct_sum(reps)
     pieces = decompose_rep(total)
     assert sorted(str(p[0]) for p in pieces) == sorted(
         [str(w_of("M(1/8,1/4)")), str(word([T(0, 0)])), str(w_of("M(1/4,3/4)"))])
@@ -178,3 +178,76 @@ def test_word_str_and_parse():
     assert parse_word(str(marked)) == marked
     with pytest.raises(ParseError):
         parse_word("T(1,0) > T(0,0) < T(1,1)")  # no arrow T(1,1) -> T(0,0)
+
+
+def _brute_force_candidates(supp):
+    """Every simple path in the support validated through word(): the
+    enumeration _candidate_words replaced, kept as its oracle."""
+    adj = {v: [] for v in supp}
+    for v in supp:
+        for arr in arrows_at(v)[1]:
+            if arr.dst in adj:
+                adj[v].append(arr.dst)
+                adj[arr.dst].append(v)
+    words = set()
+    for start in supp:
+        stack = [(start,)]
+        while stack:
+            path = stack.pop()
+            try:
+                words.add(word(path))
+            except InvalidWord:
+                continue
+            for nxt in adj[path[-1]]:
+                if nxt not in path:
+                    stack.append(path + (nxt,))
+    key = lambda w: (-len(w), tuple((p.n, p.m) for p in w.verts), w.directs)
+    return sorted(words, key=key)
+
+
+def test_candidate_words_match_brute_force():
+    from moebius.checks import grid_off_cluster
+    from moebius.equiv import obj_to_string
+    supports = sorted({tuple(sorted(obj_to_string(x).verts, key=lambda p: (p.n, p.m)))
+                       for x in grid_off_cluster(3)})
+    unions = [tuple(sorted(set(a) | set(b), key=lambda p: (p.n, p.m)))
+              for i, a in enumerate(supports) for b in supports[i + 1:]]
+    for supp in supports + unions:
+        assert _candidate_words(list(supp)) == _brute_force_candidates(list(supp))
+
+
+def _brute_force_occurrences(w1, w2):
+    """Every segment of w1 against every position of w2 and of its reversal:
+    the scan _occurrences replaced, kept as its oracle."""
+    occs = []
+    rv, rd = w2.reversed_copy()
+    n1, n2 = len(w1.verts), len(w2.verts)
+    for i1 in range(n1):
+        for j1 in range(i1, n1):
+            if (i1 > 0 and w1.directs[i1 - 1]) or (j1 < n1 - 1 and not w1.directs[j1]):
+                continue
+            seg_v, seg_d = w1.verts[i1:j1 + 1], w1.directs[i1:j1]
+            for verts2, directs2, is_rev in ((w2.verts, w2.directs, False), (rv, rd, True)):
+                for i2 in range(n2 - (j1 - i1)):
+                    j2 = i2 + (j1 - i1)
+                    if verts2[i2:j2 + 1] != seg_v or directs2[i2:j2] != seg_d:
+                        continue
+                    if (i2 > 0 and not directs2[i2 - 1]) or (j2 < n2 - 1 and directs2[j2]):
+                        continue
+                    key = (i1, j1, n2 - 1 - j2, n2 - 1 - i2) if is_rev else (i1, j1, i2, j2)
+                    if key not in occs:
+                        occs.append(key)
+    return occs
+
+
+def test_occurrences_match_brute_force():
+    import random
+    from moebius.checks import grid_off_cluster
+    from moebius.equiv import obj_to_string
+    words = [obj_to_string(x) for x in grid_off_cluster(3)]
+    pairs = [(a, b) for a in words for b in words]
+    deep = [obj_to_string(x) for x in grid_off_cluster(5)]
+    rng = random.Random(5)
+    pairs += [(rng.choice(deep), rng.choice(deep)) for _ in range(3000)]
+    for a, b in pairs:
+        assert _occurrences(a, b) == _brute_force_occurrences(a, b)
