@@ -303,6 +303,9 @@ def check_digits(e: int) -> tuple[bool, str]:
             if prev_b is not None and bm < prev_b:
                 return (False, f"b_m not monotone along {p}")
             w = digit_vertex(p)
+            # the b_m formula against the digit tree
+            if member(normal_form(am, bm)) != w:
+                return (False, f"b_m leaves the digit tree at {p}")
             if coords_to_digits(v, w, max_len).digits != digits:
                 return (False, f"digit round trip fails at {p}")
             count += 1

@@ -24,13 +24,24 @@ from .errors import MoebiusError, ParseError
 
 
 def _morphism_from_json(data) -> MorQ:
+    """src and dst must be lists of object strings, entries a list of lists
+    of rationals; a zero denominator is a parse error like any other."""
+    if not isinstance(data, dict):
+        raise ParseError("morphism JSON must be an object")
     try:
-        src = SumObj([parse_obj(s) for s in data["src"]])
-        dst = SumObj([parse_obj(s) for s in data["dst"]])
-        entries = tuple(tuple(Fraction(str(v)) for v in row) for row in data["entries"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad morphism JSON: {exc}")
-    return MorQ(src, dst, entries)
+        src, dst, rows = data["src"], data["dst"], data["entries"]
+    except KeyError as exc:
+        raise ParseError(f"bad morphism JSON: missing {exc}")
+    for key, items in (("src", src), ("dst", dst)):
+        if not (isinstance(items, list) and all(isinstance(s, str) for s in items)):
+            raise ParseError(f"morphism {key!r} must be a list of object strings")
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ParseError("morphism 'entries' must be a list of lists")
+    try:
+        entries = tuple(tuple(Fraction(str(v)) for v in row) for row in rows)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad morphism entry: {exc}")
+    return MorQ(SumObj([parse_obj(s) for s in src]), SumObj([parse_obj(s) for s in dst]), entries)
 
 
 def _morphism_to_json(f: MorQ) -> dict:

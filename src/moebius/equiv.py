@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .dyadic import Dyadic, ONE
 from .band import Obj, Rep, normal_form
-from .cluster import ClusterPt, member, object_of, children
+from .cluster import ClusterPt, member, object_of
 from .walk import walk_of
 from .strings import StringWord, QArrow, arrows_at, word
 from .errors import InCluster, InvalidWord, NoMorphism, Unreachable, AllOnesTail
@@ -76,6 +76,17 @@ def _attach_at(end_vertex: ClusterPt, used_triangle: frozenset) -> QArrow:
     return options[0]
 
 
+def _attach_arrows(w: StringWord) -> tuple[QArrow, QArrow]:
+    """The incoming arrows attached at the left and right ends of w, each
+    from the triangle its end letter does not use (a one-vertex word
+    takes one triangle at each end)."""
+    if len(w.verts) == 1:
+        t1, t2 = (a.triangle for a in arrows_at(w.verts[0])[0])
+        return (_attach_at(w.verts[0], t2), _attach_at(w.verts[0], t1))
+    return (_attach_at(w.verts[0], w.letter(0).triangle),
+            _attach_at(w.verts[-1], w.letter(len(w.directs) - 1).triangle))
+
+
 def _word_reps(w: StringWord) -> list[Rep]:
     reps = [object_of(w.verts[0]).reps()[0]]
     for i in range(len(w.directs)):
@@ -92,13 +103,7 @@ def string_to_obj(w: StringWord) -> Obj:
     if w.marked:
         raise InvalidWord("ray-marked words do not name finite objects")
     reps = _word_reps(w)
-    if len(w.verts) == 1:
-        t1, t2 = (a.triangle for a in arrows_at(w.verts[0])[0])
-        att_l = _attach_at(w.verts[0], t2)
-        att_r = _attach_at(w.verts[0], t1)
-    else:
-        att_l = _attach_at(w.verts[0], w.letter(0).triangle)
-        att_r = _attach_at(w.verts[-1], w.letter(len(w.directs) - 1).triangle)
+    att_l, att_r = _attach_arrows(w)
     rep_l = _step_rep(reps[0], att_l.src, outward=True)
     rep_r = _step_rep(reps[-1], att_r.src, outward=True)
     (a1, a2), (b1, b2) = sorted((rep_l, rep_r), key=lambda r: r[0])
@@ -146,6 +151,14 @@ class DigitPrefix:
         return f"{self.base}:{''.join(str(d) for d in self.digits)}"
 
 
+def _binary(digits) -> int:
+    """The digit string read as a binary integer."""
+    d = 0
+    for b in digits:
+        d = 2 * d + b
+    return d
+
+
 def digits_to_coords(p: DigitPrefix) -> Rep:
     """Coordinates (a_m, b_m) of the vertex reached from the base:
     b_m = b + sum d_i theta/2^i and a_m = b_m - 1 + theta/2^m.
@@ -155,10 +168,7 @@ def digits_to_coords(p: DigitPrefix) -> Rep:
     base = object_of(p.base)  # its representative (a, b) = (base.x, base.y)
     theta = ONE - base.delta  # a + 1 - b
     m = len(p.digits)
-    digits = 0
-    for d in p.digits:
-        digits = 2 * digits + d
-    bm = base.y + Dyadic(theta.num * digits, theta.exp + m)
+    bm = base.y + Dyadic(theta.num * _binary(p.digits), theta.exp + m)
     am = bm - ONE + theta.scaled_pow2(m)
     if member(normal_form(am, bm)) is None:
         raise AssertionError("digit walk left the cluster")
@@ -166,30 +176,26 @@ def digits_to_coords(p: DigitPrefix) -> Rep:
 
 
 def digit_vertex(p: DigitPrefix) -> ClusterPt:
-    am, bm = digits_to_coords(p)
-    return member(normal_form(am, bm))
+    """The vertex reached from the base on the digit tree: digit d steps
+    from (n, m) to the child (n + 1, 2m - 1 + d), so k digits, read as the
+    binary integer D, reach (n + k, 2^k m - 2^k + 1 + D)."""
+    k = len(p.digits)
+    return ClusterPt(p.base.n + k, ((p.base.m - 1) << k) + 1 + _binary(p.digits))
 
 
 def coords_to_digits(v: ClusterPt, w: ClusterPt, bound: int) -> DigitPrefix:
-    """The unique prefix of length <= bound walking from v to w."""
-    rev = []
-    cur = w
-    while cur != v:
-        if len(rev) >= bound or cur.n == 0:
-            raise Unreachable(f"{w} not within {bound} digit steps of {v}")
-        if cur.m % 2 == 0:
-            parent = ClusterPt(cur.n - 1, cur.m // 2)
-            digit = 1
-        else:
-            parent = ClusterPt(cur.n - 1, (cur.m + 1) // 2)
-            digit = 0
-        if cur not in children(parent):
-            raise Unreachable(f"{w} is not on the digit tree below {v}")
-        rev.append(digit)
-        cur = parent
-    p = DigitPrefix(v, tuple(reversed(rev)))
+    """The unique prefix of length <= bound walking from v to w: its length
+    is k = depth(w) - depth(v) and its digits D = w.m - 2^k v.m + 2^k - 1,
+    taken mod 2^(depth(w) + 1), which must lie below 2^k."""
+    k = w.n - v.n
+    if not 0 <= k <= bound:
+        raise Unreachable(f"{w} not within {bound} digit steps of {v}")
+    d = (w.m - ((v.m - 1) << k) - 1) % (1 << (w.n + 1))
+    if d >= 1 << k:
+        raise Unreachable(f"{w} is not on the digit tree below {v}")
+    p = DigitPrefix(v, tuple((d >> i) & 1 for i in reversed(range(k))))
     if digit_vertex(p) != w:
-        raise AssertionError("digit climb failed to invert")
+        raise AssertionError("digit prefix does not reach its target")
     return p
 
 
@@ -257,13 +263,7 @@ def g_extend(w: StringWord, k: int) -> StringWord:
     steps; the truncation points are marked."""
     if w.marked:
         raise InvalidWord("word already carries ray markers")
-    if len(w.verts) == 1:
-        t1, t2 = (a.triangle for a in arrows_at(w.verts[0])[0])
-        att_l = _attach_at(w.verts[0], t2)
-        att_r = _attach_at(w.verts[0], t1)
-    else:
-        att_l = _attach_at(w.verts[0], w.letter(0).triangle)
-        att_r = _attach_at(w.verts[-1], w.letter(len(w.directs) - 1).triangle)
+    att_l, att_r = _attach_arrows(w)
 
     def ray(att: QArrow):
         chain = [att.src]

@@ -8,6 +8,17 @@ take the vertexwise path: kernels by vertexwise nullspaces on the
 string-module side, then splitting into strings and transporting back
 through the object-word dictionary; cokernels dually via vertexwise
 quotients.  Both paths order the summands alike, so they agree exactly.
+
+`classify`, `kernel` and `cokernel` read one set of per-point matrices, the
+functor F of C_pi / add T = mod End(T): at a cluster point s, F(f) is the
+matrix of f on the summands supported at s, keeping the entries whose basic
+map is alive at s (`_vertex_matrices`).  Only the source of the supports
+and alive sets differs.  Kernels and cokernels take them from the words
+they compute on (vertices and graph-map overlaps); `classify` takes them
+from the geometry (`walk.support` and the translate limits of
+`walk.induced_support_map`), so that criterion 6, which classifies the
+string-side kernel inclusions and cokernel projections, checks them
+against the category itself rather than against the same string data.
 """
 
 from __future__ import annotations
@@ -18,10 +29,9 @@ from fractions import Fraction
 from . import linalg
 from .band import Obj
 from .cluster import ClusterPt, member
-from .walk import support, hom_ct_dim, compose_basic_nonzero, concrete_epsilon, shifted
-from .cluster import object_of
+from .walk import support, hom_ct_dim, compose_basic_nonzero, induced_support_map
 from .strings import (StringWord, to_rep, direct_sum, decompose_rep,
-                      kernel_cokernel_strings, overlap, RepFin)
+                      kernel_cokernel_strings, overlap, restrict_rep, RepFin)
 from .equiv import obj_to_string, string_to_obj
 from .errors import ShapeMismatch
 
@@ -143,43 +153,44 @@ def compose(g: MorQ, f: MorQ) -> MorQ:
     return MorQ(f.src, g.dst, tuple(rows))
 
 
-def _induced_matrix(f: MorQ, s: ClusterPt):
-    cols = [j for j, x in enumerate(f.src) if s in support(x)]
-    rows = [i for i, y in enumerate(f.dst) if s in support(y)]
-    if not cols and not rows:
-        return None
-    eps_objs = [object_of(s)] + list(f.src) + list(f.dst)
-    eps = concrete_epsilon(eps_objs)
-    s_eps = shifted(s, eps, eps)
-    m = []
-    for i in rows:
-        r = []
-        for j in cols:
-            c = f.entries[i][j]
-            alive = bool(c) and compose_basic_nonzero(s_eps, f.src.summands[j], f.dst.summands[i])
-            r.append(c if alive else Fraction(0))
-        m.append(tuple(r))
-    return (tuple(m), len(rows), len(cols))
+def _nonzero(f: MorQ) -> list[tuple[int, int]]:
+    return [(i, j) for i, row in enumerate(f.entries) for j, c in enumerate(row) if c]
+
+
+def _vertex_matrices(f: MorQ, supp_src, supp_dst, alive, verts):
+    """Per point v, F(f) at v: the matrix of f on the summands present at v,
+    with the indices of those summands: (matrix, dst rows, src cols).
+    supp_src[j] and supp_dst[i] hold the points where the summands are
+    present; entry (i, j) is f's scalar where v lies in alive[(i, j)], the
+    set given for each nonzero entry."""
+    out = {}
+    for v in verts:
+        cols = [j for j, supp in enumerate(supp_src) if v in supp]
+        rows = [i for i, supp in enumerate(supp_dst) if v in supp]
+        m = tuple(tuple(f.entries[i][j] if f.entries[i][j] and v in alive[(i, j)] else Fraction(0)
+                        for j in cols) for i in rows)
+        out[v] = (m, rows, cols)
+    return out
 
 
 def classify(f: MorQ) -> Classification:
     """Zero/mono/epi/iso from the induced maps on translate homs, one
     cluster point at a time."""
-    pts = set()
-    for x in list(f.src) + list(f.dst):
-        pts |= support(x)
+    alive = {}
+    for i, j in _nonzero(f):
+        induced = induced_support_map(f.src.summands[j], f.dst.summands[i], 1)
+        alive[(i, j)] = {s for s, c in induced.items() if c}
+    supp_src = [support(x) for x in f.src]
+    supp_dst = [support(y) for y in f.dst]
+    pts = sorted(set().union(*supp_src, *supp_dst))
     is_zero = is_mono = is_epi = True
-    for s in sorted(pts):
-        ind = _induced_matrix(f, s)
-        if ind is None:
-            continue
-        m, nrows, ncols = ind
+    for m, rows, cols in _vertex_matrices(f, supp_src, supp_dst, alive, pts).values():
         r = linalg.rank(m)
         if any(v != 0 for row in m for v in row):
             is_zero = False
-        if r < ncols:
+        if r < len(cols):
             is_mono = False
-        if r < nrows:
+        if r < len(rows):
             is_epi = False
     return Classification(is_zero, is_mono, is_epi, is_mono and is_epi)
 
@@ -190,26 +201,17 @@ def hom_dim(a: SumObj, b: SumObj) -> int:
 
 # -- kernels and cokernels ----------------------------------------------------
 
-def _rep_of_sum(x: SumObj) -> tuple[RepFin, list[StringWord]]:
-    words = [obj_to_string(s) for s in x]
-    return (direct_sum([to_rep(w) for w in words]), words)
-
-
-def _vertex_matrices(f: MorQ, words_src, words_dst, verts):
-    """Per vertex v, the matrix of f on the summands present at v, with the
-    indices of those summands: (matrix, dst rows, src cols).  Entry (i, j)
-    is f's scalar where v lies in the graph map words_src[j] -> words_dst[i],
-    found by one occurrence scan per nonzero entry."""
-    ovs = {(i, j): overlap(words_src[j], words_dst[i])
-           for i, row in enumerate(f.entries) for j, c in enumerate(row) if c}
-    out = {}
-    for v in verts:
-        cols = [j for j, w in enumerate(words_src) if v in w.verts]
-        rows = [i for i, w in enumerate(words_dst) if v in w.verts]
-        m = tuple(tuple(f.entries[i][j] if f.entries[i][j] and v in ovs[(i, j)] else Fraction(0)
-                        for j in cols) for i in rows)
-        out[v] = (m, rows, cols)
-    return out
+def _string_side(f: MorQ, on_src: bool):
+    """The words of f's summands, the string module M of the source (on_src)
+    or the target of f, and F(f) at each vertex of M, every entry alive on
+    the overlap of its graph map; M's vertices come in (n, m) order."""
+    words_src = [obj_to_string(x) for x in f.src]
+    words_dst = [obj_to_string(y) for y in f.dst]
+    rep = direct_sum([to_rep(w) for w in (words_src if on_src else words_dst)])
+    alive = {(i, j): overlap(words_src[j], words_dst[i]) for i, j in _nonzero(f)}
+    vmats = _vertex_matrices(f, [w.verts for w in words_src], [w.verts for w in words_dst],
+                             alive, rep.dims)
+    return (rep, words_src, words_dst, vmats)
 
 
 def _scalar_of_component(ov: frozenset[ClusterPt], values: dict[ClusterPt, Fraction]):
@@ -262,31 +264,11 @@ def cokernel(f: MorQ) -> tuple[SumObj, MorQ]:
 def _kernel_rep(f: MorQ) -> tuple[SumObj, MorQ]:
     """Kernel via vertexwise nullspaces on the string side."""
     if not len(f.src):
-        z = SumObj()
-        return (z, zero_mor(z, f.src))
-    rep_src, words_src = _rep_of_sum(f.src)
-    words_dst = [obj_to_string(s) for s in f.dst]
-    verts = sorted(rep_src.dims, key=lambda p: (p.n, p.m))
-    vmats = _vertex_matrices(f, words_src, words_dst, verts)
-    basis = {}
-    dims = {}
-    for v in verts:
-        m, _, cols = vmats[v]
-        kern = linalg.nullspace(m, len(cols))
-        basis[v] = linalg.from_columns(kern, len(cols)) if kern else linalg.zeros(len(cols), 0)
-        dims[v] = len(kern)
-    mats = {}
-    for arr in rep_src.arrows():
-        u, w = arr.src, arr.dst
-        if dims.get(u, 0) == 0 or dims.get(w, 0) == 0:
-            continue
-        image = linalg.matmul(rep_src.matrix(u, w), basis[u])
-        coords = linalg.solve(basis[w], image)
-        if coords is None:
-            raise AssertionError("vertexwise kernel not arrow-stable")
-        if any(x != 0 for row in coords for x in row):
-            mats[(u, w)] = coords
-    pieces = decompose_rep(RepFin(dims, mats))
+        return (SumObj(), zero_mor(SumObj(), f.src))
+    rep_src, words_src, _, vmats = _string_side(f, True)
+    basis = {v: linalg.from_columns(linalg.nullspace(m, len(cols)), len(cols))
+             for v, (m, _, cols) in vmats.items()}
+    pieces = decompose_rep(restrict_rep(rep_src, basis))
     k_obj = SumObj([string_to_obj(w) for w, _ in pieces])
     # each piece's embedding at v, in the coordinates of the summands at v
     vecs = [{v: linalg.matvec(basis[v], emb[v]) for v in wk.verts} for wk, emb in pieces]
@@ -303,17 +285,12 @@ def _kernel_rep(f: MorQ) -> tuple[SumObj, MorQ]:
 def _cokernel_rep(f: MorQ) -> tuple[SumObj, MorQ]:
     """Cokernel via vertexwise quotients on the string side."""
     if not len(f.dst):
-        z = SumObj()
-        return (z, zero_mor(f.dst, z))
-    rep_dst, words_dst = _rep_of_sum(f.dst)
-    words_src = [obj_to_string(s) for s in f.src]
-    verts = sorted(rep_dst.dims, key=lambda p: (p.n, p.m))
-    vmats = _vertex_matrices(f, words_src, words_dst, verts)
+        return (SumObj(), zero_mor(f.dst, SumObj()))
+    rep_dst, _, words_dst, vmats = _string_side(f, False)
     proj = {}
     section = {}
     dims = {}
-    for v in verts:
-        m, rows, cols = vmats[v]
+    for v, (m, rows, cols) in vmats.items():
         n_v, n_c = len(rows), len(cols)
         # the pivot columns of [m | I] are a basis of the image followed by
         # the coordinate vectors that extend it to the whole space
@@ -332,8 +309,7 @@ def _cokernel_rep(f: MorQ) -> tuple[SumObj, MorQ]:
         u, w = arr.src, arr.dst
         if dims.get(u, 0) == 0 or dims.get(w, 0) == 0:
             continue
-        a = rep_dst.matrix(u, w)
-        mat = linalg.matmul(proj[w], linalg.matmul(a, section[u]))
+        mat = linalg.matmul(proj[w], linalg.matmul(rep_dst.matrix(u, w), section[u]))
         if any(x != 0 for row in mat for x in row):
             mats[(u, w)] = mat
     pieces = decompose_rep(RepFin(dims, mats))

@@ -481,33 +481,35 @@ def decompose_rep(rep: RepFin) -> list[tuple[StringWord, dict[ClusterPt, tuple[F
             raise NotAModule("representation does not split into strings")
         w, phi, psi = split
         out.append((w, {v: linalg.matvec(acc[v], phi[v]) for v in w.verts}))
-        current, acc = _peel(current, acc, w, psi)
+        current, acc = _peel(current, acc, psi)
     return out
 
 
-def _peel(rep: RepFin, acc, w: StringWord, psi):
-    new_basis = {}
-    for v in rep.dims:
-        if v in psi:
-            row = (psi[v],)
-            kern = linalg.nullspace(row, rep.dim(v))
-            new_basis[v] = linalg.from_columns(kern, rep.dim(v)) if kern else linalg.zeros(rep.dim(v), 0)
-        else:
-            new_basis[v] = linalg.identity(rep.dim(v))
-    dims = {v: (len(new_basis[v][0]) if new_basis[v] else 0) for v in rep.dims}
+def _peel(rep: RepFin, acc, psi):
+    """Cut rep down to the kernel of the split functional psi and carry
+    acc, the embedding of rep into the original, along."""
+    basis = {v: linalg.from_columns(linalg.nullspace((psi[v],), rep.dim(v)), rep.dim(v))
+             if v in psi else linalg.identity(rep.dim(v)) for v in rep.dims}
+    sub = restrict_rep(rep, basis)
+    return (sub, {v: linalg.matmul(acc[v], basis[v]) for v in sub.dims})
+
+
+def restrict_rep(rep: RepFin, basis) -> RepFin:
+    """The subrepresentation spanned at each vertex v by the columns of
+    basis[v] (rep.dim(v) rows), its arrow matrices in those bases; the
+    subspaces must be carried into each other along every arrow."""
+    dims = {v: len(b[0]) for v, b in basis.items()}
     mats = {}
     for arr in rep.arrows():
-        u, vv = arr.src, arr.dst
-        if dims.get(u, 0) == 0 or dims.get(vv, 0) == 0:
+        u, w = arr.src, arr.dst
+        if not (dims.get(u) and dims.get(w)):
             continue
-        image = linalg.matmul(rep.matrix(u, vv), new_basis[u])
-        coords = linalg.solve(new_basis[vv], image)
+        coords = linalg.solve(basis[w], linalg.matmul(rep.matrix(u, w), basis[u]))
         if coords is None:
-            raise AssertionError("kernel not arrow-stable")
+            raise AssertionError("subspace not arrow-stable")
         if any(x != 0 for row in coords for x in row):
-            mats[(u, vv)] = coords
-    new_acc = {v: linalg.matmul(acc[v], new_basis[v]) for v in rep.dims if dims.get(v, 0) > 0}
-    return (RepFin(dims, mats), new_acc)
+            mats[(u, w)] = coords
+    return RepFin(dims, mats)
 
 
 _WORD_TOKEN = re.compile(r"\s*(~?)\s*(T\(\s*\d+\s*,\s*-?\d+\s*\))\s*(~?)\s*")

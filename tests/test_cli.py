@@ -130,6 +130,26 @@ def test_kernel_bad_stdin_exit_2(capsys, monkeypatch):
     assert code == 2 and "entries" in err
 
 
+def _kernel_stdin_error(capsys, monkeypatch, payload):
+    for which in ("kernel", "cokernel"):
+        code, out, err = run(capsys, which, stdin=json.dumps(payload), monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: ") and err.count("\n") == 1
+    return err
+
+
+def test_kernel_zero_denominator_exit_2(capsys, monkeypatch):
+    err = _kernel_stdin_error(capsys, monkeypatch, {"src": ["M(1/8,1/4)"], "dst": ["M(1/4,3/4)"],
+                                                   "entries": [["1/0"]]})
+    assert "entry" in err
+
+
+def test_kernel_src_not_a_list_exit_2(capsys, monkeypatch):
+    err = _kernel_stdin_error(capsys, monkeypatch, {"src": "M(1/8,1/4)", "dst": ["M(1/4,3/4)"],
+                                                   "entries": [["1"]]})
+    assert "'src' must be a list" in err
+
+
 def test_check_runs_small(capsys):
     code, out, _ = run(capsys, "check", "--depth", "1")
     assert code == 0

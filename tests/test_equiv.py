@@ -1,7 +1,7 @@
 import pytest
 
-from moebius.band import parse_obj
-from moebius.cluster import ClusterPt, STANDARD, object_of, mutate
+from moebius.band import normal_form, parse_obj
+from moebius.cluster import ClusterPt, STANDARD, children, member, object_of, mutate
 from moebius.walk import hom_ct_dim
 from moebius.strings import word, parse_word, hom_dim_strings, StringWord
 from moebius.equiv import (obj_to_string, string_to_obj, simple_object,
@@ -147,6 +147,54 @@ def test_digit_roundtrips():
             p = DigitPrefix(v, digits)
             w = digit_vertex(p)
             assert coords_to_digits(v, w, 8) == p
+
+
+def _digit_vertex_geometric(p):
+    """The cluster point at the coordinates of the b_m formula."""
+    return member(normal_form(*digits_to_coords(p)))
+
+
+def _coords_to_digits_by_climb(v, w, bound):
+    """Climb from w to v one parent at a time, as the prefix was found
+    before the closed form."""
+    rev = []
+    cur = w
+    while cur != v:
+        if len(rev) >= bound or cur.n == 0:
+            raise Unreachable(f"{w} not within {bound} digit steps of {v}")
+        if cur.m % 2 == 0:
+            parent, digit = T(cur.n - 1, cur.m // 2), 1
+        else:
+            parent, digit = T(cur.n - 1, (cur.m + 1) // 2), 0
+        if cur not in children(parent):
+            raise Unreachable(f"{w} is not on the digit tree below {v}")
+        rev.append(digit)
+        cur = parent
+    p = DigitPrefix(v, tuple(reversed(rev)))
+    assert _digit_vertex_geometric(p) == w
+    return p
+
+
+def test_digit_tree_matches_geometry_and_climb():
+    from itertools import product
+    from moebius.checks import cluster_points
+    for v in cluster_points(3):
+        for m in range(9):
+            for digits in product((0, 1), repeat=m):
+                p = DigitPrefix(v, digits)
+                assert digit_vertex(p) == _digit_vertex_geometric(p), p
+    for v in cluster_points(3):
+        for w in cluster_points(7):
+            for bound in (3, 10):
+                try:
+                    want = _coords_to_digits_by_climb(v, w, bound)
+                except Unreachable:
+                    want = None
+                try:
+                    got = coords_to_digits(v, w, bound)
+                except Unreachable:
+                    got = None
+                assert got == want, (v, w, bound)
 
 
 def test_digit_unreachable():

@@ -8,11 +8,14 @@ from moebius.checks import _basics, grid_off_cluster
 from moebius.cluster import ClusterPt, member
 from moebius.dyadic import Dyadic
 from moebius.equiv import obj_to_string
-from moebius.quotient import (SumObj, MorQ, identity_mor, zero_mor, basic_mor,
-                              compose, classify, kernel, cokernel, hom_dim,
+from moebius.quotient import (SumObj, MorQ, Classification, identity_mor, zero_mor,
+                              basic_mor, compose, classify, kernel, cokernel, hom_dim,
                               _kernel_rep, _cokernel_rep)
 from moebius.errors import MoebiusError, ShapeMismatch
-from moebius.walk import hom_ct_dim
+from moebius.walk import (hom_ct_dim, support, compose_basic_nonzero, concrete_epsilon,
+                          shifted)
+from moebius.cluster import object_of
+from moebius import linalg
 
 T = ClusterPt
 M = parse_obj
@@ -220,3 +223,57 @@ def test_zero_entry_morphism_takes_rep_path():
         assert k_obj == f.src and incl == identity_mor(f.src)
         c_obj, proj = cokernel(f)
         assert c_obj == f.dst and proj == identity_mor(f.dst)
+
+
+def _classify_by_translates(f):
+    """classify as it was computed before the per-point matrices were
+    shared: at each point s, one epsilon over every summand, the translate
+    of s by it, and a composite test per entry."""
+    pts = set()
+    for x in list(f.src) + list(f.dst):
+        pts |= support(x)
+    is_zero = is_mono = is_epi = True
+    for s in sorted(pts):
+        cols = [j for j, x in enumerate(f.src) if s in support(x)]
+        rows = [i for i, y in enumerate(f.dst) if s in support(y)]
+        eps = concrete_epsilon([object_of(s)] + list(f.src) + list(f.dst))
+        s_eps = shifted(s, eps, eps)
+        m = tuple(tuple(f.entries[i][j] if f.entries[i][j] and compose_basic_nonzero(
+            s_eps, f.src.summands[j], f.dst.summands[i]) else Fraction(0) for j in cols)
+            for i in rows)
+        r = linalg.rank(m)
+        if any(v != 0 for row in m for v in row):
+            is_zero = False
+        if r < len(cols):
+            is_mono = False
+        if r < len(rows):
+            is_epi = False
+    return Classification(is_zero, is_mono, is_epi, is_mono and is_epi)
+
+
+def _assert_classify_agrees(f):
+    _, incl = kernel(f)
+    _, proj = cokernel(f)
+    for g in (f, incl, proj, compose(f, incl), compose(proj, f)):
+        assert classify(g) == _classify_by_translates(g), g
+
+
+def test_classify_matches_translates_on_basics_depth3():
+    for (x, y) in _basics(3):
+        _assert_classify_agrees(basic_mor(x, y))
+
+
+def test_classify_matches_translates_on_matrix_morphisms():
+    basics = _basics(3)
+    rng = random.Random(3)
+    for _ in range(600):
+        pairs = [rng.choice(basics) for _ in range(3)]
+        src = SumObj([x for x, _ in pairs[:rng.randint(1, 3)]])
+        dst = SumObj([y for _, y in rng.sample(pairs, rng.randint(1, 3))])
+        entries = [[Fraction(rng.choice((0, 1, -1, 2, 3)), rng.choice((1, 2))) for _ in src]
+                   for _ in dst]
+        f = MorQ(src, dst, entries)
+        _, incl = kernel(f)
+        _, proj = cokernel(f)
+        for g in (f, incl, proj):
+            assert classify(g) == _classify_by_translates(g), g

@@ -6,7 +6,7 @@ from moebius.band import parse_obj, hom_c_dim
 from moebius.cluster import ClusterPt, object_of
 from moebius.strings import (arrows_at, arrow_between, word, validate_word,
                              hom_dim_strings, overlap, kernel_cokernel_strings,
-                             to_rep, direct_sum, decompose_rep, RepFin,
+                             to_rep, direct_sum, decompose_rep, RepFin, restrict_rep,
                              StringWord, parse_word, _candidate_words, _occurrences)
 from moebius.errors import InvalidWord, NoMorphism, NotAModule, ParseError
 from moebius import linalg
@@ -157,6 +157,29 @@ def test_decompose_rejects_broken_relations():
     mats = {(T(0, 0), T(1, 3)): one, (T(1, 3), T(1, 0)): one, (T(1, 0), T(0, 0)): one}
     with pytest.raises(NotAModule):
         decompose_rep(RepFin(dims, mats))
+
+
+def test_restrict_rep_identity_basis_is_unchanged():
+    rep = direct_sum([to_rep(w_of("M(1/8,1/4)")), to_rep(word([T(0, 0)])),
+                      to_rep(w_of("M(1/4,3/4)"))])
+    sub = restrict_rep(rep, {v: linalg.identity(rep.dim(v)) for v in rep.dims})
+    assert sub.dims == rep.dims and sub.mats == rep.mats
+
+
+def test_restrict_rep_rejects_unstable_subspace():
+    # two copies of T(1,0) > T(0,0) > T(1,1): the first copy at T(1,0) maps
+    # into the first copy at T(0,0), which the second copy does not contain
+    w = parse_word("T(1,0) > T(0,0) > T(1,1)")
+    rep = direct_sum([to_rep(w), to_rep(w)])
+    one, zero = Fraction(1), Fraction(0)
+    basis = {T(1, 0): ((one,), (zero,)), T(0, 0): ((zero,), (one,)),
+             T(1, 1): linalg.identity(2)}
+    with pytest.raises(AssertionError, match="not arrow-stable"):
+        restrict_rep(rep, basis)
+    # the second copy alone is a subrepresentation
+    basis[T(1, 0)] = ((zero,), (one,))
+    sub = restrict_rep(rep, basis)
+    assert sub.dims == {T(1, 0): 1, T(0, 0): 1, T(1, 1): 2}
 
 
 def test_vertexwise_kernel_of_worked_map():
