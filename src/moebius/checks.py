@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadic import Dyadic
+from .dyadic import Dyadic, ONE
 from .band import Obj, normal_form, compatible, ends, triangle_complete, hom_c_dim, hom_c_configs
 from .cluster import (ClusterPt, STANDARD, member, object_of, mutate,
                       in_neighbors, out_neighbors, neighbors, enum_in_rect)
@@ -98,11 +98,13 @@ def check_bijection(e: int) -> tuple[bool, str]:
 
 
 def check_support_walk(e: int) -> tuple[bool, str]:
+    """The stepped walk's interior against the paper's support, the cluster
+    points of the open rectangle (y-1, x) x (x-1, y) found by level scan."""
     objs = grid_off_cluster(e)
     for x in objs:
         w = walk_of(x)
         interior = frozenset(p for p in w.points()) - {w.vertices[0].pt, w.vertices[-1].pt}
-        if support(x) != interior:
+        if enum_in_rect(Rect.open(x.y - ONE, x.x, x.x - ONE, x.y)) != interior:
             return (False, f"support != walk interior at {x}")
     worked = {
         "M(1/4,3/4)": {(0, 0), (1, 0), (1, 1)},

@@ -1,7 +1,9 @@
 """Command-line front end: queries, invariant suites, SVG rendering.
 
 Exit codes: 0 success, 1 domain error (message names the error class),
-2 malformed arguments or input syntax.
+2 malformed arguments or input syntax (including a MOEBIUS_MAX_DEPTH that
+is not an integer, for every subcommand), 3 internal error: a broken
+invariant, reported as one `internal error: ...` line.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 from .dyadic import parse_dyadic
 from .band import parse_obj, Rect, hom_c_dim
-from .cluster import STANDARD, parse_cluster_pt, mutate, object_of
+from .cluster import STANDARD, parse_cluster_pt, mutate, object_of, _max_depth
 from .walk import walk_of, support, approximation, hom_ct_dim
 from .strings import parse_word
 from .equiv import obj_to_string, string_to_obj, simple_object, DigitPrefix, digits_to_coords, digit_vertex
@@ -296,6 +298,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _max_depth()  # read once, so a bad cap fails every subcommand alike
         return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -303,6 +306,10 @@ def main(argv=None) -> int:
     except MoebiusError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        detail = " ".join(str(exc).split()) or "assertion failed"
+        print(f"internal error: {detail}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

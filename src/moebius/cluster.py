@@ -79,21 +79,17 @@ def chord_str(v: ClusterPt) -> str:
     return f"{{{p}, {q}}}"
 
 
-@lru_cache(maxsize=None)
 def member(x: Obj) -> ClusterPt | None:
-    """The cluster point with the same iso class, if the ends are adjacent dyadics."""
-    e1, e2 = sorted(ends(x), key=lambda a: a.v)
-    for p, q in ((e1, e2), (e2, e1)):
-        gap = p.gap_to(q)
-        if gap.num != 1:
-            continue
-        n = gap.exp
-        if p.v.exp > n or q.v.exp > n:
-            continue
-        m = q.v.num << (n - q.v.exp)
-        v = ClusterPt(n, m)
-        if object_of(v) == x:
-            return v
+    """The cluster point with the same iso class, if any.
+
+    T(n, m) has canonical coordinates x = m/2^n and delta = 1 - 1/2^n, so
+    membership is read off the numerators.  At n = 0 (delta = 0) the
+    canonical x lies in [0, 1), so x.exp <= 0 leaves only M(0, 0) = T(0, 0).
+    """
+    d, x0 = x.delta, x.x
+    n = d.exp
+    if d.num == (1 << n) - 1 and x0.exp <= n:
+        return ClusterPt(n, x0.num << (n - x0.exp))
     return None
 
 
@@ -141,40 +137,59 @@ def out_neighbors(v: ClusterPt) -> tuple[ClusterPt, ClusterPt]:
 
 # -- enumeration ------------------------------------------------------------
 
-def _tighter(a: tuple[int, bool], b: tuple[int, bool], lower: bool):
-    """Combine two interval bounds, openness winning ties."""
-    (va, oa), (vb, ob) = a, b
-    if va == vb:
-        return (va, oa or ob)
-    if lower:
-        return a if va > vb else b
-    return a if va < vb else b
+def _box(rect: Rect, k: int) -> tuple[int, int, int, int]:
+    """The edges of rect as integer numerators at the scale 2^(k+1), each open
+    edge moved one unit inward.  Points of the 1/2^k grid have even numerators,
+    so against the odd moved edges the closed comparisons are the strict ones."""
+    s = k + 1
+    return ((rect.x_lo.num << (s - rect.x_lo.exp)) + rect.open_x_lo,
+            (rect.x_hi.num << (s - rect.x_hi.exp)) - rect.open_x_hi,
+            (rect.y_lo.num << (s - rect.y_lo.exp)) + rect.open_y_lo,
+            (rect.y_hi.num << (s - rect.y_hi.exp)) - rect.open_y_hi)
+
+
+def _t_ranges(box: tuple[int, int, int, int], k: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The ranges (t_min, t_max) of the depth-n representatives in a box from
+    `_box(rect, k)`, k >= n: first (t/2^n, t/2^n + delta), then
+    (t/2^n, t/2^n - delta), with delta = 1 - 1/2^n.  A range with
+    t_min > t_max is empty."""
+    x_lo, x_hi, y_lo, y_hi = box
+    step = 2 << (k - n)  # 1/2^n at scale 2^(k+1)
+    delta = (2 << k) - step
+    # on the line y = x + d the y-bounds become the x-bounds y - d
+    return ((-(-max(x_lo, y_lo - delta) // step), min(x_hi, y_hi - delta) // step),
+            (-(-max(x_lo, y_lo + delta) // step), min(x_hi, y_hi + delta) // step))
 
 
 def _level_hits(rect: Rect, n: int):
-    """Cluster points of depth n with a representative in rect, with that rep.
-
-    Depth-n representatives are (t/2^n, t/2^n +- delta) with delta = 1 - 1/2^n;
-    the bounds on t are found on integer numerators at the common scale 2^k.
-    """
+    """Cluster points of depth n with a representative in rect, with that rep."""
     k = max(n, rect.max_exp())
-    x_lo, x_hi, y_lo, y_hi = (d.num << (k - d.exp)
-                              for d in (rect.x_lo, rect.x_hi, rect.y_lo, rect.y_hi))
-    step = 1 << (k - n)  # 1/2^n at scale 2^k
     delta = (1 << n) - 1  # numerator of 1 - 1/2^n at scale 2^n
     hits = []
-    for sign in (1, -1):  # y = x + delta, then y = x - delta
-        # the y-bounds shift the x-interval by -sign*delta
-        lo, lo_open = _tighter((x_lo, rect.open_x_lo),
-                               (y_lo - sign * delta * step, rect.open_y_lo), lower=True)
-        hi, hi_open = _tighter((x_hi, rect.open_x_hi),
-                               (y_hi - sign * delta * step, rect.open_y_hi), lower=False)
-        t_min = lo // step + 1 if lo_open else -(-lo // step)
-        t_max = -(-hi // step) - 1 if hi_open else hi // step
+    for sign, (t_min, t_max) in zip((1, -1), _t_ranges(_box(rect, k), k, n)):
         for t in range(t_min, t_max + 1):
             m = (t if sign > 0 else t + 1) % (2 << n)
             hits.append((ClusterPt(n, m), (Dyadic(t, n), Dyadic(t + sign * delta, n))))
     return hits
+
+
+def meets_cluster(rect: Rect) -> bool:
+    """Whether some cluster point has a representative in rect.
+
+    Scans depths 0..k on integer numerators and stops at the first nonempty
+    range.  With e the finest edge exponent, k = e + 1 settles a closed
+    rectangle: one that meets the cluster deeper meets it at depth e, since
+    the lines y - x = +-(1 - 1/2^e) cross it in closed segments with ends on
+    the 1/2^e grid.  An open edge needs the probe depth k = e + 2 of
+    `enum_in_rect_with_reps`.  Builds no points and caches nothing.
+    """
+    k = rect.max_exp() + 1 + (rect.open_x_lo or rect.open_x_hi or rect.open_y_lo or rect.open_y_hi)
+    box = _box(rect, k)
+    for n in range(k + 1):
+        for t_min, t_max in _t_ranges(box, k, n):
+            if t_min <= t_max:
+                return True
+    return False
 
 
 @lru_cache(maxsize=None)

@@ -7,6 +7,15 @@ lower-right and upper-left corners are the maximal cluster representatives
 up or left with arrows pointing up and right.  Sinks are the upper-right
 corners of the zig-zag (including both endpoints), sources the lower-left
 ones, and everything else is a through vertex.
+
+Walks are stepped from the lower-right corner, not scanned.  At the scale
+2^K, K one past the finest exponent of the two corners, the cluster
+representatives on the vertical line x' = P are (P, P -+ (2^K - 2^j)) for
+0 <= j <= K - n0, where 2^n0 is the denominator of P (depth K - j; j = K is
+T(0,0) on the diagonal), and likewise (Q -+ (2^K - 2^j), Q) on the
+horizontal line y' = Q.  The nearest one above or to the left is therefore
+a `bit_length` away, and each step goes up when that stays below the top
+edge and left otherwise.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from functools import lru_cache
 
 from .dyadic import Dyadic, ONE, floor_div2
 from .band import Obj, Rect, Rep, normal_form, hom_c_configs
-from .cluster import ClusterPt, member, object_of, enum_in_rect_with_reps, enum_in_rect
+from .cluster import ClusterPt, member, object_of, enum_in_rect_with_reps, meets_cluster
 from .errors import InCluster, NotBasic
 
 SINK = "sink"
@@ -71,8 +80,11 @@ class Approximation:
 
 @lru_cache(maxsize=None)
 def support(x: Obj) -> frozenset[ClusterPt]:
-    """Cluster points in the open rectangle (y-1, x) x (x-1, y)."""
-    return enum_in_rect(Rect.open(x.y - ONE, x.x, x.x - ONE, x.y))
+    """Cluster points in the open rectangle (y-1, x) x (x-1, y): the interior
+    of the walk of x, and empty on the cluster."""
+    if member(x) is not None:
+        return frozenset()
+    return frozenset(v.pt for v in walk_of(x).vertices[1:-1])
 
 
 def _delta(n: int) -> Dyadic:
@@ -108,37 +120,65 @@ def _upper_endpoint(x: Dyadic, y: Dyadic) -> Rep:
     return (y - _delta(n_z), y)
 
 
-def _assemble(reps_pts: list[tuple[ClusterPt, Rep]]) -> Walk:
-    ordered = sorted(reps_pts, key=lambda pr: (-pr[1][0], pr[1][1]))
-    pts = [p for p, _ in ordered]
+def _offset_above(d: int, line: int, k: int) -> int | None:
+    """Smallest offset c > d among -(2^k - 2^j), then +(2^k - 2^j), for
+    0 <= j <= j_max: the cluster representatives on the line through the
+    coordinate `line`, 2^j_max being the largest power of two <= 2^k dividing it."""
+    j_max = min((line & -line).bit_length() - 1, k) if line else k
+    one = 1 << k
+    j = (d + one).bit_length()  # least 2^j > d + 2^k
+    if j <= j_max:
+        return (1 << j) - one
+    s = one - d
+    if s < 2:
+        return None
+    return one - (1 << min(j_max, (s - 1).bit_length() - 1))  # greatest 2^j < 2^k - d
+
+
+def _point_at(p: int, q: int, k: int) -> ClusterPt:
+    """The cluster point with the representative (p, q) at scale 2^k."""
+    d = q - p
+    j = ((1 << k) - abs(d)).bit_length() - 1  # |d| = 2^k - 2^j at depth k - j
+    t = p >> j
+    return ClusterPt(k - j, t if d >= 0 else t + 1)
+
+
+def _walk_between(lower: Rep, upper: Rep) -> Walk:
+    """The walk from the lower-right representative to the upper-left one,
+    stepped on integer numerators at the scale 2^k."""
+    (x0, y0), (x1, y1) = lower, upper
+    k = 1 + max(x0.exp, y0.exp, x1.exp, y1.exp)
+    p, q = x0.num << (k - x0.exp), y0.num << (k - y0.exp)
+    left, top = x1.num << (k - x1.exp), y1.num << (k - y1.exp)
+    reps, steps = [(p, q)], []
+    while p != left or q != top:
+        c = _offset_above(q - p, p, k)
+        if c is not None and p + c <= top:
+            q = p + c
+            steps.append("v")
+        else:
+            # the nearest rep to the left on y' = q: offset -c with c the
+            # least offset above q - p, the offset set being symmetric
+            c = _offset_above(q - p, q, k)
+            if c is None or q - c < left:
+                raise AssertionError(f"walk from {lower} to {upper} is stuck at "
+                                     f"({Dyadic(p, k)}, {Dyadic(q, k)})")
+            p = q - c
+            steps.append("h")
+        reps.append((p, q))
+    pts = [_point_at(p, q, k) for p, q in reps]
     if len(set(pts)) != len(pts):
         raise AssertionError("walk visits an object twice")
-    steps = []
-    for (p1, r1), (p2, r2) in zip(ordered, ordered[1:]):
-        if r1[0] == r2[0] and r1[1] < r2[1]:
-            steps.append("v")
-        elif r1[1] == r2[1] and r2[0] < r1[0]:
-            steps.append("h")
-        else:
-            raise AssertionError(f"broken walk step {r1} -> {r2}")
+    # arrows point up and right: a vertical step enters the upper vertex,
+    # a horizontal step the right one; a lone vertex counts as a sink
+    around = (None, *steps, None)
     vertices = []
-    for i, (pt, rep) in enumerate(ordered):
-        # arrow out to the next vertex iff that step is vertical (points up);
-        # arrow out to the previous vertex iff that step is horizontal (points right)
-        out_next = i < len(steps) and steps[i] == "v"
-        in_next = i < len(steps) and steps[i] == "h"
-        out_prev = i > 0 and steps[i - 1] == "h"
-        in_prev = i > 0 and steps[i - 1] == "v"
-        n_in, n_out = in_next + in_prev, out_next + out_prev
-        if n_in and not n_out:
-            role = SINK
-        elif n_out and not n_in:
-            role = SOURCE
-        elif n_in and n_out:
-            role = THROUGH
-        else:
-            role = SINK  # isolated vertex (trivial walk)
-        vertices.append(WalkVertex(pt, rep, role))
+    for i, (pt, (p, q)) in enumerate(zip(pts, reps)):
+        before, after = around[i], around[i + 1]
+        has_in = before == "v" or after == "h"
+        has_out = before == "h" or after == "v"
+        role = THROUGH if has_in and has_out else SOURCE if has_out else SINK
+        vertices.append(WalkVertex(pt, (Dyadic(p, k), Dyadic(q, k)), role))
     return Walk(tuple(vertices), tuple(steps))
 
 
@@ -147,29 +187,18 @@ def walk_of(x: Obj) -> Walk:
     """The finite walk attached to a dyadic object off the cluster."""
     if member(x) is not None:
         raise InCluster(f"{x} lies in the standard cluster")
-    lower = _lower_endpoint(x.x, x.y)
-    upper = _upper_endpoint(x.x, x.y)
-    rect = Rect.closed(upper[0], x.x, lower[1], x.y)
-    hits = list(enum_in_rect_with_reps(rect))
-    walk = _assemble(hits)
-    if walk.vertices[0].rep != lower or walk.vertices[-1].rep != upper:
-        raise AssertionError("walk endpoints disagree with maximality search")
-    return walk
+    return _walk_between(_lower_endpoint(x.x, x.y), _upper_endpoint(x.x, x.y))
 
 
 def minimal_walk(v: ClusterPt, w: ClusterPt) -> Walk:
     """The unique minimal walk between two cluster points."""
-    if v == w:
-        rep = object_of(v).reps()[0]
-        return Walk((WalkVertex(v, rep, SINK),), ())
     for lr_pt, ul_pt in ((v, w), (w, v)):
         for lr in object_of(lr_pt).reps():
             for ul0 in object_of(ul_pt).reps():
                 shift = Dyadic(2 * floor_div2(lr[0] - ul0[0]))
                 ul = (ul0[0] + shift, ul0[1] + shift)
                 if ul[0] <= lr[0] and ul[1] >= lr[1]:
-                    rect = Rect.closed(ul[0], lr[0], lr[1], ul[1])
-                    return _assemble(list(enum_in_rect_with_reps(rect)))
+                    return _walk_between(lr, ul)
     raise AssertionError(f"no common walk window for {v}, {w}")
 
 
@@ -192,7 +221,7 @@ def hom_ct_dim(src: Obj, dst: Obj) -> int:
     factoring rectangle avoids the cluster.
     """
     for (a, b), (x, y) in hom_c_configs(src, dst):
-        if not enum_in_rect(Rect.closed(a, x, b, y)):
+        if not meets_cluster(Rect.closed(a, x, b, y)):
             return 1
     return 0
 
@@ -222,7 +251,7 @@ def compose_basic_nonzero(x: Obj, y: Obj, z: Obj) -> bool:
                 # window conditions for the composite basic rx -> rz
                 if not (rz[1] - ONE < rx[0] and rz[0] - ONE < rx[1]):
                     continue
-                if enum_in_rect(Rect.closed(rx[0], rz[0], rx[1], rz[1])):
+                if meets_cluster(Rect.closed(rx[0], rz[0], rx[1], rz[1])):
                     continue
                 return True
     return False

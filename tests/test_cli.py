@@ -240,3 +240,39 @@ def test_render_cluster_depth_flag_out_of_range_exit_2(capsys, depth):
 def test_render_spec_malformed_rect_exit_2(capsys, monkeypatch, rect):
     err = _render_spec_error(capsys, monkeypatch, {"rects": [rect]})
     assert "bad rect" in err
+
+
+@pytest.mark.parametrize("argv", [("walk", "M(1/4,3/4)"), ("simple", "T(2,1)"),
+                                  ("render", "--cluster-depth", "1")])
+def test_max_depth_not_integer_exit_2_for_every_subcommand(capsys, monkeypatch, argv):
+    monkeypatch.setenv("MOEBIUS_MAX_DEPTH", "abc")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    assert "MOEBIUS_MAX_DEPTH" in err
+
+
+def test_internal_error_exit_3(capsys, monkeypatch):
+    import moebius.cli
+
+    def broken(x):
+        raise AssertionError("walk from (0, 0) to (0, 1)\nis stuck")
+
+    monkeypatch.setattr(moebius.cli, "walk_of", broken)
+    code, out, err = run(capsys, "walk", "M(1/4,3/4)")
+    assert code == 3 and out == ""
+    assert err == "internal error: walk from (0, 0) to (0, 1) is stuck\n"
+    assert "Traceback" not in err
+
+
+def test_exponent_64_queries_take_no_depth_cap(capsys, monkeypatch):
+    monkeypatch.delenv("MOEBIUS_MAX_DEPTH", raising=False)
+    x = "M(1/18446744073709551616,3/4)"
+    for argv in (("walk", x), ("support", x), ("approx", x), ("hom", x, "M(1/4,3/4)")):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "", argv
+    assert out.strip() == "C: 1, C/T: 1"
+    code, out, _ = run(capsys, "to-string", x)
+    assert code == 0 and out.count(">") + out.count("<") == 64
+    code, out, _ = run(capsys, "from-string", out.strip())
+    assert code == 0 and out.strip() == x

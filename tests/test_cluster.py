@@ -2,10 +2,11 @@ import pytest
 
 from moebius.dyadic import Dyadic
 from moebius.band import Rect, parse_obj, ends, compatible
+from moebius import cluster
 from moebius.cluster import (ClusterPt, STANDARD, member, object_of, chord,
                              depth, neighbors, in_neighbors, out_neighbors,
-                             enum_in_rect, enum_in_rect_with_reps, mutate,
-                             parse_cluster_pt, children)
+                             enum_in_rect, enum_in_rect_with_reps, meets_cluster,
+                             mutate, parse_cluster_pt, children)
 from moebius.errors import NotInCluster, UnboundedRect, ParseError
 
 T = ClusterPt
@@ -190,3 +191,86 @@ def test_chord_str():
     from moebius.cluster import chord_str
     assert chord_str(T(0, 0)) == "{1, 0}"
     assert chord_str(T(2, 1)) == "{0, 1/4}"
+
+
+# -- closed-form membership and the early-exit rectangle test -------------------
+
+def _member_by_ends(x):
+    """Reference: the cluster point whose chord joins the ends of x, searched
+    as an arc of length 1/2^n between points of the 1/2^n grid."""
+    e1, e2 = sorted(ends(x), key=lambda a: a.v)
+    for p, q in ((e1, e2), (e2, e1)):
+        gap = p.gap_to(q)
+        if gap.num != 1:
+            continue
+        n = gap.exp
+        if p.v.exp > n or q.v.exp > n:
+            continue
+        v = T(n, q.v.num << (n - q.v.exp))
+        if object_of(v) == x:
+            return v
+    return None
+
+
+def test_member_matches_end_search():
+    from moebius.checks import grid
+    for x in grid(7):
+        assert member(x) == _member_by_ends(x), x
+
+
+def _scan_meets(rect):
+    try:
+        return bool(enum_in_rect_with_reps.__wrapped__(rect))
+    except UnboundedRect:
+        return True
+
+
+def test_meets_cluster_on_hom_rectangles():
+    from moebius.band import hom_c_configs
+    from moebius.checks import grid
+    objs = grid(3)
+    for x in objs:
+        for y in objs:
+            for (a, b), (xx, yy) in hom_c_configs(x, y):
+                r = Rect.closed(a, xx, b, yy)
+                assert meets_cluster(r) == bool(enum_in_rect_with_reps.__wrapped__(r)), r
+
+
+def test_meets_cluster_on_composite_rectangles(monkeypatch):
+    # the rectangles compose_basic_nonzero tests for x -> y -> z, with x -> y
+    # every tenth basic of the depth-3 grid and y -> z any basic after it
+    import moebius.walk as walk
+    from moebius.checks import _basics
+    seen = {}
+
+    def spy(rect):
+        got = meets_cluster(rect)
+        if rect not in seen:
+            seen[rect] = bool(enum_in_rect_with_reps.__wrapped__(rect))
+        assert got == seen[rect], rect
+        return got
+
+    monkeypatch.setattr(walk, "meets_cluster", spy)
+    basics = _basics(3)
+    for (x, y) in basics[::10]:
+        for (y2, z) in basics:
+            if y2 == y:
+                walk.compose_basic_nonzero.__wrapped__(x, y, z)
+    assert True in seen.values() and False in seen.values()
+
+
+def test_meets_cluster_on_open_and_boundary_rectangles():
+    # an open edge can hide every hit down to depth e+1; depth e+2 settles it
+    import itertools
+    vals = [D(i, 1) for i in range(-2, 3)]
+    hidden = 0
+    for xl, xh in itertools.combinations_with_replacement(vals, 2):
+        for yl, yh in itertools.combinations_with_replacement(vals, 2):
+            for flags in itertools.product((False, True), repeat=4):
+                r = Rect(xl, xh, yl, yh, *flags)
+                e = r.max_exp()
+                shallow = any(cluster._level_hits(r, n) for n in range(e + 2))
+                deep = any(cluster._level_hits(r, n) for n in range(e + 6))
+                assert meets_cluster(r) == deep == _scan_meets(r), r
+                hidden += deep and not shallow
+    assert hidden

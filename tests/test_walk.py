@@ -2,14 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from moebius.dyadic import Dyadic
-from moebius.band import parse_obj, hom_c_dim
-from moebius.cluster import ClusterPt, object_of
+from moebius.dyadic import Dyadic, floor_div2
+from moebius.band import Rect, parse_obj, hom_c_dim, normal_form
+from moebius.cluster import ClusterPt, object_of, member, enum_in_rect_with_reps
 from moebius.walk import (support, walk_of, minimal_walk, approximation,
                           hom_ct_dim, tau_dims, tau_dims_via_epsilon,
                           hom0_via_factoring, concrete_epsilon, shifted,
                           induced_support_map, factors_through_sink,
-                          compose_basic_nonzero)
+                          compose_basic_nonzero, Walk, WalkVertex, SINK, SOURCE,
+                          THROUGH, _lower_endpoint, _upper_endpoint, _walk_between)
 from moebius.errors import InCluster, NotBasic
 
 T = ClusterPt
@@ -223,3 +224,115 @@ def test_ambient_translate_duality():
             lhs = hom_c_dim(shifted(s, eps, eps), x)
             rhs = hom_c_dim(x, object_of(s))
             assert lhs == rhs, (s, x)
+
+
+# -- the stepped walks against the level-scan walks ------------------------------
+#
+# The reference builds a walk by scanning its closed rectangle for every
+# cluster representative (`enum_in_rect_with_reps`, uncached here) and
+# sorting them along the zig-zag.
+
+def _scan_assemble(reps_pts):
+    # down the x-coordinate, then up the y-coordinate, on numerators at one scale
+    e = max(max(r[0].exp, r[1].exp) for _, r in reps_pts)
+    ordered = sorted(reps_pts, key=lambda pr: (-(pr[1][0].num << (e - pr[1][0].exp)),
+                                               pr[1][1].num << (e - pr[1][1].exp)))
+    pts = [p for p, _ in ordered]
+    assert len(set(pts)) == len(pts), "walk visits an object twice"
+    steps = []
+    for (_, r1), (_, r2) in zip(ordered, ordered[1:]):
+        if r1[0] == r2[0] and r1[1] < r2[1]:
+            steps.append("v")
+        elif r1[1] == r2[1] and r2[0] < r1[0]:
+            steps.append("h")
+        else:
+            raise AssertionError(f"broken walk step {r1} -> {r2}")
+    vertices = []
+    for i, (pt, rep) in enumerate(ordered):
+        out_next = i < len(steps) and steps[i] == "v"
+        in_next = i < len(steps) and steps[i] == "h"
+        out_prev = i > 0 and steps[i - 1] == "h"
+        in_prev = i > 0 and steps[i - 1] == "v"
+        n_in, n_out = in_next + in_prev, out_next + out_prev
+        role = SOURCE if n_out and not n_in else THROUGH if n_in and n_out else SINK
+        vertices.append(WalkVertex(pt, rep, role))
+    return Walk(tuple(vertices), tuple(steps))
+
+
+def _scan(rect):
+    return _scan_assemble(list(enum_in_rect_with_reps.__wrapped__(rect)))
+
+
+def _scan_walk_of(x):
+    lower, upper = _lower_endpoint(x.x, x.y), _upper_endpoint(x.x, x.y)
+    walk = _scan(Rect.closed(upper[0], x.x, lower[1], x.y))
+    assert walk.vertices[0].rep == lower and walk.vertices[-1].rep == upper
+    return walk
+
+
+def _scan_minimal_walk(v, w):
+    for lr_pt, ul_pt in ((v, w), (w, v)):
+        for lr in object_of(lr_pt).reps():
+            for ul0 in object_of(ul_pt).reps():
+                shift = Dyadic(2 * floor_div2(lr[0] - ul0[0]))
+                ul = (ul0[0] + shift, ul0[1] + shift)
+                if ul[0] <= lr[0] and ul[1] >= lr[1]:
+                    return _scan(Rect.closed(ul[0], lr[0], lr[1], ul[1]))
+    raise AssertionError(f"no common walk window for {v}, {w}")
+
+
+def _assert_walk_matches_scan(x):
+    ref = _scan_walk_of(x)
+    assert walk_of(x) == ref, x
+    assert support(x) == frozenset(v.pt for v in ref.vertices[1:-1]), x
+
+
+def test_walk_matches_scan_on_grid():
+    for x in grid_off(6):
+        _assert_walk_matches_scan(x)
+
+
+def test_walk_matches_scan_at_high_exponents(monkeypatch):
+    import random
+    monkeypatch.setenv("MOEBIUS_MAX_DEPTH", "64")  # lets the reference scan reach exponent 40
+    rng = random.Random(20261018)
+    for e in range(15, 41):
+        done = 0
+        while done < 40:
+            x0 = Dyadic(rng.randrange(1 << (e + 1)) | 1, e)
+            x = normal_form(x0, x0 + Dyadic(rng.randrange(1 << e), e))
+            if member(x) is None:
+                _assert_walk_matches_scan(x)
+                done += 1
+
+
+def test_minimal_walk_matches_scan():
+    from moebius.checks import cluster_points
+    pts = cluster_points(4)
+    for v in pts:
+        for w in pts:
+            assert minimal_walk(v, w) == _scan_minimal_walk(v, w), (v, w)
+
+
+def test_support_on_cluster_is_empty_open_rect():
+    from moebius.checks import grid
+    for x in grid(5):
+        if member(x) is not None:
+            assert support(x) == frozenset()
+            assert not enum_in_rect_with_reps.__wrapped__(
+                Rect.open(x.y - Dyadic(1), x.x, x.x - Dyadic(1), x.y)), x
+
+
+def test_walk_at_exponent_64_without_depth_cap():
+    x = M("M(1/18446744073709551616,3/4)")
+    w = walk_of(x)
+    assert len(w.vertices) == 67
+    assert w.vertices[0].rep == _lower_endpoint(x.x, x.y)
+    assert w.vertices[-1].rep == _upper_endpoint(x.x, x.y)
+    assert approximation(x).sources == (T(63, 1),)
+
+
+def test_walk_between_stuck_raises():
+    # the upper-left corner lies to the right: no step can reach it
+    with pytest.raises(AssertionError, match="stuck"):
+        _walk_between((D(0), D(0)), (D(1, 1), D(1, 1)))
