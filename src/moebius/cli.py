@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 domain error (message names the error class),
 2 malformed arguments or input syntax (including a MOEBIUS_MAX_DEPTH that
-is not an integer, for every subcommand), 3 internal error: a broken
+is not an integer, for every subcommand, and a `check --depth` outside
+1-MAX_CHECK_DEPTH), 3 internal error: a broken
 invariant, reported as one `internal error: ...` line.
 """
 
@@ -21,7 +22,7 @@ from .strings import parse_word
 from .equiv import obj_to_string, string_to_obj, simple_object, DigitPrefix, digits_to_coords, digit_vertex
 from .quotient import SumObj, MorQ, kernel, cokernel
 from .render import MAX_CLUSTER_DEPTH, RenderSpec, render
-from .checks import run_all
+from .checks import MAX_CHECK_DEPTH, run_all
 from .errors import MoebiusError, ParseError
 
 
@@ -162,9 +163,9 @@ def _cmd_digits(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.depth < 1:
+    if not 1 <= args.depth <= MAX_CHECK_DEPTH:
         # depth 0 leaves most criteria with nothing to check
-        raise ParseError(f"--depth must be at least 1, got {args.depth}")
+        raise ParseError(f"--depth must be between 1 and {MAX_CHECK_DEPTH}, got {args.depth}")
     results = run_all(args.depth)
     payload = []
     for r in results:
@@ -283,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("v")
     p.add_argument("digits", nargs="*")
     p = add("check", _cmd_check, "run the acceptance suites")
-    p.add_argument("--depth", type=int, default=3, help="grid exponent (default 3)")
+    p.add_argument("--depth", type=int, default=3,
+                   help=f"grid exponent, 1-{MAX_CHECK_DEPTH} (default 3)")
     p = add("render", _cmd_render, "draw an SVG picture")
     p.add_argument("--out", default="-")
     p.add_argument("--spec", help="JSON spec file, or - for stdin")

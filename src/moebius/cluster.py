@@ -12,7 +12,7 @@ import os
 import re
 from functools import lru_cache
 
-from .dyadic import Dyadic, CircleAngle, ZERO, ONE, parse_dyadic
+from .dyadic import Dyadic, CircleAngle, ZERO, ONE
 from .band import Obj, Rect, Rep, normal_form, obj_from_ends, ends
 from .errors import NotInCluster, UnboundedRect, DepthLimit, ParseError
 
@@ -72,11 +72,6 @@ def object_of(v: ClusterPt) -> Obj:
 def chord(v: ClusterPt) -> tuple[CircleAngle, CircleAngle]:
     """Endpoints ((m-1)/2^n, m/2^n) on the circle."""
     return (CircleAngle(Dyadic(v.m - 1, v.n)), CircleAngle(Dyadic(v.m, v.n)))
-
-
-def chord_str(v: ClusterPt) -> str:
-    p, q = chord(v)
-    return f"{{{p}, {q}}}"
 
 
 def member(x: Obj) -> ClusterPt | None:
@@ -259,28 +254,10 @@ class ClusterOverlay:
 STANDARD = ClusterOverlay()
 
 
-def _fan_candidates(p: CircleAngle, max_exp: int):
-    """Dyadic points chord-adjacent to p in the standard triangulation."""
-    out = []
-    for j in range(p.v.exp, max_exp + 1):
-        step = Dyadic(1, j)
-        out.append(CircleAngle(p.v + step))
-        out.append(CircleAngle(p.v - step))
-    return out
-
-
-def _apex(overlay: ClusterOverlay, p: CircleAngle, q: CircleAngle, side: int) -> CircleAngle:
-    """The vertex s in the open arc on the given side with {p,s} and {q,s} chords."""
-    exps = [p.v.exp, q.v.exp]
-    for obj in overlay.added:
-        exps.extend(e.v.exp for e in ends(obj))
-    gap_exp = p.gap_to(q).exp
-    max_exp = max(exps + [gap_exp]) + 2
-    candidates = set()
-    for obj in overlay.added:
-        candidates.update(ends(obj))
-    candidates.update(_fan_candidates(p, max_exp))
-    candidates.update(_fan_candidates(q, max_exp))
+def _apex(overlay: ClusterOverlay, p: CircleAngle, q: CircleAngle, side: int,
+          candidates: set[CircleAngle]) -> CircleAngle:
+    """The one candidate s in the open arc on the given side with {p,s} and
+    {q,s} chords."""
     arc = (lambda s: ZERO < p.gap_to(s) < p.gap_to(q)) if side == 0 else \
           (lambda s: p.gap_to(q) < p.gap_to(s))
     found = {s for s in candidates
@@ -292,18 +269,39 @@ def _apex(overlay: ClusterOverlay, p: CircleAngle, q: CircleAngle, side: int) ->
 
 
 def mutate(overlay: ClusterOverlay, x: Obj) -> tuple[ClusterOverlay, Obj]:
-    """Flip the chord of x inside the cluster; returns the new overlay and x*."""
+    """Flip the chord of x inside the cluster; returns the new overlay and x*.
+
+    As for a diagonal of a polygon, x* joins the apexes r, s of the two
+    triangles on either side of the chord {p, q} of x.  Each apex is an end
+    of a chord already named: of a triangle `neighbors(member(x))` when x is
+    standard, of `chord(w)` for w in `overlay.removed`, or of an object in
+    `overlay.added`.  For the face (p, q, s) on one side:
+
+    1. if {p, s} or {q, s} is added, s is an end of an added chord;
+    2. if both are standard and {p, q} is standard, (p, q, s) is a standard
+       triangle, so s is an apex of `neighbors(member(x))`;
+    3. if both are standard and {p, q} is added, some standard chord crosses
+       {p, q}, the standard triangulation being maximal.  It enters the face
+       across {p, q} and cannot cross the face's standard sides, so it ends
+       at s; crossing an overlay chord, it lies in `overlay.removed`.
+    """
     if not overlay.contains_obj(x):
         raise NotInCluster(f"{x} is not in the cluster")
+    v = member(x)
+    named = [chord(w) for w in overlay.removed]
+    if v is not None:
+        named.extend(chord(w) for tri in neighbors(v) for w in tri)
+    named.extend(ends(obj) for obj in overlay.added)
+    candidates = {a for pair in named for a in pair}
     p, q = sorted(ends(x), key=lambda a: a.v)
-    r = _apex(overlay, p, q, 0)
-    s = _apex(overlay, p, q, 1)
+    r = _apex(overlay, p, q, 0, candidates)
+    s = _apex(overlay, p, q, 1, candidates)
     x_star = obj_from_ends(r, s)
     removed, added = set(overlay.removed), set(overlay.added)
     if x in added:
         added.remove(x)
     else:
-        removed.add(member(x))
+        removed.add(v)
     v_star = member(x_star)
     if v_star is not None and v_star in removed:
         removed.remove(v_star)

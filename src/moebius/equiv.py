@@ -199,33 +199,6 @@ def coords_to_digits(v: ClusterPt, w: ClusterPt, bound: int) -> DigitPrefix:
     return p
 
 
-def lower_tail_coords(p: DigitPrefix) -> Rep:
-    """Mirror tail from the base going the other way: digit 1 keeps the
-    second coordinate (a horizontal step right), digit 0 keeps the first
-    (a vertical step down)."""
-    from .cluster import neighbors
-    cur = object_of(p.base).reps()[0]
-    cur_pt = p.base
-    prev_tri = None
-    for d in p.digits:
-        opts = []
-        for tri in neighbors(cur_pt):
-            tri_set = frozenset(tri)
-            if prev_tri is not None and tri_set == prev_tri:
-                continue
-            for cand, outward in ((tri[0], False), (tri[2], True)):
-                rep = _step_rep_maybe(cur, cand, outward)
-                if rep is not None:
-                    opts.append((cand, rep, tri_set))
-        horiz = [(c, r, t) for (c, r, t) in opts if r[1] == cur[1] and r[0] > cur[0]]
-        vert = [(c, r, t) for (c, r, t) in opts if r[0] == cur[0] and r[1] < cur[1]]
-        pick = horiz if d == 1 else vert
-        if len(pick) != 1:
-            raise AssertionError(f"mirror tail step not unique at {cur_pt}")
-        cur_pt, cur, prev_tri = pick[0][0], pick[0][1], pick[0][2]
-    return cur
-
-
 def tail_case(first: DigitPrefix, second: DigitPrefix, swapped: bool = False) -> str:
     """Region tag of a truncated tail pair based at a common vertex.
 

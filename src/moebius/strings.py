@@ -96,9 +96,6 @@ class StringWord:
     def marked(self) -> bool:
         return self.lmark or self.rmark
 
-    def support(self) -> frozenset[ClusterPt]:
-        return frozenset(self.verts)
-
     def letter(self, i: int) -> QArrow:
         if self.directs[i]:
             arr = arrow_between(self.verts[i], self.verts[i + 1])

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .dyadic import Dyadic, ONE, floor_div2
 from .band import Obj, Rect, Rep, normal_form, hom_c_configs
-from .cluster import ClusterPt, member, object_of, enum_in_rect_with_reps, meets_cluster
+from .cluster import ClusterPt, member, object_of, meets_cluster
 from .errors import InCluster, NotBasic
 
 SINK = "sink"
@@ -305,26 +305,6 @@ def tau_dims(s: ClusterPt, x: Obj) -> TauDims:
     hom0 = int(role == SINK)
     hom0_t1 = int(role == SOURCE)
     return TauDims(int(in_support), int(in_support), rad, hom0, hom0_t1)
-
-
-def tau_dims_via_epsilon(s: ClusterPt, x: Obj) -> tuple[int, int, int]:
-    """(tau_inv, tau, rad) computed from the defining translate limits."""
-    eps = concrete_epsilon([object_of(s), x])
-    tau_inv = hom_ct_dim(shifted(s, eps, eps), x)
-    tau = hom_ct_dim(x, shifted(s, -eps, -eps))
-    rad = hom_ct_dim(shifted(s, eps, Dyadic(0)), x) + hom_ct_dim(shifted(s, Dyadic(0), eps), x)
-    return (tau_inv, tau, rad)
-
-
-def hom0_via_factoring(s: ClusterPt, x: Obj) -> int:
-    """Maps s -> x modulo those factoring through other cluster objects:
-    nonzero iff some basic rectangle meets the cluster only at s itself."""
-    s_obj = object_of(s)
-    for (a, b), (xx, yy) in hom_c_configs(s_obj, x):
-        pts = {pt for pt, _ in enum_in_rect_with_reps(Rect.closed(a, xx, b, yy))}
-        if pts <= {s}:
-            return 1
-    return 0
 
 
 def induced_support_map(src: Obj, dst: Obj, scalar) -> dict[ClusterPt, object]:

@@ -203,6 +203,19 @@ def test_check_rejects_depth_below_one(capsys, depth):
     assert err.startswith("parse error: ") and "--depth" in err
 
 
+@pytest.mark.parametrize("depth", ["7", "9999999"])
+def test_check_rejects_depth_above_cap(capsys, monkeypatch, depth):
+    from moebius import cli
+
+    def never(depth):
+        raise AssertionError("run_all reached past the depth cap")
+
+    monkeypatch.setattr(cli, "run_all", never)
+    code, out, err = run(capsys, "check", "--depth", depth)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and "--depth" in err and err.count("\n") == 1
+
+
 def _render_spec_error(capsys, monkeypatch, spec):
     code, out, err = run(capsys, "render", "--spec", "-", stdin=json.dumps(spec),
                          monkeypatch=monkeypatch)

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
-from moebius.dyadic import Dyadic
-from moebius.band import Rect, parse_obj, ends, compatible
+from moebius.dyadic import Dyadic, CircleAngle, ZERO
+from moebius.band import Rect, parse_obj, ends, compatible, obj_from_ends
 from moebius import cluster
 from moebius.cluster import (ClusterPt, STANDARD, member, object_of, chord,
                              depth, neighbors, in_neighbors, out_neighbors,
@@ -188,9 +190,73 @@ def test_parse_cluster_pt():
 
 
 def test_chord_str():
-    from moebius.cluster import chord_str
-    assert chord_str(T(0, 0)) == "{1, 0}"
-    assert chord_str(T(2, 1)) == "{0, 1/4}"
+    assert tuple(map(str, chord(T(0, 0)))) == ("1", "0")
+    assert tuple(map(str, chord(T(2, 1)))) == ("0", "1/4")
+
+
+# -- the flip against the fan search --------------------------------------------
+
+def _fan_candidates(p, max_exp):
+    """Dyadic points chord-adjacent to p in the standard triangulation."""
+    out = []
+    for j in range(p.v.exp, max_exp + 1):
+        step = D(1, j)
+        out.append(CircleAngle(p.v + step))
+        out.append(CircleAngle(p.v - step))
+    return out
+
+
+def _apex_by_fan(overlay, p, q, side):
+    """Reference: the apex searched among the ends of the added chords and
+    the standard fans at p and q, two exponents past every end in sight."""
+    exps = [p.v.exp, q.v.exp]
+    for obj in overlay.added:
+        exps.extend(e.v.exp for e in ends(obj))
+    max_exp = max(exps + [p.gap_to(q).exp]) + 2
+    candidates = set()
+    for obj in overlay.added:
+        candidates.update(ends(obj))
+    candidates.update(_fan_candidates(p, max_exp))
+    candidates.update(_fan_candidates(q, max_exp))
+    arc = (lambda s: ZERO < p.gap_to(s) < p.gap_to(q)) if side == 0 else \
+          (lambda s: p.gap_to(q) < p.gap_to(s))
+    found = {s for s in candidates
+             if s not in (p, q) and arc(s)
+             and overlay.has_chord(p, s) and overlay.has_chord(q, s)}
+    assert len(found) == 1, (p, q, side, found)
+    return next(iter(found))
+
+
+def _flip_by_fan(overlay, x):
+    p, q = sorted(ends(x), key=lambda a: a.v)
+    return obj_from_ends(_apex_by_fan(overlay, p, q, 0), _apex_by_fan(overlay, p, q, 1))
+
+
+def test_mutate_matches_fan_search_on_standard():
+    for v in all_points(6):
+        x = object_of(v)
+        assert mutate(STANDARD, x)[1] == _flip_by_fan(STANDARD, x), v
+
+
+def test_mutate_matches_fan_search_on_overlays():
+    # overlays after 2-3 seeded flips among the chords of depth <= 4 and the
+    # added ones; in each, every chord of depth <= 3 and every added chord flips
+    rng = random.Random(11)
+    shallow = all_points(3)
+    flips = added_flips = 0
+    for _ in range(30):
+        overlay = STANDARD
+        for _ in range(rng.choice((2, 3))):
+            present = [object_of(w) for w in all_points(4) if w not in overlay.removed]
+            present += sorted(overlay.added, key=lambda o: o.sort_key())
+            overlay, _ = mutate(overlay, rng.choice(present))
+        targets = [object_of(w) for w in shallow if w not in overlay.removed]
+        targets += sorted(overlay.added, key=lambda o: o.sort_key())
+        for x in targets:
+            assert mutate(overlay, x)[1] == _flip_by_fan(overlay, x), (overlay, x)
+            flips += 1
+        added_flips += len(overlay.added)
+    assert flips > 800 and added_flips > 60
 
 
 # -- closed-form membership and the early-exit rectangle test -------------------

@@ -7,8 +7,10 @@ from moebius.strings import word, parse_word, hom_dim_strings, StringWord
 from moebius.equiv import (obj_to_string, string_to_obj, simple_object,
                            transport_mor, transport_mor_inverse, DigitPrefix,
                            digits_to_coords, digit_vertex, coords_to_digits,
-                           lower_tail_coords, tail_case, g_extend, f_strip)
+                           tail_case, g_extend, f_strip)
 from moebius.errors import InCluster, InvalidWord, NoMorphism, Unreachable, AllOnesTail
+
+from oracles import lower_tail_coords
 
 T = ClusterPt
 M = parse_obj

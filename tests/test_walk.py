@@ -4,14 +4,15 @@ import pytest
 
 from moebius.dyadic import Dyadic, floor_div2
 from moebius.band import Rect, parse_obj, hom_c_dim, normal_form
-from moebius.cluster import ClusterPt, object_of, member, enum_in_rect_with_reps
+from moebius.cluster import ClusterPt, object_of, member, enum_in_rect, enum_in_rect_with_reps
 from moebius.walk import (support, walk_of, minimal_walk, approximation,
-                          hom_ct_dim, tau_dims, tau_dims_via_epsilon,
-                          hom0_via_factoring, concrete_epsilon, shifted,
+                          hom_ct_dim, tau_dims, concrete_epsilon, shifted,
                           induced_support_map, factors_through_sink,
                           compose_basic_nonzero, Walk, WalkVertex, SINK, SOURCE,
                           THROUGH, _lower_endpoint, _upper_endpoint, _walk_between)
 from moebius.errors import InCluster, NotBasic
+
+from oracles import tau_dims_via_epsilon, hom0_via_factoring
 
 T = ClusterPt
 M = parse_obj
@@ -141,10 +142,10 @@ def test_hom_ct_examples():
 
 
 def test_support_is_walk_interior():
+    # the paper's support: the cluster points of the open rectangle
+    # (y-1, x) x (x-1, y), found by the level scan rather than the walk
     for x in grid_off():
-        w = walk_of(x)
-        interior = set(w.points()) - {w.vertices[0].pt, w.vertices[-1].pt}
-        assert support(x) == interior
+        assert support(x) == enum_in_rect(Rect.open(x.y - D(1), x.x, x.x - D(1), x.y)), x
 
 
 def test_tau_dims_examples():
