@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 domain error (message names the error class),
 2 malformed arguments or input syntax (including a MOEBIUS_MAX_DEPTH that
 is not an integer, for every subcommand, and a `check --depth` outside
 1-MAX_CHECK_DEPTH), 3 internal error: a broken
-invariant, reported as one `internal error: ...` line.
+invariant, reported as one `internal error: ...` line.  Every error is one
+line on stderr, argparse's included.
 """
 
 from __future__ import annotations
@@ -248,8 +249,13 @@ def _cmd_render(args) -> int:
     return 0
 
 
+class _ArgParser(argparse.ArgumentParser):
+    def error(self, message):  # one parse error line, not a usage block
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgParser(
         prog="moebius",
         description="Exact computations in the cluster-tilted quotient of the "
                     "continuous cluster category, in units of pi.")
@@ -297,9 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _max_depth()  # read once, so a bad cap fails every subcommand alike
         return args.fn(args)
     except ParseError as exc:

@@ -120,10 +120,6 @@ class Dyadic:
     def ceil(self) -> int:
         return -((-self.num) >> self.exp)
 
-    @property
-    def is_integer(self) -> bool:
-        return self.exp == 0
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.exp)
 

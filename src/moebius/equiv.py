@@ -2,10 +2,12 @@
 simple objects, digit-encoded walk tails, and the truncated ray functors.
 
 An object off the cluster corresponds to the word on its support read along
-the walk with letters reversed from the irreducible cluster maps; the
+the walk with letters reversed from the irreducible cluster maps.  The
 inverse attaches, at each end of a word, the unique incoming arrow from the
-triangle not used by the word, and reads the object off the two attach
-representatives (northwest and southeast corners of the walk rectangle).
+triangle not used by the word; the minimal walk between the two attach
+vertices carries the word on its interior, and the object is read off its
+corners: the first coordinate of the lower-right representative and the
+second of the upper-left one.
 """
 
 from __future__ import annotations
@@ -16,57 +18,24 @@ from functools import lru_cache
 from .dyadic import Dyadic, ONE
 from .band import Obj, Rep, normal_form
 from .cluster import ClusterPt, member, object_of
-from .walk import walk_of
+from .walk import Walk, walk_of, minimal_walk
 from .strings import StringWord, QArrow, arrows_at, word
-from .errors import InCluster, InvalidWord, NoMorphism, Unreachable, AllOnesTail
+from .errors import InvalidWord, NoMorphism, Unreachable, AllOnesTail
 
 
-def _step_rep_maybe(cur: Rep, target: ClusterPt, outward: bool) -> Rep | None:
-    """The representative of target adjacent to cur along an irreducible map:
-    one shared coordinate, the other strictly larger (outward) or smaller."""
-    candidates = []
-    for (p0, q0) in object_of(target).reps():
-        for axis in (0, 1):
-            base = (p0, q0)[axis]
-            want = cur[axis]
-            diff = want - base
-            if diff.exp != 0 or diff.num % 2:
-                continue
-            p, q = p0 + diff, q0 + diff
-            other, other_cur = (q, cur[1]) if axis == 0 else (p, cur[0])
-            if outward and other > other_cur:
-                candidates.append((p, q))
-            if not outward and other < other_cur:
-                candidates.append((p, q))
-    uniq = set(candidates)
-    if len(uniq) > 1:
-        raise AssertionError(f"adjacent representative of {target} at {cur} is ambiguous")
-    return next(iter(uniq)) if uniq else None
-
-
-def _step_rep(cur: Rep, target: ClusterPt, outward: bool) -> Rep:
-    rep = _step_rep_maybe(cur, target, outward)
-    if rep is None:
-        raise AssertionError(f"no adjacent representative of {target} at {cur}")
-    return rep
+def _walk_word(walk: Walk) -> StringWord:
+    """The word on the interior of a walk, arrows reversed: a vertical step
+    is a cluster map up v_i -> v_{i+1}, so its letter points back."""
+    inner = walk.vertices[1:-1]
+    if not inner:
+        raise AssertionError("empty support off the cluster")
+    return StringWord([v.pt for v in inner], [step == "h" for step in walk.steps[1:-1]])
 
 
 @lru_cache(maxsize=None)
 def obj_to_string(x: Obj) -> StringWord:
     """Word on the support of x, ordered along the walk, arrows reversed."""
-    if member(x) is not None:
-        raise InCluster(f"{x} lies in the standard cluster")
-    walk = walk_of(x)
-    inner = walk.vertices[1:-1]
-    if not inner:
-        raise AssertionError("empty support off the cluster")
-    verts = [v.pt for v in inner]
-    directs = []
-    for i in range(len(inner) - 1):
-        step = walk.steps[i + 1]
-        # vertical step: cluster map up v_i -> v_{i+1}, so the arrow reverses
-        directs.append(step == "h")
-    return StringWord(verts, directs)
+    return _walk_word(walk_of(x))
 
 
 def _attach_at(end_vertex: ClusterPt, used_triangle: frozenset) -> QArrow:
@@ -87,29 +56,17 @@ def _attach_arrows(w: StringWord) -> tuple[QArrow, QArrow]:
             _attach_at(w.verts[-1], w.letter(len(w.directs) - 1).triangle))
 
 
-def _word_reps(w: StringWord) -> list[Rep]:
-    reps = [object_of(w.verts[0]).reps()[0]]
-    for i in range(len(w.directs)):
-        nxt = w.verts[i + 1]
-        # letter v_i -> v_{i+1} reverses a cluster map v_{i+1} -> v_i (inward);
-        # letter v_{i+1} -> v_i reverses a cluster map v_i -> v_{i+1} (outward)
-        reps.append(_step_rep(reps[-1], nxt, outward=not w.directs[i]))
-    return reps
-
-
 @lru_cache(maxsize=None)
 def string_to_obj(w: StringWord) -> Obj:
-    """The object whose support word is w."""
+    """The object whose support word is w, read off the corners of the walk
+    between its two attach vertices."""
     if w.marked:
         raise InvalidWord("ray-marked words do not name finite objects")
-    reps = _word_reps(w)
     att_l, att_r = _attach_arrows(w)
-    rep_l = _step_rep(reps[0], att_l.src, outward=True)
-    rep_r = _step_rep(reps[-1], att_r.src, outward=True)
-    (a1, a2), (b1, b2) = sorted((rep_l, rep_r), key=lambda r: r[0])
-    if not (a1 < b1 and a2 > b2):
-        raise AssertionError(f"attach corners of {w} not in general position")
-    return normal_form(b1, a2)
+    walk = minimal_walk(att_l.src, att_r.src)
+    if _walk_word(walk) != w:
+        raise AssertionError(f"the walk between the attach vertices of {w} does not carry it")
+    return normal_form(walk.vertices[0].rep[0], walk.vertices[-1].rep[1])
 
 
 def simple_object(v: ClusterPt) -> Obj:

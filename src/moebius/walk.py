@@ -144,12 +144,15 @@ def _point_at(p: int, q: int, k: int) -> ClusterPt:
 
 
 def _walk_between(lower: Rep, upper: Rep) -> Walk:
-    """The walk from the lower-right representative to the upper-left one,
-    stepped on integer numerators at the scale 2^k."""
-    (x0, y0), (x1, y1) = lower, upper
-    k = 1 + max(x0.exp, y0.exp, x1.exp, y1.exp)
-    p, q = x0.num << (k - x0.exp), y0.num << (k - y0.exp)
-    left, top = x1.num << (k - x1.exp), y1.num << (k - y1.exp)
+    """The walk from the lower-right representative to the upper-left one."""
+    k = 1 + max(lower[0].exp, lower[1].exp, upper[0].exp, upper[1].exp)
+    (p, q), (left, top) = ((x.num << (k - x.exp), y.num << (k - y.exp)) for x, y in (lower, upper))
+    return _walk_at(p, q, left, top, k)
+
+
+def _walk_at(p: int, q: int, left: int, top: int, k: int) -> Walk:
+    """The walk from the lower-right representative (p, q) to the upper-left
+    one (left, top), stepped on integer numerators at the scale 2^k."""
     reps, steps = [(p, q)], []
     while p != left or q != top:
         c = _offset_above(q - p, p, k)
@@ -161,8 +164,8 @@ def _walk_between(lower: Rep, upper: Rep) -> Walk:
             # least offset above q - p, the offset set being symmetric
             c = _offset_above(q - p, q, k)
             if c is None or q - c < left:
-                raise AssertionError(f"walk from {lower} to {upper} is stuck at "
-                                     f"({Dyadic(p, k)}, {Dyadic(q, k)})")
+                raise AssertionError(f"walk to ({Dyadic(left, k)}, {Dyadic(top, k)}) is stuck "
+                                     f"at ({Dyadic(p, k)}, {Dyadic(q, k)})")
             p = q - c
             steps.append("h")
         reps.append((p, q))
@@ -191,14 +194,25 @@ def walk_of(x: Obj) -> Walk:
 
 
 def minimal_walk(v: ClusterPt, w: ClusterPt) -> Walk:
-    """The unique minimal walk between two cluster points."""
-    for lr_pt, ul_pt in ((v, w), (w, v)):
-        for lr in object_of(lr_pt).reps():
-            for ul0 in object_of(ul_pt).reps():
-                shift = Dyadic(2 * floor_div2(lr[0] - ul0[0]))
-                ul = (ul0[0] + shift, ul0[1] + shift)
-                if ul[0] <= lr[0] and ul[1] >= lr[1]:
-                    return _walk_between(lr, ul)
+    """The unique minimal walk between two cluster points, from the first pair
+    of representatives, one translated by a multiple of 2, spanning a rectangle
+    from its lower-right corner to its upper-left one.  The window search runs
+    on integer numerators at the scale 2^(1 + max depth)."""
+    k = 1 + max(v.n, w.n)
+    period = 2 << k
+
+    def scaled_reps(pt: ClusterPt) -> tuple[tuple[int, int], tuple[int, int]]:
+        # object_of(T(n, m)).reps(): (m, m - 1 + 2^n) / 2^n, then its flip
+        m, one, s = pt.m, 1 << pt.n, k - pt.n
+        return ((m << s, (m - 1 + one) << s), ((m - 1 + 2 * one) << s, (m + one) << s))
+
+    scaled_v, scaled_w = scaled_reps(v), scaled_reps(w)
+    for lr_reps, ul_reps in ((scaled_v, scaled_w), (scaled_w, scaled_v)):
+        for lx, ly in lr_reps:
+            for ux, uy in ul_reps:
+                shift = (lx - ux) // period * period  # lx - 2 < ux + shift <= lx
+                if uy + shift >= ly:
+                    return _walk_at(lx, ly, ux + shift, uy + shift, k)
     raise AssertionError(f"no common walk window for {v}, {w}")
 
 
@@ -226,34 +240,26 @@ def hom_ct_dim(src: Obj, dst: Obj) -> int:
     return 0
 
 
-def _same_family(r1: Rep, r2: Rep) -> bool:
-    dx, dy = r1[0] - r2[0], r1[1] - r2[1]
-    return dx == dy and dx.exp == 0 and dx.num % 2 == 0
-
-
-def _flip(rep: Rep) -> Rep:
-    return (rep[1] + ONE, rep[0] + ONE)
-
-
 @lru_cache(maxsize=None)
 def compose_basic_nonzero(x: Obj, y: Obj, z: Obj) -> bool:
-    """Whether the composite of basic maps x -> y -> z is nonzero in the quotient."""
-    cfg_xy = hom_c_configs(x, y)
-    cfg_yz = hom_c_configs(y, z)
-    for (rx, ry) in cfg_xy:
-        for (ry2, rz2) in cfg_yz:
-            for flipped in (False, True):
-                ry_c, rz_c = (_flip(ry2), _flip(rz2)) if flipped else (ry2, rz2)
-                if not _same_family(ry, ry_c):
-                    continue
-                shift = ry[0] - ry_c[0]
-                rz = (rz_c[0] + shift, rz_c[1] + shift)
-                # window conditions for the composite basic rx -> rz
-                if not (rz[1] - ONE < rx[0] and rz[0] - ONE < rx[1]):
-                    continue
-                if meets_cluster(Rect.closed(rx[0], rz[0], rx[1], rz[1])):
-                    continue
-                return True
+    """Whether the composite of basic maps x -> y -> z is nonzero in the quotient:
+    whether y has a representative ry with rx <= ry <= rz in both coordinates
+    for some basic rx -> rz whose closed rectangle avoids the cluster.
+
+    With rx = (a, b), ry = (p, q) and rz = (c, d), such a chain gives
+    d - 1 < a <= p <= c and c - 1 < b <= q <= d, so rx -> ry and ry -> rz are
+    basic; conversely aligned basics rx -> ry -> rz form a chain, and their
+    composite is basic when rx -> rz is.  Translating or flipping a whole
+    chain changes nothing, and the rectangle is narrower than 2, so the
+    translate of ry with c - 2 < p <= c is the only candidate.
+    """
+    y_reps = y.reps()
+    for (a, b), (c, d) in hom_c_configs(x, z):
+        for p, q in y_reps:
+            shift = Dyadic(2 * floor_div2(c - p))
+            if a <= p + shift and b <= q + shift <= d:
+                if not meets_cluster(Rect.closed(a, c, b, d)):
+                    return True
     return False
 
 

@@ -1,17 +1,39 @@
 """Second implementations that the tests compare the library against.
 
-Each computes a quantity of `moebius` from its definition rather than by the
-library's fast path: the translate dimensions from the defining epsilon
-limits, the maps out of a cluster object modulo those through the rest of
-the cluster by enumerating the rectangles of its maps, and the mirror digit
-tail by stepping through the triangles one digit at a time.
+Each computes a quantity of `moebius` from its definition or by a search,
+rather than by the library's fast path:
+
+- `tau_dims_via_epsilon` checks `walk.tau_dims` by the defining epsilon
+  limits of the translates;
+- `hom0_via_factoring` checks `TauDims.hom0` by enumerating the rectangles
+  of the maps out of a cluster object;
+- `lower_tail_coords` steps the mirror digit tail through the triangles one
+  digit at a time (the lower tail has no library counterpart);
+- `compose_basic_nonzero_by_pairing` checks `walk.compose_basic_nonzero` by
+  pairing every representative config of x -> y with every config of
+  y -> z and both flips;
+- `string_to_obj_by_steps` checks `equiv.string_to_obj` by stepping from
+  representative to adjacent representative along the word
+  (`_step_rep_maybe`, `_step_rep`, `_word_reps`);
+- `_scan_walk_of` and `_scan_minimal_walk` check `walk.walk_of` and
+  `walk.minimal_walk` by scanning the walk's rectangle for every cluster
+  representative and sorting them along the zig-zag (`_scan_assemble`);
+- `_member_by_ends` checks `cluster.member` by searching the ends of x for
+  an arc of length 1/2^n between points of the 1/2^n grid;
+- `_flip_by_fan` checks `cluster.mutate` by searching each apex among the
+  standard fans at the ends of the chord (`_fan_candidates`,
+  `_apex_by_fan`).
 """
 
-from moebius.dyadic import Dyadic
-from moebius.band import Obj, Rect, Rep, hom_c_configs
-from moebius.cluster import ClusterPt, object_of, neighbors, enum_in_rect_with_reps
-from moebius.walk import concrete_epsilon, hom_ct_dim, shifted
-from moebius.equiv import DigitPrefix, _step_rep_maybe
+from moebius.dyadic import Dyadic, CircleAngle, ONE, ZERO, floor_div2
+from moebius.band import Obj, Rect, Rep, hom_c_configs, normal_form, ends, obj_from_ends
+from moebius.cluster import (ClusterPt, object_of, neighbors, enum_in_rect_with_reps,
+                             meets_cluster)
+from moebius.walk import (Walk, WalkVertex, SINK, SOURCE, THROUGH, concrete_epsilon,
+                          hom_ct_dim, shifted, _lower_endpoint, _upper_endpoint)
+from moebius.equiv import DigitPrefix, _attach_arrows
+from moebius.errors import InvalidWord
+from moebius.strings import StringWord
 
 
 def tau_dims_via_epsilon(s: ClusterPt, x: Obj) -> tuple[int, int, int]:
@@ -58,3 +80,206 @@ def lower_tail_coords(p: DigitPrefix) -> Rep:
             raise AssertionError(f"mirror tail step not unique at {cur_pt}")
         cur_pt, cur, prev_tri = pick[0][0], pick[0][1], pick[0][2]
     return cur
+
+
+# -- composites by pairing the configs of the two factors ---------------------
+
+def _same_family(r1: Rep, r2: Rep) -> bool:
+    dx, dy = r1[0] - r2[0], r1[1] - r2[1]
+    return dx == dy and dx.exp == 0 and dx.num % 2 == 0
+
+
+def _flip(rep: Rep) -> Rep:
+    return (rep[1] + ONE, rep[0] + ONE)
+
+
+def compose_basic_nonzero_by_pairing(x: Obj, y: Obj, z: Obj) -> bool:
+    """Whether the composite of basic maps x -> y -> z is nonzero, found by
+    aligning a config of x -> y with a config of y -> z on the same
+    representative of y."""
+    cfg_xy = hom_c_configs(x, y)
+    cfg_yz = hom_c_configs(y, z)
+    for (rx, ry) in cfg_xy:
+        for (ry2, rz2) in cfg_yz:
+            for flipped in (False, True):
+                ry_c, rz_c = (_flip(ry2), _flip(rz2)) if flipped else (ry2, rz2)
+                if not _same_family(ry, ry_c):
+                    continue
+                shift = ry[0] - ry_c[0]
+                rz = (rz_c[0] + shift, rz_c[1] + shift)
+                # window conditions for the composite basic rx -> rz
+                if not (rz[1] - ONE < rx[0] and rz[0] - ONE < rx[1]):
+                    continue
+                if meets_cluster(Rect.closed(rx[0], rz[0], rx[1], rz[1])):
+                    continue
+                return True
+    return False
+
+
+# -- words to objects by stepping between adjacent representatives -----------
+
+def _step_rep_maybe(cur: Rep, target: ClusterPt, outward: bool) -> Rep | None:
+    """The representative of target adjacent to cur along an irreducible map:
+    one shared coordinate, the other strictly larger (outward) or smaller."""
+    candidates = []
+    for (p0, q0) in object_of(target).reps():
+        for axis in (0, 1):
+            base = (p0, q0)[axis]
+            want = cur[axis]
+            diff = want - base
+            if diff.exp != 0 or diff.num % 2:
+                continue
+            p, q = p0 + diff, q0 + diff
+            other, other_cur = (q, cur[1]) if axis == 0 else (p, cur[0])
+            if outward and other > other_cur:
+                candidates.append((p, q))
+            if not outward and other < other_cur:
+                candidates.append((p, q))
+    uniq = set(candidates)
+    if len(uniq) > 1:
+        raise AssertionError(f"adjacent representative of {target} at {cur} is ambiguous")
+    return next(iter(uniq)) if uniq else None
+
+
+def _step_rep(cur: Rep, target: ClusterPt, outward: bool) -> Rep:
+    rep = _step_rep_maybe(cur, target, outward)
+    if rep is None:
+        raise AssertionError(f"no adjacent representative of {target} at {cur}")
+    return rep
+
+
+def _word_reps(w: StringWord) -> list[Rep]:
+    reps = [object_of(w.verts[0]).reps()[0]]
+    for i in range(len(w.directs)):
+        nxt = w.verts[i + 1]
+        # letter v_i -> v_{i+1} reverses a cluster map v_{i+1} -> v_i (inward);
+        # letter v_{i+1} -> v_i reverses a cluster map v_i -> v_{i+1} (outward)
+        reps.append(_step_rep(reps[-1], nxt, outward=not w.directs[i]))
+    return reps
+
+
+def string_to_obj_by_steps(w: StringWord) -> Obj:
+    """The object whose support word is w, read off the two attach
+    representatives reached by stepping along the word."""
+    if w.marked:
+        raise InvalidWord("ray-marked words do not name finite objects")
+    reps = _word_reps(w)
+    att_l, att_r = _attach_arrows(w)
+    rep_l = _step_rep(reps[0], att_l.src, outward=True)
+    rep_r = _step_rep(reps[-1], att_r.src, outward=True)
+    (a1, a2), (b1, b2) = sorted((rep_l, rep_r), key=lambda r: r[0])
+    if not (a1 < b1 and a2 > b2):
+        raise AssertionError(f"attach corners of {w} not in general position")
+    return normal_form(b1, a2)
+
+
+# -- walks by scanning their rectangles ----------------------------------------
+#
+# The reference builds a walk by scanning its closed rectangle for every
+# cluster representative (`enum_in_rect_with_reps`, uncached here) and
+# sorting them along the zig-zag.
+
+def _scan_assemble(reps_pts):
+    # down the x-coordinate, then up the y-coordinate, on numerators at one scale
+    e = max(max(r[0].exp, r[1].exp) for _, r in reps_pts)
+    ordered = sorted(reps_pts, key=lambda pr: (-(pr[1][0].num << (e - pr[1][0].exp)),
+                                               pr[1][1].num << (e - pr[1][1].exp)))
+    pts = [p for p, _ in ordered]
+    assert len(set(pts)) == len(pts), "walk visits an object twice"
+    steps = []
+    for (_, r1), (_, r2) in zip(ordered, ordered[1:]):
+        if r1[0] == r2[0] and r1[1] < r2[1]:
+            steps.append("v")
+        elif r1[1] == r2[1] and r2[0] < r1[0]:
+            steps.append("h")
+        else:
+            raise AssertionError(f"broken walk step {r1} -> {r2}")
+    vertices = []
+    for i, (pt, rep) in enumerate(ordered):
+        out_next = i < len(steps) and steps[i] == "v"
+        in_next = i < len(steps) and steps[i] == "h"
+        out_prev = i > 0 and steps[i - 1] == "h"
+        in_prev = i > 0 and steps[i - 1] == "v"
+        n_in, n_out = in_next + in_prev, out_next + out_prev
+        role = SOURCE if n_out and not n_in else THROUGH if n_in and n_out else SINK
+        vertices.append(WalkVertex(pt, rep, role))
+    return Walk(tuple(vertices), tuple(steps))
+
+
+def _scan(rect):
+    return _scan_assemble(list(enum_in_rect_with_reps.__wrapped__(rect)))
+
+
+def _scan_walk_of(x):
+    lower, upper = _lower_endpoint(x.x, x.y), _upper_endpoint(x.x, x.y)
+    walk = _scan(Rect.closed(upper[0], x.x, lower[1], x.y))
+    assert walk.vertices[0].rep == lower and walk.vertices[-1].rep == upper
+    return walk
+
+
+def _scan_minimal_walk(v, w):
+    for lr_pt, ul_pt in ((v, w), (w, v)):
+        for lr in object_of(lr_pt).reps():
+            for ul0 in object_of(ul_pt).reps():
+                shift = Dyadic(2 * floor_div2(lr[0] - ul0[0]))
+                ul = (ul0[0] + shift, ul0[1] + shift)
+                if ul[0] <= lr[0] and ul[1] >= lr[1]:
+                    return _scan(Rect.closed(ul[0], lr[0], lr[1], ul[1]))
+    raise AssertionError(f"no common walk window for {v}, {w}")
+
+
+# -- membership by an end search -----------------------------------------------
+
+def _member_by_ends(x):
+    """Reference: the cluster point whose chord joins the ends of x, searched
+    as an arc of length 1/2^n between points of the 1/2^n grid."""
+    e1, e2 = sorted(ends(x), key=lambda a: a.v)
+    for p, q in ((e1, e2), (e2, e1)):
+        gap = p.gap_to(q)
+        if gap.num != 1:
+            continue
+        n = gap.exp
+        if p.v.exp > n or q.v.exp > n:
+            continue
+        v = ClusterPt(n, q.v.num << (n - q.v.exp))
+        if object_of(v) == x:
+            return v
+    return None
+
+
+# -- the flip by a fan search ---------------------------------------------------
+
+def _fan_candidates(p, max_exp):
+    """Dyadic points chord-adjacent to p in the standard triangulation."""
+    out = []
+    for j in range(p.v.exp, max_exp + 1):
+        step = Dyadic(1, j)
+        out.append(CircleAngle(p.v + step))
+        out.append(CircleAngle(p.v - step))
+    return out
+
+
+def _apex_by_fan(overlay, p, q, side):
+    """Reference: the apex searched among the ends of the added chords and
+    the standard fans at p and q, two exponents past every end in sight."""
+    exps = [p.v.exp, q.v.exp]
+    for obj in overlay.added:
+        exps.extend(e.v.exp for e in ends(obj))
+    max_exp = max(exps + [p.gap_to(q).exp]) + 2
+    candidates = set()
+    for obj in overlay.added:
+        candidates.update(ends(obj))
+    candidates.update(_fan_candidates(p, max_exp))
+    candidates.update(_fan_candidates(q, max_exp))
+    arc = (lambda s: ZERO < p.gap_to(s) < p.gap_to(q)) if side == 0 else \
+          (lambda s: p.gap_to(q) < p.gap_to(s))
+    found = {s for s in candidates
+             if s not in (p, q) and arc(s)
+             and overlay.has_chord(p, s) and overlay.has_chord(q, s)}
+    assert len(found) == 1, (p, q, side, found)
+    return next(iter(found))
+
+
+def _flip_by_fan(overlay, x):
+    p, q = sorted(ends(x), key=lambda a: a.v)
+    return obj_from_ends(_apex_by_fan(overlay, p, q, 0), _apex_by_fan(overlay, p, q, 1))

@@ -60,3 +60,13 @@ def test_criterion_12_golden_render(name, argv):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / name).read_text(), f"render differs from golden {name}"
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_every_criterion_counts_work_at_small_depths(depth):
+    # a count of zero in a detail string is a part of the suite that checked nothing
+    import re
+    for r in run_all(depth):
+        assert r.ok, r.line()
+        counts = [int(c) for c in re.findall(r"\d+", r.detail)]
+        assert counts and 0 not in counts, r.line()

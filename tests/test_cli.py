@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moebius.cli import main
 
@@ -289,3 +290,56 @@ def test_exponent_64_queries_take_no_depth_cap(capsys, monkeypatch):
     assert code == 0 and out.count(">") + out.count("<") == 64
     code, out, _ = run(capsys, "from-string", out.strip())
     assert code == 0 and out.strip() == x
+
+
+# -- in-process fuzz of the word commands ---------------------------------------
+
+@st.composite
+def _cluster_token(draw):
+    n = draw(st.integers(0, 70))
+    m = draw(st.one_of(st.integers(0, (2 << n) - 1), st.integers(-3, 3)))
+    return f"T({n},{m})"
+
+
+@st.composite
+def _object_token(draw):
+    k = draw(st.integers(0, 70))
+    a, b = draw(st.integers(-(2 << k), 2 << k)), draw(st.integers(-(2 << k), 2 << k))
+    return f"M({a}/{1 << k},{b}/{1 << k})"
+
+
+@st.composite
+def _path_word(draw):
+    """Adjacent cluster points of depth <= 70 with letters drawn at random and
+    optional ray markers: sometimes a valid word, mostly one the quiver rejects."""
+    from moebius.cluster import ClusterPt, in_neighbors, out_neighbors
+    v = ClusterPt(draw(st.integers(0, 70)), draw(st.integers(0, 1 << 71)))
+    parts = [str(v)]
+    for _ in range(draw(st.integers(0, 4))):
+        nxt = [u for u in (*in_neighbors(v), *out_neighbors(v)) if u.n <= 70]
+        v = draw(st.sampled_from(nxt))
+        parts += [draw(st.sampled_from("<>")), str(v)]
+    marks = st.sampled_from(["", "~"])
+    return draw(marks) + " ".join(parts) + draw(marks)
+
+
+_TOKENS = st.one_of(_cluster_token(), _object_token(), st.sampled_from(["<", ">", "~"]),
+                    st.text(alphabet="T(),<>~-/ 0123456789M", max_size=8))
+_ARGUMENTS = st.one_of(_cluster_token(), _object_token(), _path_word(),
+                       st.lists(_TOKENS, max_size=7).map(" ".join))
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["from-string", "to-string", "simple", "walk"]),
+       json_flag=st.booleans(), argument=_ARGUMENTS)
+def test_word_commands_fuzz(command, json_flag, argument):
+    # an exception escaping main would end the real command in a traceback
+    import contextlib, io
+    argv = [command, *(["--json"] if json_flag else []), argument]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), (argv, err.getvalue())

@@ -2,14 +2,16 @@ import random
 
 import pytest
 
-from moebius.dyadic import Dyadic, CircleAngle, ZERO
-from moebius.band import Rect, parse_obj, ends, compatible, obj_from_ends
+from moebius.dyadic import Dyadic
+from moebius.band import Rect, parse_obj, ends, compatible
 from moebius import cluster
 from moebius.cluster import (ClusterPt, STANDARD, member, object_of, chord,
                              depth, neighbors, in_neighbors, out_neighbors,
                              enum_in_rect, enum_in_rect_with_reps, meets_cluster,
                              mutate, parse_cluster_pt, children)
 from moebius.errors import NotInCluster, UnboundedRect, ParseError
+
+from oracles import _flip_by_fan, _member_by_ends
 
 T = ClusterPt
 M = parse_obj
@@ -196,42 +198,6 @@ def test_chord_str():
 
 # -- the flip against the fan search --------------------------------------------
 
-def _fan_candidates(p, max_exp):
-    """Dyadic points chord-adjacent to p in the standard triangulation."""
-    out = []
-    for j in range(p.v.exp, max_exp + 1):
-        step = D(1, j)
-        out.append(CircleAngle(p.v + step))
-        out.append(CircleAngle(p.v - step))
-    return out
-
-
-def _apex_by_fan(overlay, p, q, side):
-    """Reference: the apex searched among the ends of the added chords and
-    the standard fans at p and q, two exponents past every end in sight."""
-    exps = [p.v.exp, q.v.exp]
-    for obj in overlay.added:
-        exps.extend(e.v.exp for e in ends(obj))
-    max_exp = max(exps + [p.gap_to(q).exp]) + 2
-    candidates = set()
-    for obj in overlay.added:
-        candidates.update(ends(obj))
-    candidates.update(_fan_candidates(p, max_exp))
-    candidates.update(_fan_candidates(q, max_exp))
-    arc = (lambda s: ZERO < p.gap_to(s) < p.gap_to(q)) if side == 0 else \
-          (lambda s: p.gap_to(q) < p.gap_to(s))
-    found = {s for s in candidates
-             if s not in (p, q) and arc(s)
-             and overlay.has_chord(p, s) and overlay.has_chord(q, s)}
-    assert len(found) == 1, (p, q, side, found)
-    return next(iter(found))
-
-
-def _flip_by_fan(overlay, x):
-    p, q = sorted(ends(x), key=lambda a: a.v)
-    return obj_from_ends(_apex_by_fan(overlay, p, q, 0), _apex_by_fan(overlay, p, q, 1))
-
-
 def test_mutate_matches_fan_search_on_standard():
     for v in all_points(6):
         x = object_of(v)
@@ -260,23 +226,6 @@ def test_mutate_matches_fan_search_on_overlays():
 
 
 # -- closed-form membership and the early-exit rectangle test -------------------
-
-def _member_by_ends(x):
-    """Reference: the cluster point whose chord joins the ends of x, searched
-    as an arc of length 1/2^n between points of the 1/2^n grid."""
-    e1, e2 = sorted(ends(x), key=lambda a: a.v)
-    for p, q in ((e1, e2), (e2, e1)):
-        gap = p.gap_to(q)
-        if gap.num != 1:
-            continue
-        n = gap.exp
-        if p.v.exp > n or q.v.exp > n:
-            continue
-        v = T(n, q.v.num << (n - q.v.exp))
-        if object_of(v) == x:
-            return v
-    return None
-
 
 def test_member_matches_end_search():
     from moebius.checks import grid

@@ -10,7 +10,7 @@ from moebius.equiv import (obj_to_string, string_to_obj, simple_object,
                            tail_case, g_extend, f_strip)
 from moebius.errors import InCluster, InvalidWord, NoMorphism, Unreachable, AllOnesTail
 
-from oracles import lower_tail_coords
+from oracles import lower_tail_coords, string_to_obj_by_steps
 
 T = ClusterPt
 M = parse_obj
@@ -64,6 +64,58 @@ def test_walk_rectangle_carries_exactly_the_word():
         rect = Rect.closed(hi[0], lo[0], lo[1], hi[1])
         want = support(x) | {w.vertices[0].pt, w.vertices[-1].pt}
         assert enum_in_rect(rect) == want, x
+
+
+# -- the walk between the attach vertices against the trial stepper ----------
+
+def _reduced_words(pts):
+    """Every reduced word on the given vertices, grown one letter at a time;
+    a word that fails validation has no valid extension."""
+    from moebius.cluster import in_neighbors, out_neighbors
+    allowed = set(pts)
+    found, stack = set(), [(v,) for v in pts]
+    while stack:
+        verts = stack.pop()
+        found.add(word(verts))
+        for u in (*in_neighbors(verts[-1]), *out_neighbors(verts[-1])):
+            if u in allowed and u not in verts:
+                try:
+                    word(verts + (u,))
+                except InvalidWord:
+                    continue
+                stack.append(verts + (u,))
+    return found
+
+
+def test_string_to_obj_matches_stepper_on_depth4_words():
+    from moebius.checks import cluster_points
+    words = _reduced_words(cluster_points(4))
+    assert len(words) == 1891
+    for w in words:
+        assert string_to_obj.__wrapped__(w) == string_to_obj_by_steps(w), w
+
+
+def test_string_to_obj_matches_stepper_at_high_exponents():
+    import random
+    from moebius.dyadic import Dyadic
+    rng = random.Random(20261018)
+    for e in range(15, 65):
+        done = 0
+        while done < 8:
+            x0 = Dyadic(rng.randrange(1 << (e + 1)) | 1, e)
+            x = normal_form(x0, x0 + Dyadic(rng.randrange(1 << e), e))
+            if member(x) is None:
+                w = obj_to_string.__wrapped__(x)
+                assert string_to_obj.__wrapped__(w) == x == string_to_obj_by_steps(w), x
+                done += 1
+
+
+def test_string_to_obj_rejects_a_word_its_walk_does_not_carry(monkeypatch):
+    import moebius.equiv as equiv
+    w = parse_word("T(1,0) > T(0,0) > T(1,1)")
+    monkeypatch.setattr(equiv, "minimal_walk", lambda u, v: equiv.walk_of(M("M(1/8,1/4)")))
+    with pytest.raises(AssertionError, match="does not carry"):
+        string_to_obj.__wrapped__(w)
 
 
 def test_transport_mor():
@@ -243,7 +295,7 @@ def test_g_extend_examples():
 def test_ray_reps_horizontal():
     # reps along the ray through T(1,0) keep their second coordinate
     from moebius.dyadic import Dyadic
-    from moebius.equiv import _step_rep
+    from oracles import _step_rep
     cur = (Dyadic(0), Dyadic(1, 1))  # rep of T(1,0)
     chain = [cur]
     for pt in (T(2, 7), T(3, 13)):

@@ -1,18 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from moebius.dyadic import Dyadic, floor_div2
-from moebius.band import Rect, parse_obj, hom_c_dim, normal_form
+from moebius.dyadic import Dyadic
+from moebius.band import Rect, parse_obj, hom_c_dim, normal_form, abs_lt_one
 from moebius.cluster import ClusterPt, object_of, member, enum_in_rect, enum_in_rect_with_reps
 from moebius.walk import (support, walk_of, minimal_walk, approximation,
                           hom_ct_dim, tau_dims, concrete_epsilon, shifted,
                           induced_support_map, factors_through_sink,
-                          compose_basic_nonzero, Walk, WalkVertex, SINK, SOURCE,
-                          THROUGH, _lower_endpoint, _upper_endpoint, _walk_between)
+                          compose_basic_nonzero, _lower_endpoint, _upper_endpoint,
+                          _walk_between)
 from moebius.errors import InCluster, NotBasic
 
-from oracles import tau_dims_via_epsilon, hom0_via_factoring
+from oracles import (tau_dims_via_epsilon, hom0_via_factoring, _scan_walk_of,
+                     _scan_minimal_walk, compose_basic_nonzero_by_pairing)
 
 T = ClusterPt
 M = parse_obj
@@ -216,6 +218,64 @@ def test_compose_basic_nonzero_blocked():
     assert compose_basic_nonzero(M("M(1/8,1/4)"), M("M(3/16,1/2)"), M("M(1/4,3/4)"))
 
 
+# -- the composite read off one basic x -> z against the pairing of two ---------
+
+def _assert_compose_matches_pairing(triples):
+    seen = set()
+    for x, y, z in triples:
+        got = compose_basic_nonzero.__wrapped__(x, y, z)
+        assert got == compose_basic_nonzero_by_pairing(x, y, z), (x, y, z)
+        seen.add(got)
+    return seen
+
+
+def test_compose_matches_pairing_on_depth3_basics():
+    # every tenth basic x -> y of the depth-3 grid, then any basic y -> z
+    from moebius.checks import _basics
+    basics = _basics(3)
+    triples = [(x, y, z) for (x, y) in basics[::10] for (y2, z) in basics if y2 == y]
+    assert _assert_compose_matches_pairing(triples) == {True, False}
+
+
+def _in_window(rng, x, e):
+    """A grid-e object with a representative (p, q) in the window of a map
+    out of a representative (a, b) of x: a <= p < b + 1, b <= q < a + 1."""
+    a, b = rng.choice(x.reps())
+    width = lambda lo, hi: (hi + D(1) - lo).scaled_pow2(-e).num
+    while True:
+        p = a + D(rng.randrange(width(a, b)), e)
+        q = b + D(rng.randrange(width(b, a)), e)
+        if abs_lt_one(q - p):
+            return normal_form(p, q)
+
+
+def test_compose_matches_pairing_on_seeded_depth4_triples():
+    # half uniform in the depth-4 grid; half with y in the window of a map
+    # out of x and z in the window of a map out of y, so both factors exist in C
+    from moebius.checks import grid
+    rng = random.Random(4)
+    objs = grid(4)
+    triples = []
+    for i in range(2000):
+        x = rng.choice(objs)
+        y = _in_window(rng, x, 4) if i % 2 else rng.choice(objs)
+        triples.append((x, y, _in_window(rng, y, 4) if i % 2 else rng.choice(objs)))
+    assert _assert_compose_matches_pairing(triples) == {True, False}
+
+
+def test_compose_matches_pairing_on_support_translates():
+    # the composites induced_support_map asks for: a translate of each common
+    # support point, then the basic src -> dst, for 200 depth-3 basics
+    from moebius.checks import _basics
+    triples = []
+    for (src, dst) in _basics(3)[::9][:200]:
+        common = support(src) & support(dst)
+        eps = concrete_epsilon([src, dst] + [object_of(s) for s in common])
+        triples.extend((shifted(s, eps, eps), src, dst) for s in sorted(common))
+    assert len(triples) > 300
+    assert True in _assert_compose_matches_pairing(triples)
+
+
 def test_ambient_translate_duality():
     # dim Hom(translate of S, X) = dim Hom(X, S) in the ambient category
     pts = [T(0, 0)] + [T(n, m) for n in range(1, 4) for m in range(1 << (n + 1))]
@@ -228,59 +288,6 @@ def test_ambient_translate_duality():
 
 
 # -- the stepped walks against the level-scan walks ------------------------------
-#
-# The reference builds a walk by scanning its closed rectangle for every
-# cluster representative (`enum_in_rect_with_reps`, uncached here) and
-# sorting them along the zig-zag.
-
-def _scan_assemble(reps_pts):
-    # down the x-coordinate, then up the y-coordinate, on numerators at one scale
-    e = max(max(r[0].exp, r[1].exp) for _, r in reps_pts)
-    ordered = sorted(reps_pts, key=lambda pr: (-(pr[1][0].num << (e - pr[1][0].exp)),
-                                               pr[1][1].num << (e - pr[1][1].exp)))
-    pts = [p for p, _ in ordered]
-    assert len(set(pts)) == len(pts), "walk visits an object twice"
-    steps = []
-    for (_, r1), (_, r2) in zip(ordered, ordered[1:]):
-        if r1[0] == r2[0] and r1[1] < r2[1]:
-            steps.append("v")
-        elif r1[1] == r2[1] and r2[0] < r1[0]:
-            steps.append("h")
-        else:
-            raise AssertionError(f"broken walk step {r1} -> {r2}")
-    vertices = []
-    for i, (pt, rep) in enumerate(ordered):
-        out_next = i < len(steps) and steps[i] == "v"
-        in_next = i < len(steps) and steps[i] == "h"
-        out_prev = i > 0 and steps[i - 1] == "h"
-        in_prev = i > 0 and steps[i - 1] == "v"
-        n_in, n_out = in_next + in_prev, out_next + out_prev
-        role = SOURCE if n_out and not n_in else THROUGH if n_in and n_out else SINK
-        vertices.append(WalkVertex(pt, rep, role))
-    return Walk(tuple(vertices), tuple(steps))
-
-
-def _scan(rect):
-    return _scan_assemble(list(enum_in_rect_with_reps.__wrapped__(rect)))
-
-
-def _scan_walk_of(x):
-    lower, upper = _lower_endpoint(x.x, x.y), _upper_endpoint(x.x, x.y)
-    walk = _scan(Rect.closed(upper[0], x.x, lower[1], x.y))
-    assert walk.vertices[0].rep == lower and walk.vertices[-1].rep == upper
-    return walk
-
-
-def _scan_minimal_walk(v, w):
-    for lr_pt, ul_pt in ((v, w), (w, v)):
-        for lr in object_of(lr_pt).reps():
-            for ul0 in object_of(ul_pt).reps():
-                shift = Dyadic(2 * floor_div2(lr[0] - ul0[0]))
-                ul = (ul0[0] + shift, ul0[1] + shift)
-                if ul[0] <= lr[0] and ul[1] >= lr[1]:
-                    return _scan(Rect.closed(ul[0], lr[0], lr[1], ul[1]))
-    raise AssertionError(f"no common walk window for {v}, {w}")
-
 
 def _assert_walk_matches_scan(x):
     ref = _scan_walk_of(x)
