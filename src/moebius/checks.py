@@ -109,7 +109,7 @@ def check_support_walk(e: int) -> tuple[bool, str]:
     objs = grid_off_cluster(e)
     for x in objs:
         w = walk_of(x)
-        interior = frozenset(p for p in w.points()) - {w.vertices[0].pt, w.vertices[-1].pt}
+        interior = frozenset(w.pts[1:-1])
         if enum_in_rect(Rect.open(x.y - ONE, x.x, x.x - ONE, x.y)) != interior:
             return (False, f"support != walk interior at {x}")
     worked = {
@@ -352,7 +352,7 @@ def check_ray_functors(e: int) -> tuple[bool, str]:
             if f_strip(g_extend(w, k)) != w:
                 return (False, f"strip(extend) != id at {x}, k={k}")
     rng = random.Random(7)
-    sample = rng.sample(objs, min(12, len(objs)))
+    sample = rng.sample(objs, min(4 * e, len(objs)))
     stable = 0
     for x1 in sample:
         w1 = obj_to_string(x1)

@@ -244,8 +244,11 @@ def _cmd_render(args) -> int:
     if args.out == "-":
         sys.stdout.write(doc)
     else:
-        with open(args.out, "w") as fh:
-            fh.write(doc)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(doc)
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.out}: {exc.strerror or exc}")
     return 0
 
 

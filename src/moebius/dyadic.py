@@ -132,21 +132,24 @@ class Dyadic:
         return f"Dyadic({self})"
 
     def decimal(self) -> str:
-        """Exact decimal expansion (dyadics always terminate)."""
-        n, e = self.num, self.exp
-        sign = "-" if n < 0 else ""
-        n = abs(n) * 5 ** e
-        s = str(n).rjust(e + 1, "0")
-        if e == 0:
-            return sign + s
-        whole, frac = s[:-e], s[-e:]
-        frac = frac.rstrip("0")
-        return sign + whole + ("." + frac if frac else "")
+        return decimal(self.num, self.exp)
 
 
 # Slot setters, bypassing the __setattr__ that makes instances immutable.
 _set_num = Dyadic.num.__set__
 _set_exp = Dyadic.exp.__set__
+
+
+def decimal(num: int, exp: int) -> str:
+    """Exact decimal expansion of num/2^exp (dyadics always terminate); it
+    depends only on the value, so num need not be reduced."""
+    sign = "-" if num < 0 else ""
+    s = str(abs(num) * 5 ** exp).rjust(exp + 1, "0")
+    if exp == 0:
+        return sign + s
+    whole, frac = s[:-exp], s[-exp:].rstrip("0")
+    return sign + whole + ("." + frac if frac else "")
+
 
 ZERO = Dyadic(0)
 ONE = Dyadic(1)

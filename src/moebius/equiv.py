@@ -26,10 +26,10 @@ from .errors import InvalidWord, NoMorphism, Unreachable, AllOnesTail
 def _walk_word(walk: Walk) -> StringWord:
     """The word on the interior of a walk, arrows reversed: a vertical step
     is a cluster map up v_i -> v_{i+1}, so its letter points back."""
-    inner = walk.vertices[1:-1]
+    inner = walk.pts[1:-1]
     if not inner:
         raise AssertionError("empty support off the cluster")
-    return StringWord([v.pt for v in inner], [step == "h" for step in walk.steps[1:-1]])
+    return StringWord(inner, [step == "h" for step in walk.steps[1:-1]])
 
 
 @lru_cache(maxsize=None)
@@ -66,7 +66,7 @@ def string_to_obj(w: StringWord) -> Obj:
     walk = minimal_walk(att_l.src, att_r.src)
     if _walk_word(walk) != w:
         raise AssertionError(f"the walk between the attach vertices of {w} does not carry it")
-    return normal_form(walk.vertices[0].rep[0], walk.vertices[-1].rep[1])
+    return normal_form(Dyadic(walk.nums[0][0], walk.k), Dyadic(walk.nums[-1][1], walk.k))
 
 
 def simple_object(v: ClusterPt) -> Obj:

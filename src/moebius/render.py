@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dyadic import Dyadic, ZERO, ONE, TWO
+from .dyadic import Dyadic, ZERO, ONE, TWO, decimal
 from .band import Obj, Rect
 from .cluster import ClusterPt, object_of
 from .walk import Walk, walk_of
 
-SCALE = Dyadic(240)
+SCALE = 240
 PAD = Dyadic(1, 3)
 DOT_R = {0: "5", 1: "4", 2: "3", 3: "2.5", 4: "2", None: "1.5"}
 MAX_CLUSTER_DEPTH = 12  # 2^(d+1) - 1 dots; depth 12 writes about 0.5 MB
@@ -29,42 +29,40 @@ class RenderSpec:
     cluster_depth: int | None = None
 
 
-def _dots(depth: int) -> list[tuple[ClusterPt, Dyadic, Dyadic]]:
-    out = []
-    for n in range(depth + 1):
-        for m in range(1 << n):  # canonical x = m/2^n in [0, 1)
-            v = ClusterPt(n, m)
-            o = object_of(v)
-            out.append((v, o.x, o.y))
-    return out
-
-
 class _Canvas:
     def __init__(self, x_lo, x_hi, y_lo, y_hi):
         self.x_lo, self.x_hi, self.y_lo, self.y_hi = x_lo, x_hi, y_lo, y_hi
         self.elements: list[str] = []
 
+    def x_at(self, num: int, exp: int) -> str:
+        """The pixel column of x = num/2^exp."""
+        e = max(exp, self.x_lo.exp)
+        return decimal(((num << (e - exp)) - (self.x_lo.num << (e - self.x_lo.exp))) * SCALE, e)
+
+    def y_at(self, num: int, exp: int) -> str:
+        """The pixel row of y = num/2^exp."""
+        e = max(exp, self.y_hi.exp)
+        return decimal(((self.y_hi.num << (e - self.y_hi.exp)) - (num << (e - exp))) * SCALE, e)
+
     def px(self, x: Dyadic) -> str:
-        return ((x - self.x_lo) * SCALE).decimal()
+        return self.x_at(x.num, x.exp)
 
     def py(self, y: Dyadic) -> str:
-        return ((self.y_hi - y) * SCALE).decimal()
+        return self.y_at(y.num, y.exp)
 
+    # element writers take pixel strings
     def line(self, x1, y1, x2, y2, cls):
-        self.elements.append(
-            f'<line class="{cls}" x1="{self.px(x1)}" y1="{self.py(y1)}" '
-            f'x2="{self.px(x2)}" y2="{self.py(y2)}"/>')
+        self.elements.append(f'<line class="{cls}" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>')
 
-    def circle(self, x, y, r, cls):
-        self.elements.append(
-            f'<circle class="{cls}" cx="{self.px(x)}" cy="{self.py(y)}" r="{r}"/>')
+    def circle(self, cx, cy, r, cls):
+        self.elements.append(f'<circle class="{cls}" cx="{cx}" cy="{cy}" r="{r}"/>')
 
     def diagonal(self, c: Dyadic, cls: str):
         """Clipped segment of the line y = x + c."""
         xa = max(self.x_lo, self.y_lo - c)
         xb = min(self.x_hi, self.y_hi - c)
         if xa <= xb:
-            self.line(xa, xa + c, xb, xb + c, cls)
+            self.line(self.px(xa), self.py(xa + c), self.px(xb), self.py(xb + c), cls)
 
 
 _STYLE = ("line.boundary{stroke:#333;stroke-width:1.5}"
@@ -81,21 +79,18 @@ _STYLE = ("line.boundary{stroke:#333;stroke-width:1.5}"
 def render(spec: RenderSpec) -> str:
     xs = [ZERO, ONE]
     ys = [-ONE, TWO]
-    for o in spec.objects:
-        xs += [o.x]
-        ys += [o.y]
+    xs += [o.x for o in spec.objects]
+    ys += [o.y for o in spec.objects]
     for r in spec.rects:
         xs += [r.x_lo, r.x_hi]
         ys += [r.y_lo, r.y_hi]
     walks = [walk_of(o) for o in spec.walks]
-    for w in walks:
-        for v in w.vertices:
-            xs.append(v.rep[0])
-            ys.append(v.rep[1])
-    x_lo = min(xs) - PAD
-    x_hi = max(xs) + PAD
-    y_lo = min(ys) - PAD
-    y_hi = max(ys) + PAD
+    for w in walks:  # the walk runs up and left from its lower-right corner
+        (p0, q0), (p1, q1) = w.nums[0], w.nums[-1]
+        xs += [Dyadic(p1, w.k), Dyadic(p0, w.k)]
+        ys += [Dyadic(q0, w.k), Dyadic(q1, w.k)]
+    x_lo, x_hi = min(xs) - PAD, max(xs) + PAD
+    y_lo, y_hi = min(ys) - PAD, max(ys) + PAD
     cv = _Canvas(x_lo, x_hi, y_lo, y_hi)
 
     cv.diagonal(ONE, "boundary")
@@ -103,9 +98,10 @@ def render(spec: RenderSpec) -> str:
     cv.diagonal(ZERO, "axis")
 
     if spec.cluster_depth is not None:
-        for v, x, y in _dots(spec.cluster_depth):
-            r = DOT_R.get(v.n, DOT_R[None])
-            cv.circle(x, y, r, "cluster")
+        for n in range(spec.cluster_depth + 1):
+            for m in range(1 << n):  # canonical x = m/2^n in [0, 1)
+                o = object_of(ClusterPt(n, m))
+                cv.circle(cv.px(o.x), cv.py(o.y), DOT_R.get(n, DOT_R[None]), "cluster")
 
     for r in spec.rects:
         edges = [
@@ -115,16 +111,16 @@ def render(spec: RenderSpec) -> str:
             (r.x_lo, r.y_hi, r.x_lo, r.y_lo, r.open_x_lo),
         ]
         for x1, y1, x2, y2, is_open in edges:
-            cv.line(x1, y1, x2, y2, "rect-open" if is_open else "rect-closed")
+            cv.line(cv.px(x1), cv.py(y1), cv.px(x2), cv.py(y2),
+                    "rect-open" if is_open else "rect-closed")
 
     for w in walks:
         _draw_walk(cv, w)
 
     for o in spec.objects:
-        cv.circle(o.x, o.y, "4", "object")
+        cv.circle(cv.px(o.x), cv.py(o.y), "4", "object")
 
-    width = ((x_hi - x_lo) * SCALE).decimal()
-    height = ((y_hi - y_lo) * SCALE).decimal()
+    width, height = cv.px(x_hi), cv.py(y_lo)
     head = ('<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">\n'
@@ -134,26 +130,22 @@ def render(spec: RenderSpec) -> str:
 
 
 def _draw_walk(cv: _Canvas, w: Walk):
-    arrow_half = Dyadic(1, 5)  # 1/32 of a unit, in world coordinates
+    """The walk on integer numerators at the scale 2^(k+6), where the step
+    midpoints and the arrow half-width 1/32 are integers; `x_at`/`y_at`
+    rescale to the canvas bounds where those are finer."""
+    e, h = w.k + 6, 1 << (w.k + 1)
+    xs, ys = [p << 6 for p, _ in w.nums], [q << 6 for _, q in w.nums]
+    px, py = [cv.x_at(x, e) for x in xs], [cv.y_at(y, e) for y in ys]
     for i, step in enumerate(w.steps):
-        r1 = w.vertices[i].rep
-        r2 = w.vertices[i + 1].rep
         # arrows point up (vertical steps) and right (horizontal steps)
-        src, dst = (r1, r2) if step == "v" else (r2, r1)
-        cv.line(src[0], src[1], dst[0], dst[1], "walk")
-        mx = (src[0] + dst[0]).half()
-        my = (src[1] + dst[1]).half()
+        a, b = (i, i + 1) if step == "v" else (i + 1, i)
+        cv.line(px[a], py[a], px[b], py[b], "walk")
+        mx, my = (xs[a] + xs[b]) >> 1, (ys[a] + ys[b]) >> 1
         if step == "v":
-            p1 = (mx - arrow_half, my - arrow_half)
-            p2 = (mx + arrow_half, my - arrow_half)
-            tip = (mx, my + arrow_half)
+            arrow = ((mx - h, my - h), (mx + h, my - h), (mx, my + h))
         else:
-            p1 = (mx - arrow_half, my - arrow_half)
-            p2 = (mx - arrow_half, my + arrow_half)
-            tip = (mx + arrow_half, my)
-        cv.elements.append(
-            '<path class="arrow" d="M {} {} L {} {} L {} {} Z"/>'.format(
-                cv.px(p1[0]), cv.py(p1[1]), cv.px(p2[0]), cv.py(p2[1]),
-                cv.px(tip[0]), cv.py(tip[1])))
-    for v in w.vertices:
-        cv.circle(v.rep[0], v.rep[1], "2.5", "walkpt")
+            arrow = ((mx - h, my - h), (mx - h, my + h), (mx + h, my))
+        cv.elements.append('<path class="arrow" d="M {} {} L {} {} L {} {} Z"/>'.format(
+            *(c for x, y in arrow for c in (cv.x_at(x, e), cv.y_at(y, e)))))
+    for x, y in zip(px, py):
+        cv.circle(x, y, "2.5", "walkpt")

@@ -16,6 +16,11 @@ T(0,0) on the diagonal), and likewise (Q -+ (2^K - 2^j), Q) on the
 horizontal line y' = Q.  The nearest one above or to the left is therefore
 a `bit_length` away, and each step goes up when that stays below the top
 edge and left otherwise.
+
+A `Walk` keeps what the stepper computes: the cluster points, their
+representatives as integer numerator pairs at the scale 2^k, the steps and
+the roles.  `Dyadic` representatives are built only when a caller asks for
+them (`vertices`, `sinks`, `sources`, `to_json`).
 """
 
 from __future__ import annotations
@@ -40,29 +45,43 @@ class WalkVertex:
     role: str
 
 
-@dataclass(frozen=True)
+# the role of a vertex by the steps before and after it ("-" at an end), any
+# other pair being a sink: arrows point up and right, so a vertical step
+# enters the upper vertex and a horizontal step the right one
+_ROLE = {"vv": THROUGH, "hh": THROUGH, "hv": SOURCE, "h-": SOURCE, "-v": SOURCE}
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Walk:
-    vertices: tuple[WalkVertex, ...]
+    pts: tuple[ClusterPt, ...]
+    nums: tuple[tuple[int, int], ...]  # the representatives, numerators at scale 2^k
+    k: int
     steps: tuple[str, ...]  # "h" or "v", between consecutive vertices
+    roles: tuple[str, ...]
 
     @property
     def length(self) -> int:
         return len(self.steps)
 
+    def _vertex(self, i: int) -> WalkVertex:
+        p, q = self.nums[i]
+        return WalkVertex(self.pts[i], (Dyadic(p, self.k), Dyadic(q, self.k)), self.roles[i])
+
+    @property
+    def vertices(self) -> tuple[WalkVertex, ...]:
+        return tuple(map(self._vertex, range(len(self.pts))))
+
     def points(self) -> tuple[ClusterPt, ...]:
-        return tuple(v.pt for v in self.vertices)
+        return self.pts
 
     def role_of(self, pt: ClusterPt) -> str | None:
-        for v in self.vertices:
-            if v.pt == pt:
-                return v.role
-        return None
+        return self.roles[self.pts.index(pt)] if pt in self.pts else None
 
     def sinks(self) -> tuple[WalkVertex, ...]:
-        return tuple(v for v in self.vertices if v.role == SINK)
+        return tuple(self._vertex(i) for i, r in enumerate(self.roles) if r == SINK)
 
     def sources(self) -> tuple[WalkVertex, ...]:
-        return tuple(v for v in self.vertices if v.role == SOURCE)
+        return tuple(self._vertex(i) for i, r in enumerate(self.roles) if r == SOURCE)
 
     def to_json(self) -> list[dict]:
         return [{"pt": [v.pt.n, v.pt.m], "rep": [str(v.rep[0]), str(v.rep[1])], "role": v.role}
@@ -84,7 +103,7 @@ def support(x: Obj) -> frozenset[ClusterPt]:
     of the walk of x, and empty on the cluster."""
     if member(x) is not None:
         return frozenset()
-    return frozenset(v.pt for v in walk_of(x).vertices[1:-1])
+    return frozenset(walk_of(x).pts[1:-1])
 
 
 def _delta(n: int) -> Dyadic:
@@ -169,20 +188,12 @@ def _walk_at(p: int, q: int, left: int, top: int, k: int) -> Walk:
             p = q - c
             steps.append("h")
         reps.append((p, q))
-    pts = [_point_at(p, q, k) for p, q in reps]
+    pts = tuple(_point_at(p, q, k) for p, q in reps)
     if len(set(pts)) != len(pts):
         raise AssertionError("walk visits an object twice")
-    # arrows point up and right: a vertical step enters the upper vertex,
-    # a horizontal step the right one; a lone vertex counts as a sink
-    around = (None, *steps, None)
-    vertices = []
-    for i, (pt, (p, q)) in enumerate(zip(pts, reps)):
-        before, after = around[i], around[i + 1]
-        has_in = before == "v" or after == "h"
-        has_out = before == "h" or after == "v"
-        role = THROUGH if has_in and has_out else SOURCE if has_out else SINK
-        vertices.append(WalkVertex(pt, (Dyadic(p, k), Dyadic(q, k)), role))
-    return Walk(tuple(vertices), tuple(steps))
+    around = ("-", *steps, "-")
+    roles = tuple(_ROLE.get(b + a, SINK) for b, a in zip(around, around[1:]))
+    return Walk(pts, tuple(reps), k, tuple(steps), roles)
 
 
 @lru_cache(maxsize=None)
@@ -300,7 +311,7 @@ def tau_dims(s: ClusterPt, x: Obj) -> TauDims:
     role = walk.role_of(s)
     if role is None:
         return TauDims(0, 0, 0, 0, 0)
-    endpoint = s in (walk.vertices[0].pt, walk.vertices[-1].pt)
+    endpoint = s in (walk.pts[0], walk.pts[-1])
     in_support = not endpoint
     if role == SOURCE:
         rad = 0
@@ -329,11 +340,14 @@ def induced_support_map(src: Obj, dst: Obj, scalar) -> dict[ClusterPt, object]:
 
 def factors_through_sink(s: ClusterPt, x: Obj) -> bool:
     """Every ambient-category map s -> x factors through a sink of the walk:
-    verified by exhibiting an aligned chain s-rep <= sink-rep <= x-rep."""
-    walk = walk_of(x)
-    for (a, b), (xx, yy) in hom_c_configs(object_of(s), x):
-        for v in walk.sinks():
-            bx, by = v.rep
-            if a <= bx <= xx and b <= by <= yy:
-                return True
+    verified by exhibiting an aligned chain s-rep <= sink-rep <= x-rep,
+    on integer numerators at one scale."""
+    walk, s_obj = walk_of(x), object_of(s)
+    k = max(walk.k, s_obj.max_exp(), x.max_exp())
+    up = k - walk.k
+    sinks = [(p << up, q << up) for (p, q), role in zip(walk.nums, walk.roles) if role == SINK]
+    for rs, rx in hom_c_configs(s_obj, x):
+        a, b, xx, yy = (d.num << (k - d.exp) for d in (*rs, *rx))
+        if any(a <= bx <= xx and b <= by <= yy for bx, by in sinks):
+            return True
     return False

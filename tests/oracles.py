@@ -22,14 +22,16 @@ rather than by the library's fast path:
   an arc of length 1/2^n between points of the 1/2^n grid;
 - `_flip_by_fan` checks `cluster.mutate` by searching each apex among the
   standard fans at the ends of the chord (`_fan_candidates`,
-  `_apex_by_fan`).
+  `_apex_by_fan`);
+- `render_by_dyadics` checks `render.render` by computing the bounds and
+  every coordinate in `Dyadic` arithmetic from the walk's `vertices`.
 """
 
 from moebius.dyadic import Dyadic, CircleAngle, ONE, ZERO, floor_div2
 from moebius.band import Obj, Rect, Rep, hom_c_configs, normal_form, ends, obj_from_ends
 from moebius.cluster import (ClusterPt, object_of, neighbors, enum_in_rect_with_reps,
                              meets_cluster)
-from moebius.walk import (Walk, WalkVertex, SINK, SOURCE, THROUGH, concrete_epsilon,
+from moebius.walk import (WalkVertex, SINK, SOURCE, THROUGH, concrete_epsilon,
                           hom_ct_dim, shifted, _lower_endpoint, _upper_endpoint)
 from moebius.equiv import DigitPrefix, _attach_arrows
 from moebius.errors import InvalidWord
@@ -177,7 +179,8 @@ def string_to_obj_by_steps(w: StringWord) -> Obj:
 #
 # The reference builds a walk by scanning its closed rectangle for every
 # cluster representative (`enum_in_rect_with_reps`, uncached here) and
-# sorting them along the zig-zag.
+# sorting them along the zig-zag.  It gives the pair (vertices, steps), with
+# `WalkVertex` vertices and roles assigned by its own rule.
 
 def _scan_assemble(reps_pts):
     # down the x-coordinate, then up the y-coordinate, on numerators at one scale
@@ -203,7 +206,7 @@ def _scan_assemble(reps_pts):
         n_in, n_out = in_next + in_prev, out_next + out_prev
         role = SOURCE if n_out and not n_in else THROUGH if n_in and n_out else SINK
         vertices.append(WalkVertex(pt, rep, role))
-    return Walk(tuple(vertices), tuple(steps))
+    return tuple(vertices), tuple(steps)
 
 
 def _scan(rect):
@@ -212,9 +215,9 @@ def _scan(rect):
 
 def _scan_walk_of(x):
     lower, upper = _lower_endpoint(x.x, x.y), _upper_endpoint(x.x, x.y)
-    walk = _scan(Rect.closed(upper[0], x.x, lower[1], x.y))
-    assert walk.vertices[0].rep == lower and walk.vertices[-1].rep == upper
-    return walk
+    vertices, steps = _scan(Rect.closed(upper[0], x.x, lower[1], x.y))
+    assert vertices[0].rep == lower and vertices[-1].rep == upper
+    return vertices, steps
 
 
 def _scan_minimal_walk(v, w):
@@ -283,3 +286,108 @@ def _apex_by_fan(overlay, p, q, side):
 def _flip_by_fan(overlay, x):
     p, q = sorted(ends(x), key=lambda a: a.v)
     return obj_from_ends(_apex_by_fan(overlay, p, q, 0), _apex_by_fan(overlay, p, q, 1))
+
+
+# -- SVG pictures in Dyadic arithmetic ------------------------------------------
+
+_SCALE = Dyadic(240)
+
+
+class _DyadicCanvas:
+    def __init__(self, x_lo, x_hi, y_lo, y_hi):
+        self.x_lo, self.x_hi, self.y_lo, self.y_hi = x_lo, x_hi, y_lo, y_hi
+        self.elements = []
+
+    def px(self, x):
+        return ((x - self.x_lo) * _SCALE).decimal()
+
+    def py(self, y):
+        return ((self.y_hi - y) * _SCALE).decimal()
+
+    def line(self, x1, y1, x2, y2, cls):
+        self.elements.append(
+            f'<line class="{cls}" x1="{self.px(x1)}" y1="{self.py(y1)}" '
+            f'x2="{self.px(x2)}" y2="{self.py(y2)}"/>')
+
+    def circle(self, x, y, r, cls):
+        self.elements.append(
+            f'<circle class="{cls}" cx="{self.px(x)}" cy="{self.py(y)}" r="{r}"/>')
+
+    def diagonal(self, c, cls):
+        xa = max(self.x_lo, self.y_lo - c)
+        xb = min(self.x_hi, self.y_hi - c)
+        if xa <= xb:
+            self.line(xa, xa + c, xb, xb + c, cls)
+
+
+def _draw_walk_by_dyadics(cv, w):
+    arrow_half = Dyadic(1, 5)
+    vertices = w.vertices
+    for i, step in enumerate(w.steps):
+        r1, r2 = vertices[i].rep, vertices[i + 1].rep
+        src, dst = (r1, r2) if step == "v" else (r2, r1)
+        cv.line(src[0], src[1], dst[0], dst[1], "walk")
+        mx, my = (src[0] + dst[0]).half(), (src[1] + dst[1]).half()
+        if step == "v":
+            p1 = (mx - arrow_half, my - arrow_half)
+            p2 = (mx + arrow_half, my - arrow_half)
+            tip = (mx, my + arrow_half)
+        else:
+            p1 = (mx - arrow_half, my - arrow_half)
+            p2 = (mx - arrow_half, my + arrow_half)
+            tip = (mx + arrow_half, my)
+        cv.elements.append(
+            '<path class="arrow" d="M {} {} L {} {} L {} {} Z"/>'.format(
+                cv.px(p1[0]), cv.py(p1[1]), cv.px(p2[0]), cv.py(p2[1]),
+                cv.px(tip[0]), cv.py(tip[1])))
+    for v in vertices:
+        cv.circle(v.rep[0], v.rep[1], "2.5", "walkpt")
+
+
+def render_by_dyadics(spec) -> str:
+    """The SVG document of a render spec, every coordinate in `Dyadic`
+    arithmetic and the bounds taken over every walk vertex."""
+    from moebius.render import DOT_R, PAD, _STYLE
+    from moebius.walk import walk_of
+    xs, ys = [ZERO, ONE], [-ONE, Dyadic(2)]
+    for o in spec.objects:
+        xs.append(o.x)
+        ys.append(o.y)
+    for r in spec.rects:
+        xs += [r.x_lo, r.x_hi]
+        ys += [r.y_lo, r.y_hi]
+    walks = [walk_of(o) for o in spec.walks]
+    for w in walks:
+        for v in w.vertices:
+            xs.append(v.rep[0])
+            ys.append(v.rep[1])
+    x_lo, x_hi = min(xs) - PAD, max(xs) + PAD
+    y_lo, y_hi = min(ys) - PAD, max(ys) + PAD
+    cv = _DyadicCanvas(x_lo, x_hi, y_lo, y_hi)
+    cv.diagonal(ONE, "boundary")
+    cv.diagonal(-ONE, "boundary")
+    cv.diagonal(ZERO, "axis")
+    if spec.cluster_depth is not None:
+        for n in range(spec.cluster_depth + 1):
+            for m in range(1 << n):
+                o = object_of(ClusterPt(n, m))
+                cv.circle(o.x, o.y, DOT_R.get(n, DOT_R[None]), "cluster")
+    for r in spec.rects:
+        edges = [(r.x_lo, r.y_lo, r.x_hi, r.y_lo, r.open_y_lo),
+                 (r.x_hi, r.y_lo, r.x_hi, r.y_hi, r.open_x_hi),
+                 (r.x_hi, r.y_hi, r.x_lo, r.y_hi, r.open_y_hi),
+                 (r.x_lo, r.y_hi, r.x_lo, r.y_lo, r.open_x_lo)]
+        for x1, y1, x2, y2, is_open in edges:
+            cv.line(x1, y1, x2, y2, "rect-open" if is_open else "rect-closed")
+    for w in walks:
+        _draw_walk_by_dyadics(cv, w)
+    for o in spec.objects:
+        cv.circle(o.x, o.y, "4", "object")
+    width = ((x_hi - x_lo) * _SCALE).decimal()
+    height = ((y_hi - y_lo) * _SCALE).decimal()
+    head = ('<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">\n'
+            f'<style>{_STYLE}</style>\n'
+            f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n')
+    return head + "\n".join(cv.elements) + "\n</svg>\n"

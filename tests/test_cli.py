@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from moebius.cli import main
 
@@ -197,6 +197,19 @@ def test_render_spec_missing_file_exit_2(capsys, tmp_path):
     assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("where", ["missing/x.svg", "."])
+def test_render_out_unwritable_exit_2(capsys, tmp_path, where):
+    code, out, err = run(capsys, "render", "--walk", "M(1/4,3/4)", "--out", str(tmp_path / where))
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: cannot write ") and err.count("\n") == 1
+
+
+def test_render_out_writes_file(capsys, tmp_path):
+    code, out, err = run(capsys, "render", "--walk", "M(1/4,3/4)", "--out", str(tmp_path / "w.svg"))
+    assert code == 0 and out == "" and err == ""
+    assert (tmp_path / "w.svg").read_text().count('class="walkpt"') == 5
+
+
 @pytest.mark.parametrize("depth", ["0", "-1"])
 def test_check_rejects_depth_below_one(capsys, depth):
     code, out, err = run(capsys, "check", "--depth", depth)
@@ -329,17 +342,116 @@ _ARGUMENTS = st.one_of(_cluster_token(), _object_token(), _path_word(),
                        st.lists(_TOKENS, max_size=7).map(" ".join))
 
 
+def _main_in_process(argv, stdin=""):
+    """Exit code, stdout and stderr of main on argv with the given stdin."""
+    import contextlib, io, sys
+    out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_clean_exit(argv, code, out, err):
+    # an exception escaping main would end the real command in a traceback
+    assert code in (0, 1, 2, 3), argv
+    event(f"exit {code}")
+    assert "Traceback" not in out + err, argv
+    if code:
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+
+
 @settings(max_examples=100, deadline=None)
 @given(command=st.sampled_from(["from-string", "to-string", "simple", "walk"]),
        json_flag=st.booleans(), argument=_ARGUMENTS)
 def test_word_commands_fuzz(command, json_flag, argument):
-    # an exception escaping main would end the real command in a traceback
-    import contextlib, io
     argv = [command, *(["--json"] if json_flag else []), argument]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2, 3), argv
-    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
-    if code:
-        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), (argv, err.getvalue())
+    _assert_clean_exit(argv, *_main_in_process(argv))
+
+
+# -- in-process fuzz of render and kernel/cokernel, stdin included --------------
+
+@st.composite
+def _band_object(draw, max_exp=6):
+    """M(x, y) of exponent 2 to max_exp with 0 < |y - x| < 1: in the band,
+    and mostly off the cluster."""
+    k = draw(st.integers(2, max_exp))
+    a = draw(st.integers(-(2 << k), 2 << k))
+    d = draw(st.integers(1, (1 << k) - 1)) * draw(st.sampled_from([1, -1]))
+    return f"M({a}/{1 << k},{a + d}/{1 << k})"
+
+
+@st.composite
+def _mostly(draw, good, *bad, weight=5):
+    """A good draw about `weight` times as often as one of the bad values."""
+    return draw(st.sampled_from(bad) if draw(st.integers(0, weight)) == weight else good)
+
+
+_SCALARS = _mostly(st.sampled_from([0, 1, -2, "1/2", "-3/4", 1.5]), "1/0", "x", True, None,
+                   weight=12)
+_BOUNDS = _mostly(st.sampled_from(["0", "1/4", "-1/2", "3/4", "-2", 1, 2]), "1/3", "x", [0])
+_RECT = _mostly(st.fixed_dictionaries(
+    {"x": st.lists(_BOUNDS, min_size=2, max_size=2), "y": st.lists(_BOUNDS, min_size=2, max_size=2)},
+    optional={"open": _mostly(st.lists(st.booleans(), min_size=4, max_size=4), "xy", [0, 0, 0, 0])}),
+    ["0", "1"], {})
+_OBJECT_LISTS = _mostly(st.lists(_mostly(_band_object(), "M(1/3,1/2)", "T(1,1)", 1), max_size=2),
+                        "M(1/4,3/4)", [1], None)
+_RENDER_SPEC = _mostly(
+    st.fixed_dictionaries({}, optional={
+        "objects": _OBJECT_LISTS, "walks": _OBJECT_LISTS,
+        "rects": _mostly(st.lists(_RECT, max_size=2), {}, "x"),
+        "cluster_depth": _mostly(st.integers(0, 4), -1, 13, "2", True, None)}),
+    [1, 2], None, "spec")
+_MORPHISM = _mostly(
+    st.tuples(st.integers(1, 2), st.integers(1, 2)).flatmap(lambda nm: st.fixed_dictionaries(
+        {"src": st.lists(_band_object(4), min_size=nm[0], max_size=nm[0]),
+         "dst": st.lists(_band_object(4), min_size=nm[1], max_size=nm[1]),
+         "entries": st.lists(st.lists(_SCALARS, min_size=nm[0], max_size=nm[0]),
+                             min_size=nm[1], max_size=nm[1])})),
+    {"src": "M(1/8,1/4)", "dst": ["M(1/4,3/4)"], "entries": [["1"]]},
+    {"src": ["M(1/8,1/4)"], "dst": ["M(1/4,3/4)"], "entries": [["1", "1"]]},
+    {"src": ["M(1/8,1/4)"], "dst": [3], "entries": [[1]]},
+    {"src": ["M(1/8,1/4)"], "dst": ["M(1/4,3/4)"], "entries": "1"},
+    {"src": ["M(0,1)"], "dst": ["M(1/4,3/4)"], "entries": [[1]]}, {"dst": []}, [1, 2],
+    weight=10)
+
+
+def _stdin_text(value):
+    return _mostly(value.map(json.dumps), "", "{bad", "[1")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("render-out")
+
+
+@settings(max_examples=100, deadline=None)
+@given(walks=st.lists(_mostly(_band_object(64), "M(1/4)", "M(0,1/2)"), max_size=2),
+       objects=st.lists(_mostly(_band_object(), "M(0,1)", "M(1/4,5/4)", "x"), max_size=2),
+       depth=_mostly(st.one_of(st.none(), st.integers(0, 4)), -1, 13),
+       out=_mostly(st.sampled_from(["-", "out.svg"]), "missing/out.svg", "."),
+       spec=st.one_of(st.none(), _stdin_text(_RENDER_SPEC)))
+def test_render_fuzz(fuzz_dir, walks, objects, depth, out, spec):
+    argv = ["render", *(a for w in walks for a in ("--walk", w)),
+            *(a for o in objects for a in ("--object", o)),
+            *(["--cluster-depth", str(depth)] if depth is not None else []),
+            "--out", out if out == "-" else str(fuzz_dir / out),
+            *(["--spec", "-"] if spec is not None else [])]
+    code, stdout, err = _main_in_process(argv, spec or "")
+    _assert_clean_exit(argv, code, stdout, err)
+    if code == 0 and out == "-":
+        assert stdout.endswith("</svg>\n"), argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["kernel", "cokernel"]), json_flag=st.booleans(),
+       stdin=_stdin_text(_MORPHISM))
+def test_kernel_commands_fuzz(command, json_flag, stdin):
+    argv = [command, *(["--json"] if json_flag else [])]
+    code, out, err = _main_in_process(argv, stdin)
+    _assert_clean_exit(argv, code, out, err)
+    if code == 0:
+        assert "object" in json.loads(out), stdin

@@ -110,6 +110,34 @@ def test_string_to_obj_matches_stepper_at_high_exponents():
                 done += 1
 
 
+@pytest.mark.parametrize("e, pairs", [(16, 60), (32, 60), (64, 40)])
+def test_hom_ct_dim_matches_strings_on_pairs_sharing_support(e, pairs):
+    # unbiased random pairs have a nonzero Hom only 11-18 % of the time, so
+    # y is drawn among the objects that share a support point with x
+    import random
+    from moebius.dyadic import Dyadic
+    from moebius.walk import support
+    rng = random.Random(e)
+
+    def draw():
+        while True:
+            x0 = Dyadic(rng.randrange(1 << (e + 1)) | 1, e)
+            x = normal_form(x0, x0 + Dyadic(rng.randrange(1 << e), e))
+            if member(x) is None:
+                return x
+
+    seen = set()
+    for _ in range(pairs):
+        x, y = draw(), draw()
+        while not support(x) & support(y):
+            y = draw()
+        for a, b in ((x, y), (y, x)):
+            h = hom_ct_dim.__wrapped__(a, b)
+            assert h == hom_dim_strings(obj_to_string(a), obj_to_string(b)), (a, b)
+            seen.add(h)
+    assert seen == {0, 1}
+
+
 def test_string_to_obj_rejects_a_word_its_walk_does_not_carry(monkeypatch):
     import moebius.equiv as equiv
     w = parse_word("T(1,0) > T(0,0) > T(1,1)")

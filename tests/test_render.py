@@ -1,7 +1,13 @@
+import random
 from pathlib import Path
 
-from moebius.band import parse_obj
+from moebius.dyadic import Dyadic
+from moebius.band import Rect, normal_form, parse_obj
+from moebius.cluster import member
 from moebius.render import RenderSpec, render
+from moebius.walk import walk_of
+
+from oracles import render_by_dyadics
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -38,3 +44,45 @@ def test_walk_has_five_vertices():
 def test_render_deterministic():
     spec = RenderSpec(walks=[parse_obj("M(1/8,1/4)")], cluster_depth=3)
     assert render(spec) == render(spec)
+
+
+# -- the numerator path against the Dyadic reference ---------------------------
+
+def _off_cluster(rng, e):
+    while True:
+        x0 = Dyadic(rng.randrange(1 << (e + 1)) | 1, e)
+        x = normal_form(x0, x0 + Dyadic(rng.randrange(1 << e), e))
+        if member(x) is None:
+            return x
+
+
+def _fine(rng, e):
+    """A dyadic of exponent e in [-2, 3]."""
+    return Dyadic(rng.randrange(-2 << e, 3 << e) | 1, e)
+
+
+def test_walks_match_dyadic_reference_at_exponents_2_to_64():
+    rng = random.Random(8)
+    for e in range(2, 65):
+        spec = RenderSpec(walks=[_off_cluster(rng, e), _off_cluster(rng, rng.randrange(2, e + 1))])
+        assert render(spec) == render_by_dyadics(spec), e
+
+
+def test_objects_and_rects_finer_than_the_walk_match_dyadic_reference():
+    # coordinates past the walk's scale 2^(k+6) set the canvas bounds
+    rng = random.Random(9)
+    for i in range(60):
+        x = _off_cluster(rng, rng.randrange(2, 20))
+        fine = walk_of(x).k + 6 + rng.randrange(1, 6)
+        xs, ys = sorted(_fine(rng, fine) for _ in "ab"), sorted(_fine(rng, fine) for _ in "ab")
+        flags = [rng.random() < 0.5 for _ in range(4)]
+        spec = RenderSpec(objects=[_off_cluster(rng, fine)], rects=[Rect(*xs, *ys, *flags)],
+                          walks=[x], cluster_depth=(None, 0, 2, 3)[i % 4])
+        assert render(spec) == render_by_dyadics(spec), i
+
+
+def test_cluster_depth_and_worked_specs_match_dyadic_reference():
+    for spec in (RenderSpec(), RenderSpec(cluster_depth=6),
+                 RenderSpec(walks=[parse_obj("M(1/4,3/4)")], cluster_depth=3),
+                 RenderSpec(walks=[parse_obj("M(1/18446744073709551616,3/4)")], cluster_depth=5)):
+        assert render(spec) == render_by_dyadics(spec)

@@ -101,13 +101,14 @@ def test_walks_nondegenerate():
     # composable consecutive steps (runs through a vertex) compose nonzero
     for x in grid_off():
         w = walk_of(x)
+        vs = w.vertices
         for i in range(len(w.steps) - 1):
             if w.steps[i] != w.steps[i + 1]:
                 continue
             if w.steps[i] == "v":
-                lo, hi = w.vertices[i].rep, w.vertices[i + 2].rep
+                lo, hi = vs[i].rep, vs[i + 2].rep
             else:
-                lo, hi = w.vertices[i + 2].rep, w.vertices[i].rep
+                lo, hi = vs[i + 2].rep, vs[i].rep
             assert lo[0] <= hi[0] and lo[1] <= hi[1]
             assert hi[1] - Dyadic(1) < lo[0] and hi[0] - Dyadic(1) < lo[1], (x, i)
 
@@ -290,9 +291,11 @@ def test_ambient_translate_duality():
 # -- the stepped walks against the level-scan walks ------------------------------
 
 def _assert_walk_matches_scan(x):
-    ref = _scan_walk_of(x)
-    assert walk_of(x) == ref, x
-    assert support(x) == frozenset(v.pt for v in ref.vertices[1:-1]), x
+    vertices, steps = _scan_walk_of(x)
+    w = walk_of(x)
+    assert (w.vertices, w.steps) == (vertices, steps), x
+    assert support(x) == frozenset(v.pt for v in vertices[1:-1]), x
+    assert all(type(c) is int for pq in w.nums for c in pq), x
 
 
 def test_walk_matches_scan_on_grid():
@@ -319,7 +322,8 @@ def test_minimal_walk_matches_scan():
     pts = cluster_points(4)
     for v in pts:
         for w in pts:
-            assert minimal_walk(v, w) == _scan_minimal_walk(v, w), (v, w)
+            walk = minimal_walk(v, w)
+            assert (walk.vertices, walk.steps) == _scan_minimal_walk(v, w), (v, w)
 
 
 def test_support_on_cluster_is_empty_open_rect():
