@@ -13,8 +13,7 @@ from .cluster import (ClusterPt, ClusterOverlay, STANDARD, member, object_of,
                       chord, depth, neighbors, in_neighbors, out_neighbors,
                       enum_in_rect, mutate, parse_cluster_pt)
 from .walk import (Walk, Approximation, support, walk_of, minimal_walk,
-                   approximation, hom_ct_dim, tau_dims, concrete_epsilon,
-                   induced_support_map)
+                   approximation, hom_ct_dim, tau_dims, concrete_epsilon)
 from .strings import (QArrow, StringWord, RepFin, arrows_at, word,
                       validate_word, hom_dim_strings, kernel_cokernel_strings,
                       to_rep, decompose_rep, parse_word)

@@ -13,14 +13,15 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
 from .dyadic import Dyadic, ONE
-from .band import Obj, normal_form, compatible, ends, triangle_complete, hom_c_dim
+from .band import (Obj, Rect, normal_form, compatible, ends, triangle_complete, hom_c_dim,
+                   parse_obj)
 from .cluster import (ClusterPt, STANDARD, member, object_of, mutate,
                       out_neighbors, neighbors, enum_in_rect)
-from .band import Rect
 from .walk import (support, walk_of, approximation, hom_ct_dim, tau_dims,
-                   concrete_epsilon, shifted, factors_through_sink)
-from .strings import hom_dim_strings, word
+                   compose_basic_nonzero, concrete_epsilon, shifted, factors_through_sink)
+from .strings import hom_dim_strings, overlap, word
 from .equiv import (obj_to_string, string_to_obj, DigitPrefix,
                     digits_to_coords, digit_vertex, coords_to_digits,
                     g_extend, f_strip, tail_case)
@@ -116,7 +117,6 @@ def check_support_walk(e: int) -> tuple[bool, str]:
         "M(1/4,3/4)": {(0, 0), (1, 0), (1, 1)},
         "M(1/8,1/4)": {(0, 0), (1, 1), (1, 3), (2, 1)},
     }
-    from .band import parse_obj
     for text, pts in worked.items():
         got = {(p.n, p.m) for p in support(parse_obj(text))}
         if got != pts:
@@ -173,9 +173,17 @@ def _basics(e: int) -> list[tuple[Obj, Obj]]:
 def check_abelian(e: int, samples: int = 100) -> tuple[bool, str]:
     """Exactness of every basic of G(e), then the universal property of the
     kernel on sampled basics of G(max(e, 2)): the one basic of G(1) is an
-    identity, which kills no nonzero map."""
+    identity, which kills no nonzero map.  First, the lemma of
+    `quotient._vertex_matrices` on each basic x -> y: its graph map and the
+    translates of its common points see all of support(x) & support(y)."""
     basics = _basics(e)
     for (x, y) in basics:
+        common = support(x) & support(y)
+        if overlap(obj_to_string(x), obj_to_string(y)) != common:
+            return (False, f"graph-map overlap != common support at {x}->{y}")
+        eps = concrete_epsilon([x, y] + [object_of(s) for s in common])
+        if not all(compose_basic_nonzero(shifted(s, eps, eps), x, y) for s in common):
+            return (False, f"basic dies on a translate of its common support at {x}->{y}")
         f = basic_mor(x, y)
         k_obj, incl = kernel(f)
         c_obj, proj = cokernel(f)
@@ -191,7 +199,6 @@ def check_abelian(e: int, samples: int = 100) -> tuple[bool, str]:
         dc = sum(len(obj_to_string(s)) for s in c_obj)
         if dk - len(obj_to_string(x)) + len(obj_to_string(y)) - dc != 0:
             return (False, f"dimension exactness fails at {x}->{y}")
-    from .band import parse_obj
     f0 = basic_mor(parse_obj("M(1/8,1/4)"), parse_obj("M(1/4,3/4)"))
     k_obj, _ = kernel(f0)
     c_obj, _ = cokernel(f0)
@@ -220,9 +227,7 @@ def check_abelian(e: int, samples: int = 100) -> tuple[bool, str]:
 
 def _factors_through(g: MorQ, k_obj: SumObj, incl: MorQ) -> bool:
     """Solve incl . h = g for h across the one-dimensional hom spaces."""
-    from . import linalg
     z = g.src.summands[0]
-    from .walk import compose_basic_nonzero
     rows = []
     rhs = []
     for j in range(len(incl.dst)):
@@ -258,7 +263,6 @@ def check_mutation(e: int) -> tuple[bool, str]:
     cluster down to depth max(5, e + 1), and flip each pair of vertices of
     depth <= max(e - 1, 1) that share no triangle in both orders (no two
     vertices of depth 0 do)."""
-    from .band import parse_obj
     flipped = cluster_points(e)
     deep = cluster_points(max(5, e + 1))
     for v in flipped:

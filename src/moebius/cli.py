@@ -17,19 +17,21 @@ from fractions import Fraction
 
 from .dyadic import parse_dyadic
 from .band import parse_obj, Rect, hom_c_dim
-from .cluster import STANDARD, parse_cluster_pt, mutate, object_of, _max_depth
+from .cluster import STANDARD, member, parse_cluster_pt, mutate, object_of, _max_depth
 from .walk import walk_of, support, approximation, hom_ct_dim
 from .strings import parse_word
 from .equiv import obj_to_string, string_to_obj, simple_object, DigitPrefix, digits_to_coords, digit_vertex
 from .quotient import SumObj, MorQ, kernel, cokernel
 from .render import MAX_CLUSTER_DEPTH, RenderSpec, render
 from .checks import MAX_CHECK_DEPTH, run_all
-from .errors import MoebiusError, ParseError
+from .errors import MoebiusError, ParseError, ShapeMismatch
 
 
 def _morphism_from_json(data) -> MorQ:
     """src and dst must be lists of object strings, entries a list of lists
-    of rationals; a zero denominator is a parse error like any other."""
+    of rationals; a zero denominator is a parse error like any other.  The
+    shape is checked as written, then cluster summands go with their rows
+    and columns."""
     if not isinstance(data, dict):
         raise ParseError("morphism JSON must be an object")
     try:
@@ -45,7 +47,14 @@ def _morphism_from_json(data) -> MorQ:
         entries = tuple(tuple(Fraction(str(v)) for v in row) for row in rows)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad morphism entry: {exc}")
-    return MorQ(SumObj([parse_obj(s) for s in src]), SumObj([parse_obj(s) for s in dst]), entries)
+    src, dst = [parse_obj(s) for s in src], [parse_obj(s) for s in dst]
+    if len(entries) != len(dst) or any(len(row) != len(src) for row in entries):
+        raise ShapeMismatch(f"entries must be {len(dst)}x{len(src)}, one row per dst "
+                            f"and one column per src summand as written")
+    cols = [j for j, x in enumerate(src) if member(x) is None]
+    rows = [i for i, y in enumerate(dst) if member(y) is None]
+    return MorQ(SumObj([src[j] for j in cols]), SumObj([dst[i] for i in rows]),
+                tuple(tuple(entries[i][j] for j in cols) for i in rows))
 
 
 def _morphism_to_json(f: MorQ) -> dict:

@@ -11,14 +11,10 @@ quotients.  Both paths order the summands alike, so they agree exactly.
 
 `classify`, `kernel` and `cokernel` read one set of per-point matrices, the
 functor F of C_pi / add T = mod End(T): at a cluster point s, F(f) is the
-matrix of f on the summands supported at s, keeping the entries whose basic
-map is alive at s (`_vertex_matrices`).  Only the source of the supports
-and alive sets differs.  Kernels and cokernels take them from the words
-they compute on (vertices and graph-map overlaps); `classify` takes them
-from the geometry (`walk.support` and the translate limits of
-`walk.induced_support_map`), so that criterion 6, which classifies the
-string-side kernel inclusions and cokernel projections, checks them
-against the category itself rather than against the same string data.
+matrix of f on the summands supported at s (`_vertex_matrices`).  A basic
+map acts on the whole common support of its ends, so only the source of
+the supports differs: kernels and cokernels take the vertices of the words
+they compute on, `classify` takes `walk.support` from the geometry.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from fractions import Fraction
 from . import linalg
 from .band import Obj
 from .cluster import ClusterPt, member
-from .walk import support, hom_ct_dim, compose_basic_nonzero, induced_support_map
+from .walk import support, hom_ct_dim, compose_basic_nonzero
 from .strings import (StringWord, to_rep, direct_sum, decompose_rep,
                       kernel_cokernel_strings, overlap, restrict_rep, RepFin)
 from .equiv import obj_to_string, string_to_obj
@@ -153,38 +149,45 @@ def compose(g: MorQ, f: MorQ) -> MorQ:
     return MorQ(f.src, g.dst, tuple(rows))
 
 
-def _nonzero(f: MorQ) -> list[tuple[int, int]]:
-    return [(i, j) for i, row in enumerate(f.entries) for j, c in enumerate(row) if c]
-
-
-def _vertex_matrices(f: MorQ, supp_src, supp_dst, alive, verts):
+def _vertex_matrices(f: MorQ, supp_src, supp_dst, verts):
     """Per point v, F(f) at v: the matrix of f on the summands present at v,
     with the indices of those summands: (matrix, dst rows, src cols).
     supp_src[j] and supp_dst[i] hold the points where the summands are
-    present; entry (i, j) is f's scalar where v lies in alive[(i, j)], the
-    set given for each nonzero entry."""
+    present.  An entry over a zero hom space is already 0 (`MorQ`), and a
+    basic map x -> y acts at every point of support(x) & support(y):
+
+    Lemma.  If hom_ct_dim(x, y) == 1, the overlap of the graph map w_x -> w_y
+    is every vertex the two words share (a word's vertices are the support).
+    1. Consecutive letters of a reduced word lie in different triangles:
+       two letters of one triangle either compose or backtrack.  So the
+       letters' triangles, and the far triangle at each end vertex, form a
+       path in the dual tree of the triangulation whose edges are the
+       word's vertices.
+    2. Two paths in a tree meet in one path, so the common vertices form
+       one run, a subword of both words with the same letters.
+    3. The overlap lies in that run.  Were it a proper part of it, the
+       next common vertex would be joined to the overlap by the same arrow
+       in both words, two points sharing at most one triangle.  That arrow
+       points out of the overlap in w_x, where the overlap is a factor,
+       and into it in w_y, where it is a submodule: it cannot do both.
+    4. The overlap is nonempty exactly when hom_ct_dim is 1 (criterion 1).
+    Criterion 6 checks the lemma, and the translates of the common points,
+    on every basic of its grid."""
     out = {}
     for v in verts:
         cols = [j for j, supp in enumerate(supp_src) if v in supp]
         rows = [i for i, supp in enumerate(supp_dst) if v in supp]
-        m = tuple(tuple(f.entries[i][j] if f.entries[i][j] and v in alive[(i, j)] else Fraction(0)
-                        for j in cols) for i in rows)
-        out[v] = (m, rows, cols)
+        out[v] = (tuple(tuple(f.entries[i][j] for j in cols) for i in rows), rows, cols)
     return out
 
 
 def classify(f: MorQ) -> Classification:
-    """Zero/mono/epi/iso from the induced maps on translate homs, one
-    cluster point at a time."""
-    alive = {}
-    for i, j in _nonzero(f):
-        induced = induced_support_map(f.src.summands[j], f.dst.summands[i], 1)
-        alive[(i, j)] = {s for s, c in induced.items() if c}
+    """Zero/mono/epi/iso from F(f), one cluster point at a time."""
     supp_src = [support(x) for x in f.src]
     supp_dst = [support(y) for y in f.dst]
     pts = sorted(set().union(*supp_src, *supp_dst))
     is_zero = is_mono = is_epi = True
-    for m, rows, cols in _vertex_matrices(f, supp_src, supp_dst, alive, pts).values():
+    for m, rows, cols in _vertex_matrices(f, supp_src, supp_dst, pts).values():
         r = linalg.rank(m)
         if any(v != 0 for row in m for v in row):
             is_zero = False
@@ -203,14 +206,12 @@ def hom_dim(a: SumObj, b: SumObj) -> int:
 
 def _string_side(f: MorQ, on_src: bool):
     """The words of f's summands, the string module M of the source (on_src)
-    or the target of f, and F(f) at each vertex of M, every entry alive on
-    the overlap of its graph map; M's vertices come in (n, m) order."""
+    or the target of f, and F(f) at each vertex of M, in (n, m) order."""
     words_src = [obj_to_string(x) for x in f.src]
     words_dst = [obj_to_string(y) for y in f.dst]
     rep = direct_sum([to_rep(w) for w in (words_src if on_src else words_dst)])
-    alive = {(i, j): overlap(words_src[j], words_dst[i]) for i, j in _nonzero(f)}
     vmats = _vertex_matrices(f, [w.verts for w in words_src], [w.verts for w in words_dst],
-                             alive, rep.dims)
+                             rep.dims)
     return (rep, words_src, words_dst, vmats)
 
 

@@ -31,7 +31,7 @@ from functools import lru_cache
 from .dyadic import Dyadic, ONE, floor_div2
 from .band import Obj, Rect, Rep, normal_form, hom_c_configs
 from .cluster import ClusterPt, member, object_of, meets_cluster
-from .errors import InCluster, NotBasic
+from .errors import InCluster
 
 SINK = "sink"
 SOURCE = "source"
@@ -322,20 +322,6 @@ def tau_dims(s: ClusterPt, x: Obj) -> TauDims:
     hom0 = int(role == SINK)
     hom0_t1 = int(role == SOURCE)
     return TauDims(int(in_support), int(in_support), rad, hom0, hom0_t1)
-
-
-def induced_support_map(src: Obj, dst: Obj, scalar) -> dict[ClusterPt, object]:
-    """Scalars of Hom(translate of S, f) for a basic f = scalar * (src -> dst),
-    on the common support."""
-    if hom_ct_dim(src, dst) != 1:
-        raise NotBasic(f"no basic morphism {src} -> {dst}")
-    common = support(src) & support(dst)
-    eps = concrete_epsilon([src, dst] + [object_of(s) for s in common])
-    out = {}
-    for s in sorted(common):
-        alive = compose_basic_nonzero(shifted(s, eps, eps), src, dst)
-        out[s] = scalar if alive else scalar * 0
-    return out
 
 
 def factors_through_sink(s: ClusterPt, x: Obj) -> bool:

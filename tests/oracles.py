@@ -24,17 +24,28 @@ rather than by the library's fast path:
   standard fans at the ends of the chord (`_fan_candidates`,
   `_apex_by_fan`);
 - `render_by_dyadics` checks `render.render` by computing the bounds and
-  every coordinate in `Dyadic` arithmetic from the walk's `vertices`.
+  every coordinate in `Dyadic` arithmetic from the walk's `vertices`;
+- `induced_support_map` checks where a basic map acts, which
+  `quotient._vertex_matrices` takes to be the whole common support, by
+  composing with a translate of each common support point;
+- `_classify_by_translates` checks `quotient.classify` by building F(f) at
+  each point from one epsilon over every summand and a translate composite
+  per entry.
 """
+
+from fractions import Fraction
 
 from moebius.dyadic import Dyadic, CircleAngle, ONE, ZERO, floor_div2
 from moebius.band import Obj, Rect, Rep, hom_c_configs, normal_form, ends, obj_from_ends
 from moebius.cluster import (ClusterPt, object_of, neighbors, enum_in_rect_with_reps,
                              meets_cluster)
 from moebius.walk import (WalkVertex, SINK, SOURCE, THROUGH, concrete_epsilon,
-                          hom_ct_dim, shifted, _lower_endpoint, _upper_endpoint)
+                          compose_basic_nonzero, hom_ct_dim, shifted, support,
+                          _lower_endpoint, _upper_endpoint)
 from moebius.equiv import DigitPrefix, _attach_arrows
-from moebius.errors import InvalidWord
+from moebius.errors import InvalidWord, NotBasic
+from moebius.quotient import Classification
+from moebius import linalg
 from moebius.strings import StringWord
 
 
@@ -391,3 +402,42 @@ def render_by_dyadics(spec) -> str:
             f'<style>{_STYLE}</style>\n'
             f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n')
     return head + "\n".join(cv.elements) + "\n</svg>\n"
+
+
+def induced_support_map(src: Obj, dst: Obj, scalar) -> dict[ClusterPt, object]:
+    """Scalars of Hom(translate of S, f) for a basic f = scalar * (src -> dst),
+    on the common support."""
+    if hom_ct_dim(src, dst) != 1:
+        raise NotBasic(f"no basic morphism {src} -> {dst}")
+    common = support(src) & support(dst)
+    eps = concrete_epsilon([src, dst] + [object_of(s) for s in common])
+    out = {}
+    for s in sorted(common):
+        alive = compose_basic_nonzero(shifted(s, eps, eps), src, dst)
+        out[s] = scalar if alive else scalar * 0
+    return out
+
+
+def _classify_by_translates(f):
+    """classify at each point s from one epsilon over every summand, the
+    translate of s by it, and a composite test per entry."""
+    pts = set()
+    for x in list(f.src) + list(f.dst):
+        pts |= support(x)
+    is_zero = is_mono = is_epi = True
+    for s in sorted(pts):
+        cols = [j for j, x in enumerate(f.src) if s in support(x)]
+        rows = [i for i, y in enumerate(f.dst) if s in support(y)]
+        eps = concrete_epsilon([object_of(s)] + list(f.src) + list(f.dst))
+        s_eps = shifted(s, eps, eps)
+        m = tuple(tuple(f.entries[i][j] if f.entries[i][j] and compose_basic_nonzero(
+            s_eps, f.src.summands[j], f.dst.summands[i]) else Fraction(0) for j in cols)
+            for i in rows)
+        r = linalg.rank(m)
+        if any(v != 0 for row in m for v in row):
+            is_zero = False
+        if r < len(cols):
+            is_mono = False
+        if r < len(rows):
+            is_epi = False
+    return Classification(is_zero, is_mono, is_epi, is_mono and is_epi)

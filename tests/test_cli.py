@@ -151,6 +151,30 @@ def test_kernel_src_not_a_list_exit_2(capsys, monkeypatch):
     assert "'src' must be a list" in err
 
 
+_WITH_CLUSTER_SUMMAND = {"src": ["M(0,1/2)", "M(1/8,1/4)"], "dst": ["M(1/4,3/4)"]}
+
+
+def test_kernel_drops_cluster_summand_with_its_column(capsys, monkeypatch):
+    # M(0,1/2) = T(1,0) is zero in the quotient; its column goes with it
+    payload = json.dumps(dict(_WITH_CLUSTER_SUMMAND, entries=[[1, 1]]))
+    code, out, err = run(capsys, "kernel", "--json", stdin=payload, monkeypatch=monkeypatch)
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert sorted(data["object"]) == ["M(0,1/4)", "M(1/2,9/8)"]
+    assert data["inclusion"]["dst"] == ["M(1/8,1/4)"]
+    code, out, _ = run(capsys, "cokernel", "--json", stdin=payload, monkeypatch=monkeypatch)
+    assert code == 0 and json.loads(out)["object"] == ["M(7/4,2)"]
+
+
+@pytest.mark.parametrize("entries", [[[1]], [[1, 1], [1, 1]], [[1, 1, 1]], [[1], [1, 1]]])
+def test_kernel_shape_checked_as_written(capsys, monkeypatch, entries):
+    payload = json.dumps(dict(_WITH_CLUSTER_SUMMAND, entries=entries))
+    for which in ("kernel", "cokernel"):
+        code, out, err = run(capsys, which, stdin=payload, monkeypatch=monkeypatch)
+        assert code == 1 and out == ""
+        assert err.startswith("ShapeMismatch: entries must be 1x2") and err.count("\n") == 1
+
+
 def test_check_runs_small(capsys):
     code, out, _ = run(capsys, "check", "--depth", "1")
     assert code == 0
@@ -455,3 +479,38 @@ def test_kernel_commands_fuzz(command, json_flag, stdin):
     _assert_clean_exit(argv, code, out, err)
     if code == 0:
         assert "object" in json.loads(out), stdin
+
+
+# -- in-process fuzz of the query commands, digits and check --------------------
+
+_ARITY = {"hom": 2, "support": 1, "approx": 1, "mutate": 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(sorted(_ARITY)), json_flag=st.booleans(),
+       arguments=st.lists(st.one_of(_band_object(64), _ARGUMENTS), min_size=3, max_size=3),
+       arity_off=_mostly(st.just(0), -1, 1))
+def test_query_commands_fuzz(command, json_flag, arguments, arity_off):
+    argv = [command, *(["--json"] if json_flag else []),
+            *arguments[:_ARITY[command] + arity_off]]
+    _assert_clean_exit(argv, *_main_in_process(argv))
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_flag=st.booleans(), vertex=st.one_of(_cluster_token(), _ARGUMENTS),
+       digits=st.lists(_mostly(st.sampled_from(["0", "1"]), "2", "01", "", "x", "-1", "1/2",
+                               weight=30), max_size=12))
+def test_digits_fuzz(json_flag, vertex, digits):
+    argv = ["digits", *(["--json"] if json_flag else []), vertex, *digits]
+    _assert_clean_exit(argv, *_main_in_process(argv))
+
+
+@settings(max_examples=20, deadline=None)
+@given(json_flag=st.booleans(), depth=_mostly(st.just("1"), "0", "-1", "7", "9999999", "x", "",
+                                              weight=1))
+def test_check_fuzz(json_flag, depth):
+    # depth 1 or an invalid one: a valid deeper grid takes seconds per run
+    argv = ["check", *(["--json"] if json_flag else []), "--depth", depth]
+    code, out, err = _main_in_process(argv)
+    _assert_clean_exit(argv, code, out, err)
+    assert (code == 0) == (depth == "1"), (argv, err)

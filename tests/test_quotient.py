@@ -8,14 +8,13 @@ from moebius.checks import _basics, grid_off_cluster
 from moebius.cluster import ClusterPt, member
 from moebius.dyadic import Dyadic
 from moebius.equiv import obj_to_string
-from moebius.quotient import (SumObj, MorQ, Classification, identity_mor, zero_mor,
-                              basic_mor, compose, classify, kernel, cokernel, hom_dim,
-                              _kernel_rep, _cokernel_rep)
+from moebius.quotient import (SumObj, MorQ, identity_mor, zero_mor, basic_mor, compose,
+                              classify, kernel, cokernel, hom_dim, _kernel_rep, _cokernel_rep)
 from moebius.errors import MoebiusError, ShapeMismatch
-from moebius.walk import (hom_ct_dim, support, compose_basic_nonzero, concrete_epsilon,
-                          shifted)
-from moebius.cluster import object_of
-from moebius import linalg
+from moebius.strings import overlap
+from moebius.walk import hom_ct_dim, support
+
+from oracles import induced_support_map, _classify_by_translates
 
 T = ClusterPt
 M = parse_obj
@@ -206,10 +205,11 @@ def _seeded_basic_pairs(rng, e, count):
     return pairs
 
 
-@pytest.mark.parametrize("e", [7, 8, 9, 10])
+@pytest.mark.parametrize("e", [7, 8, 9, 10, 16, 20, 24])
 def test_closed_form_kernels_match_rep_path_seeded(e):
+    # the representation path grows superlinearly with e: fewer pairs deep down
     rng = random.Random(e)
-    for (x, y) in _seeded_basic_pairs(rng, e, 20):
+    for (x, y) in _seeded_basic_pairs(rng, e, 20 if e <= 10 else 8):
         _assert_paths_agree(basic_mor(x, y, Fraction(rng.choice((-2, 1, 3)), rng.choice((1, 2)))))
 
 
@@ -225,30 +225,34 @@ def test_zero_entry_morphism_takes_rep_path():
         assert c_obj == f.dst and proj == identity_mor(f.dst)
 
 
-def _classify_by_translates(f):
-    """classify as it was computed before the per-point matrices were
-    shared: at each point s, one epsilon over every summand, the translate
-    of s by it, and a composite test per entry."""
-    pts = set()
-    for x in list(f.src) + list(f.dst):
-        pts |= support(x)
-    is_zero = is_mono = is_epi = True
-    for s in sorted(pts):
-        cols = [j for j, x in enumerate(f.src) if s in support(x)]
-        rows = [i for i, y in enumerate(f.dst) if s in support(y)]
-        eps = concrete_epsilon([object_of(s)] + list(f.src) + list(f.dst))
-        s_eps = shifted(s, eps, eps)
-        m = tuple(tuple(f.entries[i][j] if f.entries[i][j] and compose_basic_nonzero(
-            s_eps, f.src.summands[j], f.dst.summands[i]) else Fraction(0) for j in cols)
-            for i in rows)
-        r = linalg.rank(m)
-        if any(v != 0 for row in m for v in row):
-            is_zero = False
-        if r < len(cols):
-            is_mono = False
-        if r < len(rows):
-            is_epi = False
-    return Classification(is_zero, is_mono, is_epi, is_mono and is_epi)
+# -- the lemma F(f) is read on: a basic map acts on its whole common support ---
+
+def _common_support_points(basics):
+    """Points of support(x) & support(y) over the basics, after checking that
+    the translate-alive set and the graph-map overlap are both all of it."""
+    points = 0
+    for x, y in basics:
+        common = support(x) & support(y)
+        alive = {s for s, c in induced_support_map(x, y, 1).items() if c}
+        assert alive == overlap(obj_to_string(x), obj_to_string(y)) == common, (x, y)
+        points += len(common)
+    return points
+
+
+def test_basics_act_on_common_support_depth3():
+    assert _common_support_points(_basics(3)) == 3096
+
+
+@pytest.mark.parametrize("e, count", [(4, 2000), (5, 1000)])
+def test_basics_act_on_common_support_seeded(e, count):
+    objs = grid_off_cluster(e)
+    rng = random.Random(e)
+    basics = []
+    while len(basics) < count:
+        x, y = rng.choice(objs), rng.choice(objs)
+        if hom_ct_dim(x, y):
+            basics.append((x, y))
+    assert _common_support_points(basics) > count
 
 
 def _assert_classify_agrees(f):

@@ -8,13 +8,14 @@ from moebius.band import Rect, parse_obj, hom_c_dim, normal_form, abs_lt_one
 from moebius.cluster import ClusterPt, object_of, member, enum_in_rect, enum_in_rect_with_reps
 from moebius.walk import (support, walk_of, minimal_walk, approximation,
                           hom_ct_dim, tau_dims, concrete_epsilon, shifted,
-                          induced_support_map, factors_through_sink,
+                          factors_through_sink,
                           compose_basic_nonzero, _lower_endpoint, _upper_endpoint,
                           _walk_between)
 from moebius.errors import InCluster, NotBasic
 
 from oracles import (tau_dims_via_epsilon, hom0_via_factoring, _scan_walk_of,
-                     _scan_minimal_walk, compose_basic_nonzero_by_pairing)
+                     _scan_minimal_walk, compose_basic_nonzero_by_pairing,
+                     induced_support_map)
 
 T = ClusterPt
 M = parse_obj
@@ -265,8 +266,8 @@ def test_compose_matches_pairing_on_seeded_depth4_triples():
 
 
 def test_compose_matches_pairing_on_support_translates():
-    # the composites induced_support_map asks for: a translate of each common
-    # support point, then the basic src -> dst, for 200 depth-3 basics
+    # the composites criterion 6 asks for: a translate of each common support
+    # point, then the basic src -> dst, for 200 depth-3 basics
     from moebius.checks import _basics
     triples = []
     for (src, dst) in _basics(3)[::9][:200]:
