@@ -29,10 +29,6 @@ class InCluster(MoebiusError):
     """Operation undefined for objects lying in the standard cluster."""
 
 
-class NotBasic(MoebiusError):
-    """A basic (one-dimensional) morphism was required but does not exist."""
-
-
 class ShapeMismatch(MoebiusError):
     """Matrix morphism shapes are not composable."""
 

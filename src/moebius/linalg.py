@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+
+_ZERO = Fraction(0)
 
 
 def mat(rows) -> Matrix:
@@ -23,44 +26,71 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise ValueError("shape mismatch")
     cols = len(b[0]) if b else 0
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(cols))
-        for i in range(len(a)))
+    out = []
+    for row in a:
+        terms = [(x, b[k]) for k, x in enumerate(row) if x]
+        out.append(tuple(sum((x * brow[j] for x, brow in terms), _ZERO) for j in range(cols)))
+    return tuple(out)
 
 
 def matvec(a: Matrix, vec) -> tuple[Fraction, ...]:
-    return tuple(sum((a[i][j] * vec[j] for j in range(len(vec))), Fraction(0)) for i in range(len(a)))
+    return tuple(sum((x * vec[j] for j, x in enumerate(row) if x), _ZERO) for row in a)
 
 
 def _rref(a: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    m = [list(row) for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    """Reduced row echelon form of a and its pivot columns.
+
+    Each row is scaled to integers and eliminated on ints: with the pivot
+    row made positive, row i becomes p * row_i - f * pivot_row (divided by
+    gcd(p, f)), a nonzero multiple of the row that rational elimination
+    would hold, so the zero tests and hence the pivots are the same.  A
+    pivot of 1 subtracts along the pivot row's nonzero columns only; a
+    scaled row is made primitive again (gcd 1) to keep the numbers small.
+    Rows are divided by their pivots only at the end; the reduced form is
+    unique, so it is the rational one."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    m = []
+    for row in a:
+        dens = [v.denominator for v in row]
+        den = lcm(*dens)
+        m.append(_primitive([v.numerator * (den // d) for v, d in zip(row, dens)]))
     pivots = []
     r = 0
     for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pr is None:
+        for pr in range(r, rows):
+            if m[pr][c]:
+                break
+        else:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        prow = m[r]
-        # columns left of c are zero in the pivot row, so scaling and
-        # elimination only touch its nonzero columns from c on
-        nz = [k for k in range(c, cols) if prow[k] != 0]
-        inv = 1 / prow[c]
-        for k in nz:
-            prow[k] *= inv
+        prow = m[pr] if m[pr][c] > 0 else [-x for x in m[pr]]
+        m[pr] = m[r]
+        m[r] = prow
+        p = prow[c]
+        nz = [(k, prow[k]) for k in range(c, cols) if prow[k]]
         for i in range(rows):
             row = m[i]
             f = row[c]
-            if i != r and f != 0:
-                for k in nz:
-                    row[k] -= f * prow[k]
+            if f and i != r:
+                if p == 1:
+                    for k, y in nz:
+                        row[k] -= f * y
+                else:
+                    g = gcd(p, f)
+                    pg, fg = p // g, f // g
+                    m[i] = _primitive([pg * x - fg * y for x, y in zip(row, prow)])
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return m, pivots
+    out = [[Fraction(x, row[c]) if x else _ZERO for x in row] for row, c in zip(m, pivots)]
+    out.extend([_ZERO] * cols for _ in range(r, rows))
+    return out, pivots
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def rank(a: Matrix) -> int:

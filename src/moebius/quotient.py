@@ -99,6 +99,16 @@ class MorQ:
         object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "entries", tuple(cleaned))
 
+    @classmethod
+    def _from_clean(cls, src: SumObj, dst: SumObj, entries) -> "MorQ":
+        """A MorQ from entries (a tuple of rows, tuples of Fractions) already
+        0 over every vanishing hom space, without a `hom_ct_dim` test each."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "src", src)
+        object.__setattr__(f, "dst", dst)
+        object.__setattr__(f, "entries", entries)
+        return f
+
     def __setattr__(self, name, value):
         raise AttributeError("MorQ is immutable")
 
@@ -132,7 +142,7 @@ def basic_mor(src: Obj, dst: Obj, scalar=1) -> MorQ:
 
 def compose(g: MorQ, f: MorQ) -> MorQ:
     """Matrix product; a product of basics contributes only when the
-    composite survives the quotient."""
+    composite survives the quotient, which needs a nonzero hom x -> z."""
     if f.dst != g.src:
         raise ShapeMismatch("codomain of f must equal domain of g")
     rows = []
@@ -146,7 +156,7 @@ def compose(g: MorQ, f: MorQ) -> MorQ:
                     total += c
             row.append(total)
         rows.append(tuple(row))
-    return MorQ(f.src, g.dst, tuple(rows))
+    return MorQ._from_clean(f.src, g.dst, tuple(rows))
 
 
 def _vertex_matrices(f: MorQ, supp_src, supp_dst, verts):
@@ -188,7 +198,7 @@ def classify(f: MorQ) -> Classification:
     pts = sorted(set().union(*supp_src, *supp_dst))
     is_zero = is_mono = is_epi = True
     for m, rows, cols in _vertex_matrices(f, supp_src, supp_dst, pts).values():
-        r = linalg.rank(m)
+        r = (1 if m[0][0] else 0) if len(rows) == len(cols) == 1 else linalg.rank(m)
         if any(v != 0 for row in m for v in row):
             is_zero = False
         if r < len(cols):
@@ -217,7 +227,9 @@ def _string_side(f: MorQ, on_src: bool):
 
 def _scalar_of_component(ov: frozenset[ClusterPt], values: dict[ClusterPt, Fraction]):
     """values[v] must trace out scalar * (the basic graph map with support
-    ov, empty when the hom space vanishes)."""
+    ov, empty when the hom space vanishes).  The scalar is 0 over an empty
+    overlap, that is over a zero hom (criterion 1), so the matrices built
+    from these scalars are clean for `MorQ._from_clean`."""
     if ov:
         scal = None
         for v, val in values.items():
@@ -245,21 +257,23 @@ def _basic_words(f: MorQ) -> tuple[list[StringWord], list[StringWord]] | None:
 
 
 def kernel(f: MorQ) -> tuple[SumObj, MorQ]:
-    """Kernel object and its inclusion."""
+    """Kernel object and its inclusion; each kernel word is a submodule of
+    the source word, so every entry of the inclusion is over a nonzero hom."""
     words = _basic_words(f)
     if words is None:
         return _kernel_rep(f)
     k_obj = SumObj([string_to_obj(w) for w in words[0]])
-    return (k_obj, MorQ(k_obj, f.src, ((Fraction(1),) * len(k_obj),)))
+    return (k_obj, MorQ._from_clean(k_obj, f.src, ((Fraction(1),) * len(k_obj),)))
 
 
 def cokernel(f: MorQ) -> tuple[SumObj, MorQ]:
-    """Cokernel object and its projection."""
+    """Cokernel object and its projection; each cokernel word is a factor of
+    the target word, so every entry of the projection is over a nonzero hom."""
     words = _basic_words(f)
     if words is None:
         return _cokernel_rep(f)
     c_obj = SumObj([string_to_obj(w) for w in words[1]])
-    return (c_obj, MorQ(f.dst, c_obj, ((Fraction(1),),) * len(c_obj)))
+    return (c_obj, MorQ._from_clean(f.dst, c_obj, ((Fraction(1),),) * len(c_obj)))
 
 
 def _kernel_rep(f: MorQ) -> tuple[SumObj, MorQ]:
@@ -280,7 +294,7 @@ def _kernel_rep(f: MorQ) -> tuple[SumObj, MorQ]:
             values = {v: vec[v][vmats[v][2].index(j)] for v in wk.verts if j in vmats[v][2]}
             row.append(_scalar_of_component(overlap(wk, wj), values))
         entries.append(tuple(row))
-    return (k_obj, MorQ(k_obj, f.src, tuple(entries)))
+    return (k_obj, MorQ._from_clean(k_obj, f.src, tuple(entries)))
 
 
 def _cokernel_rep(f: MorQ) -> tuple[SumObj, MorQ]:
@@ -338,4 +352,4 @@ def _cokernel_rep(f: MorQ) -> tuple[SumObj, MorQ]:
                                 Fraction(0))
             row.append(_scalar_of_component(overlap(wi, wk), values))
         entries.append(tuple(row))
-    return (c_obj, MorQ(f.dst, c_obj, tuple(entries)))
+    return (c_obj, MorQ._from_clean(f.dst, c_obj, tuple(entries)))

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from . import linalg
 from .cluster import ClusterPt, neighbors, parse_cluster_pt
@@ -62,12 +63,18 @@ class StringWord:
             raise InvalidWord("letter count must be one less than vertex count")
         if not verts:
             raise InvalidWord("empty word")
-        fwd = (tuple((p.n, p.m) for p in verts), directs, (lmark, rmark))
-        rev_verts = verts[::-1]
-        rev_directs = tuple(not d for d in directs[::-1])
-        rev = (tuple((p.n, p.m) for p in rev_verts), rev_directs, (rmark, lmark))
-        if rev < fwd:
-            verts, directs, (lmark, rmark) = rev_verts, rev_directs, (rmark, lmark)
+        head, tail = (verts[0].n, verts[0].m), (verts[-1].n, verts[-1].m)
+        if head != tail:
+            # the two orientations first differ at their first vertex
+            flip = tail < head
+        else:
+            fwd = (tuple((p.n, p.m) for p in verts), directs, (lmark, rmark))
+            rev = (tuple((p.n, p.m) for p in verts[::-1]), tuple(not d for d in directs[::-1]),
+                   (rmark, lmark))
+            flip = rev < fwd
+        if flip:
+            verts, directs = verts[::-1], tuple(not d for d in directs[::-1])
+            lmark, rmark = rmark, lmark
         object.__setattr__(self, "verts", verts)
         object.__setattr__(self, "directs", directs)
         object.__setattr__(self, "lmark", lmark)
@@ -349,27 +356,34 @@ def direct_sum(reps: list[RepFin]) -> RepFin:
 
 # -- decomposition ------------------------------------------------------------
 
-def _candidate_words(supp: list[ClusterPt]) -> list[StringWord]:
-    """Every reduced word on the support, longest first.  Paths grow one
-    letter at a time and stop where a letter composes with the previous
-    one inside a triangle; distinct vertices already rule out backtracking."""
+def _candidate_words(supp: list[ClusterPt], letters) -> list[StringWord]:
+    """Every reduced word on the support whose letters, as (src, dst)
+    pairs, are in letters, longest first.  Paths grow one letter at a time
+    and stop where a letter composes with the previous one inside a
+    triangle; distinct vertices already rule out backtracking.  A word is
+    kept from the end of its path it starts at (the smaller one)."""
     adj = {v: [] for v in supp}
     for v in supp:
         for arr in arrows_at(v)[1]:
-            if arr.dst in adj:
-                adj[v].append((arr.dst, True, arr.triangle))
-                adj[arr.dst].append((v, False, arr.triangle))
-    words = set()
+            u = arr.dst
+            if u in adj and (v, u) in letters:
+                adj[v].append((u, (u.n, u.m), True, arr.triangle))
+                adj[u].append((v, (v.n, v.m), False, arr.triangle))
+    found = []
     for start in supp:
-        stack = [((start,), (), None)]
+        first = (start.n, start.m)
+        # a path, its vertices as (n, m), its letter directions, the last triangle
+        stack = [((start,), (first,), (), None)]
         while stack:
-            path, directs, tri = stack.pop()
-            words.add(StringWord(path, directs))
+            path, keys, directs, tri = stack.pop()
+            if first <= keys[-1]:
+                found.append(((-len(keys), keys, directs), path))  # StringWord.sort_key
             last = directs[-1] if directs else None
-            for nxt, d, t in adj[path[-1]]:
-                if nxt not in path and not (d == last and t == tri):
-                    stack.append((path + (nxt,), directs + (d,), t))
-    return sorted(words, key=StringWord.sort_key)
+            for nxt, key, d, t in adj[path[-1]]:
+                if key not in keys and not (d == last and t == tri):
+                    stack.append((path + (nxt,), keys + (key,), directs + (d,), t))
+    found.sort(key=itemgetter(0))
+    return [StringWord(path, sort_key[2]) for sort_key, path in found]
 
 
 def _word_coords(w: StringWord, rep: RepFin):
@@ -382,8 +396,12 @@ def _word_coords(w: StringWord, rep: RepFin):
     for v in w.verts:
         offs[v] = total
         total += rep.dim(v)
-    letters = {(arr.src, arr.dst) for arr in map(w.letter, range(len(w.directs)))}
-    return (offs, total, letters)
+    return (offs, total, set(_letters(w)))
+
+
+def _letters(w: StringWord):
+    """The letters of w as (src, dst) pairs."""
+    return [(a, b) if d else (b, a) for a, b, d in zip(w.verts, w.verts[1:], w.directs)]
 
 
 def _solutions(rows, offs, total, rep) -> list[dict[ClusterPt, tuple[Fraction, ...]]]:
@@ -401,19 +419,23 @@ def _hom_word_to_rep(w: StringWord, rep: RepFin) -> list[dict[ClusterPt, tuple[F
     offs, total, letters = coords
     rows = []
     for v in w.verts:
+        lo, hi = offs[v], offs[v] + rep.dims[v]
         for arr in arrows_at(v)[1]:
             u = arr.dst
-            if rep.dim(u) == 0:
+            if u not in rep.dims:
                 continue
+            a = rep.mats.get((v, u))
+            letter = (v, u) in letters
+            if a is None and not letter:
+                continue  # only zero rows
             # rep map M_v -> M_u; along an arrow leaving the word the image must vanish
-            a = rep.matrix(v, u)
-            block = [[Fraction(0)] * total for _ in range(rep.dim(u))]
-            for i in range(rep.dim(u)):
-                for j in range(rep.dim(v)):
-                    block[i][offs[v] + j] = a[i][j]
-                if (v, u) in letters:
-                    block[i][offs[u] + i] -= Fraction(1)
-            rows.extend(block)
+            for i in range(rep.dims[u]):
+                row = [0] * total
+                if a is not None:
+                    row[lo:hi] = a[i]
+                if letter:
+                    row[offs[u] + i] -= 1
+                rows.append(row)
     return _solutions(rows, offs, total, rep)
 
 
@@ -427,85 +449,117 @@ def _hom_rep_to_word(rep: RepFin, w: StringWord) -> list[dict[ClusterPt, tuple[F
     for v in rep.dims:
         for arr in arrows_at(v)[1]:
             u = arr.dst
-            if u not in offs or rep.dim(v) == 0:
+            if u not in offs:
                 continue
-            a = rep.matrix(v, u)
+            a = rep.mats.get((v, u))
+            letter = (v, u) in letters
+            if a is None and not letter:
+                continue
+            lo, hi = offs[u], offs[u] + rep.dims[u]
             # psi_u . M_alpha = [letter] psi_v   (row constraints, one per coord of M_v)
-            block = [[Fraction(0)] * total for _ in range(rep.dim(v))]
-            for j in range(rep.dim(v)):
-                for i in range(rep.dim(u)):
-                    block[j][offs[u] + i] = a[i][j]
-                if (v, u) in letters:
-                    block[j][offs[v] + j] -= Fraction(1)
-            rows.extend(block)
+            for j in range(rep.dims[v]):
+                row = [0] * total
+                if a is not None:
+                    row[lo:hi] = [a_i[j] for a_i in a]
+                if letter:
+                    row[offs[v] + j] -= 1
+                rows.append(row)
     return _solutions(rows, offs, total, rep)
 
 
 def decompose_rep(rep: RepFin) -> list[tuple[StringWord, dict[ClusterPt, tuple[Fraction, ...]]]]:
     """Split into standard string summands; each comes with its embedding
-    vector at every support vertex.  Peels one split summand at a time."""
+    vector at every support vertex.  Peels one split summand at a time,
+    trying the reduced words on the support in `_candidate_words` order.
+
+    The words are listed once, and each search resumes at the word that
+    split off last (a word may occur more than once).  This finds the words
+    a fresh listing on each remainder would.  End(M(w)) = k, since homs
+    between strings are at most one dimensional (`overlap`), so the
+    basis-pair test of `_split_off` finds a split exactly when M(w) is a
+    summand.  By Krull-Schmidt a word that is no summand of a remainder is
+    no summand of the smaller remainder left after the next peel either, so
+    every search returns the same word, phi and psi.
+
+    Words that cannot be summands are not solved for.  A summand M(w) maps
+    each letter of w by an identity, so every letter carries a nonzero
+    matrix, and a remainder, being a subrepresentation, is zero on every
+    arrow where rep is.  So only words on the arrows with a matrix are
+    listed, and a word with a vertex or a letter that the remainder lacks
+    is skipped by a set test."""
     rep.check_relations()
     acc = {v: linalg.identity(rep.dim(v)) for v in rep.dims}
+    words = _candidate_words(sorted(rep.dims, key=lambda p: (p.n, p.m)), rep.mats)
     out = []
     current = rep
+    first = 0
     while current.total_dim() > 0:
-        supp = sorted((v for v in current.dims), key=lambda p: (p.n, p.m))
-        split = None
-        for w in _candidate_words(supp):
-            phis = _hom_word_to_rep(w, current)
-            if not phis:
-                continue
-            psis = _hom_rep_to_word(current, w)
-            for phi in phis:
-                for psi in psis:
-                    pairing = None
-                    consistent = True
-                    for v in w.verts:
-                        s = sum((a * b for a, b in zip(psi[v], phi[v])), Fraction(0))
-                        if pairing is None:
-                            pairing = s
-                        elif s != pairing:
-                            consistent = False
-                    if not consistent or not pairing:
-                        continue
-                    split = (w, phi, {v: tuple(x / pairing for x in row) for v, row in psi.items()})
-                    break
-                if split:
-                    break
+        # resume at the word that split off last
+        for first in range(first, len(words)):
+            w = words[first]
+            split = (all(v in current.dims for v in w.verts)
+                     and all(key in current.mats for key in _letters(w))
+                     and _split_off(w, current))
             if split:
                 break
-        if split is None:
+        else:
             raise NotAModule("representation does not split into strings")
-        w, phi, psi = split
+        phi, psi = split
         out.append((w, {v: linalg.matvec(acc[v], phi[v]) for v in w.verts}))
         current, acc = _peel(current, acc, psi)
     return out
 
 
+def _split_off(w: StringWord, rep: RepFin):
+    """(phi, psi) with psi . phi = 1 on M(w), from the first pair of basis
+    maps M(w) -> rep -> M(w) whose composite is a nonzero scalar; None
+    when there is none."""
+    phis = _hom_word_to_rep(w, rep)
+    if not phis:
+        return None
+    psis = _hom_rep_to_word(rep, w)
+    for phi in phis:
+        for psi in psis:
+            pairings = {sum((a * b for a, b in zip(psi[v], phi[v])), Fraction(0)) for v in w.verts}
+            if len(pairings) == 1:
+                pairing = pairings.pop()
+                if pairing:
+                    return (phi, {v: tuple(x / pairing for x in row) for v, row in psi.items()})
+    return None
+
+
 def _peel(rep: RepFin, acc, psi):
     """Cut rep down to the kernel of the split functional psi and carry
-    acc, the embedding of rep into the original, along."""
+    acc, the embedding of rep into the original, along; both change only
+    at the vertices of psi."""
     basis = {v: linalg.from_columns(linalg.nullspace((psi[v],), rep.dim(v)), rep.dim(v))
-             if v in psi else linalg.identity(rep.dim(v)) for v in rep.dims}
+             for v in psi}
     sub = restrict_rep(rep, basis)
-    return (sub, {v: linalg.matmul(acc[v], basis[v]) for v in sub.dims})
+    return (sub, {v: linalg.matmul(a, basis[v]) if v in basis else a
+                  for v, a in acc.items() if v in sub.dims})
 
 
 def restrict_rep(rep: RepFin, basis) -> RepFin:
-    """The subrepresentation spanned at each vertex v by the columns of
-    basis[v] (rep.dim(v) rows), its arrow matrices in those bases; the
-    subspaces must be carried into each other along every arrow."""
-    dims = {v: len(b[0]) for v, b in basis.items()}
-    mats = {}
-    for arr in rep.arrows():
-        u, w = arr.src, arr.dst
-        if not (dims.get(u) and dims.get(w)):
-            continue
-        coords = linalg.solve(basis[w], linalg.matmul(rep.matrix(u, w), basis[u]))
-        if coords is None:
-            raise AssertionError("subspace not arrow-stable")
-        if any(x != 0 for row in coords for x in row):
-            mats[(u, w)] = coords
+    """The subrepresentation spanned at each vertex v of basis by the
+    columns of basis[v] (rep.dim(v) rows), and all of rep at the other
+    vertices, with its arrow matrices in those bases; the subspaces must be
+    carried into each other along every arrow.  Only the arrows at a vertex
+    of basis are solved again; every other matrix is kept as it is."""
+    dims = {v: len(basis[v][0]) if v in basis else d for v, d in rep.dims.items()}
+    mats = {key: m for key, m in rep.mats.items() if key[0] not in basis and key[1] not in basis}
+    for v in basis:
+        ins, outs = arrows_at(v)
+        for u, w in [(v, a.dst) for a in outs] + [(a.src, v) for a in ins if a.src not in basis]:
+            m = rep.mats.get((u, w))
+            if m is None or not (dims.get(u) and dims.get(w)):
+                continue
+            coords = linalg.matmul(m, basis[u]) if u in basis else m
+            if w in basis:
+                coords = linalg.solve(basis[w], coords)
+                if coords is None:
+                    raise AssertionError("subspace not arrow-stable")
+            if any(x != 0 for row in coords for x in row):
+                mats[(u, w)] = coords
     return RepFin(dims, mats)
 
 

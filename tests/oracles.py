@@ -30,7 +30,13 @@ rather than by the library's fast path:
   composing with a translate of each common support point;
 - `_classify_by_translates` checks `quotient.classify` by building F(f) at
   each point from one epsilon over every summand and a translate composite
-  per entry.
+  per entry;
+- `decompose_rep_by_rescans` checks `strings.decompose_rep` by listing the
+  candidate words of the remaining support again after every peel and
+  re-solving every arrow of the remainder (`_peel_everywhere`,
+  `_restrict_everywhere`), with dense constraint rows for both hom spaces
+  (`_hom_word_to_rep_dense`, `_hom_rep_to_word_dense`);
+- `_rref_on_fractions` checks `linalg._rref` by eliminating on `Fraction`s.
 """
 
 from fractions import Fraction
@@ -43,10 +49,11 @@ from moebius.walk import (WalkVertex, SINK, SOURCE, THROUGH, concrete_epsilon,
                           compose_basic_nonzero, hom_ct_dim, shifted, support,
                           _lower_endpoint, _upper_endpoint)
 from moebius.equiv import DigitPrefix, _attach_arrows
-from moebius.errors import InvalidWord, NotBasic
+from moebius.errors import InvalidWord, NoMorphism, NotAModule
 from moebius.quotient import Classification
 from moebius import linalg
-from moebius.strings import StringWord
+from moebius.strings import (StringWord, RepFin, arrows_at, _candidate_words, _solutions,
+                             _word_coords)
 
 
 def tau_dims_via_epsilon(s: ClusterPt, x: Obj) -> tuple[int, int, int]:
@@ -408,7 +415,7 @@ def induced_support_map(src: Obj, dst: Obj, scalar) -> dict[ClusterPt, object]:
     """Scalars of Hom(translate of S, f) for a basic f = scalar * (src -> dst),
     on the common support."""
     if hom_ct_dim(src, dst) != 1:
-        raise NotBasic(f"no basic morphism {src} -> {dst}")
+        raise NoMorphism(f"no basic morphism {src} -> {dst}")
     common = support(src) & support(dst)
     eps = concrete_epsilon([src, dst] + [object_of(s) for s in common])
     out = {}
@@ -441,3 +448,146 @@ def _classify_by_translates(f):
         if r < len(rows):
             is_epi = False
     return Classification(is_zero, is_mono, is_epi, is_mono and is_epi)
+
+
+def _hom_word_to_rep_dense(w, rep):
+    """Maps M(w) -> rep, one block of rows per arrow out of the word, zero
+    blocks included."""
+    coords = _word_coords(w, rep)
+    if coords is None:
+        return []
+    offs, total, letters = coords
+    rows = []
+    for v in w.verts:
+        for arr in arrows_at(v)[1]:
+            u = arr.dst
+            if rep.dim(u) == 0:
+                continue
+            a = rep.matrix(v, u)
+            block = [[Fraction(0)] * total for _ in range(rep.dim(u))]
+            for i in range(rep.dim(u)):
+                for j in range(rep.dim(v)):
+                    block[i][offs[v] + j] = a[i][j]
+                if (v, u) in letters:
+                    block[i][offs[u] + i] -= Fraction(1)
+            rows.extend(block)
+    return _solutions(rows, offs, total, rep)
+
+
+def _hom_rep_to_word_dense(rep, w):
+    """Maps rep -> M(w) as row functionals, one block per arrow into the word."""
+    coords = _word_coords(w, rep)
+    if coords is None:
+        return []
+    offs, total, letters = coords
+    rows = []
+    for v in rep.dims:
+        for arr in arrows_at(v)[1]:
+            u = arr.dst
+            if u not in offs or rep.dim(v) == 0:
+                continue
+            a = rep.matrix(v, u)
+            block = [[Fraction(0)] * total for _ in range(rep.dim(v))]
+            for j in range(rep.dim(v)):
+                for i in range(rep.dim(u)):
+                    block[j][offs[u] + i] = a[i][j]
+                if (v, u) in letters:
+                    block[j][offs[v] + j] -= Fraction(1)
+            rows.extend(block)
+    return _solutions(rows, offs, total, rep)
+
+
+def decompose_rep_by_rescans(rep):
+    """String summands and their embeddings, listing the candidate words of
+    the remaining support afresh for every summand."""
+    rep.check_relations()
+    acc = {v: linalg.identity(rep.dim(v)) for v in rep.dims}
+    out = []
+    current = rep
+    while current.total_dim() > 0:
+        supp = sorted((v for v in current.dims), key=lambda p: (p.n, p.m))
+        split = None
+        for w in _candidate_words(supp, {(v, a.dst) for v in supp for a in arrows_at(v)[1]}):
+            phis = _hom_word_to_rep_dense(w, current)
+            if not phis:
+                continue
+            psis = _hom_rep_to_word_dense(current, w)
+            for phi in phis:
+                for psi in psis:
+                    pairing = None
+                    consistent = True
+                    for v in w.verts:
+                        s = sum((a * b for a, b in zip(psi[v], phi[v])), Fraction(0))
+                        if pairing is None:
+                            pairing = s
+                        elif s != pairing:
+                            consistent = False
+                    if not consistent or not pairing:
+                        continue
+                    split = (w, phi, {v: tuple(x / pairing for x in row) for v, row in psi.items()})
+                    break
+                if split:
+                    break
+            if split:
+                break
+        if split is None:
+            raise NotAModule("representation does not split into strings")
+        w, phi, psi = split
+        out.append((w, {v: linalg.matvec(acc[v], phi[v]) for v in w.verts}))
+        current, acc = _peel_everywhere(current, acc, psi)
+    return out
+
+
+def _peel_everywhere(rep, acc, psi):
+    basis = {v: linalg.from_columns(linalg.nullspace((psi[v],), rep.dim(v)), rep.dim(v))
+             if v in psi else linalg.identity(rep.dim(v)) for v in rep.dims}
+    sub = _restrict_everywhere(rep, basis)
+    return (sub, {v: linalg.matmul(acc[v], basis[v]) for v in sub.dims})
+
+
+def _restrict_everywhere(rep, basis):
+    """The subrepresentation spanned by basis[v] at every vertex, each arrow
+    matrix solved again."""
+    dims = {v: len(b[0]) for v, b in basis.items()}
+    mats = {}
+    for arr in rep.arrows():
+        u, w = arr.src, arr.dst
+        if not (dims.get(u) and dims.get(w)):
+            continue
+        coords = linalg.solve(basis[w], linalg.matmul(rep.matrix(u, w), basis[u]))
+        if coords is None:
+            raise AssertionError("subspace not arrow-stable")
+        if any(x != 0 for row in coords for x in row):
+            mats[(u, w)] = coords
+    return RepFin(dims, mats)
+
+
+def _rref_on_fractions(a):
+    """Reduced row echelon form and pivots by elimination on Fractions,
+    touching only the nonzero columns of each pivot row."""
+    m = [list(row) for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        prow = m[r]
+        nz = [k for k in range(c, cols) if prow[k] != 0]
+        inv = 1 / prow[c]
+        for k in nz:
+            prow[k] *= inv
+        for i in range(rows):
+            row = m[i]
+            f = row[c]
+            if i != r and f != 0:
+                for k in nz:
+                    row[k] -= f * prow[k]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots

@@ -12,6 +12,8 @@ from moebius.strings import RepFin, to_rep, direct_sum, decompose_rep, word
 from moebius.equiv import obj_to_string
 from moebius.checks import grid_off_cluster
 
+from oracles import decompose_rep_by_rescans
+
 
 def _brute_force_enum(rect: Rect, max_n: int) -> set:
     """Scan every (n, m) and translation directly, per representative family."""
@@ -81,6 +83,7 @@ def test_decompose_random_twists():
         twisted = _random_basis_twist(total, rng)
         pieces = decompose_rep(twisted)
         assert sorted(str(p[0]) for p in pieces) == sorted(str(w) for w in words), picks
+        assert pieces == decompose_rep_by_rescans(twisted), picks
         # embeddings at each vertex stay linearly independent
         for v, d in twisted.dims.items():
             cols = [p[1][v] for p in pieces if v in p[1]]

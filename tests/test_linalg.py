@@ -1,10 +1,13 @@
-"""Sparse row reduction against the dense elimination it replaced."""
+"""Integer row reduction against the rational eliminations it replaced:
+sparse on Fractions (`oracles._rref_on_fractions`) and dense."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from moebius import linalg
+
+from oracles import _rref_on_fractions
 
 
 def _dense_rref(a):
@@ -90,3 +93,34 @@ def test_sparse_invert_matches_dense(a):
         assert got == _dense(linalg.invert, m)
         if got is not ValueError:
             assert linalg.matmul(m, got) == linalg.identity(n)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Empty, wide or tall matrices of rationals with large denominators,
+    then zero rows, repeated rows and sums of two rows slipped in."""
+    rows, cols = draw(st.one_of(st.tuples(st.integers(0, 4), st.integers(0, 12)),
+                                st.tuples(st.integers(0, 12), st.integers(0, 4))))
+    value = st.integers(0, 2).flatmap(
+        lambda k: st.just(Fraction(0)) if k == 0
+        else st.fractions(min_value=-50, max_value=50, max_denominator=60))
+    m = draw(st.lists(st.lists(value, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    for kind in draw(st.lists(st.sampled_from(("zero", "repeat", "sum")), max_size=3)):
+        if kind == "zero" or not m:
+            row = [Fraction(0)] * cols
+        elif kind == "repeat":
+            row = list(draw(st.sampled_from(m)))
+        else:
+            r1, r2 = draw(st.sampled_from(m)), draw(st.sampled_from(m))
+            row = [x - 3 * y for x, y in zip(r1, r2)]
+        m.insert(draw(st.integers(0, len(m))), row)
+    return tuple(tuple(row) for row in m)
+
+
+@settings(deadline=None, max_examples=150)
+@given(rational_matrices())
+def test_integer_rref_matches_fraction_rref(a):
+    m, pivots = linalg._rref(a)
+    assert (m, pivots) == _rref_on_fractions(a)
+    assert all(type(x) is Fraction for row in m for x in row)

@@ -8,13 +8,14 @@ from moebius.checks import _basics, grid_off_cluster
 from moebius.cluster import ClusterPt, member
 from moebius.dyadic import Dyadic
 from moebius.equiv import obj_to_string
+from moebius import quotient
 from moebius.quotient import (SumObj, MorQ, identity_mor, zero_mor, basic_mor, compose,
                               classify, kernel, cokernel, hom_dim, _kernel_rep, _cokernel_rep)
 from moebius.errors import MoebiusError, ShapeMismatch
-from moebius.strings import overlap
+from moebius.strings import decompose_rep, overlap
 from moebius.walk import hom_ct_dim, support
 
-from oracles import induced_support_map, _classify_by_translates
+from oracles import induced_support_map, _classify_by_translates, decompose_rep_by_rescans
 
 T = ClusterPt
 M = parse_obj
@@ -211,6 +212,86 @@ def test_closed_form_kernels_match_rep_path_seeded(e):
     rng = random.Random(e)
     for (x, y) in _seeded_basic_pairs(rng, e, 20 if e <= 10 else 8):
         _assert_paths_agree(basic_mor(x, y, Fraction(rng.choice((-2, 1, 3)), rng.choice((1, 2)))))
+
+
+def _near(rng, x, e, spread):
+    """An object off the cluster up to spread/2^e above and right of x."""
+    while True:
+        try:
+            y = normal_form(x.x + Dyadic(rng.randrange(spread), e), x.y + Dyadic(rng.randrange(spread), e))
+        except MoebiusError:
+            continue
+        if y != x and member(y) is None:
+            return y
+
+
+def _seeded_matrix_morphism(rng, e, ns, nd):
+    """ns source and nd target summands near one object of exponent e, each
+    touched by a nonzero hom, with more nonzero entries than summands on
+    the larger side (as in the benchmark's kernels stream)."""
+    while True:
+        centre = Obj(Dyadic(rng.randrange(1 << (e + 1)), e), Dyadic(rng.randrange(1, 1 << e), e))
+        if member(centre) is not None:
+            continue
+        src = [centre] + [_near(rng, centre, e, 1 << (e - 2)) for _ in range(ns - 1)]
+        dst = [_near(rng, rng.choice(src), e, 1 << (e - 1)) for _ in range(nd)]
+        nz = [[hom_ct_dim(x, y) for x in src] for y in dst]
+        if (len(set(src)) == ns and len(set(dst)) == nd and all(map(any, nz))
+                and all(map(any, zip(*nz))) and sum(map(sum, nz)) > max(ns, nd)):
+            entries = [[Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3))) if h else 0
+                        for h in row] for row in nz]
+            return MorQ(SumObj(src), SumObj(dst), entries)
+
+
+def _assert_clean(m):
+    # the cleaning constructor changes nothing on a morphism built as clean
+    assert MorQ(m.src, m.dst, m.entries) == m, m
+
+
+@pytest.mark.parametrize("ns, nd", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_matrix_kernels_match_rescans(ns, nd, monkeypatch):
+    reps = []
+
+    def recording(rep):
+        reps.append(rep)
+        return decompose_rep(rep)
+
+    monkeypatch.setattr(quotient, "decompose_rep", recording)
+    rng = random.Random(10 * ns + nd)
+    for e in range(4, 9):
+        f = _seeded_matrix_morphism(rng, e, ns, nd)
+        _, incl = kernel(f)
+        _, proj = cokernel(f)
+        for m in (incl, proj, compose(f, incl), compose(proj, f)):
+            _assert_clean(m)
+    assert len(reps) == 10
+    for rep in reps:
+        assert decompose_rep(rep) == decompose_rep_by_rescans(rep)
+
+
+def test_closed_form_kernels_and_composites_are_clean():
+    rng = random.Random(12)
+    for e in (4, 6, 8, 12):
+        for x, y in _seeded_basic_pairs(rng, e, 5):
+            f = basic_mor(x, y, Fraction(-2, 3))
+            for k in (kernel, cokernel, _kernel_rep, _cokernel_rep):
+                _assert_clean(k(f)[1])
+    basics = _basics(3)
+    after = {}
+    for x, y in basics:
+        after.setdefault(x, []).append(y)
+    nonzero = 0
+    for _ in range(300):
+        # chains a -> b -> c of basics, one or two summands at each stage
+        firsts = [rng.choice(basics) for _ in range(rng.randint(1, 2))]
+        a, b = SumObj([x for x, _ in firsts]), SumObj([y for _, y in firsts])
+        c = SumObj([rng.choice(after.get(y, [y])) for y in b])
+        f, g = (MorQ(s, t, [[rng.choice((1, -2, Fraction(1, 3))) for _ in s] for _ in t])
+                for s, t in ((a, b), (b, c)))
+        gf = compose(g, f)
+        _assert_clean(gf)
+        nonzero += any(v for row in gf.entries for v in row)
+    assert nonzero > 100
 
 
 def test_zero_entry_morphism_takes_rep_path():

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moebius.band import parse_obj, hom_c_dim
 from moebius.cluster import ClusterPt, object_of
@@ -46,6 +47,17 @@ def test_direction_convention():
             assert hom_c_dim(object_of(arr.dst), object_of(arr.src)) == 1
 
 
+def test_incoming_arrows_are_the_outgoing_ones():
+    # restrict_rep finds the arrows into a vertex among its incoming arrows
+    pts = [T(0, 0)] + [T(n, m) for n in range(1, 7) for m in range(1 << (n + 1))]
+    for v in pts:
+        ins, outs = arrows_at(v)
+        for arr in ins:
+            assert arr in arrows_at(arr.src)[1]
+        for arr in outs:
+            assert arr in arrows_at(arr.dst)[0]
+
+
 def test_relation_soundness():
     # consecutive arrows of one triangle compose to zero in the quotient
     from moebius.walk import compose_basic_nonzero, hom_ct_dim
@@ -73,6 +85,20 @@ def test_word_reversal_equality():
     b = parse_word("T(1,3) < T(0,0) > T(1,1) > T(2,1)")
     assert a == b
     assert len({a, b}) == 1
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 7)), min_size=1, max_size=5),
+       st.lists(st.booleans(), min_size=4, max_size=4), st.booleans(), st.booleans())
+def test_word_keeps_the_smaller_orientation(pts, directs, lmark, rmark):
+    # repeated vertices included: StringWord itself does not validate
+    verts = [T(n, m) for n, m in pts]
+    directs = directs[:len(verts) - 1]
+    w = StringWord(verts, directs, lmark, rmark)
+    key = lambda vs, ds, marks: (tuple((p.n, p.m) for p in vs), tuple(ds), marks)
+    fwd = key(verts, directs, (lmark, rmark))
+    rev = key(verts[::-1], [not d for d in directs[::-1]], (rmark, lmark))
+    assert key(w.verts, w.directs, (w.lmark, w.rmark)) == min(fwd, rev)
 
 
 def test_hom_dim_strings_examples():
@@ -180,6 +206,10 @@ def test_restrict_rep_rejects_unstable_subspace():
     basis[T(1, 0)] = ((zero,), (one,))
     sub = restrict_rep(rep, basis)
     assert sub.dims == {T(1, 0): 1, T(0, 0): 1, T(1, 1): 2}
+    # a vertex left out of basis keeps its whole space
+    del basis[T(1, 1)]
+    part = restrict_rep(rep, basis)
+    assert part.dims == sub.dims and part.mats == sub.mats
 
 
 def test_vertexwise_kernel_of_worked_map():
@@ -236,7 +266,21 @@ def test_candidate_words_match_brute_force():
     unions = [tuple(sorted(set(a) | set(b), key=lambda p: (p.n, p.m)))
               for i, a in enumerate(supports) for b in supports[i + 1:]]
     for supp in supports + unions:
-        assert _candidate_words(list(supp)) == _brute_force_candidates(list(supp))
+        every_arrow = {(v, arr.dst) for v in supp for arr in arrows_at(v)[1]}
+        assert _candidate_words(list(supp), every_arrow) == _brute_force_candidates(list(supp))
+
+
+def test_candidate_words_on_given_letters_match_brute_force():
+    from moebius.checks import grid_off_cluster
+    from moebius.equiv import obj_to_string
+    words = [obj_to_string(x) for x in grid_off_cluster(3)]
+    letters_of = lambda w: {(a, b) if d else (b, a) for a, b, d in zip(w.verts, w.verts[1:], w.directs)}
+    for i, a in enumerate(words):
+        for b in words[i + 1::7]:
+            supp = sorted(set(a.verts) | set(b.verts), key=lambda p: (p.n, p.m))
+            letters = letters_of(a) | letters_of(b)
+            expected = [w for w in _brute_force_candidates(supp) if letters_of(w) <= letters]
+            assert _candidate_words(supp, letters) == expected
 
 
 def _brute_force_occurrences(w1, w2):

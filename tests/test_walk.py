@@ -11,7 +11,7 @@ from moebius.walk import (support, walk_of, minimal_walk, approximation,
                           factors_through_sink,
                           compose_basic_nonzero, _lower_endpoint, _upper_endpoint,
                           _walk_between)
-from moebius.errors import InCluster, NotBasic
+from moebius.errors import InCluster, NoMorphism
 
 from oracles import (tau_dims_via_epsilon, hom0_via_factoring, _scan_walk_of,
                      _scan_minimal_walk, compose_basic_nonzero_by_pairing,
@@ -203,7 +203,7 @@ def test_induced_support_map():
     ident = induced_support_map(M("M(1/8,1/4)"), M("M(1/8,1/4)"), Fraction(2))
     assert set(ident) == set(support(M("M(1/8,1/4)")))
     assert all(v == 2 for v in ident.values())
-    with pytest.raises(NotBasic):
+    with pytest.raises(NoMorphism):
         induced_support_map(M("M(1/4,3/4)"), M("M(1/8,1/4)"), Fraction(1))
 
 
