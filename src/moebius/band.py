@@ -5,58 +5,75 @@ identification (x, y) ~ (y+1, x+1), in units of pi.  The canonical
 representative has delta = y - x in [0, 1); the glide negates delta, so a
 class with delta > 0 has exactly two representative families, the canonical
 one and its flip, each defined up to simultaneous translation by 2.
+
+An `Obj` stores integers: the numerators xn and dn of x and delta at the
+least scale 2^e making both integral, and the hash of (xn, dn, e), so equal
+classes have equal fields.  Its `Dyadic` coordinates are built on demand;
+the hom and composite tests read its representatives as numerators at a
+common scale (`Obj.reps_at`) and build no `Dyadic`.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 
-from .dyadic import Dyadic, CircleAngle, ONE, TWO, parse_dyadic
+from .dyadic import Dyadic, CircleAngle, ONE, TWO, parse_dyadic, reduced_exp
 from .errors import BandBoundary, NotBasicAligned, ParseError
 
 Rep = tuple[Dyadic, Dyadic]
+IntRep = tuple[int, int]
 
 
 class Obj:
-    """Canonical form of an indecomposable: first coordinate and delta = y - x."""
+    """Canonical form of an indecomposable: x = xn/2^e and delta = dn/2^e."""
 
-    __slots__ = ("x", "delta")
+    __slots__ = ("xn", "dn", "e", "_hash")
 
     def __init__(self, x: Dyadic, delta: Dyadic):
-        # 0 <= delta < 1 and 0 <= x < (2 if delta > 0 else 1), on numerators
-        if not 0 <= delta.num < 1 << delta.exp:
+        e = max(x.exp, delta.exp)
+        xn, dn = x.num << (e - x.exp), delta.num << (e - delta.exp)
+        if not 0 <= dn < 1 << e:
             raise ValueError("delta out of canonical range")
-        if not 0 <= x.num < (2 if delta.num else 1) << x.exp:
+        if not 0 <= xn < (2 if dn else 1) << e:
             raise ValueError("x out of canonical range")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "delta", delta)
+        _init(self, xn, dn, e)
 
     def __setattr__(self, name, value):
         raise AttributeError("Obj is immutable")
 
     @property
-    def y(self) -> Dyadic:
-        return self.x + self.delta
+    def x(self) -> Dyadic:
+        return Dyadic(self.xn, self.e)
 
-    def reps(self) -> tuple[Rep, Rep]:
-        """Canonical representative and its flip (each modulo translation by 2)."""
-        x = self.x
-        y = x + self.delta
-        return ((x, y), (y + ONE, x + ONE))
+    @property
+    def delta(self) -> Dyadic:
+        return Dyadic(self.dn, self.e)
+
+    @property
+    def y(self) -> Dyadic:
+        return Dyadic(self.xn + self.dn, self.e)
+
+    def reps_at(self, k: int) -> tuple[IntRep, IntRep]:
+        """Canonical representative and its flip (each modulo translation by
+        2), as numerators at the scale 2^k, k >= e."""
+        s = k - self.e
+        x, y, one = self.xn << s, (self.xn + self.dn) << s, 1 << k
+        return ((x, y), (y + one, x + one))
 
     def max_exp(self) -> int:
-        # equals max(x.exp, y.exp): y = x + delta has exponent max(x.exp,
-        # delta.exp) when those differ, and no more than it when they agree
-        return max(self.x.exp, self.delta.exp)
+        return self.e  # = max(x.exp, y.exp): x or y has exponent e
 
     def sort_key(self):
-        return (self.x.num, self.x.exp, self.delta.num, self.delta.exp)
+        x, delta = self.x, self.delta
+        return (x.num, x.exp, delta.num, delta.exp)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Obj) and self.x == other.x and self.delta == other.delta
+        return self is other or (isinstance(other, Obj) and self.xn == other.xn
+                                 and self.dn == other.dn and self.e == other.e)
 
     def __hash__(self):
-        return hash((self.x, self.delta))
+        return self._hash
 
     def __str__(self) -> str:
         return f"M({self.x},{self.y})"
@@ -65,16 +82,34 @@ class Obj:
         return f"Obj({self.x}, delta={self.delta})"
 
 
-def normal_form(x: Dyadic, y: Dyadic) -> Obj:
-    """Canonicalize a coordinate pair, flipping if y - x < 0."""
-    delta = y - x
-    if delta.num < 0:
-        x, delta = y + ONE, -delta
-    if delta >= ONE:
-        raise BandBoundary(f"({x}, {y}) lies outside the open band")
+_set_xn, _set_dn, _set_e, _set_hash = (getattr(Obj, f).__set__ for f in Obj.__slots__)
+
+
+def _init(obj: Obj, xn: int, dn: int, e: int) -> Obj:
+    """Fill obj with canonical numerators at the scale 2^e, reduced."""
+    r = reduced_exp(xn | dn, e)
+    xn, dn = xn >> (e - r), dn >> (e - r)
+    _set_xn(obj, xn)
+    _set_dn(obj, dn)
+    _set_e(obj, r)
+    _set_hash(obj, hash((xn, dn, r)))
+    return obj
+
+
+def normal_form(x, y, e: int | None = None) -> Obj:
+    """Canonicalize a coordinate pair, flipping if y - x < 0.  The pair is two
+    `Dyadic`s or, with e given, their integer numerators at the scale 2^e."""
+    if e is None:
+        e = max(x.exp, y.exp)
+        x, y = x.num << (e - x.exp), y.num << (e - y.exp)
+    one = 1 << e
+    d = y - x
+    if d < 0:
+        x, d = y + one, -d
+    if d >= one:
+        raise BandBoundary(f"({Dyadic(x, e)}, {Dyadic(y, e)}) lies outside the open band")
     # translate x into [0, 1) when delta = 0, else into [0, 2)
-    period = 2 if delta.num else 1
-    return Obj(Dyadic(x.num % (period << x.exp), x.exp), delta)
+    return _init(object.__new__(Obj), x % ((2 if d else 1) << e), d, e)
 
 
 def obj_from_ends(e1: CircleAngle, e2: CircleAngle) -> Obj:
@@ -102,28 +137,24 @@ def mesh(objs) -> Dyadic:
     return min(gaps)
 
 
-def hom_c_configs(src: Obj, dst: Obj) -> list[tuple[Rep, Rep]]:
-    """All aligned representative pairs ((a,b),(x,y)) witnessing Hom(src, dst) != 0.
+def hom_c_configs(src: Obj, dst: Obj) -> list[tuple[IntRep, IntRep]]:
+    """All aligned representative pairs ((a,b),(x,y)) witnessing Hom(src, dst) != 0,
+    as numerators at the scale 2^e, e = max(src.e, dst.e).
 
     A pair witnesses a nonzero morphism when y-1 < a <= x and x-1 < b <= y;
     for each of the 2x2 representative families there is at most one
-    translation placing a in the half-open window (y-1, x].  The window
-    test runs on integer numerators at the common scale 2^e.
+    translation placing a in the half-open window (y-1, x].
     """
-    e = max(src.max_exp(), dst.max_exp())
+    e = max(src.e, dst.e)
     one, period = 1 << e, 2 << e
-
-    def scaled(rep: Rep) -> tuple[int, int]:
-        return (rep[0].num << (e - rep[0].exp), rep[1].num << (e - rep[1].exp))
-
-    dst_reps = [(rep, scaled(rep)) for rep in dst.reps()]
+    dst_reps = dst.reps_at(e)
     out = []
-    for (a0, b0) in map(scaled, src.reps()):
-        for rep, (x, y) in dst_reps:
+    for (a0, b0) in src.reps_at(e):
+        for (x, y) in dst_reps:
             shift = (x - a0) // period * period
             a, b = a0 + shift, b0 + shift
             if y - one < a and x - one < b <= y:
-                out.append(((Dyadic(a, e), Dyadic(b, e)), rep))
+                out.append(((a, b), (x, y)))
     return out
 
 
@@ -146,65 +177,34 @@ def triangle_complete(src: Obj, dst: Obj, kind: str) -> tuple[Obj, Obj]:
     """
     if kind not in ("positive", "negative"):
         raise ValueError(f"unknown triangle kind {kind!r}")
-    for (a0, b0) in src.reps():
-        for (x, y) in dst.reps():
+    e = max(src.e, dst.e)
+    one, period = 1 << e, 2 << e
+    for (a0, b0) in src.reps_at(e):
+        for (x, y) in dst.reps_at(e):
+            diff = x - a0 if kind == "positive" else y - b0
+            if diff % period:
+                continue
+            a, b = a0 + diff, b0 + diff
             if kind == "positive":
                 # src=(x, b), dst=(x, z) with b < z: third (b+1, z), fourth (b+1, x+1)
-                diff = x - a0
-                if diff.exp == 0 and diff.num % 2 == 0:
-                    b = b0 + diff
-                    if b < y and abs_lt_one(y - (b + ONE)) and abs_lt_one(b - x):
-                        return (normal_form(b + ONE, y), normal_form(b + ONE, x + ONE))
-            else:
-                # src=(a, y), dst=(w, y) with a < w: third (w, a+1), fourth (y+1, a+1)
-                diff = y - b0
-                if diff.exp == 0 and diff.num % 2 == 0:
-                    a = a0 + diff
-                    if a < x and abs_lt_one((a + ONE) - x) and abs_lt_one(y - a):
-                        return (normal_form(x, a + ONE), normal_form(y + ONE, a + ONE))
+                if b < y and abs(y - b - one) < one and abs(b - x) < one:
+                    return (normal_form(b + one, y, e), normal_form(b + one, x + one, e))
+            # src=(a, y), dst=(w, y) with a < w: third (w, a+1), fourth (y+1, a+1)
+            elif a < x and abs(a + one - x) < one and abs(y - a) < one:
+                return (normal_form(x, a + one, e), normal_form(y + one, a + one, e))
     raise NotBasicAligned(f"no {kind} triangle on a basic map {src} -> {dst}")
 
 
-def abs_lt_one(d: Dyadic) -> bool:
-    return -ONE < d < ONE
+class Rect(namedtuple("Rect", "x_lo x_hi y_lo y_hi open_x_lo open_x_hi open_y_lo open_y_hi",
+                      defaults=(False,) * 4)):
+    """Axis-aligned rectangle of real lifts (`Dyadic` edges) with per-edge
+    openness flags; equal and hashed by its edges and flags."""
 
-
-class Rect:
-    """Axis-aligned rectangle of real lifts with per-edge openness flags."""
-
-    __slots__ = ("x_lo", "x_hi", "y_lo", "y_hi", "open_x_lo", "open_x_hi", "open_y_lo", "open_y_hi")
-
-    def __init__(self, x_lo, x_hi, y_lo, y_hi,
-                 open_x_lo=False, open_x_hi=False, open_y_lo=False, open_y_hi=False):
-        object.__setattr__(self, "x_lo", x_lo)
-        object.__setattr__(self, "x_hi", x_hi)
-        object.__setattr__(self, "y_lo", y_lo)
-        object.__setattr__(self, "y_hi", y_hi)
-        object.__setattr__(self, "open_x_lo", open_x_lo)
-        object.__setattr__(self, "open_x_hi", open_x_hi)
-        object.__setattr__(self, "open_y_lo", open_y_lo)
-        object.__setattr__(self, "open_y_hi", open_y_hi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Rect is immutable")
-
-    @classmethod
-    def closed(cls, x_lo, x_hi, y_lo, y_hi) -> "Rect":
-        return cls(x_lo, x_hi, y_lo, y_hi)
+    __slots__ = ()
 
     @classmethod
     def open(cls, x_lo, x_hi, y_lo, y_hi) -> "Rect":
         return cls(x_lo, x_hi, y_lo, y_hi, True, True, True, True)
-
-    def _key(self):
-        return (self.x_lo, self.x_hi, self.y_lo, self.y_hi,
-                self.open_x_lo, self.open_x_hi, self.open_y_lo, self.open_y_hi)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Rect) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def max_exp(self) -> int:
         return max(self.x_lo.exp, self.x_hi.exp, self.y_lo.exp, self.y_hi.exp)

@@ -12,7 +12,7 @@ import os
 import re
 from functools import lru_cache
 
-from .dyadic import Dyadic, CircleAngle, ZERO, ONE
+from .dyadic import Dyadic, CircleAngle, ZERO, reduced_exp
 from .band import Obj, Rect, Rep, normal_form, obj_from_ends, ends
 from .errors import NotInCluster, UnboundedRect, DepthLimit, ParseError
 
@@ -66,7 +66,7 @@ def depth(v: ClusterPt) -> int:
 
 @lru_cache(maxsize=None)
 def object_of(v: ClusterPt) -> Obj:
-    return normal_form(Dyadic(v.m, v.n), ONE + Dyadic(v.m - 1, v.n))
+    return normal_form(v.m, (1 << v.n) + v.m - 1, v.n)
 
 
 def chord(v: ClusterPt) -> tuple[CircleAngle, CircleAngle]:
@@ -77,14 +77,15 @@ def chord(v: ClusterPt) -> tuple[CircleAngle, CircleAngle]:
 def member(x: Obj) -> ClusterPt | None:
     """The cluster point with the same iso class, if any.
 
-    T(n, m) has canonical coordinates x = m/2^n and delta = 1 - 1/2^n, so
-    membership is read off the numerators.  At n = 0 (delta = 0) the
-    canonical x lies in [0, 1), so x.exp <= 0 leaves only M(0, 0) = T(0, 0).
+    T(n, m) has canonical coordinates x = m/2^n and delta = 1 - 1/2^n, so at
+    the scale 2^e of x, 2^e - dn = 2^(e-n) is a power of two dividing xn.
+    At n = 0 (delta = 0) the canonical x lies in [0, 1), so only
+    M(0, 0) = T(0, 0) passes.
     """
-    d, x0 = x.delta, x.x
-    n = d.exp
-    if d.num == (1 << n) - 1 and x0.exp <= n:
-        return ClusterPt(n, x0.num << (n - x0.exp))
+    u = (1 << x.e) - x.dn
+    if not u & (u - 1) and not x.xn & (u - 1):
+        shift = u.bit_length() - 1
+        return ClusterPt(x.e - shift, x.xn >> shift)
     return None
 
 
@@ -143,48 +144,59 @@ def _box(rect: Rect, k: int) -> tuple[int, int, int, int]:
             (rect.y_hi.num << (s - rect.y_hi.exp)) - rect.open_y_hi)
 
 
-def _t_ranges(box: tuple[int, int, int, int], k: int, n: int) -> tuple[tuple[int, int], ...]:
-    """The ranges (t_min, t_max) of the depth-n representatives in a box from
-    `_box(rect, k)`, k >= n: first (t/2^n, t/2^n + delta), then
-    (t/2^n, t/2^n - delta), with delta = 1 - 1/2^n.  A range with
-    t_min > t_max is empty."""
+def _t_range(box: tuple[int, int, int, int], step: int, d: int) -> tuple[int, int]:
+    """The range (t_min, t_max) of the t with (t step, t step + d) in a closed
+    box of numerators, empty when t_min > t_max: on the line y = x + d the
+    y-bounds become the x-bounds y - d."""
     x_lo, x_hi, y_lo, y_hi = box
-    step = 2 << (k - n)  # 1/2^n at scale 2^(k+1)
-    delta = (2 << k) - step
-    # on the line y = x + d the y-bounds become the x-bounds y - d
-    return ((-(-max(x_lo, y_lo - delta) // step), min(x_hi, y_hi - delta) // step),
-            (-(-max(x_lo, y_lo + delta) // step), min(x_hi, y_hi + delta) // step))
+    return -(-max(x_lo, y_lo - d) // step), min(x_hi, y_hi - d) // step
 
 
 def _level_hits(rect: Rect, n: int):
     """Cluster points of depth n with a representative in rect, with that rep."""
     k = max(n, rect.max_exp())
+    box, step = _box(rect, k), 2 << (k - n)  # 1/2^n at the scale 2^(k+1) of the box
     delta = (1 << n) - 1  # numerator of 1 - 1/2^n at scale 2^n
     hits = []
-    for sign, (t_min, t_max) in zip((1, -1), _t_ranges(_box(rect, k), k, n)):
+    for sign in (1, -1):
+        t_min, t_max = _t_range(box, step, sign * ((2 << k) - step))
         for t in range(t_min, t_max + 1):
             m = (t if sign > 0 else t + 1) % (2 << n)
             hits.append((ClusterPt(n, m), (Dyadic(t, n), Dyadic(t + sign * delta, n))))
     return hits
 
 
-def meets_cluster(rect: Rect) -> bool:
-    """Whether some cluster point has a representative in rect.
+def box_meets_cluster(x_lo: int, x_hi: int, y_lo: int, y_hi: int, e: int) -> bool:
+    """Whether some cluster point has a representative in the closed box
+    [x_lo, x_hi] x [y_lo, y_hi] of numerators at the scale 2^e.
 
-    Scans depths 0..k on integer numerators and stops at the first nonempty
-    range.  With e the finest edge exponent, k = e + 1 settles a closed
-    rectangle: one that meets the cluster deeper meets it at depth e, since
-    the lines y - x = +-(1 - 1/2^e) cross it in closed segments with ends on
-    the 1/2^e grid.  An open edge needs the probe depth k = e + 2 of
-    `enum_in_rect_with_reps`.  Builds no points and caches nothing.
-    """
-    k = rect.max_exp() + 1 + (rect.open_x_lo or rect.open_x_hi or rect.open_y_lo or rect.open_y_hi)
-    box = _box(rect, k)
-    for n in range(k + 1):
-        for t_min, t_max in _t_ranges(box, k, n):
+    Depth k = e' + 1 settles it, e' the finest reduced edge exponent: a box
+    that meets the cluster deeper meets it at depth e', since the lines
+    y - x = +-(1 - 1/2^e') cross it in closed segments with ends on the
+    1/2^e' grid.  The depth-n representatives lie on y - x = +-(2^s - 2^j),
+    j = s - n, at the scale 2^s, s = e + 1 >= k, so only the depths whose
+    lines cross the box's range of y - x are tried.  Builds no points."""
+    k = reduced_exp(x_lo | x_hi | y_lo | y_hi, e) + 1
+    s, one = e + 1, 2 << e
+    box = x_lo, x_hi, y_lo, y_hi = x_lo << 1, x_hi << 1, y_lo << 1, y_hi << 1
+    for sign in (1, -1):
+        lo, hi = (y_lo - x_hi, y_hi - x_lo) if sign > 0 else (x_lo - y_hi, x_hi - y_lo)
+        # the j with one - hi <= 2^j <= one - lo and s - k <= j <= s
+        j_lo = max((one - hi - 1).bit_length() if hi < one else 0, s - k)
+        j_hi = min((one - lo).bit_length() - 1, s) if lo < one else -1
+        for j in range(j_lo, j_hi + 1):
+            t_min, t_max = _t_range(box, 1 << j, sign * (one - (1 << j)))
             if t_min <= t_max:
                 return True
     return False
+
+
+def meets_cluster(rect: Rect) -> bool:
+    """`box_meets_cluster` of rect.  Moved one unit inward at the scale of
+    `_box`, an open edge keeps every point of depth <= e + 2 on its side, and
+    e + 2, the probe depth of `enum_in_rect_with_reps`, settles an open rect."""
+    k = rect.max_exp() + 2
+    return box_meets_cluster(*_box(rect, k), k + 1)
 
 
 @lru_cache(maxsize=None)

@@ -73,12 +73,6 @@ class Dyadic:
     def half(self) -> "Dyadic":
         return Dyadic(self.num, self.exp + 1)
 
-    def scaled_pow2(self, k: int) -> "Dyadic":
-        """self / 2^k (k may be negative for multiplication)."""
-        if k >= 0:
-            return Dyadic(self.num, self.exp + k)
-        return Dyadic(self.num << (-k), self.exp)
-
     # -- comparisons --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -177,6 +171,11 @@ def parse_dyadic(text: str) -> Dyadic:
         return Dyadic(int(s))
     except ValueError as exc:
         raise ParseError(f"not a dyadic rational: {text!r}") from exc
+
+
+def reduced_exp(num: int, e: int) -> int:
+    """The exponent of num/2^e in reduced form."""
+    return e - min((num & -num).bit_length() - 1, e) if num else 0
 
 
 def floor_div2(d: Dyadic) -> int:

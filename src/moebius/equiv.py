@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .dyadic import Dyadic, ONE
+from .dyadic import Dyadic
 from .band import Obj, Rep, normal_form
 from .cluster import ClusterPt, member, object_of
 from .walk import Walk, walk_of, minimal_walk
@@ -66,7 +66,7 @@ def string_to_obj(w: StringWord) -> Obj:
     walk = minimal_walk(att_l.src, att_r.src)
     if _walk_word(walk) != w:
         raise AssertionError(f"the walk between the attach vertices of {w} does not carry it")
-    return normal_form(Dyadic(walk.nums[0][0], walk.k), Dyadic(walk.nums[-1][1], walk.k))
+    return normal_form(walk.nums[0][0], walk.nums[-1][1], walk.k)
 
 
 def simple_object(v: ClusterPt) -> Obj:
@@ -121,15 +121,17 @@ def digits_to_coords(p: DigitPrefix) -> Rep:
     b_m = b + sum d_i theta/2^i and a_m = b_m - 1 + theta/2^m.
 
     The sum is theta * D / 2^m with D the digit string read as a binary
-    integer, so b_m takes one multiplication instead of m additions."""
+    integer, so at the scale 2^(e+m), 2^e that of the base, b_m takes one
+    multiplication of numerators instead of m additions."""
     base = object_of(p.base)  # its representative (a, b) = (base.x, base.y)
-    theta = ONE - base.delta  # a + 1 - b
     m = len(p.digits)
-    bm = base.y + Dyadic(theta.num * _binary(p.digits), theta.exp + m)
-    am = bm - ONE + theta.scaled_pow2(m)
-    if member(normal_form(am, bm)) is None:
+    k = base.e + m
+    theta = (1 << base.e) - base.dn  # a + 1 - b
+    bm = ((base.xn + base.dn) << m) + theta * _binary(p.digits)
+    am = bm - (1 << k) + theta
+    if member(normal_form(am, bm, k)) is None:
         raise AssertionError("digit walk left the cluster")
-    return (am, bm)
+    return (Dyadic(am, k), Dyadic(bm, k))
 
 
 def digit_vertex(p: DigitPrefix) -> ClusterPt:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 from .band import Obj
@@ -246,14 +247,21 @@ def _scalar_of_component(ov: frozenset[ClusterPt], values: dict[ClusterPt, Fract
     return Fraction(0)
 
 
-def _basic_words(f: MorQ) -> tuple[list[StringWord], list[StringWord]] | None:
+def _basic_words(f: MorQ) -> tuple[tuple[StringWord, ...], tuple[StringWord, ...]] | None:
     """Kernel and cokernel words of a single nonzero basic morphism, in the
     order decompose_rep peels them; None for any other morphism."""
     if len(f.src) != 1 or len(f.dst) != 1 or not f.entries[0][0]:
         return None
-    ker, cok = kernel_cokernel_strings(obj_to_string(f.src.summands[0]),
-                                       obj_to_string(f.dst.summands[0]))
-    return (sorted(ker, key=StringWord.sort_key), sorted(cok, key=StringWord.sort_key))
+    return _basic_word_lists(f.src.summands[0], f.dst.summands[0])
+
+
+@lru_cache(maxsize=16)
+def _basic_word_lists(src: Obj, dst: Obj) -> tuple[tuple[StringWord, ...], tuple[StringWord, ...]]:
+    """`_basic_words` of a basic src -> dst, whatever its scalar.  Callers ask
+    `kernel` and `cokernel` of one morphism in turn, so a few entries let
+    the second reuse the overlap scan of the first."""
+    ker, cok = kernel_cokernel_strings(obj_to_string(src), obj_to_string(dst))
+    return (tuple(sorted(ker, key=StringWord.sort_key)), tuple(sorted(cok, key=StringWord.sort_key)))
 
 
 def kernel(f: MorQ) -> tuple[SumObj, MorQ]:

@@ -28,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .dyadic import Dyadic, ONE, floor_div2
-from .band import Obj, Rect, Rep, normal_form, hom_c_configs
-from .cluster import ClusterPt, member, object_of, meets_cluster
+from .dyadic import Dyadic, reduced_exp
+from .band import Obj, Rep, normal_form, hom_c_configs
+from .cluster import ClusterPt, member, object_of, box_meets_cluster
 from .errors import InCluster
 
 SINK = "sink"
@@ -106,37 +106,30 @@ def support(x: Obj) -> frozenset[ClusterPt]:
     return frozenset(walk_of(x).pts[1:-1])
 
 
-def _delta(n: int) -> Dyadic:
-    return ONE - Dyadic(1, n)
+def _corners(x: Obj) -> tuple[int, int, int, int, int]:
+    """The corners (x, b) and (a, y) of the walk of x, as (x, b, a, y, k) on
+    numerators at the scale 2^k, k one past the finest of their exponents:
+    b < y and a < x are the largest with (x, b) and (a, y) cluster
+    representatives.  With gap = 1 - delta, those are (x, x + 1 - 1/2^n) for
+    n >= exp(x), below y when 1/2^n > gap, then (x, x - 1 + 1/2^n); and
+    (y - 1 + 1/2^n, y) for n >= exp(y), left of x when 1/2^n < gap."""
+    e, xn, yn = x.e, x.xn, x.xn + x.dn
+    s, gap = e + 1, (1 << e) - x.dn  # gap at the scale 2^e, the rest at 2^s
 
+    def delta(n: int) -> int:  # 1 - 1/2^n
+        return (1 << s) - (1 << (s - n))
 
-def _largest_level_below(gap: Dyadic) -> int:
-    """Largest n with 1 - 1/2^n < 1 - gap ... i.e. 1/2^n > gap, for gap = 1 - delta."""
-    g, h = gap.num, gap.exp
-    return h - g.bit_length()
-
-
-def _lower_endpoint(x: Dyadic, y: Dyadic) -> Rep:
-    """Maximal b < y with (x, b) a cluster representative."""
-    delta = y - x
-    if delta.num > 0:
-        n_star = _largest_level_below(ONE - delta)
-        if n_star >= x.exp:
-            return (x, x + _delta(n_star))
-    n_b = x.exp if delta.num > 0 else max(x.exp, 1)
-    return (x, x - _delta(n_b))
-
-
-def _upper_endpoint(x: Dyadic, y: Dyadic) -> Rep:
-    """Maximal a < x with (a, y) a cluster representative."""
-    delta = y - x
-    one_minus = ONE - delta
-    if one_minus.num == 1:
-        n0 = one_minus.exp + 1
+    xe = reduced_exp(xn, e)
+    n = e - gap.bit_length()  # the largest n with 1/2^n > gap
+    if x.dn and n >= xe:
+        b = (xn << 1) + delta(n)
     else:
-        n0 = one_minus.exp - one_minus.num.bit_length() + 1
-    n_z = max(n0, y.exp)
-    return (y - _delta(n_z), y)
+        b = (xn << 1) - delta(xe if x.dn else max(xe, 1))
+    # the least n >= exp(y) with 1/2^n < gap
+    a = (yn << 1) - delta(max(e + 1 - (gap - 1).bit_length(), reduced_exp(yn, e)))
+    corners = (xn << 1, b, a, yn << 1)
+    k = reduced_exp(corners[0] | b | a | corners[3], s) + 1
+    return (*(c << k >> s for c in corners), k)
 
 
 def _offset_above(d: int, line: int, k: int) -> int | None:
@@ -160,13 +153,6 @@ def _point_at(p: int, q: int, k: int) -> ClusterPt:
     j = ((1 << k) - abs(d)).bit_length() - 1  # |d| = 2^k - 2^j at depth k - j
     t = p >> j
     return ClusterPt(k - j, t if d >= 0 else t + 1)
-
-
-def _walk_between(lower: Rep, upper: Rep) -> Walk:
-    """The walk from the lower-right representative to the upper-left one."""
-    k = 1 + max(lower[0].exp, lower[1].exp, upper[0].exp, upper[1].exp)
-    (p, q), (left, top) = ((x.num << (k - x.exp), y.num << (k - y.exp)) for x, y in (lower, upper))
-    return _walk_at(p, q, left, top, k)
 
 
 def _walk_at(p: int, q: int, left: int, top: int, k: int) -> Walk:
@@ -201,7 +187,7 @@ def walk_of(x: Obj) -> Walk:
     """The finite walk attached to a dyadic object off the cluster."""
     if member(x) is not None:
         raise InCluster(f"{x} lies in the standard cluster")
-    return _walk_between(_lower_endpoint(x.x, x.y), _upper_endpoint(x.x, x.y))
+    return _walk_at(*_corners(x))
 
 
 def minimal_walk(v: ClusterPt, w: ClusterPt) -> Walk:
@@ -210,15 +196,14 @@ def minimal_walk(v: ClusterPt, w: ClusterPt) -> Walk:
     from its lower-right corner to its upper-left one.  The window search runs
     on integer numerators at the scale 2^(1 + max depth)."""
     k = 1 + max(v.n, w.n)
-    period = 2 << k
+    one, period = 1 << k, 2 << k
 
-    def scaled_reps(pt: ClusterPt) -> tuple[tuple[int, int], tuple[int, int]]:
-        # object_of(T(n, m)).reps(): (m, m - 1 + 2^n) / 2^n, then its flip
-        m, one, s = pt.m, 1 << pt.n, k - pt.n
-        return ((m << s, (m - 1 + one) << s), ((m - 1 + 2 * one) << s, (m + one) << s))
+    def reps(pt: ClusterPt) -> tuple[tuple[int, int], tuple[int, int]]:
+        x, y = pt.m << (k - pt.n), ((pt.m - 1) << (k - pt.n)) + one  # (m, m - 1 + 2^n)/2^n
+        return ((x, y), (y + one, x + one))  # and its flip, as object_of(pt).reps_at(k)
 
-    scaled_v, scaled_w = scaled_reps(v), scaled_reps(w)
-    for lr_reps, ul_reps in ((scaled_v, scaled_w), (scaled_w, scaled_v)):
+    reps_v, reps_w = reps(v), reps(w)
+    for lr_reps, ul_reps in ((reps_v, reps_w), (reps_w, reps_v)):
         for lx, ly in lr_reps:
             for ux, uy in ul_reps:
                 shift = (lx - ux) // period * period  # lx - 2 < ux + shift <= lx
@@ -245,10 +230,8 @@ def hom_ct_dim(src: Obj, dst: Obj) -> int:
     Nonzero iff some representative pair admits a basic map whose closed
     factoring rectangle avoids the cluster.
     """
-    for (a, b), (x, y) in hom_c_configs(src, dst):
-        if not meets_cluster(Rect.closed(a, x, b, y)):
-            return 1
-    return 0
+    e = max(src.e, dst.e)
+    return int(any(not box_meets_cluster(a, x, b, y, e) for (a, b), (x, y) in hom_c_configs(src, dst)))
 
 
 @lru_cache(maxsize=None)
@@ -262,15 +245,18 @@ def compose_basic_nonzero(x: Obj, y: Obj, z: Obj) -> bool:
     basic; conversely aligned basics rx -> ry -> rz form a chain, and their
     composite is basic when rx -> rz is.  Translating or flipping a whole
     chain changes nothing, and the rectangle is narrower than 2, so the
-    translate of ry with c - 2 < p <= c is the only candidate.
+    translate of ry with c - 2 < p <= c is the only candidate.  All of it
+    runs on numerators at the scale 2^e of the finest of the three.
     """
-    y_reps = y.reps()
+    e = max(x.e, y.e, z.e)
+    up, period = e - max(x.e, z.e), 2 << e
+    y_reps = y.reps_at(e)
     for (a, b), (c, d) in hom_c_configs(x, z):
+        a, b, c, d = a << up, b << up, c << up, d << up
         for p, q in y_reps:
-            shift = Dyadic(2 * floor_div2(c - p))
-            if a <= p + shift and b <= q + shift <= d:
-                if not meets_cluster(Rect.closed(a, c, b, d)):
-                    return True
+            shift = (c - p) // period * period
+            if a <= p + shift and b <= q + shift <= d and not box_meets_cluster(a, c, b, d, e):
+                return True
     return False
 
 
@@ -284,8 +270,11 @@ def concrete_epsilon(objs) -> Dyadic:
 
 
 def shifted(s: ClusterPt, dx: Dyadic, dy: Dyadic) -> Obj:
-    x, y = object_of(s).reps()[0]
-    return normal_form(x + dx, y + dy)
+    """normal_form of the canonical representative of s moved by (dx, dy)."""
+    obj = object_of(s)
+    k = max(obj.e, dx.exp, dy.exp)
+    (x, y), _ = obj.reps_at(k)
+    return normal_form(x + (dx.num << (k - dx.exp)), y + (dy.num << (k - dy.exp)), k)
 
 
 @dataclass(frozen=True)
@@ -311,17 +300,9 @@ def tau_dims(s: ClusterPt, x: Obj) -> TauDims:
     role = walk.role_of(s)
     if role is None:
         return TauDims(0, 0, 0, 0, 0)
-    endpoint = s in (walk.pts[0], walk.pts[-1])
-    in_support = not endpoint
-    if role == SOURCE:
-        rad = 0
-    elif role == SINK and not endpoint:
-        rad = 2
-    else:
-        rad = 1
-    hom0 = int(role == SINK)
-    hom0_t1 = int(role == SOURCE)
-    return TauDims(int(in_support), int(in_support), rad, hom0, hom0_t1)
+    inner = int(s not in (walk.pts[0], walk.pts[-1]))
+    rad = 0 if role == SOURCE else 2 if role == SINK and inner else 1
+    return TauDims(inner, inner, rad, int(role == SINK), int(role == SOURCE))
 
 
 def factors_through_sink(s: ClusterPt, x: Obj) -> bool:
@@ -329,11 +310,12 @@ def factors_through_sink(s: ClusterPt, x: Obj) -> bool:
     verified by exhibiting an aligned chain s-rep <= sink-rep <= x-rep,
     on integer numerators at one scale."""
     walk, s_obj = walk_of(x), object_of(s)
-    k = max(walk.k, s_obj.max_exp(), x.max_exp())
-    up = k - walk.k
+    e = max(s_obj.e, x.e)
+    k = max(walk.k, e)
+    up, sc = k - walk.k, k - e
     sinks = [(p << up, q << up) for (p, q), role in zip(walk.nums, walk.roles) if role == SINK]
-    for rs, rx in hom_c_configs(s_obj, x):
-        a, b, xx, yy = (d.num << (k - d.exp) for d in (*rs, *rx))
+    for (a, b), (xx, yy) in hom_c_configs(s_obj, x):
+        a, b, xx, yy = a << sc, b << sc, xx << sc, yy << sc
         if any(a <= bx <= xx and b <= by <= yy for bx, by in sinks):
             return True
     return False

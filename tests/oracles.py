@@ -17,7 +17,9 @@ rather than by the library's fast path:
   (`_step_rep_maybe`, `_step_rep`, `_word_reps`);
 - `_scan_walk_of` and `_scan_minimal_walk` check `walk.walk_of` and
   `walk.minimal_walk` by scanning the walk's rectangle for every cluster
-  representative and sorting them along the zig-zag (`_scan_assemble`);
+  representative and sorting them along the zig-zag (`_scan_assemble`),
+  the rectangle of `walk_of` spanned by corners found on Dyadics
+  (`lower_corner_on_dyadics`, `upper_corner_on_dyadics`);
 - `_member_by_ends` checks `cluster.member` by searching the ends of x for
   an arc of length 1/2^n between points of the 1/2^n grid;
 - `_flip_by_fan` checks `cluster.mutate` by searching each apex among the
@@ -36,24 +38,151 @@ rather than by the library's fast path:
   re-solving every arrow of the remainder (`_peel_everywhere`,
   `_restrict_everywhere`), with dense constraint rows for both hom spaces
   (`_hom_word_to_rep_dense`, `_hom_rep_to_word_dense`);
-- `_rref_on_fractions` checks `linalg._rref` by eliminating on `Fraction`s.
+- `_rref_on_fractions` checks `linalg._rref` by eliminating on `Fraction`s;
+- `normal_form_on_dyadics`, `member_on_dyadics`, `hom_c_configs_on_dyadics`,
+  `hom_ct_dim_on_dyadics`, `compose_basic_nonzero_on_dyadics`,
+  `triangle_complete_on_dyadics`, `shifted_on_dyadics` and `digits_to_coords_on_dyadics` check the band
+  geometry, which the library runs on integer numerators at one scale, in
+  `Dyadic` arithmetic on the public coordinates (`dyadic_reps`);
+- `meets_cluster_by_level_scan` checks `cluster.meets_cluster` and
+  `cluster.box_meets_cluster`, which try only the depths whose lines cross
+  the box, by trying every depth.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from moebius.dyadic import Dyadic, CircleAngle, ONE, ZERO, floor_div2
-from moebius.band import Obj, Rect, Rep, hom_c_configs, normal_form, ends, obj_from_ends
+from moebius.band import Obj, Rect, Rep, normal_form, ends, obj_from_ends
 from moebius.cluster import (ClusterPt, object_of, neighbors, enum_in_rect_with_reps,
                              meets_cluster)
 from moebius.walk import (WalkVertex, SINK, SOURCE, THROUGH, concrete_epsilon,
-                          compose_basic_nonzero, hom_ct_dim, shifted, support,
-                          _lower_endpoint, _upper_endpoint)
+                          compose_basic_nonzero, hom_ct_dim, shifted, support)
 from moebius.equiv import DigitPrefix, _attach_arrows
-from moebius.errors import InvalidWord, NoMorphism, NotAModule
+from moebius.errors import BandBoundary, InvalidWord, NoMorphism, NotAModule, NotBasicAligned
 from moebius.quotient import Classification
 from moebius import linalg
 from moebius.strings import (StringWord, RepFin, arrows_at, _candidate_words, _solutions,
                              _word_coords)
+
+
+# -- the geometry on Dyadic coordinates -----------------------------------------
+#
+# The library computes these on integer numerators at one scale; here every
+# coordinate is a `Dyadic` and every object comes from the public `Obj(x, delta)`.
+
+@lru_cache(maxsize=None)
+def dyadic_reps(obj: Obj) -> tuple[Rep, Rep]:
+    """Canonical representative and its flip (each modulo translation by 2)."""
+    x, y = obj.x, obj.y
+    return ((x, y), (y + ONE, x + ONE))
+
+
+def normal_form_on_dyadics(x: Dyadic, y: Dyadic) -> Obj:
+    delta = y - x
+    if delta.num < 0:
+        x, delta = y + ONE, -delta
+    if delta >= ONE:
+        raise BandBoundary(f"({x}, {y}) lies outside the open band")
+    period = 2 if delta.num else 1
+    return Obj(Dyadic(x.num % (period << x.exp), x.exp), delta)
+
+
+def member_on_dyadics(x: Obj) -> ClusterPt | None:
+    d, x0 = x.delta, x.x
+    n = d.exp
+    if d.num == (1 << n) - 1 and x0.exp <= n:
+        return ClusterPt(n, x0.num << (n - x0.exp))
+    return None
+
+
+@lru_cache(maxsize=None)
+def _even(k: int) -> Dyadic:
+    return Dyadic(2 * k)
+
+
+def hom_c_configs_on_dyadics(src: Obj, dst: Obj) -> list[tuple[Rep, Rep]]:
+    """`band.hom_c_configs` with the translate 2*floor((x - a)/2) found on
+    Dyadics; it puts a in (x - 2, x], so a <= x holds."""
+    out = []
+    for (a0, b0) in dyadic_reps(src):
+        for (x, y), (x1, y1) in _reps_less_one(dst):
+            shift = _even(floor_div2(x - a0))
+            a = a0 + shift
+            if y1 < a:
+                b = b0 + shift
+                if x1 < b <= y:
+                    out.append(((a, b), (x, y)))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _reps_less_one(obj: Obj) -> tuple[tuple[Rep, Rep], ...]:
+    return tuple(((x, y), (x - ONE, y - ONE)) for x, y in dyadic_reps(obj))
+
+
+def hom_ct_dim_on_dyadics(src: Obj, dst: Obj, configs=None) -> int:
+    """0 or 1 by the closed factoring rectangles of the given or the found
+    `hom_c_configs_on_dyadics`."""
+    if configs is None:
+        configs = hom_c_configs_on_dyadics(src, dst)
+    return int(any(not meets_cluster(Rect(a, x, b, y)) for (a, b), (x, y) in configs))
+
+
+def meets_cluster_by_level_scan(rect: Rect, extra: int = 0) -> bool:
+    """`cluster.meets_cluster` by trying every depth up to its bound (plus
+    `extra`), each by the two ranges of `_t_range`."""
+    import moebius.cluster as cluster
+    k = rect.max_exp() + 1 + (rect.open_x_lo or rect.open_x_hi or rect.open_y_lo or rect.open_y_hi) + extra
+    box = cluster._box(rect, k)  # at the scale 2^(k+1)
+    for n in range(k + 1):
+        step = 2 << (k - n)
+        for d in ((2 << k) - step, step - (2 << k)):
+            t_min, t_max = cluster._t_range(box, step, d)
+            if t_min <= t_max:
+                return True
+    return False
+
+
+def compose_basic_nonzero_on_dyadics(x: Obj, y: Obj, z: Obj) -> bool:
+    for (a, b), (c, d) in hom_c_configs_on_dyadics(x, z):
+        for p, q in dyadic_reps(y):
+            shift = _even(floor_div2(c - p))
+            if a <= p + shift and b <= q + shift <= d and not meets_cluster(Rect(a, c, b, d)):
+                return True
+    return False
+
+
+def triangle_complete_on_dyadics(src: Obj, dst: Obj, kind: str) -> tuple[Obj, Obj]:
+    for (a0, b0) in dyadic_reps(src):
+        for (x, y) in dyadic_reps(dst):
+            if kind == "positive":
+                diff = x - a0
+                if diff.exp == 0 and diff.num % 2 == 0:
+                    b = b0 + diff
+                    if b < y and -ONE < y - (b + ONE) < ONE and -ONE < b - x < ONE:
+                        return (normal_form_on_dyadics(b + ONE, y), normal_form_on_dyadics(b + ONE, x + ONE))
+            else:
+                diff = y - b0
+                if diff.exp == 0 and diff.num % 2 == 0:
+                    a = a0 + diff
+                    if a < x and -ONE < (a + ONE) - x < ONE and -ONE < y - a < ONE:
+                        return (normal_form_on_dyadics(x, a + ONE), normal_form_on_dyadics(y + ONE, a + ONE))
+    raise NotBasicAligned(f"no {kind} triangle on a basic map {src} -> {dst}")
+
+
+def shifted_on_dyadics(s: ClusterPt, dx: Dyadic, dy: Dyadic) -> Obj:
+    x, y = dyadic_reps(object_of(s))[0]
+    return normal_form_on_dyadics(x + dx, y + dy)
+
+
+def digits_to_coords_on_dyadics(p: DigitPrefix) -> Rep:
+    base = object_of(p.base)
+    theta = ONE - base.delta
+    m = len(p.digits)
+    d = int("".join(map(str, p.digits)) or "0", 2)
+    bm = base.y + Dyadic(theta.num * d, theta.exp + m)
+    return (bm - ONE + Dyadic(theta.num, theta.exp + m), bm)
 
 
 def tau_dims_via_epsilon(s: ClusterPt, x: Obj) -> tuple[int, int, int]:
@@ -69,8 +198,8 @@ def hom0_via_factoring(s: ClusterPt, x: Obj) -> int:
     """Maps s -> x modulo those factoring through other cluster objects:
     nonzero iff some basic rectangle meets the cluster only at s itself."""
     s_obj = object_of(s)
-    for (a, b), (xx, yy) in hom_c_configs(s_obj, x):
-        pts = {pt for pt, _ in enum_in_rect_with_reps(Rect.closed(a, xx, b, yy))}
+    for (a, b), (xx, yy) in hom_c_configs_on_dyadics(s_obj, x):
+        pts = {pt for pt, _ in enum_in_rect_with_reps(Rect(a, xx, b, yy))}
         if pts <= {s}:
             return 1
     return 0
@@ -80,7 +209,7 @@ def lower_tail_coords(p: DigitPrefix) -> Rep:
     """Mirror tail from the base going the other way: digit 1 keeps the
     second coordinate (a horizontal step right), digit 0 keeps the first
     (a vertical step down)."""
-    cur = object_of(p.base).reps()[0]
+    cur = dyadic_reps(object_of(p.base))[0]
     cur_pt = p.base
     prev_tri = None
     for d in p.digits:
@@ -117,8 +246,8 @@ def compose_basic_nonzero_by_pairing(x: Obj, y: Obj, z: Obj) -> bool:
     """Whether the composite of basic maps x -> y -> z is nonzero, found by
     aligning a config of x -> y with a config of y -> z on the same
     representative of y."""
-    cfg_xy = hom_c_configs(x, y)
-    cfg_yz = hom_c_configs(y, z)
+    cfg_xy = hom_c_configs_on_dyadics(x, y)
+    cfg_yz = hom_c_configs_on_dyadics(y, z)
     for (rx, ry) in cfg_xy:
         for (ry2, rz2) in cfg_yz:
             for flipped in (False, True):
@@ -130,7 +259,7 @@ def compose_basic_nonzero_by_pairing(x: Obj, y: Obj, z: Obj) -> bool:
                 # window conditions for the composite basic rx -> rz
                 if not (rz[1] - ONE < rx[0] and rz[0] - ONE < rx[1]):
                     continue
-                if meets_cluster(Rect.closed(rx[0], rz[0], rx[1], rz[1])):
+                if meets_cluster(Rect(rx[0], rz[0], rx[1], rz[1])):
                     continue
                 return True
     return False
@@ -142,7 +271,7 @@ def _step_rep_maybe(cur: Rep, target: ClusterPt, outward: bool) -> Rep | None:
     """The representative of target adjacent to cur along an irreducible map:
     one shared coordinate, the other strictly larger (outward) or smaller."""
     candidates = []
-    for (p0, q0) in object_of(target).reps():
+    for (p0, q0) in dyadic_reps(object_of(target)):
         for axis in (0, 1):
             base = (p0, q0)[axis]
             want = cur[axis]
@@ -169,7 +298,7 @@ def _step_rep(cur: Rep, target: ClusterPt, outward: bool) -> Rep:
 
 
 def _word_reps(w: StringWord) -> list[Rep]:
-    reps = [object_of(w.verts[0]).reps()[0]]
+    reps = [dyadic_reps(object_of(w.verts[0]))[0]]
     for i in range(len(w.directs)):
         nxt = w.verts[i + 1]
         # letter v_i -> v_{i+1} reverses a cluster map v_{i+1} -> v_i (inward);
@@ -231,21 +360,47 @@ def _scan(rect):
     return _scan_assemble(list(enum_in_rect_with_reps.__wrapped__(rect)))
 
 
+def _delta(n: int) -> Dyadic:
+    return ONE - Dyadic(1, n)
+
+
+def lower_corner_on_dyadics(x: Dyadic, y: Dyadic) -> Rep:
+    """Maximal b < y with (x, b) a cluster representative: x + 1 - 1/2^n for
+    the largest n >= exp(x) with 1/2^n > 1 - delta, else x - 1 + 1/2^n for
+    the least n >= exp(x) that keeps it below y."""
+    delta = y - x
+    if delta.num > 0:
+        gap = ONE - delta
+        n_star = gap.exp - gap.num.bit_length()
+        if n_star >= x.exp:
+            return (x, x + _delta(n_star))
+    n_b = x.exp if delta.num > 0 else max(x.exp, 1)
+    return (x, x - _delta(n_b))
+
+
+def upper_corner_on_dyadics(x: Dyadic, y: Dyadic) -> Rep:
+    """Maximal a < x with (a, y) a cluster representative: y - 1 + 1/2^n for
+    the least n >= exp(y) with 1/2^n < 1 - delta."""
+    gap = ONE - (y - x)
+    n0 = gap.exp + 1 if gap.num == 1 else gap.exp - gap.num.bit_length() + 1
+    return (y - _delta(max(n0, y.exp)), y)
+
+
 def _scan_walk_of(x):
-    lower, upper = _lower_endpoint(x.x, x.y), _upper_endpoint(x.x, x.y)
-    vertices, steps = _scan(Rect.closed(upper[0], x.x, lower[1], x.y))
+    lower, upper = lower_corner_on_dyadics(x.x, x.y), upper_corner_on_dyadics(x.x, x.y)
+    vertices, steps = _scan(Rect(upper[0], x.x, lower[1], x.y))
     assert vertices[0].rep == lower and vertices[-1].rep == upper
     return vertices, steps
 
 
 def _scan_minimal_walk(v, w):
     for lr_pt, ul_pt in ((v, w), (w, v)):
-        for lr in object_of(lr_pt).reps():
-            for ul0 in object_of(ul_pt).reps():
+        for lr in dyadic_reps(object_of(lr_pt)):
+            for ul0 in dyadic_reps(object_of(ul_pt)):
                 shift = Dyadic(2 * floor_div2(lr[0] - ul0[0]))
                 ul = (ul0[0] + shift, ul0[1] + shift)
                 if ul[0] <= lr[0] and ul[1] >= lr[1]:
-                    return _scan(Rect.closed(ul[0], lr[0], lr[1], ul[1]))
+                    return _scan(Rect(ul[0], lr[0], lr[1], ul[1]))
     raise AssertionError(f"no common walk window for {v}, {w}")
 
 

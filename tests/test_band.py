@@ -1,10 +1,14 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from moebius.dyadic import Dyadic
+from moebius.dyadic import Dyadic, ONE
 from moebius.band import (Obj, normal_form, obj_from_ends, ends, mesh,
                           hom_c_dim, compatible, triangle_complete, parse_obj)
+from moebius.cluster import member
+from moebius.equiv import obj_to_string, string_to_obj
 from moebius.errors import BandBoundary, NotBasicAligned, ParseError
+
+from oracles import normal_form_on_dyadics, member_on_dyadics, triangle_complete_on_dyadics
 
 M = parse_obj
 
@@ -117,3 +121,113 @@ def test_parse_obj():
         M("M(1/4)")
     with pytest.raises(ParseError):
         M("N(0,0)")
+
+
+# -- the integer layout of Obj -------------------------------------------------
+
+@st.composite
+def canonical(draw, max_exp):
+    """Canonical (x, delta) of exponent <= max_exp."""
+    e = draw(st.integers(0, max_exp))
+    dn = draw(st.integers(0, (1 << e) - 1))
+    xn = draw(st.integers(0, ((2 if dn else 1) << e) - 1))
+    return Dyadic(xn, e), Dyadic(dn, e)
+
+
+@settings(deadline=None, max_examples=150)
+@given(canonical(12), st.integers(-3, 3), st.integers(0, 3))
+def test_obj_is_one_object_however_built(xd, k, finer):
+    x, delta = xd
+    y = x + delta
+    two_k = Dyadic(2 * k)
+    s = max(x.exp, y.exp) + finer  # a scale finer than needed: normal_form reduces
+
+    def scaled(d):
+        return d.num << (s - d.exp)
+
+    first = Obj(x, delta)
+    built = [normal_form(x + two_k, y + two_k),
+             normal_form(y + ONE + two_k, x + ONE + two_k),
+             normal_form(scaled(x + two_k), scaled(y + two_k), s),
+             normal_form(scaled(y + ONE - two_k), scaled(x + ONE - two_k), s),
+             parse_obj(f"M({x},{y})")]
+    if member(first) is None:
+        built.append(string_to_obj(obj_to_string(first)))
+    for o in built:
+        assert o == first and hash(o) == hash(first), (o, first)
+        assert o.sort_key() == first.sort_key() == (x.num, x.exp, delta.num, delta.exp)
+        assert str(o) == str(first) == f"M({x},{y})"
+        assert (o.x, o.delta, o.y) == (x, delta, y)
+        assert o.max_exp() == max(x.exp, y.exp)
+
+
+@pytest.mark.parametrize("x, delta", [
+    (Dyadic(0), Dyadic(1)), (Dyadic(0), Dyadic(-1, 2)), (Dyadic(-1, 3), Dyadic(1, 2)),
+    (Dyadic(2), Dyadic(1, 2)), (Dyadic(1), Dyadic(0)), (Dyadic(3, 1), Dyadic(0)),
+])
+def test_obj_rejects_non_canonical(x, delta):
+    with pytest.raises(ValueError):
+        Obj(x, delta)
+
+
+@st.composite
+def coordinate_pairs(draw):
+    """Pairs (x, y, e) of numerators at the scale 2^e, e <= 64: arbitrary,
+    near the band boundary, or a translated (and maybe flipped)
+    representative of a cluster point, moved by at most one unit."""
+    e = draw(st.integers(0, 64))
+    one = 1 << e
+    kind = draw(st.sampled_from(("any", "boundary", "cluster")))
+    if kind == "any":
+        return draw(st.integers(-4 * one, 4 * one)), draw(st.integers(-4 * one, 4 * one)), e
+    x = draw(st.integers(-4 * one, 4 * one))
+    if kind == "boundary":
+        return x, x + draw(st.sampled_from((-one - 1, -one, -one + 1, one - 1, one, one + 1))), e
+    n = draw(st.integers(0, e))
+    step = 1 << (e - n)
+    x = x // step * step
+    y = x + one - step
+    if draw(st.booleans()):
+        x, y = y + one, x + one
+    nudge = draw(st.sampled_from((0, 0, 0, -1, 1)))
+    return x, y + nudge, e
+
+
+@settings(deadline=None, max_examples=400)
+@given(coordinate_pairs())
+def test_normal_form_and_member_match_dyadic_oracle(xye):
+    xn, yn, e = xye
+    x, y = Dyadic(xn, e), Dyadic(yn, e)
+    try:
+        want = normal_form_on_dyadics(x, y)
+    except BandBoundary as exc:
+        for args in ((x, y), (xn, yn, e)):
+            with pytest.raises(BandBoundary) as got:
+                normal_form(*args)
+            assert str(got.value) == str(exc)
+        return
+    assert normal_form(x, y) == want == normal_form(xn, yn, e)
+    assert member(want) == member_on_dyadics(want)
+
+
+def test_triangle_complete_matches_dyadic_oracle():
+    # on the pairs of the depth-3 grid with a map x -> y in C: each kind
+    # completes on some and is refused on others
+    from moebius.checks import grid
+    objs = grid(3)
+    outcomes = set()
+    for x in objs:
+        for y in objs:
+            if not hom_c_dim(x, y):
+                continue
+            for kind in ("positive", "negative"):
+                try:
+                    want = triangle_complete_on_dyadics(x, y, kind)
+                except NotBasicAligned:
+                    with pytest.raises(NotBasicAligned):
+                        triangle_complete(x, y, kind)
+                    outcomes.add((kind, False))
+                    continue
+                assert triangle_complete(x, y, kind) == want, (x, y, kind)
+                outcomes.add((kind, True))
+    assert len(outcomes) == 4

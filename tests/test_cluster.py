@@ -7,11 +7,11 @@ from moebius.band import Rect, parse_obj, ends, compatible
 from moebius import cluster
 from moebius.cluster import (ClusterPt, STANDARD, member, object_of, chord,
                              depth, neighbors, in_neighbors, out_neighbors,
-                             enum_in_rect, enum_in_rect_with_reps, meets_cluster,
+                             enum_in_rect, enum_in_rect_with_reps, meets_cluster, box_meets_cluster,
                              mutate, parse_cluster_pt, children)
 from moebius.errors import NotInCluster, UnboundedRect, ParseError
 
-from oracles import _flip_by_fan, _member_by_ends
+from oracles import _flip_by_fan, _member_by_ends, meets_cluster_by_level_scan
 
 T = ClusterPt
 M = parse_obj
@@ -78,8 +78,10 @@ def test_arrows_irreducible():
 
 def _irreducible(s, t):
     from moebius.band import hom_c_configs
-    for (rs, rt) in hom_c_configs(object_of(s), object_of(t)):
-        rect = Rect.closed(rs[0], rt[0], rs[1], rt[1])
+    src, dst = object_of(s), object_of(t)
+    e = max(src.max_exp(), dst.max_exp())
+    for (rs, rt) in hom_c_configs(src, dst):
+        rect = _closed_rect(rs[0], rt[0], rs[1], rt[1], e)
         if enum_in_rect(rect) <= {s, t}:
             return True
     return False
@@ -99,7 +101,7 @@ def test_enum_open_rect():
 
 
 def test_enum_closed_rect():
-    r = Rect.closed(D(-1, 1), D(1, 3), D(-3, 2), D(1, 2))
+    r = Rect(D(-1, 1), D(1, 3), D(-3, 2), D(1, 2))
     want_reps = {
         T(3, 2): ("1/8", "-3/4"), T(2, 1): ("0", "-3/4"), T(1, 1): ("0", "-1/2"),
         T(0, 0): ("0", "0"), T(1, 3): ("-1/2", "0"), T(2, 6): ("-1/2", "1/4"),
@@ -109,12 +111,12 @@ def test_enum_closed_rect():
 
 
 def test_enum_reversed_rect_empty():
-    assert enum_in_rect(Rect.closed(D(1), D(0), D(0), D(1))) == frozenset()
+    assert enum_in_rect(Rect(D(1), D(0), D(0), D(1))) == frozenset()
 
 
 def test_enum_scan_depth_stability():
     import moebius.cluster as cluster
-    r = Rect.closed(D(-1, 1), D(1, 3), D(-3, 2), D(1, 2))
+    r = Rect(D(-1, 1), D(1, 3), D(-3, 2), D(1, 2))
     base = enum_in_rect(r)
     deeper = set()
     for n in range(r.max_exp() + 7):
@@ -124,16 +126,16 @@ def test_enum_scan_depth_stability():
 
 def test_enum_unbounded():
     with pytest.raises(UnboundedRect):
-        enum_in_rect(Rect.closed(D(0), D(0), D(-1), D(0)))
+        enum_in_rect(Rect(D(0), D(0), D(-1), D(0)))
     with pytest.raises(UnboundedRect):
-        enum_in_rect(Rect.closed(D(-1), D(1), D(-2), D(2)))
+        enum_in_rect(Rect(D(-1), D(1), D(-2), D(2)))
 
 
 def test_depth_cap(monkeypatch):
     from moebius.errors import DepthLimit
     monkeypatch.setenv("MOEBIUS_MAX_DEPTH", "4")
     with pytest.raises(DepthLimit):
-        enum_in_rect(Rect.closed(D(0), D(1, 12), D(0), D(1)))
+        enum_in_rect(Rect(D(0), D(1, 12), D(0), D(1)))
 
 
 def test_mutate_examples():
@@ -240,32 +242,43 @@ def _scan_meets(rect):
         return True
 
 
+def _closed_rect(x_lo, x_hi, y_lo, y_hi, e):
+    """The closed Rect of a box of numerators at the scale 2^e."""
+    return Rect(*(D(v, e) for v in (x_lo, x_hi, y_lo, y_hi)))
+
+
 def test_meets_cluster_on_hom_rectangles():
     from moebius.band import hom_c_configs
     from moebius.checks import grid
     objs = grid(3)
+    seen = set()
     for x in objs:
         for y in objs:
+            e = max(x.max_exp(), y.max_exp())
             for (a, b), (xx, yy) in hom_c_configs(x, y):
-                r = Rect.closed(a, xx, b, yy)
-                assert meets_cluster(r) == bool(enum_in_rect_with_reps.__wrapped__(r)), r
+                got = box_meets_cluster(a, xx, b, yy, e)
+                r = _closed_rect(a, xx, b, yy, e)
+                assert got == meets_cluster(r) == bool(enum_in_rect_with_reps.__wrapped__(r)), r
+                seen.add(got)
+    assert seen == {True, False}
 
 
 def test_meets_cluster_on_composite_rectangles(monkeypatch):
-    # the rectangles compose_basic_nonzero tests for x -> y -> z, with x -> y
+    # the boxes compose_basic_nonzero tests for x -> y -> z, with x -> y
     # every tenth basic of the depth-3 grid and y -> z any basic after it
     import moebius.walk as walk
     from moebius.checks import _basics
     seen = {}
 
-    def spy(rect):
-        got = meets_cluster(rect)
+    def spy(x_lo, x_hi, y_lo, y_hi, e):
+        got = box_meets_cluster(x_lo, x_hi, y_lo, y_hi, e)
+        rect = _closed_rect(x_lo, x_hi, y_lo, y_hi, e)
         if rect not in seen:
             seen[rect] = bool(enum_in_rect_with_reps.__wrapped__(rect))
         assert got == seen[rect], rect
         return got
 
-    monkeypatch.setattr(walk, "meets_cluster", spy)
+    monkeypatch.setattr(walk, "box_meets_cluster", spy)
     basics = _basics(3)
     for (x, y) in basics[::10]:
         for (y2, z) in basics:
@@ -289,3 +302,23 @@ def test_meets_cluster_on_open_and_boundary_rectangles():
                 assert meets_cluster(r) == deep == _scan_meets(r), r
                 hidden += deep and not shallow
     assert hidden
+
+
+def test_box_tests_match_level_scan_on_random_boxes():
+    # small, unit-sized and wide boxes at exponents 0-12, closed and open;
+    # a scan two depths past the bound agrees too
+    rng = random.Random(20261018)
+    kinds = set()
+    for _ in range(3000):
+        e = rng.randint(0, 12)
+        span = rng.choice((1, 4, 1 << e, 3 << e))
+        x_lo, y_lo = rng.randint(-3 << e, 3 << e), rng.randint(-3 << e, 3 << e)
+        x_hi, y_hi = x_lo + rng.randint(0, span), y_lo + rng.randint(0, span)
+        flags = [rng.random() < 0.2 for _ in range(4)]
+        r = Rect(D(x_lo, e), D(x_hi, e), D(y_lo, e), D(y_hi, e), *flags)
+        want = meets_cluster_by_level_scan(r)
+        assert meets_cluster(r) == want == meets_cluster_by_level_scan(r, extra=2), r
+        if not any(flags):
+            assert box_meets_cluster(x_lo, x_hi, y_lo, y_hi, e) == want, r
+        kinds.add((any(flags), want))
+    assert len(kinds) == 4

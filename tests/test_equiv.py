@@ -10,7 +10,7 @@ from moebius.equiv import (obj_to_string, string_to_obj, simple_object,
                            tail_case, g_extend, f_strip)
 from moebius.errors import InCluster, InvalidWord, NoMorphism, Unreachable, AllOnesTail
 
-from oracles import lower_tail_coords, string_to_obj_by_steps
+from oracles import lower_tail_coords, string_to_obj_by_steps, digits_to_coords_on_dyadics
 
 T = ClusterPt
 M = parse_obj
@@ -61,7 +61,7 @@ def test_walk_rectangle_carries_exactly_the_word():
     for x in grid_off_cluster(2):
         w = walk_of(x)
         lo, hi = w.vertices[0].rep, w.vertices[-1].rep
-        rect = Rect.closed(hi[0], lo[0], lo[1], hi[1])
+        rect = Rect(hi[0], lo[0], lo[1], hi[1])
         want = support(x) | {w.vertices[0].pt, w.vertices[-1].pt}
         assert enum_in_rect(rect) == want, x
 
@@ -203,14 +203,14 @@ def test_digit_examples():
 
 def _digits_to_coords_by_terms(p):
     """The digit sum b_m = b + sum d_i theta/2^i added one term at a time."""
-    from moebius.dyadic import ONE
-    a, b = object_of(p.base).reps()[0]
-    theta = a + ONE - b
-    bm = b
+    from moebius.dyadic import Dyadic, ONE
+    base = object_of(p.base)
+    theta = base.x + ONE - base.y
+    bm = base.y
     for i, d in enumerate(p.digits, start=1):
         if d:
-            bm = bm + theta.scaled_pow2(i)
-    return (bm - ONE + theta.scaled_pow2(len(p.digits)), bm)
+            bm = bm + Dyadic(theta.num, theta.exp + i)
+    return (bm - ONE + Dyadic(theta.num, theta.exp + len(p.digits)), bm)
 
 
 def test_digits_closed_form_matches_term_sum():
@@ -220,7 +220,8 @@ def test_digits_closed_form_matches_term_sum():
         for m in range(9):
             for digits in product((0, 1), repeat=m):
                 p = DigitPrefix(v, digits)
-                assert digits_to_coords(p) == _digits_to_coords_by_terms(p), p
+                want = _digits_to_coords_by_terms(p)
+                assert digits_to_coords(p) == want == digits_to_coords_on_dyadics(p), p
 
 
 def test_digit_roundtrips():

@@ -69,7 +69,7 @@ def test_enum_matches_brute_force():
 
 def test_enum_corner_touch_from_outside_is_empty():
     # box touching the lower boundary line only at its closed corner, from below
-    rect = Rect.closed(Dyadic(0), Dyadic(1), Dyadic(-2), Dyadic(-1))
+    rect = Rect(Dyadic(0), Dyadic(1), Dyadic(-2), Dyadic(-1))
     assert enum_in_rect(rect) == frozenset()
 
 

@@ -87,6 +87,25 @@ def test_worked_kernel_cokernel():
     assert classify(compose(proj, f)).is_zero
 
 
+def test_kernel_and_cokernel_of_a_basic_share_one_overlap_scan(monkeypatch):
+    scans = []
+    real = quotient.kernel_cokernel_strings
+
+    def counting(w1, w2):
+        scans.append((w1, w2))
+        return real(w1, w2)
+
+    monkeypatch.setattr(quotient, "kernel_cokernel_strings", counting)
+    quotient._basic_word_lists.cache_clear()
+    x, y = M("M(1/8,1/4)"), M("M(1/4,3/4)")
+    k_obj, _ = kernel(basic_mor(x, y))
+    c_obj, _ = cokernel(basic_mor(x, y, Fraction(-3, 2)))  # any scalar: the words are the same
+    assert scans == [(obj_to_string(x), obj_to_string(y))]
+    assert k_obj.isomorphic(SumObj([M("M(1/2,9/8)"), M("M(0,1/4)")]))
+    assert c_obj.isomorphic(SumObj([M("M(1,3/4)")]))
+    quotient._basic_word_lists.cache_clear()
+
+
 def test_kernel_cokernel_trivial_cases():
     f = _f()
     k, _ = kernel(identity_mor(f.src))

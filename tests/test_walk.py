@@ -4,18 +4,19 @@ from fractions import Fraction
 import pytest
 
 from moebius.dyadic import Dyadic
-from moebius.band import Rect, parse_obj, hom_c_dim, normal_form, abs_lt_one
+from moebius.band import Rect, parse_obj, hom_c_dim, normal_form
 from moebius.cluster import ClusterPt, object_of, member, enum_in_rect, enum_in_rect_with_reps
 from moebius.walk import (support, walk_of, minimal_walk, approximation,
                           hom_ct_dim, tau_dims, concrete_epsilon, shifted,
                           factors_through_sink,
-                          compose_basic_nonzero, _lower_endpoint, _upper_endpoint,
-                          _walk_between)
-from moebius.errors import InCluster, NoMorphism
+                          compose_basic_nonzero, _walk_at)
+from moebius.errors import BandBoundary, InCluster, NoMorphism
 
 from oracles import (tau_dims_via_epsilon, hom0_via_factoring, _scan_walk_of,
                      _scan_minimal_walk, compose_basic_nonzero_by_pairing,
-                     induced_support_map)
+                     induced_support_map, hom_c_configs_on_dyadics, hom_ct_dim_on_dyadics,
+                     compose_basic_nonzero_on_dyadics, shifted_on_dyadics,
+                     lower_corner_on_dyadics, upper_corner_on_dyadics)
 
 T = ClusterPt
 M = parse_obj
@@ -242,13 +243,13 @@ def test_compose_matches_pairing_on_depth3_basics():
 def _in_window(rng, x, e):
     """A grid-e object with a representative (p, q) in the window of a map
     out of a representative (a, b) of x: a <= p < b + 1, b <= q < a + 1."""
-    a, b = rng.choice(x.reps())
-    width = lambda lo, hi: (hi + D(1) - lo).scaled_pow2(-e).num
+    a, b = rng.choice(x.reps_at(e))
+    one = 1 << e
     while True:
-        p = a + D(rng.randrange(width(a, b)), e)
-        q = b + D(rng.randrange(width(b, a)), e)
-        if abs_lt_one(q - p):
-            return normal_form(p, q)
+        p = a + rng.randrange(b + one - a)
+        q = b + rng.randrange(a + one - b)
+        if abs(q - p) < one:
+            return normal_form(p, q, e)
 
 
 def test_compose_matches_pairing_on_seeded_depth4_triples():
@@ -340,12 +341,90 @@ def test_walk_at_exponent_64_without_depth_cap():
     x = M("M(1/18446744073709551616,3/4)")
     w = walk_of(x)
     assert len(w.vertices) == 67
-    assert w.vertices[0].rep == _lower_endpoint(x.x, x.y)
-    assert w.vertices[-1].rep == _upper_endpoint(x.x, x.y)
+    assert w.vertices[0].rep == lower_corner_on_dyadics(x.x, x.y)
+    assert w.vertices[-1].rep == upper_corner_on_dyadics(x.x, x.y)
     assert approximation(x).sources == (T(63, 1),)
 
 
 def test_walk_between_stuck_raises():
     # the upper-left corner lies to the right: no step can reach it
     with pytest.raises(AssertionError, match="stuck"):
-        _walk_between((D(0), D(0)), (D(1, 1), D(1, 1)))
+        _walk_at(0, 0, 1, 1, 1)  # from (0, 0) to (1/2, 1/2)
+
+
+# -- the integer geometry against its Dyadic oracles ----------------------------
+
+def test_hom_configs_and_dims_match_dyadic_oracle_on_depth4_grid(monkeypatch):
+    # the configs hom_ct_dim reads are those of the Dyadic oracle, as
+    # numerators at the scale of the pair
+    import moebius.walk as walk
+    configs = []
+    real = walk.hom_c_configs
+    monkeypatch.setattr(walk, "hom_c_configs", lambda src, dst: configs.append(real(src, dst)) or configs[-1])
+    objs = grid_off(4)
+    dims = [0, 0]
+    for x in objs:
+        for y in objs:
+            dim = hom_ct_dim.__wrapped__(x, y)
+            got, want = configs.pop(), hom_c_configs_on_dyadics(x, y)
+            if got or want:
+                e = max(x.max_exp(), y.max_exp())
+                assert got == [((a.num << (e - a.exp), b.num << (e - b.exp)), (c.num << (e - c.exp), d.num << (e - d.exp)))
+                               for (a, b), (c, d) in want], (x, y)
+            assert dim == hom_ct_dim_on_dyadics(x, y, want), (x, y)
+            dims[dim] += 1
+    assert sum(dims) == len(objs) ** 2 == 189_225 and all(dims)
+
+
+def _chains(e):
+    from moebius.checks import _basics
+    after = {}
+    basics = _basics(e)
+    for y, z in basics:
+        after.setdefault(y, []).append(z)
+    return [(x, y, z) for x, y in basics for z in after.get(y, ())]
+
+
+def test_compose_matches_dyadic_oracle_on_depth3_chains():
+    seen = set()
+    for x, y, z in _chains(3):
+        got = compose_basic_nonzero.__wrapped__(x, y, z)
+        assert got == compose_basic_nonzero_on_dyadics(x, y, z), (x, y, z)
+        seen.add(got)
+    assert seen == {True, False}
+
+
+def test_shifted_matches_dyadic_oracle():
+    from moebius.checks import cluster_points
+    moves = [D(0)] + [D(sign, k) for k in (0, 1, 3, 6, 40) for sign in (1, -1)]
+    for s in cluster_points(4):
+        for dx in moves:
+            for dy in moves:
+                try:
+                    want = shifted_on_dyadics(s, dx, dy)
+                except BandBoundary:
+                    with pytest.raises(BandBoundary):
+                        shifted(s, dx, dy)
+                    continue
+                assert shifted(s, dx, dy) == want, (s, dx, dy)
+
+
+def test_hom_and_composite_tests_build_no_dyadic(monkeypatch):
+    # cold calls on depth-3 grid pairs and chains: the whole path runs on
+    # numerators, so Dyadic.__init__ is never entered
+    from moebius.checks import grid
+    objs = grid(3)
+    chains = _chains(3)[::7]
+    built = []
+    init = Dyadic.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Dyadic, "__init__", counting)
+    dims = sum(hom_ct_dim.__wrapped__(x, y) for x in objs for y in objs)
+    alive = sum(compose_basic_nonzero.__wrapped__(x, y, z) for x, y, z in chains)
+    monkeypatch.undo()
+    assert built == []
+    assert 0 < dims < len(objs) ** 2 and 0 < alive < len(chains)
