@@ -174,8 +174,13 @@ def check_abelian(e: int, samples: int = 100) -> tuple[bool, str]:
     """Exactness of every basic of G(e), then the universal property of the
     kernel on sampled basics of G(max(e, 2)): the one basic of G(1) is an
     identity, which kills no nonzero map.  First, the lemma of
-    `quotient._vertex_matrices` on each basic x -> y: its graph map and the
-    translates of its common points see all of support(x) & support(y)."""
+    `quotient._vertex_matrices` on each basic x -> y: the translates of its
+    common points see all of support(x) & support(y).  The overlap test
+    before it compares the common run of the two words, which `overlap`
+    reads off by lemma steps 1-3, with the common vertices, so it checks
+    only that every basic has a graph map, as criterion 1 does.  The
+    lemma's independent checks are the tier-1 comparison of graph maps with
+    the brute-force segment scan, criterion 1 and the translate test."""
     basics = _basics(e)
     for (x, y) in basics:
         common = support(x) & support(y)

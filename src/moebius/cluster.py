@@ -191,14 +191,6 @@ def box_meets_cluster(x_lo: int, x_hi: int, y_lo: int, y_hi: int, e: int) -> boo
     return False
 
 
-def meets_cluster(rect: Rect) -> bool:
-    """`box_meets_cluster` of rect.  Moved one unit inward at the scale of
-    `_box`, an open edge keeps every point of depth <= e + 2 on its side, and
-    e + 2, the probe depth of `enum_in_rect_with_reps`, settles an open rect."""
-    k = rect.max_exp() + 2
-    return box_meets_cluster(*_box(rect, k), k + 1)
-
-
 @lru_cache(maxsize=None)
 def enum_in_rect_with_reps(rect: Rect) -> tuple[tuple[ClusterPt, Rep], ...]:
     """All cluster points having a representative in rect, with those reps.

@@ -112,9 +112,6 @@ class StringWord:
             raise InvalidWord(f"no arrow between {self.verts[i]} and {self.verts[i + 1]}")
         return arr
 
-    def reversed_copy(self) -> tuple[tuple[ClusterPt, ...], tuple[bool, ...]]:
-        return (self.verts[::-1], tuple(not d for d in self.directs[::-1]))
-
     def __str__(self) -> str:
         parts = ["~" if self.lmark else ""]
         for i, v in enumerate(self.verts):
@@ -169,66 +166,49 @@ def validate_word(w: StringWord) -> tuple[bool, str]:
 # -- graph maps ---------------------------------------------------------------
 
 def _occurrences(w1: StringWord, w2: StringWord):
-    """Common subwords that are a factor of w1 and a submodule of w2.
+    """The graph map w1 -> w2 as (i1, j1, i2, j2): its support is the run
+    w1[i1..j1], which is w2[i2..j2] read forwards or backwards; None when
+    there is no graph map.
 
-    Boundary conditions: in w1 the adjacent letters point out of the
-    subword, in w2 they point into it.
+    By steps 1-2 of the lemma in `quotient._vertex_matrices` the vertices
+    the two words share form one run with the same letters in both
+    (asserted), and by step 3 a graph map covers that whole run.  So the
+    run is the one candidate: it must be a factor of w1 (the adjacent
+    letters point out of it) and a submodule of w2 (they point into it).
     """
     if w1.marked or w2.marked:
         raise InvalidWord("graph maps are defined on unmarked words")
-    occs = []
-    seen = set()
-    rv, rd = w2.reversed_copy()
-    # vertices of a word are distinct, so a segment can only start where
-    # its first vertex sits
-    variants = [(verts2, directs2, is_rev, {v: i for i, v in enumerate(verts2)})
-                for verts2, directs2, is_rev in ((w2.verts, w2.directs, False), (rv, rd, True))]
+    pos = {v: i for i, v in enumerate(w2.verts)}
+    common = [i for i, v in enumerate(w1.verts) if v in pos]
+    if not common:
+        return None
+    i1, j1 = common[0], common[-1]
+    run = [pos[w1.verts[i]] for i in common]
+    step = 1 if run[-1] >= run[0] else -1
+    i2, j2 = min(run[0], run[-1]), max(run[0], run[-1])
+    letters = w2.directs[i2:j2] if step > 0 else tuple(not d for d in w2.directs[i2:j2][::-1])
+    # one run in w2, and in w1 too, or the two letter slices differ in length
+    if run != list(range(run[0], run[-1] + step, step)) or letters != w1.directs[i1:j1]:
+        raise AssertionError(f"common vertices not one run with the same letters: {w1} -> {w2}")
     n1, n2 = len(w1.verts), len(w2.verts)
-    for i1 in range(n1):
-        # factor conditions in w1
-        if i1 > 0 and w1.directs[i1 - 1]:
-            continue  # arrow points into the subword: not a factor
-        for j1 in range(i1, n1):
-            if j1 < n1 - 1 and not w1.directs[j1]:
-                continue
-            seg_v = w1.verts[i1:j1 + 1]
-            seg_d = w1.directs[i1:j1]
-            for verts2, directs2, is_rev, start in variants:
-                i2 = start.get(seg_v[0])
-                if i2 is None:
-                    continue
-                j2 = i2 + (j1 - i1)
-                if j2 >= n2 or verts2[i2:j2 + 1] != seg_v or directs2[i2:j2] != seg_d:
-                    continue
-                # submodule conditions in w2
-                if i2 > 0 and not directs2[i2 - 1]:
-                    continue
-                if j2 < n2 - 1 and directs2[j2]:
-                    continue
-                lo, hi = (n2 - 1 - j2, n2 - 1 - i2) if is_rev else (i2, j2)
-                key = (i1, j1, lo, hi)
-                if key not in seen:
-                    seen.add(key)
-                    occs.append((i1, j1, lo, hi))
-    return occs
+    if ((i1 == 0 or not w1.directs[i1 - 1]) and (j1 == n1 - 1 or w1.directs[j1])
+            and (i2 == 0 or w2.directs[i2 - 1]) and (j2 == n2 - 1 or not w2.directs[j2])):
+        return (i1, j1, i2, j2)
+    return None
 
 
 @lru_cache(maxsize=None)
 def hom_dim_strings(w1: StringWord, w2: StringWord) -> int:
-    """Graph-map dimension; 0 or 1 over this quiver."""
+    """Graph-map dimension: 0 or 1, since the common run of the two words
+    is the one candidate (lemma steps 1-3, `_occurrences`)."""
     return 1 if overlap(w1, w2) else 0
 
 
 def overlap(w1: StringWord, w2: StringWord) -> frozenset[ClusterPt]:
-    """Support of the unique graph map w1 -> w2, empty when there is none;
-    hom spaces over this quiver are at most one dimensional (asserted)."""
-    occs = _occurrences(w1, w2)
-    if len(occs) > 1:
-        raise AssertionError(f"hom space not at most one dimensional: {w1} -> {w2}")
-    if not occs:
-        return frozenset()
-    i1, j1, _, _ = occs[0]
-    return frozenset(w1.verts[i1:j1 + 1])
+    """Support of the graph map w1 -> w2, empty when there is none: the run
+    of vertices the two words share (lemma steps 1-3, `_occurrences`)."""
+    occ = _occurrences(w1, w2)
+    return frozenset(w1.verts[occ[0]:occ[1] + 1]) if occ else frozenset()
 
 
 def _subword(w: StringWord, i: int, j: int) -> StringWord:
@@ -238,10 +218,10 @@ def _subword(w: StringWord, i: int, j: int) -> StringWord:
 def kernel_cokernel_strings(w1: StringWord, w2: StringWord) -> tuple[list[StringWord], list[StringWord]]:
     """Kernel and cokernel words of the basic graph map w1 -> w2: the
     connected components left after deleting the overlap."""
-    occs = _occurrences(w1, w2)
-    if not occs:
+    occ = _occurrences(w1, w2)
+    if occ is None:
         raise NoMorphism(f"no basic morphism {w1} -> {w2}")
-    i1, j1, i2, j2 = occs[0]
+    i1, j1, i2, j2 = occ
     ker = []
     if i1 > 0:
         ker.append(_subword(w1, 0, i1 - 1))
@@ -356,9 +336,10 @@ def direct_sum(reps: list[RepFin]) -> RepFin:
 
 # -- decomposition ------------------------------------------------------------
 
-def _candidate_words(supp: list[ClusterPt], letters) -> list[StringWord]:
+def _candidate_words(supp: list[ClusterPt], letters) -> list[tuple[tuple[ClusterPt, ...], tuple[bool, ...]]]:
     """Every reduced word on the support whose letters, as (src, dst)
-    pairs, are in letters, longest first.  Paths grow one letter at a time
+    pairs, are in letters, as (verts, directs) in `StringWord` orientation,
+    longest first; no `StringWord` is built.  Paths grow one letter at a time
     and stop where a letter composes with the previous one inside a
     triangle; distinct vertices already rule out backtracking.  A word is
     kept from the end of its path it starts at (the smaller one)."""
@@ -383,7 +364,7 @@ def _candidate_words(supp: list[ClusterPt], letters) -> list[StringWord]:
                 if key not in keys and not (d == last and t == tri):
                     stack.append((path + (nxt,), keys + (key,), directs + (d,), t))
     found.sort(key=itemgetter(0))
-    return [StringWord(path, sort_key[2]) for sort_key, path in found]
+    return [(path, sort_key[2]) for sort_key, path in found]
 
 
 def _word_coords(w: StringWord, rep: RepFin):
@@ -396,12 +377,12 @@ def _word_coords(w: StringWord, rep: RepFin):
     for v in w.verts:
         offs[v] = total
         total += rep.dim(v)
-    return (offs, total, set(_letters(w)))
+    return (offs, total, set(_letters(w.verts, w.directs)))
 
 
-def _letters(w: StringWord):
-    """The letters of w as (src, dst) pairs."""
-    return [(a, b) if d else (b, a) for a, b, d in zip(w.verts, w.verts[1:], w.directs)]
+def _letters(verts, directs):
+    """The letters of the word (verts, directs) as (src, dst) pairs."""
+    return [(a, b) if d else (b, a) for a, b, d in zip(verts, verts[1:], directs)]
 
 
 def _solutions(rows, offs, total, rep) -> list[dict[ClusterPt, tuple[Fraction, ...]]]:
@@ -486,7 +467,7 @@ def decompose_rep(rep: RepFin) -> list[tuple[StringWord, dict[ClusterPt, tuple[F
     matrix, and a remainder, being a subrepresentation, is zero on every
     arrow where rep is.  So only words on the arrows with a matrix are
     listed, and a word with a vertex or a letter that the remainder lacks
-    is skipped by a set test."""
+    is skipped by a set test before its `StringWord` is built."""
     rep.check_relations()
     acc = {v: linalg.identity(rep.dim(v)) for v in rep.dims}
     words = _candidate_words(sorted(rep.dims, key=lambda p: (p.n, p.m)), rep.mats)
@@ -496,12 +477,13 @@ def decompose_rep(rep: RepFin) -> list[tuple[StringWord, dict[ClusterPt, tuple[F
     while current.total_dim() > 0:
         # resume at the word that split off last
         for first in range(first, len(words)):
-            w = words[first]
-            split = (all(v in current.dims for v in w.verts)
-                     and all(key in current.mats for key in _letters(w))
-                     and _split_off(w, current))
-            if split:
-                break
+            verts, directs = words[first]
+            if (all(v in current.dims for v in verts)
+                    and all(key in current.mats for key in _letters(verts, directs))):
+                w = StringWord(verts, directs)
+                split = _split_off(w, current)
+                if split:
+                    break
         else:
             raise NotAModule("representation does not split into strings")
         phi, psi = split

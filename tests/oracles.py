@@ -44,9 +44,15 @@ rather than by the library's fast path:
   `triangle_complete_on_dyadics`, `shifted_on_dyadics` and `digits_to_coords_on_dyadics` check the band
   geometry, which the library runs on integer numerators at one scale, in
   `Dyadic` arithmetic on the public coordinates (`dyadic_reps`);
-- `meets_cluster_by_level_scan` checks `cluster.meets_cluster` and
-  `cluster.box_meets_cluster`, which try only the depths whose lines cross
-  the box, by trying every depth.
+- `meets_cluster_by_level_scan` checks `cluster.box_meets_cluster`, which
+  tries only the depths whose lines cross the box, by trying every depth;
+  `meets_cluster` puts a `Rect`, open edges included, to the box test, for
+  the Dyadic oracles and the rectangle tests;
+- `_brute_force_occurrences` checks `strings._occurrences`, which tests
+  only the run of common vertices, by trying every factor segment of w1 at
+  every position of w2 and of its reversal;
+- `_brute_force_candidates` checks `strings._candidate_words` by growing
+  every simple path on the support and keeping those `word` accepts.
 """
 
 from fractions import Fraction
@@ -55,14 +61,14 @@ from functools import lru_cache
 from moebius.dyadic import Dyadic, CircleAngle, ONE, ZERO, floor_div2
 from moebius.band import Obj, Rect, Rep, normal_form, ends, obj_from_ends
 from moebius.cluster import (ClusterPt, object_of, neighbors, enum_in_rect_with_reps,
-                             meets_cluster)
+                             box_meets_cluster, _box, _t_range)
 from moebius.walk import (WalkVertex, SINK, SOURCE, THROUGH, concrete_epsilon,
                           compose_basic_nonzero, hom_ct_dim, shifted, support)
 from moebius.equiv import DigitPrefix, _attach_arrows
 from moebius.errors import BandBoundary, InvalidWord, NoMorphism, NotAModule, NotBasicAligned
 from moebius.quotient import Classification
 from moebius import linalg
-from moebius.strings import (StringWord, RepFin, arrows_at, _candidate_words, _solutions,
+from moebius.strings import (StringWord, RepFin, arrows_at, word, _candidate_words, _solutions,
                              _word_coords)
 
 
@@ -129,16 +135,24 @@ def hom_ct_dim_on_dyadics(src: Obj, dst: Obj, configs=None) -> int:
     return int(any(not meets_cluster(Rect(a, x, b, y)) for (a, b), (x, y) in configs))
 
 
+def meets_cluster(rect: Rect) -> bool:
+    """`cluster.box_meets_cluster` of rect.  Moved one unit inward at the
+    scale of `_box`, an open edge keeps every point of depth <= e + 2 on its
+    side, and e + 2, the probe depth of `enum_in_rect_with_reps`, settles an
+    open rect."""
+    k = rect.max_exp() + 2
+    return box_meets_cluster(*_box(rect, k), k + 1)
+
+
 def meets_cluster_by_level_scan(rect: Rect, extra: int = 0) -> bool:
-    """`cluster.meets_cluster` by trying every depth up to its bound (plus
+    """`meets_cluster` by trying every depth up to its bound (plus
     `extra`), each by the two ranges of `_t_range`."""
-    import moebius.cluster as cluster
     k = rect.max_exp() + 1 + (rect.open_x_lo or rect.open_x_hi or rect.open_y_lo or rect.open_y_hi) + extra
-    box = cluster._box(rect, k)  # at the scale 2^(k+1)
+    box = _box(rect, k)  # at the scale 2^(k+1)
     for n in range(k + 1):
         step = 2 << (k - n)
         for d in ((2 << k) - step, step - (2 << k)):
-            t_min, t_max = cluster._t_range(box, step, d)
+            t_min, t_max = _t_range(box, step, d)
             if t_min <= t_max:
                 return True
     return False
@@ -662,7 +676,8 @@ def decompose_rep_by_rescans(rep):
     while current.total_dim() > 0:
         supp = sorted((v for v in current.dims), key=lambda p: (p.n, p.m))
         split = None
-        for w in _candidate_words(supp, {(v, a.dst) for v in supp for a in arrows_at(v)[1]}):
+        for verts, directs in _candidate_words(supp, {(v, a.dst) for v in supp for a in arrows_at(v)[1]}):
+            w = StringWord(verts, directs)
             phis = _hom_word_to_rep_dense(w, current)
             if not phis:
                 continue
@@ -746,3 +761,54 @@ def _rref_on_fractions(a):
         if r == rows:
             break
     return m, pivots
+
+
+# -- graph maps and candidate words by search ----------------------------------
+
+def _brute_force_occurrences(w1, w2):
+    """Every graph map w1 -> w2 by search: each factor segment of w1 tried at
+    every position of w2 and of its reversal, kept where it is a submodule."""
+    occs = []
+    rv, rd = w2.verts[::-1], tuple(not d for d in w2.directs[::-1])
+    n1, n2 = len(w1.verts), len(w2.verts)
+    for i1 in range(n1):
+        for j1 in range(i1, n1):
+            if (i1 > 0 and w1.directs[i1 - 1]) or (j1 < n1 - 1 and not w1.directs[j1]):
+                continue
+            seg_v, seg_d = w1.verts[i1:j1 + 1], w1.directs[i1:j1]
+            for verts2, directs2, is_rev in ((w2.verts, w2.directs, False), (rv, rd, True)):
+                for i2 in range(n2 - (j1 - i1)):
+                    j2 = i2 + (j1 - i1)
+                    if verts2[i2:j2 + 1] != seg_v or directs2[i2:j2] != seg_d:
+                        continue
+                    if (i2 > 0 and not directs2[i2 - 1]) or (j2 < n2 - 1 and directs2[j2]):
+                        continue
+                    key = (i1, j1, n2 - 1 - j2, n2 - 1 - i2) if is_rev else (i1, j1, i2, j2)
+                    if key not in occs:
+                        occs.append(key)
+    return occs
+
+
+def _brute_force_candidates(supp):
+    """Every simple path in the support validated through word(): the
+    enumeration _candidate_words replaced, kept as its oracle."""
+    adj = {v: [] for v in supp}
+    for v in supp:
+        for arr in arrows_at(v)[1]:
+            if arr.dst in adj:
+                adj[v].append(arr.dst)
+                adj[arr.dst].append(v)
+    words = set()
+    for start in supp:
+        stack = [(start,)]
+        while stack:
+            path = stack.pop()
+            try:
+                words.add(word(path))
+            except InvalidWord:
+                continue
+            for nxt in adj[path[-1]]:
+                if nxt not in path:
+                    stack.append(path + (nxt,))
+    key = lambda w: (-len(w), tuple((p.n, p.m) for p in w.verts), w.directs)
+    return sorted(words, key=key)

@@ -7,11 +7,11 @@ from moebius.band import Rect, parse_obj, ends, compatible
 from moebius import cluster
 from moebius.cluster import (ClusterPt, STANDARD, member, object_of, chord,
                              depth, neighbors, in_neighbors, out_neighbors,
-                             enum_in_rect, enum_in_rect_with_reps, meets_cluster, box_meets_cluster,
+                             enum_in_rect, enum_in_rect_with_reps, box_meets_cluster,
                              mutate, parse_cluster_pt, children)
 from moebius.errors import NotInCluster, UnboundedRect, ParseError
 
-from oracles import _flip_by_fan, _member_by_ends, meets_cluster_by_level_scan
+from oracles import _flip_by_fan, _member_by_ends, meets_cluster, meets_cluster_by_level_scan
 
 T = ClusterPt
 M = parse_obj

@@ -12,6 +12,8 @@ from moebius.strings import (arrows_at, arrow_between, word, validate_word,
 from moebius.errors import InvalidWord, NoMorphism, NotAModule, ParseError
 from moebius import linalg
 
+from oracles import _brute_force_candidates, _brute_force_occurrences
+
 T = ClusterPt
 M = parse_obj
 
@@ -233,31 +235,6 @@ def test_word_str_and_parse():
         parse_word("T(1,0) > T(0,0) < T(1,1)")  # no arrow T(1,1) -> T(0,0)
 
 
-def _brute_force_candidates(supp):
-    """Every simple path in the support validated through word(): the
-    enumeration _candidate_words replaced, kept as its oracle."""
-    adj = {v: [] for v in supp}
-    for v in supp:
-        for arr in arrows_at(v)[1]:
-            if arr.dst in adj:
-                adj[v].append(arr.dst)
-                adj[arr.dst].append(v)
-    words = set()
-    for start in supp:
-        stack = [(start,)]
-        while stack:
-            path = stack.pop()
-            try:
-                words.add(word(path))
-            except InvalidWord:
-                continue
-            for nxt in adj[path[-1]]:
-                if nxt not in path:
-                    stack.append(path + (nxt,))
-    key = lambda w: (-len(w), tuple((p.n, p.m) for p in w.verts), w.directs)
-    return sorted(words, key=key)
-
-
 def test_candidate_words_match_brute_force():
     from moebius.checks import grid_off_cluster
     from moebius.equiv import obj_to_string
@@ -267,7 +244,8 @@ def test_candidate_words_match_brute_force():
               for i, a in enumerate(supports) for b in supports[i + 1:]]
     for supp in supports + unions:
         every_arrow = {(v, arr.dst) for v in supp for arr in arrows_at(v)[1]}
-        assert _candidate_words(list(supp), every_arrow) == _brute_force_candidates(list(supp))
+        expected = [(w.verts, w.directs) for w in _brute_force_candidates(list(supp))]
+        assert _candidate_words(list(supp), every_arrow) == expected
 
 
 def test_candidate_words_on_given_letters_match_brute_force():
@@ -279,32 +257,9 @@ def test_candidate_words_on_given_letters_match_brute_force():
         for b in words[i + 1::7]:
             supp = sorted(set(a.verts) | set(b.verts), key=lambda p: (p.n, p.m))
             letters = letters_of(a) | letters_of(b)
-            expected = [w for w in _brute_force_candidates(supp) if letters_of(w) <= letters]
+            expected = [(w.verts, w.directs) for w in _brute_force_candidates(supp)
+                        if letters_of(w) <= letters]
             assert _candidate_words(supp, letters) == expected
-
-
-def _brute_force_occurrences(w1, w2):
-    """Every segment of w1 against every position of w2 and of its reversal:
-    the scan _occurrences replaced, kept as its oracle."""
-    occs = []
-    rv, rd = w2.reversed_copy()
-    n1, n2 = len(w1.verts), len(w2.verts)
-    for i1 in range(n1):
-        for j1 in range(i1, n1):
-            if (i1 > 0 and w1.directs[i1 - 1]) or (j1 < n1 - 1 and not w1.directs[j1]):
-                continue
-            seg_v, seg_d = w1.verts[i1:j1 + 1], w1.directs[i1:j1]
-            for verts2, directs2, is_rev in ((w2.verts, w2.directs, False), (rv, rd, True)):
-                for i2 in range(n2 - (j1 - i1)):
-                    j2 = i2 + (j1 - i1)
-                    if verts2[i2:j2 + 1] != seg_v or directs2[i2:j2] != seg_d:
-                        continue
-                    if (i2 > 0 and not directs2[i2 - 1]) or (j2 < n2 - 1 and directs2[j2]):
-                        continue
-                    key = (i1, j1, n2 - 1 - j2, n2 - 1 - i2) if is_rev else (i1, j1, i2, j2)
-                    if key not in occs:
-                        occs.append(key)
-    return occs
 
 
 def test_occurrences_match_brute_force():
@@ -317,4 +272,56 @@ def test_occurrences_match_brute_force():
     rng = random.Random(5)
     pairs += [(rng.choice(deep), rng.choice(deep)) for _ in range(3000)]
     for a, b in pairs:
-        assert _occurrences(a, b) == _brute_force_occurrences(a, b)
+        occ = _occurrences(a, b)
+        assert ([occ] if occ else []) == _brute_force_occurrences(a, b)
+
+
+def test_occurrences_match_brute_force_on_nearby_objects():
+    # words of two objects a small move apart at exponents 8-16, both ways:
+    # most share a run of vertices, and the run decides every pair
+    import random
+    from moebius.band import normal_form
+    from moebius.cluster import member
+    from moebius.equiv import obj_to_string
+    rng = random.Random(12)
+    shared = nonzero = pairs = 0
+    while pairs < 400:
+        e = rng.randint(8, 16)
+        one, r = 1 << e, 1 << (e - 4)
+        p = rng.randrange(2 * one)
+        q = p + rng.randrange(1, one)
+        p2, q2 = p + rng.randint(-r, r), q + rng.randint(-r, r)
+        if abs(q2 - p2) >= one:
+            continue
+        x, y = normal_form(p, q, e), normal_form(p2, q2, e)
+        if member(x) is not None or member(y) is not None:
+            continue
+        pairs += 1
+        a, b = obj_to_string(x), obj_to_string(y)
+        shared += bool(set(a.verts) & set(b.verts))
+        for w1, w2 in ((a, b), (b, a)):
+            occ = _occurrences(w1, w2)
+            assert ([occ] if occ else []) == _brute_force_occurrences(w1, w2), (x, y)
+            nonzero += bool(occ)
+    assert shared > 0.9 * pairs and 0.1 * pairs < nonzero < pairs
+
+
+def test_occurrences_assert_one_run():
+    # StringWord does not validate: common vertices split in either word, and
+    # common letters that disagree, break the run the lemma promises
+    split = (StringWord([T(0, 0), T(1, 0), T(1, 1)], [True, True]),
+             StringWord([T(0, 0), T(2, 0), T(1, 1)], [True, True]))
+    split_once = (StringWord([T(0, 0), T(1, 0), T(1, 1)], [True, True]),
+                  StringWord([T(0, 0), T(1, 1)], [True]))
+    disagree = (StringWord([T(0, 0), T(1, 0)], [True]), StringWord([T(0, 0), T(1, 0)], [False]))
+    for w1, w2 in (split, split_once, split_once[::-1], disagree, disagree[::-1]):
+        with pytest.raises(AssertionError, match="not one run"):
+            _occurrences(w1, w2)
+
+
+def test_occurrences_reject_marked_words():
+    marked = parse_word("~T(2,7) < T(1,0) > T(0,0) < T(1,2) > T(2,3)~")
+    plain = parse_word("T(1,0) > T(0,0) > T(1,1)")
+    for w1, w2 in ((marked, plain), (plain, marked), (marked, marked)):
+        with pytest.raises(InvalidWord):
+            _occurrences(w1, w2)
