@@ -7,7 +7,7 @@ and all scalars are exact rationals.
 """
 
 from .dyadic import Dyadic, CircleAngle, lift_into_window, parse_dyadic
-from .band import (Obj, Rect, normal_form, obj_from_ends, ends, mesh,
+from .band import (Obj, Rect, normal_form, obj_from_ends, ends,
                    hom_c_dim, compatible, triangle_complete, parse_obj)
 from .cluster import (ClusterPt, ClusterOverlay, STANDARD, member, object_of,
                       chord, depth, neighbors, in_neighbors, out_neighbors,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-from .dyadic import Dyadic, CircleAngle, ONE, TWO, parse_dyadic, reduced_exp
+from .dyadic import Dyadic, CircleAngle, ONE, parse_dyadic, reduced_exp
 from .errors import BandBoundary, NotBasicAligned, ParseError
 
 Rep = tuple[Dyadic, Dyadic]
@@ -125,16 +125,6 @@ def obj_from_ends(e1: CircleAngle, e2: CircleAngle) -> Obj:
 def ends(obj: Obj) -> frozenset[CircleAngle]:
     """The pair {x, y+1} on the circle; flip-invariant."""
     return frozenset((CircleAngle(obj.x), CircleAngle(obj.y + ONE)))
-
-
-def mesh(objs) -> Dyadic:
-    """Smallest positive circular gap among all ends; 1 for the empty set."""
-    values = sorted({e.v for obj in objs for e in ends(obj)})
-    if len(values) < 2:
-        return ONE
-    gaps = [values[i + 1] - values[i] for i in range(len(values) - 1)]
-    gaps.append(values[0] + TWO - values[-1])
-    return min(gaps)
 
 
 def hom_c_configs(src: Obj, dst: Obj) -> list[tuple[IntRep, IntRep]]:

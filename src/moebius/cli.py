@@ -76,7 +76,7 @@ def _cmd_hom(args) -> int:
 def _cmd_support(args) -> int:
     pts = sorted(support(parse_obj(args.x)))
     if args.json:
-        print(json.dumps([[p.n, p.m] for p in pts]))
+        print(json.dumps(pts))
     else:
         print(" ".join(str(p) for p in pts) if pts else "(empty)")
     return 0
@@ -95,8 +95,7 @@ def _cmd_walk(args) -> int:
 def _cmd_approx(args) -> int:
     a = approximation(parse_obj(args.x))
     if args.json:
-        print(json.dumps({"sources": [[p.n, p.m] for p in a.sources],
-                          "sinks": [[p.n, p.m] for p in a.sinks]}))
+        print(json.dumps({"sources": a.sources, "sinks": a.sinks}))
     else:
         print("sources: " + (" ".join(str(p) for p in a.sources) or "(none)"))
         print("sinks:   " + " ".join(str(p) for p in a.sinks))
@@ -166,7 +165,7 @@ def _cmd_digits(args) -> int:
     am, bm = digits_to_coords(p)
     w = digit_vertex(p)
     if args.json:
-        print(json.dumps({"rep": [str(am), str(bm)], "pt": [w.n, w.m]}))
+        print(json.dumps({"rep": [str(am), str(bm)], "pt": w}))
     else:
         print(f"({am}, {bm}) = {w}")
     return 0

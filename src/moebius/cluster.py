@@ -3,13 +3,16 @@
 The cluster point (n, m) has band coordinates (m/2^n, 1 + (m-1)/2^n); its
 ends are the adjacent dyadic circle points (m-1)/2^n and m/2^n, so the
 cluster is dual to the dyadic triangulation of the disk.  (0, 1) names the
-same chord as (0, 0) and is normalized away.
+same chord as (0, 0) and is normalized away.  A `ClusterPt` is its (n, m)
+pair: it equals, hashes and sorts as the plain tuple, which every layer
+above keys its data by.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from collections import namedtuple
 from functools import lru_cache
 
 from .dyadic import Dyadic, CircleAngle, ZERO, reduced_exp
@@ -25,31 +28,21 @@ def _max_depth() -> int:
         raise ParseError(f"MOEBIUS_MAX_DEPTH must be an integer, got {raw!r}") from None
 
 
-class ClusterPt:
-    """Vertex (n, m) of the standard cluster, canonicalized."""
+class ClusterPt(namedtuple("ClusterPt", "n m")):
+    """Vertex (n, m) of the standard cluster, canonicalized: m is taken mod
+    2^(n+1) and T(0,1) becomes T(0,0).  The point is its (n, m) pair:
+    equality with a plain pair is intended, and it hashes and sorts as
+    that tuple does."""
 
-    __slots__ = ("n", "m")
+    __slots__ = ()
 
-    def __init__(self, n: int, m: int):
+    def __new__(cls, n: int, m: int):
         if n < 0:
             raise ValueError("depth must be nonnegative")
         m %= 1 << (n + 1)
         if n == 0 and m == 1:
             m = 0
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClusterPt is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ClusterPt) and self.n == other.n and self.m == other.m
-
-    def __hash__(self):
-        return hash((self.n, self.m))
-
-    def __lt__(self, other: "ClusterPt") -> bool:
-        return (self.n, self.m) < (other.n, other.m)
+        return tuple.__new__(cls, (n, m))
 
     def __str__(self) -> str:
         return f"T({self.n},{self.m})"
@@ -210,7 +203,7 @@ def enum_in_rect_with_reps(rect: Rect) -> tuple[tuple[ClusterPt, Rep], ...]:
             found.setdefault(pt, rep)
     if _level_hits(rect, e + 2):
         raise UnboundedRect(f"{rect!r} meets the band boundary in infinitely many cluster points")
-    return tuple(sorted(found.items(), key=lambda kv: (kv[0].n, kv[0].m)))
+    return tuple(sorted(found.items()))  # keys are distinct: sorted by point
 
 
 def enum_in_rect(rect: Rect) -> frozenset[ClusterPt]:

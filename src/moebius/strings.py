@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
 
 from . import linalg
 from .cluster import ClusterPt, neighbors, parse_cluster_pt
@@ -63,15 +62,12 @@ class StringWord:
             raise InvalidWord("letter count must be one less than vertex count")
         if not verts:
             raise InvalidWord("empty word")
-        head, tail = (verts[0].n, verts[0].m), (verts[-1].n, verts[-1].m)
-        if head != tail:
+        if verts[0] != verts[-1]:
             # the two orientations first differ at their first vertex
-            flip = tail < head
+            flip = verts[-1] < verts[0]
         else:
-            fwd = (tuple((p.n, p.m) for p in verts), directs, (lmark, rmark))
-            rev = (tuple((p.n, p.m) for p in verts[::-1]), tuple(not d for d in directs[::-1]),
-                   (rmark, lmark))
-            flip = rev < fwd
+            flip = ((verts[::-1], tuple(not d for d in directs[::-1]), (rmark, lmark))
+                    < (verts, directs, (lmark, rmark)))
         if flip:
             verts, directs = verts[::-1], tuple(not d for d in directs[::-1])
             lmark, rmark = rmark, lmark
@@ -97,7 +93,7 @@ class StringWord:
 
     def sort_key(self):
         """Longest first, then by vertices and letter directions."""
-        return (-len(self.verts), tuple((p.n, p.m) for p in self.verts), self.directs)
+        return (-len(self.verts), self.verts, self.directs)
 
     @property
     def marked(self) -> bool:
@@ -197,7 +193,6 @@ def _occurrences(w1: StringWord, w2: StringWord):
     return None
 
 
-@lru_cache(maxsize=None)
 def hom_dim_strings(w1: StringWord, w2: StringWord) -> int:
     """Graph-map dimension: 0 or 1, since the common run of the two words
     is the one candidate (lemma steps 1-3, `_occurrences`)."""
@@ -302,7 +297,7 @@ def to_rep(w: StringWord) -> RepFin:
 
 def direct_sum(reps: list[RepFin]) -> RepFin:
     """Direct sum, summands stacked in order at each vertex."""
-    verts = sorted({v for r in reps for v in r.dims}, key=lambda p: (p.n, p.m))
+    verts = sorted({v for r in reps for v in r.dims})
     dims = {v: sum(r.dim(v) for r in reps) for v in verts}
     offsets = []
     run = {v: 0 for v in verts}
@@ -348,23 +343,22 @@ def _candidate_words(supp: list[ClusterPt], letters) -> list[tuple[tuple[Cluster
         for arr in arrows_at(v)[1]:
             u = arr.dst
             if u in adj and (v, u) in letters:
-                adj[v].append((u, (u.n, u.m), True, arr.triangle))
-                adj[u].append((v, (v.n, v.m), False, arr.triangle))
+                adj[v].append((u, True, arr.triangle))
+                adj[u].append((v, False, arr.triangle))
     found = []
     for start in supp:
-        first = (start.n, start.m)
-        # a path, its vertices as (n, m), its letter directions, the last triangle
-        stack = [((start,), (first,), (), None)]
+        # a path, its letter directions, the last triangle
+        stack = [((start,), (), None)]
         while stack:
-            path, keys, directs, tri = stack.pop()
-            if first <= keys[-1]:
-                found.append(((-len(keys), keys, directs), path))  # StringWord.sort_key
+            path, directs, tri = stack.pop()
+            if start <= path[-1]:
+                found.append((-len(path), path, directs))  # StringWord.sort_key
             last = directs[-1] if directs else None
-            for nxt, key, d, t in adj[path[-1]]:
-                if key not in keys and not (d == last and t == tri):
-                    stack.append((path + (nxt,), keys + (key,), directs + (d,), t))
-    found.sort(key=itemgetter(0))
-    return [(path, sort_key[2]) for sort_key, path in found]
+            for nxt, d, t in adj[path[-1]]:
+                if nxt not in path and not (d == last and t == tri):
+                    stack.append((path + (nxt,), directs + (d,), t))
+    found.sort()
+    return [(path, directs) for _, path, directs in found]
 
 
 def _word_coords(w: StringWord, rep: RepFin):
@@ -470,7 +464,7 @@ def decompose_rep(rep: RepFin) -> list[tuple[StringWord, dict[ClusterPt, tuple[F
     is skipped by a set test before its `StringWord` is built."""
     rep.check_relations()
     acc = {v: linalg.identity(rep.dim(v)) for v in rep.dims}
-    words = _candidate_words(sorted(rep.dims, key=lambda p: (p.n, p.m)), rep.mats)
+    words = _candidate_words(sorted(rep.dims), rep.mats)
     out = []
     current = rep
     first = 0

@@ -212,7 +212,6 @@ def minimal_walk(v: ClusterPt, w: ClusterPt) -> Walk:
     raise AssertionError(f"no common walk window for {v}, {w}")
 
 
-@lru_cache(maxsize=None)
 def approximation(x: Obj) -> Approximation:
     walk = walk_of(x)
     src = walk.sources()

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from moebius.dyadic import Dyadic, ONE
-from moebius.band import (Obj, normal_form, obj_from_ends, ends, mesh,
+from moebius.band import (Obj, normal_form, obj_from_ends, ends,
                           hom_c_dim, compatible, triangle_complete, parse_obj)
 from moebius.cluster import member
 from moebius.equiv import obj_to_string, string_to_obj
@@ -63,12 +63,6 @@ def test_obj_from_ends_roundtrip():
         e1, e2 = ends(o)
         assert obj_from_ends(e1, e2) == o
         assert obj_from_ends(e2, e1) == o
-
-
-def test_mesh():
-    assert mesh([]) == Dyadic(1)
-    assert mesh([M("M(0,0)")]) == Dyadic(1)
-    assert mesh([M("M(0,0)"), M("M(0,1/2)")]) == Dyadic(1, 1)
 
 
 def test_hom_c_examples():

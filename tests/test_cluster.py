@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -26,9 +27,21 @@ def all_points(max_depth):
 
 
 def test_normalization():
-    assert T(0, 1) == T(0, 0)
-    assert T(1, -1) == T(1, 3)
-    assert str(T(2, 1)) == "T(2,1)"
+    assert T(0, 1) == T(0, 0) == (0, 0)
+    assert T(1, -1) == T(1, 3) == (1, 3)
+    assert str(T(2, 1)) == repr(T(2, 1)) == "T(2,1)"
+    with pytest.raises(ValueError):
+        T(-1, 0)
+
+
+def test_cluster_pt_is_its_pair():
+    assert T(2, 1) == (2, 1) and hash(T(2, 1)) == hash((2, 1))
+    with pytest.raises(AttributeError):
+        T(2, 1).n = 3
+    pts = all_points(3)
+    random.Random(0).shuffle(pts)
+    assert sorted(pts) == sorted(pts, key=lambda p: (p.n, p.m))
+    assert json.dumps([T(2, 1)]) == "[[2, 1]]"
 
 
 def test_member_examples():
