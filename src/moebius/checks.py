@@ -27,12 +27,7 @@ from .equiv import (obj_to_string, string_to_obj, DigitPrefix,
                     g_extend, f_strip, tail_case)
 from .quotient import SumObj, MorQ, basic_mor, compose, classify, kernel, cokernel
 from .errors import Unreachable, AllOnesTail
-
-
-# The deepest grid `check --depth` accepts.  G(e) grows about 4x per
-# exponent (435 classes off the cluster at e = 4, 7,875 at e = 6), and
-# criterion 1 reads every ordered pair of them.
-MAX_CHECK_DEPTH = 6
+from .errors import MAX_CHECK_DEPTH  # the depth bound of this suite, defined where the CLI reads it
 
 
 @dataclass

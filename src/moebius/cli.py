@@ -6,6 +6,10 @@ is not an integer, for every subcommand, and a `check --depth` outside
 1-MAX_CHECK_DEPTH), 3 internal error: a broken
 invariant, reported as one `internal error: ...` line.  Every error is one
 line on stderr, argparse's included.
+
+Each handler imports the layers it uses when it is dispatched, so a cold
+query loads only those: `hom`, `support`, `walk`, `approx` and `mutate` stop
+at `walk`, and only `check` loads the acceptance suites.
 """
 
 from __future__ import annotations
@@ -13,25 +17,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from .dyadic import parse_dyadic
-from .band import parse_obj, Rect, hom_c_dim
-from .cluster import STANDARD, member, parse_cluster_pt, mutate, object_of, _max_depth
-from .walk import walk_of, support, approximation, hom_ct_dim
-from .strings import parse_word
-from .equiv import obj_to_string, string_to_obj, simple_object, DigitPrefix, digits_to_coords, digit_vertex
-from .quotient import SumObj, MorQ, kernel, cokernel
-from .render import MAX_CLUSTER_DEPTH, RenderSpec, render
-from .checks import MAX_CHECK_DEPTH, run_all
-from .errors import MoebiusError, ParseError, ShapeMismatch
+from .errors import MAX_CHECK_DEPTH, MAX_CLUSTER_DEPTH, MoebiusError, ParseError, ShapeMismatch
 
 
-def _morphism_from_json(data) -> MorQ:
+def _morphism_from_json(data):
     """src and dst must be lists of object strings, entries a list of lists
     of rationals; a zero denominator is a parse error like any other.  The
     shape is checked as written, then cluster summands go with their rows
     and columns."""
+    from fractions import Fraction
+    from .band import parse_obj
+    from .cluster import member
+    from .quotient import SumObj, MorQ
+
     if not isinstance(data, dict):
         raise ParseError("morphism JSON must be an object")
     try:
@@ -57,13 +56,16 @@ def _morphism_from_json(data) -> MorQ:
                 tuple(tuple(entries[i][j] for j in cols) for i in rows))
 
 
-def _morphism_to_json(f: MorQ) -> dict:
+def _morphism_to_json(f) -> dict:
     return {"src": [str(s) for s in f.src],
             "dst": [str(s) for s in f.dst],
             "entries": [[str(v) for v in row] for row in f.entries]}
 
 
 def _cmd_hom(args) -> int:
+    from .band import parse_obj, hom_c_dim
+    from .walk import hom_ct_dim
+
     x, y = parse_obj(args.x), parse_obj(args.y)
     c, ct = hom_c_dim(x, y), hom_ct_dim(x, y)
     if args.json:
@@ -74,6 +76,9 @@ def _cmd_hom(args) -> int:
 
 
 def _cmd_support(args) -> int:
+    from .band import parse_obj
+    from .walk import support
+
     pts = sorted(support(parse_obj(args.x)))
     if args.json:
         print(json.dumps(pts))
@@ -83,6 +88,9 @@ def _cmd_support(args) -> int:
 
 
 def _cmd_walk(args) -> int:
+    from .band import parse_obj
+    from .walk import walk_of
+
     w = walk_of(parse_obj(args.x))
     if args.json:
         print(json.dumps(w.to_json()))
@@ -93,6 +101,9 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_approx(args) -> int:
+    from .band import parse_obj
+    from .walk import approximation
+
     a = approximation(parse_obj(args.x))
     if args.json:
         print(json.dumps({"sources": a.sources, "sinks": a.sinks}))
@@ -103,6 +114,8 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_mutate(args) -> int:
+    from .cluster import STANDARD, parse_cluster_pt, mutate, object_of
+
     v = parse_cluster_pt(args.v)
     _, x_star = mutate(STANDARD, object_of(v))
     if args.json:
@@ -113,6 +126,9 @@ def _cmd_mutate(args) -> int:
 
 
 def _cmd_to_string(args) -> int:
+    from .band import parse_obj
+    from .equiv import obj_to_string
+
     w = obj_to_string(parse_obj(args.x))
     if args.json:
         print(json.dumps({"word": str(w)}))
@@ -122,6 +138,9 @@ def _cmd_to_string(args) -> int:
 
 
 def _cmd_from_string(args) -> int:
+    from .strings import parse_word
+    from .equiv import string_to_obj
+
     x = string_to_obj(parse_word(args.word))
     if args.json:
         print(json.dumps({"object": str(x)}))
@@ -131,6 +150,9 @@ def _cmd_from_string(args) -> int:
 
 
 def _cmd_simple(args) -> int:
+    from .cluster import parse_cluster_pt
+    from .equiv import simple_object
+
     x = simple_object(parse_cluster_pt(args.v))
     if args.json:
         print(json.dumps({"object": str(x)}))
@@ -140,6 +162,8 @@ def _cmd_simple(args) -> int:
 
 
 def _cmd_kernel(args, which: str) -> int:
+    from .quotient import kernel, cokernel
+
     try:
         data = json.load(sys.stdin)
     except json.JSONDecodeError as exc:
@@ -157,6 +181,9 @@ def _cmd_kernel(args, which: str) -> int:
 
 
 def _cmd_digits(args) -> int:
+    from .cluster import parse_cluster_pt
+    from .equiv import DigitPrefix, digits_to_coords, digit_vertex
+
     v = parse_cluster_pt(args.v)
     if any(d not in ("0", "1") for d in args.digits):
         raise ParseError("digits must be 0 or 1")
@@ -175,6 +202,8 @@ def _cmd_check(args) -> int:
     if not 1 <= args.depth <= MAX_CHECK_DEPTH:
         # depth 0 leaves most criteria with nothing to check
         raise ParseError(f"--depth must be between 1 and {MAX_CHECK_DEPTH}, got {args.depth}")
+    from .checks import run_all
+
     results = run_all(args.depth)
     payload = []
     for r in results:
@@ -195,7 +224,11 @@ def _spec_list(data, key: str) -> list:
     return items
 
 
-def _parse_render_spec(data) -> RenderSpec:
+def _parse_render_spec(data):
+    from .dyadic import parse_dyadic
+    from .band import parse_obj, Rect
+    from .render import RenderSpec
+
     spec = RenderSpec()
     for key, out in (("objects", spec.objects), ("walks", spec.walks)):
         for s in _spec_list(data, key):
@@ -224,6 +257,9 @@ def _parse_render_spec(data) -> RenderSpec:
 
 
 def _cmd_render(args) -> int:
+    from .band import parse_obj
+    from .render import render
+
     data = {}
     if args.spec:
         try:
@@ -316,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        from .cluster import _max_depth
         _max_depth()  # read once, so a bad cap fails every subcommand alike
         return args.fn(args)
     except ParseError as exc:

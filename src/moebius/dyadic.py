@@ -17,8 +17,6 @@ two.  Comparisons align the numerators by a shift and allocate nothing.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ParseError
 
 
@@ -115,7 +113,8 @@ class Dyadic:
         return -((-self.num) >> self.exp)
 
     def as_fraction(self) -> Fraction:
-        return Fraction(self.num, 1 << self.exp)
+        import fractions  # here, not at the top: no query path needs it
+        return fractions.Fraction(self.num, 1 << self.exp)
 
     def __str__(self) -> str:
         if self.exp == 0:

@@ -1,4 +1,14 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the input bounds whose
+violation the command line reports as a `ParseError`."""
+
+# The deepest grid `check --depth` accepts.  G(e) grows about 4x per
+# exponent (435 classes off the cluster at e = 4, 7,875 at e = 6), and
+# criterion 1 reads every ordered pair of them.
+MAX_CHECK_DEPTH = 6
+
+# The deepest cluster dots `render` draws: 2^(d+1) - 1 dots, and depth 12
+# writes about 0.5 MB.
+MAX_CLUSTER_DEPTH = 12
 
 
 class MoebiusError(Exception):

@@ -14,11 +14,11 @@ from .dyadic import Dyadic, ZERO, ONE, TWO, decimal
 from .band import Obj, Rect
 from .cluster import ClusterPt, object_of
 from .walk import Walk, walk_of
+from .errors import MAX_CLUSTER_DEPTH  # the bound of `cluster_depth`, defined where the CLI reads it
 
 SCALE = 240
 PAD = Dyadic(1, 3)
 DOT_R = {0: "5", 1: "4", 2: "3", 3: "2.5", 4: "2", None: "1.5"}
-MAX_CLUSTER_DEPTH = 12  # 2^(d+1) - 1 dots; depth 12 writes about 0.5 MB
 
 
 @dataclass

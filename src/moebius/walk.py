@@ -25,11 +25,11 @@ them (`vertices`, `sinks`, `sources`, `to_json`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .dyadic import Dyadic, reduced_exp
-from .band import Obj, Rep, normal_form, hom_c_configs
+from .band import Obj, normal_form, hom_c_configs
 from .cluster import ClusterPt, member, object_of, box_meets_cluster
 from .errors import InCluster
 
@@ -38,11 +38,10 @@ SOURCE = "source"
 THROUGH = "through"
 
 
-@dataclass(frozen=True)
-class WalkVertex:
-    pt: ClusterPt
-    rep: Rep
-    role: str
+class WalkVertex(namedtuple("WalkVertex", "pt rep role")):
+    """A cluster point of a walk, its representative and its role."""
+
+    __slots__ = ()
 
 
 # the role of a vertex by the steps before and after it ("-" at an end), any
@@ -51,13 +50,19 @@ class WalkVertex:
 _ROLE = {"vv": THROUGH, "hh": THROUGH, "hv": SOURCE, "h-": SOURCE, "-v": SOURCE}
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Walk:
+    """Equal only to itself: `walk_of` builds each object's walk once."""
+
+    __slots__ = ("pts", "nums", "k", "steps", "roles")
+
     pts: tuple[ClusterPt, ...]
     nums: tuple[tuple[int, int], ...]  # the representatives, numerators at scale 2^k
     k: int
     steps: tuple[str, ...]  # "h" or "v", between consecutive vertices
     roles: tuple[str, ...]
+
+    def __init__(self, pts, nums, k, steps, roles):
+        self.pts, self.nums, self.k, self.steps, self.roles = pts, nums, k, steps, roles
 
     @property
     def length(self) -> int:
@@ -88,13 +93,11 @@ class Walk:
                 for v in self.vertices]
 
 
-@dataclass(frozen=True)
-class Approximation:
-    """Sources and sinks of the walk: 0 -> (+)sources -> (+)sinks -> X -> 0."""
-    sources: tuple[ClusterPt, ...]
-    sinks: tuple[ClusterPt, ...]
-    source_reps: tuple[Rep, ...]
-    sink_reps: tuple[Rep, ...]
+class Approximation(namedtuple("Approximation", "sources sinks source_reps sink_reps")):
+    """Sources and sinks of the walk: 0 -> (+)sources -> (+)sinks -> X -> 0,
+    as tuples of cluster points and of their representatives."""
+
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -276,13 +279,8 @@ def shifted(s: ClusterPt, dx: Dyadic, dy: Dyadic) -> Obj:
     return normal_form(x + (dx.num << (k - dx.exp)), y + (dy.num << (k - dy.exp)), k)
 
 
-@dataclass(frozen=True)
-class TauDims:
-    tau_inv: int
-    tau: int
-    rad: int
-    hom0: int
-    hom0_T1: int
+class TauDims(namedtuple("TauDims", "tau_inv tau rad hom0 hom0_T1")):
+    __slots__ = ()
 
     @property
     def alternating_sum(self) -> int:

@@ -243,12 +243,12 @@ def test_check_rejects_depth_below_one(capsys, depth):
 
 @pytest.mark.parametrize("depth", ["7", "9999999"])
 def test_check_rejects_depth_above_cap(capsys, monkeypatch, depth):
-    from moebius import cli
+    import moebius.checks
 
     def never(depth):
         raise AssertionError("run_all reached past the depth cap")
 
-    monkeypatch.setattr(cli, "run_all", never)
+    monkeypatch.setattr(moebius.checks, "run_all", never)
     code, out, err = run(capsys, "check", "--depth", depth)
     assert code == 2 and out == ""
     assert err.startswith("parse error: ") and "--depth" in err and err.count("\n") == 1
@@ -304,12 +304,12 @@ def test_max_depth_not_integer_exit_2_for_every_subcommand(capsys, monkeypatch, 
 
 
 def test_internal_error_exit_3(capsys, monkeypatch):
-    import moebius.cli
+    import moebius.walk
 
     def broken(x):
         raise AssertionError("walk from (0, 0) to (0, 1)\nis stuck")
 
-    monkeypatch.setattr(moebius.cli, "walk_of", broken)
+    monkeypatch.setattr(moebius.walk, "walk_of", broken)
     code, out, err = run(capsys, "walk", "M(1/4,3/4)")
     assert code == 3 and out == ""
     assert err == "internal error: walk from (0, 0) to (0, 1) is stuck\n"

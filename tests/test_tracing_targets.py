@@ -10,9 +10,9 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-import moebius  # noqa: F401  (imports every layer the tracer looks at)
-import moebius.checks  # noqa: F401
-import moebius.render  # noqa: F401
+# every layer the tracer looks at, each by name: `import moebius` loads none
+from moebius import (band, checks, cluster, dyadic, equiv, linalg,  # noqa: F401
+                     quotient, render, strings, walk)
 
 _TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
