@@ -6,6 +6,12 @@ cluster is dual to the dyadic triangulation of the disk.  (0, 1) names the
 same chord as (0, 0) and is normalized away.  A `ClusterPt` is its (n, m)
 pair: it equals, hashes and sorts as the plain tuple, which every layer
 above keys its data by.
+
+At a scale 2^k, k >= n, the ends are the integer numerators lo = (m-1) d
+and lo + d mod 2^(k+1), d = 2^(k-n).  So a chord is standard when, in one
+order (lo, hi) of its ends, d = (hi - lo) mod 2^(k+1) is a power of two
+dividing lo, and it is then T(k - log2 d, lo/d + 1).  `mutate` reads every
+chord this way.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ import re
 from collections import namedtuple
 from functools import lru_cache
 
-from .dyadic import Dyadic, CircleAngle, ZERO, reduced_exp
-from .band import Obj, Rect, Rep, normal_form, obj_from_ends, ends
+from .dyadic import Dyadic, reduced_exp
+from .band import Obj, Rect, Rep, normal_form
 from .errors import NotInCluster, UnboundedRect, DepthLimit, ParseError
 
 
@@ -64,6 +70,7 @@ def object_of(v: ClusterPt) -> Obj:
 
 def chord(v: ClusterPt) -> tuple[CircleAngle, CircleAngle]:
     """Endpoints ((m-1)/2^n, m/2^n) on the circle."""
+    from .dyadic import CircleAngle
     return (CircleAngle(Dyadic(v.m - 1, v.n)), CircleAngle(Dyadic(v.m, v.n)))
 
 
@@ -87,14 +94,6 @@ def children(v: ClusterPt) -> tuple[ClusterPt, ClusterPt]:
     return (ClusterPt(v.n + 1, 2 * v.m - 1), ClusterPt(v.n + 1, 2 * v.m))
 
 
-def parent_and_sibling(v: ClusterPt) -> tuple[ClusterPt, ClusterPt]:
-    if v.n == 0:
-        raise ValueError("depth-0 chord has no parent")
-    if v.m % 2 == 0:
-        return (ClusterPt(v.n - 1, v.m // 2), ClusterPt(v.n, v.m - 1))
-    return (ClusterPt(v.n - 1, (v.m + 1) // 2), ClusterPt(v.n, v.m + 1))
-
-
 @lru_cache(maxsize=None)
 def neighbors(v: ClusterPt) -> tuple[Triangle, Triangle]:
     """The two triangles adjacent to chord(v), as directed 3-cycles (a, v, c)
@@ -106,11 +105,11 @@ def neighbors(v: ClusterPt) -> tuple[Triangle, Triangle]:
     c1, c2 = children(v)
     child_tri = (c1, v, c2)
     if v.n == 0:
-        u1, u2 = ClusterPt(1, 1), ClusterPt(1, 2)
-        other_tri = (u1, v, u2)
+        other_tri = (ClusterPt(1, 1), v, ClusterPt(1, 2))
+    elif v.m % 2 == 0:  # v follows its sibling (n, m-1) under its parent
+        other_tri = (ClusterPt(v.n - 1, v.m // 2), v, ClusterPt(v.n, v.m - 1))
     else:
-        p, s = parent_and_sibling(v)
-        other_tri = (p, v, s) if v.m % 2 == 0 else (s, v, p)
+        other_tri = (ClusterPt(v.n, v.m + 1), v, ClusterPt(v.n - 1, (v.m + 1) // 2))
     return (child_tri, other_tri)
 
 
@@ -242,27 +241,20 @@ class ClusterOverlay:
         v = member(x)
         return v is not None and v not in self.removed
 
-    def has_chord(self, a: CircleAngle, b: CircleAngle) -> bool:
-        if a == b:
-            return False
-        return self.contains_obj(obj_from_ends(a, b))
-
 
 STANDARD = ClusterOverlay()
 
 
-def _apex(overlay: ClusterOverlay, p: CircleAngle, q: CircleAngle, side: int,
-          candidates: set[CircleAngle]) -> CircleAngle:
-    """The one candidate s in the open arc on the given side with {p,s} and
-    {q,s} chords."""
-    arc = (lambda s: ZERO < p.gap_to(s) < p.gap_to(q)) if side == 0 else \
-          (lambda s: p.gap_to(q) < p.gap_to(s))
-    found = {s for s in candidates
-             if s not in (p, q) and arc(s)
-             and overlay.has_chord(p, s) and overlay.has_chord(q, s)}
-    if len(found) != 1:
-        raise AssertionError(f"triangulation apex not unique at {{{p},{q}}}: {sorted(str(u) for u in found)}")
-    return next(iter(found))
+def _has_chord(a: int, b: int, k: int, added: set, removed: frozenset[ClusterPt]) -> bool:
+    """Whether the chord joining the distinct ends a, b (numerators mod
+    2^(k+1)) is in the cluster: added, or standard and not removed."""
+    if (min(a, b), max(a, b)) in added:
+        return True
+    for lo, hi in ((a, b), (b, a)):
+        d = (hi - lo) % (2 << k)
+        if not d & (d - 1) and not lo % d:
+            return ClusterPt(k + 1 - d.bit_length(), lo // d + 1) not in removed
+    return False
 
 
 def mutate(overlay: ClusterOverlay, x: Obj) -> tuple[ClusterOverlay, Obj]:
@@ -281,30 +273,38 @@ def mutate(overlay: ClusterOverlay, x: Obj) -> tuple[ClusterOverlay, Obj]:
        {p, q}, the standard triangulation being maximal.  It enters the face
        across {p, q} and cannot cross the face's standard sides, so it ends
        at s; crossing an overlay chord, it lies in `overlay.removed`.
+
+    Ends are numerators at the scale 2^k of the finest depth or exponent
+    named, as in the module docstring; an object (x, y) ends at x and y + 1.
     """
     if not overlay.contains_obj(x):
         raise NotInCluster(f"{x} is not in the cluster")
-    v = member(x)
-    named = [chord(w) for w in overlay.removed]
-    if v is not None:
-        named.extend(chord(w) for tri in neighbors(v) for w in tri)
-    named.extend(ends(obj) for obj in overlay.added)
-    candidates = {a for pair in named for a in pair}
-    p, q = sorted(ends(x), key=lambda a: a.v)
-    r = _apex(overlay, p, q, 0, candidates)
-    s = _apex(overlay, p, q, 1, candidates)
-    x_star = obj_from_ends(r, s)
-    removed, added = set(overlay.removed), set(overlay.added)
-    if x in added:
-        added.remove(x)
-    else:
-        removed.add(v)
+    v, removed = member(x), overlay.removed
+    named = list(removed) + ([w for tri in neighbors(v) for w in tri] if v is not None else [])
+    k = max([x.e, *(w.n for w in named), *(obj.e for obj in overlay.added)])
+    period = 2 << k
+    def ends(obj: Obj) -> tuple[int, int]:  # in increasing order
+        (a, _), (b, _) = obj.reps_at(k)  # b = y + 1
+        return (a, b % period) if a < b % period else (b % period, a)
+    added = {ends(obj) for obj in overlay.added}
+    candidates = {a for pair in added for a in pair}
+    candidates.update(((w.m - i) << (k - w.n)) % period for w in named for i in (0, 1))
+    p, q = ends(x)
+    apexes = ([], [])  # in the open arc from p to q, and in the one from q to p
+    for s in candidates - {p, q}:
+        if _has_chord(p, s, k, added, removed) and _has_chord(q, s, k, added, removed):
+            apexes[(s - p) % period > q - p].append(s)
+    for found in apexes:
+        if len(found) != 1:
+            raise AssertionError("triangulation apex not unique at {%s,%s}: %s" % (
+                Dyadic(p, k), Dyadic(q, k), sorted(str(Dyadic(u, k)) for u in found)))
+    (r,), (s,) = apexes
+    x_star = normal_form(r, r - (1 << k) + (s - r) % period, k)
+    # x leaves and x* joins: toggle each as a point in `removed`, else in `added`
     v_star = member(x_star)
-    if v_star is not None and v_star in removed:
-        removed.remove(v_star)
-    else:
-        added.add(x_star)
-    return (ClusterOverlay(frozenset(removed), frozenset(added)), x_star)
+    removed = removed ^ {w for w in (v, v_star) if w is not None}
+    added = overlay.added ^ {obj for obj, w in ((x, v), (x_star, v_star)) if w is None}
+    return (ClusterOverlay(removed, added), x_star)
 
 
 _PT_RE = re.compile(r"^\s*T\(\s*(\d+)\s*,\s*(-?\d+)\s*\)\s*$")

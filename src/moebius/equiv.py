@@ -12,7 +12,7 @@ second of the upper-left one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .dyadic import Dyadic
@@ -90,16 +90,17 @@ def transport_mor_inverse(w1: StringWord, w2: StringWord, scalar) -> tuple[Obj, 
 
 # -- digit encoding of tails --------------------------------------------------
 
-@dataclass(frozen=True)
-class DigitPrefix:
+class DigitPrefix(namedtuple("DigitPrefix", "base digits")):
     """Truncated binary tail at a base vertex: digit 1 steps to the upper
-    child (second coordinate grows), digit 0 to the left child."""
-    base: ClusterPt
-    digits: tuple[int, ...]
+    child (second coordinate grows), digit 0 to the left child.  It equals
+    and hashes as the tuple (base, digits)."""
 
-    def __post_init__(self):
-        if any(d not in (0, 1) for d in self.digits):
+    __slots__ = ()
+
+    def __new__(cls, base: ClusterPt, digits: tuple[int, ...]):
+        if any(d not in (0, 1) for d in digits):
             raise ValueError("digits must be 0 or 1")
+        return tuple.__new__(cls, (base, digits))
 
     def all_ones(self) -> bool:
         return bool(self.digits) and all(d == 1 for d in self.digits)

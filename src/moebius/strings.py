@@ -10,20 +10,22 @@ modules, one dimension per vertex of a reduced word.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 
-from . import linalg
 from .cluster import ClusterPt, neighbors, parse_cluster_pt
 from .errors import InvalidWord, NoMorphism, NotAModule, ParseError
 
+# `linalg` (and with it `fractions`) is imported by the functions that build
+# or read a representation, so the word commands load neither; the
+# annotations that name `linalg.Matrix` and `Fraction` are never evaluated.
 
-@dataclass(frozen=True)
-class QArrow:
-    src: ClusterPt
-    dst: ClusterPt
-    triangle: frozenset[ClusterPt]
+
+class QArrow(namedtuple("QArrow", "src dst triangle")):
+    """The quiver arrow src -> dst of the triangle (a frozenset of its three
+    points).  It equals and hashes as the tuple of its fields."""
+
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -257,6 +259,7 @@ class RepFin:
     def matrix(self, u: ClusterPt, v: ClusterPt) -> linalg.Matrix:
         m = self.mats.get((u, v))
         if m is None:
+            from . import linalg
             return linalg.zeros(self.dim(v), self.dim(u))
         return m
 
@@ -268,6 +271,7 @@ class RepFin:
                     yield arr
 
     def check_relations(self):
+        from . import linalg
         for u in self.dims:
             for a1 in arrows_at(u)[1]:
                 v = a1.dst
@@ -286,6 +290,7 @@ def to_rep(w: StringWord) -> RepFin:
     """Standard string module: one dimension per vertex, identities on letters."""
     if w.marked:
         raise InvalidWord("marked words have no finite representation")
+    from . import linalg
     dims = {v: 1 for v in w.verts}
     mats = {}
     one = linalg.identity(1)
@@ -297,6 +302,7 @@ def to_rep(w: StringWord) -> RepFin:
 
 def direct_sum(reps: list[RepFin]) -> RepFin:
     """Direct sum, summands stacked in order at each vertex."""
+    from fractions import Fraction
     verts = sorted({v for r in reps for v in r.dims})
     dims = {v: sum(r.dim(v) for r in reps) for v in verts}
     offsets = []
@@ -381,6 +387,7 @@ def _letters(verts, directs):
 
 def _solutions(rows, offs, total, rep) -> list[dict[ClusterPt, tuple[Fraction, ...]]]:
     """Nullspace basis of the constraint rows, split into one vector per vertex."""
+    from . import linalg
     basis = linalg.nullspace(tuple(tuple(r) for r in rows), total)
     return [{v: tuple(vec[offs[v] + i] for i in range(rep.dim(v))) for v in offs} for vec in basis]
 
@@ -462,6 +469,7 @@ def decompose_rep(rep: RepFin) -> list[tuple[StringWord, dict[ClusterPt, tuple[F
     arrow where rep is.  So only words on the arrows with a matrix are
     listed, and a word with a vertex or a letter that the remainder lacks
     is skipped by a set test before its `StringWord` is built."""
+    from . import linalg
     rep.check_relations()
     acc = {v: linalg.identity(rep.dim(v)) for v in rep.dims}
     words = _candidate_words(sorted(rep.dims), rep.mats)
@@ -490,6 +498,7 @@ def _split_off(w: StringWord, rep: RepFin):
     """(phi, psi) with psi . phi = 1 on M(w), from the first pair of basis
     maps M(w) -> rep -> M(w) whose composite is a nonzero scalar; None
     when there is none."""
+    from fractions import Fraction
     phis = _hom_word_to_rep(w, rep)
     if not phis:
         return None
@@ -508,6 +517,7 @@ def _peel(rep: RepFin, acc, psi):
     """Cut rep down to the kernel of the split functional psi and carry
     acc, the embedding of rep into the original, along; both change only
     at the vertices of psi."""
+    from . import linalg
     basis = {v: linalg.from_columns(linalg.nullspace((psi[v],), rep.dim(v)), rep.dim(v))
              for v in psi}
     sub = restrict_rep(rep, basis)
@@ -521,6 +531,7 @@ def restrict_rep(rep: RepFin, basis) -> RepFin:
     vertices, with its arrow matrices in those bases; the subspaces must be
     carried into each other along every arrow.  Only the arrows at a vertex
     of basis are solved again; every other matrix is kept as it is."""
+    from . import linalg
     dims = {v: len(basis[v][0]) if v in basis else d for v, d in rep.dims.items()}
     mats = {key: m for key, m in rep.mats.items() if key[0] not in basis and key[1] not in basis}
     for v in basis:

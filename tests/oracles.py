@@ -22,6 +22,10 @@ rather than by the library's fast path:
   (`lower_corner_on_dyadics`, `upper_corner_on_dyadics`);
 - `_member_by_ends` checks `cluster.member` by searching the ends of x for
   an arc of length 1/2^n between points of the 1/2^n grid;
+- `mutate_on_angles` checks `cluster.mutate`, which reads every chord end
+  as an integer numerator at one scale, by the same apex search in
+  `CircleAngle` arithmetic, each chord tested by building its object
+  (`has_chord`, `_apex`);
 - `_flip_by_fan` checks `cluster.mutate` by searching each apex among the
   standard fans at the ends of the chord (`_fan_candidates`,
   `_apex_by_fan`);
@@ -60,12 +64,13 @@ from functools import lru_cache
 
 from moebius.dyadic import Dyadic, CircleAngle, ONE, ZERO, floor_div2
 from moebius.band import Obj, Rect, Rep, normal_form, ends, obj_from_ends
-from moebius.cluster import (ClusterPt, object_of, neighbors, enum_in_rect_with_reps,
-                             box_meets_cluster, _box, _t_range)
+from moebius.cluster import (ClusterPt, ClusterOverlay, object_of, member, neighbors, chord,
+                             enum_in_rect_with_reps, box_meets_cluster, _box, _t_range)
 from moebius.walk import (WalkVertex, SINK, SOURCE, THROUGH, concrete_epsilon,
                           compose_basic_nonzero, hom_ct_dim, shifted, support)
 from moebius.equiv import DigitPrefix, _attach_arrows
-from moebius.errors import BandBoundary, InvalidWord, NoMorphism, NotAModule, NotBasicAligned
+from moebius.errors import (BandBoundary, InvalidWord, NoMorphism, NotAModule, NotBasicAligned,
+                            NotInCluster)
 from moebius.quotient import Classification
 from moebius import linalg
 from moebius.strings import (StringWord, RepFin, arrows_at, word, _candidate_words, _solutions,
@@ -437,6 +442,56 @@ def _member_by_ends(x):
     return None
 
 
+# -- the flip on circle angles ---------------------------------------------------
+
+def has_chord(overlay, a, b):
+    """Whether the chord joining the circle points a and b is in the overlay."""
+    if a == b:
+        return False
+    return overlay.contains_obj(obj_from_ends(a, b))
+
+
+def _apex(overlay, p, q, side, candidates):
+    """The one candidate s in the open arc on the given side with {p,s} and
+    {q,s} chords."""
+    arc = (lambda s: ZERO < p.gap_to(s) < p.gap_to(q)) if side == 0 else \
+          (lambda s: p.gap_to(q) < p.gap_to(s))
+    found = {s for s in candidates
+             if s not in (p, q) and arc(s)
+             and has_chord(overlay, p, s) and has_chord(overlay, q, s)}
+    if len(found) != 1:
+        raise AssertionError(f"triangulation apex not unique at {{{p},{q}}}: {sorted(str(u) for u in found)}")
+    return next(iter(found))
+
+
+def mutate_on_angles(overlay, x):
+    """Reference: the flip with every chord end a `CircleAngle`, the apexes
+    searched among the ends of the chords `cluster.mutate` names."""
+    if not overlay.contains_obj(x):
+        raise NotInCluster(f"{x} is not in the cluster")
+    v = member(x)
+    named = [chord(w) for w in overlay.removed]
+    if v is not None:
+        named.extend(chord(w) for tri in neighbors(v) for w in tri)
+    named.extend(ends(obj) for obj in overlay.added)
+    candidates = {a for pair in named for a in pair}
+    p, q = sorted(ends(x), key=lambda a: a.v)
+    r = _apex(overlay, p, q, 0, candidates)
+    s = _apex(overlay, p, q, 1, candidates)
+    x_star = obj_from_ends(r, s)
+    removed, added = set(overlay.removed), set(overlay.added)
+    if x in added:
+        added.remove(x)
+    else:
+        removed.add(v)
+    v_star = member(x_star)
+    if v_star is not None and v_star in removed:
+        removed.remove(v_star)
+    else:
+        added.add(x_star)
+    return (ClusterOverlay(frozenset(removed), frozenset(added)), x_star)
+
+
 # -- the flip by a fan search ---------------------------------------------------
 
 def _fan_candidates(p, max_exp):
@@ -465,7 +520,7 @@ def _apex_by_fan(overlay, p, q, side):
           (lambda s: p.gap_to(q) < p.gap_to(s))
     found = {s for s in candidates
              if s not in (p, q) and arc(s)
-             and overlay.has_chord(p, s) and overlay.has_chord(q, s)}
+             and has_chord(overlay, p, s) and has_chord(overlay, q, s)}
     assert len(found) == 1, (p, q, side, found)
     return next(iter(found))
 

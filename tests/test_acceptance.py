@@ -62,11 +62,13 @@ def test_criterion_12_golden_render(name, argv):
     assert proc.stdout == (GOLDEN / name).read_text(), f"render differs from golden {name}"
 
 
-@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("depth", [1, 2, DEPTH])
 def test_every_criterion_counts_work_at_small_depths(depth):
-    # a count of zero in a detail string is a part of the suite that checked nothing
+    # a count of zero in a detail string is a part of the suite that checked
+    # nothing; at DEPTH the results of test_criterion are read again
     import re
-    for r in run_all(depth):
+    results = [_run(i) for i in range(1, len(CRITERIA) + 1)] if depth == DEPTH else run_all(depth)
+    for r in results:
         assert r.ok, r.line()
         counts = [int(c) for c in re.findall(r"\d+", r.detail)]
         assert counts and 0 not in counts, r.line()

@@ -50,6 +50,14 @@ def test_mutate(capsys):
     assert code == 0 and out.strip() == "M(1/2,1/2)"
 
 
+def test_mutate_at_depth_60(capsys):
+    from moebius.cluster import STANDARD, ClusterPt, object_of
+    from oracles import mutate_on_angles
+    v = ClusterPt(60, (5 << 57) + 1)
+    code, out, _ = run(capsys, "mutate", str(v))
+    assert code == 0 and out.strip() == str(mutate_on_angles(STANDARD, object_of(v))[1])
+
+
 def test_strings_roundtrip(capsys):
     code, out, _ = run(capsys, "to-string", "M(1/8,1/4)")
     assert code == 0

@@ -3,16 +3,17 @@ import random
 
 import pytest
 
-from moebius.dyadic import Dyadic
-from moebius.band import Rect, parse_obj, ends, compatible
+from moebius.dyadic import Dyadic, CircleAngle
+from moebius.band import Rect, parse_obj, ends, compatible, obj_from_ends
 from moebius import cluster
-from moebius.cluster import (ClusterPt, STANDARD, member, object_of, chord,
+from moebius.cluster import (ClusterPt, ClusterOverlay, STANDARD, member, object_of, chord,
                              depth, neighbors, in_neighbors, out_neighbors,
                              enum_in_rect, enum_in_rect_with_reps, box_meets_cluster,
                              mutate, parse_cluster_pt, children)
 from moebius.errors import NotInCluster, UnboundedRect, ParseError
 
-from oracles import _flip_by_fan, _member_by_ends, meets_cluster, meets_cluster_by_level_scan
+from oracles import (_flip_by_fan, _member_by_ends, meets_cluster, meets_cluster_by_level_scan,
+                     mutate_on_angles)
 
 T = ClusterPt
 M = parse_obj
@@ -238,6 +239,60 @@ def test_mutate_matches_fan_search_on_overlays():
             flips += 1
         added_flips += len(overlay.added)
     assert flips > 800 and added_flips > 60
+
+
+# -- the flip on integer ends against the flip on circle angles ------------------
+
+def _flip_both(overlay, x):
+    got = mutate(overlay, x)
+    assert got == mutate_on_angles(overlay, x), (overlay, x)
+    return got
+
+
+def test_mutate_matches_angles_flipping_twice_to_depth_8():
+    from moebius.checks import cluster_points
+    for v in cluster_points(8):
+        x = object_of(v)
+        overlay, x_star = _flip_both(STANDARD, x)
+        assert _flip_both(overlay, x_star) == (STANDARD, x), v
+
+
+def test_mutate_matches_angles_at_depths_30_to_64():
+    rng = random.Random(20261019)
+    for _ in range(40):
+        n = rng.randint(30, 64)
+        x = object_of(T(n, rng.randrange(1 << (n + 1))))
+        overlay, x_star = _flip_both(STANDARD, x)
+        assert x_star.e <= n + 1 and _flip_both(overlay, x_star) == (STANDARD, x)
+
+
+def test_mutate_matches_angles_on_flip_sequences():
+    # each sequence flips 1-6 chords in turn: an added one half the time when
+    # there is one, else a standard one of depth <= 5
+    rng = random.Random(15)
+    shallow = all_points(5)
+    added_flips = 0
+    for _ in range(300):
+        overlay = STANDARD
+        for _ in range(rng.randint(1, 6)):
+            if overlay.added and rng.random() < 0.5:
+                x = rng.choice(sorted(overlay.added, key=lambda o: o.sort_key()))
+                added_flips += 1
+            else:
+                x = object_of(rng.choice([w for w in shallow if w not in overlay.removed]))
+            overlay, _ = _flip_both(overlay, x)
+    assert added_flips > 300
+
+
+def test_mutate_apex_not_unique_names_the_ends():
+    # with the chord {1/4, 1} added beside the standard ones, the arc (0, 1)
+    # holds two apexes of {0, 1}: 1/4 and 1/2
+    bad = ClusterOverlay(added={obj_from_ends(CircleAngle(D(1, 2)), CircleAngle(D(1)))})
+    message = "triangulation apex not unique at {0,1}: ['1/2', '1/4']"
+    for flip in (mutate, mutate_on_angles):
+        with pytest.raises(AssertionError) as err:
+            flip(bad, M("M(0,0)"))
+        assert str(err.value) == message
 
 
 # -- closed-form membership and the early-exit rectangle test -------------------

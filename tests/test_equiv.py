@@ -189,6 +189,18 @@ def _string_composite_nonzero(w1, w2, w3):
     return meets
 
 
+def test_digit_prefix_is_an_immutable_value():
+    p = DigitPrefix(T(1, 1), (1, 0))
+    assert (p.base, p.digits) == (T(1, 1), (1, 0))
+    assert p == DigitPrefix(T(1, 1), (1, 0)) != DigitPrefix(T(1, 1), (1,))
+    assert hash(p) == hash(DigitPrefix(T(1, 1), (1, 0)))
+    assert str(p) == "T(1,1):10" and repr(p) == "DigitPrefix(base=T(1,1), digits=(1, 0))"
+    with pytest.raises(AttributeError):
+        p.digits = (0,)
+    with pytest.raises(ValueError, match="digits must be 0 or 1"):
+        DigitPrefix(T(1, 1), (1, 2))
+
+
 def test_digit_examples():
     p = DigitPrefix(T(0, 0), (1,))
     assert tuple(map(str, digits_to_coords(p))) == ("0", "1/2")

@@ -1,9 +1,10 @@
 """Randomized cross-checks against brute-force oracles (seeded, deterministic)."""
 
+import math
 import random
 from fractions import Fraction
 
-from moebius.dyadic import Dyadic
+from moebius.dyadic import Dyadic, ONE
 from moebius.band import Rect
 from moebius.cluster import ClusterPt, enum_in_rect
 from moebius.errors import UnboundedRect
@@ -65,6 +66,56 @@ def test_enum_matches_brute_force():
             assert cluster._level_hits(rect, rect.max_exp() + 2)
             continue
         assert got == _brute_force_enum(rect, rect.max_exp() + 4), rect
+
+
+def _windowed_brute_force_enum(rect: Rect, max_n: int) -> set:
+    """Every (n, m), n <= max_n, with a representative in rect, trying at
+    each depth n only the t with t/2^n in the x-range of rect: the
+    representatives (t/2^n, t/2^n + 1 - 1/2^n) of T(n, t) and
+    (t/2^n, (t+1)/2^n - 1) of T(n, t + 1), the translates included."""
+    found = set()
+    for n in range(max_n + 1):
+        step = Dyadic(1, n)
+        lo = math.floor(rect.x_lo.as_fraction() * (1 << n))
+        hi = math.ceil(rect.x_hi.as_fraction() * (1 << n))
+        for t in range(lo, hi + 1):
+            x = Dyadic(t, n)
+            if _inside(rect, x, x + ONE - step):
+                found.add(ClusterPt(n, t))
+            if _inside(rect, x, x + step - ONE):
+                found.add(ClusterPt(n, t + 1))
+    return found
+
+
+def test_enum_matches_windowed_brute_force_at_exponents_10_to_20(monkeypatch):
+    # boxes a few units of 1/2^e wide, half around a representative of a
+    # cluster point of depth <= e, half anywhere in [-2, 2]^2; the brute
+    # force looks four depths past the enumeration's probe
+    monkeypatch.setenv("MOEBIUS_MAX_DEPTH", "22")
+    rng = random.Random(1015)
+    kinds = {"empty": 0, "hits": 0, "unbounded": 0}
+    for _ in range(600):
+        e = rng.randint(10, 20)
+        if rng.random() < 0.5:
+            n = rng.randint(0, e)
+            x = rng.randrange(-2 << n, 2 << n) << (e - n)
+            cx, cy = (x, x + (1 << e) - (1 << (e - n))) if rng.random() < 0.5 else \
+                     (x, x + (1 << (e - n)) - (1 << e))
+        else:
+            cx, cy = rng.randint(-2 << e, 2 << e), rng.randint(-2 << e, 2 << e)
+        edges = (cx - rng.randint(0, 3), cx + rng.randint(0, 3),
+                 cy - rng.randint(0, 3), cy + rng.randint(0, 3))
+        rect = Rect(*(Dyadic(v, e) for v in edges), *(rng.random() < 0.2 for _ in range(4)))
+        want = _windowed_brute_force_enum(rect, rect.max_exp() + 4)
+        try:
+            got = set(enum_in_rect(rect))
+        except UnboundedRect:
+            assert any(v.n > rect.max_exp() + 1 for v in want), rect
+            kinds["unbounded"] += 1
+            continue
+        assert got == want, rect
+        kinds["hits" if got else "empty"] += 1
+    assert min(kinds.values()) >= 20, kinds
 
 
 def test_enum_corner_touch_from_outside_is_empty():

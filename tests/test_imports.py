@@ -19,7 +19,8 @@ import moebius
 _SRC = str(Path(moebius.__file__).resolve().parent.parent)
 
 # Run `main` on argv after recording what `import moebius.cli` loaded; the
-# last stdout line is the JSON record.
+# last stdout line is the JSON record, with the heavier standard modules
+# loaded by the end.
 _PROBE = """
 import json, sys
 def loaded():
@@ -29,7 +30,8 @@ package = loaded()
 import moebius.cli
 cli = loaded()
 code = moebius.cli.main(sys.argv[1:])
-print(json.dumps({"package": package, "cli": cli, "main": loaded(), "code": code}))
+stdlib = sorted(m for m in ("dataclasses", "fractions") if m in sys.modules)
+print(json.dumps({"package": package, "cli": cli, "main": loaded(), "code": code, "stdlib": stdlib}))
 """
 
 
@@ -60,6 +62,17 @@ def test_walk_queries_stop_at_walk(argv):
     record, _ = _probe(*argv)
     assert record["code"] == 0
     assert set(record["main"]) <= set(_layers("cli", "errors", "dyadic", "band", "cluster", "walk"))
+    assert record["stdlib"] == []
+
+
+@pytest.mark.parametrize("argv", [("to-string", "M(1/8,1/4)"), ("from-string", "T(1,0) > T(0,0)"),
+                                  ("simple", "T(2,1)"), ("digits", "T(0,0)", "1", "0")])
+def test_word_queries_load_neither_dataclasses_nor_fractions(argv):
+    record, _ = _probe(*argv)
+    assert record["code"] == 0
+    assert set(record["main"]) <= set(_layers("cli", "errors", "dyadic", "band", "cluster", "walk",
+                                              "strings", "equiv"))
+    assert record["stdlib"] == []
 
 
 def test_kernel_loads_neither_checks_nor_render():

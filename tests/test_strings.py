@@ -8,7 +8,7 @@ from moebius.cluster import ClusterPt, object_of
 from moebius.strings import (arrows_at, arrow_between, word, validate_word,
                              hom_dim_strings, overlap, kernel_cokernel_strings,
                              to_rep, direct_sum, decompose_rep, RepFin, restrict_rep,
-                             StringWord, parse_word, _candidate_words, _occurrences)
+                             StringWord, QArrow, parse_word, _candidate_words, _occurrences)
 from moebius.errors import InvalidWord, NoMorphism, NotAModule, ParseError
 from moebius import linalg
 
@@ -39,6 +39,16 @@ def test_degrees_depth5():
         assert len(ins) == 2 and len(outs) == 2
         assert len({a.src for a in ins}) == 2
         assert len({a.dst for a in outs}) == 2
+
+
+def test_arrows_are_immutable_values():
+    arr = arrow_between(T(0, 0), T(1, 1))
+    tri = frozenset((T(1, 1), T(0, 0), T(1, 2)))
+    assert (arr.src, arr.dst, arr.triangle) == (T(0, 0), T(1, 1), tri)
+    assert arr == QArrow(T(0, 0), T(1, 1), tri) != QArrow(T(1, 1), T(0, 0), tri)
+    assert hash(arr) == hash(QArrow(T(0, 0), T(1, 1), tri))
+    with pytest.raises(AttributeError):
+        arr.dst = T(1, 3)
 
 
 def test_direction_convention():
