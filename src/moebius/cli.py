@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 domain error (message names the error class),
 2 malformed arguments or input syntax (including a MOEBIUS_MAX_DEPTH that
 is not an integer, for every subcommand, and a `check --depth` outside
 1-MAX_CHECK_DEPTH), 3 internal error: a broken
-invariant, reported as one `internal error: ...` line.  Every error is one
-line on stderr, argparse's included.
+invariant, reported as one `internal error: ...` line, 141 stdout closed
+before the output was written (the shell's status for SIGPIPE), with
+nothing printed.  Every error is one line on stderr, argparse's included.
 
 Each handler imports the layers it uses when it is dispatched, so a cold
 query loads only those: `hom`, `support`, `walk`, `approx` and `mutate` stop
@@ -16,9 +17,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import MAX_CHECK_DEPTH, MAX_CLUSTER_DEPTH, MoebiusError, ParseError, ShapeMismatch
+
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a process the signal ended
 
 
 def _morphism_from_json(data):
@@ -354,7 +358,15 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         from .cluster import _max_depth
         _max_depth()  # read once, so a bad cap fails every subcommand alike
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so a closed stdout raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (`moebius check --json | head -c 10`): as the
+        # Python docs advise, point stdout at devnull so the flush at exit
+        # cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -9,17 +9,17 @@ string-module side, then splitting into strings and transporting back
 through the object-word dictionary; cokernels dually via vertexwise
 quotients.  Both paths order the summands alike, so they agree exactly.
 
-`classify`, `kernel` and `cokernel` read one set of per-point matrices, the
-functor F of C_pi / add T = mod End(T): at a cluster point s, F(f) is the
-matrix of f on the summands supported at s (`_vertex_matrices`).  A basic
-map acts on the whole common support of its ends, so only the source of
-the supports differs: kernels and cokernels take the vertices of the words
-they compute on, `classify` takes `walk.support` from the geometry.
+`classify`, `kernel` and `cokernel` read one set of matrices, the functor
+F of C_pi / add T = mod End(T): at a cluster point s, F(f) is the matrix of
+f on the summands supported at s, one per set of summands (`_vertex_matrices`).
+A basic map acts on the whole common support of its ends, so only the
+source of the supports differs: kernels and cokernels take the vertices of
+the words they compute on, `classify` takes `walk.support` from the geometry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -72,12 +72,7 @@ class SumObj:
     __repr__ = __str__
 
 
-@dataclass(frozen=True)
-class Classification:
-    is_zero: bool
-    is_mono: bool
-    is_epi: bool
-    is_iso: bool
+Classification = namedtuple("Classification", "is_zero is_mono is_epi is_iso")
 
 
 class MorQ:
@@ -90,15 +85,11 @@ class MorQ:
         rows = tuple(tuple(Fraction(v) for v in row) for row in entries)
         if len(rows) != len(dst) or any(len(r) != len(src) for r in rows):
             raise ShapeMismatch(f"entries must be {len(dst)}x{len(src)}")
-        cleaned = []
-        for i, d in enumerate(dst):
-            row = []
-            for j, s in enumerate(src):
-                row.append(rows[i][j] if hom_ct_dim(s, d) == 1 else Fraction(0))
-            cleaned.append(tuple(row))
+        cleaned = tuple(tuple(v if hom_ct_dim(s, d) == 1 else Fraction(0) for s, v in zip(src, row))
+                        for d, row in zip(dst, rows))
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "entries", tuple(cleaned))
+        object.__setattr__(self, "entries", cleaned)
 
     @classmethod
     def _from_clean(cls, src: SumObj, dst: SumObj, entries) -> "MorQ":
@@ -129,8 +120,7 @@ class MorQ:
 
 
 def identity_mor(x: SumObj) -> MorQ:
-    n = len(x)
-    return MorQ(x, x, tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
+    return MorQ(x, x, linalg.identity(len(x)))
 
 
 def zero_mor(src: SumObj, dst: SumObj) -> MorQ:
@@ -142,30 +132,30 @@ def basic_mor(src: Obj, dst: Obj, scalar=1) -> MorQ:
 
 
 def compose(g: MorQ, f: MorQ) -> MorQ:
-    """Matrix product; a product of basics contributes only when the
-    composite survives the quotient, which needs a nonzero hom x -> z."""
+    """Matrix product; a product of two nonzero entries, so over nonzero homs,
+    counts when its composite survives the quotient (`compose_basic_nonzero`)."""
     if f.dst != g.src:
         raise ShapeMismatch("codomain of f must equal domain of g")
     rows = []
-    for i, z in enumerate(g.dst):
+    for g_row, z in zip(g.entries, g.dst):
         row = []
         for j, x in enumerate(f.src):
             total = Fraction(0)
-            for k, y in enumerate(g.src):
-                c = g.entries[i][k] * f.entries[k][j]
-                if c and compose_basic_nonzero(x, y, z):
-                    total += c
+            for a, f_row, y in zip(g_row, f.entries, g.src):
+                if a and f_row[j] and compose_basic_nonzero(x, y, z):
+                    total += a * f_row[j]
             row.append(total)
         rows.append(tuple(row))
     return MorQ._from_clean(f.src, g.dst, tuple(rows))
 
 
-def _vertex_matrices(f: MorQ, supp_src, supp_dst, verts):
-    """Per point v, F(f) at v: the matrix of f on the summands present at v,
-    with the indices of those summands: (matrix, dst rows, src cols).
-    supp_src[j] and supp_dst[i] hold the points where the summands are
-    present.  An entry over a zero hom space is already 0 (`MorQ`), and a
-    basic map x -> y acts at every point of support(x) & support(y):
+def _vertex_matrices(f: MorQ, supp_src, supp_dst):
+    """F(f) by signature: the bitmask of the summands present at each point
+    (bit i for dst row i, bit len(dst) + j for src column j; supp_dst[i] and
+    supp_src[j] hold their points), and per signature (matrix, dst rows, src
+    cols), f on those summands.  An entry over a zero hom space is already
+    0 (`MorQ`), and a basic map x -> y acts at every point of support(x) &
+    support(y):
 
     Lemma.  If hom_ct_dim(x, y) == 1, the overlap of the graph map w_x -> w_y
     is every vertex the two words share (a word's vertices are the support).
@@ -184,28 +174,33 @@ def _vertex_matrices(f: MorQ, supp_src, supp_dst, verts):
     4. The overlap is nonempty exactly when hom_ct_dim is 1 (criterion 1).
     Criterion 6 checks the lemma, and the translates of the common points,
     on every basic of its grid."""
-    out = {}
-    for v in verts:
-        cols = [j for j, supp in enumerate(supp_src) if v in supp]
-        rows = [i for i, supp in enumerate(supp_dst) if v in supp]
-        out[v] = (tuple(tuple(f.entries[i][j] for j in cols) for i in rows), rows, cols)
-    return out
+    nd, sig, blocks = len(supp_dst), {}, {}
+    for bit, supp in enumerate((*supp_dst, *supp_src)):
+        for v in supp:
+            sig[v] = sig.get(v, 0) | 1 << bit
+    for mask in set(sig.values()):
+        r = [i for i in range(nd) if mask >> i & 1]
+        c = [j for j in range(len(supp_src)) if mask >> (nd + j) & 1]
+        blocks[mask] = (tuple(tuple(f.entries[i][j] for j in c) for i in r), r, c)
+    return sig, blocks
 
 
 def classify(f: MorQ) -> Classification:
-    """Zero/mono/epi/iso from F(f), one cluster point at a time."""
+    """Zero/mono/epi/iso from F(f), one rank per signature (a row or a column
+    has rank 1 iff it has a nonzero entry).  A 1x1 f is zero when its entry
+    is 0 or its supports are disjoint, and otherwise a nonzero scalar on the
+    common support: mono iff sx <= sy, epi iff sy <= sx."""
     supp_src = [support(x) for x in f.src]
     supp_dst = [support(y) for y in f.dst]
-    pts = sorted(set().union(*supp_src, *supp_dst))
+    if len(supp_src) == len(supp_dst) == 1:
+        (sx,), (sy,) = supp_src, supp_dst
+        if not f.entries[0][0] or sx.isdisjoint(sy):
+            return Classification(True, not sx, not sy, not sx and not sy)
+        return Classification(False, sx <= sy, sy <= sx, sx == sy)
     is_zero = is_mono = is_epi = True
-    for m, rows, cols in _vertex_matrices(f, supp_src, supp_dst, pts).values():
-        r = (1 if m[0][0] else 0) if len(rows) == len(cols) == 1 else linalg.rank(m)
-        if any(v != 0 for row in m for v in row):
-            is_zero = False
-        if r < len(cols):
-            is_mono = False
-        if r < len(rows):
-            is_epi = False
+    for m, rows, cols in _vertex_matrices(f, supp_src, supp_dst)[1].values():
+        r = linalg.rank(m) if min(len(rows), len(cols)) > 1 else int(any(map(any, m)))
+        is_zero, is_mono, is_epi = is_zero and not r, is_mono and r == len(cols), is_epi and r == len(rows)
     return Classification(is_zero, is_mono, is_epi, is_mono and is_epi)
 
 
@@ -221,8 +216,8 @@ def _string_side(f: MorQ, on_src: bool):
     words_src = [obj_to_string(x) for x in f.src]
     words_dst = [obj_to_string(y) for y in f.dst]
     rep = direct_sum([to_rep(w) for w in (words_src if on_src else words_dst)])
-    vmats = _vertex_matrices(f, [w.verts for w in words_src], [w.verts for w in words_dst],
-                             rep.dims)
+    sig, blocks = _vertex_matrices(f, [w.verts for w in words_src], [w.verts for w in words_dst])
+    vmats = {v: blocks[sig[v]] for v in rep.dims}
     return (rep, words_src, words_dst, vmats)
 
 
@@ -310,9 +305,7 @@ def _cokernel_rep(f: MorQ) -> tuple[SumObj, MorQ]:
     if not len(f.dst):
         return (SumObj(), zero_mor(f.dst, SumObj()))
     rep_dst, _, words_dst, vmats = _string_side(f, False)
-    proj = {}
-    section = {}
-    dims = {}
+    proj, section, dims = {}, {}, {}
     for v, (m, rows, cols) in vmats.items():
         n_v, n_c = len(rows), len(cols)
         # the pivot columns of [m | I] are a basis of the image followed by

@@ -236,9 +236,16 @@ def hom_ct_dim(src: Obj, dst: Obj) -> int:
     return int(any(not box_meets_cluster(a, x, b, y, e) for (a, b), (x, y) in hom_c_configs(src, dst)))
 
 
-@lru_cache(maxsize=None)
 def compose_basic_nonzero(x: Obj, y: Obj, z: Obj) -> bool:
-    """Whether the composite of basic maps x -> y -> z is nonzero in the quotient:
+    """Whether the composite of basics x -> y -> z, both nonzero (the
+    precondition), survives the quotient: iff the three supports meet, as F
+    is faithful and F of a nonzero basic u -> v is a nonzero scalar on
+    support(u) & support(v), zero elsewhere (`quotient._vertex_matrices`)."""
+    return not support(x).isdisjoint(support(y) & support(z))
+
+
+def chain_box_nonzero(x: Obj, y: Obj, z: Obj) -> bool:
+    """The geometric reference for `compose_basic_nonzero`, on any chain:
     whether y has a representative ry with rx <= ry <= rz in both coordinates
     for some basic rx -> rz whose closed rectangle avoids the cluster.
 

@@ -9,8 +9,9 @@ rather than by the library's fast path:
   of the maps out of a cluster object;
 - `lower_tail_coords` steps the mirror digit tail through the triangles one
   digit at a time (the lower tail has no library counterpart);
-- `compose_basic_nonzero_by_pairing` checks `walk.compose_basic_nonzero` by
-  pairing every representative config of x -> y with every config of
+- `compose_basic_nonzero_by_pairing` checks `walk.chain_box_nonzero`, the
+  geometric reference for the support rule of `walk.compose_basic_nonzero`,
+  by pairing every representative config of x -> y with every config of
   y -> z and both flips;
 - `string_to_obj_by_steps` checks `equiv.string_to_obj` by stepping from
   representative to adjacent representative along the word
@@ -33,10 +34,14 @@ rather than by the library's fast path:
   every coordinate in `Dyadic` arithmetic from the walk's `vertices`;
 - `induced_support_map` checks where a basic map acts, which
   `quotient._vertex_matrices` takes to be the whole common support, by
-  composing with a translate of each common support point;
+  composing with a translate of each common support point, each composite
+  read off the rectangles (`walk.chain_box_nonzero`), not the supports;
+- `classify_per_point` checks `quotient.classify`, which takes one rank per
+  set of summands present and decides a 1x1 morphism by subset tests, by
+  building F(f) at every support point and taking its rank;
 - `_classify_by_translates` checks `quotient.classify` by building F(f) at
   each point from one epsilon over every summand and a translate composite
-  per entry;
+  per entry, read off the rectangles;
 - `decompose_rep_by_rescans` checks `strings.decompose_rep` by listing the
   candidate words of the remaining support again after every peel and
   re-solving every arrow of the remainder (`_peel_everywhere`,
@@ -44,7 +49,8 @@ rather than by the library's fast path:
   (`_hom_word_to_rep_dense`, `_hom_rep_to_word_dense`);
 - `_rref_on_fractions` checks `linalg._rref` by eliminating on `Fraction`s;
 - `normal_form_on_dyadics`, `member_on_dyadics`, `hom_c_configs_on_dyadics`,
-  `hom_ct_dim_on_dyadics`, `compose_basic_nonzero_on_dyadics`,
+  `hom_ct_dim_on_dyadics`, `compose_basic_nonzero_on_dyadics` (of
+  `walk.chain_box_nonzero`),
   `triangle_complete_on_dyadics`, `shifted_on_dyadics` and `digits_to_coords_on_dyadics` check the band
   geometry, which the library runs on integer numerators at one scale, in
   `Dyadic` arithmetic on the public coordinates (`dyadic_reps`);
@@ -67,7 +73,7 @@ from moebius.band import Obj, Rect, Rep, normal_form, ends, obj_from_ends
 from moebius.cluster import (ClusterPt, ClusterOverlay, object_of, member, neighbors, chord,
                              enum_in_rect_with_reps, box_meets_cluster, _box, _t_range)
 from moebius.walk import (WalkVertex, SINK, SOURCE, THROUGH, concrete_epsilon,
-                          compose_basic_nonzero, hom_ct_dim, shifted, support)
+                          chain_box_nonzero, hom_ct_dim, shifted, support)
 from moebius.equiv import DigitPrefix, _attach_arrows
 from moebius.errors import (BandBoundary, InvalidWord, NoMorphism, NotAModule, NotBasicAligned,
                             NotInCluster)
@@ -644,9 +650,28 @@ def induced_support_map(src: Obj, dst: Obj, scalar) -> dict[ClusterPt, object]:
     eps = concrete_epsilon([src, dst] + [object_of(s) for s in common])
     out = {}
     for s in sorted(common):
-        alive = compose_basic_nonzero(shifted(s, eps, eps), src, dst)
+        alive = chain_box_nonzero(shifted(s, eps, eps), src, dst)
         out[s] = scalar if alive else scalar * 0
     return out
+
+
+def classify_per_point(f):
+    """classify from F(f) at each point of the supports, one rank each."""
+    supp_src = [support(x) for x in f.src]
+    supp_dst = [support(y) for y in f.dst]
+    is_zero = is_mono = is_epi = True
+    for pt in sorted(set().union(*supp_src, *supp_dst)):
+        cols = [j for j, supp in enumerate(supp_src) if pt in supp]
+        rows = [i for i, supp in enumerate(supp_dst) if pt in supp]
+        m = tuple(tuple(f.entries[i][j] for j in cols) for i in rows)
+        r = (1 if m[0][0] else 0) if len(rows) == len(cols) == 1 else linalg.rank(m)
+        if any(v != 0 for row in m for v in row):
+            is_zero = False
+        if r < len(cols):
+            is_mono = False
+        if r < len(rows):
+            is_epi = False
+    return Classification(is_zero, is_mono, is_epi, is_mono and is_epi)
 
 
 def _classify_by_translates(f):
@@ -661,7 +686,7 @@ def _classify_by_translates(f):
         rows = [i for i, y in enumerate(f.dst) if s in support(y)]
         eps = concrete_epsilon([object_of(s)] + list(f.src) + list(f.dst))
         s_eps = shifted(s, eps, eps)
-        m = tuple(tuple(f.entries[i][j] if f.entries[i][j] and compose_basic_nonzero(
+        m = tuple(tuple(f.entries[i][j] if f.entries[i][j] and chain_box_nonzero(
             s_eps, f.src.summands[j], f.dst.summands[i]) else Fraction(0) for j in cols)
             for i in rows)
         r = linalg.rank(m)

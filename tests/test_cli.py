@@ -209,6 +209,22 @@ def test_max_depth_not_integer_exit_2():
     assert "MOEBIUS_MAX_DEPTH" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [("support", "M(1/8,1/4)"), ("check", "--depth", "1", "--json")])
+def test_closed_stdout_exits_141_without_traceback(argv):
+    # stdout is a pipe whose read end is already closed, so the first write
+    # fails with EPIPE whatever the timing
+    import os, subprocess, sys
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "moebius.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+
+
 def test_digits_not_binary_exit_2(capsys):
     code, out, err = run(capsys, "digits", "T(0,0)", "x")
     assert code == 2 and out == ""

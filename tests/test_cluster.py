@@ -332,7 +332,7 @@ def test_meets_cluster_on_hom_rectangles():
 
 
 def test_meets_cluster_on_composite_rectangles(monkeypatch):
-    # the boxes compose_basic_nonzero tests for x -> y -> z, with x -> y
+    # the boxes chain_box_nonzero tests for x -> y -> z, with x -> y
     # every tenth basic of the depth-3 grid and y -> z any basic after it
     import moebius.walk as walk
     from moebius.checks import _basics
@@ -351,7 +351,7 @@ def test_meets_cluster_on_composite_rectangles(monkeypatch):
     for (x, y) in basics[::10]:
         for (y2, z) in basics:
             if y2 == y:
-                walk.compose_basic_nonzero.__wrapped__(x, y, z)
+                walk.chain_box_nonzero(x, y, z)
     assert True in seen.values() and False in seen.values()
 
 

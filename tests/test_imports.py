@@ -83,6 +83,16 @@ def test_kernel_loads_neither_checks_nor_render():
     assert "moebius.checks" not in record["main"] and "moebius.render" not in record["main"]
 
 
+@pytest.mark.parametrize("argv", [("kernel",), ("cokernel",), ("check", "--depth", "1")])
+def test_quotient_and_check_load_no_dataclasses(argv):
+    # `quotient.Classification` and `checks.CheckResult` are namedtuples
+    morphism = {"src": ["M(1/8,1/4)"], "dst": ["M(1/4,3/4)"], "entries": [[1]]}
+    record, _ = _probe(*argv, stdin=json.dumps(morphism))
+    assert record["code"] == 0
+    assert "moebius.quotient" in record["main"]
+    assert "dataclasses" not in record["stdlib"]
+
+
 def test_check_depth_above_cap_never_imports_checks():
     record, err = _probe("check", "--depth", "7")
     assert record["code"] == 2

@@ -15,7 +15,8 @@ from moebius.errors import MoebiusError, ShapeMismatch
 from moebius.strings import decompose_rep, overlap
 from moebius.walk import hom_ct_dim, support
 
-from oracles import induced_support_map, _classify_by_translates, decompose_rep_by_rescans
+from oracles import (induced_support_map, classify_per_point, _classify_by_translates,
+                     decompose_rep_by_rescans)
 
 T = ClusterPt
 M = parse_obj
@@ -359,7 +360,7 @@ def _assert_classify_agrees(f):
     _, incl = kernel(f)
     _, proj = cokernel(f)
     for g in (f, incl, proj, compose(f, incl), compose(proj, f)):
-        assert classify(g) == _classify_by_translates(g), g
+        assert classify(g) == classify_per_point(g) == _classify_by_translates(g), g
 
 
 def test_classify_matches_translates_on_basics_depth3():
@@ -380,4 +381,4 @@ def test_classify_matches_translates_on_matrix_morphisms():
         _, incl = kernel(f)
         _, proj = cokernel(f)
         for g in (f, incl, proj):
-            assert classify(g) == _classify_by_translates(g), g
+            assert classify(g) == classify_per_point(g) == _classify_by_translates(g), g

@@ -9,7 +9,7 @@ from moebius.cluster import ClusterPt, object_of, member, enum_in_rect, enum_in_
 from moebius.walk import (support, walk_of, minimal_walk, approximation,
                           hom_ct_dim, tau_dims, concrete_epsilon, shifted,
                           factors_through_sink,
-                          compose_basic_nonzero, _walk_at)
+                          compose_basic_nonzero, chain_box_nonzero, _walk_at)
 from moebius.errors import BandBoundary, InCluster, NoMorphism
 
 from oracles import (tau_dims_via_epsilon, hom0_via_factoring, _scan_walk_of,
@@ -226,7 +226,7 @@ def test_compose_basic_nonzero_blocked():
 def _assert_compose_matches_pairing(triples):
     seen = set()
     for x, y, z in triples:
-        got = compose_basic_nonzero.__wrapped__(x, y, z)
+        got = chain_box_nonzero(x, y, z)
         assert got == compose_basic_nonzero_by_pairing(x, y, z), (x, y, z)
         seen.add(got)
     return seen
@@ -386,12 +386,65 @@ def _chains(e):
 
 
 def test_compose_matches_dyadic_oracle_on_depth3_chains():
+    # the rectangle test against its Dyadic form, and the support rule
+    # against the rectangle test, on every chain of the depth-3 grid
     seen = set()
-    for x, y, z in _chains(3):
-        got = compose_basic_nonzero.__wrapped__(x, y, z)
+    chains = _chains(3)
+    for x, y, z in chains:
+        got = chain_box_nonzero(x, y, z)
         assert got == compose_basic_nonzero_on_dyadics(x, y, z), (x, y, z)
+        assert compose_basic_nonzero(x, y, z) == got, (x, y, z)
+        seen.add(got)
+    assert seen == {True, False} and len(chains) == 37_196
+
+
+def _assert_support_rule_matches_rectangles(chains):
+    seen = set()
+    for x, y, z in chains:
+        got = compose_basic_nonzero(x, y, z)
+        assert got == chain_box_nonzero(x, y, z), (x, y, z)
         seen.add(got)
     assert seen == {True, False}
+
+
+def test_support_rule_matches_rectangles_on_seeded_depth4_chains():
+    # the depth-4 grid has 3.04M chains, too many to compare all: through
+    # each of 20 seeded middle objects y, 500 seeded pairs x -> y -> z
+    from moebius.checks import grid_off_cluster
+    objs = grid_off_cluster(4)
+    rng = random.Random(4)
+    chains = []
+    for y in rng.sample(objs, 20):
+        before = [x for x in objs if hom_ct_dim(x, y)]
+        after = [z for z in objs if hom_ct_dim(y, z)]
+        chains += [(rng.choice(before), y, rng.choice(after)) for _ in range(500)]
+    _assert_support_rule_matches_rectangles(chains)
+
+
+def _near_basic(rng, x, e):
+    """An object off the cluster with a nonzero basic x -> it, up to a
+    seeded spread of 2^(e-4) to 2^(e-1) over 2^e above and right of x."""
+    while True:
+        spread = 1 << (e - rng.randint(1, 4))
+        try:
+            y = normal_form(x.x + D(rng.randrange(spread), e), x.y + D(rng.randrange(spread), e))
+        except BandBoundary:
+            continue
+        if y != x and member(y) is None and hom_ct_dim(x, y):
+            return y
+
+
+def test_support_rule_matches_rectangles_at_exponents_16_to_64():
+    from moebius.band import Obj
+    rng = random.Random(64)
+    chains = []
+    while len(chains) < 400:
+        e = rng.randint(16, 64)
+        x = Obj(D(rng.randrange(1 << (e + 1)), e), D(rng.randrange(1, 1 << e), e))
+        if member(x) is None:
+            y = _near_basic(rng, x, e)
+            chains.append((x, y, _near_basic(rng, y, e)))
+    _assert_support_rule_matches_rectangles(chains)
 
 
 def test_shifted_matches_dyadic_oracle():
@@ -424,7 +477,7 @@ def test_hom_and_composite_tests_build_no_dyadic(monkeypatch):
 
     monkeypatch.setattr(Dyadic, "__init__", counting)
     dims = sum(hom_ct_dim.__wrapped__(x, y) for x in objs for y in objs)
-    alive = sum(compose_basic_nonzero.__wrapped__(x, y, z) for x, y, z in chains)
+    alive = sum(chain_box_nonzero(x, y, z) for x, y, z in chains)
     monkeypatch.undo()
     assert built == []
     assert 0 < dims < len(objs) ** 2 and 0 < alive < len(chains)
