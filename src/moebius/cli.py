@@ -229,12 +229,12 @@ def _spec_list(data, key: str) -> list:
 
 
 def _parse_render_spec(data):
+    """The objects, rects, walks and cluster depth of a JSON render spec."""
     from .dyadic import parse_dyadic
     from .band import parse_obj, Rect
-    from .render import RenderSpec
 
-    spec = RenderSpec()
-    for key, out in (("objects", spec.objects), ("walks", spec.walks)):
+    objects, rects, walks, depth = [], [], [], None
+    for key, out in (("objects", objects), ("walks", walks)):
         for s in _spec_list(data, key):
             if not isinstance(s, str):
                 raise ParseError(f"render spec {key!r} must hold object strings, got {s!r}")
@@ -249,20 +249,19 @@ def _parse_render_spec(data):
                 raise ValueError("open must be a list of four booleans")
             x_lo, x_hi = (parse_dyadic(str(v)) for v in xs)
             y_lo, y_hi = (parse_dyadic(str(v)) for v in ys)
-            spec.rects.append(Rect(x_lo, x_hi, y_lo, y_hi, *flags))
+            rects.append(Rect(x_lo, x_hi, y_lo, y_hi, *flags))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad rect: {exc}")
     if "cluster_depth" in data:
         depth = data["cluster_depth"]
         if not isinstance(depth, int) or isinstance(depth, bool):
             raise ParseError(f"render spec 'cluster_depth' must be an integer, got {depth!r}")
-        spec.cluster_depth = depth
-    return spec
+    return objects, rects, walks, depth
 
 
 def _cmd_render(args) -> int:
     from .band import parse_obj
-    from .render import render
+    from .render import RenderSpec, render
 
     data = {}
     if args.spec:
@@ -278,17 +277,14 @@ def _cmd_render(args) -> int:
             raise ParseError(f"cannot read render spec: {exc}")
         if not isinstance(data, dict):
             raise ParseError("render spec must be a JSON object")
-    spec = _parse_render_spec(data)
-    for s in args.walk or []:
-        spec.walks.append(parse_obj(s))
-    for s in args.object or []:
-        spec.objects.append(parse_obj(s))
+    objects, rects, walks, depth = _parse_render_spec(data)
+    walks += map(parse_obj, args.walk or [])
+    objects += map(parse_obj, args.object or [])
     if args.cluster_depth is not None:
-        spec.cluster_depth = args.cluster_depth
-    if spec.cluster_depth is not None and not 0 <= spec.cluster_depth <= MAX_CLUSTER_DEPTH:
-        raise ParseError(f"cluster depth must be between 0 and {MAX_CLUSTER_DEPTH}, "
-                         f"got {spec.cluster_depth}")
-    doc = render(spec)
+        depth = args.cluster_depth
+    if depth is not None and not 0 <= depth <= MAX_CLUSTER_DEPTH:
+        raise ParseError(f"cluster depth must be between 0 and {MAX_CLUSTER_DEPTH}, got {depth}")
+    doc = render(RenderSpec(objects, rects, walks, depth))
     if args.out == "-":
         sys.stdout.write(doc)
     else:
@@ -364,8 +360,12 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader went away (`moebius check --json | head -c 10`): as the
         # Python docs advise, point stdout at devnull so the flush at exit
-        # cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # cannot raise again; a stand-in stdout with no descriptor needs none
+        try:
+            out = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out)
+        except OSError:
+            pass
         return EXIT_BROKEN_PIPE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -38,23 +38,30 @@ class ClusterPt(namedtuple("ClusterPt", "n m")):
     """Vertex (n, m) of the standard cluster, canonicalized: m is taken mod
     2^(n+1) and T(0,1) becomes T(0,0).  The point is its (n, m) pair:
     equality with a plain pair is intended, and it hashes and sorts as
-    that tuple does."""
+    that tuple does.  The 1,021 points of depth <= 8 are shared: a fixed
+    table (about 80 KiB, never grown) holds one instance of each, so the
+    walks and supports of a process keep no copies of them.  Deeper points
+    are built per call, as a table of every depth would grow with them."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, m: int):
+        if 0 <= n <= _SHARED_DEPTH:
+            return _SHARED[n][m & ((2 << n) - 1)]
         if n < 0:
             raise ValueError("depth must be nonnegative")
-        m %= 1 << (n + 1)
-        if n == 0 and m == 1:
-            m = 0
-        return tuple.__new__(cls, (n, m))
+        return tuple.__new__(cls, (n, m % (2 << n)))
 
     def __str__(self) -> str:
         return f"T({self.n},{self.m})"
 
     __repr__ = __str__
 
+
+_SHARED_DEPTH = 8
+_T00 = tuple.__new__(ClusterPt, (0, 0))  # also T(0,1)
+_SHARED = ((_T00, _T00), *(tuple(tuple.__new__(ClusterPt, (n, m)) for m in range(2 << n))
+                           for n in range(1, _SHARED_DEPTH + 1)))
 
 Triangle = tuple[ClusterPt, ClusterPt, ClusterPt]
 

@@ -124,8 +124,8 @@ class Dyadic:
     def __repr__(self) -> str:
         return f"Dyadic({self})"
 
-    def decimal(self) -> str:
-        return decimal(self.num, self.exp)
+    def decimal(self) -> str:  # exact, as a dyadic always terminates
+        return decimal(self.num * 5 ** self.exp, self.exp)
 
 
 # Slot setters, bypassing the __setattr__ that makes instances immutable.
@@ -134,10 +134,10 @@ _set_exp = Dyadic.exp.__set__
 
 
 def decimal(num: int, exp: int) -> str:
-    """Exact decimal expansion of num/2^exp (dyadics always terminate); it
-    depends only on the value, so num need not be reduced."""
+    """The decimal expansion of num/10^exp, without trailing zeros; num/2^exp
+    is decimal(num * 5^exp, exp)."""
     sign = "-" if num < 0 else ""
-    s = str(abs(num) * 5 ** exp).rjust(exp + 1, "0")
+    s = str(abs(num)).rjust(exp + 1, "0")
     if exp == 0:
         return sign + s
     whole, frac = s[:-exp], s[-exp:].rstrip("0")

@@ -66,7 +66,7 @@ def string_to_obj(w: StringWord) -> Obj:
     walk = minimal_walk(att_l.src, att_r.src)
     if _walk_word(walk) != w:
         raise AssertionError(f"the walk between the attach vertices of {w} does not carry it")
-    return normal_form(walk.nums[0][0], walk.nums[-1][1], walk.k)
+    return normal_form(walk.xs[0], walk.ys[-1], walk.k)
 
 
 def simple_object(v: ClusterPt) -> Obj:

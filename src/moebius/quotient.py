@@ -128,7 +128,11 @@ def zero_mor(src: SumObj, dst: SumObj) -> MorQ:
 
 
 def basic_mor(src: Obj, dst: Obj, scalar=1) -> MorQ:
-    return MorQ(SumObj([src]), SumObj([dst]), ((Fraction(scalar),),))
+    """scalar times the basic morphism src -> dst, 0 when the hom vanishes."""
+    c, s, d = Fraction(scalar), SumObj([src]), SumObj([dst])
+    if not (s and d):  # a cluster summand is zero here, so the 1x1 entries do not fit
+        raise ShapeMismatch(f"entries must be {len(d)}x{len(s)}")
+    return MorQ._from_clean(s, d, ((c if hom_ct_dim(src, dst) else Fraction(0),),))
 
 
 def compose(g: MorQ, f: MorQ) -> MorQ:

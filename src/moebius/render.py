@@ -8,7 +8,7 @@ class, at the canonical representative with first coordinate in [0, 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .dyadic import Dyadic, ZERO, ONE, TWO, decimal
 from .band import Obj, Rect
@@ -21,12 +21,19 @@ PAD = Dyadic(1, 3)
 DOT_R = {0: "5", 1: "4", 2: "3", 3: "2.5", 4: "2", None: "1.5"}
 
 
-@dataclass
-class RenderSpec:
-    objects: list[Obj] = field(default_factory=list)
-    rects: list[Rect] = field(default_factory=list)
-    walks: list[Obj] = field(default_factory=list)
-    cluster_depth: int | None = None
+# What to draw: objects, rectangles (`Rect`), objects whose walks are drawn,
+# and cluster dots down to `cluster_depth`.
+RenderSpec = namedtuple("RenderSpec", "objects rects walks cluster_depth",
+                        defaults=((), (), (), None))
+
+
+def _axis(origin: Dyadic, e: int, scale: int):
+    """The pixel string of num/2^e on an axis, as a function of num: its
+    distance from `origin` times `scale`, the offset and power of 5 computed
+    once for the axis and e."""
+    f = max(e, origin.exp)
+    up, off, mul = f - e, origin.num << (f - origin.exp), scale * 5 ** f
+    return lambda num: decimal(((num << up) - off) * mul, f)
 
 
 class _Canvas:
@@ -34,21 +41,19 @@ class _Canvas:
         self.x_lo, self.x_hi, self.y_lo, self.y_hi = x_lo, x_hi, y_lo, y_hi
         self.elements: list[str] = []
 
-    def x_at(self, num: int, exp: int) -> str:
-        """The pixel column of x = num/2^exp."""
-        e = max(exp, self.x_lo.exp)
-        return decimal(((num << (e - exp)) - (self.x_lo.num << (e - self.x_lo.exp))) * SCALE, e)
+    def x_at(self, e: int):
+        """The pixel column of x = num/2^e, as a function of num."""
+        return _axis(self.x_lo, e, SCALE)
 
-    def y_at(self, num: int, exp: int) -> str:
-        """The pixel row of y = num/2^exp."""
-        e = max(exp, self.y_hi.exp)
-        return decimal(((self.y_hi.num << (e - self.y_hi.exp)) - (num << (e - exp))) * SCALE, e)
+    def y_at(self, e: int):
+        """The pixel row of y = num/2^e, as a function of num."""
+        return _axis(self.y_hi, e, -SCALE)
 
     def px(self, x: Dyadic) -> str:
-        return self.x_at(x.num, x.exp)
+        return self.x_at(x.exp)(x.num)
 
     def py(self, y: Dyadic) -> str:
-        return self.y_at(y.num, y.exp)
+        return self.y_at(y.exp)(y.num)
 
     # element writers take pixel strings
     def line(self, x1, y1, x2, y2, cls):
@@ -86,9 +91,8 @@ def render(spec: RenderSpec) -> str:
         ys += [r.y_lo, r.y_hi]
     walks = [walk_of(o) for o in spec.walks]
     for w in walks:  # the walk runs up and left from its lower-right corner
-        (p0, q0), (p1, q1) = w.nums[0], w.nums[-1]
-        xs += [Dyadic(p1, w.k), Dyadic(p0, w.k)]
-        ys += [Dyadic(q0, w.k), Dyadic(q1, w.k)]
+        xs += [Dyadic(w.xs[-1], w.k), Dyadic(w.xs[0], w.k)]
+        ys += [Dyadic(w.ys[0], w.k), Dyadic(w.ys[-1], w.k)]
     x_lo, x_hi = min(xs) - PAD, max(xs) + PAD
     y_lo, y_hi = min(ys) - PAD, max(ys) + PAD
     cv = _Canvas(x_lo, x_hi, y_lo, y_hi)
@@ -132,10 +136,11 @@ def render(spec: RenderSpec) -> str:
 def _draw_walk(cv: _Canvas, w: Walk):
     """The walk on integer numerators at the scale 2^(k+6), where the step
     midpoints and the arrow half-width 1/32 are integers; `x_at`/`y_at`
-    rescale to the canvas bounds where those are finer."""
+    rescale to the canvas bounds where those are finer, once per walk."""
     e, h = w.k + 6, 1 << (w.k + 1)
-    xs, ys = [p << 6 for p, _ in w.nums], [q << 6 for _, q in w.nums]
-    px, py = [cv.x_at(x, e) for x in xs], [cv.y_at(y, e) for y in ys]
+    x_at, y_at = cv.x_at(e), cv.y_at(e)
+    xs, ys = [p << 6 for p in w.xs], [q << 6 for q in w.ys]
+    px, py = list(map(x_at, xs)), list(map(y_at, ys))
     for i, step in enumerate(w.steps):
         # arrows point up (vertical steps) and right (horizontal steps)
         a, b = (i, i + 1) if step == "v" else (i + 1, i)
@@ -146,6 +151,6 @@ def _draw_walk(cv: _Canvas, w: Walk):
         else:
             arrow = ((mx - h, my - h), (mx - h, my + h), (mx + h, my))
         cv.elements.append('<path class="arrow" d="M {} {} L {} {} L {} {} Z"/>'.format(
-            *(c for x, y in arrow for c in (cv.x_at(x, e), cv.y_at(y, e)))))
+            *(c for x, y in arrow for c in (x_at(x), y_at(y)))))
     for x, y in zip(px, py):
         cv.circle(x, y, "2.5", "walkpt")

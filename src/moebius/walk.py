@@ -15,12 +15,13 @@ representatives on the vertical line x' = P are (P, P -+ (2^K - 2^j)) for
 T(0,0) on the diagonal), and likewise (Q -+ (2^K - 2^j), Q) on the
 horizontal line y' = Q.  The nearest one above or to the left is therefore
 a `bit_length` away, and each step goes up when that stays below the top
-edge and left otherwise.
+edge and left otherwise.  The j that finds a step gives the depth K - j of
+the point it reaches, so each vertex costs a few integer operations.
 
 A `Walk` keeps what the stepper computes: the cluster points, their
-representatives as integer numerator pairs at the scale 2^k, the steps and
-the roles.  `Dyadic` representatives are built only when a caller asks for
-them (`vertices`, `sinks`, `sources`, `to_json`).
+representatives as two tuples `xs` and `ys` of integer numerators at the
+scale 2^k, the steps and the roles.  `Dyadic` representatives are built
+on demand (`vertices`, `sinks`, `sources`, `to_json`).
 """
 
 from __future__ import annotations
@@ -51,26 +52,23 @@ _ROLE = {"vv": THROUGH, "hh": THROUGH, "hv": SOURCE, "h-": SOURCE, "-v": SOURCE}
 
 
 class Walk:
-    """Equal only to itself: `walk_of` builds each object's walk once."""
+    """The cluster points `pts` of a walk, the coordinates `xs` and `ys` of
+    their representatives as numerators at the scale 2^k, the `steps` ("h"
+    or "v") between consecutive vertices and the `roles`.  Equal only to
+    itself: `walk_of` builds each object's walk once."""
 
-    __slots__ = ("pts", "nums", "k", "steps", "roles")
+    __slots__ = ("pts", "xs", "ys", "k", "steps", "roles")
 
-    pts: tuple[ClusterPt, ...]
-    nums: tuple[tuple[int, int], ...]  # the representatives, numerators at scale 2^k
-    k: int
-    steps: tuple[str, ...]  # "h" or "v", between consecutive vertices
-    roles: tuple[str, ...]
-
-    def __init__(self, pts, nums, k, steps, roles):
-        self.pts, self.nums, self.k, self.steps, self.roles = pts, nums, k, steps, roles
+    def __init__(self, pts, xs, ys, k, steps, roles):
+        self.pts, self.xs, self.ys, self.k, self.steps, self.roles = pts, xs, ys, k, steps, roles
 
     @property
     def length(self) -> int:
         return len(self.steps)
 
     def _vertex(self, i: int) -> WalkVertex:
-        p, q = self.nums[i]
-        return WalkVertex(self.pts[i], (Dyadic(p, self.k), Dyadic(q, self.k)), self.roles[i])
+        rep = (Dyadic(self.xs[i], self.k), Dyadic(self.ys[i], self.k))
+        return WalkVertex(self.pts[i], rep, self.roles[i])
 
     @property
     def vertices(self) -> tuple[WalkVertex, ...]:
@@ -135,54 +133,55 @@ def _corners(x: Obj) -> tuple[int, int, int, int, int]:
     return (*(c << k >> s for c in corners), k)
 
 
-def _offset_above(d: int, line: int, k: int) -> int | None:
+def _offset_above(d: int, j_max: int, k: int) -> tuple[int, int] | tuple[None, None]:
     """Smallest offset c > d among -(2^k - 2^j), then +(2^k - 2^j), for
-    0 <= j <= j_max: the cluster representatives on the line through the
-    coordinate `line`, 2^j_max being the largest power of two <= 2^k dividing it."""
-    j_max = min((line & -line).bit_length() - 1, k) if line else k
+    0 <= j <= j_max, as (c, j), or (None, None): the cluster representatives
+    on a line whose coordinate 2^j_max divides (2^j_max <= 2^k), that at c
+    of depth k - j."""
     one = 1 << k
     j = (d + one).bit_length()  # least 2^j > d + 2^k
     if j <= j_max:
-        return (1 << j) - one
+        return (1 << j) - one, j
     s = one - d
     if s < 2:
-        return None
-    return one - (1 << min(j_max, (s - 1).bit_length() - 1))  # greatest 2^j < 2^k - d
-
-
-def _point_at(p: int, q: int, k: int) -> ClusterPt:
-    """The cluster point with the representative (p, q) at scale 2^k."""
-    d = q - p
-    j = ((1 << k) - abs(d)).bit_length() - 1  # |d| = 2^k - 2^j at depth k - j
-    t = p >> j
-    return ClusterPt(k - j, t if d >= 0 else t + 1)
+        return None, None
+    j = min(j_max, (s - 1).bit_length() - 1)  # greatest 2^j < 2^k - d
+    return one - (1 << j), j
 
 
 def _walk_at(p: int, q: int, left: int, top: int, k: int) -> Walk:
     """The walk from the lower-right representative (p, q) to the upper-left
-    one (left, top), stepped on integer numerators at the scale 2^k."""
-    reps, steps = [(p, q)], []
+    one (left, top), stepped on integer numerators at the scale 2^k.  A step
+    by c = -+(2^k - 2^j) reaches depth k - j; 2^jp and 2^jq, the lowest set
+    bits of p | 2^k and q | 2^k, change only when p or q moves."""
+    one = 1 << k
+    j = (one - abs(q - p)).bit_length() - 1  # |q - p| = 2^k - 2^j at depth k - j
+    xs, ys, pts, steps = [p], [q], [ClusterPt(k - j, (p >> j) + (q < p))], []
+    jp, jq = (((r := c | one) & -r).bit_length() - 1 for c in (p, q))
     while p != left or q != top:
-        c = _offset_above(q - p, p, k)
+        c, j = _offset_above(q - p, jp, k)
         if c is not None and p + c <= top:
             q = p + c
+            jq = ((r := q | one) & -r).bit_length() - 1
             steps.append("v")
         else:
             # the nearest rep to the left on y' = q: offset -c with c the
             # least offset above q - p, the offset set being symmetric
-            c = _offset_above(q - p, q, k)
+            c, j = _offset_above(q - p, jq, k)
             if c is None or q - c < left:
                 raise AssertionError(f"walk to ({Dyadic(left, k)}, {Dyadic(top, k)}) is stuck "
                                      f"at ({Dyadic(p, k)}, {Dyadic(q, k)})")
             p = q - c
+            jp = ((r := p | one) & -r).bit_length() - 1
             steps.append("h")
-        reps.append((p, q))
-    pts = tuple(_point_at(p, q, k) for p, q in reps)
+        xs.append(p)
+        ys.append(q)
+        pts.append(ClusterPt(k - j, (p >> j) + (c < 0)))
     if len(set(pts)) != len(pts):
         raise AssertionError("walk visits an object twice")
     around = ("-", *steps, "-")
     roles = tuple(_ROLE.get(b + a, SINK) for b, a in zip(around, around[1:]))
-    return Walk(pts, tuple(reps), k, tuple(steps), roles)
+    return Walk(tuple(pts), tuple(xs), tuple(ys), k, tuple(steps), roles)
 
 
 @lru_cache(maxsize=None)
@@ -317,7 +316,7 @@ def factors_through_sink(s: ClusterPt, x: Obj) -> bool:
     e = max(s_obj.e, x.e)
     k = max(walk.k, e)
     up, sc = k - walk.k, k - e
-    sinks = [(p << up, q << up) for (p, q), role in zip(walk.nums, walk.roles) if role == SINK]
+    sinks = [(p << up, q << up) for p, q, role in zip(walk.xs, walk.ys, walk.roles) if role == SINK]
     for (a, b), (xx, yy) in hom_c_configs(s_obj, x):
         a, b, xx, yy = a << sc, b << sc, xx << sc, yy << sc
         if any(a <= bx <= xx and b <= by <= yy for bx, by in sinks):

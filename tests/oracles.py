@@ -21,6 +21,11 @@ rather than by the library's fast path:
   representative and sorting them along the zig-zag (`_scan_assemble`),
   the rectangle of `walk_of` spanned by corners found on Dyadics
   (`lower_corner_on_dyadics`, `upper_corner_on_dyadics`);
+- `walk_at_by_points` checks `walk._walk_at`, which reads each vertex's
+  depth off the offset search of its step, by a stepper that keeps one
+  (p, q) pair per vertex and reads each point back off its pair
+  (`_point_at`), each offset searched from its line's coordinate
+  (`_offset_above`);
 - `_member_by_ends` checks `cluster.member` by searching the ends of x for
   an arc of length 1/2^n between points of the 1/2^n grid;
 - `mutate_on_angles` checks `cluster.mutate`, which reads every chord end
@@ -427,6 +432,57 @@ def _scan_minimal_walk(v, w):
                 if ul[0] <= lr[0] and ul[1] >= lr[1]:
                     return _scan(Rect(ul[0], lr[0], lr[1], ul[1]))
     raise AssertionError(f"no common walk window for {v}, {w}")
+
+
+# -- walks stepped one pair at a time --------------------------------------------
+
+def _offset_above(d: int, line: int, k: int) -> int | None:
+    """Smallest offset c > d among -(2^k - 2^j), then +(2^k - 2^j), for
+    0 <= j <= j_max: the cluster representatives on the line through the
+    coordinate `line`, 2^j_max being the largest power of two <= 2^k dividing it."""
+    j_max = min((line & -line).bit_length() - 1, k) if line else k
+    one = 1 << k
+    j = (d + one).bit_length()  # least 2^j > d + 2^k
+    if j <= j_max:
+        return (1 << j) - one
+    s = one - d
+    if s < 2:
+        return None
+    return one - (1 << min(j_max, (s - 1).bit_length() - 1))  # greatest 2^j < 2^k - d
+
+
+def _point_at(p: int, q: int, k: int) -> ClusterPt:
+    """The cluster point with the representative (p, q) at scale 2^k."""
+    d = q - p
+    j = ((1 << k) - abs(d)).bit_length() - 1  # |d| = 2^k - 2^j at depth k - j
+    t = p >> j
+    return ClusterPt(k - j, t if d >= 0 else t + 1)
+
+
+def walk_at_by_points(p: int, q: int, left: int, top: int, k: int):
+    """The walk from (p, q) to (left, top) at the scale 2^k, as (pts, reps,
+    k, steps, roles) with reps the (p, q) pair of each vertex."""
+    from moebius.walk import _ROLE
+    reps, steps = [(p, q)], []
+    while p != left or q != top:
+        c = _offset_above(q - p, p, k)
+        if c is not None and p + c <= top:
+            q = p + c
+            steps.append("v")
+        else:
+            c = _offset_above(q - p, q, k)
+            if c is None or q - c < left:
+                raise AssertionError(f"walk to ({Dyadic(left, k)}, {Dyadic(top, k)}) is stuck "
+                                     f"at ({Dyadic(p, k)}, {Dyadic(q, k)})")
+            p = q - c
+            steps.append("h")
+        reps.append((p, q))
+    pts = tuple(_point_at(p, q, k) for p, q in reps)
+    if len(set(pts)) != len(pts):
+        raise AssertionError("walk visits an object twice")
+    around = ("-", *steps, "-")
+    roles = tuple(_ROLE.get(b + a, SINK) for b, a in zip(around, around[1:]))
+    return pts, tuple(reps), k, tuple(steps), roles
 
 
 # -- membership by an end search -----------------------------------------------

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -356,6 +357,12 @@ def test_exponent_64_queries_take_no_depth_cap(capsys, monkeypatch):
 # -- in-process fuzz of the word commands ---------------------------------------
 
 @st.composite
+def _mostly(draw, good, *bad, weight=5):
+    """A good draw about `weight` times as often as one of the bad values."""
+    return draw(st.sampled_from(bad) if draw(st.integers(0, weight)) == weight else good)
+
+
+@st.composite
 def _cluster_token(draw):
     n = draw(st.integers(0, 70))
     m = draw(st.one_of(st.integers(0, (2 << n) - 1), st.integers(-3, 3)))
@@ -390,10 +397,18 @@ _ARGUMENTS = st.one_of(_cluster_token(), _object_token(), _path_word(),
                        st.lists(_TOKENS, max_size=7).map(" ".join))
 
 
-def _main_in_process(argv, stdin=""):
-    """Exit code, stdout and stderr of main on argv with the given stdin."""
-    import contextlib, io, sys
-    out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone away, as `moebius ... | head -c 0` sees it."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def _main_in_process(argv, stdin="", closed=False):
+    """Exit code, stdout and stderr of main on argv with the given stdin, the
+    stdout closed at the other end if `closed`."""
+    import contextlib, sys
+    out, err, saved = _ClosedStdout() if closed else io.StringIO(), io.StringIO(), sys.stdin
     sys.stdin = io.StringIO(stdin)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -403,21 +418,24 @@ def _main_in_process(argv, stdin=""):
     return code, out.getvalue(), err.getvalue()
 
 
-def _assert_clean_exit(argv, code, out, err):
-    # an exception escaping main would end the real command in a traceback
-    assert code in (0, 1, 2, 3), argv
+def _assert_clean_exit(argv, code, out, err, closed=False):
+    # an exception escaping main would end the real command in a traceback;
+    # every success writes, so on a closed stdout it ends in 141 and silence
+    assert code in ((1, 2, 3, 141) if closed else (0, 1, 2, 3)), argv
     event(f"exit {code}")
     assert "Traceback" not in out + err, argv
-    if code:
+    if code == 141:
+        assert err == "", (argv, err)
+    elif code:
         assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
 
 
 @settings(max_examples=100, deadline=None)
 @given(command=st.sampled_from(["from-string", "to-string", "simple", "walk"]),
-       json_flag=st.booleans(), argument=_ARGUMENTS)
-def test_word_commands_fuzz(command, json_flag, argument):
+       json_flag=st.booleans(), argument=_ARGUMENTS, closed=st.booleans())
+def test_word_commands_fuzz(command, json_flag, argument, closed):
     argv = [command, *(["--json"] if json_flag else []), argument]
-    _assert_clean_exit(argv, *_main_in_process(argv))
+    _assert_clean_exit(argv, *_main_in_process(argv, closed=closed), closed=closed)
 
 
 # -- in-process fuzz of render and kernel/cokernel, stdin included --------------
@@ -430,12 +448,6 @@ def _band_object(draw, max_exp=6):
     a = draw(st.integers(-(2 << k), 2 << k))
     d = draw(st.integers(1, (1 << k) - 1)) * draw(st.sampled_from([1, -1]))
     return f"M({a}/{1 << k},{a + d}/{1 << k})"
-
-
-@st.composite
-def _mostly(draw, good, *bad, weight=5):
-    """A good draw about `weight` times as often as one of the bad values."""
-    return draw(st.sampled_from(bad) if draw(st.integers(0, weight)) == weight else good)
 
 
 _SCALARS = _mostly(st.sampled_from([0, 1, -2, "1/2", "-3/4", 1.5]), "1/0", "x", True, None,
@@ -513,11 +525,11 @@ _ARITY = {"hom": 2, "support": 1, "approx": 1, "mutate": 1}
 @settings(max_examples=100, deadline=None)
 @given(command=st.sampled_from(sorted(_ARITY)), json_flag=st.booleans(),
        arguments=st.lists(st.one_of(_band_object(64), _ARGUMENTS), min_size=3, max_size=3),
-       arity_off=_mostly(st.just(0), -1, 1))
-def test_query_commands_fuzz(command, json_flag, arguments, arity_off):
+       arity_off=_mostly(st.just(0), -1, 1), closed=st.booleans())
+def test_query_commands_fuzz(command, json_flag, arguments, arity_off, closed):
     argv = [command, *(["--json"] if json_flag else []),
             *arguments[:_ARITY[command] + arity_off]]
-    _assert_clean_exit(argv, *_main_in_process(argv))
+    _assert_clean_exit(argv, *_main_in_process(argv, closed=closed), closed=closed)
 
 
 @settings(max_examples=100, deadline=None)

@@ -39,10 +39,28 @@ def test_cluster_pt_is_its_pair():
     assert T(2, 1) == (2, 1) and hash(T(2, 1)) == hash((2, 1))
     with pytest.raises(AttributeError):
         T(2, 1).n = 3
-    pts = all_points(3)
-    random.Random(0).shuffle(pts)
+    # shared points of depth <= 8 and deeper ones alike
+    rng = random.Random(0)
+    pts = all_points(9) + [T(n, rng.randrange(-(4 << n), 4 << n)) for n in range(9, 40)]
+    rng.shuffle(pts)
     assert sorted(pts) == sorted(pts, key=lambda p: (p.n, p.m))
+    assert all(hash(p) == hash((p.n, p.m)) and str(p) == f"T({p.n},{p.m})" for p in pts)
+    assert all(0 <= p.m < (2 << p.n) for p in pts)
     assert json.dumps([T(2, 1)]) == "[[2, 1]]"
+
+
+def test_shallow_points_are_shared():
+    for n in range(9):
+        for m in range(-(2 << n), 2 << n):
+            assert T(n, m) is T(n, m + (2 << n)) is T(n, m % (2 << n)), (n, m)
+    assert T(0, 1) is T(0, 0) is member(M("M(0,0)"))
+
+
+def test_deep_points_are_equal_copies():
+    for n, m in ((9, 0), (9, 1023), (12, 77), (64, 3 << 60)):
+        a, b = T(n, m), T(n, m + (2 << n))
+        assert a == b == (n, m % (2 << n)) and a is not b
+        assert type(a) is T and hash(a) == hash(b)
 
 
 def test_member_examples():

@@ -93,6 +93,16 @@ def test_quotient_and_check_load_no_dataclasses(argv):
     assert "dataclasses" not in record["stdlib"]
 
 
+def test_render_loads_no_dataclasses():
+    # `render.RenderSpec` is a namedtuple, so with the tests above no
+    # subcommand loads `dataclasses`
+    record, _ = _probe("render", "--spec", "-", "--walk", "M(1/4,3/4)",
+                       stdin=json.dumps({"cluster_depth": 2}))
+    assert record["code"] == 0
+    assert "moebius.render" in record["main"]
+    assert "dataclasses" not in record["stdlib"]
+
+
 def test_check_depth_above_cap_never_imports_checks():
     record, err = _probe("check", "--depth", "7")
     assert record["code"] == 2

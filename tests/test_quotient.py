@@ -26,6 +26,25 @@ def _f():
     return basic_mor(M("M(1/8,1/4)"), M("M(1/4,3/4)"))
 
 
+def test_basic_mor_matches_the_generic_constructor():
+    # on every ordered pair of G(3): zero homs, cluster summands (a ShapeMismatch
+    # from both) and non-unit scalars
+    from moebius.checks import grid
+    objs = grid(3)
+    for i, x in enumerate(objs):
+        for j, y in enumerate(objs):
+            c = (Fraction(-3, 4), 2, "5/2", 1)[(i + j) % 4]
+            try:
+                want = MorQ(SumObj([x]), SumObj([y]), ((c,),))
+            except ShapeMismatch as exc:
+                with pytest.raises(ShapeMismatch, match=f"^{exc}$"):
+                    basic_mor(x, y, c)
+                continue
+            got = basic_mor(x, y, c)
+            assert got == want and got.entries == ((Fraction(c) * hom_ct_dim(x, y),),), (x, y)
+            assert all(type(v) is Fraction for row in got.entries for v in row)
+
+
 def test_sumobj_normalizes_cluster_summands():
     s = SumObj([M("M(1/8,1/4)"), M("M(0,1/2)")])
     assert len(s) == 1

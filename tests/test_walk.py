@@ -13,7 +13,7 @@ from moebius.walk import (support, walk_of, minimal_walk, approximation,
 from moebius.errors import BandBoundary, InCluster, NoMorphism
 
 from oracles import (tau_dims_via_epsilon, hom0_via_factoring, _scan_walk_of,
-                     _scan_minimal_walk, compose_basic_nonzero_by_pairing,
+                     _scan_minimal_walk, walk_at_by_points, compose_basic_nonzero_by_pairing,
                      induced_support_map, hom_c_configs_on_dyadics, hom_ct_dim_on_dyadics,
                      compose_basic_nonzero_on_dyadics, shifted_on_dyadics,
                      lower_corner_on_dyadics, upper_corner_on_dyadics)
@@ -297,7 +297,7 @@ def _assert_walk_matches_scan(x):
     w = walk_of(x)
     assert (w.vertices, w.steps) == (vertices, steps), x
     assert support(x) == frozenset(v.pt for v in vertices[1:-1]), x
-    assert all(type(c) is int for pq in w.nums for c in pq), x
+    assert all(type(c) is int for c in (*w.xs, *w.ys)), x
 
 
 def test_walk_matches_scan_on_grid():
@@ -348,8 +348,58 @@ def test_walk_at_exponent_64_without_depth_cap():
 
 def test_walk_between_stuck_raises():
     # the upper-left corner lies to the right: no step can reach it
-    with pytest.raises(AssertionError, match="stuck"):
+    with pytest.raises(AssertionError, match=r"^walk to \(1/2, 1/2\) is stuck at \(0, 1/2\)$"):
         _walk_at(0, 0, 1, 1, 1)  # from (0, 0) to (1/2, 1/2)
+    with pytest.raises(AssertionError, match=r"^walk to \(1/2, 1/2\) is stuck at \(0, 1/2\)$"):
+        walk_at_by_points(0, 0, 1, 1, 1)
+
+
+# -- the stepper against the stepper that reads each point off its pair ---------
+
+def _assert_walk_matches_pointwise(args):
+    w = _walk_at(*args)
+    pts, reps, k, steps, roles = walk_at_by_points(*args)
+    assert w.pts == pts and tuple(zip(w.xs, w.ys)) == reps, args
+    assert (w.k, w.steps, w.roles) == (k, steps, roles), args
+    assert all(p is T(*p) for p in w.pts if p.n <= 8), args  # the shared instances
+
+
+def test_walk_matches_pointwise_stepper_on_grid():
+    import moebius.walk as walk
+    for x in grid_off(6):
+        _assert_walk_matches_pointwise(walk._corners(x))
+
+
+def test_minimal_walk_matches_pointwise_stepper(monkeypatch):
+    import moebius.walk as walk
+    from moebius.checks import cluster_points
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return _walk_at(*args)
+
+    monkeypatch.setattr(walk, "_walk_at", recording)
+    pts = cluster_points(5)
+    for v in pts:
+        for u in pts:
+            walk.minimal_walk(v, u)
+    assert len(calls) == len(pts) ** 2
+    for args in calls:
+        _assert_walk_matches_pointwise(args)
+
+
+def test_walk_matches_pointwise_stepper_at_high_exponents():
+    import moebius.walk as walk
+    rng = random.Random(20261019)
+    done = 0
+    while done < 500:
+        e = rng.randrange(16, 65)
+        x0 = Dyadic(rng.randrange(1 << (e + 1)) | 1, e)
+        x = normal_form(x0, x0 + Dyadic(rng.randrange(1 << e), e))
+        if member(x) is None:
+            _assert_walk_matches_pointwise(walk._corners(x))
+            done += 1
 
 
 # -- the integer geometry against its Dyadic oracles ----------------------------
