@@ -12,7 +12,7 @@ layer, and `moebius.walk_of` imports `moebius.walk` on first use.
 import importlib
 
 _EXPORTS = {
-    "dyadic": ("Dyadic", "CircleAngle", "lift_into_window", "parse_dyadic"),
+    "dyadic": ("Dyadic", "parse_dyadic"),
     "band": ("Obj", "Rect", "normal_form", "obj_from_ends", "ends",
              "hom_c_dim", "compatible", "triangle_complete", "parse_obj"),
     "cluster": ("ClusterPt", "ClusterOverlay", "STANDARD", "member", "object_of",

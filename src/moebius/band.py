@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-from .dyadic import Dyadic, CircleAngle, ONE, parse_dyadic, reduced_exp
+from .dyadic import Dyadic, parse_dyadic, reduced_exp
 from .errors import BandBoundary, NotBasicAligned, ParseError
 
 Rep = tuple[Dyadic, Dyadic]
@@ -60,6 +60,13 @@ class Obj:
         s = k - self.e
         x, y, one = self.xn << s, (self.xn + self.dn) << s, 1 << k
         return ((x, y), (y + one, x + one))
+
+    def ends_at(self, k: int) -> IntRep:
+        """The chord's ends x and y + 1 in increasing order, as numerators
+        mod 2^(k+1) at the scale 2^k, k >= e; distinct, as y - x < 1."""
+        s = k - self.e
+        a, b = self.xn << s, (((self.xn + self.dn) << s) + (1 << k)) % (2 << k)
+        return (a, b) if a < b else (b, a)
 
     def max_exp(self) -> int:
         return self.e  # = max(x.exp, y.exp): x or y has exponent e
@@ -112,19 +119,22 @@ def normal_form(x, y, e: int | None = None) -> Obj:
     return _init(object.__new__(Obj), x % ((2 if d else 1) << e), d, e)
 
 
-def obj_from_ends(e1: CircleAngle, e2: CircleAngle) -> Obj:
-    """The unique class whose ends are the two given (distinct) circle points."""
-    if e1 == e2:
-        raise BandBoundary("ends must be distinct")
-    from .dyadic import lift_into_window
+def obj_from_ends(a, b, k: int | None = None) -> Obj:
+    """The class whose chord joins the ends a and b, distinct mod 2: two
+    `Dyadic`s, any lifts, or, with k given, their integer numerators at the
+    scale 2^k.  It is (a, y) with y + 1 the lift of b in (a, a + 2)."""
+    if k is None:
+        k = max(a.exp, b.exp)
+        a, b = a.num << (k - a.exp), b.num << (k - b.exp)
+    gap = (b - a) % (2 << k)
+    if not gap:
+        raise BandBoundary(f"ends {Dyadic(a, k)} and {Dyadic(b, k)} are equal mod 2")
+    return normal_form(a, a - (1 << k) + gap, k)
 
-    y = lift_into_window(CircleAngle(e2.v - ONE), e1.v - ONE)
-    return normal_form(e1.v, y)
 
-
-def ends(obj: Obj) -> frozenset[CircleAngle]:
-    """The pair {x, y+1} on the circle; flip-invariant."""
-    return frozenset((CircleAngle(obj.x), CircleAngle(obj.y + ONE)))
+def ends(obj: Obj) -> frozenset[Dyadic]:
+    """The pair {x, y+1} on the circle, each in [0, 2); flip-invariant."""
+    return frozenset(Dyadic(a, obj.e) for a in obj.ends_at(obj.e))
 
 
 def hom_c_configs(src: Obj, dst: Obj) -> list[tuple[IntRep, IntRep]]:

@@ -11,11 +11,12 @@ from __future__ import annotations
 import random
 import time
 from collections import namedtuple
+from itertools import chain, combinations, product
 from fractions import Fraction
 
 from . import linalg
 from .dyadic import Dyadic, ONE
-from .band import (Obj, Rect, normal_form, compatible, ends, triangle_complete, hom_c_dim,
+from .band import (Obj, Rect, normal_form, compatible, triangle_complete, hom_c_dim,
                    parse_obj)
 from .cluster import (ClusterPt, STANDARD, member, object_of, mutate,
                       out_neighbors, neighbors, enum_in_rect)
@@ -65,13 +66,10 @@ def cluster_points(depth: int) -> list[ClusterPt]:
 
 
 def _ends_cross(a: Obj, b: Obj) -> bool:
-    ea, eb = ends(a), ends(b)
-    if ea & eb:
-        return False
-    (p1, q1) = sorted((e.v.as_fraction() for e in ea))
-    (p2, q2) = sorted((e.v.as_fraction() for e in eb))
-    in1 = (p1 < p2 < q1, p1 < q2 < q1)
-    return in1[0] != in1[1]
+    """Whether the chords of a and b cross: their ends interleave strictly."""
+    k = max(a.e, b.e)
+    (p1, q1), (p2, q2) = a.ends_at(k), b.ends_at(k)
+    return p1 < p2 < q1 < q2 or p2 < p1 < q2 < q1
 
 
 def check_hom_agreement(e: int) -> tuple[bool, str]:
@@ -121,11 +119,8 @@ def check_approximation(e: int) -> tuple[bool, str]:
     objs = grid_off_cluster(e)
     for x in objs:
         a = approximation(x)
-        firsts_b = sorted((r[0].as_fraction() for r in a.sink_reps))
-        firsts_a = sorted([r[0].as_fraction() for r in a.source_reps] + [x.x.as_fraction()])
-        seconds_b = sorted((r[1].as_fraction() for r in a.sink_reps))
-        seconds_a = sorted([r[1].as_fraction() for r in a.source_reps] + [x.y.as_fraction()])
-        if firsts_a != firsts_b or seconds_a != seconds_b:
+        sources = [*a.source_reps, (x.x, x.y)]
+        if any(sorted(r[i] for r in a.sink_reps) != sorted(r[i] for r in sources) for i in (0, 1)):
             return (False, f"coordinate balance fails at {x}")
         if len(a.sinks) != len(a.sources) + 1:
             return (False, f"sink/source count off at {x}")
@@ -307,15 +302,19 @@ def check_mutation(e: int) -> tuple[bool, str]:
 
 
 def check_noncrossing(e: int) -> tuple[bool, str]:
-    pts = cluster_points(e + 1)
-    n = 0
-    for i, v in enumerate(pts):
-        for w in pts[i + 1:]:
-            a, b = object_of(v), object_of(w)
-            if compatible(a, b) != (not _ends_cross(a, b)):
-                return (False, f"compatibility vs crossing disagree at ({v}, {w})")
-            n += 1
-    return (True, f"{n} cluster pairs")
+    """Compatibility (hom configs) against crossing (chord ends) on each pair
+    of cluster points of depth <= e + 1, which never cross, and on each object
+    off the cluster in G(e) against each such point, which some do cross."""
+    pts = [(v, object_of(v)) for v in cluster_points(e + 1)]
+    off = [(x, x) for x in grid_off_cluster(e)]
+    crossing = 0
+    for (v, a), (w, b) in chain(combinations(pts, 2), product(off, pts)):
+        crosses = _ends_cross(a, b)
+        if compatible(a, b) == crosses:
+            return (False, f"compatibility vs crossing disagree at ({v}, {w})")
+        crossing += crosses
+    return (True, f"{len(pts) * (len(pts) - 1) // 2} cluster pairs; "
+                  f"{len(off) * len(pts)} object-cluster pairs, {crossing} crossing")
 
 
 def check_digits(e: int) -> tuple[bool, str]:

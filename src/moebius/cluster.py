@@ -8,7 +8,7 @@ pair: it equals, hashes and sorts as the plain tuple, which every layer
 above keys its data by.
 
 At a scale 2^k, k >= n, the ends are the integer numerators lo = (m-1) d
-and lo + d mod 2^(k+1), d = 2^(k-n).  So a chord is standard when, in one
+and lo + d mod 2^(k+1), d = 2^(k-n) (`chord_at`).  So a chord is standard when, in one
 order (lo, hi) of its ends, d = (hi - lo) mod 2^(k+1) is a power of two
 dividing lo, and it is then T(k - log2 d, lo/d + 1).  `mutate` reads every
 chord this way.
@@ -22,7 +22,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .dyadic import Dyadic, reduced_exp
-from .band import Obj, Rect, Rep, normal_form
+from .band import Obj, Rect, Rep, normal_form, obj_from_ends
 from .errors import NotInCluster, UnboundedRect, DepthLimit, ParseError
 
 
@@ -75,10 +75,16 @@ def object_of(v: ClusterPt) -> Obj:
     return normal_form(v.m, (1 << v.n) + v.m - 1, v.n)
 
 
-def chord(v: ClusterPt) -> tuple[CircleAngle, CircleAngle]:
-    """Endpoints ((m-1)/2^n, m/2^n) on the circle."""
-    from .dyadic import CircleAngle
-    return (CircleAngle(Dyadic(v.m - 1, v.n)), CircleAngle(Dyadic(v.m, v.n)))
+def chord_at(v: ClusterPt, k: int) -> tuple[int, int]:
+    """The ends (m-1)/2^n and m/2^n of v, in that order, as numerators mod
+    2^(k+1) at the scale 2^k, k >= n."""
+    s = k - v.n
+    return (((v.m - 1) << s) % (2 << k), v.m << s)
+
+
+def chord(v: ClusterPt) -> tuple[Dyadic, Dyadic]:
+    """Endpoints ((m-1)/2^n, m/2^n) on the circle, each in [0, 2)."""
+    return tuple(Dyadic(a, v.n) for a in chord_at(v, v.n))
 
 
 def member(x: Obj) -> ClusterPt | None:
@@ -270,7 +276,7 @@ def mutate(overlay: ClusterOverlay, x: Obj) -> tuple[ClusterOverlay, Obj]:
     As for a diagonal of a polygon, x* joins the apexes r, s of the two
     triangles on either side of the chord {p, q} of x.  Each apex is an end
     of a chord already named: of a triangle `neighbors(member(x))` when x is
-    standard, of `chord(w)` for w in `overlay.removed`, or of an object in
+    standard, of `chord_at(w, k)` for w in `overlay.removed`, or of an object in
     `overlay.added`.  For the face (p, q, s) on one side:
 
     1. if {p, s} or {q, s} is added, s is an end of an added chord;
@@ -282,7 +288,7 @@ def mutate(overlay: ClusterOverlay, x: Obj) -> tuple[ClusterOverlay, Obj]:
        at s; crossing an overlay chord, it lies in `overlay.removed`.
 
     Ends are numerators at the scale 2^k of the finest depth or exponent
-    named, as in the module docstring; an object (x, y) ends at x and y + 1.
+    named (`Obj.ends_at`, `chord_at`), as in the module docstring.
     """
     if not overlay.contains_obj(x):
         raise NotInCluster(f"{x} is not in the cluster")
@@ -290,13 +296,10 @@ def mutate(overlay: ClusterOverlay, x: Obj) -> tuple[ClusterOverlay, Obj]:
     named = list(removed) + ([w for tri in neighbors(v) for w in tri] if v is not None else [])
     k = max([x.e, *(w.n for w in named), *(obj.e for obj in overlay.added)])
     period = 2 << k
-    def ends(obj: Obj) -> tuple[int, int]:  # in increasing order
-        (a, _), (b, _) = obj.reps_at(k)  # b = y + 1
-        return (a, b % period) if a < b % period else (b % period, a)
-    added = {ends(obj) for obj in overlay.added}
+    added = {obj.ends_at(k) for obj in overlay.added}
     candidates = {a for pair in added for a in pair}
-    candidates.update(((w.m - i) << (k - w.n)) % period for w in named for i in (0, 1))
-    p, q = ends(x)
+    candidates.update(a for w in named for a in chord_at(w, k))
+    p, q = x.ends_at(k)
     apexes = ([], [])  # in the open arc from p to q, and in the one from q to p
     for s in candidates - {p, q}:
         if _has_chord(p, s, k, added, removed) and _has_chord(q, s, k, added, removed):
@@ -306,7 +309,7 @@ def mutate(overlay: ClusterOverlay, x: Obj) -> tuple[ClusterOverlay, Obj]:
             raise AssertionError("triangulation apex not unique at {%s,%s}: %s" % (
                 Dyadic(p, k), Dyadic(q, k), sorted(str(Dyadic(u, k)) for u in found)))
     (r,), (s,) = apexes
-    x_star = normal_form(r, r - (1 << k) + (s - r) % period, k)
+    x_star = obj_from_ends(r, s, k)
     # x leaves and x* joins: toggle each as a point in `removed`, else in `added`
     v_star = member(x_star)
     removed = removed ^ {w for w in (v, v_star) if w is not None}

@@ -1,8 +1,9 @@
-"""Exact dyadic rational arithmetic on the line and on the circle R mod 2.
+"""Exact dyadic rational arithmetic.
 
 All angular quantities in this package are stored in units of pi, so the
 circle is R/2Z and dyadic rationals num/2^exp are closed under every
-operation we need.
+operation we need.  A point of the circle, such as a chord end, is an
+integer numerator mod 2^(k+1) at a scale 2^k (`band.Obj.ends_at`).
 
 Reduced form: every value is stored with an odd numerator unless its
 exponent is zero (and zero itself is 0/2^0), so equal values have equal
@@ -175,44 +176,3 @@ def parse_dyadic(text: str) -> Dyadic:
 def reduced_exp(num: int, e: int) -> int:
     """The exponent of num/2^e in reduced form."""
     return e - min((num & -num).bit_length() - 1, e) if num else 0
-
-
-def floor_div2(d: Dyadic) -> int:
-    """floor(d / 2), exact."""
-    return d.num >> (d.exp + 1)
-
-
-class CircleAngle:
-    """A point of the circle R mod 2, stored as its representative in [0, 2)."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, value: Dyadic):
-        object.__setattr__(self, "v", value - Dyadic(2 * floor_div2(value)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CircleAngle is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CircleAngle) and self.v == other.v
-
-    def __hash__(self):
-        return hash(("angle", self.v))
-
-    def __str__(self) -> str:
-        return str(self.v)
-
-    def __repr__(self) -> str:
-        return f"CircleAngle({self.v})"
-
-    def gap_to(self, other: "CircleAngle") -> Dyadic:
-        """Length of the counterclockwise arc from self to other."""
-        return CircleAngle(other.v - self.v).v
-
-
-def lift_into_window(a: CircleAngle, lo: Dyadic) -> Dyadic:
-    """The unique real lift a + 2k with lo <= lift < lo + 2."""
-    lift = a.v - Dyadic(2 * floor_div2(a.v - lo))
-    if not (lo <= lift < lo + TWO):
-        raise AssertionError("lift_into_window out of range")
-    return lift

@@ -26,11 +26,16 @@ rather than by the library's fast path:
   (p, q) pair per vertex and reads each point back off its pair
   (`_point_at`), each offset searched from its line's coordinate
   (`_offset_above`);
+- `_ends`, `_gap` and `_obj_from_ends` check `Obj.ends_at`, `band.ends`,
+  `cluster.chord`, `cluster.chord_at` and `band.obj_from_ends`, which read
+  chord ends as integer numerators mod 2^(k+1) at one scale, with each end a
+  `Fraction` in [0, 2) from the public coordinates; `ends_cross_on_fractions`
+  checks the crossing test of criterion 9 (`checks._ends_cross`);
 - `_member_by_ends` checks `cluster.member` by searching the ends of x for
   an arc of length 1/2^n between points of the 1/2^n grid;
 - `mutate_on_angles` checks `cluster.mutate`, which reads every chord end
-  as an integer numerator at one scale, by the same apex search in
-  `CircleAngle` arithmetic, each chord tested by building its object
+  as an integer numerator at one scale, by the same apex search with each
+  end a `Fraction` mod 2, each chord tested by building its object
   (`has_chord`, `_apex`);
 - `_flip_by_fan` checks `cluster.mutate` by searching each apex among the
   standard fans at the ends of the chord (`_fan_candidates`,
@@ -73,9 +78,9 @@ rather than by the library's fast path:
 from fractions import Fraction
 from functools import lru_cache
 
-from moebius.dyadic import Dyadic, CircleAngle, ONE, ZERO, floor_div2
-from moebius.band import Obj, Rect, Rep, normal_form, ends, obj_from_ends
-from moebius.cluster import (ClusterPt, ClusterOverlay, object_of, member, neighbors, chord,
+from moebius.dyadic import Dyadic, ONE, ZERO
+from moebius.band import Obj, Rect, Rep, normal_form
+from moebius.cluster import (ClusterPt, ClusterOverlay, object_of, member, neighbors,
                              enum_in_rect_with_reps, box_meets_cluster, _box, _t_range)
 from moebius.walk import (WalkVertex, SINK, SOURCE, THROUGH, concrete_epsilon,
                           chain_box_nonzero, hom_ct_dim, shifted, support)
@@ -125,11 +130,11 @@ def _even(k: int) -> Dyadic:
 
 def hom_c_configs_on_dyadics(src: Obj, dst: Obj) -> list[tuple[Rep, Rep]]:
     """`band.hom_c_configs` with the translate 2*floor((x - a)/2) found on
-    Dyadics; it puts a in (x - 2, x], so a <= x holds."""
+    Dyadics, as floor(x - a) // 2; it puts a in (x - 2, x], so a <= x holds."""
     out = []
     for (a0, b0) in dyadic_reps(src):
         for (x, y), (x1, y1) in _reps_less_one(dst):
-            shift = _even(floor_div2(x - a0))
+            shift = _even((x - a0).floor() // 2)
             a = a0 + shift
             if y1 < a:
                 b = b0 + shift
@@ -177,7 +182,7 @@ def meets_cluster_by_level_scan(rect: Rect, extra: int = 0) -> bool:
 def compose_basic_nonzero_on_dyadics(x: Obj, y: Obj, z: Obj) -> bool:
     for (a, b), (c, d) in hom_c_configs_on_dyadics(x, z):
         for p, q in dyadic_reps(y):
-            shift = _even(floor_div2(c - p))
+            shift = _even((c - p).floor() // 2)
             if a <= p + shift and b <= q + shift <= d and not meets_cluster(Rect(a, c, b, d)):
                 return True
     return False
@@ -427,7 +432,7 @@ def _scan_minimal_walk(v, w):
     for lr_pt, ul_pt in ((v, w), (w, v)):
         for lr in dyadic_reps(object_of(lr_pt)):
             for ul0 in dyadic_reps(object_of(ul_pt)):
-                shift = Dyadic(2 * floor_div2(lr[0] - ul0[0]))
+                shift = Dyadic((lr[0] - ul0[0]).floor() // 2 * 2)
                 ul = (ul0[0] + shift, ul0[1] + shift)
                 if ul[0] <= lr[0] and ul[1] >= lr[1]:
                     return _scan(Rect(ul[0], lr[0], lr[1], ul[1]))
@@ -485,20 +490,68 @@ def walk_at_by_points(p: int, q: int, left: int, top: int, k: int):
     return pts, tuple(reps), k, tuple(steps), roles
 
 
+# -- chord ends as Fractions mod 2 ----------------------------------------------
+#
+# The library reads chord ends as integer numerators mod 2^(k+1) at one scale
+# (`Obj.ends_at`, `band.obj_from_ends`, `cluster.chord_at`); here each end is a
+# `Fraction` in [0, 2), from the public coordinates.
+
+def _ends(x):
+    """The ends x and y + 1 of the chord of an `Obj`, or (m-1)/2^n and m/2^n
+    of a `ClusterPt`, as Fractions in [0, 2) in increasing order."""
+    if isinstance(x, ClusterPt):
+        pair = (Fraction(x.m - 1, 1 << x.n), Fraction(x.m, 1 << x.n))
+    else:
+        pair = (x.x.as_fraction(), x.y.as_fraction() + 1)
+    return tuple(sorted(a % 2 for a in pair))
+
+
+def _gap(p, q):
+    """The length of the counterclockwise arc from p to q."""
+    return (q - p) % 2
+
+
+def _exp(a):
+    """The exponent of the dyadic Fraction a."""
+    return a.denominator.bit_length() - 1
+
+
+def _dyadic(a):
+    """The dyadic Fraction a as a `Dyadic`."""
+    return Dyadic(a.numerator, _exp(a))
+
+
+def _obj_from_ends(p, q):
+    """The class whose chord joins p and q: (p, q - 1), with q lifted into
+    (p, p + 2), in Dyadic arithmetic."""
+    if not _gap(p, q):
+        raise BandBoundary(f"ends {p} and {q} are equal mod 2")
+    return normal_form_on_dyadics(_dyadic(p), _dyadic(p - 1 + _gap(p, q)))
+
+
+def ends_cross_on_fractions(ends_a, ends_b):
+    """Whether two chords, given by their `_ends`, cross: no end shared, and
+    exactly one end of b strictly inside the arc between the ends of a."""
+    (p1, q1), (p2, q2) = ends_a, ends_b
+    if p1 in ends_b or q1 in ends_b:
+        return False
+    return (p1 < p2 < q1) != (p1 < q2 < q1)
+
+
 # -- membership by an end search -----------------------------------------------
 
 def _member_by_ends(x):
     """Reference: the cluster point whose chord joins the ends of x, searched
     as an arc of length 1/2^n between points of the 1/2^n grid."""
-    e1, e2 = sorted(ends(x), key=lambda a: a.v)
+    e1, e2 = _ends(x)
     for p, q in ((e1, e2), (e2, e1)):
-        gap = p.gap_to(q)
-        if gap.num != 1:
+        gap = _gap(p, q)
+        if gap.numerator != 1:
             continue
-        n = gap.exp
-        if p.v.exp > n or q.v.exp > n:
+        n = _exp(gap)
+        if _exp(p) > n or _exp(q) > n:
             continue
-        v = ClusterPt(n, q.v.num << (n - q.v.exp))
+        v = ClusterPt(n, int(q * (1 << n)))
         if object_of(v) == x:
             return v
     return None
@@ -510,14 +563,20 @@ def has_chord(overlay, a, b):
     """Whether the chord joining the circle points a and b is in the overlay."""
     if a == b:
         return False
-    return overlay.contains_obj(obj_from_ends(a, b))
+    return overlay.contains_obj(_obj_from_ends(a, b))
+
+
+def _in_arc(p, q, side):
+    """The test for the open arc from p to q (side 0) or from q to p (side 1)."""
+    if side == 0:
+        return lambda s: 0 < _gap(p, s) < _gap(p, q)
+    return lambda s: _gap(p, q) < _gap(p, s)
 
 
 def _apex(overlay, p, q, side, candidates):
     """The one candidate s in the open arc on the given side with {p,s} and
     {q,s} chords."""
-    arc = (lambda s: ZERO < p.gap_to(s) < p.gap_to(q)) if side == 0 else \
-          (lambda s: p.gap_to(q) < p.gap_to(s))
+    arc = _in_arc(p, q, side)
     found = {s for s in candidates
              if s not in (p, q) and arc(s)
              and has_chord(overlay, p, s) and has_chord(overlay, q, s)}
@@ -527,20 +586,20 @@ def _apex(overlay, p, q, side, candidates):
 
 
 def mutate_on_angles(overlay, x):
-    """Reference: the flip with every chord end a `CircleAngle`, the apexes
+    """Reference: the flip with every chord end a `Fraction` mod 2, the apexes
     searched among the ends of the chords `cluster.mutate` names."""
     if not overlay.contains_obj(x):
         raise NotInCluster(f"{x} is not in the cluster")
     v = member(x)
-    named = [chord(w) for w in overlay.removed]
+    named = list(overlay.removed)
     if v is not None:
-        named.extend(chord(w) for tri in neighbors(v) for w in tri)
-    named.extend(ends(obj) for obj in overlay.added)
-    candidates = {a for pair in named for a in pair}
-    p, q = sorted(ends(x), key=lambda a: a.v)
+        named.extend(w for tri in neighbors(v) for w in tri)
+    named.extend(overlay.added)
+    candidates = {a for chord in named for a in _ends(chord)}
+    p, q = _ends(x)
     r = _apex(overlay, p, q, 0, candidates)
     s = _apex(overlay, p, q, 1, candidates)
-    x_star = obj_from_ends(r, s)
+    x_star = _obj_from_ends(r, s)
     removed, added = set(overlay.removed), set(overlay.added)
     if x in added:
         added.remove(x)
@@ -559,27 +618,26 @@ def mutate_on_angles(overlay, x):
 def _fan_candidates(p, max_exp):
     """Dyadic points chord-adjacent to p in the standard triangulation."""
     out = []
-    for j in range(p.v.exp, max_exp + 1):
-        step = Dyadic(1, j)
-        out.append(CircleAngle(p.v + step))
-        out.append(CircleAngle(p.v - step))
+    for j in range(_exp(p), max_exp + 1):
+        step = Fraction(1, 1 << j)
+        out.append((p + step) % 2)
+        out.append((p - step) % 2)
     return out
 
 
 def _apex_by_fan(overlay, p, q, side):
     """Reference: the apex searched among the ends of the added chords and
     the standard fans at p and q, two exponents past every end in sight."""
-    exps = [p.v.exp, q.v.exp]
+    exps = [_exp(p), _exp(q)]
     for obj in overlay.added:
-        exps.extend(e.v.exp for e in ends(obj))
-    max_exp = max(exps + [p.gap_to(q).exp]) + 2
+        exps.extend(_exp(a) for a in _ends(obj))
+    max_exp = max(exps + [_exp(_gap(p, q))]) + 2
     candidates = set()
     for obj in overlay.added:
-        candidates.update(ends(obj))
+        candidates.update(_ends(obj))
     candidates.update(_fan_candidates(p, max_exp))
     candidates.update(_fan_candidates(q, max_exp))
-    arc = (lambda s: ZERO < p.gap_to(s) < p.gap_to(q)) if side == 0 else \
-          (lambda s: p.gap_to(q) < p.gap_to(s))
+    arc = _in_arc(p, q, side)
     found = {s for s in candidates
              if s not in (p, q) and arc(s)
              and has_chord(overlay, p, s) and has_chord(overlay, q, s)}
@@ -588,8 +646,8 @@ def _apex_by_fan(overlay, p, q, side):
 
 
 def _flip_by_fan(overlay, x):
-    p, q = sorted(ends(x), key=lambda a: a.v)
-    return obj_from_ends(_apex_by_fan(overlay, p, q, 0), _apex_by_fan(overlay, p, q, 1))
+    p, q = _ends(x)
+    return _obj_from_ends(_apex_by_fan(overlay, p, q, 0), _apex_by_fan(overlay, p, q, 1))
 
 
 # -- SVG pictures in Dyadic arithmetic ------------------------------------------

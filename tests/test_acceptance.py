@@ -72,3 +72,16 @@ def test_every_criterion_counts_work_at_small_depths(depth):
         assert r.ok, r.line()
         counts = [int(c) for c in re.findall(r"\d+", r.detail)]
         assert counts and 0 not in counts, r.line()
+
+
+# -- criterion 9: compatibility against crossing ---------------------------------
+
+@pytest.mark.parametrize("constant", [True, False])
+def test_criterion_9_fails_when_compatible_is_constant(monkeypatch, constant):
+    # every cluster pair is compatible, so only the object-cluster pairs that
+    # cross can catch a compatibility test that always says yes
+    from moebius import checks
+    monkeypatch.setattr(checks, "compatible", lambda a, b: constant)
+    for depth in (1, DEPTH):
+        ok, detail = checks.check_noncrossing(depth)
+        assert not ok and detail.startswith("compatibility vs crossing disagree"), detail

@@ -1,14 +1,20 @@
+import random
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from moebius.dyadic import Dyadic, ONE
 from moebius.band import (Obj, normal_form, obj_from_ends, ends,
                           hom_c_dim, compatible, triangle_complete, parse_obj)
-from moebius.cluster import member
+from moebius.checks import _ends_cross, cluster_points, grid
+from moebius.cluster import member, object_of
 from moebius.equiv import obj_to_string, string_to_obj
 from moebius.errors import BandBoundary, NotBasicAligned, ParseError
 
-from oracles import normal_form_on_dyadics, member_on_dyadics, triangle_complete_on_dyadics
+from oracles import (normal_form_on_dyadics, member_on_dyadics, triangle_complete_on_dyadics,
+                     _dyadic, _ends, _obj_from_ends, ends_cross_on_fractions)
 
 M = parse_obj
 
@@ -225,3 +231,78 @@ def test_triangle_complete_matches_dyadic_oracle():
                 assert triangle_complete(x, y, kind) == want, (x, y, kind)
                 outcomes.add((kind, True))
     assert len(outcomes) == 4
+
+
+# -- chord ends on integers against Fractions mod 2 ------------------------------
+
+def seeded_objects(e: int, count: int, seed: int) -> list[Obj]:
+    """`count` canonical objects of exponent at most e, drawn uniformly."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        dn = rng.randrange(1 << e)
+        out.append(Obj(Dyadic(rng.randrange((2 if dn else 1) << e), e), Dyadic(dn, e)))
+    return out
+
+
+# every object of G(6) and 500 seeded objects at each exponent 8, 16, 32, 64
+END_OBJECTS = grid(6) + [x for e in (8, 16, 32, 64) for x in seeded_objects(e, 500, e)]
+
+
+def test_ends_match_fraction_oracle():
+    for x in END_OBJECTS:
+        want = list(_ends(x))
+        for k in (x.e, x.e + 3):
+            assert [Fraction(a, 1 << k) for a in x.ends_at(k)] == want, (x, k)
+        got = ends(x)
+        assert sorted(a.as_fraction() for a in got) == want, x
+        assert all(Dyadic(0) <= a < Dyadic(2) for a in got), x
+
+
+def test_obj_from_ends_matches_fraction_oracle():
+    rng = random.Random(18)
+    for x in END_OBJECTS:
+        a, b = ends(x)
+        an, bn = x.ends_at(x.e + 2)
+        assert obj_from_ends(a, b) == obj_from_ends(b, a) == x
+        assert obj_from_ends(an, bn, x.e + 2) == obj_from_ends(bn, an, x.e + 2) == x
+        # one end of x joined to one end of another object
+        p, q = rng.choice(_ends(x)), rng.choice(_ends(rng.choice(END_OBJECTS)))
+        if p != q:
+            assert obj_from_ends(_dyadic(p), _dyadic(q)) == _obj_from_ends(p, q), (p, q)
+
+
+def test_obj_from_ends_takes_any_lift():
+    for x in END_OBJECTS[::5]:
+        a, b = ends(x)
+        for i, j in ((2, 0), (-2, 4), (4, -4), (-4, 2), (0, -2), (2, 2)):
+            assert obj_from_ends(a + Dyadic(i), b + Dyadic(j)) == x, (x, i, j)
+
+
+@pytest.mark.parametrize("a, b", [(Dyadic(1, 1), Dyadic(5, 1)), (Dyadic(0), Dyadic(2)),
+                                  (Dyadic(3, 3), Dyadic(-13, 3)), (Dyadic(7, 6), Dyadic(7, 6))])
+def test_obj_from_ends_rejects_ends_equal_mod_2(a, b):
+    for args in ((a, b), (a.num << (6 - a.exp), b.num << (6 - b.exp), 6)):
+        with pytest.raises(BandBoundary):
+            obj_from_ends(*args)
+
+
+
+def test_ends_cross_matches_fraction_oracle():
+    # criterion 9's crossing test: every pair of cluster points of depth <= 5,
+    # none crossing, then seeded pairs from G(4), where ends are often
+    # shared, and from seeded objects at exponents 6-64
+    pts = [object_of(v) for v in cluster_points(5)]
+    for a, b in combinations(pts, 2):
+        assert _ends_cross(a, b) == ends_cross_on_fractions(_ends(a), _ends(b)) is False, (a, b)
+    pool = grid(4) + [x for e in (6, 8, 16, 32, 64) for x in seeded_objects(e, 300, e + 1)]
+    pool_ends = {x: _ends(x) for x in pool}
+    rng = random.Random(9)
+    crossing = shared = 0
+    for a, b in zip(rng.choices(pool, k=200_000), rng.choices(pool, k=200_000)):
+        ea, eb = pool_ends[a], pool_ends[b]
+        got = _ends_cross(a, b)
+        assert got == ends_cross_on_fractions(ea, eb), (a, b)
+        crossing += got
+        shared += ea[0] in eb or ea[1] in eb
+    assert crossing > 40_000 and shared > 1_000, (crossing, shared)

@@ -1,19 +1,20 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from moebius.dyadic import Dyadic, CircleAngle
+from moebius.dyadic import Dyadic
 from moebius.band import Rect, parse_obj, ends, compatible, obj_from_ends
 from moebius import cluster
-from moebius.cluster import (ClusterPt, ClusterOverlay, STANDARD, member, object_of, chord,
+from moebius.cluster import (ClusterPt, ClusterOverlay, STANDARD, member, object_of, chord, chord_at,
                              depth, neighbors, in_neighbors, out_neighbors,
                              enum_in_rect, enum_in_rect_with_reps, box_meets_cluster,
                              mutate, parse_cluster_pt, children)
 from moebius.errors import NotInCluster, UnboundedRect, ParseError
 
-from oracles import (_flip_by_fan, _member_by_ends, meets_cluster, meets_cluster_by_level_scan,
-                     mutate_on_angles)
+from oracles import (_ends, _flip_by_fan, _member_by_ends, meets_cluster,
+                     meets_cluster_by_level_scan, mutate_on_angles)
 
 T = ClusterPt
 M = parse_obj
@@ -230,6 +231,16 @@ def test_chord_str():
     assert tuple(map(str, chord(T(2, 1)))) == ("0", "1/4")
 
 
+def test_chord_matches_fraction_oracle():
+    from moebius.checks import cluster_points
+    for v in cluster_points(9):
+        want = (Fraction(v.m - 1, 1 << v.n) % 2, Fraction(v.m, 1 << v.n) % 2)
+        assert sorted(want) == list(_ends(v)), v
+        assert tuple(a.as_fraction() for a in chord(v)) == want, v
+        for k in (v.n, v.n + 3):
+            assert tuple(Fraction(a, 1 << k) for a in chord_at(v, k)) == want, (v, k)
+
+
 # -- the flip against the fan search --------------------------------------------
 
 def test_mutate_matches_fan_search_on_standard():
@@ -305,7 +316,7 @@ def test_mutate_matches_angles_on_flip_sequences():
 def test_mutate_apex_not_unique_names_the_ends():
     # with the chord {1/4, 1} added beside the standard ones, the arc (0, 1)
     # holds two apexes of {0, 1}: 1/4 and 1/2
-    bad = ClusterOverlay(added={obj_from_ends(CircleAngle(D(1, 2)), CircleAngle(D(1)))})
+    bad = ClusterOverlay(added={obj_from_ends(D(1, 2), D(1))})
     message = "triangulation apex not unique at {0,1}: ['1/2', '1/4']"
     for flip in (mutate, mutate_on_angles):
         with pytest.raises(AssertionError) as err:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from moebius.dyadic import Dyadic, CircleAngle, lift_into_window, parse_dyadic
+from moebius.dyadic import Dyadic, parse_dyadic
 from moebius.errors import ParseError
 
 dyadics = st.builds(Dyadic, st.integers(-1 << 40, 1 << 40), st.integers(0, 24))
@@ -63,19 +63,6 @@ def test_floor_ceil(a):
     assert Fraction(a.ceil() - 1) < f <= Fraction(a.ceil())
 
 
-@given(dyadics, dyadics)
-def test_lift_window_property(a, lo):
-    lift = lift_into_window(CircleAngle(a), lo)
-    assert lo <= lift < lo + Dyadic(2)
-    assert CircleAngle(lift) == CircleAngle(a)
-
-
-def test_lift_examples():
-    assert str(lift_into_window(CircleAngle(Dyadic(3, 1)), Dyadic(-1))) == "-1/2"
-    assert str(lift_into_window(CircleAngle(Dyadic(0)), Dyadic(0))) == "0"
-    assert str(lift_into_window(CircleAngle(Dyadic(1, 3)), Dyadic(2))) == "17/8"
-
-
 def test_parse_and_str():
     assert parse_dyadic("3/8") == Dyadic(3, 3)
     assert parse_dyadic("-17/8") == Dyadic(-17, 3)
@@ -91,12 +78,6 @@ def test_decimal_exact():
     assert Dyadic(3, 3).decimal() == "0.375"
     assert Dyadic(-5, 2).decimal() == "-1.25"
     assert Dyadic(7).decimal() == "7"
-
-
-def test_circle_angle_normalization():
-    assert CircleAngle(Dyadic(9, 2)).v == Dyadic(1, 2)
-    assert CircleAngle(Dyadic(-1, 1)).v == Dyadic(3, 1)
-    assert CircleAngle(Dyadic(2)).v == Dyadic(0)
 
 
 def test_constructor_reduces_and_rejects_negative_exponent():

@@ -114,7 +114,7 @@ def test_check_depth_above_cap_never_imports_checks():
 
 # Every name `moebius` exports, by the module that defines it.
 PUBLIC = {
-    "dyadic": ["Dyadic", "CircleAngle", "lift_into_window", "parse_dyadic"],
+    "dyadic": ["Dyadic", "parse_dyadic"],
     "band": ["Obj", "Rect", "normal_form", "obj_from_ends", "ends", "hom_c_dim", "compatible",
              "triangle_complete", "parse_obj"],
     "cluster": ["ClusterPt", "ClusterOverlay", "STANDARD", "member", "object_of", "chord",
