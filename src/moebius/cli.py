@@ -6,7 +6,10 @@ is not an integer, for every subcommand, and a `check --depth` outside
 1-MAX_CHECK_DEPTH), 3 internal error: a broken
 invariant, reported as one `internal error: ...` line, 141 stdout closed
 before the output was written (the shell's status for SIGPIPE), with
-nothing printed.  Every error is one line on stderr, argparse's included.
+nothing printed.  Every error is one line on stderr, argparse's included;
+with --json it is instead one JSON object on stdout,
+`{"error": <class>, "message": ...}` (`ParseError` for exit 2,
+`AssertionError` for exit 3), and stderr stays empty.
 
 Each handler imports the layers it uses when it is dispatched, so a cold
 query loads only those: `hom`, `support`, `walk`, `approx` and `mutate` stop
@@ -349,12 +352,35 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _report(exc: Exception, code: int, as_json: bool) -> int:
+    """Print the one-line error for exc and return its exit code: with
+    --json a JSON object on stdout, else a line on stderr."""
+    message = str(exc) if code != 3 else " ".join(str(exc).split()) or "assertion failed"
+    if as_json:
+        print(json.dumps({"error": type(exc).__name__, "message": message}))
+    else:
+        prefix = {1: type(exc).__name__, 2: "parse error", 3: "internal error"}[code]
+        print(f"{prefix}: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # read off argv, as argparse may fail before it sets args.json; it
+    # takes an unambiguous prefix of an option too, such as --js
+    as_json = any(len(a) > 2 and "--json".startswith(a) for a in argv)
     try:
-        args = build_parser().parse_args(argv)
-        from .cluster import _max_depth
-        _max_depth()  # read once, so a bad cap fails every subcommand alike
-        code = args.fn(args)
+        try:
+            args = build_parser().parse_args(argv)
+            from .cluster import _max_depth
+            _max_depth()  # read once, so a bad cap fails every subcommand alike
+            code = args.fn(args)
+        except ParseError as exc:
+            code = _report(exc, 2, as_json)
+        except MoebiusError as exc:
+            code = _report(exc, 1, as_json)
+        except AssertionError as exc:
+            code = _report(exc, 3, as_json)
         sys.stdout.flush()  # so a closed stdout raises here, not at interpreter exit
         return code
     except BrokenPipeError:
@@ -367,16 +393,6 @@ def main(argv=None) -> int:
         except OSError:
             pass
         return EXIT_BROKEN_PIPE
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except MoebiusError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except AssertionError as exc:
-        detail = " ".join(str(exc).split()) or "assertion failed"
-        print(f"internal error: {detail}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

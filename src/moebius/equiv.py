@@ -98,7 +98,7 @@ class DigitPrefix(namedtuple("DigitPrefix", "base digits")):
     __slots__ = ()
 
     def __new__(cls, base: ClusterPt, digits: tuple[int, ...]):
-        if any(d not in (0, 1) for d in digits):
+        if digits.count(0) + digits.count(1) != len(digits):
             raise ValueError("digits must be 0 or 1")
         return tuple.__new__(cls, (base, digits))
 
@@ -153,7 +153,9 @@ def coords_to_digits(v: ClusterPt, w: ClusterPt, bound: int) -> DigitPrefix:
     d = (w.m - ((v.m - 1) << k) - 1) % (1 << (w.n + 1))
     if d >= 1 << k:
         raise Unreachable(f"{w} is not on the digit tree below {v}")
-    p = DigitPrefix(v, tuple((d >> i) & 1 for i in reversed(range(k))))
+    # the k low bits of d, read off below a leading 1; they are 0s and 1s,
+    # so the prefix needs no validation
+    p = tuple.__new__(DigitPrefix, (v, tuple(map(int, bin(d | 1 << k)[3:]))))
     if digit_vertex(p) != w:
         raise AssertionError("digit prefix does not reach its target")
     return p

@@ -1,13 +1,18 @@
-"""Small exact linear algebra over the rationals (tuples of Fractions)."""
+"""Small exact linear algebra over the rationals: a value is an `int` when
+it is integral and a `Fraction` otherwise, never a float (`exact`).  Inputs
+may hold either; `mat` alone converts its input to `Fraction`s."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+Matrix = tuple[tuple[int | Fraction, ...], ...]  # an int exactly where a value is integral
 
-_ZERO = Fraction(0)
+
+def exact(q):
+    """q (an int or a Fraction) as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def mat(rows) -> Matrix:
@@ -15,11 +20,11 @@ def mat(rows) -> Matrix:
 
 
 def zeros(r: int, c: int) -> Matrix:
-    return tuple((Fraction(0),) * c for _ in range(r))
+    return tuple((0,) * c for _ in range(r))
 
 
 def identity(n: int) -> Matrix:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -29,15 +34,15 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     out = []
     for row in a:
         terms = [(x, b[k]) for k, x in enumerate(row) if x]
-        out.append(tuple(sum((x * brow[j] for x, brow in terms), _ZERO) for j in range(cols)))
+        out.append(tuple(exact(sum(x * brow[j] for x, brow in terms)) for j in range(cols)))
     return tuple(out)
 
 
-def matvec(a: Matrix, vec) -> tuple[Fraction, ...]:
-    return tuple(sum((x * vec[j] for j, x in enumerate(row) if x), _ZERO) for row in a)
+def matvec(a: Matrix, vec) -> tuple[int | Fraction, ...]:
+    return tuple(exact(sum(x * vec[j] for j, x in enumerate(row) if x)) for row in a)
 
 
-def _rref(a: Matrix) -> tuple[list[list[Fraction]], list[int]]:
+def _rref(a: Matrix) -> tuple[list[list[int | Fraction]], list[int]]:
     """Reduced row echelon form of a and its pivot columns.
 
     Each row is scaled to integers and eliminated on ints: with the pivot
@@ -46,8 +51,8 @@ def _rref(a: Matrix) -> tuple[list[list[Fraction]], list[int]]:
     would hold, so the zero tests and hence the pivots are the same.  A
     pivot of 1 subtracts along the pivot row's nonzero columns only; a
     scaled row is made primitive again (gcd 1) to keep the numbers small.
-    Rows are divided by their pivots only at the end; the reduced form is
-    unique, so it is the rational one."""
+    Rows are divided by their pivots only at the end, to an int where the
+    pivot divides; the reduced form is unique, so it is the rational one."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
     m = []
@@ -83,8 +88,9 @@ def _rref(a: Matrix) -> tuple[list[list[Fraction]], list[int]]:
         r += 1
         if r == rows:
             break
-    out = [[Fraction(x, row[c]) if x else _ZERO for x in row] for row, c in zip(m, pivots)]
-    out.extend([_ZERO] * cols for _ in range(r, rows))
+    out = [[x // row[c] if not x % row[c] else Fraction(x, row[c]) for x in row]
+           for row, c in zip(m, pivots)]
+    out.extend([0] * cols for _ in range(r, rows))
     return out, pivots
 
 
@@ -99,17 +105,17 @@ def rank(a: Matrix) -> int:
     return len(_rref(a)[1])
 
 
-def nullspace(a: Matrix, ncols: int | None = None) -> list[tuple[Fraction, ...]]:
+def nullspace(a: Matrix, ncols: int | None = None) -> list[tuple[int | Fraction, ...]]:
     """Basis of {v : a v = 0}, as column vectors (tuples)."""
     cols = ncols if ncols is not None else (len(a[0]) if a else 0)
     if not a or not a[0]:
-        return [tuple(Fraction(int(i == j)) for i in range(cols)) for j in range(cols)]
+        return list(identity(cols))
     m, pivots = _rref(a)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
+        v = [0] * cols
+        v[fc] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -m[r][fc]
         basis.append(tuple(v))
@@ -118,23 +124,18 @@ def nullspace(a: Matrix, ncols: int | None = None) -> list[tuple[Fraction, ...]]
 
 def solve(a: Matrix, b: Matrix) -> Matrix | None:
     """X with a X = b, or None if inconsistent (any solution)."""
-    rows = len(a)
     acols = len(a[0]) if a else 0
     bcols = len(b[0]) if b else 0
     if acols == 0:
         if any(v != 0 for row in b for v in row):
             return None
         return zeros(0, bcols)
-    aug = tuple(tuple(a[i]) + tuple(b[i]) for i in range(rows))
-    m, pivots = _rref(aug)
-    pivots_a = [c for c in pivots if c < acols]
+    m, pivots = _rref(tuple(tuple(a[i]) + tuple(b[i]) for i in range(len(a))))
+    if pivots and pivots[-1] >= acols:
+        return None  # a pivot among the columns of b
+    x = [[0] * bcols for _ in range(acols)]
     for r, pc in enumerate(pivots):
-        if pc >= acols:
-            return None
-    x = [[Fraction(0)] * bcols for _ in range(acols)]
-    for r, pc in enumerate(pivots_a):
-        for j in range(bcols):
-            x[pc][j] = m[r][acols + j]
+        x[pc] = m[r][acols:]
     return tuple(tuple(row) for row in x)
 
 
@@ -146,8 +147,7 @@ def column_space_basis(a: Matrix) -> list[int]:
 
 
 def invert(a: Matrix) -> Matrix:
-    n = len(a)
-    x = solve(a, identity(n))
+    x = solve(a, identity(len(a)))
     if x is None:
         raise ValueError("matrix not invertible")
     return x

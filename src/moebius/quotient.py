@@ -225,11 +225,11 @@ def _string_side(f: MorQ, on_src: bool):
     return (rep, words_src, words_dst, vmats)
 
 
-def _scalar_of_component(ov: frozenset[ClusterPt], values: dict[ClusterPt, Fraction]):
+def _scalar_of_component(ov: frozenset[ClusterPt], values: dict[ClusterPt, int | Fraction]) -> Fraction:
     """values[v] must trace out scalar * (the basic graph map with support
-    ov, empty when the hom space vanishes).  The scalar is 0 over an empty
-    overlap, that is over a zero hom (criterion 1), so the matrices built
-    from these scalars are clean for `MorQ._from_clean`."""
+    ov, empty when the hom space vanishes).  The scalar, a Fraction like a
+    `MorQ` entry, is 0 over an empty overlap, that is over a zero hom
+    (criterion 1), so matrices of these scalars suit `MorQ._from_clean`."""
     if ov:
         scal = None
         for v, val in values.items():
@@ -240,7 +240,7 @@ def _scalar_of_component(ov: frozenset[ClusterPt], values: dict[ClusterPt, Fract
                     raise AssertionError("component not a scalar multiple of a basic map")
             elif val != 0:
                 raise AssertionError("component supported off the basic overlap")
-        return scal if scal is not None else Fraction(0)
+        return Fraction(scal) if scal is not None else Fraction(0)
     if any(val != 0 for val in values.values()):
         raise AssertionError("nonzero component along a vanishing hom space")
     return Fraction(0)
@@ -353,8 +353,7 @@ def _cokernel_rep(f: MorQ) -> tuple[SumObj, MorQ]:
                 # rho_k . pi at v applied to the inclusion of summand i
                 present, inv = rho[v]
                 pi_col = tuple(proj[v][r][rows_at_v.index(i)] for r in range(dims[v]))
-                values[v] = sum((inv[present.index(k)][r] * pi_col[r] for r in range(dims[v])),
-                                Fraction(0))
+                values[v] = sum(inv[present.index(k)][r] * pi_col[r] for r in range(dims[v]))
             row.append(_scalar_of_component(overlap(wi, wk), values))
         entries.append(tuple(row))
     return (c_obj, MorQ._from_clean(f.dst, c_obj, tuple(entries)))

@@ -302,7 +302,6 @@ def to_rep(w: StringWord) -> RepFin:
 
 def direct_sum(reps: list[RepFin]) -> RepFin:
     """Direct sum, summands stacked in order at each vertex."""
-    from fractions import Fraction
     verts = sorted({v for r in reps for v in r.dims})
     dims = {v: sum(r.dim(v) for r in reps) for v in verts}
     offsets = []
@@ -320,18 +319,14 @@ def direct_sum(reps: list[RepFin]) -> RepFin:
             rows, cols = dims[u], dims[v]
             if rows == 0 or cols == 0:
                 continue
-            block = [[Fraction(0)] * cols for _ in range(rows)]
-            nz = False
-            for r, off in zip(reps, offsets):
-                sub = r.mats.get((v, u))
-                if sub is None:
-                    continue
-                nz = True
-                for i in range(len(sub)):
-                    for j in range(len(sub[0])):
-                        block[off[u] + i][off[v] + j] = sub[i][j]
-            if nz:
-                mats[(v, u)] = tuple(tuple(row) for row in block)
+            subs = [(r.mats[(v, u)], off) for r, off in zip(reps, offsets) if (v, u) in r.mats]
+            if not subs:
+                continue
+            block = [[0] * cols for _ in range(rows)]
+            for sub, off in subs:
+                for i, sub_row in enumerate(sub):
+                    block[off[u] + i][off[v]:off[v] + len(sub_row)] = sub_row
+            mats[(v, u)] = tuple(tuple(row) for row in block)
     return RepFin(dims, mats)
 
 
@@ -385,14 +380,14 @@ def _letters(verts, directs):
     return [(a, b) if d else (b, a) for a, b, d in zip(verts, verts[1:], directs)]
 
 
-def _solutions(rows, offs, total, rep) -> list[dict[ClusterPt, tuple[Fraction, ...]]]:
+def _solutions(rows, offs, total, rep) -> list[dict[ClusterPt, tuple[int | Fraction, ...]]]:
     """Nullspace basis of the constraint rows, split into one vector per vertex."""
     from . import linalg
     basis = linalg.nullspace(tuple(tuple(r) for r in rows), total)
     return [{v: tuple(vec[offs[v] + i] for i in range(rep.dim(v))) for v in offs} for vec in basis]
 
 
-def _hom_word_to_rep(w: StringWord, rep: RepFin) -> list[dict[ClusterPt, tuple[Fraction, ...]]]:
+def _hom_word_to_rep(w: StringWord, rep: RepFin) -> list[dict[ClusterPt, tuple[int | Fraction, ...]]]:
     """Basis of module maps from the standard module of w into rep,
     each given by its vector at every vertex of w."""
     coords = _word_coords(w, rep)
@@ -421,7 +416,7 @@ def _hom_word_to_rep(w: StringWord, rep: RepFin) -> list[dict[ClusterPt, tuple[F
     return _solutions(rows, offs, total, rep)
 
 
-def _hom_rep_to_word(rep: RepFin, w: StringWord) -> list[dict[ClusterPt, tuple[Fraction, ...]]]:
+def _hom_rep_to_word(rep: RepFin, w: StringWord) -> list[dict[ClusterPt, tuple[int | Fraction, ...]]]:
     """Basis of module maps rep -> standard module of w, as row functionals."""
     coords = _word_coords(w, rep)
     if coords is None:
@@ -449,7 +444,7 @@ def _hom_rep_to_word(rep: RepFin, w: StringWord) -> list[dict[ClusterPt, tuple[F
     return _solutions(rows, offs, total, rep)
 
 
-def decompose_rep(rep: RepFin) -> list[tuple[StringWord, dict[ClusterPt, tuple[Fraction, ...]]]]:
+def decompose_rep(rep: RepFin) -> list[tuple[StringWord, dict[ClusterPt, tuple[int | Fraction, ...]]]]:
     """Split into standard string summands; each comes with its embedding
     vector at every support vertex.  Peels one split summand at a time,
     trying the reduced words on the support in `_candidate_words` order.
@@ -499,17 +494,21 @@ def _split_off(w: StringWord, rep: RepFin):
     maps M(w) -> rep -> M(w) whose composite is a nonzero scalar; None
     when there is none."""
     from fractions import Fraction
+    from .linalg import exact
     phis = _hom_word_to_rep(w, rep)
     if not phis:
         return None
     psis = _hom_rep_to_word(rep, w)
     for phi in phis:
         for psi in psis:
-            pairings = {sum((a * b for a, b in zip(psi[v], phi[v])), Fraction(0)) for v in w.verts}
+            pairings = {sum(a * b for a, b in zip(psi[v], phi[v])) for v in w.verts}
             if len(pairings) == 1:
                 pairing = pairings.pop()
                 if pairing:
-                    return (phi, {v: tuple(x / pairing for x in row) for v, row in psi.items()})
+                    if pairing != 1:  # it is 1 for most words
+                        inv = 1 / Fraction(pairing)
+                        psi = {v: tuple(exact(x * inv) for x in row) for v, row in psi.items()}
+                    return (phi, psi)
     return None
 
 

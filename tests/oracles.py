@@ -929,7 +929,7 @@ def _restrict_everywhere(rep, basis):
 def _rref_on_fractions(a):
     """Reduced row echelon form and pivots by elimination on Fractions,
     touching only the nonzero columns of each pivot row."""
-    m = [list(row) for row in a]
+    m = [[Fraction(x) for x in row] for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []

@@ -114,6 +114,39 @@ def test_band_boundary_is_domain_error(capsys):
     assert code == 1 and "BandBoundary" in err
 
 
+def _assert_json_error(code, out, err):
+    """With --json an error is one JSON object on stdout, naming the class of
+    the error and its message, and nothing goes to stderr."""
+    assert err == "" and out.count("\n") == 1 and out.endswith("\n"), (out, err)
+    data = json.loads(out)
+    assert set(data) == {"error", "message"} and data["message"], data
+    assert (data["error"] == "ParseError") == (code == 2), (code, data)
+    return data
+
+
+def test_domain_error_json(capsys):
+    code, out, err = run(capsys, "hom", "M(0,2)", "x", "--json")
+    assert code == 1
+    assert _assert_json_error(code, out, err) == {"error": "BandBoundary",
+                                                  "message": "(0, 2) lies outside the open band"}
+
+
+def test_parse_error_json(capsys):
+    code, out, err = run(capsys, "hom", "M(1/8,1/4)", "--json")  # y is missing
+    assert code == 2
+    assert "required: y" in _assert_json_error(code, out, err)["message"]
+    code, out, err = run(capsys, "check", "--js", "--depth", "0")  # an abbreviated --json
+    assert code == 2 and "--depth" in _assert_json_error(code, out, err)["message"]
+
+
+def test_kernel_stdin_error_json(capsys, monkeypatch):
+    code, out, err = run(capsys, "kernel", "--json", stdin="not json", monkeypatch=monkeypatch)
+    assert code == 2 and "not JSON" in _assert_json_error(code, out, err)["message"]
+    payload = json.dumps({"src": ["M(1/8,1/4)"], "dst": ["M(1/4,3/4)"], "entries": [[1, 1]]})
+    code, out, err = run(capsys, "cokernel", "--json", stdin=payload, monkeypatch=monkeypatch)
+    assert code == 1 and _assert_json_error(code, out, err)["error"] == "ShapeMismatch"
+
+
 def test_render_stdout(capsys):
     code, out, _ = run(capsys, "render", "--cluster-depth", "2")
     assert code == 0
@@ -339,6 +372,9 @@ def test_internal_error_exit_3(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err == "internal error: walk from (0, 0) to (0, 1) is stuck\n"
     assert "Traceback" not in err
+    code, out, err = run(capsys, "walk", "--json", "M(1/4,3/4)")
+    assert code == 3 and _assert_json_error(code, out, err) == {
+        "error": "AssertionError", "message": "walk from (0, 0) to (0, 1) is stuck"}
 
 
 def test_exponent_64_queries_take_no_depth_cap(capsys, monkeypatch):
@@ -426,6 +462,8 @@ def _assert_clean_exit(argv, code, out, err, closed=False):
     assert "Traceback" not in out + err, argv
     if code == 141:
         assert err == "", (argv, err)
+    elif code and "--json" in argv:
+        _assert_json_error(code, out, err)
     elif code:
         assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
 

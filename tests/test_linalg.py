@@ -11,8 +11,8 @@ from oracles import _rref_on_fractions
 
 
 def _dense_rref(a):
-    """Row reduction over every column of every row: the oracle."""
-    m = [list(row) for row in a]
+    """Row reduction on Fractions over every column of every row: the oracle."""
+    m = [[Fraction(x) for x in row] for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
@@ -118,9 +118,33 @@ def rational_matrices(draw):
     return tuple(tuple(row) for row in m)
 
 
+def _exact(values) -> bool:
+    """Every value is an int when it is integral and a Fraction otherwise."""
+    return all(type(x) is (int if x.denominator == 1 else Fraction) for x in values)
+
+
 @settings(deadline=None, max_examples=150)
 @given(rational_matrices())
 def test_integer_rref_matches_fraction_rref(a):
     m, pivots = linalg._rref(a)
     assert (m, pivots) == _rref_on_fractions(a)
-    assert all(type(x) is Fraction for row in m for x in row)
+    assert _exact(x for row in m for x in row)
+
+
+@settings(deadline=None, max_examples=150)
+@given(rational_matrices(), st.data())
+def test_results_are_ints_exactly_where_integral(a, data):
+    rows, cols = len(a), len(a[0]) if a else 0
+    vec = data.draw(st.lists(entry, min_size=cols, max_size=cols))
+    b, c = data.draw(matrices(rows, 3)), data.draw(matrices(cols, 3))
+    k = min(rows, cols)
+    square = tuple(tuple(a[i][j] + (i == j) for j in range(k)) for i in range(k))
+    results = [*linalg.nullspace(a, cols), linalg.matvec(a, vec), *linalg.matmul(a, c)]
+    solution = linalg.solve(a, b)
+    if solution is not None:
+        results.extend(solution)
+    inverse = _sparse(linalg.invert, square)
+    if inverse is not ValueError:
+        assert linalg.matmul(square, inverse) == linalg.identity(k)
+        results.extend(inverse)
+    assert _exact(x for row in results for x in row)

@@ -8,7 +8,7 @@ from moebius.checks import _basics, grid_off_cluster
 from moebius.cluster import ClusterPt, member
 from moebius.dyadic import Dyadic
 from moebius.equiv import obj_to_string
-from moebius import quotient
+from moebius import linalg, quotient
 from moebius.quotient import (SumObj, MorQ, identity_mor, zero_mor, basic_mor, compose,
                               classify, kernel, cokernel, hom_dim, _kernel_rep, _cokernel_rep)
 from moebius.errors import MoebiusError, ShapeMismatch
@@ -16,7 +16,7 @@ from moebius.strings import decompose_rep, overlap
 from moebius.walk import hom_ct_dim, support
 
 from oracles import (induced_support_map, classify_per_point, _classify_by_translates,
-                     decompose_rep_by_rescans)
+                     decompose_rep_by_rescans, _rref_on_fractions)
 
 T = ClusterPt
 M = parse_obj
@@ -306,6 +306,32 @@ def test_matrix_kernels_match_rescans(ns, nd, monkeypatch):
     assert len(reps) == 10
     for rep in reps:
         assert decompose_rep(rep) == decompose_rep_by_rescans(rep)
+
+
+@pytest.mark.parametrize("ns, nd", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_matrix_kernels_match_fraction_rref(ns, nd, monkeypatch):
+    # the representation layer holds ints where values are integral; on
+    # Fractions throughout (the oracle's row reduction) the answers are the same
+    embeddings = []
+
+    def recording(rep):
+        pieces = decompose_rep(rep)
+        embeddings.extend(vec for _, emb in pieces for vec in emb.values())
+        return pieces
+
+    rng = random.Random(100 + 10 * ns + nd)
+    for e in (4, 5, 6, 16, 24, 32):
+        f = _seeded_matrix_morphism(rng, e, ns, nd)
+        with monkeypatch.context() as m:
+            m.setattr(quotient, "decompose_rep", recording)
+            got = (kernel(f), cokernel(f))
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_rref", _rref_on_fractions)
+            assert got == (kernel(f), cokernel(f)), f
+        for _, mor in got:
+            assert all(type(v) is Fraction for row in mor.entries for v in row)
+    assert embeddings
+    assert all(type(x) in (int, Fraction) for vec in embeddings for x in vec)
 
 
 def test_closed_form_kernels_and_composites_are_clean():
