@@ -132,6 +132,22 @@ def obj_from_ends(a, b, k: int | None = None) -> Obj:
     return normal_form(a, a - (1 << k) + gap, k)
 
 
+def mirror(x: Obj) -> Obj:
+    """The image of x under the reflection t -> -t of the circle R/2Z: the
+    chord whose ends are the negatives of the ends of x.
+
+    The reflection maps the dyadic triangulation to itself, sending T(n, m)
+    to T(n, 2^(n+1) - m + 1), and reverses the orientation of every
+    triangle, so it reverses every irreducible map.  It is therefore a
+    duality sigma of C_pi that fixes add T: sigma sigma = id,
+    support(sigma x) = sigma support(x), dim Hom(x, y) = dim Hom(sigma y,
+    sigma x), and a duality takes kernels to cokernels, coker f =
+    sigma ker(sigma f) (`quotient._cokernel_rep`)."""
+    k = x.e
+    a, b = x.ends_at(k)
+    return obj_from_ends(-a % (2 << k), -b % (2 << k), k)
+
+
 def ends(obj: Obj) -> frozenset[Dyadic]:
     """The pair {x, y+1} on the circle, each in [0, 2); flip-invariant."""
     return frozenset(Dyadic(a, obj.e) for a in obj.ends_at(obj.e))

@@ -150,14 +150,6 @@ ONE = Dyadic(1)
 TWO = Dyadic(2)
 
 
-def dyadic(value: int | str | Dyadic) -> Dyadic:
-    if isinstance(value, Dyadic):
-        return value
-    if isinstance(value, int):
-        return Dyadic(value)
-    return parse_dyadic(value)
-
-
 def parse_dyadic(text: str) -> Dyadic:
     """Parse "num/den" with den a power of two, or a bare integer."""
     s = text.strip()

@@ -1,6 +1,6 @@
 """Small exact linear algebra over the rationals: a value is an `int` when
 it is integral and a `Fraction` otherwise, never a float (`exact`).  Inputs
-may hold either; `mat` alone converts its input to `Fraction`s."""
+may hold either."""
 
 from __future__ import annotations
 
@@ -13,10 +13,6 @@ Matrix = tuple[tuple[int | Fraction, ...], ...]  # an int exactly where a value 
 def exact(q):
     """q (an int or a Fraction) as an int when it is integral."""
     return q.numerator if q.denominator == 1 else q
-
-
-def mat(rows) -> Matrix:
-    return tuple(tuple(Fraction(v) for v in row) for row in rows)
 
 
 def zeros(r: int, c: int) -> Matrix:
@@ -137,20 +133,6 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
     for r, pc in enumerate(pivots):
         x[pc] = m[r][acols:]
     return tuple(tuple(row) for row in x)
-
-
-def column_space_basis(a: Matrix) -> list[int]:
-    """Indices of a set of columns forming a basis of the column space."""
-    if not a or not a[0]:
-        return []
-    return _rref(a)[1]
-
-
-def invert(a: Matrix) -> Matrix:
-    x = solve(a, identity(len(a)))
-    if x is None:
-        raise ValueError("matrix not invertible")
-    return x
 
 
 def from_columns(cols, nrows: int) -> Matrix:

@@ -3,18 +3,21 @@ matrices over basic morphisms, classification, kernels and cokernels.
 
 A single nonzero basic morphism takes the closed form: its kernel and
 cokernel are the pieces of the two words left after deleting the overlap of
-the graph map (`strings.kernel_cokernel_strings`).  Sums of basic morphisms
-take the vertexwise path: kernels by vertexwise nullspaces on the
-string-module side, then splitting into strings and transporting back
-through the object-word dictionary; cokernels dually via vertexwise
-quotients.  Both paths order the summands alike, so they agree exactly.
+the graph map (`strings.kernel_cokernel_strings`).  Other morphisms take
+the vertexwise path: kernels by vertexwise nullspaces on the string-module
+side, then splitting into strings and transporting back through the
+object-word dictionary.  Cokernels are mirrored kernels: the reflection of
+the disk (`band.mirror`) is a duality sigma fixing add T, so coker f =
+sigma ker(sigma f).  Both paths order the summands by their words, so they
+agree exactly on the basics; on other morphisms a cokernel projection is
+determined up to an automorphism of the cokernel.
 
-`classify`, `kernel` and `cokernel` read one set of matrices, the functor
-F of C_pi / add T = mod End(T): at a cluster point s, F(f) is the matrix of
-f on the summands supported at s, one per set of summands (`_vertex_matrices`).
+`classify` and `kernel` read one set of matrices, the functor F of
+C_pi / add T = mod End(T): at a cluster point s, F(f) is the matrix of f on
+the summands supported at s, one per set of summands (`_vertex_matrices`).
 A basic map acts on the whole common support of its ends, so only the
-source of the supports differs: kernels and cokernels take the vertices of
-the words they compute on, `classify` takes `walk.support` from the geometry.
+source of the supports differs: kernels take the vertices of the words they
+compute on, `classify` takes `walk.support` from the geometry.
 """
 
 from __future__ import annotations
@@ -24,15 +27,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .band import Obj
+from .band import Obj, mirror
 from .cluster import ClusterPt, member
 from .walk import support, hom_ct_dim, compose_basic_nonzero
 from .strings import (StringWord, to_rep, direct_sum, decompose_rep,
-                      kernel_cokernel_strings, overlap, restrict_rep, RepFin)
+                      kernel_cokernel_strings, overlap, restrict_rep)
 from .equiv import obj_to_string, string_to_obj
 from .errors import ShapeMismatch
-
-Scalar = Fraction
 
 
 class SumObj:
@@ -214,17 +215,6 @@ def hom_dim(a: SumObj, b: SumObj) -> int:
 
 # -- kernels and cokernels ----------------------------------------------------
 
-def _string_side(f: MorQ, on_src: bool):
-    """The words of f's summands, the string module M of the source (on_src)
-    or the target of f, and F(f) at each vertex of M, in (n, m) order."""
-    words_src = [obj_to_string(x) for x in f.src]
-    words_dst = [obj_to_string(y) for y in f.dst]
-    rep = direct_sum([to_rep(w) for w in (words_src if on_src else words_dst)])
-    sig, blocks = _vertex_matrices(f, [w.verts for w in words_src], [w.verts for w in words_dst])
-    vmats = {v: blocks[sig[v]] for v in rep.dims}
-    return (rep, words_src, words_dst, vmats)
-
-
 def _scalar_of_component(ov: frozenset[ClusterPt], values: dict[ClusterPt, int | Fraction]) -> Fraction:
     """values[v] must trace out scalar * (the basic graph map with support
     ov, empty when the hom space vanishes).  The scalar, a Fraction like a
@@ -284,10 +274,15 @@ def cokernel(f: MorQ) -> tuple[SumObj, MorQ]:
 
 
 def _kernel_rep(f: MorQ) -> tuple[SumObj, MorQ]:
-    """Kernel via vertexwise nullspaces on the string side."""
+    """Kernel via vertexwise nullspaces of F(f) on the string module of the
+    source, split into strings in `decompose_rep` order."""
     if not len(f.src):
         return (SumObj(), zero_mor(SumObj(), f.src))
-    rep_src, words_src, _, vmats = _string_side(f, True)
+    words_src = [obj_to_string(x) for x in f.src]
+    rep_src = direct_sum([to_rep(w) for w in words_src])
+    sig, blocks = _vertex_matrices(f, [w.verts for w in words_src],
+                                   [obj_to_string(y).verts for y in f.dst])
+    vmats = {v: blocks[sig[v]] for v in rep_src.dims}
     basis = {v: linalg.from_columns(linalg.nullspace(m, len(cols)), len(cols))
              for v, (m, _, cols) in vmats.items()}
     pieces = decompose_rep(restrict_rep(rep_src, basis))
@@ -304,56 +299,24 @@ def _kernel_rep(f: MorQ) -> tuple[SumObj, MorQ]:
     return (k_obj, MorQ._from_clean(k_obj, f.src, tuple(entries)))
 
 
+def _transpose(entries, ncols: int):
+    return tuple(tuple(row[j] for row in entries) for j in range(ncols))
+
+
 def _cokernel_rep(f: MorQ) -> tuple[SumObj, MorQ]:
-    """Cokernel via vertexwise quotients on the string side."""
-    if not len(f.dst):
-        return (SumObj(), zero_mor(f.dst, SumObj()))
-    rep_dst, _, words_dst, vmats = _string_side(f, False)
-    proj, section, dims = {}, {}, {}
-    for v, (m, rows, cols) in vmats.items():
-        n_v, n_c = len(rows), len(cols)
-        # the pivot columns of [m | I] are a basis of the image followed by
-        # the coordinate vectors that extend it to the whole space
-        eye = linalg.identity(n_v)
-        pivots = linalg.column_space_basis(tuple(m[i] + eye[i] for i in range(n_v)))
-        full = [tuple(m[i][j] for i in range(n_v)) for j in pivots if j < n_c]
-        im_dim = len(full)
-        comp_idx = [j - n_c for j in pivots if j >= n_c]
-        full.extend(eye[i] for i in comp_idx)
-        T_inv = linalg.invert(linalg.from_columns(full, n_v))
-        dims[v] = n_v - im_dim
-        proj[v] = T_inv[im_dim:]  # rows
-        section[v] = linalg.from_columns([eye[i] for i in comp_idx], n_v)
-    mats = {}
-    for arr in rep_dst.arrows():
-        u, w = arr.src, arr.dst
-        if dims.get(u, 0) == 0 or dims.get(w, 0) == 0:
-            continue
-        mat = linalg.matmul(proj[w], linalg.matmul(rep_dst.matrix(u, w), section[u]))
-        if any(x != 0 for row in mat for x in row):
-            mats[(u, w)] = mat
-    pieces = decompose_rep(RepFin(dims, mats))
-    c_obj = SumObj([string_to_obj(w) for w, _ in pieces])
-    # rho at v: rows are the coordinates of the pieces present at v
-    rho = {}
-    for v in dims:
-        present = [k for k, (_, emb) in enumerate(pieces) if v in emb]
-        if present:
-            emb_block = linalg.from_columns([pieces[k][1][v] for k in present], dims[v])
-            rho[v] = (present, linalg.invert(emb_block))
-    entries = []
-    for k, (wk, _) in enumerate(pieces):
-        row = []
-        for i, wi in enumerate(words_dst):
-            values = {}
-            for v in wk.verts:
-                rows_at_v = vmats[v][1]
-                if i not in rows_at_v:
-                    continue
-                # rho_k . pi at v applied to the inclusion of summand i
-                present, inv = rho[v]
-                pi_col = tuple(proj[v][r][rows_at_v.index(i)] for r in range(dims[v]))
-                values[v] = sum(inv[present.index(k)][r] * pi_col[r] for r in range(dims[v]))
-            row.append(_scalar_of_component(overlap(wi, wk), values))
-        entries.append(tuple(row))
-    return (c_obj, MorQ._from_clean(f.dst, c_obj, tuple(entries)))
+    """Cokernel as a mirrored kernel: coker f = sigma ker(sigma f) for the
+    duality sigma of `band.mirror`.  sigma f swaps source and target,
+    mirrors each summand and transposes the entries (a basic x -> y goes to
+    the basic sigma y -> sigma x); sigma fixes add T and reverses homs, so
+    no summand drops out and every entry stays clean.  The inclusion of its
+    kernel, mirrored back and transposed, is the projection.  The summands
+    are put in the `StringWord.sort_key` order of their words, as
+    `_kernel_rep` puts its own (the order of `decompose_rep`)."""
+    mirrored = MorQ._from_clean(SumObj([mirror(y) for y in f.dst]), SumObj([mirror(x) for x in f.src]),
+                                _transpose(f.entries, len(f.src)))
+    k_obj, incl = _kernel_rep(mirrored)
+    summands = [mirror(k) for k in k_obj]
+    order = sorted(range(len(summands)), key=lambda i: obj_to_string(summands[i]).sort_key())
+    rows = _transpose(incl.entries, len(summands))
+    c_obj = SumObj([summands[i] for i in order])
+    return (c_obj, MorQ._from_clean(f.dst, c_obj, tuple(rows[i] for i in order)))

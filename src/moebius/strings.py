@@ -40,7 +40,6 @@ def arrows_at(v: ClusterPt) -> tuple[tuple[QArrow, QArrow], tuple[QArrow, QArrow
     return (tuple(ins), tuple(outs))
 
 
-@lru_cache(maxsize=None)
 def arrow_between(u: ClusterPt, v: ClusterPt) -> QArrow | None:
     """The quiver arrow u -> v if the two chords share a triangle that orients
     this way; two cluster points share at most one triangle."""
@@ -262,13 +261,6 @@ class RepFin:
             from . import linalg
             return linalg.zeros(self.dim(v), self.dim(u))
         return m
-
-    def arrows(self):
-        """Quiver arrows between supported vertices."""
-        for u in self.dims:
-            for arr in arrows_at(u)[1]:
-                if arr.dst in self.dims:
-                    yield arr
 
     def check_relations(self):
         from . import linalg
@@ -547,9 +539,6 @@ def restrict_rep(rep: RepFin, basis) -> RepFin:
             if any(x != 0 for row in coords for x in row):
                 mats[(u, w)] = coords
     return RepFin(dims, mats)
-
-
-_WORD_TOKEN = re.compile(r"\s*(~?)\s*(T\(\s*\d+\s*,\s*-?\d+\s*\))\s*(~?)\s*")
 
 
 def parse_word(text: str) -> StringWord:

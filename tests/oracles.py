@@ -57,6 +57,10 @@ rather than by the library's fast path:
   re-solving every arrow of the remainder (`_peel_everywhere`,
   `_restrict_everywhere`), with dense constraint rows for both hom spaces
   (`_hom_word_to_rep_dense`, `_hom_rep_to_word_dense`);
+- `cokernel_by_quotients` checks `quotient._cokernel_rep`, which mirrors
+  a kernel (`band.mirror`), by vertexwise quotients on the target's
+  string module, with a complement and two inversions at each vertex
+  (`column_space_basis`, `invert`, `_arrows`);
 - `_rref_on_fractions` checks `linalg._rref` by eliminating on `Fraction`s;
 - `normal_form_on_dyadics`, `member_on_dyadics`, `hom_c_configs_on_dyadics`,
   `hom_ct_dim_on_dyadics`, `compose_basic_nonzero_on_dyadics` (of
@@ -84,13 +88,14 @@ from moebius.cluster import (ClusterPt, ClusterOverlay, object_of, member, neigh
                              enum_in_rect_with_reps, box_meets_cluster, _box, _t_range)
 from moebius.walk import (WalkVertex, SINK, SOURCE, THROUGH, concrete_epsilon,
                           chain_box_nonzero, hom_ct_dim, shifted, support)
-from moebius.equiv import DigitPrefix, _attach_arrows
+from moebius.equiv import DigitPrefix, _attach_arrows, obj_to_string, string_to_obj
 from moebius.errors import (BandBoundary, InvalidWord, NoMorphism, NotAModule, NotBasicAligned,
                             NotInCluster)
-from moebius.quotient import Classification
+from moebius.quotient import (Classification, MorQ, SumObj, zero_mor, _scalar_of_component,
+                              _vertex_matrices)
 from moebius import linalg
 from moebius.strings import (StringWord, RepFin, arrows_at, word, _candidate_words, _solutions,
-                             _word_coords)
+                             _word_coords, decompose_rep, direct_sum, overlap, to_rep)
 
 
 # -- the geometry on Dyadic coordinates -----------------------------------------
@@ -914,7 +919,7 @@ def _restrict_everywhere(rep, basis):
     matrix solved again."""
     dims = {v: len(b[0]) for v, b in basis.items()}
     mats = {}
-    for arr in rep.arrows():
+    for arr in _arrows(rep):
         u, w = arr.src, arr.dst
         if not (dims.get(u) and dims.get(w)):
             continue
@@ -924,6 +929,90 @@ def _restrict_everywhere(rep, basis):
         if any(x != 0 for row in coords for x in row):
             mats[(u, w)] = coords
     return RepFin(dims, mats)
+
+
+def _arrows(rep):
+    """Quiver arrows between supported vertices of rep."""
+    for u in rep.dims:
+        for arr in arrows_at(u)[1]:
+            if arr.dst in rep.dims:
+                yield arr
+
+
+def column_space_basis(a):
+    """Indices of a set of columns forming a basis of the column space."""
+    if not a or not a[0]:
+        return []
+    return linalg._rref(a)[1]
+
+
+def invert(a):
+    x = linalg.solve(a, linalg.identity(len(a)))
+    if x is None:
+        raise ValueError("matrix not invertible")
+    return x
+
+
+def cokernel_by_quotients(f):
+    """Cokernel of a quotient morphism via vertexwise quotients on the
+    string side: at each vertex, the quotient of the target's space by the
+    image of F(f), a complement and two inversions, then the quotient
+    representation split into strings."""
+    if not len(f.dst):
+        return (SumObj(), zero_mor(f.dst, SumObj()))
+    words_src = [obj_to_string(x) for x in f.src]
+    words_dst = [obj_to_string(y) for y in f.dst]
+    rep_dst = direct_sum([to_rep(w) for w in words_dst])
+    sig, blocks = _vertex_matrices(f, [w.verts for w in words_src], [w.verts for w in words_dst])
+    vmats = {v: blocks[sig[v]] for v in rep_dst.dims}
+    proj, section, dims = {}, {}, {}
+    for v, (m, rows, cols) in vmats.items():
+        n_v, n_c = len(rows), len(cols)
+        # the pivot columns of [m | I] are a basis of the image followed by
+        # the coordinate vectors that extend it to the whole space
+        eye = linalg.identity(n_v)
+        pivots = column_space_basis(tuple(m[i] + eye[i] for i in range(n_v)))
+        full = [tuple(m[i][j] for i in range(n_v)) for j in pivots if j < n_c]
+        im_dim = len(full)
+        comp_idx = [j - n_c for j in pivots if j >= n_c]
+        full.extend(eye[i] for i in comp_idx)
+        t_inv = invert(linalg.from_columns(full, n_v))
+        dims[v] = n_v - im_dim
+        proj[v] = t_inv[im_dim:]  # rows
+        section[v] = linalg.from_columns([eye[i] for i in comp_idx], n_v)
+    mats = {}
+    for arr in _arrows(rep_dst):
+        u, w = arr.src, arr.dst
+        if dims.get(u, 0) == 0 or dims.get(w, 0) == 0:
+            continue
+        mat = linalg.matmul(proj[w], linalg.matmul(rep_dst.matrix(u, w), section[u]))
+        if any(x != 0 for row in mat for x in row):
+            mats[(u, w)] = mat
+    pieces = decompose_rep(RepFin(dims, mats))
+    c_obj = SumObj([string_to_obj(w) for w, _ in pieces])
+    # rho at v: rows are the coordinates of the pieces present at v
+    rho = {}
+    for v in dims:
+        present = [k for k, (_, emb) in enumerate(pieces) if v in emb]
+        if present:
+            emb_block = linalg.from_columns([pieces[k][1][v] for k in present], dims[v])
+            rho[v] = (present, invert(emb_block))
+    entries = []
+    for k, (wk, _) in enumerate(pieces):
+        row = []
+        for i, wi in enumerate(words_dst):
+            values = {}
+            for v in wk.verts:
+                rows_at_v = vmats[v][1]
+                if i not in rows_at_v:
+                    continue
+                # rho_k . pi at v applied to the inclusion of summand i
+                present, inv = rho[v]
+                pi_col = tuple(proj[v][r][rows_at_v.index(i)] for r in range(dims[v]))
+                values[v] = sum(inv[present.index(k)][r] * pi_col[r] for r in range(dims[v]))
+            row.append(_scalar_of_component(overlap(wi, wk), values))
+        entries.append(tuple(row))
+    return (c_obj, MorQ._from_clean(f.dst, c_obj, tuple(entries)))
 
 
 def _rref_on_fractions(a):

@@ -1,14 +1,20 @@
-"""Dead code: every top-level function and class of the package has a user.
+"""Dead code: every top-level name of the package has a reference.
 
-A definition is used when its name appears as a word anywhere in `src/` or
-`perfbench/` outside the definition itself, or when `moebius.__all__`
-exports it; the interpreter calls the dunder hooks of a module (`__getattr__`,
-`__dir__`).  Tests do not count: a function only a test calls is dead.
+The names are the top-level functions, classes and assigned names of each
+module m of `src/moebius`.  A reference to the name n of m, in `src/` or
+`perfbench/`, is one of:
+
+- an import `from .m import n` (or `from moebius.m import n`);
+- an attribute `m.n` (as in `linalg.solve` or `moebius.quotient.kernel`);
+- a load of n inside m, outside n's own definition.
+
+`moebius.__all__` exports count as references, and the interpreter reads
+the dunder names of a module (`__getattr__`, `__all__`).  A word that only
+looks like n (a local variable, a string) is no reference, and tests do not
+count: a function only a test calls is dead.
 """
 
 import ast
-import re
-from collections import Counter
 from pathlib import Path
 
 import moebius
@@ -16,23 +22,49 @@ import moebius
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "moebius").glob("*.py"))
 READERS = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
-WORD = re.compile(r"\w+")
 
 
-def unused_definitions() -> list[str]:
-    words = Counter(w for path in READERS for w in WORD.findall(path.read_text()))
+def _definitions(tree):
+    """(name, node) for each top-level function, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def _outside_references(tree):
+    """(module, name) for each import of a package name and each attribute
+    `module.name` in one file."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module if node.level else node.module.removeprefix("moebius.")
+            yield from ((module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            value = node.value
+            if isinstance(value, ast.Name):
+                yield (value.id, node.attr)
+            elif isinstance(value, ast.Attribute):
+                yield (value.attr, node.attr)
+
+
+def unreferenced_names() -> list[str]:
+    referenced = {ref for path in READERS for ref in _outside_references(ast.parse(path.read_text()))}
     unused = []
     for path in PACKAGE:
-        lines = path.read_text().splitlines()
-        for node in ast.parse("\n".join(lines)).body:
-            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in moebius.__all__
-                    or node.name.startswith("__")):
+        tree = ast.parse(path.read_text())
+        loads = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+        for name, node in _definitions(tree):
+            if (name in moebius.__all__ or name.startswith("__")
+                    or (path.stem, name) in referenced):
                 continue
-            own = WORD.findall("\n".join(lines[node.lineno - 1:node.end_lineno]))
-            if words[node.name] == own.count(node.name):
-                unused.append(f"{path.name}:{node.lineno} {node.name}")
+            if not any(n.id == name and not node.lineno <= n.lineno <= node.end_lineno for n in loads):
+                unused.append(f"{path.name}:{node.lineno} {name}")
     return unused
 
 
 def test_every_top_level_definition_has_a_user():
-    assert unused_definitions() == []
+    assert unreferenced_names() == []

@@ -13,7 +13,7 @@ from moebius.strings import RepFin, to_rep, direct_sum, decompose_rep, word
 from moebius.equiv import obj_to_string
 from moebius.checks import grid_off_cluster
 
-from oracles import decompose_rep_by_rescans
+from oracles import decompose_rep_by_rescans, invert
 
 
 def _brute_force_enum(rect: Rect, max_n: int) -> set:
@@ -147,7 +147,7 @@ def _random_basis_twist(rep: RepFin, rng) -> RepFin:
         while True:
             g = tuple(tuple(Fraction(rng.randint(-2, 2)) for _ in range(d)) for _ in range(d))
             try:
-                inv = linalg.invert(g)
+                inv = invert(g)
             except ValueError:
                 continue
             change[v] = (g, inv)

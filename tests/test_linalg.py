@@ -1,5 +1,7 @@
 """Integer row reduction against the rational eliminations it replaced:
-sparse on Fractions (`oracles._rref_on_fractions`) and dense."""
+sparse on Fractions (`oracles._rref_on_fractions`) and dense.  `invert` and
+`column_space_basis` are the copies in `oracles`, read through `linalg.solve`
+and `linalg._rref`."""
 
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from moebius import linalg
 
-from oracles import _rref_on_fractions
+from oracles import _rref_on_fractions, column_space_basis, invert
 
 
 def _dense_rref(a):
@@ -75,7 +77,7 @@ def test_sparse_rref_matches_dense(ab):
     cols = len(a[0])
     assert linalg._rref(a) == _dense_rref(a)
     for fn, args in ((linalg.rank, (a,)), (linalg.nullspace, (a,)),
-                     (linalg.column_space_basis, (a,)), (linalg.solve, (a, b))):
+                     (column_space_basis, (a,)), (linalg.solve, (a, b))):
         assert _sparse(fn, *args) == _dense(fn, *args)
     null = linalg.nullspace(a)
     assert len(null) == cols - linalg.rank(a)
@@ -89,8 +91,8 @@ def test_sparse_invert_matches_dense(a):
     n = len(a)
     shifted = tuple(tuple(v + (i == j) for j, v in enumerate(row)) for i, row in enumerate(a))
     for m in (a, shifted):
-        got = _sparse(linalg.invert, m)
-        assert got == _dense(linalg.invert, m)
+        got = _sparse(invert, m)
+        assert got == _dense(invert, m)
         if got is not ValueError:
             assert linalg.matmul(m, got) == linalg.identity(n)
 
@@ -143,7 +145,7 @@ def test_results_are_ints_exactly_where_integral(a, data):
     solution = linalg.solve(a, b)
     if solution is not None:
         results.extend(solution)
-    inverse = _sparse(linalg.invert, square)
+    inverse = _sparse(invert, square)
     if inverse is not ValueError:
         assert linalg.matmul(square, inverse) == linalg.identity(k)
         results.extend(inverse)

@@ -10,13 +10,14 @@ from moebius.dyadic import Dyadic
 from moebius.equiv import obj_to_string
 from moebius import linalg, quotient
 from moebius.quotient import (SumObj, MorQ, identity_mor, zero_mor, basic_mor, compose,
-                              classify, kernel, cokernel, hom_dim, _kernel_rep, _cokernel_rep)
+                              classify, kernel, cokernel, hom_dim, _kernel_rep, _cokernel_rep,
+                              _vertex_matrices)
 from moebius.errors import MoebiusError, ShapeMismatch
 from moebius.strings import decompose_rep, overlap
 from moebius.walk import hom_ct_dim, support
 
 from oracles import (induced_support_map, classify_per_point, _classify_by_translates,
-                     decompose_rep_by_rescans, _rref_on_fractions)
+                     decompose_rep_by_rescans, _rref_on_fractions, cokernel_by_quotients)
 
 T = ClusterPt
 M = parse_obj
@@ -214,8 +215,11 @@ def _assert_paths_agree(f):
 
 
 def test_closed_form_kernels_match_rep_path_depth3():
+    # the cokernels match vertexwise quotients too, projections included
     for (x, y) in _basics(3):
-        _assert_paths_agree(basic_mor(x, y))
+        f = basic_mor(x, y)
+        _assert_paths_agree(f)
+        assert cokernel(f) == cokernel_by_quotients(f), (x, y)
 
 
 def test_closed_form_kernels_match_rep_path_depth4_sample():
@@ -413,17 +417,52 @@ def test_classify_matches_translates_on_basics_depth3():
         _assert_classify_agrees(basic_mor(x, y))
 
 
-def test_classify_matches_translates_on_matrix_morphisms():
+def _depth3_matrix_morphisms(seed, count):
+    """count seeded morphisms between sums of up to three ends of depth-3
+    basics, with entries 0 or small rationals."""
     basics = _basics(3)
-    rng = random.Random(3)
-    for _ in range(600):
+    rng = random.Random(seed)
+    for _ in range(count):
         pairs = [rng.choice(basics) for _ in range(3)]
         src = SumObj([x for x, _ in pairs[:rng.randint(1, 3)]])
         dst = SumObj([y for _, y in rng.sample(pairs, rng.randint(1, 3))])
         entries = [[Fraction(rng.choice((0, 1, -1, 2, 3)), rng.choice((1, 2))) for _ in src]
                    for _ in dst]
-        f = MorQ(src, dst, entries)
+        yield MorQ(src, dst, entries)
+
+
+def test_classify_matches_translates_on_matrix_morphisms():
+    for f in _depth3_matrix_morphisms(3, 600):
         _, incl = kernel(f)
         _, proj = cokernel(f)
         for g in (f, incl, proj):
             assert classify(g) == classify_per_point(g) == _classify_by_translates(g), g
+
+
+# -- cokernels as mirrored kernels, against vertexwise quotients ---------------
+
+def _assert_cokernel_matches_quotients(f):
+    """The cokernel equals the oracle's in its summands and their order,
+    and its projection equals the oracle's up to an automorphism of the
+    cokernel: F of the two has the same row space at every support point
+    (F is faithful).  True when the projections are equal."""
+    (c_obj, proj), (want_obj, want) = cokernel(f), cokernel_by_quotients(f)
+    assert c_obj == want_obj, f
+    supp_src, supp_dst = [support(y) for y in f.dst], [support(c) for c in c_obj]
+    sig, got_blocks = _vertex_matrices(proj, supp_src, supp_dst)
+    want_blocks = _vertex_matrices(want, supp_src, supp_dst)[1]
+    for mask in set(sig.values()):
+        assert linalg._rref(got_blocks[mask][0]) == linalg._rref(want_blocks[mask][0]), f
+    return proj == want
+
+
+def test_cokernels_match_quotients_on_depth3_matrix_morphisms():
+    equal = sum(_assert_cokernel_matches_quotients(f) for f in _depth3_matrix_morphisms(3, 600))
+    assert 0 < equal < 600
+
+
+@pytest.mark.parametrize("ns, nd", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_cokernels_match_quotients_on_seeded_matrix_morphisms(ns, nd):
+    rng = random.Random(10 * ns + nd)
+    for e in range(4, 9):
+        _assert_cokernel_matches_quotients(_seeded_matrix_morphism(rng, e, ns, nd))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from moebius.dyadic import Dyadic
-from moebius.band import Rect, parse_obj, hom_c_dim, normal_form
+from moebius.band import Rect, parse_obj, hom_c_dim, mirror, normal_form
 from moebius.cluster import ClusterPt, object_of, member, enum_in_rect, enum_in_rect_with_reps
 from moebius.walk import (support, walk_of, minimal_walk, approximation,
                           hom_ct_dim, tau_dims, concrete_epsilon, shifted,
@@ -16,7 +16,7 @@ from oracles import (tau_dims_via_epsilon, hom0_via_factoring, _scan_walk_of,
                      _scan_minimal_walk, walk_at_by_points, compose_basic_nonzero_by_pairing,
                      induced_support_map, hom_c_configs_on_dyadics, hom_ct_dim_on_dyadics,
                      compose_basic_nonzero_on_dyadics, shifted_on_dyadics,
-                     lower_corner_on_dyadics, upper_corner_on_dyadics)
+                     lower_corner_on_dyadics, upper_corner_on_dyadics, _ends)
 
 T = ClusterPt
 M = parse_obj
@@ -495,6 +495,69 @@ def test_support_rule_matches_rectangles_at_exponents_16_to_64():
             y = _near_basic(rng, x, e)
             chains.append((x, y, _near_basic(rng, y, e)))
     _assert_support_rule_matches_rectangles(chains)
+
+
+# -- the reflection of the disk: a duality fixing the cluster -------------------
+
+def _mirror_pt(v):
+    """T(n, m) -> T(n, 2^(n+1) - m + 1); `ClusterPt` takes m mod 2^(n+1)."""
+    return T(v.n, 1 - v.m)
+
+
+def _assert_mirror_duality(objs, pairs):
+    """mirror is an involution negating both chord ends, carries supports
+    along, and reverses every hom; the number of nonzero homs among pairs."""
+    for x in objs:
+        sx = mirror(x)
+        assert mirror(sx) == x, x
+        assert _ends(sx) == tuple(sorted(-a % 2 for a in _ends(x))), x
+        assert support(sx) == {_mirror_pt(v) for v in support(x)}, x
+    nonzero = 0
+    for x, y in pairs:
+        h = hom_ct_dim(x, y)
+        assert h == hom_ct_dim(mirror(y), mirror(x)), (x, y)
+        nonzero += h
+    return nonzero
+
+
+def test_mirror_fixes_the_cluster():
+    from moebius.checks import cluster_points
+    for v in cluster_points(8):
+        assert mirror(object_of(v)) == object_of(_mirror_pt(v)), v
+        assert _mirror_pt(_mirror_pt(v)) == v
+
+
+def test_mirror_is_a_duality_on_the_depth3_grid():
+    objs = grid_off(3)
+    assert _assert_mirror_duality(objs, [(x, y) for x in objs for y in objs]) == 1820
+
+
+def test_mirror_is_a_duality_on_a_seeded_depth4_sample():
+    # half uniform pairs of G(4), half with y in the window of a map out of x
+    objs = grid_off(4)
+    rng = random.Random(44)
+    pairs = []
+    for i in range(3000):
+        x = rng.choice(objs)
+        y = _in_window(rng, x, 4) if i % 2 else rng.choice(objs)
+        if member(y) is None:
+            pairs.append((x, y))
+    assert _assert_mirror_duality(objs, pairs) > 300
+
+
+def test_mirror_is_a_duality_at_exponents_16_to_64():
+    # each pair x -> y has a nonzero basic; its reverse pair mostly does not
+    from moebius.band import Obj
+    rng = random.Random(61)
+    pairs = []
+    while len(pairs) < 600:
+        e = rng.randint(16, 64)
+        x = Obj(D(rng.randrange(1 << (e + 1)), e), D(rng.randrange(1, 1 << e), e))
+        if member(x) is None:
+            y = _near_basic(rng, x, e)
+            pairs += [(x, y), (y, x)]
+    objs = [x for pair in pairs for x in pair]
+    assert 300 <= _assert_mirror_duality(objs, pairs) < 600
 
 
 def test_shifted_matches_dyadic_oracle():
