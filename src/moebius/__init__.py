@@ -18,8 +18,8 @@ _EXPORTS = {
     "cluster": ("ClusterPt", "ClusterOverlay", "STANDARD", "member", "object_of",
                 "chord", "depth", "neighbors", "in_neighbors", "out_neighbors",
                 "enum_in_rect", "mutate", "parse_cluster_pt"),
-    "walk": ("Walk", "Approximation", "support", "walk_of", "minimal_walk",
-             "approximation", "hom_ct_dim", "tau_dims", "concrete_epsilon"),
+    "walk": ("Walk", "Approximation", "support", "walk_of", "approximation",
+             "hom_ct_dim", "tau_dims", "concrete_epsilon"),
     "strings": ("QArrow", "StringWord", "RepFin", "arrows_at", "word",
                 "validate_word", "hom_dim_strings", "kernel_cokernel_strings",
                 "to_rep", "decompose_rep", "parse_word"),

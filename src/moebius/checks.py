@@ -96,14 +96,16 @@ def check_bijection(e: int) -> tuple[bool, str]:
 
 
 def check_support_walk(e: int) -> tuple[bool, str]:
-    """The stepped walk's interior against the paper's support, the cluster
-    points of the open rectangle (y-1, x) x (x-1, y) found by level scan."""
+    """Three readings of the paper's support agree: the cluster points of the
+    open rectangle (y-1, x) x (x-1, y) found by level scan, the stepped
+    walk's interior, and the chords that x crosses (`support`)."""
     objs = grid_off_cluster(e)
     for x in objs:
-        w = walk_of(x)
-        interior = frozenset(w.pts[1:-1])
+        interior = frozenset(walk_of(x).pts[1:-1])
         if enum_in_rect(Rect.open(x.y - ONE, x.x, x.x - ONE, x.y)) != interior:
             return (False, f"support != walk interior at {x}")
+        if support(x) != interior:
+            return (False, f"crossed chords != walk interior at {x}")
     worked = {
         "M(1/4,3/4)": {(0, 0), (1, 0), (1, 1)},
         "M(1/8,1/4)": {(0, 0), (1, 1), (1, 3), (2, 1)},

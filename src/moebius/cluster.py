@@ -11,7 +11,8 @@ At a scale 2^k, k >= n, the ends are the integer numerators lo = (m-1) d
 and lo + d mod 2^(k+1), d = 2^(k-n) (`chord_at`).  So a chord is standard when, in one
 order (lo, hi) of its ends, d = (hi - lo) mod 2^(k+1) is a power of two
 dividing lo, and it is then T(k - log2 d, lo/d + 1).  `mutate` reads every
-chord this way.
+chord this way, and `crossing_path` reads the cluster chords that a chord
+crosses off its two ends.
 """
 
 from __future__ import annotations
@@ -124,6 +125,35 @@ def neighbors(v: ClusterPt) -> tuple[Triangle, Triangle]:
     else:
         other_tri = (ClusterPt(v.n, v.m + 1), v, ClusterPt(v.n - 1, (v.m + 1) // 2))
     return (child_tri, other_tri)
+
+
+def arrow_dir(u: ClusterPt, v: ClusterPt) -> bool:
+    """Whether the quiver arrow between two points of one triangle runs
+    u -> v: the cycles of `neighbors` reversed, parent -> odd child, even
+    child -> parent and odd sibling -> even sibling."""
+    if u.n == v.n:
+        return bool(u.m & 1)
+    return bool(v.m & 1) if u.n < v.n else not u.m & 1
+
+
+def crossing_path(x: Obj) -> tuple[ClusterPt, ...]:
+    """The cluster points whose chords cross the chord of x, from its end x
+    to its end y + 1: a path in the dual tree of triangles, in the order of
+    the walk of x, and empty on the cluster.
+
+    At the scale 2^k, k = x.e, T(n, m) with arc ((m-1)d, md), d = 2^(k-n),
+    is crossed when one end lies strictly inside its arc and the other
+    outside the closed arc, mod 2^(k+1) as end 0 is end 2.  An end p lies
+    strictly inside one arc at each depth n below its exponent, so each end
+    lists those arcs, shallow to deep.  Only T(0,0), with two arcs, can be
+    listed by both ends."""
+    k, period = x.e, 2 << x.e
+    ends = (x.xn, (x.xn + x.dn + (1 << k)) % period)
+    near, far = ([ClusterPt(k - s, (p >> s) + 1) for s in range(k, k - reduced_exp(p, k), -1)
+                  if (q - (p >> s << s)) % period > 1 << s] for p, q in (ends, ends[::-1]))
+    if near and far and near[0] == far[0]:  # T(0,0)
+        del far[0]
+    return (*reversed(near), *far)
 
 
 def in_neighbors(v: ClusterPt) -> tuple[ClusterPt, ClusterPt]:

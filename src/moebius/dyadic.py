@@ -69,9 +69,6 @@ class Dyadic:
     def __mul__(self, other: "Dyadic") -> "Dyadic":
         return Dyadic(self.num * other.num, self.exp + other.exp)
 
-    def half(self) -> "Dyadic":
-        return Dyadic(self.num, self.exp + 1)
-
     # -- comparisons --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -107,16 +104,6 @@ class Dyadic:
 
     # -- conversions --------------------------------------------------------
 
-    def floor(self) -> int:
-        return self.num >> self.exp
-
-    def ceil(self) -> int:
-        return -((-self.num) >> self.exp)
-
-    def as_fraction(self) -> Fraction:
-        import fractions  # here, not at the top: no query path needs it
-        return fractions.Fraction(self.num, 1 << self.exp)
-
     def __str__(self) -> str:
         if self.exp == 0:
             return str(self.num)
@@ -124,9 +111,6 @@ class Dyadic:
 
     def __repr__(self) -> str:
         return f"Dyadic({self})"
-
-    def decimal(self) -> str:  # exact, as a dyadic always terminates
-        return decimal(self.num * 5 ** self.exp, self.exp)
 
 
 # Slot setters, bypassing the __setattr__ that makes instances immutable.

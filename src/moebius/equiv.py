@@ -1,13 +1,12 @@
 """Dictionary between quotient-category objects and string modules, the
 simple objects, digit-encoded walk tails, and the truncated ray functors.
 
-An object off the cluster corresponds to the word on its support read along
-the walk with letters reversed from the irreducible cluster maps.  The
-inverse attaches, at each end of a word, the unique incoming arrow from the
-triangle not used by the word; the minimal walk between the two attach
-vertices carries the word on its interior, and the object is read off its
-corners: the first coordinate of the lower-right representative and the
-second of the upper-left one.
+An object off the cluster corresponds to the word on its support: the
+cluster chords its chord crosses, in order (`cluster.crossing_path`), with
+letters oriented as the quiver (`cluster.arrow_dir`).  The inverse attaches,
+at each end of a word, the unique incoming arrow from the triangle not used
+by the word; the object's chord joins the apexes of the two attach
+triangles, the ends of the attach chords that the word does not share.
 """
 
 from __future__ import annotations
@@ -16,26 +15,19 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .dyadic import Dyadic
-from .band import Obj, Rep, normal_form
-from .cluster import ClusterPt, member, object_of
-from .walk import Walk, walk_of, minimal_walk
+from .band import Obj, Rep, normal_form, obj_from_ends
+from .cluster import ClusterPt, member, object_of, chord_at, crossing_path, arrow_dir
 from .strings import StringWord, QArrow, arrows_at, word
-from .errors import InvalidWord, NoMorphism, Unreachable, AllOnesTail
-
-
-def _walk_word(walk: Walk) -> StringWord:
-    """The word on the interior of a walk, arrows reversed: a vertical step
-    is a cluster map up v_i -> v_{i+1}, so its letter points back."""
-    inner = walk.pts[1:-1]
-    if not inner:
-        raise AssertionError("empty support off the cluster")
-    return StringWord(inner, [step == "h" for step in walk.steps[1:-1]])
+from .errors import InCluster, InvalidWord, NoMorphism, Unreachable, AllOnesTail
 
 
 @lru_cache(maxsize=None)
 def obj_to_string(x: Obj) -> StringWord:
-    """Word on the support of x, ordered along the walk, arrows reversed."""
-    return _walk_word(walk_of(x))
+    """Word on the support of x, ordered along its chord."""
+    path = crossing_path(x)
+    if not path:
+        raise InCluster(f"{x} lies in the standard cluster")
+    return StringWord(path, map(arrow_dir, path, path[1:]))
 
 
 def _attach_at(end_vertex: ClusterPt, used_triangle: frozenset) -> QArrow:
@@ -58,15 +50,19 @@ def _attach_arrows(w: StringWord) -> tuple[QArrow, QArrow]:
 
 @lru_cache(maxsize=None)
 def string_to_obj(w: StringWord) -> Obj:
-    """The object whose support word is w, read off the corners of the walk
-    between its two attach vertices."""
+    """The object whose support word is w: the chord joining the far ends of
+    its two attach chords, at the scale 2^k, k one past the deepest vertex."""
     if w.marked:
         raise InvalidWord("ray-marked words do not name finite objects")
-    att_l, att_r = _attach_arrows(w)
-    walk = minimal_walk(att_l.src, att_r.src)
-    if _walk_word(walk) != w:
-        raise AssertionError(f"the walk between the attach vertices of {w} does not carry it")
-    return normal_form(walk.xs[0], walk.ys[-1], walk.k)
+    k = 1 + max(v.n for v in w.verts)  # an attach vertex is at most one deeper
+    ends = []
+    for att, end in zip(_attach_arrows(w), (w.verts[0], w.verts[-1])):
+        a, b = chord_at(att.src, k)
+        ends.append(b if a in chord_at(end, k) else a)
+    x = obj_from_ends(*ends, k)
+    if obj_to_string(x) != w:
+        raise AssertionError(f"the chord between the attach ends of {w} does not carry it")
+    return x
 
 
 def simple_object(v: ClusterPt) -> Obj:

@@ -1,5 +1,5 @@
-"""Minimal walks, approximations, supports and quotient-category Homs,
-all relative to the standard cluster.
+"""Walks, approximations, supports and quotient-category Homs, all
+relative to the standard cluster.
 
 The walk attached to an object M(x, y) lives in the closed rectangle whose
 lower-right and upper-left corners are the maximal cluster representatives
@@ -22,6 +22,10 @@ A `Walk` keeps what the stepper computes: the cluster points, their
 representatives as two tuples `xs` and `ys` of integer numerators at the
 scale 2^k, the steps and the roles.  `Dyadic` representatives are built
 on demand (`vertices`, `sinks`, `sources`, `to_json`).
+
+The interior of the walk is the support of x, the chords that x crosses;
+`support` reads it off the chord's two ends (`cluster.crossing_path`), and
+the stepped walk serves the roles, representatives and pictures.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from functools import lru_cache
 
 from .dyadic import Dyadic, reduced_exp
 from .band import Obj, normal_form, hom_c_configs
-from .cluster import ClusterPt, member, object_of, box_meets_cluster
+from .cluster import ClusterPt, member, object_of, box_meets_cluster, crossing_path
 from .errors import InCluster
 
 SINK = "sink"
@@ -61,10 +65,6 @@ class Walk:
 
     def __init__(self, pts, xs, ys, k, steps, roles):
         self.pts, self.xs, self.ys, self.k, self.steps, self.roles = pts, xs, ys, k, steps, roles
-
-    @property
-    def length(self) -> int:
-        return len(self.steps)
 
     def _vertex(self, i: int) -> WalkVertex:
         rep = (Dyadic(self.xs[i], self.k), Dyadic(self.ys[i], self.k))
@@ -100,11 +100,10 @@ class Approximation(namedtuple("Approximation", "sources sinks source_reps sink_
 
 @lru_cache(maxsize=None)
 def support(x: Obj) -> frozenset[ClusterPt]:
-    """Cluster points in the open rectangle (y-1, x) x (x-1, y): the interior
-    of the walk of x, and empty on the cluster."""
-    if member(x) is not None:
-        return frozenset()
-    return frozenset(walk_of(x).pts[1:-1])
+    """Cluster points in the open rectangle (y-1, x) x (x-1, y): the chords
+    that x crosses (`cluster.crossing_path`), the interior of its walk, and
+    empty on the cluster."""
+    return frozenset(crossing_path(x))
 
 
 def _corners(x: Obj) -> tuple[int, int, int, int, int]:
@@ -190,28 +189,6 @@ def walk_of(x: Obj) -> Walk:
     if member(x) is not None:
         raise InCluster(f"{x} lies in the standard cluster")
     return _walk_at(*_corners(x))
-
-
-def minimal_walk(v: ClusterPt, w: ClusterPt) -> Walk:
-    """The unique minimal walk between two cluster points, from the first pair
-    of representatives, one translated by a multiple of 2, spanning a rectangle
-    from its lower-right corner to its upper-left one.  The window search runs
-    on integer numerators at the scale 2^(1 + max depth)."""
-    k = 1 + max(v.n, w.n)
-    one, period = 1 << k, 2 << k
-
-    def reps(pt: ClusterPt) -> tuple[tuple[int, int], tuple[int, int]]:
-        x, y = pt.m << (k - pt.n), ((pt.m - 1) << (k - pt.n)) + one  # (m, m - 1 + 2^n)/2^n
-        return ((x, y), (y + one, x + one))  # and its flip, as object_of(pt).reps_at(k)
-
-    reps_v, reps_w = reps(v), reps(w)
-    for lr_reps, ul_reps in ((reps_v, reps_w), (reps_w, reps_v)):
-        for lx, ly in lr_reps:
-            for ux, uy in ul_reps:
-                shift = (lx - ux) // period * period  # lx - 2 < ux + shift <= lx
-                if uy + shift >= ly:
-                    return _walk_at(lx, ly, ux + shift, uy + shift, k)
-    raise AssertionError(f"no common walk window for {v}, {w}")
 
 
 def approximation(x: Obj) -> Approximation:

@@ -16,11 +16,17 @@ rather than by the library's fast path:
 - `string_to_obj_by_steps` checks `equiv.string_to_obj` by stepping from
   representative to adjacent representative along the word
   (`_step_rep_maybe`, `_step_rep`, `_word_reps`);
-- `_scan_walk_of` and `_scan_minimal_walk` check `walk.walk_of` and
-  `walk.minimal_walk` by scanning the walk's rectangle for every cluster
-  representative and sorting them along the zig-zag (`_scan_assemble`),
-  the rectangle of `walk_of` spanned by corners found on Dyadics
+- `_scan_walk_of` checks `walk.walk_of` by scanning the walk's rectangle
+  for every cluster representative and sorting them along the zig-zag
+  (`_scan_assemble`), the rectangle spanned by corners found on Dyadics
   (`lower_corner_on_dyadics`, `upper_corner_on_dyadics`);
+- `support_by_walk`, `obj_to_string_by_walk` and `string_to_obj_by_walk`
+  check `walk.support`, `equiv.obj_to_string` and `equiv.string_to_obj`,
+  which read the crossed chords off the chord's two ends
+  (`cluster.crossing_path`, `cluster.arrow_dir`) and the object off the far
+  ends of the attach chords, by stepping a walk: the interior of the walk
+  of x, its word with a horizontal step as a forward letter (`_walk_word`),
+  and the corners of the `minimal_walk` between the two attach vertices;
 - `walk_at_by_points` checks `walk._walk_at`, which reads each vertex's
   depth off the offset search of its step, by a stepper that keeps one
   (p, q) pair per vertex and reads each point back off its pair
@@ -77,17 +83,19 @@ rather than by the library's fast path:
   every position of w2 and of its reversal;
 - `_brute_force_candidates` checks `strings._candidate_words` by growing
   every simple path on the support and keeping those `word` accepts.
+
+`fraction` converts a `Dyadic` to the `Fraction` the tests compare with.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from moebius.dyadic import Dyadic, ONE, ZERO
+from moebius.dyadic import Dyadic, ONE, ZERO, decimal
 from moebius.band import Obj, Rect, Rep, normal_form
 from moebius.cluster import (ClusterPt, ClusterOverlay, object_of, member, neighbors,
                              enum_in_rect_with_reps, box_meets_cluster, _box, _t_range)
-from moebius.walk import (WalkVertex, SINK, SOURCE, THROUGH, concrete_epsilon,
-                          chain_box_nonzero, hom_ct_dim, shifted, support)
+from moebius.walk import (Walk, WalkVertex, SINK, SOURCE, THROUGH, concrete_epsilon,
+                          chain_box_nonzero, hom_ct_dim, shifted, support, walk_of, _walk_at)
 from moebius.equiv import DigitPrefix, _attach_arrows, obj_to_string, string_to_obj
 from moebius.errors import (BandBoundary, InvalidWord, NoMorphism, NotAModule, NotBasicAligned,
                             NotInCluster)
@@ -102,6 +110,10 @@ from moebius.strings import (StringWord, RepFin, arrows_at, word, _candidate_wor
 #
 # The library computes these on integer numerators at one scale; here every
 # coordinate is a `Dyadic` and every object comes from the public `Obj(x, delta)`.
+
+def fraction(a: Dyadic) -> Fraction:
+    return Fraction(a.num, 1 << a.exp)
+
 
 @lru_cache(maxsize=None)
 def dyadic_reps(obj: Obj) -> tuple[Rep, Rep]:
@@ -139,7 +151,7 @@ def hom_c_configs_on_dyadics(src: Obj, dst: Obj) -> list[tuple[Rep, Rep]]:
     out = []
     for (a0, b0) in dyadic_reps(src):
         for (x, y), (x1, y1) in _reps_less_one(dst):
-            shift = _even((x - a0).floor() // 2)
+            shift = _even(fraction(x - a0) // 2)
             a = a0 + shift
             if y1 < a:
                 b = b0 + shift
@@ -187,7 +199,7 @@ def meets_cluster_by_level_scan(rect: Rect, extra: int = 0) -> bool:
 def compose_basic_nonzero_on_dyadics(x: Obj, y: Obj, z: Obj) -> bool:
     for (a, b), (c, d) in hom_c_configs_on_dyadics(x, z):
         for p, q in dyadic_reps(y):
-            shift = _even((c - p).floor() // 2)
+            shift = _even(fraction(c - p) // 2)
             if a <= p + shift and b <= q + shift <= d and not meets_cluster(Rect(a, c, b, d)):
                 return True
     return False
@@ -433,17 +445,6 @@ def _scan_walk_of(x):
     return vertices, steps
 
 
-def _scan_minimal_walk(v, w):
-    for lr_pt, ul_pt in ((v, w), (w, v)):
-        for lr in dyadic_reps(object_of(lr_pt)):
-            for ul0 in dyadic_reps(object_of(ul_pt)):
-                shift = Dyadic((lr[0] - ul0[0]).floor() // 2 * 2)
-                ul = (ul0[0] + shift, ul0[1] + shift)
-                if ul[0] <= lr[0] and ul[1] >= lr[1]:
-                    return _scan(Rect(ul[0], lr[0], lr[1], ul[1]))
-    raise AssertionError(f"no common walk window for {v}, {w}")
-
-
 # -- walks stepped one pair at a time --------------------------------------------
 
 def _offset_above(d: int, line: int, k: int) -> int | None:
@@ -495,6 +496,66 @@ def walk_at_by_points(p: int, q: int, left: int, top: int, k: int):
     return pts, tuple(reps), k, tuple(steps), roles
 
 
+# -- supports, words and objects on stepped walks -------------------------------
+#
+# The library reads these off the two ends of a chord; here each steps a walk,
+# from the corners of x (`walk.walk_of`) or between two cluster points.
+
+def support_by_walk(x: Obj) -> frozenset[ClusterPt]:
+    """The interior of the walk of x, and empty on the cluster."""
+    if member(x) is not None:
+        return frozenset()
+    return frozenset(walk_of(x).pts[1:-1])
+
+
+def minimal_walk(v: ClusterPt, w: ClusterPt) -> Walk:
+    """The unique minimal walk between two cluster points, from the first pair
+    of representatives, one translated by a multiple of 2, spanning a rectangle
+    from its lower-right corner to its upper-left one.  The window search runs
+    on integer numerators at the scale 2^(1 + max depth)."""
+    k = 1 + max(v.n, w.n)
+    one, period = 1 << k, 2 << k
+
+    def reps(pt: ClusterPt) -> tuple[tuple[int, int], tuple[int, int]]:
+        x, y = pt.m << (k - pt.n), ((pt.m - 1) << (k - pt.n)) + one  # (m, m - 1 + 2^n)/2^n
+        return ((x, y), (y + one, x + one))  # and its flip, as object_of(pt).reps_at(k)
+
+    reps_v, reps_w = reps(v), reps(w)
+    for lr_reps, ul_reps in ((reps_v, reps_w), (reps_w, reps_v)):
+        for lx, ly in lr_reps:
+            for ux, uy in ul_reps:
+                shift = (lx - ux) // period * period  # lx - 2 < ux + shift <= lx
+                if uy + shift >= ly:
+                    return _walk_at(lx, ly, ux + shift, uy + shift, k)
+    raise AssertionError(f"no common walk window for {v}, {w}")
+
+
+def _walk_word(walk: Walk) -> StringWord:
+    """The word on the interior of a walk, arrows reversed: a vertical step
+    is a cluster map up v_i -> v_{i+1}, so its letter points back."""
+    inner = walk.pts[1:-1]
+    if not inner:
+        raise AssertionError("empty support off the cluster")
+    return StringWord(inner, [step == "h" for step in walk.steps[1:-1]])
+
+
+def obj_to_string_by_walk(x: Obj) -> StringWord:
+    """Word on the support of x, ordered along the walk, arrows reversed."""
+    return _walk_word(walk_of(x))
+
+
+def string_to_obj_by_walk(w: StringWord) -> Obj:
+    """The object whose support word is w, read off the corners of the walk
+    between its two attach vertices."""
+    if w.marked:
+        raise InvalidWord("ray-marked words do not name finite objects")
+    att_l, att_r = _attach_arrows(w)
+    walk = minimal_walk(att_l.src, att_r.src)
+    if _walk_word(walk) != w:
+        raise AssertionError(f"the walk between the attach vertices of {w} does not carry it")
+    return normal_form(walk.xs[0], walk.ys[-1], walk.k)
+
+
 # -- chord ends as Fractions mod 2 ----------------------------------------------
 #
 # The library reads chord ends as integer numerators mod 2^(k+1) at one scale
@@ -507,7 +568,7 @@ def _ends(x):
     if isinstance(x, ClusterPt):
         pair = (Fraction(x.m - 1, 1 << x.n), Fraction(x.m, 1 << x.n))
     else:
-        pair = (x.x.as_fraction(), x.y.as_fraction() + 1)
+        pair = (fraction(x.x), fraction(x.y) + 1)
     return tuple(sorted(a % 2 for a in pair))
 
 
@@ -657,7 +718,13 @@ def _flip_by_fan(overlay, x):
 
 # -- SVG pictures in Dyadic arithmetic ------------------------------------------
 
-_SCALE = Dyadic(240)
+_SCALE, _HALF = Dyadic(240), Dyadic(1, 1)
+
+
+def _scaled(d: Dyadic) -> str:
+    """240 d in decimal, exact as a dyadic always terminates."""
+    d = d * _SCALE
+    return decimal(d.num * 5 ** d.exp, d.exp)
 
 
 class _DyadicCanvas:
@@ -666,10 +733,10 @@ class _DyadicCanvas:
         self.elements = []
 
     def px(self, x):
-        return ((x - self.x_lo) * _SCALE).decimal()
+        return _scaled(x - self.x_lo)
 
     def py(self, y):
-        return ((self.y_hi - y) * _SCALE).decimal()
+        return _scaled(self.y_hi - y)
 
     def line(self, x1, y1, x2, y2, cls):
         self.elements.append(
@@ -694,7 +761,7 @@ def _draw_walk_by_dyadics(cv, w):
         r1, r2 = vertices[i].rep, vertices[i + 1].rep
         src, dst = (r1, r2) if step == "v" else (r2, r1)
         cv.line(src[0], src[1], dst[0], dst[1], "walk")
-        mx, my = (src[0] + dst[0]).half(), (src[1] + dst[1]).half()
+        mx, my = (src[0] + dst[0]) * _HALF, (src[1] + dst[1]) * _HALF
         if step == "v":
             p1 = (mx - arrow_half, my - arrow_half)
             p2 = (mx + arrow_half, my - arrow_half)
@@ -750,8 +817,8 @@ def render_by_dyadics(spec) -> str:
         _draw_walk_by_dyadics(cv, w)
     for o in spec.objects:
         cv.circle(o.x, o.y, "4", "object")
-    width = ((x_hi - x_lo) * _SCALE).decimal()
-    height = ((y_hi - y_lo) * _SCALE).decimal()
+    width = _scaled(x_hi - x_lo)
+    height = _scaled(y_hi - y_lo)
     head = ('<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">\n'

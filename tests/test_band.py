@@ -14,7 +14,7 @@ from moebius.equiv import obj_to_string, string_to_obj
 from moebius.errors import BandBoundary, NotBasicAligned, ParseError
 
 from oracles import (normal_form_on_dyadics, member_on_dyadics, triangle_complete_on_dyadics,
-                     _dyadic, _ends, _obj_from_ends, ends_cross_on_fractions)
+                     _dyadic, _ends, _obj_from_ends, ends_cross_on_fractions, fraction)
 
 M = parse_obj
 
@@ -255,7 +255,7 @@ def test_ends_match_fraction_oracle():
         for k in (x.e, x.e + 3):
             assert [Fraction(a, 1 << k) for a in x.ends_at(k)] == want, (x, k)
         got = ends(x)
-        assert sorted(a.as_fraction() for a in got) == want, x
+        assert sorted(fraction(a) for a in got) == want, x
         assert all(Dyadic(0) <= a < Dyadic(2) for a in got), x
 
 

@@ -105,8 +105,10 @@ def test_parse_error_exit_2(capsys):
 
 
 def test_domain_error_exit_1(capsys):
-    code, _, err = run(capsys, "walk", "M(0,1/2)")
-    assert code == 1 and "InCluster" in err
+    for command in ("walk", "to-string"):  # `to-string` steps no walk
+        code, out, err = run(capsys, command, "M(0,1/2)")
+        assert code == 1 and out == "", command
+        assert err == "InCluster: M(0,1/2) lies in the standard cluster\n", command
 
 
 def test_band_boundary_is_domain_error(capsys):

@@ -14,7 +14,7 @@ from moebius.cluster import (ClusterPt, ClusterOverlay, STANDARD, member, object
 from moebius.errors import NotInCluster, UnboundedRect, ParseError
 
 from oracles import (_ends, _flip_by_fan, _member_by_ends, meets_cluster,
-                     meets_cluster_by_level_scan, mutate_on_angles)
+                     meets_cluster_by_level_scan, mutate_on_angles, fraction)
 
 T = ClusterPt
 M = parse_obj
@@ -236,7 +236,7 @@ def test_chord_matches_fraction_oracle():
     for v in cluster_points(9):
         want = (Fraction(v.m - 1, 1 << v.n) % 2, Fraction(v.m, 1 << v.n) % 2)
         assert sorted(want) == list(_ends(v)), v
-        assert tuple(a.as_fraction() for a in chord(v)) == want, v
+        assert tuple(fraction(a) for a in chord(v)) == want, v
         for k in (v.n, v.n + 3):
             assert tuple(Fraction(a, 1 << k) for a in chord_at(v, k)) == want, (v, k)
 

@@ -12,9 +12,16 @@ module m of `src/moebius`.  A reference to the name n of m, in `src/` or
 the dunder names of a module (`__getattr__`, `__all__`).  A word that only
 looks like n (a local variable, a string) is no reference, and tests do not
 count: a function only a test calls is dead.
+
+The methods and properties of a top-level class are held to the same rule:
+one is referenced when some attribute load `.name` exists in `src/` or
+`perfbench/` outside its own definition.  Dunders are exempt, and so is a
+method that overrides an inherited one, whose callers are in the base
+class (`argparse.ArgumentParser.error`).
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import moebius
@@ -66,5 +73,27 @@ def unreferenced_names() -> list[str]:
     return unused
 
 
+def unreferenced_methods() -> list[str]:
+    loads = [(path, node.lineno, node.attr) for path in READERS
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    unused = []
+    for path in PACKAGE:
+        module = importlib.import_module(f"moebius.{path.stem}")
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            bases = getattr(module, cls.name).__mro__[1:]
+            for node in cls.body:
+                if (not isinstance(node, ast.FunctionDef) or node.name.startswith("__")
+                        or any(hasattr(base, node.name) for base in bases)):
+                    continue
+                if not any(attr == node.name and not (where == path and node.lineno <= line <= node.end_lineno)
+                           for where, line, attr in loads):
+                    unused.append(f"{path.name}:{node.lineno} {cls.name}.{node.name}")
+    return unused
+
+
 def test_every_top_level_definition_has_a_user():
     assert unreferenced_names() == []
+    assert unreferenced_methods() == []

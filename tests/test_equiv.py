@@ -1,16 +1,19 @@
 import pytest
 
+from moebius.dyadic import Dyadic
 from moebius.band import normal_form, parse_obj
-from moebius.cluster import ClusterPt, STANDARD, children, member, object_of, mutate
-from moebius.walk import hom_ct_dim
-from moebius.strings import word, parse_word, hom_dim_strings, StringWord
+from moebius.cluster import (ClusterPt, STANDARD, arrow_dir, children, crossing_path, member,
+                             object_of, mutate)
+from moebius.walk import hom_ct_dim, support, walk_of
+from moebius.strings import word, parse_word, hom_dim_strings, StringWord, arrow_between
 from moebius.equiv import (obj_to_string, string_to_obj, simple_object,
                            transport_mor, transport_mor_inverse, DigitPrefix,
                            digits_to_coords, digit_vertex, coords_to_digits,
                            tail_case, g_extend, f_strip)
 from moebius.errors import InCluster, InvalidWord, NoMorphism, Unreachable, AllOnesTail
 
-from oracles import lower_tail_coords, string_to_obj_by_steps, digits_to_coords_on_dyadics
+from oracles import (lower_tail_coords, string_to_obj_by_steps, digits_to_coords_on_dyadics,
+                     support_by_walk, obj_to_string_by_walk, string_to_obj_by_walk)
 
 T = ClusterPt
 M = parse_obj
@@ -55,7 +58,6 @@ def test_walk_rectangle_carries_exactly_the_word():
     # the closed rectangle spanned by the attach corners holds the support
     # plus the two corners and nothing else
     from moebius.checks import grid_off_cluster
-    from moebius.walk import walk_of, support
     from moebius.cluster import enum_in_rect
     from moebius.band import Rect
     for x in grid_off_cluster(2):
@@ -95,19 +97,24 @@ def test_string_to_obj_matches_stepper_on_depth4_words():
         assert string_to_obj.__wrapped__(w) == string_to_obj_by_steps(w), w
 
 
+def _seeded_off_cluster(rng, e, count):
+    """count objects off the cluster of exponent e, drawn from rng."""
+    out = []
+    while len(out) < count:
+        x0 = Dyadic(rng.randrange(1 << (e + 1)) | 1, e)
+        x = normal_form(x0, x0 + Dyadic(rng.randrange(1 << e), e))
+        if member(x) is None:
+            out.append(x)
+    return out
+
+
 def test_string_to_obj_matches_stepper_at_high_exponents():
     import random
-    from moebius.dyadic import Dyadic
     rng = random.Random(20261018)
     for e in range(15, 65):
-        done = 0
-        while done < 8:
-            x0 = Dyadic(rng.randrange(1 << (e + 1)) | 1, e)
-            x = normal_form(x0, x0 + Dyadic(rng.randrange(1 << e), e))
-            if member(x) is None:
-                w = obj_to_string.__wrapped__(x)
-                assert string_to_obj.__wrapped__(w) == x == string_to_obj_by_steps(w), x
-                done += 1
+        for x in _seeded_off_cluster(rng, e, 8):
+            w = obj_to_string.__wrapped__(x)
+            assert string_to_obj.__wrapped__(w) == x == string_to_obj_by_steps(w), x
 
 
 @pytest.mark.parametrize("e, pairs", [(16, 60), (32, 60), (64, 40)])
@@ -115,22 +122,12 @@ def test_hom_ct_dim_matches_strings_on_pairs_sharing_support(e, pairs):
     # unbiased random pairs have a nonzero Hom only 11-18 % of the time, so
     # y is drawn among the objects that share a support point with x
     import random
-    from moebius.dyadic import Dyadic
-    from moebius.walk import support
     rng = random.Random(e)
-
-    def draw():
-        while True:
-            x0 = Dyadic(rng.randrange(1 << (e + 1)) | 1, e)
-            x = normal_form(x0, x0 + Dyadic(rng.randrange(1 << e), e))
-            if member(x) is None:
-                return x
-
     seen = set()
     for _ in range(pairs):
-        x, y = draw(), draw()
+        x, y = _seeded_off_cluster(rng, e, 2)
         while not support(x) & support(y):
-            y = draw()
+            (y,) = _seeded_off_cluster(rng, e, 1)
         for a, b in ((x, y), (y, x)):
             h = hom_ct_dim.__wrapped__(a, b)
             assert h == hom_dim_strings(obj_to_string(a), obj_to_string(b)), (a, b)
@@ -141,9 +138,67 @@ def test_hom_ct_dim_matches_strings_on_pairs_sharing_support(e, pairs):
 def test_string_to_obj_rejects_a_word_its_walk_does_not_carry(monkeypatch):
     import moebius.equiv as equiv
     w = parse_word("T(1,0) > T(0,0) > T(1,1)")
-    monkeypatch.setattr(equiv, "minimal_walk", lambda u, v: equiv.walk_of(M("M(1/8,1/4)")))
+    monkeypatch.setattr(equiv, "obj_from_ends", lambda p, q, k: M("M(1/8,1/4)"))
     with pytest.raises(AssertionError, match="does not carry"):
         string_to_obj.__wrapped__(w)
+
+
+# -- supports, words and objects off the chord against the stepped walks -------
+
+def _assert_chord_reading_matches_walk(x):
+    path = crossing_path(x)
+    assert path == walk_of(x).pts[1:-1], x  # the walk's interior, in its order
+    assert support(x) == support_by_walk(x) == frozenset(path), x
+    w = obj_to_string(x)
+    assert w == obj_to_string_by_walk(x), x
+    assert string_to_obj.__wrapped__(w) == string_to_obj_by_walk(w) == x, x
+    for u, v in zip(path, path[1:]):  # each letter as the quiver orients it
+        assert arrow_dir(u, v) == (arrow_between(u, v) is not None) != arrow_dir(v, u), (u, v)
+
+
+def test_chord_reading_matches_walks_on_depth6_grid():
+    from moebius.checks import grid_off_cluster
+    for x in grid_off_cluster(6):
+        _assert_chord_reading_matches_walk(x)
+
+
+@pytest.mark.parametrize("e", [16, 32, 64])
+def test_chord_reading_matches_walks_at_high_exponents(e):
+    import random
+    for x in _seeded_off_cluster(random.Random(e), e, 500):
+        _assert_chord_reading_matches_walk(x)
+
+
+def test_arrow_dir_matches_quiver_on_depth9_cluster():
+    from moebius.checks import cluster_points
+    from moebius.cluster import neighbors
+    pairs = 0
+    for v in cluster_points(9):
+        for tri in neighbors(v):
+            for u in tri:
+                if u != v:
+                    assert arrow_dir(v, u) == (arrow_between(v, u) is not None), (v, u)
+                    pairs += 1
+    assert pairs == 4 * len(cluster_points(9))
+
+
+def test_supports_words_and_objects_step_no_walk(monkeypatch):
+    # objects and points deep enough that no earlier test cached their walks
+    import random
+    import moebius.walk as walk
+
+    def stepped(*args):
+        raise AssertionError("a walk was stepped")
+
+    xs = _seeded_off_cluster(random.Random(20261019), 48, 20)
+    pts = [T(47, m) for m in (1, 12345, 2 ** 48 - 1)]
+    with monkeypatch.context() as m:
+        m.setattr(walk, "_walk_at", stepped)
+        got = [(support(x), obj_to_string(x), string_to_obj(obj_to_string(x))) for x in xs]
+        simples = [simple_object(v) for v in pts]
+    for x, (supp, w, back) in zip(xs, got):
+        assert (supp, w, back) == (support_by_walk(x), obj_to_string_by_walk(x), x), x
+    assert simples == [string_to_obj_by_walk(word([v])) for v in pts]
 
 
 def test_transport_mor():
@@ -215,7 +270,7 @@ def test_digit_examples():
 
 def _digits_to_coords_by_terms(p):
     """The digit sum b_m = b + sum d_i theta/2^i added one term at a time."""
-    from moebius.dyadic import Dyadic, ONE
+    from moebius.dyadic import ONE
     base = object_of(p.base)
     theta = base.x + ONE - base.y
     bm = base.y
@@ -335,7 +390,6 @@ def test_g_extend_examples():
 
 def test_ray_reps_horizontal():
     # reps along the ray through T(1,0) keep their second coordinate
-    from moebius.dyadic import Dyadic
     from oracles import _step_rep
     cur = (Dyadic(0), Dyadic(1, 1))  # rep of T(1,0)
     chain = [cur]

@@ -13,14 +13,14 @@ from moebius.strings import RepFin, to_rep, direct_sum, decompose_rep, word
 from moebius.equiv import obj_to_string
 from moebius.checks import grid_off_cluster
 
-from oracles import decompose_rep_by_rescans, invert
+from oracles import decompose_rep_by_rescans, fraction, invert
 
 
 def _brute_force_enum(rect: Rect, max_n: int) -> set:
     """Scan every (n, m) and translation directly, per representative family."""
     found = set()
-    lo = min(rect.x_lo.as_fraction(), rect.y_lo.as_fraction())
-    hi = max(rect.x_hi.as_fraction(), rect.y_hi.as_fraction())
+    lo = min(fraction(rect.x_lo), fraction(rect.y_lo))
+    hi = max(fraction(rect.x_hi), fraction(rect.y_hi))
     k_lo = int(lo // 2) - 2
     k_hi = int(hi // 2) + 2
     for n in range(max_n + 1):
@@ -76,8 +76,8 @@ def _windowed_brute_force_enum(rect: Rect, max_n: int) -> set:
     found = set()
     for n in range(max_n + 1):
         step = Dyadic(1, n)
-        lo = math.floor(rect.x_lo.as_fraction() * (1 << n))
-        hi = math.ceil(rect.x_hi.as_fraction() * (1 << n))
+        lo = math.floor(fraction(rect.x_lo) * (1 << n))
+        hi = math.ceil(fraction(rect.x_hi) * (1 << n))
         for t in range(lo, hi + 1):
             x = Dyadic(t, n)
             if _inside(rect, x, x + ONE - step):

@@ -70,7 +70,9 @@ def test_walk_queries_stop_at_walk(argv):
 def test_word_queries_load_neither_dataclasses_nor_fractions(argv):
     record, _ = _probe(*argv)
     assert record["code"] == 0
-    assert set(record["main"]) <= set(_layers("cli", "errors", "dyadic", "band", "cluster", "walk",
+    # words and objects are read off chord ends, so no walk layer either
+    assert "moebius.walk" not in record["main"]
+    assert set(record["main"]) <= set(_layers("cli", "errors", "dyadic", "band", "cluster",
                                               "strings", "equiv"))
     assert record["stdlib"] == []
 
@@ -120,8 +122,8 @@ PUBLIC = {
     "cluster": ["ClusterPt", "ClusterOverlay", "STANDARD", "member", "object_of", "chord",
                 "depth", "neighbors", "in_neighbors", "out_neighbors", "enum_in_rect", "mutate",
                 "parse_cluster_pt"],
-    "walk": ["Walk", "Approximation", "support", "walk_of", "minimal_walk", "approximation",
-             "hom_ct_dim", "tau_dims", "concrete_epsilon"],
+    "walk": ["Walk", "Approximation", "support", "walk_of", "approximation", "hom_ct_dim",
+             "tau_dims", "concrete_epsilon"],
     "strings": ["QArrow", "StringWord", "RepFin", "arrows_at", "word", "validate_word",
                 "hom_dim_strings", "kernel_cokernel_strings", "to_rep", "decompose_rep",
                 "parse_word"],

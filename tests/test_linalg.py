@@ -1,7 +1,6 @@
 """Integer row reduction against the rational eliminations it replaced:
-sparse on Fractions (`oracles._rref_on_fractions`) and dense.  `invert` and
-`column_space_basis` are the copies in `oracles`, read through `linalg.solve`
-and `linalg._rref`."""
+sparse on Fractions (`oracles._rref_on_fractions`) and dense.
+`column_space_basis` is the copy in `oracles`, read through `linalg._rref`."""
 
 from fractions import Fraction
 
@@ -9,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from moebius import linalg
 
-from oracles import _rref_on_fractions, column_space_basis, invert
+from oracles import _rref_on_fractions, column_space_basis
 
 
 def _dense_rref(a):
@@ -85,18 +84,6 @@ def test_sparse_rref_matches_dense(ab):
         assert all(sum(row[j] * v[j] for j in range(cols)) == 0 for row in a)
 
 
-@settings(deadline=None)
-@given(st.integers(1, 8).flatmap(lambda n: matrices(n, n)))
-def test_sparse_invert_matches_dense(a):
-    n = len(a)
-    shifted = tuple(tuple(v + (i == j) for j, v in enumerate(row)) for i, row in enumerate(a))
-    for m in (a, shifted):
-        got = _sparse(invert, m)
-        assert got == _dense(invert, m)
-        if got is not ValueError:
-            assert linalg.matmul(m, got) == linalg.identity(n)
-
-
 @st.composite
 def rational_matrices(draw):
     """Empty, wide or tall matrices of rationals with large denominators,
@@ -139,14 +126,8 @@ def test_results_are_ints_exactly_where_integral(a, data):
     rows, cols = len(a), len(a[0]) if a else 0
     vec = data.draw(st.lists(entry, min_size=cols, max_size=cols))
     b, c = data.draw(matrices(rows, 3)), data.draw(matrices(cols, 3))
-    k = min(rows, cols)
-    square = tuple(tuple(a[i][j] + (i == j) for j in range(k)) for i in range(k))
     results = [*linalg.nullspace(a, cols), linalg.matvec(a, vec), *linalg.matmul(a, c)]
     solution = linalg.solve(a, b)
     if solution is not None:
         results.extend(solution)
-    inverse = _sparse(invert, square)
-    if inverse is not ValueError:
-        assert linalg.matmul(square, inverse) == linalg.identity(k)
-        results.extend(inverse)
     assert _exact(x for row in results for x in row)

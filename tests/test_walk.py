@@ -6,17 +6,17 @@ import pytest
 from moebius.dyadic import Dyadic
 from moebius.band import Rect, parse_obj, hom_c_dim, mirror, normal_form
 from moebius.cluster import ClusterPt, object_of, member, enum_in_rect, enum_in_rect_with_reps
-from moebius.walk import (support, walk_of, minimal_walk, approximation,
+from moebius.walk import (support, walk_of, approximation,
                           hom_ct_dim, tau_dims, concrete_epsilon, shifted,
                           factors_through_sink,
                           compose_basic_nonzero, chain_box_nonzero, _walk_at)
 from moebius.errors import BandBoundary, InCluster, NoMorphism
 
-from oracles import (tau_dims_via_epsilon, hom0_via_factoring, _scan_walk_of,
-                     _scan_minimal_walk, walk_at_by_points, compose_basic_nonzero_by_pairing,
+from oracles import (tau_dims_via_epsilon, hom0_via_factoring, _scan_walk_of, minimal_walk,
+                     walk_at_by_points, compose_basic_nonzero_by_pairing,
                      induced_support_map, hom_c_configs_on_dyadics, hom_ct_dim_on_dyadics,
                      compose_basic_nonzero_on_dyadics, shifted_on_dyadics,
-                     lower_corner_on_dyadics, upper_corner_on_dyadics, _ends)
+                     lower_corner_on_dyadics, upper_corner_on_dyadics, _ends, fraction)
 
 T = ClusterPt
 M = parse_obj
@@ -61,11 +61,12 @@ def test_walk_json():
 
 
 def test_minimal_walk():
-    assert minimal_walk(T(0, 0), T(0, 0)).length == 0
+    # the oracle that `oracles.string_to_obj_by_walk` steps
+    assert minimal_walk(T(0, 0), T(0, 0)).steps == ()
     w = minimal_walk(T(0, 0), T(1, 0))
-    assert w.length == 1 and list(w.points()) == [T(0, 0), T(1, 0)]
+    assert len(w.steps) == 1 and list(w.points()) == [T(0, 0), T(1, 0)]
     w = minimal_walk(T(2, 2), T(2, 0))
-    assert w.length == 4
+    assert len(w.steps) == 4
     assert list(w.points()) == [T(2, 2), T(1, 1), T(0, 0), T(1, 0), T(2, 0)]
 
 
@@ -75,7 +76,7 @@ def test_minimal_walk_symmetry():
         for w in pts:
             a = minimal_walk(v, w)
             b = minimal_walk(w, v)
-            assert a.length == b.length
+            assert len(a.steps) == len(b.steps)
             assert set(a.points()) == set(b.points())
 
 
@@ -96,7 +97,7 @@ def test_minimal_walk_length_is_graph_distance():
     pts = [T(0, 0)] + [T(n, m) for n in range(1, 4) for m in range(1 << (n + 1))]
     for v in pts:
         for w in pts:
-            assert minimal_walk(v, w).length == _bfs_distance(v, w), (v, w)
+            assert len(minimal_walk(v, w).steps) == _bfs_distance(v, w), (v, w)
 
 
 def test_walks_nondegenerate():
@@ -130,11 +131,11 @@ def test_approximation_examples():
 def test_approximation_balance_grid():
     for x in grid_off():
         a = approximation(x)
-        firsts_b = sorted(r[0].as_fraction() for r in a.sink_reps)
-        firsts_a = sorted([r[0].as_fraction() for r in a.source_reps] + [x.x.as_fraction()])
+        firsts_b = sorted(fraction(r[0]) for r in a.sink_reps)
+        firsts_a = sorted([fraction(r[0]) for r in a.source_reps] + [fraction(x.x)])
         assert firsts_a == firsts_b, x
-        seconds_b = sorted(r[1].as_fraction() for r in a.sink_reps)
-        seconds_a = sorted([r[1].as_fraction() for r in a.source_reps] + [x.y.as_fraction()])
+        seconds_b = sorted(fraction(r[1]) for r in a.sink_reps)
+        seconds_a = sorted([fraction(r[1]) for r in a.source_reps] + [fraction(x.y)])
         assert seconds_a == seconds_b, x
 
 
@@ -188,7 +189,7 @@ def test_epsilon_halving_stability():
     for x in sample:
         for s in pts:
             eps = concrete_epsilon([object_of(s), x])
-            for e in (eps, eps.half()):
+            for e in (eps, eps * D(1, 1)):
                 assert hom_ct_dim(shifted(s, e, e), x) == tau_dims(s, x).tau_inv
 
 
@@ -319,15 +320,6 @@ def test_walk_matches_scan_at_high_exponents(monkeypatch):
                 done += 1
 
 
-def test_minimal_walk_matches_scan():
-    from moebius.checks import cluster_points
-    pts = cluster_points(4)
-    for v in pts:
-        for w in pts:
-            walk = minimal_walk(v, w)
-            assert (walk.vertices, walk.steps) == _scan_minimal_walk(v, w), (v, w)
-
-
 def test_support_on_cluster_is_empty_open_rect():
     from moebius.checks import grid
     for x in grid(5):
@@ -368,25 +360,6 @@ def test_walk_matches_pointwise_stepper_on_grid():
     import moebius.walk as walk
     for x in grid_off(6):
         _assert_walk_matches_pointwise(walk._corners(x))
-
-
-def test_minimal_walk_matches_pointwise_stepper(monkeypatch):
-    import moebius.walk as walk
-    from moebius.checks import cluster_points
-    calls = []
-
-    def recording(*args):
-        calls.append(args)
-        return _walk_at(*args)
-
-    monkeypatch.setattr(walk, "_walk_at", recording)
-    pts = cluster_points(5)
-    for v in pts:
-        for u in pts:
-            walk.minimal_walk(v, u)
-    assert len(calls) == len(pts) ** 2
-    for args in calls:
-        _assert_walk_matches_pointwise(args)
 
 
 def test_walk_matches_pointwise_stepper_at_high_exponents():
