@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import time
 from collections import namedtuple
+from functools import lru_cache
 from itertools import chain, combinations, product
 from fractions import Fraction
 
@@ -54,8 +55,11 @@ def grid(e: int) -> list[Obj]:
     return out
 
 
-def grid_off_cluster(e: int) -> list[Obj]:
-    return [x for x in grid(e) if member(x) is None]
+@lru_cache(maxsize=2)
+def grid_off_cluster(e: int) -> tuple[Obj, ...]:
+    """One tuple per depth, so the `hom_ct_dim` lookups of criteria 1, 6 and
+    7 hit by identity; criterion 6 at depth 1 also reads depth 2."""
+    return tuple(x for x in grid(e) if member(x) is None)
 
 
 def cluster_points(depth: int) -> list[ClusterPt]:

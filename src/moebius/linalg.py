@@ -84,7 +84,7 @@ def _rref(a: Matrix) -> tuple[list[list[int | Fraction]], list[int]]:
         r += 1
         if r == rows:
             break
-    out = [[x // row[c] if not x % row[c] else Fraction(x, row[c]) for x in row]
+    out = [row if row[c] == 1 else [x // row[c] if not x % row[c] else Fraction(x, row[c]) for x in row]
            for row, c in zip(m, pivots)]
     out.extend([0] * cols for _ in range(r, rows))
     return out, pivots
@@ -116,6 +116,25 @@ def nullspace(a: Matrix, ncols: int | None = None) -> list[tuple[int | Fraction,
             v[pc] = -m[r][fc]
         basis.append(tuple(v))
     return basis
+
+
+def row_kernel(row) -> Matrix:
+    """`from_columns(nullspace((row,)))` of a nonzero row in closed form: the
+    vector of a free column fc has 1 at fc and -row[fc] / row[c0] at the
+    first nonzero column c0."""
+    c0 = next(c for c, x in enumerate(row) if x)
+    p, free = Fraction(row[c0]), [c for c in range(len(row)) if c != c0]
+    return tuple(tuple(exact(-row[fc] / p) for fc in free) if i == c0 else tuple(int(i == fc) for fc in free)
+                 for i in range(len(row)))
+
+
+def solve_on_unit_rows(a: Matrix, b: Matrix) -> Matrix | None:
+    """`solve(a, b)` for an a of full column rank with a unit row e_j for
+    each column j, as bases from `nullspace` and `row_kernel` have: X is
+    read off those rows of b, and a X == b is then solve's consistency test."""
+    units = {row.index(1): i for i, row in enumerate(a) if 1 in row and sum(map(bool, row)) == 1}
+    x = tuple(tuple(map(exact, b[units[j]])) for j in range(len(a[0])))
+    return x if matmul(a, x) == tuple(map(tuple, b)) else None
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix | None:

@@ -274,26 +274,29 @@ def cokernel(f: MorQ) -> tuple[SumObj, MorQ]:
 
 
 def _kernel_rep(f: MorQ) -> tuple[SumObj, MorQ]:
-    """Kernel via vertexwise nullspaces of F(f) on the string module of the
-    source, split into strings in `decompose_rep` order."""
+    """Kernel via nullspaces of F(f) on the string module of the source, one
+    per signature (`_vertex_matrices`) where F(f) is nonzero, split into
+    strings in `decompose_rep` order.  Where F(f) vanishes the kernel is the
+    whole space, so `restrict_rep` keeps the source's matrices there."""
     if not len(f.src):
         return (SumObj(), zero_mor(SumObj(), f.src))
     words_src = [obj_to_string(x) for x in f.src]
     rep_src = direct_sum([to_rep(w) for w in words_src])
     sig, blocks = _vertex_matrices(f, [w.verts for w in words_src],
                                    [obj_to_string(y).verts for y in f.dst])
-    vmats = {v: blocks[sig[v]] for v in rep_src.dims}
-    basis = {v: linalg.from_columns(linalg.nullspace(m, len(cols)), len(cols))
-             for v, (m, _, cols) in vmats.items()}
+    kern = {mask: linalg.from_columns(linalg.nullspace(m, len(cols)), len(cols))
+            for mask, (m, _, cols) in blocks.items() if any(map(any, m))}
+    basis = {v: kern[sig[v]] for v in rep_src.dims if sig[v] in kern}
     pieces = decompose_rep(restrict_rep(rep_src, basis))
     k_obj = SumObj([string_to_obj(w) for w, _ in pieces])
     # each piece's embedding at v, in the coordinates of the summands at v
-    vecs = [{v: linalg.matvec(basis[v], emb[v]) for v in wk.verts} for wk, emb in pieces]
+    vecs = [{v: linalg.matvec(basis[v], emb[v]) if v in basis else emb[v] for v in wk.verts}
+            for wk, emb in pieces]
     entries = []
     for j, wj in enumerate(words_src):
         row = []
         for (wk, _), vec in zip(pieces, vecs):
-            values = {v: vec[v][vmats[v][2].index(j)] for v in wk.verts if j in vmats[v][2]}
+            values = {v: vec[v][blocks[sig[v]][2].index(j)] for v in wk.verts if j in blocks[sig[v]][2]}
             row.append(_scalar_of_component(overlap(wk, wj), values))
         entries.append(tuple(row))
     return (k_obj, MorQ._from_clean(k_obj, f.src, tuple(entries)))

@@ -294,43 +294,29 @@ def to_rep(w: StringWord) -> RepFin:
 
 def direct_sum(reps: list[RepFin]) -> RepFin:
     """Direct sum, summands stacked in order at each vertex."""
-    verts = sorted({v for r in reps for v in r.dims})
-    dims = {v: sum(r.dim(v) for r in reps) for v in verts}
-    offsets = []
-    run = {v: 0 for v in verts}
+    dims = {v: sum(r.dim(v) for r in reps) for v in sorted({v for r in reps for v in r.dims})}
+    run, blocks = dict.fromkeys(dims, 0), {}
     for r in reps:
-        offsets.append(dict(run))
-        for v in verts:
-            run[v] += r.dim(v)
-    mats = {}
-    for v in verts:
-        for arr in arrows_at(v)[1]:
-            u = arr.dst
-            if u not in dims:
-                continue
-            rows, cols = dims[u], dims[v]
-            if rows == 0 or cols == 0:
-                continue
-            subs = [(r.mats[(v, u)], off) for r, off in zip(reps, offsets) if (v, u) in r.mats]
-            if not subs:
-                continue
-            block = [[0] * cols for _ in range(rows)]
-            for sub, off in subs:
-                for i, sub_row in enumerate(sub):
-                    block[off[u] + i][off[v]:off[v] + len(sub_row)] = sub_row
-            mats[(v, u)] = tuple(tuple(row) for row in block)
-    return RepFin(dims, mats)
+        for (v, u), sub in r.mats.items():
+            block = blocks.setdefault((v, u), [[0] * dims[v] for _ in range(dims[u])])
+            for i, sub_row in enumerate(sub):
+                block[run[u] + i][run[v]:run[v] + len(sub_row)] = sub_row
+        for v, d in r.dims.items():
+            run[v] += d
+    return RepFin(dims, {key: tuple(map(tuple, block)) for key, block in blocks.items()})
 
 
 # -- decomposition ------------------------------------------------------------
 
-def _candidate_words(supp: list[ClusterPt], letters) -> list[tuple[tuple[ClusterPt, ...], tuple[bool, ...]]]:
+def _candidate_words(supp: list[ClusterPt], letters):
     """Every reduced word on the support whose letters, as (src, dst)
     pairs, are in letters, as (verts, directs) in `StringWord` orientation,
-    longest first; no `StringWord` is built.  Paths grow one letter at a time
-    and stop where a letter composes with the previous one inside a
-    triangle; distinct vertices already rule out backtracking.  A word is
-    kept from the end of its path it starts at (the smaller one)."""
+    lazily and longest first (`StringWord.sort_key`).  Two letters of one
+    triangle compose or backtrack, so a word leaves each vertex by the
+    triangle it did not enter by: it is the one path in the dual tree between
+    its ends (lemma step 1 in `quotient._vertex_matrices`), and a search from
+    each start keeps one parent pointer per vertex.  A word is kept from its
+    smaller end, and built only when the listing reaches its length."""
     adj = {v: [] for v in supp}
     for v in supp:
         for arr in arrows_at(v)[1]:
@@ -338,20 +324,29 @@ def _candidate_words(supp: list[ClusterPt], letters) -> list[tuple[tuple[Cluster
             if u in adj and (v, u) in letters:
                 adj[v].append((u, True, arr.triangle))
                 adj[u].append((v, False, arr.triangle))
-    found = []
+    by_len = [[] for _ in range(len(supp) + 1)]  # by word length: (parent pointers, end)
     for start in supp:
-        # a path, its letter directions, the last triangle
-        stack = [((start,), (), None)]
+        tree = {start: None}  # vertex: (previous vertex, letter direction)
+        stack = [(start, None, 1)]  # a vertex, the triangle it was entered by, the length
         while stack:
-            path, directs, tri = stack.pop()
-            if start <= path[-1]:
-                found.append((-len(path), path, directs))  # StringWord.sort_key
-            last = directs[-1] if directs else None
-            for nxt, d, t in adj[path[-1]]:
-                if nxt not in path and not (d == last and t == tri):
-                    stack.append((path + (nxt,), directs + (d,), t))
-    found.sort()
-    return [(path, directs) for _, path, directs in found]
+            v, tri, n = stack.pop()
+            if start <= v:
+                by_len[n].append((tree, v))
+            for u, d, t in adj[v]:
+                if t != tri:
+                    tree[u] = (v, d)
+                    stack.append((u, t, n + 1))
+    for ends in reversed(by_len):
+        group = []
+        for tree, v in ends:
+            verts, directs = [v], []
+            while tree[v]:
+                v, d = tree[v]
+                verts.append(v)
+                directs.append(d)
+            group.append((tuple(verts[::-1]), tuple(directs[::-1])))
+        group.sort()
+        yield from group
 
 
 def _word_coords(w: StringWord, rep: RepFin):
@@ -376,7 +371,7 @@ def _solutions(rows, offs, total, rep) -> list[dict[ClusterPt, tuple[int | Fract
     """Nullspace basis of the constraint rows, split into one vector per vertex."""
     from . import linalg
     basis = linalg.nullspace(tuple(tuple(r) for r in rows), total)
-    return [{v: tuple(vec[offs[v] + i] for i in range(rep.dim(v))) for v in offs} for vec in basis]
+    return [{v: vec[offs[v]:offs[v] + rep.dims[v]] for v in offs} for vec in basis]
 
 
 def _hom_word_to_rep(w: StringWord, rep: RepFin) -> list[dict[ClusterPt, tuple[int | Fraction, ...]]]:
@@ -415,10 +410,10 @@ def _hom_rep_to_word(rep: RepFin, w: StringWord) -> list[dict[ClusterPt, tuple[i
         return []
     offs, total, letters = coords
     rows = []
-    for v in rep.dims:
-        for arr in arrows_at(v)[1]:
-            u = arr.dst
-            if u not in offs:
+    for u in w.verts:
+        for arr in arrows_at(u)[0]:
+            v = arr.src
+            if v not in rep.dims:
                 continue
             a = rep.mats.get((v, u))
             letter = (v, u) in letters
@@ -441,9 +436,9 @@ def decompose_rep(rep: RepFin) -> list[tuple[StringWord, dict[ClusterPt, tuple[i
     vector at every support vertex.  Peels one split summand at a time,
     trying the reduced words on the support in `_candidate_words` order.
 
-    The words are listed once, and each search resumes at the word that
-    split off last (a word may occur more than once).  This finds the words
-    a fresh listing on each remainder would.  End(M(w)) = k, since homs
+    The words are listed once, lazily, and each search resumes at the word
+    that split off last (a word may occur more than once).  This finds the
+    words a fresh listing on each remainder would.  End(M(w)) = k, since homs
     between strings are at most one dimensional (`overlap`), so the
     basis-pair test of `_split_off` finds a split exactly when M(w) is a
     summand.  By Krull-Schmidt a word that is no summand of a remainder is
@@ -462,21 +457,24 @@ def decompose_rep(rep: RepFin) -> list[tuple[StringWord, dict[ClusterPt, tuple[i
     words = _candidate_words(sorted(rep.dims), rep.mats)
     out = []
     current = rep
-    first = 0
+    cand = next(words, None)
     while current.total_dim() > 0:
         # resume at the word that split off last
-        for first in range(first, len(words)):
-            verts, directs = words[first]
+        while True:
+            if cand is None:
+                raise NotAModule("representation does not split into strings")
+            verts, directs = cand
             if (all(v in current.dims for v in verts)
                     and all(key in current.mats for key in _letters(verts, directs))):
                 w = StringWord(verts, directs)
                 split = _split_off(w, current)
                 if split:
                     break
-        else:
-            raise NotAModule("representation does not split into strings")
+            cand = next(words, None)
         phi, psi = split
         out.append((w, {v: linalg.matvec(acc[v], phi[v]) for v in w.verts}))
+        if current.total_dim() == len(w):
+            break  # M(w) is all of the remainder: nothing left to peel
         current, acc = _peel(current, acc, psi)
     return out
 
@@ -507,10 +505,10 @@ def _split_off(w: StringWord, rep: RepFin):
 def _peel(rep: RepFin, acc, psi):
     """Cut rep down to the kernel of the split functional psi and carry
     acc, the embedding of rep into the original, along; both change only
-    at the vertices of psi."""
+    at the vertices of psi, where psi . phi = 1 makes psi a nonzero row with
+    a closed-form kernel (`linalg.row_kernel`)."""
     from . import linalg
-    basis = {v: linalg.from_columns(linalg.nullspace((psi[v],), rep.dim(v)), rep.dim(v))
-             for v in psi}
+    basis = {v: linalg.row_kernel(row) for v, row in psi.items()}
     sub = restrict_rep(rep, basis)
     return (sub, {v: linalg.matmul(a, basis[v]) if v in basis else a
                   for v, a in acc.items() if v in sub.dims})
@@ -521,7 +519,9 @@ def restrict_rep(rep: RepFin, basis) -> RepFin:
     columns of basis[v] (rep.dim(v) rows), and all of rep at the other
     vertices, with its arrow matrices in those bases; the subspaces must be
     carried into each other along every arrow.  Only the arrows at a vertex
-    of basis are solved again; every other matrix is kept as it is."""
+    of basis are solved again, each basis[v] with a unit row per column, as
+    from `linalg.nullspace` or `row_kernel` (`linalg.solve_on_unit_rows`);
+    every other matrix is kept as it is."""
     from . import linalg
     dims = {v: len(basis[v][0]) if v in basis else d for v, d in rep.dims.items()}
     mats = {key: m for key, m in rep.mats.items() if key[0] not in basis and key[1] not in basis}
@@ -533,7 +533,7 @@ def restrict_rep(rep: RepFin, basis) -> RepFin:
                 continue
             coords = linalg.matmul(m, basis[u]) if u in basis else m
             if w in basis:
-                coords = linalg.solve(basis[w], coords)
+                coords = linalg.solve_on_unit_rows(basis[w], coords)
                 if coords is None:
                     raise AssertionError("subspace not arrow-stable")
             if any(x != 0 for row in coords for x in row):

@@ -81,8 +81,12 @@ rather than by the library's fast path:
 - `_brute_force_occurrences` checks `strings._occurrences`, which tests
   only the run of common vertices, by trying every factor segment of w1 at
   every position of w2 and of its reversal;
-- `_brute_force_candidates` checks `strings._candidate_words` by growing
-  every simple path on the support and keeping those `word` accepts.
+- `candidate_words_by_paths` checks `strings._candidate_words`, which
+  keeps one parent pointer per vertex a reduced path reaches and builds the
+  words of one length only when the listing reaches them, by growing and
+  copying every reduced path and sorting the whole list;
+  `_brute_force_candidates` checks both by growing every simple path on the
+  support and keeping those `word` accepts.
 
 `fraction` converts a `Dyadic` to the `Fraction` the tests compare with.
 """
@@ -102,7 +106,7 @@ from moebius.errors import (BandBoundary, InvalidWord, NoMorphism, NotAModule, N
 from moebius.quotient import (Classification, MorQ, SumObj, zero_mor, _scalar_of_component,
                               _vertex_matrices)
 from moebius import linalg
-from moebius.strings import (StringWord, RepFin, arrows_at, word, _candidate_words, _solutions,
+from moebius.strings import (StringWord, RepFin, arrows_at, word, _solutions,
                              _word_coords, decompose_rep, direct_sum, overlap, to_rep)
 
 
@@ -942,7 +946,7 @@ def decompose_rep_by_rescans(rep):
     while current.total_dim() > 0:
         supp = sorted((v for v in current.dims), key=lambda p: (p.n, p.m))
         split = None
-        for verts, directs in _candidate_words(supp, {(v, a.dst) for v in supp for a in arrows_at(v)[1]}):
+        for verts, directs in candidate_words_by_paths(supp, {(v, a.dst) for v in supp for a in arrows_at(v)[1]}):
             w = StringWord(verts, directs)
             phis = _hom_word_to_rep_dense(w, current)
             if not phis:
@@ -1137,6 +1141,34 @@ def _brute_force_occurrences(w1, w2):
                     if key not in occs:
                         occs.append(key)
     return occs
+
+
+def candidate_words_by_paths(supp, letters):
+    """The reduced words on the support with letters in letters, as
+    (verts, directs), longest first: every path grown one letter at a time
+    (a copy per step), stopped where a letter composes with the previous
+    one inside a triangle, and the whole list sorted."""
+    adj = {v: [] for v in supp}
+    for v in supp:
+        for arr in arrows_at(v)[1]:
+            u = arr.dst
+            if u in adj and (v, u) in letters:
+                adj[v].append((u, True, arr.triangle))
+                adj[u].append((v, False, arr.triangle))
+    found = []
+    for start in supp:
+        # a path, its letter directions, the last triangle
+        stack = [((start,), (), None)]
+        while stack:
+            path, directs, tri = stack.pop()
+            if start <= path[-1]:
+                found.append((-len(path), path, directs))  # StringWord.sort_key
+            last = directs[-1] if directs else None
+            for nxt, d, t in adj[path[-1]]:
+                if nxt not in path and not (d == last and t == tri):
+                    stack.append((path + (nxt,), directs + (d,), t))
+    found.sort()
+    return [(path, directs) for _, path, directs in found]
 
 
 def _brute_force_candidates(supp):

@@ -1,7 +1,10 @@
 """Integer row reduction against the rational eliminations it replaced:
 sparse on Fractions (`oracles._rref_on_fractions`) and dense.
-`column_space_basis` is the copy in `oracles`, read through `linalg._rref`."""
+`column_space_basis` is the copy in `oracles`, read through `linalg._rref`.
+The closed forms that skip row reduction (`row_kernel`,
+`solve_on_unit_rows`) against `nullspace` and `solve`."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -131,3 +134,61 @@ def test_results_are_ints_exactly_where_integral(a, data):
     if solution is not None:
         results.extend(solution)
     assert _exact(x for row in results for x in row)
+
+
+def _seeded_value(rng):
+    """0, a small int, or a Fraction (integral now and then, as 4/2)."""
+    k = rng.randrange(4)
+    if k == 0:
+        return 0
+    if k == 1:
+        return rng.randint(-5, 5)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def _types(m):
+    return [[type(x) for x in row] for row in m]
+
+
+def test_row_kernel_matches_nullspace():
+    rng = random.Random(7)
+    checked = 0
+    while checked < 500:
+        row = tuple(_seeded_value(rng) for _ in range(rng.randint(1, 7)))
+        if not any(row):
+            continue
+        want = linalg.from_columns(linalg.nullspace((row,)), len(row))
+        got = linalg.row_kernel(row)
+        assert got == want and _types(got) == _types(want), row
+        checked += 1
+
+
+def _seeded_basis(rng):
+    """A basis with a unit row per column: a nullspace or a row kernel."""
+    rows, cols = rng.randint(1, 4), rng.randint(1, 7)
+    a = tuple(tuple(_seeded_value(rng) for _ in range(cols)) for _ in range(rows))
+    if any(a[0]) and rng.random() < 0.3:
+        return linalg.row_kernel(a[0])
+    return linalg.from_columns(linalg.nullspace(a), cols)
+
+
+def test_unit_row_coordinates_match_solve():
+    rng = random.Random(8)
+    checked = inconsistent = 0
+    while checked < 500:
+        basis = _seeded_basis(rng)
+        k = len(basis[0])
+        if not k:
+            continue
+        x0 = tuple(tuple(_seeded_value(rng) for _ in range(3)) for _ in range(k))
+        b = linalg.matmul(basis, x0)
+        got, want = linalg.solve_on_unit_rows(basis, b), linalg.solve(basis, b)
+        assert got == want == x0 and _types(got) == _types(want), (basis, b)
+        # one entry moved, mostly off the column space
+        off = [list(row) for row in b]
+        off[rng.randrange(len(off))][rng.randrange(3)] += Fraction(1, 2)
+        got, want = linalg.solve_on_unit_rows(basis, off), linalg.solve(basis, off)
+        assert got == want and (got is None or _types(got) == _types(want)), (basis, off)
+        inconsistent += got is None
+        checked += 1
+    assert inconsistent > 300

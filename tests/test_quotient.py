@@ -8,16 +8,17 @@ from moebius.checks import _basics, grid_off_cluster
 from moebius.cluster import ClusterPt, member
 from moebius.dyadic import Dyadic
 from moebius.equiv import obj_to_string
-from moebius import linalg, quotient
+from moebius import linalg, quotient, strings
 from moebius.quotient import (SumObj, MorQ, identity_mor, zero_mor, basic_mor, compose,
                               classify, kernel, cokernel, hom_dim, _kernel_rep, _cokernel_rep,
                               _vertex_matrices)
 from moebius.errors import MoebiusError, ShapeMismatch
-from moebius.strings import decompose_rep, overlap
+from moebius.strings import decompose_rep, overlap, _candidate_words
 from moebius.walk import hom_ct_dim, support
 
 from oracles import (induced_support_map, classify_per_point, _classify_by_translates,
-                     decompose_rep_by_rescans, _rref_on_fractions, cokernel_by_quotients)
+                     decompose_rep_by_rescans, _rref_on_fractions, cokernel_by_quotients,
+                     candidate_words_by_paths)
 
 T = ClusterPt
 M = parse_obj
@@ -249,7 +250,7 @@ def _seeded_basic_pairs(rng, e, count):
     return pairs
 
 
-@pytest.mark.parametrize("e", [7, 8, 9, 10, 16, 20, 24])
+@pytest.mark.parametrize("e", [7, 8, 9, 10, 16, 20, 24, 32, 64])
 def test_closed_form_kernels_match_rep_path_seeded(e):
     # the representation path grows superlinearly with e: fewer pairs deep down
     rng = random.Random(e)
@@ -310,6 +311,68 @@ def test_matrix_kernels_match_rescans(ns, nd, monkeypatch):
     assert len(reps) == 10
     for rep in reps:
         assert decompose_rep(rep) == decompose_rep_by_rescans(rep)
+
+
+def test_candidate_words_match_paths_on_deep_matrix_kernels(monkeypatch):
+    # the lazy listing against every reduced path listed and sorted, on each
+    # representation that kernels and cokernels of deep morphisms split
+    reps = []
+
+    def recording(rep):
+        reps.append(rep)
+        return decompose_rep(rep)
+
+    monkeypatch.setattr(quotient, "decompose_rep", recording)
+    rng = random.Random(64)
+    for e in (32, 64):
+        f = _seeded_matrix_morphism(rng, e, 2, 2)
+        kernel(f)
+        cokernel(f)
+    assert len(reps) == 4
+    for rep in reps:
+        supp = sorted(rep.dims)
+        assert list(_candidate_words(supp, rep.mats)) == candidate_words_by_paths(supp, rep.mats)
+
+
+def test_matrix_kernels_row_reduce_only_where_f_acts(monkeypatch):
+    # _peel and restrict_rep read their kernels and coordinates off unit rows,
+    # and _kernel_rep takes one nullspace per signature where F(f) is nonzero
+    calls, at_split, called = [0], [], set()
+    rref = linalg._rref
+
+    def counting(a):
+        calls[0] += 1
+        return rref(a)
+
+    def without_rref(fn):
+        def wrapped(*args):
+            before = calls[0]
+            out = fn(*args)
+            assert calls[0] == before, fn.__name__
+            called.add(fn.__name__)
+            return out
+        return wrapped
+
+    def recording(rep):
+        at_split.append(calls[0])
+        return decompose_rep(rep)
+
+    monkeypatch.setattr(linalg, "_rref", counting)
+    monkeypatch.setattr(strings, "_peel", without_rref(strings._peel))
+    monkeypatch.setattr(strings, "restrict_rep", without_rref(strings.restrict_rep))
+    monkeypatch.setattr(quotient, "restrict_rep", strings.restrict_rep)
+    monkeypatch.setattr(quotient, "decompose_rep", recording)
+    rng = random.Random(22)
+    for e in (5, 16, 32):
+        f = _seeded_matrix_morphism(rng, e, 2, 3)
+        words_src = [obj_to_string(x) for x in f.src]
+        sig, blocks = _vertex_matrices(f, [w.verts for w in words_src],
+                                       [obj_to_string(y).verts for y in f.dst])
+        acting = {sig[v] for w in words_src for v in w.verts if any(map(any, blocks[sig[v]][0]))}
+        before = calls[0]
+        _kernel_rep(f)
+        assert at_split[-1] - before == len(acting) > 0
+    assert called == {"_peel", "restrict_rep"}
 
 
 @pytest.mark.parametrize("ns, nd", [(2, 2), (2, 3), (3, 2), (3, 3)])

@@ -12,7 +12,7 @@ from moebius.strings import (arrows_at, arrow_between, word, validate_word,
 from moebius.errors import InvalidWord, NoMorphism, NotAModule, ParseError
 from moebius import linalg
 
-from oracles import _brute_force_candidates, _brute_force_occurrences
+from oracles import _brute_force_candidates, _brute_force_occurrences, candidate_words_by_paths
 
 T = ClusterPt
 M = parse_obj
@@ -255,7 +255,8 @@ def test_candidate_words_match_brute_force():
     for supp in supports + unions:
         every_arrow = {(v, arr.dst) for v in supp for arr in arrows_at(v)[1]}
         expected = [(w.verts, w.directs) for w in _brute_force_candidates(list(supp))]
-        assert _candidate_words(list(supp), every_arrow) == expected
+        assert list(_candidate_words(list(supp), every_arrow)) == expected
+        assert candidate_words_by_paths(list(supp), every_arrow) == expected
 
 
 def test_candidate_words_on_given_letters_match_brute_force():
@@ -269,7 +270,8 @@ def test_candidate_words_on_given_letters_match_brute_force():
             letters = letters_of(a) | letters_of(b)
             expected = [(w.verts, w.directs) for w in _brute_force_candidates(supp)
                         if letters_of(w) <= letters]
-            assert _candidate_words(supp, letters) == expected
+            assert list(_candidate_words(supp, letters)) == expected
+            assert candidate_words_by_paths(supp, letters) == expected
 
 
 def test_occurrences_match_brute_force():
