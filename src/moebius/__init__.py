@@ -20,9 +20,8 @@ _EXPORTS = {
                 "enum_in_rect", "mutate", "parse_cluster_pt"),
     "walk": ("Walk", "Approximation", "support", "walk_of", "approximation",
              "hom_ct_dim", "tau_dims", "concrete_epsilon"),
-    "strings": ("QArrow", "StringWord", "RepFin", "arrows_at", "word",
-                "validate_word", "hom_dim_strings", "kernel_cokernel_strings",
-                "to_rep", "decompose_rep", "parse_word"),
+    "strings": ("StringWord", "RepFin", "word", "validate_word", "hom_dim_strings",
+                "kernel_cokernel_strings", "to_rep", "decompose_rep", "parse_word"),
     "equiv": ("DigitPrefix", "obj_to_string", "string_to_obj", "simple_object",
               "transport_mor", "transport_mor_inverse", "digits_to_coords",
               "coords_to_digits", "g_extend", "f_strip", "tail_case"),

@@ -20,7 +20,7 @@ from .dyadic import Dyadic, ONE
 from .band import (Obj, Rect, normal_form, compatible, triangle_complete, hom_c_dim,
                    parse_obj)
 from .cluster import (ClusterPt, STANDARD, member, object_of, mutate,
-                      out_neighbors, neighbors, enum_in_rect)
+                      out_neighbors, triangle, enum_in_rect)
 from .walk import (support, walk_of, approximation, hom_ct_dim, tau_dims,
                    compose_basic_nonzero, chain_box_nonzero, concrete_epsilon, shifted,
                    factors_through_sink)
@@ -295,7 +295,7 @@ def check_mutation(e: int) -> tuple[bool, str]:
     commuting = 0
     for i, v in enumerate(shallow):
         for w in shallow[i + 1:]:
-            if any(w in tri for tri in neighbors(v)):
+            if triangle(v, w) is not None:
                 continue
             if mutate(flipped_once[v], object_of(w))[0] != mutate(flipped_once[w], object_of(v))[0]:
                 return (False, f"flips at {v} and {w} do not commute")
@@ -370,12 +370,14 @@ def check_ray_functors(e: int) -> tuple[bool, str]:
     stable = 0
     for x1 in sample:
         w1 = obj_to_string(x1)
+        truncs = []  # the truncations of w1, read against every w2
+        for k in (2, 3):
+            g = g_extend(w1, k)
+            truncs.append((k, word(g.verts, g.directs)))
         for x2 in sample:
             w2 = obj_to_string(x2)
             homs = []
-            for k in (2, 3):
-                g = g_extend(w1, k)
-                trunc = word(g.verts, g.directs)
+            for k, trunc in truncs:
                 h = hom_dim_strings(trunc, w2)
                 if h != hom_ct_dim(string_to_obj(trunc), x2):
                     return (False, f"truncation hom disagrees with objects at ({x1},{x2},k={k})")

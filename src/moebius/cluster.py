@@ -103,28 +103,58 @@ def member(x: Obj) -> ClusterPt | None:
     return None
 
 
-def children(v: ClusterPt) -> tuple[ClusterPt, ClusterPt]:
-    """The two chords splitting the arc of v at its midpoint."""
-    return (ClusterPt(v.n + 1, 2 * v.m - 1), ClusterPt(v.n + 1, 2 * v.m))
+def _cycle_above(n: int, m: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The a and the c of the 3-cycle (a, T(n, m), c) of the triangle above
+    T(n, m), as (n, m) pairs: its sibling and its parent, in an order that
+    depends on which child of the parent it is."""
+    if not n:
+        return ((1, 1), (1, 2))
+    if m & 1:  # T(n, m) precedes its sibling (n, m+1) under its parent
+        return ((n, m + 1), (n - 1, (m + 1) >> 1))
+    return ((n - 1, m >> 1), (n, m - 1))
 
 
-@lru_cache(maxsize=None)
 def neighbors(v: ClusterPt) -> tuple[Triangle, Triangle]:
     """The two triangles adjacent to chord(v), as directed 3-cycles (a, v, c)
-    meaning irreducible maps a -> v -> c -> a.
+    meaning irreducible maps a -> v -> c -> a: the triangle below v first,
+    then the one above (`triangle`).  Below v, its two children split its
+    arc at the midpoint, and the triangle cycles (n+1, 2m-1) -> v ->
+    (n+1, 2m); above it, the orientation depends on which child of its
+    parent v is."""
+    (a1, a2), (c1, c2) = in_neighbors(v), out_neighbors(v)
+    return ((a1, v, c1), (a2, v, c2))
 
-    The child triangle cycles child(2m-1) -> v -> child(2m); on the other
-    side the orientation depends on which child of its parent v is.
-    """
-    c1, c2 = children(v)
-    child_tri = (c1, v, c2)
-    if v.n == 0:
-        other_tri = (ClusterPt(1, 1), v, ClusterPt(1, 2))
-    elif v.m % 2 == 0:  # v follows its sibling (n, m-1) under its parent
-        other_tri = (ClusterPt(v.n - 1, v.m // 2), v, ClusterPt(v.n, v.m - 1))
-    else:
-        other_tri = (ClusterPt(v.n, v.m + 1), v, ClusterPt(v.n - 1, (v.m + 1) // 2))
-    return (child_tri, other_tri)
+
+def in_neighbors(v: ClusterPt) -> tuple[ClusterPt, ClusterPt]:
+    """The a of the two cycles (a, v, c) of `neighbors`, below v then above."""
+    n, m = v
+    return (ClusterPt(n + 1, 2 * m - 1), ClusterPt(*_cycle_above(n, m)[0]))
+
+
+def out_neighbors(v: ClusterPt) -> tuple[ClusterPt, ClusterPt]:
+    """The c of the two cycles (a, v, c) of `neighbors`, below v then above."""
+    n, m = v
+    return (ClusterPt(n + 1, 2 * m), ClusterPt(*_cycle_above(n, m)[1]))
+
+
+def _triangle_above(v: ClusterPt) -> tuple[int, int]:
+    return (v.n - 1, (v.m + 1) >> 1 & ((1 << v.n) - 1)) if v.n else (0, 1)
+
+
+def triangle(u: ClusterPt, v: ClusterPt) -> tuple[int, int] | None:
+    """The triangle that two distinct points share, or None: two points
+    share at most one.  A triangle is a node of the dual tree, named by
+    integers: T(n, m) borders the triangle below it, named (n, m), and the
+    one above it, named (n-1, ceil(m/2) mod 2^n) for n >= 1 and (0, 1) for
+    T(0,0).  So the triangle below v is named as v is, and two distinct
+    points share a triangle when it lies above one and below the other (a
+    child and its parent) or above both (siblings)."""
+    if u == v:
+        return None
+    above = _triangle_above(u)
+    if above == v or above == _triangle_above(v):
+        return above
+    return tuple(u) if _triangle_above(v) == u else None
 
 
 def arrow_dir(u: ClusterPt, v: ClusterPt) -> bool:
@@ -154,16 +184,6 @@ def crossing_path(x: Obj) -> tuple[ClusterPt, ...]:
     if near and far and near[0] == far[0]:  # T(0,0)
         del far[0]
     return (*reversed(near), *far)
-
-
-def in_neighbors(v: ClusterPt) -> tuple[ClusterPt, ClusterPt]:
-    t1, t2 = neighbors(v)
-    return (t1[0], t2[0])
-
-
-def out_neighbors(v: ClusterPt) -> tuple[ClusterPt, ClusterPt]:
-    t1, t2 = neighbors(v)
-    return (t1[2], t2[2])
 
 
 # -- enumeration ------------------------------------------------------------

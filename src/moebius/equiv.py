@@ -16,8 +16,9 @@ from functools import lru_cache
 
 from .dyadic import Dyadic
 from .band import Obj, Rep, normal_form, obj_from_ends
-from .cluster import ClusterPt, member, object_of, chord_at, crossing_path, arrow_dir
-from .strings import StringWord, QArrow, arrows_at, word
+from .cluster import (ClusterPt, member, object_of, chord_at, crossing_path, arrow_dir,
+                      in_neighbors, out_neighbors, triangle)
+from .strings import StringWord, word
 from .errors import InCluster, InvalidWord, NoMorphism, Unreachable, AllOnesTail
 
 
@@ -30,22 +31,25 @@ def obj_to_string(x: Obj) -> StringWord:
     return StringWord(path, map(arrow_dir, path, path[1:]))
 
 
-def _attach_at(end_vertex: ClusterPt, used_triangle: frozenset) -> QArrow:
-    options = [a for a in arrows_at(end_vertex)[0] if a.triangle != used_triangle]
-    if len(options) != 1:
-        raise InvalidWord(f"attach vertex at {end_vertex} not unique")
-    return options[0]
+def _beyond(v: ClusterPt, prev: ClusterPt, nbrs) -> ClusterPt:
+    """The neighbour of v in nbrs(v), `in_neighbors` or `out_neighbors`,
+    on the side of the triangle that prev does not share with v.  Both list
+    the triangle below v first, and that triangle is named as v is
+    (`cluster.triangle`)."""
+    tri = triangle(v, prev)
+    if tri is None:
+        raise InvalidWord(f"no arrow between {v} and {prev}")
+    return nbrs(v)[tri == v]
 
 
-def _attach_arrows(w: StringWord) -> tuple[QArrow, QArrow]:
-    """The incoming arrows attached at the left and right ends of w, each
-    from the triangle its end letter does not use (a one-vertex word
-    takes one triangle at each end)."""
+def _attach_vertices(w: StringWord) -> tuple[ClusterPt, ClusterPt]:
+    """The sources of the arrows attached at the left and right ends of w,
+    each arrow into its end from the triangle its end letter does not use
+    (a one-vertex word takes one triangle at each end)."""
     if len(w.verts) == 1:
-        t1, t2 = (a.triangle for a in arrows_at(w.verts[0])[0])
-        return (_attach_at(w.verts[0], t2), _attach_at(w.verts[0], t1))
-    return (_attach_at(w.verts[0], w.letter(0).triangle),
-            _attach_at(w.verts[-1], w.letter(len(w.directs) - 1).triangle))
+        return out_neighbors(w.verts[0])
+    return (_beyond(w.verts[0], w.verts[1], out_neighbors),
+            _beyond(w.verts[-1], w.verts[-2], out_neighbors))
 
 
 @lru_cache(maxsize=None)
@@ -56,8 +60,8 @@ def string_to_obj(w: StringWord) -> Obj:
         raise InvalidWord("ray-marked words do not name finite objects")
     k = 1 + max(v.n for v in w.verts)  # an attach vertex is at most one deeper
     ends = []
-    for att, end in zip(_attach_arrows(w), (w.verts[0], w.verts[-1])):
-        a, b = chord_at(att.src, k)
+    for att, end in zip(_attach_vertices(w), (w.verts[0], w.verts[-1])):
+        a, b = chord_at(att, k)
         ends.append(b if a in chord_at(end, k) else a)
     x = obj_from_ends(*ends, k)
     if obj_to_string(x) != w:
@@ -180,33 +184,21 @@ def tail_case(first: DigitPrefix, second: DigitPrefix, swapped: bool = False) ->
 
 # -- truncated ray functors ---------------------------------------------------
 
-def _other_triangle_arrow(v: ClusterPt, used: frozenset, incoming: bool) -> QArrow:
-    ins, outs = arrows_at(v)
-    pool = ins if incoming else outs
-    options = [a for a in pool if a.triangle != used]
-    if len(options) != 1:
-        raise AssertionError(f"ray continuation at {v} not unique")
-    return options[0]
-
-
 def g_extend(w: StringWord, k: int) -> StringWord:
     """Attach the outward vertex at each end and extend it by k outward ray
     steps; the truncation points are marked."""
     if w.marked:
         raise InvalidWord("word already carries ray markers")
-    att_l, att_r = _attach_arrows(w)
 
-    def ray(att: QArrow):
-        chain = [att.src]
-        used = att.triangle
+    def ray(end: ClusterPt, att: ClusterPt):
+        chain = [end, att]
         for _ in range(k):
-            nxt = _other_triangle_arrow(chain[-1], used, incoming=False)
-            chain.append(nxt.dst)
-            used = nxt.triangle
-        return chain
+            chain.append(_beyond(chain[-1], chain[-2], in_neighbors))
+        return chain[1:]
 
-    left = ray(att_l)
-    right = ray(att_r)
+    att_l, att_r = _attach_vertices(w)
+    left = ray(w.verts[0], att_l)
+    right = ray(w.verts[-1], att_r)
     verts = tuple(reversed(left)) + w.verts + tuple(right)
     # Ray letters point outward (toward the marked end); the attach letters
     # point into the original word.

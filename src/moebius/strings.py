@@ -3,50 +3,25 @@
 The quiver has the cluster points as vertices; each of the two triangles at
 a chord contributes one in- and one out-arrow, reversed relative to the
 irreducible cluster maps, and the composition of two arrows of the same
-triangle is zero.  Finite-length modules are direct sums of standard string
-modules, one dimension per vertex of a reduced word.
+triangle is zero.  So the arrows leave v towards `cluster.in_neighbors(v)`
+and enter it from `cluster.out_neighbors(v)`; `cluster.triangle` names the
+triangle of an arrow and `cluster.arrow_dir` orients it.  A letter is the
+(src, dst) pair of its arrow, the key of `RepFin.mats`.  Finite-length
+modules are direct sums of standard string modules, one dimension per vertex
+of a reduced word.
 """
 
 from __future__ import annotations
 
 import re
-from collections import namedtuple
-from functools import lru_cache
 
-from .cluster import ClusterPt, neighbors, parse_cluster_pt
+from .cluster import (ClusterPt, arrow_dir, in_neighbors, out_neighbors, parse_cluster_pt,
+                      triangle)
 from .errors import InvalidWord, NoMorphism, NotAModule, ParseError
 
 # `linalg` (and with it `fractions`) is imported by the functions that build
 # or read a representation, so the word commands load neither; the
 # annotations that name `linalg.Matrix` and `Fraction` are never evaluated.
-
-
-class QArrow(namedtuple("QArrow", "src dst triangle")):
-    """The quiver arrow src -> dst of the triangle (a frozenset of its three
-    points).  It equals and hashes as the tuple of its fields."""
-
-    __slots__ = ()
-
-
-@lru_cache(maxsize=None)
-def arrows_at(v: ClusterPt) -> tuple[tuple[QArrow, QArrow], tuple[QArrow, QArrow]]:
-    """(incoming, outgoing) quiver arrows at v, one of each per triangle."""
-    ins, outs = [], []
-    for a, _, c in neighbors(v):
-        tri = frozenset((a, v, c))
-        # cluster maps a -> v -> c -> a reverse to arrows v -> a, c -> v, a -> c
-        outs.append(QArrow(v, a, tri))
-        ins.append(QArrow(c, v, tri))
-    return (tuple(ins), tuple(outs))
-
-
-def arrow_between(u: ClusterPt, v: ClusterPt) -> QArrow | None:
-    """The quiver arrow u -> v if the two chords share a triangle that orients
-    this way; two cluster points share at most one triangle."""
-    for arr in arrows_at(u)[1]:
-        if arr.dst == v:
-            return arr
-    return None
 
 
 class StringWord:
@@ -100,15 +75,6 @@ class StringWord:
     def marked(self) -> bool:
         return self.lmark or self.rmark
 
-    def letter(self, i: int) -> QArrow:
-        if self.directs[i]:
-            arr = arrow_between(self.verts[i], self.verts[i + 1])
-        else:
-            arr = arrow_between(self.verts[i + 1], self.verts[i])
-        if arr is None:
-            raise InvalidWord(f"no arrow between {self.verts[i]} and {self.verts[i + 1]}")
-        return arr
-
     def __str__(self) -> str:
         parts = ["~" if self.lmark else ""]
         for i, v in enumerate(self.verts):
@@ -127,12 +93,9 @@ def word(verts, directs=None, lmark=False, rmark=False) -> StringWord:
     if directs is None:
         directs = []
         for u, v in zip(verts, verts[1:]):
-            if arrow_between(u, v):
-                directs.append(True)
-            elif arrow_between(v, u):
-                directs.append(False)
-            else:
+            if triangle(u, v) is None:
                 raise InvalidWord(f"no arrow between {u} and {v}")
+            directs.append(arrow_dir(u, v))
     w = StringWord(verts, directs, lmark, rmark)
     ok, reason = validate_word(w)
     if not ok:
@@ -141,22 +104,19 @@ def word(verts, directs=None, lmark=False, rmark=False) -> StringWord:
 
 
 def validate_word(w: StringWord) -> tuple[bool, str]:
-    """Letters must exist, vertices be distinct, and consecutive letters
-    neither backtrack nor compose inside one triangle."""
+    """Vertices must be distinct, letters exist, and consecutive letters
+    not compose inside one triangle.  Distinct vertices leave no backtrack
+    to reject: letters i and i+1 are one arrow only if v_i = v_{i+2}."""
     if len(set(w.verts)) != len(w.verts):
         return (False, "repeated vertex")
-    letters = []
-    for i in range(len(w.directs)):
-        try:
-            letters.append(w.letter(i))
-        except InvalidWord as exc:
-            return (False, str(exc))
-    for i in range(len(letters) - 1):
-        l1, l2, d1, d2 = letters[i], letters[i + 1], w.directs[i], w.directs[i + 1]
-        if d1 == d2 and l1.triangle == l2.triangle:
+    tris = []
+    for u, v, d in zip(w.verts, w.verts[1:], w.directs):
+        tris.append(triangle(u, v))
+        if tris[-1] is None or arrow_dir(u, v) != d:
+            return (False, f"no arrow between {u} and {v}")
+    for i in range(len(tris) - 1):
+        if w.directs[i] == w.directs[i + 1] and tris[i] == tris[i + 1]:
             return (False, f"letters {i},{i + 1} compose inside a triangle")
-        if l1 == l2:
-            return (False, f"letters {i},{i + 1} backtrack")
     return (True, "")
 
 
@@ -265,13 +225,12 @@ class RepFin:
     def check_relations(self):
         from . import linalg
         for u in self.dims:
-            for a1 in arrows_at(u)[1]:
-                v = a1.dst
+            for v in in_neighbors(u):
                 if v not in self.dims:
                     continue
-                for a2 in arrows_at(v)[1]:
-                    w2 = a2.dst
-                    if w2 not in self.dims or a2.triangle != a1.triangle:
+                tri = triangle(u, v)
+                for w2 in in_neighbors(v):
+                    if w2 not in self.dims or triangle(v, w2) != tri:
                         continue
                     prod = linalg.matmul(self.matrix(v, w2), self.matrix(u, v))
                     if any(x != 0 for row in prod for x in row):
@@ -283,13 +242,8 @@ def to_rep(w: StringWord) -> RepFin:
     if w.marked:
         raise InvalidWord("marked words have no finite representation")
     from . import linalg
-    dims = {v: 1 for v in w.verts}
-    mats = {}
     one = linalg.identity(1)
-    for i in range(len(w.directs)):
-        arr = w.letter(i)
-        mats[(arr.src, arr.dst)] = one
-    return RepFin(dims, mats)
+    return RepFin(dict.fromkeys(w.verts, 1), dict.fromkeys(_letters(w.verts, w.directs), one))
 
 
 def direct_sum(reps: list[RepFin]) -> RepFin:
@@ -319,11 +273,11 @@ def _candidate_words(supp: list[ClusterPt], letters):
     smaller end, and built only when the listing reaches its length."""
     adj = {v: [] for v in supp}
     for v in supp:
-        for arr in arrows_at(v)[1]:
-            u = arr.dst
+        for u in in_neighbors(v):
             if u in adj and (v, u) in letters:
-                adj[v].append((u, True, arr.triangle))
-                adj[u].append((v, False, arr.triangle))
+                t = triangle(v, u)
+                adj[v].append((u, True, t))
+                adj[u].append((v, False, t))
     by_len = [[] for _ in range(len(supp) + 1)]  # by word length: (parent pointers, end)
     for start in supp:
         tree = {start: None}  # vertex: (previous vertex, letter direction)
@@ -384,8 +338,7 @@ def _hom_word_to_rep(w: StringWord, rep: RepFin) -> list[dict[ClusterPt, tuple[i
     rows = []
     for v in w.verts:
         lo, hi = offs[v], offs[v] + rep.dims[v]
-        for arr in arrows_at(v)[1]:
-            u = arr.dst
+        for u in in_neighbors(v):
             if u not in rep.dims:
                 continue
             a = rep.mats.get((v, u))
@@ -411,8 +364,7 @@ def _hom_rep_to_word(rep: RepFin, w: StringWord) -> list[dict[ClusterPt, tuple[i
     offs, total, letters = coords
     rows = []
     for u in w.verts:
-        for arr in arrows_at(u)[0]:
-            v = arr.src
+        for v in out_neighbors(u):
             if v not in rep.dims:
                 continue
             a = rep.mats.get((v, u))
@@ -526,8 +478,8 @@ def restrict_rep(rep: RepFin, basis) -> RepFin:
     dims = {v: len(basis[v][0]) if v in basis else d for v, d in rep.dims.items()}
     mats = {key: m for key, m in rep.mats.items() if key[0] not in basis and key[1] not in basis}
     for v in basis:
-        ins, outs = arrows_at(v)
-        for u, w in [(v, a.dst) for a in outs] + [(a.src, v) for a in ins if a.src not in basis]:
+        for u, w in [*((v, u) for u in in_neighbors(v)),
+                     *((u, v) for u in out_neighbors(v) if u not in basis)]:
             m = rep.mats.get((u, w))
             if m is None or not (dims.get(u) and dims.get(w)):
                 continue

@@ -3,6 +3,12 @@
 Each computes a quantity of `moebius` from its definition or by a search,
 rather than by the library's fast path:
 
+- `arrows_at`, `arrow_between` and `letter` check the quiver that
+  `cluster.in_neighbors`, `out_neighbors`, `triangle` and `arrow_dir` read
+  off integers, each arrow a `QArrow` that carries its triangle as the
+  frozenset of its points, built on the 3-cycles of `cluster.neighbors`;
+  `attach_arrows` and `g_extend_by_arrows` check `equiv._attach_vertices`
+  and `equiv.g_extend` on those arrows;
 - `tau_dims_via_epsilon` checks `walk.tau_dims` by the defining epsilon
   limits of the translates;
 - `hom0_via_factoring` checks `TauDims.hom0` by enumerating the rectangles
@@ -91,6 +97,7 @@ rather than by the library's fast path:
 `fraction` converts a `Dyadic` to the `Fraction` the tests compare with.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -100,14 +107,91 @@ from moebius.cluster import (ClusterPt, ClusterOverlay, object_of, member, neigh
                              enum_in_rect_with_reps, box_meets_cluster, _box, _t_range)
 from moebius.walk import (Walk, WalkVertex, SINK, SOURCE, THROUGH, concrete_epsilon,
                           chain_box_nonzero, hom_ct_dim, shifted, support, walk_of, _walk_at)
-from moebius.equiv import DigitPrefix, _attach_arrows, obj_to_string, string_to_obj
+from moebius.equiv import DigitPrefix, obj_to_string, string_to_obj
 from moebius.errors import (BandBoundary, InvalidWord, NoMorphism, NotAModule, NotBasicAligned,
                             NotInCluster)
 from moebius.quotient import (Classification, MorQ, SumObj, zero_mor, _scalar_of_component,
                               _vertex_matrices)
 from moebius import linalg
-from moebius.strings import (StringWord, RepFin, arrows_at, word, _solutions,
+from moebius.strings import (StringWord, RepFin, word, _solutions,
                              _word_coords, decompose_rep, direct_sum, overlap, to_rep)
+
+
+# -- the quiver as arrows that carry their triangle -----------------------------
+#
+# The library reads the quiver off integers (`cluster.in_neighbors`,
+# `out_neighbors`, `triangle`, `arrow_dir`); here each arrow is a value that
+# holds its two ends and its triangle as the frozenset of its three points,
+# built from the 3-cycles of `cluster.neighbors`.
+
+class QArrow(namedtuple("QArrow", "src dst triangle")):
+    """The quiver arrow src -> dst of the triangle (a frozenset of its three
+    points)."""
+
+    __slots__ = ()
+
+
+def arrows_at(v: ClusterPt) -> tuple[tuple[QArrow, QArrow], tuple[QArrow, QArrow]]:
+    """(incoming, outgoing) quiver arrows at v, one of each per triangle."""
+    ins, outs = [], []
+    for a, _, c in neighbors(v):
+        tri = frozenset((a, v, c))
+        # cluster maps a -> v -> c -> a reverse to arrows v -> a, c -> v, a -> c
+        outs.append(QArrow(v, a, tri))
+        ins.append(QArrow(c, v, tri))
+    return (tuple(ins), tuple(outs))
+
+
+def arrow_between(u: ClusterPt, v: ClusterPt) -> QArrow | None:
+    """The quiver arrow u -> v if the two chords share a triangle that orients
+    this way."""
+    for arr in arrows_at(u)[1]:
+        if arr.dst == v:
+            return arr
+    return None
+
+
+def letter(w: StringWord, i: int) -> QArrow:
+    """The arrow of letter i of w."""
+    u, v = w.verts[i], w.verts[i + 1]
+    arr = arrow_between(u, v) if w.directs[i] else arrow_between(v, u)
+    if arr is None:
+        raise InvalidWord(f"no arrow between {u} and {v}")
+    return arr
+
+
+def _attach_at(end: ClusterPt, used: frozenset) -> QArrow:
+    options = [a for a in arrows_at(end)[0] if a.triangle != used]
+    if len(options) != 1:
+        raise InvalidWord(f"attach vertex at {end} not unique")
+    return options[0]
+
+
+def attach_arrows(w: StringWord) -> tuple[QArrow, QArrow]:
+    """The incoming arrows attached at the left and right ends of w, each
+    from the triangle its end letter does not use."""
+    if len(w.verts) == 1:
+        t1, t2 = (a.triangle for a in arrows_at(w.verts[0])[0])
+        return (_attach_at(w.verts[0], t2), _attach_at(w.verts[0], t1))
+    return (_attach_at(w.verts[0], letter(w, 0).triangle),
+            _attach_at(w.verts[-1], letter(w, len(w.directs) - 1).triangle))
+
+
+def g_extend_by_arrows(w: StringWord, k: int) -> StringWord:
+    """`equiv.g_extend`: each attach arrow extended by k out-arrows, each
+    from the triangle the previous arrow does not use."""
+    def ray(att):
+        chain, used = [att.src], att.triangle
+        for _ in range(k):
+            (nxt,) = [a for a in arrows_at(chain[-1])[1] if a.triangle != used]
+            chain.append(nxt.dst)
+            used = nxt.triangle
+        return chain
+
+    left, right = (ray(att) for att in attach_arrows(w))
+    return StringWord((*reversed(left), *w.verts, *right),
+                      (False,) * k + (True,) + w.directs + (False,) + (True,) * k,
+                      lmark=True, rmark=True)
 
 
 # -- the geometry on Dyadic coordinates -----------------------------------------
@@ -369,7 +453,7 @@ def string_to_obj_by_steps(w: StringWord) -> Obj:
     if w.marked:
         raise InvalidWord("ray-marked words do not name finite objects")
     reps = _word_reps(w)
-    att_l, att_r = _attach_arrows(w)
+    att_l, att_r = attach_arrows(w)
     rep_l = _step_rep(reps[0], att_l.src, outward=True)
     rep_r = _step_rep(reps[-1], att_r.src, outward=True)
     (a1, a2), (b1, b2) = sorted((rep_l, rep_r), key=lambda r: r[0])
@@ -553,7 +637,7 @@ def string_to_obj_by_walk(w: StringWord) -> Obj:
     between its two attach vertices."""
     if w.marked:
         raise InvalidWord("ray-marked words do not name finite objects")
-    att_l, att_r = _attach_arrows(w)
+    att_l, att_r = attach_arrows(w)
     walk = minimal_walk(att_l.src, att_r.src)
     if _walk_word(walk) != w:
         raise AssertionError(f"the walk between the attach vertices of {w} does not carry it")

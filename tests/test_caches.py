@@ -1,13 +1,18 @@
-"""Every functools cache in `moebius` must be hit by the acceptance suite.
+"""Every functools cache in `moebius` must be listed with its bound and be
+hit by the acceptance suite.
 
 A cache whose lookups all miss only costs memory and hashing; this keeps one
-from coming back.  The suite runs in a fresh interpreter, because earlier
-tests warm the caches.
+from coming back, and the inventory keeps a cache with no documented bound
+(README, "caches") from coming in.  The suite runs in a fresh interpreter,
+because earlier tests warm the caches.
 """
 
+import random
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import moebius
 
@@ -15,6 +20,20 @@ import moebius
 # perfbench/tracing.py), so it stays cached though the suite asks each
 # rectangle once.
 EXEMPT = {"moebius.cluster.enum_in_rect_with_reps"}
+
+# Every cache in `moebius` after `checks.run_all(2)`, by its bound (None for
+# unbounded).  The quiver is a closed form and has none.
+INVENTORY = {
+    "moebius.checks.grid_off_cluster": 2,
+    "moebius.cluster.enum_in_rect_with_reps": None,
+    "moebius.cluster.object_of": None,
+    "moebius.equiv.obj_to_string": None,
+    "moebius.equiv.string_to_obj": None,
+    "moebius.quotient._basic_word_lists": 16,
+    "moebius.walk.hom_ct_dim": None,
+    "moebius.walk.support": None,
+    "moebius.walk.walk_of": None,
+}
 
 _AUDIT = """
 import sys
@@ -24,14 +43,45 @@ for name, mod in sorted(sys.modules.items()):
     if name == "moebius" or name.startswith("moebius."):
         for attr, fn in vars(mod).items():
             if callable(getattr(fn, "cache_info", None)) and fn.__module__ == name:
-                print(f"{name}.{attr}", fn.cache_info().hits)
+                print(f"{name}.{attr}", fn.cache_info().hits, fn.cache_info().maxsize)
 """
 
 
-def test_every_cache_is_hit():
+@pytest.fixture(scope="module")
+def audit():
+    """Each cache after the suite at depth 2: its hits and its bound."""
     src = str(Path(moebius.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", _AUDIT], env={"PYTHONPATH": src},
                          capture_output=True, text=True, check=True, timeout=60).stdout
-    hits = {name: int(n) for name, n in (line.split() for line in out.splitlines())}
-    assert "moebius.walk.hom_ct_dim" in hits
-    assert [name for name, n in hits.items() if n == 0 and name not in EXEMPT] == []
+    return {name: (int(hits), None if bound == "None" else int(bound))
+            for name, hits, bound in (line.split() for line in out.splitlines())}
+
+
+def test_every_cache_is_hit(audit):
+    assert "moebius.walk.hom_ct_dim" in audit
+    assert [name for name, (hits, _) in audit.items() if hits == 0 and name not in EXEMPT] == []
+
+
+def test_caches_are_the_listed_ones_with_their_bounds(audit):
+    assert {name: bound for name, (_, bound) in audit.items()} == INVENTORY
+
+
+def test_word_round_trips_fill_no_cluster_or_strings_cache():
+    # a word's letters and attach vertices are read off integers, not cached
+    from moebius import cluster, strings
+    from moebius.band import normal_form
+    from moebius.equiv import obj_to_string, string_to_obj
+    from moebius.strings import parse_word
+    caches = [fn for mod in (cluster, strings) for fn in vars(mod).values()
+              if callable(getattr(fn, "cache_info", None))]
+    rng = random.Random(64)
+    words = []
+    while len(words) < 100:
+        xn = rng.randrange(2 << 64) | 1
+        x = normal_form(xn, xn + rng.randrange(1 << 64), 64)
+        if cluster.member(x) is None:
+            words.append(obj_to_string(x))
+    before = [fn.cache_info().misses for fn in caches]
+    for w in words:
+        assert obj_to_string(string_to_obj(parse_word(str(w)))) == w
+    assert [fn.cache_info().misses for fn in caches] == before

@@ -8,12 +8,12 @@ from moebius.dyadic import Dyadic
 from moebius.band import Rect, parse_obj, ends, compatible, obj_from_ends
 from moebius import cluster
 from moebius.cluster import (ClusterPt, ClusterOverlay, STANDARD, member, object_of, chord, chord_at,
-                             depth, neighbors, in_neighbors, out_neighbors,
+                             depth, neighbors, in_neighbors, out_neighbors, triangle, arrow_dir,
                              enum_in_rect, enum_in_rect_with_reps, box_meets_cluster,
-                             mutate, parse_cluster_pt, children)
+                             mutate, parse_cluster_pt)
 from moebius.errors import NotInCluster, UnboundedRect, ParseError
 
-from oracles import (_ends, _flip_by_fan, _member_by_ends, meets_cluster,
+from oracles import (_ends, _flip_by_fan, _member_by_ends, arrow_between, arrows_at, meets_cluster,
                      meets_cluster_by_level_scan, mutate_on_angles, fraction)
 
 T = ClusterPt
@@ -100,6 +100,34 @@ def test_neighbor_degrees_and_cycles():
             assert b == v
             for s, t in ((a, b), (b, c), (c, a)):
                 assert hom_c_dim(object_of(s), object_of(t)) == 1, (s, t)
+
+
+def test_quiver_matches_arrow_oracle_on_depth10_points():
+    # the integer quiver against arrows that carry their triangle as a frozenset
+    pts = all_points(10)
+    names = {}  # triangle name: its points
+    for v in pts:
+        ins, outs = arrows_at(v)
+        assert set(out_neighbors(v)) == {a.src for a in ins}
+        assert set(in_neighbors(v)) == {a.dst for a in outs}
+        for arr in ins + outs:
+            u = arr.src if arr.dst == v else arr.dst
+            assert arrow_dir(arr.src, arr.dst) and not arrow_dir(arr.dst, arr.src), arr
+            assert triangle(v, u) == triangle(u, v) is not None, arr
+            assert names.setdefault(triangle(v, u), arr.triangle) == arr.triangle, arr
+        # adjacency: no triangle with a point two arrows away outside v's triangles
+        near = {w for a in ins + outs for b in arrows_at(a.src)[0] + arrows_at(a.dst)[1]
+                for w in (b.src, b.dst)}
+        for w in near:
+            shared = [a for a in ins + outs if w in a.triangle]
+            assert (triangle(v, w) is None) == (not shared or w == v), (v, w)
+    assert len(set(names.values())) == len(names)  # one name per triangle
+    assert len(names) == len(pts) + 1  # one below each point, and (0, 1)
+    shallow = all_points(5)  # and on every pair of shallow points
+    for v in shallow:
+        for w in shallow:
+            assert (triangle(v, w) is not None) == (arrow_between(v, w) is not None
+                                                     or arrow_between(w, v) is not None), (v, w)
 
 
 def test_arrows_irreducible():
@@ -214,8 +242,10 @@ def test_mutate_uniqueness_brute_force():
 
 
 def test_children_cover_digits():
-    assert set(children(T(0, 0))) == {T(1, 3), T(1, 0)}
-    assert set(children(T(1, 0))) == {T(2, 7), T(2, 0)}
+    # the children of v are its neighbours across the triangle below it
+    children = lambda v: {in_neighbors(v)[0], out_neighbors(v)[0]}
+    assert children(T(0, 0)) == {T(1, 3), T(1, 0)}
+    assert children(T(1, 0)) == {T(2, 7), T(2, 0)}
 
 
 def test_parse_cluster_pt():

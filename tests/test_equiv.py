@@ -2,18 +2,19 @@ import pytest
 
 from moebius.dyadic import Dyadic
 from moebius.band import normal_form, parse_obj
-from moebius.cluster import (ClusterPt, STANDARD, arrow_dir, children, crossing_path, member,
-                             object_of, mutate)
+from moebius.cluster import (ClusterPt, STANDARD, arrow_dir, crossing_path, in_neighbors, member,
+                             object_of, mutate, out_neighbors)
 from moebius.walk import hom_ct_dim, support, walk_of
-from moebius.strings import word, parse_word, hom_dim_strings, StringWord, arrow_between
+from moebius.strings import word, parse_word, hom_dim_strings, StringWord
 from moebius.equiv import (obj_to_string, string_to_obj, simple_object,
                            transport_mor, transport_mor_inverse, DigitPrefix,
                            digits_to_coords, digit_vertex, coords_to_digits,
                            tail_case, g_extend, f_strip)
 from moebius.errors import InCluster, InvalidWord, NoMorphism, Unreachable, AllOnesTail
 
-from oracles import (lower_tail_coords, string_to_obj_by_steps, digits_to_coords_on_dyadics,
-                     support_by_walk, obj_to_string_by_walk, string_to_obj_by_walk)
+from oracles import (arrow_between, g_extend_by_arrows, lower_tail_coords, string_to_obj_by_steps,
+                     digits_to_coords_on_dyadics, support_by_walk, obj_to_string_by_walk,
+                     string_to_obj_by_walk)
 
 T = ClusterPt
 M = parse_obj
@@ -73,7 +74,6 @@ def test_walk_rectangle_carries_exactly_the_word():
 def _reduced_words(pts):
     """Every reduced word on the given vertices, grown one letter at a time;
     a word that fails validation has no valid extension."""
-    from moebius.cluster import in_neighbors, out_neighbors
     allowed = set(pts)
     found, stack = set(), [(v,) for v in pts]
     while stack:
@@ -167,19 +167,6 @@ def test_chord_reading_matches_walks_at_high_exponents(e):
     import random
     for x in _seeded_off_cluster(random.Random(e), e, 500):
         _assert_chord_reading_matches_walk(x)
-
-
-def test_arrow_dir_matches_quiver_on_depth9_cluster():
-    from moebius.checks import cluster_points
-    from moebius.cluster import neighbors
-    pairs = 0
-    for v in cluster_points(9):
-        for tri in neighbors(v):
-            for u in tri:
-                if u != v:
-                    assert arrow_dir(v, u) == (arrow_between(v, u) is not None), (v, u)
-                    pairs += 1
-    assert pairs == 4 * len(cluster_points(9))
 
 
 def test_supports_words_and_objects_step_no_walk(monkeypatch):
@@ -316,7 +303,7 @@ def _coords_to_digits_by_climb(v, w, bound):
             parent, digit = T(cur.n - 1, cur.m // 2), 1
         else:
             parent, digit = T(cur.n - 1, (cur.m + 1) // 2), 0
-        if cur not in children(parent):
+        if cur not in (in_neighbors(parent)[0], out_neighbors(parent)[0]):  # its children
             raise Unreachable(f"{w} is not on the digit tree below {v}")
         rev.append(digit)
         cur = parent
@@ -407,6 +394,15 @@ def test_f_strip():
     assert f_strip(w) == w
     outward = StringWord([T(1, 0), T(2, 7)], [False], lmark=True, rmark=False)
     assert f_strip(outward) is None
+
+
+def test_g_extend_matches_arrow_oracle_on_depth3_words():
+    from moebius.checks import cluster_points
+    words = _reduced_words(cluster_points(3))
+    assert len(words) == 435
+    for w in words:
+        for k in range(4):
+            assert g_extend(w, k) == g_extend_by_arrows(w, k), (w, k)
 
 
 def test_g_extend_rejects_marked():

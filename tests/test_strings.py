@@ -4,15 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from moebius.band import parse_obj, hom_c_dim
-from moebius.cluster import ClusterPt, object_of
-from moebius.strings import (arrows_at, arrow_between, word, validate_word,
+from moebius.cluster import (ClusterPt, arrow_dir, in_neighbors, object_of, out_neighbors,
+                             triangle)
+from moebius.strings import (word, validate_word,
                              hom_dim_strings, overlap, kernel_cokernel_strings,
                              to_rep, direct_sum, decompose_rep, RepFin, restrict_rep,
-                             StringWord, QArrow, parse_word, _candidate_words, _occurrences)
+                             StringWord, parse_word, _candidate_words, _letters, _occurrences)
 from moebius.errors import InvalidWord, NoMorphism, NotAModule, ParseError
 from moebius import linalg
 
-from oracles import _brute_force_candidates, _brute_force_occurrences, candidate_words_by_paths
+from oracles import (_brute_force_candidates, _brute_force_occurrences, arrows_at,
+                     candidate_words_by_paths)
 
 T = ClusterPt
 M = parse_obj
@@ -24,63 +26,63 @@ def w_of(text):
 
 
 def test_arrows_at_examples():
-    ins, outs = arrows_at(T(0, 0))
-    assert {a.src for a in ins} == {T(1, 0), T(1, 2)}
-    assert {a.dst for a in outs} == {T(1, 1), T(1, 3)}
-    ins, outs = arrows_at(T(1, 0))
-    assert {a.src for a in ins} == {T(2, 0), T(1, 3)}
-    assert {a.dst for a in outs} == {T(0, 0), T(2, 7)}
+    # arrows leave T(0,0) towards its in-neighbours, one per triangle
+    assert in_neighbors(T(0, 0)) == (T(1, 3), T(1, 1))
+    assert out_neighbors(T(0, 0)) == (T(1, 0), T(1, 2))
+    assert [triangle(T(0, 0), u) for u in in_neighbors(T(0, 0))] == [(0, 0), (0, 1)]
+    assert arrow_dir(T(0, 0), T(1, 1)) and not arrow_dir(T(1, 1), T(0, 0))
+    assert in_neighbors(T(1, 0)) == (T(2, 7), T(0, 0))
+    assert out_neighbors(T(1, 0)) == (T(2, 0), T(1, 3))
+    assert [triangle(T(1, 0), u) for u in out_neighbors(T(1, 0))] == [(1, 0), (0, 0)]
+    assert triangle(T(1, 3), T(1, 0)) == (0, 0) and triangle(T(2, 4), T(2, 5)) is None
+    assert triangle(T(0, 0), T(0, 0)) is None
 
 
 def test_degrees_depth5():
     pts = [T(0, 0)] + [T(n, m) for n in range(1, 6) for m in range(1 << (n + 1))]
     for v in pts:
-        ins, outs = arrows_at(v)
-        assert len(ins) == 2 and len(outs) == 2
-        assert len({a.src for a in ins}) == 2
-        assert len({a.dst for a in outs}) == 2
-
-
-def test_arrows_are_immutable_values():
-    arr = arrow_between(T(0, 0), T(1, 1))
-    tri = frozenset((T(1, 1), T(0, 0), T(1, 2)))
-    assert (arr.src, arr.dst, arr.triangle) == (T(0, 0), T(1, 1), tri)
-    assert arr == QArrow(T(0, 0), T(1, 1), tri) != QArrow(T(1, 1), T(0, 0), tri)
-    assert hash(arr) == hash(QArrow(T(0, 0), T(1, 1), tri))
-    with pytest.raises(AttributeError):
-        arr.dst = T(1, 3)
+        ins, outs = out_neighbors(v), in_neighbors(v)  # the quiver's, reversed
+        assert len(set(ins)) == 2 and len(set(outs)) == 2
+        # one arrow in and one out per triangle: below v, then above it
+        assert [triangle(v, u) for u in ins] == [triangle(v, u) for u in outs]
+        assert len({triangle(v, u) for u in ins}) == 2
 
 
 def test_direction_convention():
     # every arrow v -> w reverses a one-dimensional cluster map w -> v
     pts = [T(0, 0)] + [T(n, m) for n in range(1, 6) for m in range(1 << (n + 1))]
     for v in pts:
-        for arr in arrows_at(v)[1]:
-            assert hom_c_dim(object_of(arr.dst), object_of(arr.src)) == 1
+        for u in in_neighbors(v):
+            assert arrow_dir(v, u) and not arrow_dir(u, v)
+            assert hom_c_dim(object_of(u), object_of(v)) == 1
 
 
 def test_incoming_arrows_are_the_outgoing_ones():
     # restrict_rep finds the arrows into a vertex among its incoming arrows
     pts = [T(0, 0)] + [T(n, m) for n in range(1, 7) for m in range(1 << (n + 1))]
     for v in pts:
-        ins, outs = arrows_at(v)
-        for arr in ins:
-            assert arr in arrows_at(arr.src)[1]
-        for arr in outs:
-            assert arr in arrows_at(arr.dst)[0]
+        for u in out_neighbors(v):
+            assert v in in_neighbors(u) and triangle(u, v) == triangle(v, u) is not None
+        for u in in_neighbors(v):
+            assert v in out_neighbors(u)
 
 
 def test_relation_soundness():
-    # consecutive arrows of one triangle compose to zero in the quotient
-    from moebius.walk import compose_basic_nonzero, hom_ct_dim
-    from moebius.cluster import neighbors
+    # consecutive arrows of one triangle compose to zero: the cluster maps
+    # w -> v -> u they reverse compose into Hom_C(w, u), which is zero
     pts = [T(0, 0)] + [T(n, m) for n in range(1, 4) for m in range(1 << (n + 1))]
-    for v in pts:
-        for (a, b, c) in neighbors(v):
-            oa, ob, oc = object_of(a), object_of(b), object_of(c)
-            for x, y, z in ((oa, ob, oc), (ob, oc, oa), (oc, oa, ob)):
-                if hom_ct_dim(x, y) and hom_ct_dim(y, z):
-                    assert not compose_basic_nonzero(x, y, z)
+    paths = 0
+    for u in pts:
+        for v in in_neighbors(u):  # arrows u -> v -> w of one triangle
+            for w in in_neighbors(v):
+                if triangle(v, w) != triangle(u, v):
+                    continue
+                assert arrow_dir(w, u)  # the triangle is a 3-cycle
+                ou, ov, ow = object_of(u), object_of(v), object_of(w)
+                assert hom_c_dim(ow, ov) == hom_c_dim(ov, ou) == 1
+                assert hom_c_dim(ow, ou) == 0
+                paths += 1
+    assert paths == 2 * len(pts)
 
 
 def test_validate_word():
@@ -90,6 +92,25 @@ def test_validate_word():
     assert validate_word(word([T(0, 0)]))[0]
     with pytest.raises(InvalidWord):
         word([T(0, 0), T(2, 1)])  # no arrow
+
+
+# The four rejections of a word, as `from-string` prints them.
+REJECTIONS = [
+    ([T(0, 0), T(2, 1)], "T(0,0) > T(2,1)", r"^no arrow between T\(0,0\) and T\(2,1\)$"),
+    (None, "T(0,0) < T(1,1)", r"^no arrow between T\(0,0\) and T\(1,1\)$"),
+    ([T(1, 3), T(0, 0), T(1, 0)], "T(1,3) < T(0,0) < T(1,0)",
+     r"^letters 0,1 compose inside a triangle$"),
+    ([T(1, 0), T(0, 0), T(1, 0)], "T(1,0) > T(0,0) < T(1,0)", r"^repeated vertex$"),
+]
+
+
+@pytest.mark.parametrize("verts, text, message", REJECTIONS)
+def test_word_rejection_messages(verts, text, message):
+    if verts is not None:
+        with pytest.raises(InvalidWord, match=message):
+            word(verts)
+    with pytest.raises(ParseError, match=message):
+        parse_word(text)
 
 
 def test_word_reversal_equality():
@@ -177,10 +198,7 @@ def test_decompose_twisted_basis():
     w = w_of("M(1/4,3/4)")
     one = Fraction(1)
     dims = {v: 2 for v in w.verts}
-    mats = {}
-    for i in range(len(w.directs)):
-        arr = w.letter(i)
-        mats[(arr.src, arr.dst)] = ((one, Fraction(3)), (Fraction(0), one))
+    mats = dict.fromkeys(_letters(w.verts, w.directs), ((one, Fraction(3)), (Fraction(0), one)))
     rep = RepFin(dims, mats)
     pieces = decompose_rep(rep)
     assert len(pieces) == 2
