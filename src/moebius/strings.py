@@ -91,6 +91,8 @@ def word(verts, directs=None, lmark=False, rmark=False) -> StringWord:
     """Build a word, inferring letter directions from the quiver when omitted."""
     verts = tuple(verts)
     if directs is None:
+        if len(set(verts)) != len(verts):
+            raise InvalidWord("repeated vertex")  # as validate_word says, before any letter
         directs = []
         for u, v in zip(verts, verts[1:]):
             if triangle(u, v) is None:
@@ -212,29 +214,16 @@ class RepFin:
     def dim(self, v: ClusterPt) -> int:
         return self.dims.get(v, 0)
 
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
-    def matrix(self, u: ClusterPt, v: ClusterPt) -> linalg.Matrix:
-        m = self.mats.get((u, v))
-        if m is None:
-            from . import linalg
-            return linalg.zeros(self.dim(v), self.dim(u))
-        return m
-
     def check_relations(self):
+        """Two arrows u -> v -> w2 of one triangle compose to zero; an arrow
+        with no matrix is zero, so only pairs of matrices are multiplied."""
         from . import linalg
-        for u in self.dims:
-            for v in in_neighbors(u):
-                if v not in self.dims:
-                    continue
-                tri = triangle(u, v)
-                for w2 in in_neighbors(v):
-                    if w2 not in self.dims or triangle(v, w2) != tri:
-                        continue
-                    prod = linalg.matmul(self.matrix(v, w2), self.matrix(u, v))
-                    if any(x != 0 for row in prod for x in row):
-                        raise NotAModule(f"relation broken along {u} -> {v} -> {w2}")
+        for (u, v), a in self.mats.items():
+            tri = triangle(u, v)
+            for w2 in in_neighbors(v):
+                b = self.mats.get((v, w2))
+                if b is not None and triangle(v, w2) == tri and any(map(any, linalg.matmul(b, a))):
+                    raise NotAModule(f"relation broken along {u} -> {v} -> {w2}")
 
 
 def to_rep(w: StringWord) -> RepFin:
@@ -384,51 +373,130 @@ def _hom_rep_to_word(rep: RepFin, w: StringWord) -> list[dict[ClusterPt, tuple[i
 
 
 def decompose_rep(rep: RepFin) -> list[tuple[StringWord, dict[ClusterPt, tuple[int | Fraction, ...]]]]:
-    """Split into standard string summands; each comes with its embedding
-    vector at every support vertex.  Peels one split summand at a time,
-    trying the reduced words on the support in `_candidate_words` order.
+    """Split into standard string summands, in `StringWord.sort_key` order;
+    each comes with its embedding vector at every support vertex.
 
-    The words are listed once, lazily, and each search resumes at the word
-    that split off last (a word may occur more than once).  This finds the
-    words a fresh listing on each remainder would.  End(M(w)) = k, since homs
+    A worklist holds pieces of rep, each with acc, its embedding into rep.
+    A piece is cut into its connected components (lemma A).  A thin
+    component, of dimension 1 at every vertex, is one summand read off as
+    its path word (lemma B).  Any other component lists the reduced words on
+    its own support (`_candidate_words`), splits off the first that
+    `_split_off` accepts, and puts its remainder (`_peel`) back on the list.
+    Only words on the arrows with a nonzero matrix are listed: a summand
+    M(w) maps each letter of w by an identity.  End(M(w)) = k, since homs
     between strings are at most one dimensional (`overlap`), so the
     basis-pair test of `_split_off` finds a split exactly when M(w) is a
-    summand.  By Krull-Schmidt a word that is no summand of a remainder is
-    no summand of the smaller remainder left after the next peel either, so
-    every search returns the same word, phi and psi.
+    summand.
 
-    Words that cannot be summands are not solved for.  A summand M(w) maps
-    each letter of w by an identity, so every letter carries a nonzero
-    matrix, and a remainder, being a subrepresentation, is zero on every
-    arrow where rep is.  So only words on the arrows with a matrix are
-    listed, and a word with a vertex or a letter that the remainder lacks
-    is skipped by a set test before its `StringWord` is built."""
+    Lemma A: the components of a representation, joined by the arrows with
+    a nonzero matrix, are summands, and each is split as the whole would be.
+    Each vertex space lies in one component and every arrow between two
+    components is zero, so each component is a subrepresentation and rep
+    is their sum.  `_split_off` reads only the arrows at the vertices of its
+    word, where a zero matrix adds zero rows, and `_peel` changes only the
+    arrows there.  So a component runs through the remainders it would run
+    through if the whole representation were peeled a word at a time,
+    trying the words of the whole support in order, and yields the same
+    words, phi and embeddings.
+    That loop peels in `sort_key` order, since by Krull-Schmidt a word that
+    is no summand of a remainder is no summand of a smaller one.  Equal
+    words share their vertices, hence their component, and are found one
+    after the other along its remainders, so a stable sort restores the
+    loop's order (its copy in `tests/oracles.py` is
+    `decompose_rep_by_peeling`).
+
+    Lemma B: a thin component is M(w) for a reduced word w, with phi the
+    nullspace vector `_split_off` takes: 1 at w.verts[-1] and carried back
+    along the letters.  Each arrow of the component is a nonzero scalar.
+    Two arrows of one triangle, a 3-cycle, are consecutive, and their
+    product would break its relation; so each triangle holds at most one
+    arrow, and each vertex, on two triangles, meets at most two.  A cycle
+    would pass through distinct triangles, two points sharing at most one,
+    and so be a cycle in the dual tree, which has none.  So the component
+    is a path on distinct vertices with consecutive letters in distinct
+    triangles: a reduced word w, and M(w) with its basis vectors rescaled.
+    The maps M(w) -> M(w) are scalars, so it is one summand and nothing is
+    peeled.  `_hom_word_to_rep` writes phi_b = x phi_a for each letter a -> b
+    of scalar x, one row per letter with its nonzeros at the columns of
+    its two vertices, ordered as w.verts, and no other nonzero row; the
+    rows are bidiagonal, so all columns but the last are pivots, and the
+    one nullspace vector is 1 at the last vertex."""
     from . import linalg
     rep.check_relations()
-    acc = {v: linalg.identity(rep.dim(v)) for v in rep.dims}
-    words = _candidate_words(sorted(rep.dims), rep.mats)
+    work = [(rep, {v: linalg.identity(rep.dim(v)) for v in rep.dims})]
     out = []
-    current = rep
-    cand = next(words, None)
-    while current.total_dim() > 0:
-        # resume at the word that split off last
-        while True:
-            if cand is None:
-                raise NotAModule("representation does not split into strings")
-            verts, directs = cand
-            if (all(v in current.dims for v in verts)
-                    and all(key in current.mats for key in _letters(verts, directs))):
-                w = StringWord(verts, directs)
-                split = _split_off(w, current)
-                if split:
-                    break
-            cand = next(words, None)
-        phi, psi = split
-        out.append((w, {v: linalg.matvec(acc[v], phi[v]) for v in w.verts}))
-        if current.total_dim() == len(w):
-            break  # M(w) is all of the remainder: nothing left to peel
-        current, acc = _peel(current, acc, psi)
+    while work:
+        piece, acc = work.pop()
+        for verts, mats in _components(piece):
+            if all(piece.dims[v] == 1 for v in verts):
+                w, phi = _thin_summand(verts, mats)
+            else:
+                sub = RepFin({v: piece.dims[v] for v in verts}, mats)
+                for cand in _candidate_words(sorted(verts), mats):
+                    w = StringWord(*cand)
+                    split = _split_off(w, sub)
+                    if split:
+                        break
+                else:
+                    raise NotAModule("representation does not split into strings")
+                phi, psi = split
+                work.append(_peel(sub, {v: acc[v] for v in verts}, psi))
+            out.append((w, {v: linalg.matvec(acc[v], phi[v]) for v in w.verts}))
+    out.sort(key=lambda summand: summand[0].sort_key())
     return out
+
+
+def _components(rep: RepFin):
+    """The connected components of rep, each as its vertices and its arrows
+    with a nonzero matrix; an arrow with a zero matrix joins nothing."""
+    arrows = {v: [] for v in rep.dims}
+    for key, m in rep.mats.items():
+        if any(map(any, m)):
+            arrows[key[0]].append(key)
+            arrows[key[1]].append(key)
+    seen, comps = set(), []
+    for start in rep.dims:
+        if start in seen:
+            continue
+        seen.add(start)
+        verts, mats = [start], {}
+        for v in verts:
+            for key in arrows[v]:
+                mats[key] = rep.mats[key]
+                for u in key:
+                    if u not in seen:
+                        seen.add(u)
+                        verts.append(u)
+        comps.append((verts, mats))
+    return comps
+
+
+def _thin_summand(verts, mats):
+    """The word w of a thin component, walked from an end, and its phi: 1
+    at w.verts[-1], carried back along the letters (lemma B of
+    `decompose_rep`)."""
+    from fractions import Fraction
+    from .linalg import exact
+    links = {v: [] for v in verts}
+    for a, b in mats:
+        links[a].append((b, True))
+        links[b].append((a, False))
+    path, directs = [min(verts, key=lambda v: len(links[v]))], []
+    while len(path) < len(verts):
+        step = [(u, d) for u, d in links[path[-1]] if len(path) == 1 or u != path[-2]]
+        if len(step) != 1:
+            raise AssertionError("thin component is not a path")
+        path.append(step[0][0])
+        directs.append(step[0][1])
+    w = StringWord(path, directs)
+    phi = {w.verts[-1]: 1}
+    for i in reversed(range(len(w.directs))):
+        a, b = w.verts[i], w.verts[i + 1]
+        if w.directs[i]:
+            phi[a] = exact(phi[b] / Fraction(mats[(a, b)][0][0]))
+        else:
+            phi[a] = exact(mats[(b, a)][0][0] * phi[b])
+    return (w, {v: (x,) for v, x in phi.items()})
 
 
 def _split_off(w: StringWord, rep: RepFin):

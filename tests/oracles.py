@@ -69,6 +69,10 @@ rather than by the library's fast path:
   re-solving every arrow of the remainder (`_peel_everywhere`,
   `_restrict_everywhere`), with dense constraint rows for both hom spaces
   (`_hom_word_to_rep_dense`, `_hom_rep_to_word_dense`);
+- `decompose_rep_by_peeling` checks `strings.decompose_rep`, which splits
+  each piece into connected components and reads a thin component off as
+  its path word, by peeling the whole representation a word at a time in
+  the order of one listing of the candidate words on its support;
 - `cokernel_by_quotients` checks `quotient._cokernel_rep`, which mirrors
   a kernel (`band.mirror`), by vertexwise quotients on the target's
   string module, with a complement and two inversions at each vertex
@@ -113,8 +117,9 @@ from moebius.errors import (BandBoundary, InvalidWord, NoMorphism, NotAModule, N
 from moebius.quotient import (Classification, MorQ, SumObj, zero_mor, _scalar_of_component,
                               _vertex_matrices)
 from moebius import linalg
-from moebius.strings import (StringWord, RepFin, word, _solutions,
-                             _word_coords, decompose_rep, direct_sum, overlap, to_rep)
+from moebius.strings import (StringWord, RepFin, word, _candidate_words, _letters, _peel,
+                             _solutions, _split_off, _word_coords, decompose_rep, direct_sum,
+                             overlap, to_rep)
 
 
 # -- the quiver as arrows that carry their triangle -----------------------------
@@ -973,6 +978,12 @@ def _classify_by_translates(f):
     return Classification(is_zero, is_mono, is_epi, is_mono and is_epi)
 
 
+def _matrix(rep, u, v):
+    """The matrix of rep on the arrow u -> v, zero where rep holds none."""
+    m = rep.mats.get((u, v))
+    return linalg.zeros(rep.dim(v), rep.dim(u)) if m is None else m
+
+
 def _hom_word_to_rep_dense(w, rep):
     """Maps M(w) -> rep, one block of rows per arrow out of the word, zero
     blocks included."""
@@ -986,7 +997,7 @@ def _hom_word_to_rep_dense(w, rep):
             u = arr.dst
             if rep.dim(u) == 0:
                 continue
-            a = rep.matrix(v, u)
+            a = _matrix(rep, v, u)
             block = [[Fraction(0)] * total for _ in range(rep.dim(u))]
             for i in range(rep.dim(u)):
                 for j in range(rep.dim(v)):
@@ -1009,7 +1020,7 @@ def _hom_rep_to_word_dense(rep, w):
             u = arr.dst
             if u not in offs or rep.dim(v) == 0:
                 continue
-            a = rep.matrix(v, u)
+            a = _matrix(rep, v, u)
             block = [[Fraction(0)] * total for _ in range(rep.dim(v))]
             for j in range(rep.dim(v)):
                 for i in range(rep.dim(u)):
@@ -1027,7 +1038,7 @@ def decompose_rep_by_rescans(rep):
     acc = {v: linalg.identity(rep.dim(v)) for v in rep.dims}
     out = []
     current = rep
-    while current.total_dim() > 0:
+    while current.dims:
         supp = sorted((v for v in current.dims), key=lambda p: (p.n, p.m))
         split = None
         for verts, directs in candidate_words_by_paths(supp, {(v, a.dst) for v in supp for a in arrows_at(v)[1]}):
@@ -1062,6 +1073,37 @@ def decompose_rep_by_rescans(rep):
     return out
 
 
+def decompose_rep_by_peeling(rep):
+    """String summands and their embeddings, peeled off the whole
+    representation a word at a time: the reduced words on the arrows with a
+    matrix are listed once, lazily, and each search resumes at the word
+    that split off last (a word may occur more than once)."""
+    rep.check_relations()
+    acc = {v: linalg.identity(rep.dim(v)) for v in rep.dims}
+    words = _candidate_words(sorted(rep.dims), rep.mats)
+    out = []
+    current = rep
+    cand = next(words, None)
+    while current.dims:
+        while True:
+            if cand is None:
+                raise NotAModule("representation does not split into strings")
+            verts, directs = cand
+            if (all(v in current.dims for v in verts)
+                    and all(key in current.mats for key in _letters(verts, directs))):
+                w = StringWord(verts, directs)
+                split = _split_off(w, current)
+                if split:
+                    break
+            cand = next(words, None)
+        phi, psi = split
+        out.append((w, {v: linalg.matvec(acc[v], phi[v]) for v in w.verts}))
+        if sum(current.dims.values()) == len(w):
+            break  # M(w) is all of the remainder: nothing left to peel
+        current, acc = _peel(current, acc, psi)
+    return out
+
+
 def _peel_everywhere(rep, acc, psi):
     basis = {v: linalg.from_columns(linalg.nullspace((psi[v],), rep.dim(v)), rep.dim(v))
              if v in psi else linalg.identity(rep.dim(v)) for v in rep.dims}
@@ -1078,7 +1120,7 @@ def _restrict_everywhere(rep, basis):
         u, w = arr.src, arr.dst
         if not (dims.get(u) and dims.get(w)):
             continue
-        coords = linalg.solve(basis[w], linalg.matmul(rep.matrix(u, w), basis[u]))
+        coords = linalg.solve(basis[w], linalg.matmul(_matrix(rep, u, w), basis[u]))
         if coords is None:
             raise AssertionError("subspace not arrow-stable")
         if any(x != 0 for row in coords for x in row):
@@ -1140,7 +1182,7 @@ def cokernel_by_quotients(f):
         u, w = arr.src, arr.dst
         if dims.get(u, 0) == 0 or dims.get(w, 0) == 0:
             continue
-        mat = linalg.matmul(proj[w], linalg.matmul(rep_dst.matrix(u, w), section[u]))
+        mat = linalg.matmul(proj[w], linalg.matmul(_matrix(rep_dst, u, w), section[u]))
         if any(x != 0 for row in mat for x in row):
             mats[(u, w)] = mat
     pieces = decompose_rep(RepFin(dims, mats))

@@ -13,7 +13,7 @@ from moebius.strings import RepFin, to_rep, direct_sum, decompose_rep, word
 from moebius.equiv import obj_to_string
 from moebius.checks import grid_off_cluster
 
-from oracles import decompose_rep_by_rescans, fraction, invert
+from oracles import decompose_rep_by_peeling, decompose_rep_by_rescans, fraction, invert
 
 
 def _brute_force_enum(rect: Rect, max_n: int) -> set:
@@ -135,10 +135,24 @@ def test_decompose_random_twists():
         pieces = decompose_rep(twisted)
         assert sorted(str(p[0]) for p in pieces) == sorted(str(w) for w in words), picks
         assert pieces == decompose_rep_by_rescans(twisted), picks
+        assert repr(pieces) == repr(decompose_rep_by_peeling(twisted)), picks  # int vs Fraction too
         # embeddings at each vertex stay linearly independent
         for v, d in twisted.dims.items():
             cols = [p[1][v] for p in pieces if v in p[1]]
             assert linalg.rank(linalg.from_columns(cols, d)) == len(cols) == d
+
+
+def test_decompose_repeated_word_matches_peeling():
+    # one word three times beside another: the copies share one component,
+    # are split off in turn and keep the order peeling gives them
+    rng = random.Random(31)
+    objs = grid_off_cluster(3)
+    for trial in range(10):
+        a, b = (obj_to_string(o) for o in rng.sample(objs, 2))
+        twisted = _random_basis_twist(direct_sum([to_rep(w) for w in (a, b, a, a)]), rng)
+        pieces = decompose_rep(twisted)
+        assert sorted(str(p[0]) for p in pieces) == sorted(map(str, (a, a, a, b)))
+        assert repr(pieces) == repr(decompose_rep_by_peeling(twisted)), (a, b)
 
 
 def _random_basis_twist(rep: RepFin, rng) -> RepFin:

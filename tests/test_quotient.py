@@ -17,8 +17,8 @@ from moebius.strings import decompose_rep, overlap, _candidate_words
 from moebius.walk import hom_ct_dim, support
 
 from oracles import (induced_support_map, classify_per_point, _classify_by_translates,
-                     decompose_rep_by_rescans, _rref_on_fractions, cokernel_by_quotients,
-                     candidate_words_by_paths)
+                     decompose_rep_by_peeling, decompose_rep_by_rescans, _rref_on_fractions,
+                     cokernel_by_quotients, candidate_words_by_paths)
 
 T = ClusterPt
 M = parse_obj
@@ -311,6 +311,38 @@ def test_matrix_kernels_match_rescans(ns, nd, monkeypatch):
     assert len(reps) == 10
     for rep in reps:
         assert decompose_rep(rep) == decompose_rep_by_rescans(rep)
+        assert repr(decompose_rep(rep)) == repr(decompose_rep_by_peeling(rep))  # int vs Fraction too
+
+
+def test_deep_matrix_kernel_splits_match_peeling(monkeypatch):
+    # component by component, thin ones read off as words, the split equals
+    # peeling the whole representation: words, order, embeddings and types
+    # (at exponents 4-8 in `test_matrix_kernels_match_rescans`)
+    reps, used = [], set()
+
+    def recording(rep):
+        reps.append(rep)
+        return decompose_rep(rep)
+
+    def noting(fn):
+        def wrapped(*args):
+            used.add(fn.__name__)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(quotient, "decompose_rep", recording)
+    rng = random.Random(112)
+    for e in (16, 32, 64):
+        for ns, nd in ((2, 2), (2, 3), (3, 2)):
+            f = _seeded_matrix_morphism(rng, e, ns, nd)
+            kernel(f)
+            cokernel(f)
+    assert len(reps) == 18
+    monkeypatch.setattr(strings, "_thin_summand", noting(strings._thin_summand))
+    monkeypatch.setattr(strings, "_split_off", noting(strings._split_off))
+    for rep in reps:
+        assert repr(decompose_rep(rep)) == repr(decompose_rep_by_peeling(rep))  # int vs Fraction too
+    assert used == {"_thin_summand", "_split_off"}
 
 
 def test_candidate_words_match_paths_on_deep_matrix_kernels(monkeypatch):

@@ -14,7 +14,7 @@ from moebius.errors import InvalidWord, NoMorphism, NotAModule, ParseError
 from moebius import linalg
 
 from oracles import (_brute_force_candidates, _brute_force_occurrences, arrows_at,
-                     candidate_words_by_paths)
+                     candidate_words_by_paths, decompose_rep_by_peeling)
 
 T = ClusterPt
 M = parse_obj
@@ -94,13 +94,14 @@ def test_validate_word():
         word([T(0, 0), T(2, 1)])  # no arrow
 
 
-# The four rejections of a word, as `from-string` prints them.
+# The rejections of a word, as `from-string` prints them.
 REJECTIONS = [
     ([T(0, 0), T(2, 1)], "T(0,0) > T(2,1)", r"^no arrow between T\(0,0\) and T\(2,1\)$"),
     (None, "T(0,0) < T(1,1)", r"^no arrow between T\(0,0\) and T\(1,1\)$"),
     ([T(1, 3), T(0, 0), T(1, 0)], "T(1,3) < T(0,0) < T(1,0)",
      r"^letters 0,1 compose inside a triangle$"),
     ([T(1, 0), T(0, 0), T(1, 0)], "T(1,0) > T(0,0) < T(1,0)", r"^repeated vertex$"),
+    ([T(0, 0), T(0, 0)], "T(0,0) > T(0,0)", r"^repeated vertex$"),
 ]
 
 
@@ -168,7 +169,7 @@ def test_to_rep_and_roundtrip():
     for text in ("M(1/8,1/4)", "M(1/4,3/4)", "M(1/2,1/2)"):
         w = w_of(text)
         rep = to_rep(w)
-        assert rep.total_dim() == len(w)
+        assert sum(rep.dims.values()) == len(w)
         pieces = decompose_rep(rep)
         assert [p[0] for p in pieces] == [w]
 
@@ -190,7 +191,7 @@ def test_decompose_mixed_sum():
     pieces = decompose_rep(total)
     assert sorted(str(p[0]) for p in pieces) == sorted(
         [str(w_of("M(1/8,1/4)")), str(word([T(0, 0)])), str(w_of("M(1/4,3/4)"))])
-    assert sum(len(p[0]) for p in pieces) == total.total_dim()
+    assert sum(len(p[0]) for p in pieces) == sum(total.dims.values())
 
 
 def test_decompose_twisted_basis():
@@ -206,13 +207,91 @@ def test_decompose_twisted_basis():
 
 
 def test_decompose_rejects_broken_relations():
-    # put identities along a full triangle cycle: relations fail
+    # put identities along a full triangle cycle: relations fail, on a thin
+    # representation and on one of dimension 2 everywhere
     tri = [T(1, 3), T(0, 0), T(1, 0)]
-    one = linalg.identity(1)
-    dims = {p: 1 for p in tri}
-    mats = {(T(0, 0), T(1, 3)): one, (T(1, 3), T(1, 0)): one, (T(1, 0), T(0, 0)): one}
-    with pytest.raises(NotAModule):
-        decompose_rep(RepFin(dims, mats))
+    for d in (1, 2):
+        one = linalg.identity(d)
+        dims = {p: d for p in tri}
+        mats = {(T(0, 0), T(1, 3)): one, (T(1, 3), T(1, 0)): one, (T(1, 0), T(0, 0)): one}
+        with pytest.raises(NotAModule):
+            decompose_rep(RepFin(dims, mats))
+
+
+def _rescaled(w, rng):
+    """M(w) with each letter's identity scaled by a nonzero rational."""
+    rep = to_rep(w)
+    return RepFin(rep.dims, {key: ((Fraction(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 3))),),)
+                             for key in rep.mats})
+
+
+def _disjoint_words(e, count):
+    """Words of grid objects of depth e with pairwise disjoint supports,
+    first come first kept."""
+    from moebius.checks import grid_off_cluster
+    from moebius.equiv import obj_to_string
+    kept = []
+    for x in grid_off_cluster(e):
+        w = obj_to_string(x)
+        if all(not set(w.verts) & set(k.verts) for k in kept):
+            kept.append(w)
+        if len(kept) == count:
+            break
+    return kept
+
+
+def _count_solves(monkeypatch):
+    """Counts of `_hom_word_to_rep` and `linalg._rref` calls from now on."""
+    from moebius import strings
+    calls = {"_hom_word_to_rep": 0, "_rref": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapped)
+
+    counted(strings, "_hom_word_to_rep")
+    counted(linalg, "_rref")
+    return calls
+
+
+def test_thin_representation_is_read_off_without_solving(monkeypatch):
+    # rescaled string modules on disjoint supports: every component is thin
+    import random
+    rng = random.Random(7)
+    words = _disjoint_words(3, 6)
+    assert len(words) == 6 and any(len(w) > 2 for w in words)
+    rep = direct_sum([_rescaled(w, rng) for w in words])
+    want = decompose_rep_by_peeling(rep)
+    calls = _count_solves(monkeypatch)
+    got = decompose_rep(rep)
+    assert calls == {"_hom_word_to_rep": 0, "_rref": 0}
+    assert repr(got) == repr(want)  # repr tells an int from an equal Fraction
+    assert [w for w, _ in got] == sorted(words, key=StringWord.sort_key)
+    assert any(type(x) is Fraction for _, emb in got for vec in emb.values() for x in vec)
+
+
+def test_zero_matrix_joins_no_components(monkeypatch):
+    # two thin summands on disjoint supports, with an explicit zero matrix on
+    # an arrow between them: two components, each read off as its word
+    import random
+    from moebius import strings
+    rng = random.Random(8)
+    words = _disjoint_words(3, 12)
+    a, b, u, v = next((a, b, u, v) for i, a in enumerate(words) for b in words[i + 1:]
+                      for u in a.verts for v in in_neighbors(u) if v in b.verts)
+    rep = direct_sum([_rescaled(a, rng), _rescaled(b, rng)])
+    rep = RepFin(rep.dims, {**rep.mats, (u, v): ((0,),)})
+    assert len(strings._components(rep)) == 2
+    want = decompose_rep_by_peeling(rep)
+    calls = _count_solves(monkeypatch)
+    got = decompose_rep(rep)
+    assert calls["_hom_word_to_rep"] == 0
+    assert repr(got) == repr(want)
+    assert [w for w, _ in got] == sorted((a, b), key=StringWord.sort_key)
 
 
 def test_restrict_rep_identity_basis_is_unchanged():
