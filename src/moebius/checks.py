@@ -13,7 +13,6 @@ import time
 from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, combinations, product
-from fractions import Fraction
 
 from . import linalg
 from .dyadic import Dyadic, ONE
@@ -233,16 +232,16 @@ def check_abelian(e: int, samples: int = 100) -> tuple[bool, str]:
 
 def _factors_through(g: MorQ, k_obj: SumObj, incl: MorQ) -> bool:
     """Solve incl . h = g for h across the one-dimensional hom spaces."""
-    z = g.src.summands[0]
+    z = g.src[0]
     rows = []
     rhs = []
     for j in range(len(incl.dst)):
         row = []
         for k in range(len(k_obj)):
             c = incl.entries[j][k]
-            alive = (c != 0 and hom_ct_dim(z, k_obj.summands[k]) == 1
-                     and compose_basic_nonzero(z, k_obj.summands[k], incl.dst.summands[j]))
-            row.append(c if alive else Fraction(0))
+            alive = (c != 0 and hom_ct_dim(z, k_obj[k]) == 1
+                     and compose_basic_nonzero(z, k_obj[k], incl.dst[j]))
+            row.append(c if alive else 0)
         rows.append(tuple(row))
         rhs.append((g.entries[j][0],))
     sol = linalg.solve(tuple(rows), tuple(rhs))

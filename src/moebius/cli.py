@@ -1,15 +1,14 @@
 """Command-line front end: queries, invariant suites, SVG rendering.
 
 Exit codes: 0 success, 1 domain error (message names the error class),
-2 malformed arguments or input syntax (including a MOEBIUS_MAX_DEPTH that
-is not an integer, for every subcommand, and a `check --depth` outside
-1-MAX_CHECK_DEPTH), 3 internal error: a broken
-invariant, reported as one `internal error: ...` line, 141 stdout closed
-before the output was written (the shell's status for SIGPIPE), with
-nothing printed.  Every error is one line on stderr, argparse's included;
-with --json it is instead one JSON object on stdout,
-`{"error": <class>, "message": ...}` (`ParseError` for exit 2,
-`AssertionError` for exit 3), and stderr stays empty.
+2 malformed arguments or input syntax (including a `check --depth`
+outside 1-MAX_CHECK_DEPTH), 3 internal error: a broken invariant,
+reported as one `internal error: ...` line, 141 stdout closed before the
+output was written (the shell's status for SIGPIPE), with nothing printed.
+Every error is one line on stderr, argparse's included; with --json it is
+instead one JSON object on stdout, `{"error": <class>, "message": ...}`
+(`ParseError` for exit 2, `AssertionError` for exit 3), and stderr stays
+empty.
 
 Each handler imports the layers it uses when it is dispatched, so a cold
 query loads only those: `hom`, `support`, `walk`, `approx` and `mutate` stop
@@ -372,8 +371,6 @@ def main(argv=None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
-            from .cluster import _max_depth
-            _max_depth()  # read once, so a bad cap fails every subcommand alike
             code = args.fn(args)
         except ParseError as exc:
             code = _report(exc, 2, as_json)

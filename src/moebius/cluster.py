@@ -17,22 +17,13 @@ crosses off its two ends.
 
 from __future__ import annotations
 
-import os
 import re
 from collections import namedtuple
 from functools import lru_cache
 
 from .dyadic import Dyadic, reduced_exp
 from .band import Obj, Rect, Rep, normal_form, obj_from_ends
-from .errors import NotInCluster, UnboundedRect, DepthLimit, ParseError
-
-
-def _max_depth() -> int:
-    raw = os.environ.get("MOEBIUS_MAX_DEPTH", "16")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"MOEBIUS_MAX_DEPTH must be an integer, got {raw!r}") from None
+from .errors import MAX_SCAN_DEPTH, NotInCluster, UnboundedRect, DepthLimit, ParseError
 
 
 class ClusterPt(namedtuple("ClusterPt", "n m")):
@@ -257,8 +248,8 @@ def enum_in_rect_with_reps(rect: Rect) -> tuple[tuple[ClusterPt, Rep], ...]:
     if rect.x_lo > rect.x_hi or rect.y_lo > rect.y_hi:
         return ()
     e = rect.max_exp()
-    if e + 2 > _max_depth():
-        raise DepthLimit(f"rectangle needs scan depth {e + 2} > MOEBIUS_MAX_DEPTH")
+    if e + 2 > MAX_SCAN_DEPTH:
+        raise DepthLimit(f"rectangle needs scan depth {e + 2} > {MAX_SCAN_DEPTH}")
     found: dict[ClusterPt, Rep] = {}
     for n in range(e + 2):
         for pt, rep in _level_hits(rect, n):
@@ -274,26 +265,15 @@ def enum_in_rect(rect: Rect) -> frozenset[ClusterPt]:
 
 # -- mutation ---------------------------------------------------------------
 
-class ClusterOverlay:
+class ClusterOverlay(namedtuple("ClusterOverlay", "removed added")):
     """A cluster reached from the standard one by finitely many flips,
-    stored as the symmetric difference."""
+    stored as the symmetric difference.  It equals and hashes as the tuple
+    (removed, added) of frozensets."""
 
-    __slots__ = ("removed", "added")
+    __slots__ = ()
 
-    def __init__(self, removed: frozenset[ClusterPt] = frozenset(),
-                 added: frozenset[Obj] = frozenset()):
-        object.__setattr__(self, "removed", frozenset(removed))
-        object.__setattr__(self, "added", frozenset(added))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClusterOverlay is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ClusterOverlay)
-                and self.removed == other.removed and self.added == other.added)
-
-    def __hash__(self):
-        return hash((self.removed, self.added))
+    def __new__(cls, removed: frozenset[ClusterPt] = frozenset(), added: frozenset[Obj] = frozenset()):
+        return tuple.__new__(cls, (frozenset(removed), frozenset(added)))
 
     def __repr__(self) -> str:
         return f"ClusterOverlay(removed={set(self.removed)!r}, added={set(self.added)!r})"

@@ -1,5 +1,6 @@
-"""Exception types shared across the library, and the input bounds whose
-violation the command line reports as a `ParseError`."""
+"""Exception types shared across the library, and the depth bounds: the
+command line reports a `check` or `render` depth past its bound as a
+`ParseError`, and the rectangle scan raises `DepthLimit` past its own."""
 
 # The deepest grid `check --depth` accepts.  G(e) grows about 4x per
 # exponent (435 classes off the cluster at e = 4, 7,875 at e = 6), and
@@ -9,6 +10,11 @@ MAX_CHECK_DEPTH = 6
 # The deepest cluster dots `render` draws: 2^(d+1) - 1 dots, and depth 12
 # writes about 0.5 MB.
 MAX_CLUSTER_DEPTH = 12
+
+# The deepest level `cluster.enum_in_rect_with_reps` scans, so rectangles
+# of exponent 14 and below.  Only criterion 3 scans, to depth 8 at most
+# (`check --depth 6`).
+MAX_SCAN_DEPTH = 16
 
 
 class MoebiusError(Exception):
@@ -28,7 +34,7 @@ class UnboundedRect(MoebiusError):
 
 
 class DepthLimit(MoebiusError):
-    """Enumeration would exceed the depth cap (MOEBIUS_MAX_DEPTH)."""
+    """Enumeration would exceed the depth cap (MAX_SCAN_DEPTH)."""
 
 
 class NotInCluster(MoebiusError):

@@ -36,39 +36,23 @@ from .equiv import obj_to_string, string_to_obj
 from .errors import ShapeMismatch
 
 
-class SumObj:
-    """Formal sum of indecomposables; cluster summands are zero here and
-    normalized away."""
+class SumObj(tuple):
+    """Formal sum of indecomposables: the tuple of its summands, with the
+    cluster summands, which are zero here, dropped."""
 
-    __slots__ = ("summands",)
+    __slots__ = ()
 
-    def __init__(self, summands=()):
-        kept = tuple(s for s in summands if member(s) is None)
-        object.__setattr__(self, "summands", kept)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SumObj is immutable")
-
-    def __len__(self) -> int:
-        return len(self.summands)
-
-    def __iter__(self):
-        return iter(self.summands)
+    def __new__(cls, summands=()):
+        return tuple.__new__(cls, (s for s in summands if member(s) is None))
 
     def multiset(self):
-        return tuple(sorted(self.summands, key=Obj.sort_key))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SumObj) and self.summands == other.summands
-
-    def __hash__(self):
-        return hash(self.summands)
+        return tuple(sorted(self, key=Obj.sort_key))
 
     def isomorphic(self, other: "SumObj") -> bool:
         return self.multiset() == other.multiset()
 
     def __str__(self) -> str:
-        return " + ".join(str(s) for s in self.summands) if self.summands else "0"
+        return " + ".join(str(s) for s in self) if self else "0"
 
     __repr__ = __str__
 
@@ -76,45 +60,28 @@ class SumObj:
 Classification = namedtuple("Classification", "is_zero is_mono is_epi is_iso")
 
 
-class MorQ:
-    """Matrix of rational scalars over basic morphisms src_j -> dst_i;
-    entries over vanishing hom spaces are normalized to zero."""
+class MorQ(namedtuple("MorQ", "src dst entries")):
+    """Matrix of scalars over basic morphisms src_j -> dst_i; entries over
+    vanishing hom spaces are normalized to zero.  An entry is exact, as in
+    `linalg`: an int when it is integral and a Fraction otherwise.  The
+    morphism equals and hashes as the tuple (src, dst, entries)."""
 
-    __slots__ = ("src", "dst", "entries")
+    __slots__ = ()
 
-    def __init__(self, src: SumObj, dst: SumObj, entries):
-        rows = tuple(tuple(Fraction(v) for v in row) for row in entries)
+    def __new__(cls, src: SumObj, dst: SumObj, entries):
+        rows = tuple(tuple(linalg.exact(Fraction(v)) for v in row) for row in entries)
         if len(rows) != len(dst) or any(len(r) != len(src) for r in rows):
             raise ShapeMismatch(f"entries must be {len(dst)}x{len(src)}")
-        cleaned = tuple(tuple(v if hom_ct_dim(s, d) == 1 else Fraction(0) for s, v in zip(src, row))
+        cleaned = tuple(tuple(v if hom_ct_dim(s, d) == 1 else 0 for s, v in zip(src, row))
                         for d, row in zip(dst, rows))
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "entries", cleaned)
+        return tuple.__new__(cls, (src, dst, cleaned))
 
     @classmethod
     def _from_clean(cls, src: SumObj, dst: SumObj, entries) -> "MorQ":
-        """A MorQ from entries (a tuple of rows, tuples of Fractions) already
-        0 over every vanishing hom space, without a `hom_ct_dim` test each."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "src", src)
-        object.__setattr__(f, "dst", dst)
-        object.__setattr__(f, "entries", entries)
-        return f
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MorQ is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, MorQ) and self.src == other.src
-                and self.dst == other.dst and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.src, self.dst, self.entries))
-
-    def scale(self, c) -> "MorQ":
-        c = Fraction(c)
-        return MorQ(self.src, self.dst, tuple(tuple(c * v for v in row) for row in self.entries))
+        """A MorQ from entries (a tuple of rows, tuples of exact values)
+        already 0 over every vanishing hom space, without a `hom_ct_dim`
+        test each."""
+        return tuple.__new__(cls, (src, dst, entries))
 
     def __repr__(self) -> str:
         return f"MorQ({self.src} -> {self.dst}, {self.entries})"
@@ -125,15 +92,15 @@ def identity_mor(x: SumObj) -> MorQ:
 
 
 def zero_mor(src: SumObj, dst: SumObj) -> MorQ:
-    return MorQ(src, dst, tuple(tuple(Fraction(0) for _ in range(len(src))) for _ in range(len(dst))))
+    return MorQ._from_clean(src, dst, linalg.zeros(len(dst), len(src)))
 
 
 def basic_mor(src: Obj, dst: Obj, scalar=1) -> MorQ:
     """scalar times the basic morphism src -> dst, 0 when the hom vanishes."""
-    c, s, d = Fraction(scalar), SumObj([src]), SumObj([dst])
+    c, s, d = linalg.exact(Fraction(scalar)), SumObj([src]), SumObj([dst])
     if not (s and d):  # a cluster summand is zero here, so the 1x1 entries do not fit
         raise ShapeMismatch(f"entries must be {len(d)}x{len(s)}")
-    return MorQ._from_clean(s, d, ((c if hom_ct_dim(src, dst) else Fraction(0),),))
+    return MorQ._from_clean(s, d, ((c if hom_ct_dim(src, dst) else 0,),))
 
 
 def compose(g: MorQ, f: MorQ) -> MorQ:
@@ -145,11 +112,11 @@ def compose(g: MorQ, f: MorQ) -> MorQ:
     for g_row, z in zip(g.entries, g.dst):
         row = []
         for j, x in enumerate(f.src):
-            total = Fraction(0)
+            total = 0
             for a, f_row, y in zip(g_row, f.entries, g.src):
                 if a and f_row[j] and compose_basic_nonzero(x, y, z):
                     total += a * f_row[j]
-            row.append(total)
+            row.append(linalg.exact(total))
         rows.append(tuple(row))
     return MorQ._from_clean(f.src, g.dst, tuple(rows))
 
@@ -215,11 +182,11 @@ def hom_dim(a: SumObj, b: SumObj) -> int:
 
 # -- kernels and cokernels ----------------------------------------------------
 
-def _scalar_of_component(ov: frozenset[ClusterPt], values: dict[ClusterPt, int | Fraction]) -> Fraction:
-    """values[v] must trace out scalar * (the basic graph map with support
-    ov, empty when the hom space vanishes).  The scalar, a Fraction like a
-    `MorQ` entry, is 0 over an empty overlap, that is over a zero hom
-    (criterion 1), so matrices of these scalars suit `MorQ._from_clean`."""
+def _scalar_of_component(ov: frozenset[ClusterPt], values: dict[ClusterPt, int | Fraction]) -> int | Fraction:
+    """values[v], exact values, must trace out scalar * (the basic graph map
+    with support ov, empty when the hom space vanishes).  The scalar is 0
+    over an empty overlap, that is over a zero hom (criterion 1), so
+    matrices of these scalars suit `MorQ._from_clean`."""
     if ov:
         scal = None
         for v, val in values.items():
@@ -230,10 +197,10 @@ def _scalar_of_component(ov: frozenset[ClusterPt], values: dict[ClusterPt, int |
                     raise AssertionError("component not a scalar multiple of a basic map")
             elif val != 0:
                 raise AssertionError("component supported off the basic overlap")
-        return Fraction(scal) if scal is not None else Fraction(0)
+        return scal if scal is not None else 0
     if any(val != 0 for val in values.values()):
         raise AssertionError("nonzero component along a vanishing hom space")
-    return Fraction(0)
+    return 0
 
 
 def _basic_words(f: MorQ) -> tuple[tuple[StringWord, ...], tuple[StringWord, ...]] | None:
@@ -241,7 +208,7 @@ def _basic_words(f: MorQ) -> tuple[tuple[StringWord, ...], tuple[StringWord, ...
     order decompose_rep peels them; None for any other morphism."""
     if len(f.src) != 1 or len(f.dst) != 1 or not f.entries[0][0]:
         return None
-    return _basic_word_lists(f.src.summands[0], f.dst.summands[0])
+    return _basic_word_lists(f.src[0], f.dst[0])
 
 
 @lru_cache(maxsize=16)
@@ -260,7 +227,7 @@ def kernel(f: MorQ) -> tuple[SumObj, MorQ]:
     if words is None:
         return _kernel_rep(f)
     k_obj = SumObj([string_to_obj(w) for w in words[0]])
-    return (k_obj, MorQ._from_clean(k_obj, f.src, ((Fraction(1),) * len(k_obj),)))
+    return (k_obj, MorQ._from_clean(k_obj, f.src, ((1,) * len(k_obj),)))
 
 
 def cokernel(f: MorQ) -> tuple[SumObj, MorQ]:
@@ -270,7 +237,7 @@ def cokernel(f: MorQ) -> tuple[SumObj, MorQ]:
     if words is None:
         return _cokernel_rep(f)
     c_obj = SumObj([string_to_obj(w) for w in words[1]])
-    return (c_obj, MorQ._from_clean(f.dst, c_obj, ((Fraction(1),),) * len(c_obj)))
+    return (c_obj, MorQ._from_clean(f.dst, c_obj, ((1,),) * len(c_obj)))
 
 
 def _kernel_rep(f: MorQ) -> tuple[SumObj, MorQ]:

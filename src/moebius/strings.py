@@ -14,6 +14,7 @@ of a reduced word.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 
 from .cluster import (ClusterPt, arrow_dir, in_neighbors, out_neighbors, parse_cluster_pt,
                       triangle)
@@ -198,18 +199,15 @@ def kernel_cokernel_strings(w1: StringWord, w2: StringWord) -> tuple[list[String
 
 # -- representations ----------------------------------------------------------
 
-class RepFin:
+class RepFin(namedtuple("RepFin", "dims mats")):
     """Finite-dimensional representation: dimensions per vertex and one
-    rational matrix per arrow between supported vertices (absent = zero)."""
+    rational matrix per arrow between supported vertices (absent = zero).
+    Vertices of dimension 0 are dropped from dims."""
 
-    __slots__ = ("dims", "mats")
+    __slots__ = ()
 
-    def __init__(self, dims: dict[ClusterPt, int], mats: dict[tuple[ClusterPt, ClusterPt], linalg.Matrix]):
-        object.__setattr__(self, "dims", {v: d for v, d in dims.items() if d > 0})
-        object.__setattr__(self, "mats", dict(mats))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RepFin is immutable")
+    def __new__(cls, dims: dict[ClusterPt, int], mats: dict[tuple[ClusterPt, ClusterPt], linalg.Matrix]):
+        return tuple.__new__(cls, ({v: d for v, d in dims.items() if d > 0}, dict(mats)))
 
     def dim(self, v: ClusterPt) -> int:
         return self.dims.get(v, 0)

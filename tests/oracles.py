@@ -966,7 +966,7 @@ def _classify_by_translates(f):
         eps = concrete_epsilon([object_of(s)] + list(f.src) + list(f.dst))
         s_eps = shifted(s, eps, eps)
         m = tuple(tuple(f.entries[i][j] if f.entries[i][j] and chain_box_nonzero(
-            s_eps, f.src.summands[j], f.dst.summands[i]) else Fraction(0) for j in cols)
+            s_eps, f.src[j], f.dst[i]) else Fraction(0) for j in cols)
             for i in rows)
         r = linalg.rank(m)
         if any(v != 0 for row in m for v in row):

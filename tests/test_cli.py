@@ -234,17 +234,6 @@ def test_check_json(capsys):
     assert len(data) == 11 and all(d["ok"] for d in data)
 
 
-def test_max_depth_not_integer_exit_2():
-    # a fresh process, so no cached support hides the enumeration
-    import os, subprocess, sys
-    env = dict(os.environ, MOEBIUS_MAX_DEPTH="abc")
-    proc = subprocess.run([sys.executable, "-m", "moebius.cli", "support", "M(1/4,3/4)"],
-                          capture_output=True, text=True, timeout=120, env=env)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("parse error: ") and proc.stderr.count("\n") == 1
-    assert "MOEBIUS_MAX_DEPTH" in proc.stderr
-
-
 @pytest.mark.parametrize("argv", [("support", "M(1/8,1/4)"), ("check", "--depth", "1", "--json")])
 def test_closed_stdout_exits_141_without_traceback(argv):
     # stdout is a pipe whose read end is already closed, so the first write
@@ -353,16 +342,6 @@ def test_render_spec_malformed_rect_exit_2(capsys, monkeypatch, rect):
     assert "bad rect" in err
 
 
-@pytest.mark.parametrize("argv", [("walk", "M(1/4,3/4)"), ("simple", "T(2,1)"),
-                                  ("render", "--cluster-depth", "1")])
-def test_max_depth_not_integer_exit_2_for_every_subcommand(capsys, monkeypatch, argv):
-    monkeypatch.setenv("MOEBIUS_MAX_DEPTH", "abc")
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err.startswith("parse error: ") and err.count("\n") == 1
-    assert "MOEBIUS_MAX_DEPTH" in err
-
-
 def test_internal_error_exit_3(capsys, monkeypatch):
     import moebius.walk
 
@@ -379,8 +358,7 @@ def test_internal_error_exit_3(capsys, monkeypatch):
         "error": "AssertionError", "message": "walk from (0, 0) to (0, 1) is stuck"}
 
 
-def test_exponent_64_queries_take_no_depth_cap(capsys, monkeypatch):
-    monkeypatch.delenv("MOEBIUS_MAX_DEPTH", raising=False)
+def test_exponent_64_queries_take_no_depth_cap(capsys):
     x = "M(1/18446744073709551616,3/4)"
     for argv in (("walk", x), ("support", x), ("approx", x), ("hom", x, "M(1/4,3/4)")):
         code, out, err = run(capsys, *argv)

@@ -15,9 +15,11 @@ count: a function only a test calls is dead.
 
 The methods and properties of a top-level class are held to the same rule:
 one is referenced when some attribute load `.name` exists in `src/` or
-`perfbench/` outside its own definition.  Dunders are exempt, and so is a
-method that overrides an inherited one, whose callers are in the base
-class (`argparse.ArgumentParser.error`).
+`perfbench/` outside its own definition.  The load may be on any object,
+so a method shares its references with every attribute of its name: a
+`speed.scale()` in `perfbench` would keep a `scale` method of the package
+alive.  Dunders are exempt, and so is a method that overrides an inherited
+one, whose callers are in the base class (`argparse.ArgumentParser.error`).
 """
 
 import ast

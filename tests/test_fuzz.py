@@ -8,7 +8,7 @@ from moebius.dyadic import Dyadic, ONE
 from moebius.band import Rect
 from moebius.cluster import ClusterPt, enum_in_rect
 from moebius.errors import UnboundedRect
-from moebius import linalg
+from moebius import cluster, linalg
 from moebius.strings import RepFin, to_rep, direct_sum, decompose_rep, word
 from moebius.equiv import obj_to_string
 from moebius.checks import grid_off_cluster
@@ -91,7 +91,7 @@ def test_enum_matches_windowed_brute_force_at_exponents_10_to_20(monkeypatch):
     # boxes a few units of 1/2^e wide, half around a representative of a
     # cluster point of depth <= e, half anywhere in [-2, 2]^2; the brute
     # force looks four depths past the enumeration's probe
-    monkeypatch.setenv("MOEBIUS_MAX_DEPTH", "22")
+    monkeypatch.setattr(cluster, "MAX_SCAN_DEPTH", 22)
     rng = random.Random(1015)
     kinds = {"empty": 0, "hits": 0, "unbounded": 0}
     for _ in range(600):

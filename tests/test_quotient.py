@@ -5,7 +5,7 @@ import pytest
 
 from moebius.band import Obj, normal_form, parse_obj
 from moebius.checks import _basics, grid_off_cluster
-from moebius.cluster import ClusterPt, member
+from moebius.cluster import STANDARD, ClusterPt, member, mutate
 from moebius.dyadic import Dyadic
 from moebius.equiv import obj_to_string
 from moebius import linalg, quotient, strings
@@ -13,7 +13,7 @@ from moebius.quotient import (SumObj, MorQ, identity_mor, zero_mor, basic_mor, c
                               classify, kernel, cokernel, hom_dim, _kernel_rep, _cokernel_rep,
                               _vertex_matrices)
 from moebius.errors import MoebiusError, ShapeMismatch
-from moebius.strings import decompose_rep, overlap, _candidate_words
+from moebius.strings import decompose_rep, overlap, to_rep, _candidate_words
 from moebius.walk import hom_ct_dim, support
 
 from oracles import (induced_support_map, classify_per_point, _classify_by_translates,
@@ -44,7 +44,53 @@ def test_basic_mor_matches_the_generic_constructor():
                 continue
             got = basic_mor(x, y, c)
             assert got == want and got.entries == ((Fraction(c) * hom_ct_dim(x, y),),), (x, y)
-            assert all(type(v) is Fraction for row in got.entries for v in row)
+            _assert_exact(got)
+
+
+def _assert_exact(f):
+    # the `linalg.exact` rule: an entry is an int exactly where it is integral
+    for row in f.entries:
+        for v in row:
+            assert type(v) is (int if Fraction(v).denominator == 1 else Fraction), f
+
+
+def test_entries_are_ints_exactly_where_integral():
+    from moebius.cli import _morphism_from_json
+    x, y = M("M(1/8,1/4)"), M("M(1/4,3/4)")
+    f = basic_mor(x, y, Fraction(3, 2))
+    one = compose(MorQ(f.dst, f.dst, ((Fraction(2, 3),),)), f)
+    assert one.entries == ((1,),)
+    parsed = _morphism_from_json({"src": [str(x), str(y)], "dst": [str(y)], "entries": [["4/2", "-1/3"]]})
+    assert parsed.entries == ((2, Fraction(-1, 3)),)
+    for g in (f, one, parsed, zero_mor(f.src, f.dst), identity_mor(SumObj([x, y])),
+              kernel(f)[1], cokernel(f)[1]):
+        _assert_exact(g)
+
+
+_X, _Y = M("M(1/8,1/4)"), M("M(1/4,3/4)")
+# each value type, built twice, and the plain tuple it equals and hashes as
+_VALUES = {
+    "SumObj": (lambda: SumObj([_X, M("M(0,1/2)"), _Y]), (_X, _Y)),
+    "MorQ": (lambda: MorQ(SumObj([_X]), SumObj([_Y]), (("3/2",),)), ((_X,), (_Y,), ((Fraction(3, 2),),))),
+    "ClusterOverlay": (lambda: mutate(STANDARD, M("M(0,0)"))[0],
+                       (frozenset({T(0, 0)}), frozenset({M("M(1/2,1/2)")}))),
+    "RepFin": (lambda: to_rep(obj_to_string(_Y)), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VALUES))
+def test_value_types_are_immutable_tuples(name):
+    make, plain = _VALUES[name]
+    v = make()
+    assert type(v).__name__ == name and v == make() and v is not make()
+    for attr in (*getattr(type(v), "_fields", ()), "other"):
+        with pytest.raises(AttributeError):
+            setattr(v, attr, None)
+    if plain is not None:
+        assert v == plain and hash(v) == hash(plain)
+    if name == "MorQ":
+        assert repr(MorQ._from_clean(*v)) == repr(v) == "MorQ(M(1/8,1/4) -> M(1/4,3/4), ((Fraction(3, 2),),))"
+        assert MorQ._from_clean(v.src, v.dst, ((2,),)) == MorQ(v.src, v.dst, ((2,),))
 
 
 def test_sumobj_normalizes_cluster_summands():
@@ -62,8 +108,8 @@ def test_compose_identity_and_bilinearity():
     assert compose(f, identity_mor(f.src)) == f
     assert compose(identity_mor(f.dst), f) == f
     g = basic_mor(M("M(1/8,1/4)"), M("M(1/4,3/4)"), 3)
-    h = compose(identity_mor(g.dst).scale(2), g)
-    assert h.entries[0][0] == Fraction(6)
+    h = compose(MorQ(g.dst, g.dst, ((2,),)), g)
+    assert h.entries[0][0] == 6
 
 
 def test_compose_through_cluster_is_zero():
@@ -290,6 +336,7 @@ def _seeded_matrix_morphism(rng, e, ns, nd):
 def _assert_clean(m):
     # the cleaning constructor changes nothing on a morphism built as clean
     assert MorQ(m.src, m.dst, m.entries) == m, m
+    _assert_exact(m)
 
 
 @pytest.mark.parametrize("ns, nd", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -428,7 +475,7 @@ def test_matrix_kernels_match_fraction_rref(ns, nd, monkeypatch):
             m.setattr(linalg, "_rref", _rref_on_fractions)
             assert got == (kernel(f), cokernel(f)), f
         for _, mor in got:
-            assert all(type(v) is Fraction for row in mor.entries for v in row)
+            _assert_exact(mor)
     assert embeddings
     assert all(type(x) in (int, Fraction) for vec in embeddings for x in vec)
 

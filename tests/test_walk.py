@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from moebius import cluster
 from moebius.dyadic import Dyadic
 from moebius.band import Rect, parse_obj, hom_c_dim, mirror, normal_form
 from moebius.cluster import ClusterPt, object_of, member, enum_in_rect, enum_in_rect_with_reps
@@ -308,7 +309,7 @@ def test_walk_matches_scan_on_grid():
 
 def test_walk_matches_scan_at_high_exponents(monkeypatch):
     import random
-    monkeypatch.setenv("MOEBIUS_MAX_DEPTH", "64")  # lets the reference scan reach exponent 40
+    monkeypatch.setattr(cluster, "MAX_SCAN_DEPTH", 64)  # lets the reference scan reach exponent 40
     rng = random.Random(20261018)
     for e in range(15, 41):
         done = 0
