@@ -10,6 +10,7 @@ layer, and `moebius.walk_of` imports `moebius.walk` on first use.
 """
 
 import importlib
+import sys
 
 _EXPORTS = {
     "dyadic": ("Dyadic", "parse_dyadic"),
@@ -32,8 +33,17 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 # the layer modules that resolve as attributes, e.g. `moebius.quotient.kernel`
 _MODULES = (*_EXPORTS, "linalg", "errors")
 
-__all__ = [*_HOME, "errors"]
+__all__ = [*_HOME, "errors", "clear_caches"]
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every cache of the layers imported so far, importing none."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith(f"{__name__}.") and module is not None:
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)) and value.__module__ == name:
+                    value.cache_clear()
 
 
 def __getattr__(name):

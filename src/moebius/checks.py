@@ -12,7 +12,7 @@ import random
 import time
 from collections import namedtuple
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import chain, combinations, compress, product
 
 from . import linalg
 from .dyadic import Dyadic, ONE
@@ -30,6 +30,11 @@ from .equiv import (obj_to_string, string_to_obj, DigitPrefix,
 from .quotient import SumObj, MorQ, basic_mor, compose, classify, kernel, cokernel
 from .errors import Unreachable, AllOnesTail
 from .errors import MAX_CHECK_DEPTH  # the depth bound of this suite, defined where the CLI reads it
+
+# The geometry of `hom_ct_dim` without its cache: the suite asks each grid
+# pair once, into `_hom_table`, and each translate of criterion 5 and each
+# truncation pair of criterion 11 once.
+_hom_geometry = hom_ct_dim.__wrapped__
 
 
 class CheckResult(namedtuple("CheckResult", "index name ok detail seconds")):
@@ -56,9 +61,25 @@ def grid(e: int) -> list[Obj]:
 
 @lru_cache(maxsize=2)
 def grid_off_cluster(e: int) -> tuple[Obj, ...]:
-    """One tuple per depth, so the `hom_ct_dim` lookups of criteria 1, 6 and
-    7 hit by identity; criterion 6 at depth 1 also reads depth 2."""
+    """One tuple per depth, the positions of `_hom_table`; criterion 6 at
+    depth 1 also reads depth 2."""
     return tuple(x for x in grid(e) if member(x) is None)
+
+
+@lru_cache(maxsize=2)
+def _hom_table(e: int) -> bytes:
+    """`hom_ct_dim` of every ordered pair of the n objects of
+    `grid_off_cluster(e)`, that of the i-th to the j-th at i * n + j: n^2
+    bytes, 8.3 kB at depth 3 and 3.6 MB at depth 5, where a cache entry per
+    pair held about 130 bytes.  Criterion 1 checks it against the strings,
+    `_basics` and criteria 6 and 7 read it, and `run_all` drops it."""
+    objs = grid_off_cluster(e)
+    return bytes(_hom_geometry(x, y) for x in objs for y in objs)
+
+
+def _row(table: bytes, n: int, i: int) -> bytes:
+    """The homs out of the i-th object of an n-object table."""
+    return table[i * n:(i + 1) * n]
 
 
 def cluster_points(depth: int) -> list[ClusterPt]:
@@ -76,15 +97,16 @@ def _ends_cross(a: Obj, b: Obj) -> bool:
 
 
 def check_hom_agreement(e: int) -> tuple[bool, str]:
-    objs = grid_off_cluster(e)
-    words = {x: obj_to_string(x) for x in objs}
-    pairs = 0
-    for x in objs:
-        for y in objs:
-            pairs += 1
-            if hom_ct_dim(x, y) != hom_dim_strings(words[x], words[y]):
-                return (False, f"hom mismatch at {x} -> {y}")
-    return (True, f"{pairs} ordered pairs agree")
+    """The geometry (`_hom_table`) against graph maps of the words, on every
+    ordered pair of G(e)."""
+    objs, table = grid_off_cluster(e), _hom_table(e)
+    n = len(objs)
+    words = [obj_to_string(x) for x in objs]
+    for i, wx in enumerate(words):
+        for j, (wy, dim) in enumerate(zip(words, _row(table, n, i))):
+            if dim != hom_dim_strings(wx, wy):
+                return (False, f"hom mismatch at {objs[i]} -> {objs[j]}")
+    return (True, f"{n * n} ordered pairs agree")
 
 
 def check_bijection(e: int) -> tuple[bool, str]:
@@ -147,8 +169,8 @@ def check_ar_duality(e: int) -> tuple[bool, str]:
     for x in objs:
         for s in pts:
             eps_s = concrete_epsilon([object_of(s), x])
-            tinv = hom_ct_dim(shifted(s, eps_s, eps_s), x)
-            tau = hom_ct_dim(x, shifted(s, -eps_s, -eps_s))
+            tinv = _hom_geometry(shifted(s, eps_s, eps_s), x)
+            tau = _hom_geometry(x, shifted(s, -eps_s, -eps_s))
             td = tau_dims(s, x)
             if not (tinv == tau == td.tau_inv == td.tau):
                 return (False, f"translate duality fails at ({s}, {x})")
@@ -159,8 +181,16 @@ def check_ar_duality(e: int) -> tuple[bool, str]:
 
 
 def _basics(e: int) -> list[tuple[Obj, Obj]]:
-    objs = grid_off_cluster(e)
-    return [(x, y) for x in objs for y in objs if hom_ct_dim(x, y) == 1]
+    """The pairs (x, y) of G(e) with a nonzero basic x -> y, by x then y."""
+    objs, table = grid_off_cluster(e), _hom_table(e)
+    n = len(objs)
+    return [(x, y) for i, x in enumerate(objs) for y in compress(objs, _row(table, n, i))]
+
+
+def _basic(x: Obj, y: Obj) -> MorQ:
+    """`basic_mor(x, y)` of a pair that `_hom_table` shows nonzero, without
+    its `hom_ct_dim` lookup."""
+    return MorQ._from_clean(SumObj([x]), SumObj([y]), ((1,),))
 
 
 def check_abelian(e: int, samples: int = 100) -> tuple[bool, str]:
@@ -187,7 +217,7 @@ def check_abelian(e: int, samples: int = 100) -> tuple[bool, str]:
         # the translate's hom to x may be zero, so not the support rule here
         if not all(chain_box_nonzero(shifted(s, eps, eps), x, y) for s in common):
             return (False, f"basic dies on a translate of its common support at {x}->{y}")
-        f = basic_mor(x, y)
+        f = _basic(x, y)
         k_obj, incl = kernel(f)
         c_obj, proj = cokernel(f)
         if not classify(incl).is_mono:
@@ -210,18 +240,18 @@ def check_abelian(e: int, samples: int = 100) -> tuple[bool, str]:
     if not (k_obj.isomorphic(want_k) and c_obj.isomorphic(want_c)):
         return (False, "worked kernel/cokernel chain broken")
     objs, pool = grid_off_cluster(max(e, 2)), basics if e >= 2 else _basics(2)
+    table, n = _hom_table(max(e, 2)), len(objs)
+    position = {x: i for i, x in enumerate(objs)}
     rng = random.Random(20240801)
     chosen = rng.sample(pool, min(samples, len(pool)))
     factored = 0
     for (x, y) in chosen:
-        f = basic_mor(x, y)
+        f = _basic(x, y)
         k_obj, incl = kernel(f)
-        for z in objs:
-            if hom_ct_dim(z, x) != 1:
-                continue
+        for z in compress(objs, table[position[x]::n]):  # the z with a basic z -> x
             if compose_basic_nonzero(z, x, y) != chain_box_nonzero(z, x, y):
                 return (False, f"supports and rectangles disagree on {z}->{x}->{y}")
-            g = basic_mor(z, x)
+            g = _basic(z, x)
             if not classify(compose(f, g)).is_zero:
                 continue
             if not _factors_through(g, k_obj, incl):
@@ -254,7 +284,7 @@ def _factors_through(g: MorQ, k_obj: SumObj, incl: MorQ) -> bool:
 def check_mono_epi_iso(e: int) -> tuple[bool, str]:
     checked = 0
     for (x, y) in _basics(e):
-        f = basic_mor(x, y)
+        f = _basic(x, y)
         c = classify(f)
         if c.is_mono and c.is_epi:
             if not c.is_iso or not f.src.isomorphic(f.dst):
@@ -378,7 +408,7 @@ def check_ray_functors(e: int) -> tuple[bool, str]:
             homs = []
             for k, trunc in truncs:
                 h = hom_dim_strings(trunc, w2)
-                if h != hom_ct_dim(string_to_obj(trunc), x2):
+                if h != _hom_geometry(string_to_obj(trunc), x2):
                     return (False, f"truncation hom disagrees with objects at ({x1},{x2},k={k})")
                 homs.append(h)
             if homs[0] != homs[1]:
@@ -403,6 +433,7 @@ CRITERIA = [
 
 
 def run_all(depth: int = 3) -> list[CheckResult]:
+    """Every criterion at one depth, in order; the hom tables go at the end."""
     results = []
     for i, (name, fn) in enumerate(CRITERIA, start=1):
         t0 = time.perf_counter()
@@ -411,4 +442,5 @@ def run_all(depth: int = 3) -> list[CheckResult]:
         except Exception as exc:  # a criterion crash is a failure, not an abort
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append(CheckResult(i, name, ok, detail, time.perf_counter() - t0))
+    _hom_table.cache_clear()
     return results

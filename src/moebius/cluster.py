@@ -62,7 +62,7 @@ def depth(v: ClusterPt) -> int:
     return v.n
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def object_of(v: ClusterPt) -> Obj:
     return normal_form(v.m, (1 << v.n) + v.m - 1, v.n)
 
@@ -237,7 +237,7 @@ def box_meets_cluster(x_lo: int, x_hi: int, y_lo: int, y_hi: int, e: int) -> boo
     return False
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def enum_in_rect_with_reps(rect: Rect) -> tuple[tuple[ClusterPt, Rep], ...]:
     """All cluster points having a representative in rect, with those reps.
 

@@ -22,7 +22,7 @@ from .strings import StringWord, word
 from .errors import InCluster, InvalidWord, NoMorphism, Unreachable, AllOnesTail
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def obj_to_string(x: Obj) -> StringWord:
     """Word on the support of x, ordered along its chord."""
     path = crossing_path(x)
@@ -52,7 +52,7 @@ def _attach_vertices(w: StringWord) -> tuple[ClusterPt, ClusterPt]:
             _beyond(w.verts[-1], w.verts[-2], out_neighbors))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def string_to_obj(w: StringWord) -> Obj:
     """The object whose support word is w: the chord joining the far ends of
     its two attach chords, at the scale 2^k, k one past the deepest vertex."""

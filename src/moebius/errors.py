@@ -3,17 +3,23 @@ command line reports a `check` or `render` depth past its bound as a
 `ParseError`, and the rectangle scan raises `DepthLimit` past its own."""
 
 # The deepest grid `check --depth` accepts.  G(e) grows about 4x per
-# exponent (435 classes off the cluster at e = 4, 7,875 at e = 6), and
-# criterion 1 reads every ordered pair of them.
-MAX_CHECK_DEPTH = 6
+# exponent, and criterion 1 reads every ordered pair of it into
+# `checks._hom_table`, one byte a pair:
+#   depth 3:    91 classes off the cluster, 8.3 kB
+#   depth 4:   435 classes, 189 kB
+#   depth 5: 1,891 classes, 3.6 MB
+#   depth 6: 7,875 classes, 62 MB
+# Depth 6 would take about 15 min in criterion 1 and 50 min in criterion 6
+# (12M basics), so the bound is 5, which takes about 4 min (README).
+MAX_CHECK_DEPTH = 5
 
 # The deepest cluster dots `render` draws: 2^(d+1) - 1 dots, and depth 12
 # writes about 0.5 MB.
 MAX_CLUSTER_DEPTH = 12
 
 # The deepest level `cluster.enum_in_rect_with_reps` scans, so rectangles
-# of exponent 14 and below.  Only criterion 3 scans, to depth 8 at most
-# (`check --depth 6`).
+# of exponent 14 and below.  Only criterion 3 scans, to depth 7 at most
+# (`check --depth 5`).
 MAX_SCAN_DEPTH = 16
 
 

@@ -98,7 +98,7 @@ class Approximation(namedtuple("Approximation", "sources sinks source_reps sink_
     __slots__ = ()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def support(x: Obj) -> frozenset[ClusterPt]:
     """Cluster points in the open rectangle (y-1, x) x (x-1, y): the chords
     that x crosses (`cluster.crossing_path`), the interior of its walk, and
@@ -183,7 +183,7 @@ def _walk_at(p: int, q: int, left: int, top: int, k: int) -> Walk:
     return Walk(tuple(pts), tuple(xs), tuple(ys), k, tuple(steps), roles)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def walk_of(x: Obj) -> Walk:
     """The finite walk attached to a dyadic object off the cluster."""
     if member(x) is not None:
@@ -201,12 +201,14 @@ def approximation(x: Obj) -> Approximation:
 
 # -- Homs in the quotient ----------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def hom_ct_dim(src: Obj, dst: Obj) -> int:
     """dim Hom in the quotient by the cluster: 0 or 1.
 
     Nonzero iff some representative pair admits a basic map whose closed
-    factoring rectangle avoids the cluster.
+    factoring rectangle avoids the cluster.  The cache serves the callers
+    off the acceptance grid, such as `MorQ` cleaning and the command line;
+    the suite reads the grid's pairs from `checks._hom_table`.
     """
     e = max(src.e, dst.e)
     return int(any(not box_meets_cluster(a, x, b, y, e) for (a, b), (x, y) in hom_c_configs(src, dst)))

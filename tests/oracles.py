@@ -239,18 +239,27 @@ def _even(k: int) -> Dyadic:
 
 
 def hom_c_configs_on_dyadics(src: Obj, dst: Obj) -> list[tuple[Rep, Rep]]:
-    """`band.hom_c_configs` with the translate 2*floor((x - a)/2) found on
-    Dyadics, as floor(x - a) // 2; it puts a in (x - 2, x], so a <= x holds."""
+    """`band.hom_c_configs` with the translate by 2k, k = floor((x - a)/2),
+    found on Dyadics: k is the numerator of the Dyadic x - a shifted right
+    past its binary point and one more place.  It puts a in (x - 2, x], so
+    a <= x holds."""
     out = []
-    for (a0, b0) in dyadic_reps(src):
+    for (a0, b0), moved in _translates(src):
         for (x, y), (x1, y1) in _reps_less_one(dst):
-            shift = _even(fraction(x - a0) // 2)
-            a = a0 + shift
-            if y1 < a:
-                b = b0 + shift
-                if x1 < b <= y:
-                    out.append(((a, b), (x, y)))
+            d = x - a0
+            a, b = moved[d.num >> (d.exp + 1)]
+            if y1 < a and x1 < b <= y:
+                out.append(((a, b), (x, y)))
     return out
+
+
+@lru_cache(maxsize=None)
+def _translates(obj: Obj) -> tuple[tuple[Rep, dict[int, Rep]], ...]:
+    """Each representative (a, b) of obj with its translates by 2k, by k.
+    The first coordinates of `dyadic_reps` lie in [0, 4), so x - a lies in
+    (-4, 4) and k in -2..1."""
+    return tuple(((a, b), {k: (a + _even(k), b + _even(k)) for k in range(-2, 2)})
+                 for a, b in dyadic_reps(obj))
 
 
 @lru_cache(maxsize=None)

@@ -74,6 +74,38 @@ def test_every_criterion_counts_work_at_small_depths(depth):
         assert counts and 0 not in counts, r.line()
 
 
+# -- the hom table that criteria 1, 6 and 7 read --------------------------------
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_hom_table_is_the_uncached_geometry_on_every_grid_pair(depth):
+    from moebius.checks import grid_off_cluster, _hom_table
+    from moebius.walk import hom_ct_dim
+    objs, table = grid_off_cluster(depth), _hom_table(depth)
+    n = len(objs)
+    assert len(table) == n * n
+    for i, x in enumerate(objs):
+        for j, y in enumerate(objs):
+            assert table[i * n + j] == hom_ct_dim.__wrapped__(x, y), (x, y)
+
+
+def test_basics_are_the_nonzero_pairs_in_grid_order():
+    from moebius.checks import _basics, grid_off_cluster
+    from moebius.walk import hom_ct_dim
+    objs = grid_off_cluster(3)
+    want = [(x, y) for x in objs for y in objs if hom_ct_dim.__wrapped__(x, y) == 1]
+    assert _basics(3) == want and len(want) == 1820
+
+
+def test_criterion_1_fails_on_a_wrong_table_entry(monkeypatch):
+    # criterion 1 checks the table the other criteria read
+    from moebius import checks
+    objs, table = checks.grid_off_cluster(2), bytearray(checks._hom_table(2))
+    n = len(objs)
+    table[3 * n + 7] ^= 1
+    monkeypatch.setattr(checks, "_hom_table", lambda e: bytes(table))
+    assert checks.check_hom_agreement(2) == (False, f"hom mismatch at {objs[3]} -> {objs[7]}")
+
+
 # -- criterion 9: compatibility against crossing ---------------------------------
 
 @pytest.mark.parametrize("constant", [True, False])

@@ -1,5 +1,5 @@
-"""Every functools cache in `moebius` must be listed with its bound and be
-hit by the acceptance suite.
+"""Every functools cache in `moebius` must be listed with its finite bound
+and be hit by the acceptance suite, and `moebius.clear_caches` empties them.
 
 A cache whose lookups all miss only costs memory and hashing; this keeps one
 from coming back, and the inventory keeps a cache with no documented bound
@@ -21,24 +21,28 @@ import moebius
 # rectangle once.
 EXEMPT = {"moebius.cluster.enum_in_rect_with_reps"}
 
-# Every cache in `moebius` after `checks.run_all(2)`, by its bound (None for
-# unbounded).  The quiver is a closed form and has none.
+# Every cache in `moebius` after the criteria at depth 2, by its bound.  The
+# quiver is a closed form and has none.
 INVENTORY = {
     "moebius.checks.grid_off_cluster": 2,
-    "moebius.cluster.enum_in_rect_with_reps": None,
-    "moebius.cluster.object_of": None,
-    "moebius.equiv.obj_to_string": None,
-    "moebius.equiv.string_to_obj": None,
+    "moebius.checks._hom_table": 2,
+    "moebius.cluster.enum_in_rect_with_reps": 4096,
+    "moebius.cluster.object_of": 4096,
+    "moebius.equiv.obj_to_string": 8192,
+    "moebius.equiv.string_to_obj": 8192,
     "moebius.quotient._basic_word_lists": 16,
-    "moebius.walk.hom_ct_dim": None,
-    "moebius.walk.support": None,
-    "moebius.walk.walk_of": None,
+    "moebius.walk.hom_ct_dim": 4096,
+    "moebius.walk.support": 4096,
+    "moebius.walk.walk_of": 8192,
 }
 
+# The criteria one by one, as `checks.run_all(2)` runs them, but without its
+# last step, which drops the hom tables and their hit counts.
 _AUDIT = """
 import sys
 import moebius, moebius.checks, moebius.render
-moebius.checks.run_all(2)
+for _, criterion in moebius.checks.CRITERIA:
+    assert criterion(2)[0]
 for name, mod in sorted(sys.modules.items()):
     if name == "moebius" or name.startswith("moebius."):
         for attr, fn in vars(mod).items():
@@ -64,6 +68,35 @@ def test_every_cache_is_hit(audit):
 
 def test_caches_are_the_listed_ones_with_their_bounds(audit):
     assert {name: bound for name, (_, bound) in audit.items()} == INVENTORY
+    assert all(isinstance(bound, int) for bound in INVENTORY.values())
+
+
+def test_run_all_drops_the_hom_tables():
+    from moebius import checks
+    assert all(r.ok for r in checks.run_all(1))
+    assert checks._hom_table.cache_info().currsize == 0
+
+
+def test_clear_caches_empties_every_listed_cache_and_changes_no_result():
+    import importlib
+    from moebius import checks
+    first = [(r.ok, r.detail) for r in checks.run_all(2)]
+    checks._hom_table(2)  # run_all drops the tables itself, so fill one
+    caches = {name: getattr(importlib.import_module(module), attr)
+              for name in INVENTORY for module, attr in [name.rsplit(".", 1)]}
+    assert any(fn.cache_info().currsize for fn in caches.values())
+    moebius.clear_caches()
+    assert {name: fn.cache_info().currsize for name, fn in caches.items()} == dict.fromkeys(INVENTORY, 0)
+    assert [(r.ok, r.detail) for r in checks.run_all(2)] == first
+
+
+def test_clear_caches_imports_no_layer():
+    probe = ("import sys, moebius; moebius.clear_caches(); "
+             "print(sorted(m for m in sys.modules if m.startswith('moebius')))")
+    src = str(Path(moebius.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", probe], env={"PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.strip() == "['moebius']"
 
 
 def test_word_round_trips_fill_no_cluster_or_strings_cache():

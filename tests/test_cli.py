@@ -290,7 +290,7 @@ def test_check_rejects_depth_below_one(capsys, depth):
     assert err.startswith("parse error: ") and "--depth" in err
 
 
-@pytest.mark.parametrize("depth", ["7", "9999999"])
+@pytest.mark.parametrize("depth", ["6", "7", "9999999"])
 def test_check_rejects_depth_above_cap(capsys, monkeypatch, depth):
     import moebius.checks
 
@@ -560,7 +560,7 @@ def test_digits_fuzz(json_flag, vertex, digits):
 
 
 @settings(max_examples=20, deadline=None)
-@given(json_flag=st.booleans(), depth=_mostly(st.just("1"), "0", "-1", "7", "9999999", "x", "",
+@given(json_flag=st.booleans(), depth=_mostly(st.just("1"), "0", "-1", "6", "7", "9999999", "x", "",
                                               weight=1))
 def test_check_fuzz(json_flag, depth):
     # depth 1 or an invalid one: a valid deeper grid takes seconds per run

@@ -106,9 +106,9 @@ def test_render_loads_no_dataclasses():
 
 
 def test_check_depth_above_cap_never_imports_checks():
-    record, err = _probe("check", "--depth", "7")
+    record, err = _probe("check", "--depth", "6")
     assert record["code"] == 2
-    assert err == "parse error: --depth must be between 1 and 6, got 7\n"
+    assert err == "parse error: --depth must be between 1 and 5, got 6\n"
     assert "moebius.checks" not in record["main"]
 
 
@@ -132,7 +132,7 @@ PUBLIC = {
     "quotient": ["SumObj", "MorQ", "identity_mor", "zero_mor", "basic_mor", "compose",
                  "classify", "kernel", "cokernel", "hom_dim"],
 }
-NAMES = [name for names in PUBLIC.values() for name in names] + ["errors"]
+NAMES = [name for names in PUBLIC.values() for name in names] + ["errors", "clear_caches"]
 
 
 def test_public_names_resolve_to_their_home_objects():

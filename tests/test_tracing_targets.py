@@ -54,3 +54,16 @@ def test_tracer_installs_without_missing_targets():
         assert tracer.missing == []
     finally:
         tracer.uninstall()
+
+
+def test_suite_runs_under_the_tracer():
+    # a traced public function loses its cache methods, so the suite calls
+    # none on a public name
+    from moebius import checks
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        results = checks.run_all(1)
+    finally:
+        tracer.uninstall()
+    assert [r.line() for r in results if not r.ok] == []
