@@ -121,16 +121,32 @@ def check_bijection(e: int) -> tuple[bool, str]:
 
 
 def check_support_walk(e: int) -> tuple[bool, str]:
-    """Three readings of the paper's support agree: the cluster points of the
-    open rectangle (y-1, x) x (x-1, y) found by level scan, the stepped
-    walk's interior, and the chords that x crosses (`support`)."""
+    """The support and the walk against their definitions.  The support is
+    the cluster points of the open rectangle (y-1, x) x (x-1, y), found by
+    level scan.  The walk runs from a representative (x, b) to one (a, y)
+    through representatives of its points, each step up or left and keeping
+    one coordinate, and its points are those of the closed rectangle
+    [a, x] x [b, y], each met once."""
     objs = grid_off_cluster(e)
+    vertices = 0
     for x in objs:
-        interior = frozenset(walk_of(x).pts[1:-1])
-        if enum_in_rect(Rect.open(x.y - ONE, x.x, x.x - ONE, x.y)) != interior:
-            return (False, f"support != walk interior at {x}")
-        if support(x) != interior:
-            return (False, f"crossed chords != walk interior at {x}")
+        if enum_in_rect(Rect.open(x.y - ONE, x.x, x.x - ONE, x.y)) != support(x):
+            return (False, f"support != level scan at {x}")
+        w = walk_of(x)
+        k, xs, ys, pts = w.k, w.xs, w.ys, frozenset(w.pts)
+        if (Dyadic(xs[0], k), Dyadic(ys[-1], k)) != (x.x, x.y):
+            return (False, f"walk of {x} does not run from (x, b) to (a, y)")
+        for i, step in enumerate(w.steps):
+            up = xs[i + 1] == xs[i] and ys[i + 1] > ys[i]
+            left = ys[i + 1] == ys[i] and xs[i + 1] < xs[i]
+            if not (up if step == "v" else left):
+                return (False, f"step {i} of the walk of {x} is not {step}")
+        if any(member(normal_form(p, q, k)) != pt for pt, p, q in zip(w.pts, xs, ys)):
+            return (False, f"a walk vertex of {x} is no representative of its point")
+        rect = Rect(Dyadic(xs[-1], k), x.x, Dyadic(ys[0], k), x.y)
+        if len(pts) != len(w.pts) or enum_in_rect(rect) != pts:
+            return (False, f"walk of {x} != level scan of {rect}")
+        vertices += len(pts)
     worked = {
         "M(1/4,3/4)": {(0, 0), (1, 0), (1, 1)},
         "M(1/8,1/4)": {(0, 0), (1, 1), (1, 3), (2, 1)},
@@ -139,7 +155,7 @@ def check_support_walk(e: int) -> tuple[bool, str]:
         got = support(parse_obj(text))
         if got != pts:
             return (False, f"worked support of {text} is {got}")
-    return (True, f"{len(objs)} objects, worked values included")
+    return (True, f"{len(objs)} objects, {vertices} walk vertices, worked values included")
 
 
 def check_approximation(e: int) -> tuple[bool, str]:

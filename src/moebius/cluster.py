@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .dyadic import Dyadic, reduced_exp
 from .band import Obj, Rect, Rep, normal_form, obj_from_ends
-from .errors import MAX_SCAN_DEPTH, NotInCluster, UnboundedRect, DepthLimit, ParseError
+from .errors import MAX_SCAN_DEPTH, NotInCluster, UnboundedRect, DepthLimit, ParseError, InvalidWord
 
 
 class ClusterPt(namedtuple("ClusterPt", "n m")):
@@ -155,6 +155,25 @@ def arrow_dir(u: ClusterPt, v: ClusterPt) -> bool:
     if u.n == v.n:
         return bool(u.m & 1)
     return bool(v.m & 1) if u.n < v.n else not u.m & 1
+
+
+def attach(path, nbrs=out_neighbors) -> tuple[ClusterPt, ClusterPt]:
+    """The neighbours in nbrs(v), `out_neighbors` or `in_neighbors`, of the
+    two ends v of a path, each on the side of the triangle that the path
+    does not use at v: with `out_neighbors` the attach vertices of a word or
+    of a crossed path, with `in_neighbors` the next steps of two rays.  Both
+    list the triangle below v first, and that triangle is named as v is
+    (`triangle`).  A one-vertex path takes one triangle at each end, the one
+    below first."""
+    if len(path) == 1:
+        return nbrs(path[0])
+    ends = []
+    for v, prev in ((path[0], path[1]), (path[-1], path[-2])):
+        tri = triangle(v, prev)
+        if tri is None:
+            raise InvalidWord(f"no arrow between {v} and {prev}")
+        ends.append(nbrs(v)[tri == v])
+    return tuple(ends)
 
 
 def crossing_path(x: Obj) -> tuple[ClusterPt, ...]:

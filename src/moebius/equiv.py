@@ -17,7 +17,7 @@ from functools import lru_cache
 from .dyadic import Dyadic
 from .band import Obj, Rep, normal_form, obj_from_ends
 from .cluster import (ClusterPt, member, object_of, chord_at, crossing_path, arrow_dir,
-                      in_neighbors, out_neighbors, triangle)
+                      attach, in_neighbors)
 from .strings import StringWord, word
 from .errors import InCluster, InvalidWord, NoMorphism, Unreachable, AllOnesTail
 
@@ -31,27 +31,6 @@ def obj_to_string(x: Obj) -> StringWord:
     return StringWord(path, map(arrow_dir, path, path[1:]))
 
 
-def _beyond(v: ClusterPt, prev: ClusterPt, nbrs) -> ClusterPt:
-    """The neighbour of v in nbrs(v), `in_neighbors` or `out_neighbors`,
-    on the side of the triangle that prev does not share with v.  Both list
-    the triangle below v first, and that triangle is named as v is
-    (`cluster.triangle`)."""
-    tri = triangle(v, prev)
-    if tri is None:
-        raise InvalidWord(f"no arrow between {v} and {prev}")
-    return nbrs(v)[tri == v]
-
-
-def _attach_vertices(w: StringWord) -> tuple[ClusterPt, ClusterPt]:
-    """The sources of the arrows attached at the left and right ends of w,
-    each arrow into its end from the triangle its end letter does not use
-    (a one-vertex word takes one triangle at each end)."""
-    if len(w.verts) == 1:
-        return out_neighbors(w.verts[0])
-    return (_beyond(w.verts[0], w.verts[1], out_neighbors),
-            _beyond(w.verts[-1], w.verts[-2], out_neighbors))
-
-
 @lru_cache(maxsize=8192)
 def string_to_obj(w: StringWord) -> Obj:
     """The object whose support word is w: the chord joining the far ends of
@@ -60,7 +39,7 @@ def string_to_obj(w: StringWord) -> Obj:
         raise InvalidWord("ray-marked words do not name finite objects")
     k = 1 + max(v.n for v in w.verts)  # an attach vertex is at most one deeper
     ends = []
-    for att, end in zip(_attach_vertices(w), (w.verts[0], w.verts[-1])):
+    for att, end in zip(attach(w.verts), (w.verts[0], w.verts[-1])):
         a, b = chord_at(att, k)
         ends.append(b if a in chord_at(end, k) else a)
     x = obj_from_ends(*ends, k)
@@ -189,17 +168,11 @@ def g_extend(w: StringWord, k: int) -> StringWord:
     steps; the truncation points are marked."""
     if w.marked:
         raise InvalidWord("word already carries ray markers")
-
-    def ray(end: ClusterPt, att: ClusterPt):
-        chain = [end, att]
-        for _ in range(k):
-            chain.append(_beyond(chain[-1], chain[-2], in_neighbors))
-        return chain[1:]
-
-    att_l, att_r = _attach_vertices(w)
-    left = ray(w.verts[0], att_l)
-    right = ray(w.verts[-1], att_r)
-    verts = tuple(reversed(left)) + w.verts + tuple(right)
+    left, right = attach(w.verts)
+    verts = (left, *w.verts, right)
+    for _ in range(k):
+        left, right = attach(verts, in_neighbors)
+        verts = (left, *verts, right)
     # Ray letters point outward (toward the marked end); the attach letters
     # point into the original word.
     directs = (tuple([False] * k) + (True,)) + w.directs + ((False,) + tuple([True] * k))

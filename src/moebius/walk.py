@@ -8,24 +8,26 @@ up or left with arrows pointing up and right.  Sinks are the upper-right
 corners of the zig-zag (including both endpoints), sources the lower-left
 ones, and everything else is a through vertex.
 
-Walks are stepped from the lower-right corner, not scanned.  At the scale
-2^K, K one past the finest exponent of the two corners, the cluster
-representatives on the vertical line x' = P are (P, P -+ (2^K - 2^j)) for
-0 <= j <= K - n0, where 2^n0 is the denominator of P (depth K - j; j = K is
-T(0,0) on the diagonal), and likewise (Q -+ (2^K - 2^j), Q) on the
-horizontal line y' = Q.  The nearest one above or to the left is therefore
-a `bit_length` away, and each step goes up when that stays below the top
-edge and left otherwise.  The j that finds a step gives the depth K - j of
-the point it reaches, so each vertex costs a few integer operations.
+The walk is read off the chords that x crosses, not stepped.  Its
+interior is the support, the path `cluster.crossing_path` in its order, and
+its two ends are the attach vertices of that path (`cluster.attach`); a
+one-vertex path starts at the attach vertex whose chord has the end x.  A
+step is horizontal exactly where the quiver arrow runs along it
+(`cluster.arrow_dir`).  At the scale 2^k, the representatives of T(n, m)
+lie on the lines y' - x' = +-s, s = 2^k - 2^(k-n): a vertical step into
+T(n, m) keeps p and sets q = p + s when p is the chord end m/2^n, q = p - s
+otherwise; a horizontal step keeps q and sets p = q - s when q + 1 is the
+end (m-1)/2^n, p = q + s otherwise.  The first vertex is (x, b), b by the
+vertical rule.  The scale is one past the finest exponent of the corners,
+k = e + 1 for x at the scale 2^e: x or y has exponent e, and no corner is
+finer, as the path lies above depth e and an attach vertex is at most one
+deeper.  A walk that does not end on the line y' = y left of x raises
+`AssertionError`.
 
-A `Walk` keeps what the stepper computes: the cluster points, their
-representatives as two tuples `xs` and `ys` of integer numerators at the
-scale 2^k, the steps and the roles.  `Dyadic` representatives are built
-on demand (`vertices`, `sinks`, `sources`, `to_json`).
-
-The interior of the walk is the support of x, the chords that x crosses;
-`support` reads it off the chord's two ends (`cluster.crossing_path`), and
-the stepped walk serves the roles, representatives and pictures.
+A `Walk` keeps the cluster points, their representatives as two tuples `xs`
+and `ys` of integer numerators at the scale 2^k, the steps and the roles.
+`Dyadic` representatives are built on demand (`vertices`, `sinks`,
+`sources`, `to_json`).
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .dyadic import Dyadic, reduced_exp
+from .dyadic import Dyadic
 from .band import Obj, normal_form, hom_c_configs
-from .cluster import ClusterPt, member, object_of, box_meets_cluster, crossing_path
+from .cluster import (ClusterPt, member, object_of, box_meets_cluster, crossing_path, attach,
+                      arrow_dir, chord_at)
 from .errors import InCluster
 
 SINK = "sink"
@@ -106,89 +109,36 @@ def support(x: Obj) -> frozenset[ClusterPt]:
     return frozenset(crossing_path(x))
 
 
-def _corners(x: Obj) -> tuple[int, int, int, int, int]:
-    """The corners (x, b) and (a, y) of the walk of x, as (x, b, a, y, k) on
-    numerators at the scale 2^k, k one past the finest of their exponents:
-    b < y and a < x are the largest with (x, b) and (a, y) cluster
-    representatives.  With gap = 1 - delta, those are (x, x + 1 - 1/2^n) for
-    n >= exp(x), below y when 1/2^n > gap, then (x, x - 1 + 1/2^n); and
-    (y - 1 + 1/2^n, y) for n >= exp(y), left of x when 1/2^n < gap."""
-    e, xn, yn = x.e, x.xn, x.xn + x.dn
-    s, gap = e + 1, (1 << e) - x.dn  # gap at the scale 2^e, the rest at 2^s
-
-    def delta(n: int) -> int:  # 1 - 1/2^n
-        return (1 << s) - (1 << (s - n))
-
-    xe = reduced_exp(xn, e)
-    n = e - gap.bit_length()  # the largest n with 1/2^n > gap
-    if x.dn and n >= xe:
-        b = (xn << 1) + delta(n)
-    else:
-        b = (xn << 1) - delta(xe if x.dn else max(xe, 1))
-    # the least n >= exp(y) with 1/2^n < gap
-    a = (yn << 1) - delta(max(e + 1 - (gap - 1).bit_length(), reduced_exp(yn, e)))
-    corners = (xn << 1, b, a, yn << 1)
-    k = reduced_exp(corners[0] | b | a | corners[3], s) + 1
-    return (*(c << k >> s for c in corners), k)
-
-
-def _offset_above(d: int, j_max: int, k: int) -> tuple[int, int] | tuple[None, None]:
-    """Smallest offset c > d among -(2^k - 2^j), then +(2^k - 2^j), for
-    0 <= j <= j_max, as (c, j), or (None, None): the cluster representatives
-    on a line whose coordinate 2^j_max divides (2^j_max <= 2^k), that at c
-    of depth k - j."""
-    one = 1 << k
-    j = (d + one).bit_length()  # least 2^j > d + 2^k
-    if j <= j_max:
-        return (1 << j) - one, j
-    s = one - d
-    if s < 2:
-        return None, None
-    j = min(j_max, (s - 1).bit_length() - 1)  # greatest 2^j < 2^k - d
-    return one - (1 << j), j
-
-
-def _walk_at(p: int, q: int, left: int, top: int, k: int) -> Walk:
-    """The walk from the lower-right representative (p, q) to the upper-left
-    one (left, top), stepped on integer numerators at the scale 2^k.  A step
-    by c = -+(2^k - 2^j) reaches depth k - j; 2^jp and 2^jq, the lowest set
-    bits of p | 2^k and q | 2^k, change only when p or q moves."""
-    one = 1 << k
-    j = (one - abs(q - p)).bit_length() - 1  # |q - p| = 2^k - 2^j at depth k - j
-    xs, ys, pts, steps = [p], [q], [ClusterPt(k - j, (p >> j) + (q < p))], []
-    jp, jq = (((r := c | one) & -r).bit_length() - 1 for c in (p, q))
-    while p != left or q != top:
-        c, j = _offset_above(q - p, jp, k)
-        if c is not None and p + c <= top:
-            q = p + c
-            jq = ((r := q | one) & -r).bit_length() - 1
-            steps.append("v")
-        else:
-            # the nearest rep to the left on y' = q: offset -c with c the
-            # least offset above q - p, the offset set being symmetric
-            c, j = _offset_above(q - p, jq, k)
-            if c is None or q - c < left:
-                raise AssertionError(f"walk to ({Dyadic(left, k)}, {Dyadic(top, k)}) is stuck "
-                                     f"at ({Dyadic(p, k)}, {Dyadic(q, k)})")
-            p = q - c
-            jp = ((r := p | one) & -r).bit_length() - 1
-            steps.append("h")
-        xs.append(p)
-        ys.append(q)
-        pts.append(ClusterPt(k - j, (p >> j) + (c < 0)))
-    if len(set(pts)) != len(pts):
-        raise AssertionError("walk visits an object twice")
-    around = ("-", *steps, "-")
-    roles = tuple(_ROLE.get(b + a, SINK) for b, a in zip(around, around[1:]))
-    return Walk(tuple(pts), tuple(xs), tuple(ys), k, tuple(steps), roles)
-
-
 @lru_cache(maxsize=8192)
 def walk_of(x: Obj) -> Walk:
-    """The finite walk attached to a dyadic object off the cluster."""
-    if member(x) is not None:
+    """The finite walk attached to a dyadic object off the cluster, read off
+    the chords that x crosses (module docstring)."""
+    path = crossing_path(x)
+    if not path:
         raise InCluster(f"{x} lies in the standard cluster")
-    return _walk_at(*_corners(x))
+    k = x.e + 1
+    one, mask = 1 << k, (2 << k) - 1
+    xk, yk = x.xn << 1, (x.xn + x.dn) << 1
+    first, last = attach(path)
+    if len(path) == 1 and xk not in chord_at(first, k):
+        first, last = last, first
+    pts = (first, *path, last)
+    steps = tuple(["h" if arrow_dir(u, v) else "v" for u, v in zip(pts, pts[1:])])
+    p, xs, ys = xk, [], []
+    for (n, m), step in zip(pts, ("v", *steps)):  # the first vertex (x, b) by the vertical rule
+        d = 1 << (k - n)
+        if step == "v":
+            q = p + one - d if not (p - m * d) & mask else p - one + d
+        else:
+            p = q - one + d if not (q + one - (m - 1) * d) & mask else q + one - d
+        xs.append(p)
+        ys.append(q)
+    if q != yk or not yk - one < p < xk:
+        raise AssertionError(f"walk of {x} ends at ({Dyadic(p, k)}, {Dyadic(q, k)}), "
+                             f"not at a corner (a, {x.y}) left of x")
+    around = ("-", *steps, "-")
+    roles = tuple(_ROLE.get(b + a, SINK) for b, a in zip(around, around[1:]))
+    return Walk(pts, tuple(xs), tuple(ys), k, steps, roles)
 
 
 def approximation(x: Obj) -> Approximation:

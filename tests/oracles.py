@@ -7,8 +7,8 @@ rather than by the library's fast path:
   `cluster.in_neighbors`, `out_neighbors`, `triangle` and `arrow_dir` read
   off integers, each arrow a `QArrow` that carries its triangle as the
   frozenset of its points, built on the 3-cycles of `cluster.neighbors`;
-  `attach_arrows` and `g_extend_by_arrows` check `equiv._attach_vertices`
-  and `equiv.g_extend` on those arrows;
+  `attach_arrows` and `g_extend_by_arrows` check `cluster.attach` (through
+  `equiv.string_to_obj`) and `equiv.g_extend` on those arrows;
 - `tau_dims_via_epsilon` checks `walk.tau_dims` by the defining epsilon
   limits of the translates;
 - `hom0_via_factoring` checks `TauDims.hom0` by enumerating the rectangles
@@ -26,18 +26,18 @@ rather than by the library's fast path:
   for every cluster representative and sorting them along the zig-zag
   (`_scan_assemble`), the rectangle spanned by corners found on Dyadics
   (`lower_corner_on_dyadics`, `upper_corner_on_dyadics`);
+- `walk_at_by_points` checks `walk.walk_of`, which reads the walk off the
+  chords that x crosses, by stepping from representative to representative
+  between the corners found on Dyadics (`stepped_walk_of`): each offset is
+  searched from its line's coordinate (`_offset_above`), and each point is
+  read back off its pair (`_point_at`);
 - `support_by_walk`, `obj_to_string_by_walk` and `string_to_obj_by_walk`
   check `walk.support`, `equiv.obj_to_string` and `equiv.string_to_obj`,
   which read the crossed chords off the chord's two ends
   (`cluster.crossing_path`, `cluster.arrow_dir`) and the object off the far
-  ends of the attach chords, by stepping a walk: the interior of the walk
+  ends of the attach chords, on that stepped walk: the interior of the walk
   of x, its word with a horizontal step as a forward letter (`_walk_word`),
   and the corners of the `minimal_walk` between the two attach vertices;
-- `walk_at_by_points` checks `walk._walk_at`, which reads each vertex's
-  depth off the offset search of its step, by a stepper that keeps one
-  (p, q) pair per vertex and reads each point back off its pair
-  (`_point_at`), each offset searched from its line's coordinate
-  (`_offset_above`);
 - `_ends`, `_gap` and `_obj_from_ends` check `Obj.ends_at`, `band.ends`,
   `cluster.chord`, `cluster.chord_at` and `band.obj_from_ends`, which read
   chord ends as integer numerators mod 2^(k+1) at one scale, with each end a
@@ -110,7 +110,7 @@ from moebius.band import Obj, Rect, Rep, normal_form
 from moebius.cluster import (ClusterPt, ClusterOverlay, object_of, member, neighbors,
                              enum_in_rect_with_reps, box_meets_cluster, _box, _t_range)
 from moebius.walk import (Walk, WalkVertex, SINK, SOURCE, THROUGH, concrete_epsilon,
-                          chain_box_nonzero, hom_ct_dim, shifted, support, walk_of, _walk_at)
+                          chain_box_nonzero, hom_ct_dim, shifted, support)
 from moebius.equiv import DigitPrefix, obj_to_string, string_to_obj
 from moebius.errors import (BandBoundary, InvalidWord, NoMorphism, NotAModule, NotBasicAligned,
                             NotInCluster)
@@ -598,16 +598,32 @@ def walk_at_by_points(p: int, q: int, left: int, top: int, k: int):
     return pts, tuple(reps), k, tuple(steps), roles
 
 
+def stepped_walk(p: int, q: int, left: int, top: int, k: int) -> Walk:
+    """`walk_at_by_points` as a `Walk`."""
+    pts, reps, k, steps, roles = walk_at_by_points(p, q, left, top, k)
+    xs, ys = zip(*reps)
+    return Walk(pts, xs, ys, k, steps, roles)
+
+
+def stepped_walk_of(x: Obj) -> Walk:
+    """The walk of x off the cluster, stepped between its corners (x, b) and
+    (a, y) found on Dyadics, at the scale 2^k, k one past the finest of
+    their exponents."""
+    corners = (*lower_corner_on_dyadics(x.x, x.y), *upper_corner_on_dyadics(x.x, x.y))
+    k = 1 + max(c.exp for c in corners)
+    return stepped_walk(*(c.num << (k - c.exp) for c in corners), k)
+
+
 # -- supports, words and objects on stepped walks -------------------------------
 #
 # The library reads these off the two ends of a chord; here each steps a walk,
-# from the corners of x (`walk.walk_of`) or between two cluster points.
+# from the corners of x (`stepped_walk_of`) or between two cluster points.
 
 def support_by_walk(x: Obj) -> frozenset[ClusterPt]:
     """The interior of the walk of x, and empty on the cluster."""
     if member(x) is not None:
         return frozenset()
-    return frozenset(walk_of(x).pts[1:-1])
+    return frozenset(stepped_walk_of(x).pts[1:-1])
 
 
 def minimal_walk(v: ClusterPt, w: ClusterPt) -> Walk:
@@ -628,7 +644,7 @@ def minimal_walk(v: ClusterPt, w: ClusterPt) -> Walk:
             for ux, uy in ul_reps:
                 shift = (lx - ux) // period * period  # lx - 2 < ux + shift <= lx
                 if uy + shift >= ly:
-                    return _walk_at(lx, ly, ux + shift, uy + shift, k)
+                    return stepped_walk(lx, ly, ux + shift, uy + shift, k)
     raise AssertionError(f"no common walk window for {v}, {w}")
 
 
@@ -643,7 +659,7 @@ def _walk_word(walk: Walk) -> StringWord:
 
 def obj_to_string_by_walk(x: Obj) -> StringWord:
     """Word on the support of x, ordered along the walk, arrows reversed."""
-    return _walk_word(walk_of(x))
+    return _walk_word(stepped_walk_of(x))
 
 
 def string_to_obj_by_walk(w: StringWord) -> Obj:

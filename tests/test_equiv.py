@@ -14,7 +14,7 @@ from moebius.errors import InCluster, InvalidWord, NoMorphism, Unreachable, AllO
 
 from oracles import (arrow_between, g_extend_by_arrows, lower_tail_coords, string_to_obj_by_steps,
                      digits_to_coords_on_dyadics, support_by_walk, obj_to_string_by_walk,
-                     string_to_obj_by_walk)
+                     string_to_obj_by_walk, stepped_walk_of)
 
 T = ClusterPt
 M = parse_obj
@@ -147,7 +147,7 @@ def test_string_to_obj_rejects_a_word_its_walk_does_not_carry(monkeypatch):
 
 def _assert_chord_reading_matches_walk(x):
     path = crossing_path(x)
-    assert path == walk_of(x).pts[1:-1], x  # the walk's interior, in its order
+    assert path == stepped_walk_of(x).pts[1:-1], x  # the walk's interior, in its order
     assert support(x) == support_by_walk(x) == frozenset(path), x
     w = obj_to_string(x)
     assert w == obj_to_string_by_walk(x), x
@@ -170,17 +170,17 @@ def test_chord_reading_matches_walks_at_high_exponents(e):
 
 
 def test_supports_words_and_objects_step_no_walk(monkeypatch):
-    # objects and points deep enough that no earlier test cached their walks
+    # no reading builds a walk of its object
     import random
     import moebius.walk as walk
 
-    def stepped(*args):
-        raise AssertionError("a walk was stepped")
+    def built(*args):
+        raise AssertionError("a walk was built")
 
     xs = _seeded_off_cluster(random.Random(20261019), 48, 20)
     pts = [T(47, m) for m in (1, 12345, 2 ** 48 - 1)]
     with monkeypatch.context() as m:
-        m.setattr(walk, "_walk_at", stepped)
+        m.setattr(walk, "walk_of", built)
         got = [(support(x), obj_to_string(x), string_to_obj(obj_to_string(x))) for x in xs]
         simples = [simple_object(v) for v in pts]
     for x, (supp, w, back) in zip(xs, got):

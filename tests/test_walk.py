@@ -10,11 +10,11 @@ from moebius.cluster import ClusterPt, object_of, member, enum_in_rect, enum_in_
 from moebius.walk import (support, walk_of, approximation,
                           hom_ct_dim, tau_dims, concrete_epsilon, shifted,
                           factors_through_sink,
-                          compose_basic_nonzero, chain_box_nonzero, _walk_at)
+                          compose_basic_nonzero, chain_box_nonzero)
 from moebius.errors import BandBoundary, InCluster, NoMorphism
 
 from oracles import (tau_dims_via_epsilon, hom0_via_factoring, _scan_walk_of, minimal_walk,
-                     walk_at_by_points, compose_basic_nonzero_by_pairing,
+                     walk_at_by_points, stepped_walk_of, compose_basic_nonzero_by_pairing,
                      induced_support_map, hom_c_configs_on_dyadics, hom_ct_dim_on_dyadics,
                      compose_basic_nonzero_on_dyadics, shifted_on_dyadics,
                      lower_corner_on_dyadics, upper_corner_on_dyadics, _ends, fraction)
@@ -342,29 +342,33 @@ def test_walk_at_exponent_64_without_depth_cap():
 def test_walk_between_stuck_raises():
     # the upper-left corner lies to the right: no step can reach it
     with pytest.raises(AssertionError, match=r"^walk to \(1/2, 1/2\) is stuck at \(0, 1/2\)$"):
-        _walk_at(0, 0, 1, 1, 1)  # from (0, 0) to (1/2, 1/2)
-    with pytest.raises(AssertionError, match=r"^walk to \(1/2, 1/2\) is stuck at \(0, 1/2\)$"):
-        walk_at_by_points(0, 0, 1, 1, 1)
+        walk_at_by_points(0, 0, 1, 1, 1)  # from (0, 0) to (1/2, 1/2)
 
 
-# -- the stepper against the stepper that reads each point off its pair ---------
+def test_walk_off_a_wrong_attach_vertex_raises(monkeypatch):
+    import moebius.walk as walk
+    x = M("M(1/4,3/4)")  # the attach vertices T(2,2) and T(2,0), swapped
+    monkeypatch.setattr(walk, "attach", lambda path: cluster.attach(path)[::-1])
+    with pytest.raises(AssertionError, match=r"^walk of M\(1/4,3/4\) ends at \(0, -3/4\), "
+                                             r"not at a corner \(a, 3/4\) left of x$"):
+        walk_of.__wrapped__(x)
 
-def _assert_walk_matches_pointwise(args):
-    w = _walk_at(*args)
-    pts, reps, k, steps, roles = walk_at_by_points(*args)
-    assert w.pts == pts and tuple(zip(w.xs, w.ys)) == reps, args
-    assert (w.k, w.steps, w.roles) == (k, steps, roles), args
-    assert all(p is T(*p) for p in w.pts if p.n <= 8), args  # the shared instances
+
+# -- the read-off walk against the stepper that reads each point off its pair ---
+
+def _assert_walk_matches_pointwise(x):
+    w, want = walk_of(x), stepped_walk_of(x)  # k of the oracle's corners included
+    assert (w.pts, w.xs, w.ys, w.k, w.steps, w.roles) == (
+        want.pts, want.xs, want.ys, want.k, want.steps, want.roles), x
+    assert all(p is T(*p) for p in w.pts if p.n <= 8), x  # the shared instances
 
 
 def test_walk_matches_pointwise_stepper_on_grid():
-    import moebius.walk as walk
     for x in grid_off(6):
-        _assert_walk_matches_pointwise(walk._corners(x))
+        _assert_walk_matches_pointwise(x)
 
 
 def test_walk_matches_pointwise_stepper_at_high_exponents():
-    import moebius.walk as walk
     rng = random.Random(20261019)
     done = 0
     while done < 500:
@@ -372,8 +376,18 @@ def test_walk_matches_pointwise_stepper_at_high_exponents():
         x0 = Dyadic(rng.randrange(1 << (e + 1)) | 1, e)
         x = normal_form(x0, x0 + Dyadic(rng.randrange(1 << e), e))
         if member(x) is None:
-            _assert_walk_matches_pointwise(walk._corners(x))
+            _assert_walk_matches_pointwise(x)
             done += 1
+
+
+@pytest.mark.parametrize("m", [1, 2, 12345, 2 ** 47, 2 ** 48 - 1])
+def test_walk_of_deep_simple_matches_pointwise_stepper(m):
+    # one-vertex paths below the shared points: the walk starts at the attach
+    # vertex whose chord has the end x
+    from moebius.equiv import simple_object
+    x = simple_object(T(47, m))
+    assert walk_of(x).pts[1:-1] == (T(47, m),)
+    _assert_walk_matches_pointwise(x)
 
 
 # -- the integer geometry against its Dyadic oracles ----------------------------
