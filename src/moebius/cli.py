@@ -10,6 +10,11 @@ instead one JSON object on stdout, `{"error": <class>, "message": ...}`
 (`ParseError` for exit 2, `AssertionError` for exit 3), and stderr stays
 empty.
 
+Each query returns its answer as (JSON value, text), and one printer,
+`_printed`, writes it: under --json the value as one line of JSON, else
+the text.  `check` prints its own rows, as it exits 1 on a failed
+criterion, and `render` writes its SVG to a file or stdout.
+
 Each handler imports the layers it uses when it is dispatched, so a cold
 query loads only those: `hom`, `support`, `walk`, `approx` and `mutate` stop
 at `walk`, and only `check` loads the acceptance suites.
@@ -62,112 +67,87 @@ def _morphism_from_json(data):
                 tuple(tuple(entries[i][j] for j in cols) for i in rows))
 
 
-def _morphism_to_json(f) -> dict:
-    return {"src": [str(s) for s in f.src],
-            "dst": [str(s) for s in f.dst],
-            "entries": [[str(v) for v in row] for row in f.entries]}
+def _printed(query):
+    """The handler of a query, which returns its answer as (JSON value,
+    text): it prints the value as one line of JSON under --json, else the
+    text, and returns 0."""
+    def handler(args) -> int:
+        value, text = query(args)
+        print(json.dumps(value) if args.json else text)
+        return 0
+    return handler
 
 
-def _cmd_hom(args) -> int:
+def _hom(args):
     from .band import parse_obj, hom_c_dim
     from .walk import hom_ct_dim
 
     x, y = parse_obj(args.x), parse_obj(args.y)
     c, ct = hom_c_dim(x, y), hom_ct_dim(x, y)
-    if args.json:
-        print(json.dumps({"ambient": c, "quotient": ct}))
-    else:
-        print(f"C: {c}, C/T: {ct}")
-    return 0
+    return {"ambient": c, "quotient": ct}, f"C: {c}, C/T: {ct}"
 
 
-def _cmd_support(args) -> int:
+def _support(args):
     from .band import parse_obj
     from .walk import support
 
     pts = sorted(support(parse_obj(args.x)))
-    if args.json:
-        print(json.dumps(pts))
-    else:
-        print(" ".join(str(p) for p in pts) if pts else "(empty)")
-    return 0
+    return pts, " ".join(str(p) for p in pts) if pts else "(empty)"
 
 
-def _cmd_walk(args) -> int:
+def _walk(args):
     from .band import parse_obj
     from .walk import walk_of
 
     w = walk_of(parse_obj(args.x))
-    if args.json:
-        print(json.dumps(w.to_json()))
-    else:
-        for v in w.vertices:
-            print(f"{v.pt}  rep ({v.rep[0]}, {v.rep[1]})  {v.role}")
-    return 0
+    return w.to_json(), "\n".join(f"{v.pt}  rep ({v.rep[0]}, {v.rep[1]})  {v.role}"
+                                   for v in w.vertices)
 
 
-def _cmd_approx(args) -> int:
+def _approx(args):
     from .band import parse_obj
     from .walk import approximation
 
     a = approximation(parse_obj(args.x))
-    if args.json:
-        print(json.dumps({"sources": a.sources, "sinks": a.sinks}))
-    else:
-        print("sources: " + (" ".join(str(p) for p in a.sources) or "(none)"))
-        print("sinks:   " + " ".join(str(p) for p in a.sinks))
-    return 0
+    return ({"sources": a.sources, "sinks": a.sinks},
+            "sources: " + (" ".join(str(p) for p in a.sources) or "(none)")
+            + "\nsinks:   " + " ".join(str(p) for p in a.sinks))
 
 
-def _cmd_mutate(args) -> int:
+def _mutate(args):
     from .cluster import STANDARD, parse_cluster_pt, mutate, object_of
 
-    v = parse_cluster_pt(args.v)
-    _, x_star = mutate(STANDARD, object_of(v))
-    if args.json:
-        print(json.dumps({"replacement": str(x_star)}))
-    else:
-        print(str(x_star))
-    return 0
+    _, x_star = mutate(STANDARD, object_of(parse_cluster_pt(args.v)))
+    return {"replacement": str(x_star)}, str(x_star)
 
 
-def _cmd_to_string(args) -> int:
+def _to_string(args):
     from .band import parse_obj
     from .equiv import obj_to_string
 
     w = obj_to_string(parse_obj(args.x))
-    if args.json:
-        print(json.dumps({"word": str(w)}))
-    else:
-        print(str(w))
-    return 0
+    return {"word": str(w)}, str(w)
 
 
-def _cmd_from_string(args) -> int:
+def _from_string(args):
     from .strings import parse_word
     from .equiv import string_to_obj
 
     x = string_to_obj(parse_word(args.word))
-    if args.json:
-        print(json.dumps({"object": str(x)}))
-    else:
-        print(str(x))
-    return 0
+    return {"object": str(x)}, str(x)
 
 
-def _cmd_simple(args) -> int:
+def _simple(args):
     from .cluster import parse_cluster_pt
     from .equiv import simple_object
 
     x = simple_object(parse_cluster_pt(args.v))
-    if args.json:
-        print(json.dumps({"object": str(x)}))
-    else:
-        print(str(x))
-    return 0
+    return {"object": str(x)}, str(x)
 
 
-def _cmd_kernel(args, which: str) -> int:
+def _kernel_or_cokernel(args):
+    """The kernel and its inclusion, or the cokernel and its projection, as
+    `args.command` names, of the JSON morphism on stdin."""
     from .quotient import kernel, cokernel
 
     try:
@@ -175,33 +155,25 @@ def _cmd_kernel(args, which: str) -> int:
     except json.JSONDecodeError as exc:
         raise ParseError(f"stdin is not JSON: {exc}")
     f = _morphism_from_json(data)
-    if which == "kernel":
-        obj, mor = kernel(f)
-        key = "inclusion"
-    else:
-        obj, mor = cokernel(f)
-        key = "projection"
-    out = {"object": [str(s) for s in obj], key: _morphism_to_json(mor)}
-    print(json.dumps(out) if args.json else json.dumps(out, indent=2))
-    return 0
+    fn, key = (kernel, "inclusion") if args.command == "kernel" else (cokernel, "projection")
+    obj, mor = fn(f)
+    out = {"object": [str(s) for s in obj],
+           key: {"src": [str(s) for s in mor.src], "dst": [str(s) for s in mor.dst],
+                 "entries": [[str(v) for v in row] for row in mor.entries]}}
+    return out, json.dumps(out, indent=2)
 
 
-def _cmd_digits(args) -> int:
+def _digits(args):
     from .cluster import parse_cluster_pt
     from .equiv import DigitPrefix, digits_to_coords, digit_vertex
 
     v = parse_cluster_pt(args.v)
     if any(d not in ("0", "1") for d in args.digits):
         raise ParseError("digits must be 0 or 1")
-    digits = tuple(int(d) for d in args.digits)
-    p = DigitPrefix(v, digits)
+    p = DigitPrefix(v, tuple(int(d) for d in args.digits))
     am, bm = digits_to_coords(p)
     w = digit_vertex(p)
-    if args.json:
-        print(json.dumps({"rep": [str(am), str(bm)], "pt": w}))
-    else:
-        print(f"({am}, {bm}) = {w}")
-    return 0
+    return {"rep": [str(am), str(bm)], "pt": w}, f"({am}, {bm}) = {w}"
 
 
 def _cmd_check(args) -> int:
@@ -211,15 +183,11 @@ def _cmd_check(args) -> int:
     from .checks import run_all
 
     results = run_all(args.depth)
-    payload = []
-    for r in results:
-        if args.json:
-            payload.append({"index": r.index, "name": r.name, "ok": r.ok,
-                            "detail": r.detail, "seconds": round(r.seconds, 2)})
-        else:
-            print(r.line())
     if args.json:
-        print(json.dumps(payload))
+        print(json.dumps([{"index": r.index, "name": r.name, "ok": r.ok, "detail": r.detail,
+                           "seconds": round(r.seconds, 2)} for r in results]))
+    else:
+        print("\n".join(r.line() for r in results))
     return 0 if all(r.ok for r in results) else 1
 
 
@@ -310,33 +278,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "continuous cluster category, in units of pi.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, *positionals):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        for arg in positionals:
+            p.add_argument(arg)
         p.set_defaults(fn=fn)
         return p
 
-    p = add("hom", _cmd_hom, "hom dimensions in the ambient and quotient categories")
-    p.add_argument("x")
-    p.add_argument("y")
-    p = add("support", _cmd_support, "cluster points supporting an object")
-    p.add_argument("x")
-    p = add("walk", _cmd_walk, "the walk attached to an object")
-    p.add_argument("x")
-    p = add("approx", _cmd_approx, "sources and sinks of the approximation sequence")
-    p.add_argument("x")
-    p = add("mutate", _cmd_mutate, "flip a standard-cluster chord")
-    p.add_argument("v")
-    p = add("to-string", _cmd_to_string, "word of an object")
-    p.add_argument("x")
-    p = add("from-string", _cmd_from_string, "object of a word")
-    p.add_argument("word")
-    p = add("simple", _cmd_simple, "object corresponding to the simple at a vertex")
-    p.add_argument("v")
-    p = add("kernel", lambda a: _cmd_kernel(a, "kernel"), "kernel of a JSON morphism on stdin")
-    p = add("cokernel", lambda a: _cmd_kernel(a, "cokernel"), "cokernel of a JSON morphism on stdin")
-    p = add("digits", _cmd_digits, "coordinates of a digit-encoded tail vertex")
-    p.add_argument("v")
+    add("hom", _printed(_hom), "hom dimensions in the ambient and quotient categories", "x", "y")
+    add("support", _printed(_support), "cluster points supporting an object", "x")
+    add("walk", _printed(_walk), "the walk attached to an object", "x")
+    add("approx", _printed(_approx), "sources and sinks of the approximation sequence", "x")
+    add("mutate", _printed(_mutate), "flip a standard-cluster chord", "v")
+    add("to-string", _printed(_to_string), "word of an object", "x")
+    add("from-string", _printed(_from_string), "object of a word", "word")
+    add("simple", _printed(_simple), "object corresponding to the simple at a vertex", "v")
+    add("kernel", _printed(_kernel_or_cokernel), "kernel of a JSON morphism on stdin")
+    add("cokernel", _printed(_kernel_or_cokernel), "cokernel of a JSON morphism on stdin")
+    p = add("digits", _printed(_digits), "coordinates of a digit-encoded tail vertex", "v")
     p.add_argument("digits", nargs="*")
     p = add("check", _cmd_check, "run the acceptance suites")
     p.add_argument("--depth", type=int, default=3,

@@ -181,27 +181,15 @@ def g_extend(w: StringWord, k: int) -> StringWord:
 
 def f_strip(w: StringWord) -> StringWord | None:
     """Delete every vertex with a directed path inside the word to a marked
-    end; identity on unmarked words, None when nothing survives."""
+    end; identity on unmarked words, None when nothing survives.  Those
+    vertices are two runs: from a marked left end, every vertex up to the
+    first letter that points right, and from a marked right end, every
+    vertex after the last letter that points left."""
     if not w.marked:
         return w
     n = len(w.verts)
-    doomed = set()
-    frontier = set()
-    if w.lmark:
-        frontier.add(0)
-    if w.rmark:
-        frontier.add(n - 1)
-    while frontier:
-        i = frontier.pop()
-        doomed.add(i)
-        if i > 0 and w.directs[i - 1] and (i - 1) not in doomed:
-            frontier.add(i - 1)
-        if i < n - 1 and not w.directs[i] and (i + 1) not in doomed:
-            frontier.add(i + 1)
-    keep = [i for i in range(n) if i not in doomed]
-    if not keep:
+    lo = next((i + 1 for i, d in enumerate(w.directs) if d), n) if w.lmark else 0
+    hi = next((i + 1 for i in reversed(range(n - 1)) if not w.directs[i]), 0) if w.rmark else n
+    if lo >= hi:
         return None
-    if keep != list(range(keep[0], keep[-1] + 1)):
-        raise AssertionError("stripped word not contiguous")
-    return StringWord(tuple(w.verts[i] for i in keep),
-                      tuple(w.directs[i] for i in range(keep[0], keep[-1])))
+    return StringWord(w.verts[lo:hi], w.directs[lo:hi - 1])

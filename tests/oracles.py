@@ -77,6 +77,9 @@ rather than by the library's fast path:
   a kernel (`band.mirror`), by vertexwise quotients on the target's
   string module, with a complement and two inversions at each vertex
   (`column_space_basis`, `invert`, `_arrows`);
+- `f_strip_by_search` checks `equiv.f_strip`, which cuts the two runs of
+  vertices with a path to a marked end off in closed form, by a frontier
+  search along the letters from each marked end;
 - `_rref_on_fractions` checks `linalg._rref` by eliminating on `Fraction`s;
 - `normal_form_on_dyadics`, `member_on_dyadics`, `hom_c_configs_on_dyadics`,
   `hom_ct_dim_on_dyadics`, `compose_basic_nonzero_on_dyadics` (of
@@ -1345,3 +1348,30 @@ def _brute_force_candidates(supp):
                     stack.append(path + (nxt,))
     key = lambda w: (-len(w), tuple((p.n, p.m) for p in w.verts), w.directs)
     return sorted(words, key=key)
+
+
+def f_strip_by_search(w: StringWord) -> StringWord | None:
+    """Delete every vertex with a directed path inside the word to a marked
+    end, found by a frontier search from the marked ends."""
+    if not w.marked:
+        return w
+    n = len(w.verts)
+    doomed = set()
+    frontier = set()
+    if w.lmark:
+        frontier.add(0)
+    if w.rmark:
+        frontier.add(n - 1)
+    while frontier:
+        i = frontier.pop()
+        doomed.add(i)
+        if i > 0 and w.directs[i - 1] and (i - 1) not in doomed:
+            frontier.add(i - 1)
+        if i < n - 1 and not w.directs[i] and (i + 1) not in doomed:
+            frontier.add(i + 1)
+    keep = [i for i in range(n) if i not in doomed]
+    if not keep:
+        return None
+    assert keep == list(range(keep[0], keep[-1] + 1)), "stripped word not contiguous"
+    return StringWord(tuple(w.verts[i] for i in keep),
+                      tuple(w.directs[i] for i in range(keep[0], keep[-1])))

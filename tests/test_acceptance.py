@@ -93,7 +93,7 @@ def test_basics_are_the_nonzero_pairs_in_grid_order():
     from moebius.walk import hom_ct_dim
     objs = grid_off_cluster(3)
     want = [(x, y) for x in objs for y in objs if hom_ct_dim.__wrapped__(x, y) == 1]
-    assert _basics(3) == want and len(want) == 1820
+    assert list(_basics(3)) == want and len(want) == 1820
 
 
 def test_criterion_1_fails_on_a_wrong_table_entry(monkeypatch):

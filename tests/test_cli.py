@@ -99,6 +99,55 @@ def test_cokernel_json(capsys, monkeypatch):
     assert data["projection"]["src"] == ["M(1/4,3/4)"]
 
 
+_MORPHISM_1X1 = json.dumps({"src": ["M(1/8,1/4)"], "dst": ["M(1/4,3/4)"], "entries": [[1]]})
+
+# One input per query subcommand, with its exact stdout as text and with
+# --json; `kernel` and `cokernel` print their JSON indented as text.
+_QUERY_OUTPUTS = [
+    (["hom", "M(1/8,1/4)", "M(1/4,3/4)"], None,
+     "C: 1, C/T: 1\n", '{"ambient": 1, "quotient": 1}\n'),
+    (["support", "M(1/4,3/4)"], None, "T(0,0) T(1,0) T(1,1)\n", "[[0, 0], [1, 0], [1, 1]]\n"),
+    (["support", "M(0,1/2)"], None, "(empty)\n", "[]\n"),  # a cluster object
+    (["walk", "M(1/4,3/4)"], None,
+     "T(2,2)  rep (1/4, -1/2)  sink\n"
+     "T(1,1)  rep (0, -1/2)  source\n"
+     "T(0,0)  rep (0, 0)  through\n"
+     "T(1,0)  rep (0, 1/2)  through\n"
+     "T(2,0)  rep (0, 3/4)  sink\n",
+     '[{"pt": [2, 2], "rep": ["1/4", "-1/2"], "role": "sink"}, '
+     '{"pt": [1, 1], "rep": ["0", "-1/2"], "role": "source"}, '
+     '{"pt": [0, 0], "rep": ["0", "0"], "role": "through"}, '
+     '{"pt": [1, 0], "rep": ["0", "1/2"], "role": "through"}, '
+     '{"pt": [2, 0], "rep": ["0", "3/4"], "role": "sink"}]\n'),
+    (["approx", "M(1/8,1/4)"], None,
+     "sources: T(2,1) T(1,3)\nsinks:   T(3,2) T(0,0) T(2,6)\n",
+     '{"sources": [[2, 1], [1, 3]], "sinks": [[3, 2], [0, 0], [2, 6]]}\n'),
+    (["mutate", "T(0,0)"], None, "M(1/2,1/2)\n", '{"replacement": "M(1/2,1/2)"}\n'),
+    (["to-string", "M(1/8,1/4)"], None,
+     "T(1,3) < T(0,0) > T(1,1) > T(2,1)\n", '{"word": "T(1,3) < T(0,0) > T(1,1) > T(2,1)"}\n'),
+    (["from-string", "T(2,1) < T(1,1) < T(0,0) > T(1,3)"], None,
+     "M(1/8,1/4)\n", '{"object": "M(1/8,1/4)"}\n'),
+    (["simple", "T(2,1)"], None, "M(1/2,9/8)\n", '{"object": "M(1/2,9/8)"}\n'),
+    (["digits", "T(0,0)", "1", "0"], None,
+     "(-1/4, 1/2) = T(2,7)\n", '{"rep": ["-1/4", "1/2"], "pt": [2, 7]}\n'),
+    (["kernel"], _MORPHISM_1X1, None,
+     '{"object": ["M(0,1/4)", "M(1/2,9/8)"], "inclusion": {"src": ["M(0,1/4)", "M(1/2,9/8)"], '
+     '"dst": ["M(1/8,1/4)"], "entries": [["1", "1"]]}}\n'),
+    (["cokernel"], _MORPHISM_1X1, None,
+     '{"object": ["M(7/4,2)"], "projection": {"src": ["M(1/4,3/4)"], "dst": ["M(7/4,2)"], '
+     '"entries": [["1"]]}}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, stdin, text, json_line", _QUERY_OUTPUTS,
+                         ids=[" ".join(case[0]) for case in _QUERY_OUTPUTS])
+def test_query_prints_its_text_and_one_json_line(capsys, monkeypatch, argv, stdin, text, json_line):
+    if text is None:
+        text = json.dumps(json.loads(json_line), indent=2) + "\n"
+    assert run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch) == (0, text, "")
+    assert run(capsys, *argv, "--json", stdin=stdin, monkeypatch=monkeypatch) == (0, json_line, "")
+
+
 def test_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "hom", "M(1/8)", "M(1/4,3/4)")
     assert code == 2 and "parse error" in err

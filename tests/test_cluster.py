@@ -405,7 +405,7 @@ def test_meets_cluster_on_composite_rectangles(monkeypatch):
         return got
 
     monkeypatch.setattr(walk, "box_meets_cluster", spy)
-    basics = _basics(3)
+    basics = list(_basics(3))
     for (x, y) in basics[::10]:
         for (y2, z) in basics:
             if y2 == y:

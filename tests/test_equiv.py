@@ -14,7 +14,7 @@ from moebius.errors import InCluster, InvalidWord, NoMorphism, Unreachable, AllO
 
 from oracles import (arrow_between, g_extend_by_arrows, lower_tail_coords, string_to_obj_by_steps,
                      digits_to_coords_on_dyadics, support_by_walk, obj_to_string_by_walk,
-                     string_to_obj_by_walk, stepped_walk_of)
+                     string_to_obj_by_walk, stepped_walk_of, f_strip_by_search)
 
 T = ClusterPt
 M = parse_obj
@@ -394,6 +394,20 @@ def test_f_strip():
     assert f_strip(w) == w
     outward = StringWord([T(1, 0), T(2, 7)], [False], lmark=True, rmark=False)
     assert f_strip(outward) is None
+
+
+def test_f_strip_matches_search_on_every_short_word():
+    # every letter sequence of up to 11 letters under each marking, on the
+    # distinct vertices 0..n, which the word does not flip
+    words = 0
+    for letters in range(12):
+        for bits in range(1 << letters):
+            directs = [bool(bits >> i & 1) for i in range(letters)]
+            for lmark, rmark in ((True, False), (False, True), (True, True)):
+                w = StringWord(range(letters + 1), directs, lmark=lmark, rmark=rmark)
+                assert f_strip(w) == f_strip_by_search(w), w
+                words += 1
+    assert words == 12_285
 
 
 def test_g_extend_matches_arrow_oracle_on_depth3_words():

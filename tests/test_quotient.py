@@ -487,7 +487,7 @@ def test_closed_form_kernels_and_composites_are_clean():
             f = basic_mor(x, y, Fraction(-2, 3))
             for k in (kernel, cokernel, _kernel_rep, _cokernel_rep):
                 _assert_clean(k(f)[1])
-    basics = _basics(3)
+    basics = list(_basics(3))
     after = {}
     for x, y in basics:
         after.setdefault(x, []).append(y)
@@ -562,7 +562,7 @@ def test_classify_matches_translates_on_basics_depth3():
 def _depth3_matrix_morphisms(seed, count):
     """count seeded morphisms between sums of up to three ends of depth-3
     basics, with entries 0 or small rationals."""
-    basics = _basics(3)
+    basics = list(_basics(3))
     rng = random.Random(seed)
     for _ in range(count):
         pairs = [rng.choice(basics) for _ in range(3)]

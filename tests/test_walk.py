@@ -237,7 +237,7 @@ def _assert_compose_matches_pairing(triples):
 def test_compose_matches_pairing_on_depth3_basics():
     # every tenth basic x -> y of the depth-3 grid, then any basic y -> z
     from moebius.checks import _basics
-    basics = _basics(3)
+    basics = list(_basics(3))
     triples = [(x, y, z) for (x, y) in basics[::10] for (y2, z) in basics if y2 == y]
     assert _assert_compose_matches_pairing(triples) == {True, False}
 
@@ -273,7 +273,7 @@ def test_compose_matches_pairing_on_support_translates():
     # point, then the basic src -> dst, for 200 depth-3 basics
     from moebius.checks import _basics
     triples = []
-    for (src, dst) in _basics(3)[::9][:200]:
+    for (src, dst) in list(_basics(3))[::9][:200]:
         common = support(src) & support(dst)
         eps = concrete_epsilon([src, dst] + [object_of(s) for s in common])
         triples.extend((shifted(s, eps, eps), src, dst) for s in sorted(common))
@@ -417,7 +417,7 @@ def test_hom_configs_and_dims_match_dyadic_oracle_on_depth4_grid(monkeypatch):
 def _chains(e):
     from moebius.checks import _basics
     after = {}
-    basics = _basics(e)
+    basics = list(_basics(e))
     for y, z in basics:
         after.setdefault(y, []).append(z)
     return [(x, y, z) for x, y in basics for z in after.get(y, ())]
