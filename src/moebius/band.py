@@ -6,9 +6,9 @@ representative has delta = y - x in [0, 1); the glide negates delta, so a
 class with delta > 0 has exactly two representative families, the canonical
 one and its flip, each defined up to simultaneous translation by 2.
 
-An `Obj` stores integers: the numerators xn and dn of x and delta at the
-least scale 2^e making both integral, and the hash of (xn, dn, e), so equal
-classes have equal fields.  Its `Dyadic` coordinates are built on demand;
+An `Obj` is the tuple (xn, dn, e) of integers: the numerators of x and
+delta at the least scale 2^e making both integral, so equal classes are
+equal tuples and hash alike.  Its `Dyadic` coordinates are built on demand;
 the hom and composite tests read its representatives as numerators at a
 common scale (`Obj.reps_at`) and build no `Dyadic`.
 """
@@ -25,22 +25,21 @@ Rep = tuple[Dyadic, Dyadic]
 IntRep = tuple[int, int]
 
 
-class Obj:
-    """Canonical form of an indecomposable: x = xn/2^e and delta = dn/2^e."""
+class Obj(namedtuple("Obj", "xn dn e")):
+    """Canonical form of an indecomposable: x = xn/2^e and delta = dn/2^e,
+    reduced.  A tuple of its three numerators, so it equals and hashes as
+    (xn, dn, e)."""
 
-    __slots__ = ("xn", "dn", "e", "_hash")
+    __slots__ = ()
 
-    def __init__(self, x: Dyadic, delta: Dyadic):
+    def __new__(cls, x: Dyadic, delta: Dyadic):
         e = max(x.exp, delta.exp)
         xn, dn = x.num << (e - x.exp), delta.num << (e - delta.exp)
         if not 0 <= dn < 1 << e:
             raise ValueError("delta out of canonical range")
         if not 0 <= xn < (2 if dn else 1) << e:
             raise ValueError("x out of canonical range")
-        _init(self, xn, dn, e)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Obj is immutable")
+        return _reduced(xn, dn, e)
 
     @property
     def x(self) -> Dyadic:
@@ -75,13 +74,6 @@ class Obj:
         x, delta = self.x, self.delta
         return (x.num, x.exp, delta.num, delta.exp)
 
-    def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, Obj) and self.xn == other.xn
-                                 and self.dn == other.dn and self.e == other.e)
-
-    def __hash__(self):
-        return self._hash
-
     def __str__(self) -> str:
         return f"M({self.x},{self.y})"
 
@@ -89,18 +81,10 @@ class Obj:
         return f"Obj({self.x}, delta={self.delta})"
 
 
-_set_xn, _set_dn, _set_e, _set_hash = (getattr(Obj, f).__set__ for f in Obj.__slots__)
-
-
-def _init(obj: Obj, xn: int, dn: int, e: int) -> Obj:
-    """Fill obj with canonical numerators at the scale 2^e, reduced."""
+def _reduced(xn: int, dn: int, e: int) -> Obj:
+    """The `Obj` of canonical numerators at the scale 2^e, reduced."""
     r = reduced_exp(xn | dn, e)
-    xn, dn = xn >> (e - r), dn >> (e - r)
-    _set_xn(obj, xn)
-    _set_dn(obj, dn)
-    _set_e(obj, r)
-    _set_hash(obj, hash((xn, dn, r)))
-    return obj
+    return tuple.__new__(Obj, (xn >> (e - r), dn >> (e - r), r))
 
 
 def normal_form(x, y, e: int | None = None) -> Obj:
@@ -116,7 +100,7 @@ def normal_form(x, y, e: int | None = None) -> Obj:
     if d >= one:
         raise BandBoundary(f"({Dyadic(x, e)}, {Dyadic(y, e)}) lies outside the open band")
     # translate x into [0, 1) when delta = 0, else into [0, 2)
-    return _init(object.__new__(Obj), x % ((2 if d else 1) << e), d, e)
+    return _reduced(x % ((2 if d else 1) << e), d, e)
 
 
 def obj_from_ends(a, b, k: int | None = None) -> Obj:

@@ -50,14 +50,7 @@ class CheckResult(namedtuple("CheckResult", "index name ok detail seconds")):
 
 def grid(e: int) -> list[Obj]:
     """All iso classes with canonical coordinate exponent <= e."""
-    out = []
-    step = Dyadic(1, e)
-    for j in range(1 << e):
-        delta = Dyadic(j, e)
-        top = (1 << e) if j == 0 else (1 << (e + 1))
-        for i in range(top):
-            out.append(Obj(Dyadic(i, e), delta))
-    return out
+    return [normal_form(i, i + j, e) for j in range(1 << e) for i in range((2 if j else 1) << e)]
 
 
 @lru_cache(maxsize=2)

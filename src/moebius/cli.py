@@ -25,18 +25,20 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .errors import MAX_CHECK_DEPTH, MAX_CLUSTER_DEPTH, MoebiusError, ParseError, ShapeMismatch
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a process the signal ended
+_LONG_EXPONENT_RE = re.compile(r"[eE][-+]?[\d_]{4}")  # past 999: `Fraction` would raise 10 to it
 
 
 def _morphism_from_json(data):
     """src and dst must be lists of object strings, entries a list of lists
-    of rationals; a zero denominator is a parse error like any other.  The
-    shape is checked as written, then cluster summands go with their rows
-    and columns."""
+    of rationals read exactly; a zero denominator or an exponent past 999 is
+    a parse error.  The shape is checked as written, then cluster summands
+    go with their rows and columns."""
     from fractions import Fraction
     from .band import parse_obj
     from .cluster import member
@@ -54,6 +56,8 @@ def _morphism_from_json(data):
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise ParseError("morphism 'entries' must be a list of lists")
     try:
+        if any(_LONG_EXPONENT_RE.search(str(v)) for row in rows for v in row):
+            raise ValueError("a decimal exponent past 999")
         entries = tuple(tuple(Fraction(str(v)) for v in row) for row in rows)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad morphism entry: {exc}")
@@ -150,9 +154,9 @@ def _kernel_or_cokernel(args):
     `args.command` names, of the JSON morphism on stdin."""
     from .quotient import kernel, cokernel
 
-    try:
-        data = json.load(sys.stdin)
-    except json.JSONDecodeError as exc:
+    try:  # a decimal as its text, which `_morphism_from_json` reads exactly
+        data = json.load(sys.stdin, parse_float=str)
+    except ValueError as exc:  # malformed, or an integer past Python's digit limit
         raise ParseError(f"stdin is not JSON: {exc}")
     f = _morphism_from_json(data)
     fn, key = (kernel, "inclusion") if args.command == "kernel" else (cokernel, "projection")

@@ -366,14 +366,17 @@ def mutate(overlay: ClusterOverlay, x: Obj) -> tuple[ClusterOverlay, Obj]:
     return (ClusterOverlay(removed, added), x_star)
 
 
-_PT_RE = re.compile(r"^\s*T\(\s*(\d+)\s*,\s*(-?\d+)\s*\)\s*$")
+_PT_RE = re.compile(r"^\s*T\(\s*([0-9]+)\s*,\s*(-?[0-9]+)\s*\)\s*$")
 
 
 def parse_cluster_pt(text: str) -> ClusterPt:
     m = _PT_RE.match(text)
     if not m:
         raise ParseError(f"not a cluster point: {text!r}")
-    n, mm = int(m.group(1)), int(m.group(2))
+    try:
+        n, mm = int(m.group(1)), int(m.group(2))
+    except ValueError as exc:  # more digits than Python reads
+        raise ParseError(f"index out of range in {text!r}") from exc
     if not (0 <= mm < (1 << (n + 1))):
         raise ParseError(f"index out of range in {text!r}")
     return ClusterPt(n, mm)

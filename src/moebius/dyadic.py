@@ -135,9 +135,11 @@ TWO = Dyadic(2)
 
 
 def parse_dyadic(text: str) -> Dyadic:
-    """Parse "num/den" with den a power of two, or a bare integer."""
+    """Parse "num/den" with den a power of two, or a bare integer, in ASCII."""
     s = text.strip()
     try:
+        if "_" in s or not s.isascii():  # int() alone reads 1_0 as 10, and other digits
+            raise ValueError(s)
         if "/" in s:
             num_s, den_s = s.split("/")
             num, den = int(num_s), int(den_s)

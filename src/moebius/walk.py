@@ -58,16 +58,13 @@ class WalkVertex(namedtuple("WalkVertex", "pt rep role")):
 _ROLE = {"vv": THROUGH, "hh": THROUGH, "hv": SOURCE, "h-": SOURCE, "-v": SOURCE}
 
 
-class Walk:
+class Walk(namedtuple("Walk", "pts xs ys k steps roles")):
     """The cluster points `pts` of a walk, the coordinates `xs` and `ys` of
     their representatives as numerators at the scale 2^k, the `steps` ("h"
-    or "v") between consecutive vertices and the `roles`.  Equal only to
-    itself: `walk_of` builds each object's walk once."""
+    or "v") between consecutive vertices and the `roles`: a tuple of these
+    six fields, equal to another walk with the same fields."""
 
-    __slots__ = ("pts", "xs", "ys", "k", "steps", "roles")
-
-    def __init__(self, pts, xs, ys, k, steps, roles):
-        self.pts, self.xs, self.ys, self.k, self.steps, self.roles = pts, xs, ys, k, steps, roles
+    __slots__ = ()
 
     def _vertex(self, i: int) -> WalkVertex:
         rep = (Dyadic(self.xs[i], self.k), Dyadic(self.ys[i], self.k))

@@ -153,6 +153,24 @@ def test_parse_error_exit_2(capsys):
     assert code == 2 and "parse error" in err
 
 
+@pytest.mark.parametrize("argv", [("support", "M(1_0/8,1/4)"), ("support", "M(1/8,1/4_0)"),
+                                  ("support", "M(\u0661/8,1/4)"), ("support", "M(1/\u0668,1/4)"),
+                                  ("simple", "T(\u0661,\u0660)"), ("simple", "T(1,\u0660)"),
+                                  ("simple", "T(1_0,0)"), ("simple", "T(3,%s)" % ("1" * 5000))],
+                         ids=["underscore", "underscore in den", "arabic-indic num", "arabic-indic den",
+                              "arabic-indic point", "arabic-indic m", "underscore in n", "5000 digits"])
+def test_textual_integers_are_ascii_digits(capsys, argv):
+    # int() alone would read 1_0 as 10 and Arabic-Indic digits as ASCII
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("parse error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["M(+1/8,1/4)", "M( 1/8 , +1/+4 )", "M(-15/8,-7/4)"])
+def test_textual_integers_take_a_sign(capsys, text):
+    code, out, _ = run(capsys, "support", text)
+    assert code == 0 and out.strip() == "T(0,0) T(1,1) T(1,3) T(2,1)"
+
+
 def test_domain_error_exit_1(capsys):
     for command in ("walk", "to-string"):  # `to-string` steps no walk
         code, out, err = run(capsys, command, "M(0,1/2)")
@@ -242,6 +260,44 @@ def test_kernel_src_not_a_list_exit_2(capsys, monkeypatch):
     err = _kernel_stdin_error(capsys, monkeypatch, {"src": "M(1/8,1/4)", "dst": ["M(1/4,3/4)"],
                                                    "entries": [["1"]]})
     assert "'src' must be a list" in err
+
+
+def _entries_payload(number: str) -> str:
+    # a JSON number written as is, so no float comes between it and the CLI
+    return ('{"src": ["M(1/8,1/4)", "M(1/4,3/4)"], "dst": ["M(1/4,3/4)"], '
+            f'"entries": [[{number}, 1]]}}')
+
+
+# JSON decimals are read from their text: the kernel of (a, 1) is M(1/8,1/4),
+# included by the column (1, -a), with a exactly as written
+_DECIMALS = {"1e-400": f"-1/{10 ** 400}", "0.30000000000000001": "-30000000000000001/100000000000000000",
+             "1e400": f"-{10 ** 400}", "1E+999": f"-{10 ** 999}", "-2.5E+1": "25"}
+
+
+@pytest.mark.parametrize("number", sorted(_DECIMALS))
+def test_kernel_reads_json_decimals_exactly(capsys, monkeypatch, number):
+    payload = _entries_payload(number)
+    code, out, err = run(capsys, "kernel", "--json", stdin=payload, monkeypatch=monkeypatch)
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["object"] == ["M(1/8,1/4)"]
+    assert data["inclusion"]["entries"] == [["1"], [_DECIMALS[number]]]
+
+
+_OUT_OF_REACH = {"NaN": "bad morphism entry", "Infinity": "bad morphism entry",
+                 "1e999999999": "exponent past 999", "1e1000": "exponent past 999",
+                 "1e-1000": "exponent past 999", "1" * 5000: "stdin is not JSON"}
+
+
+@pytest.mark.parametrize("number", sorted(_OUT_OF_REACH), ids=lambda n: n if len(n) < 20 else "5000 digits")
+def test_kernel_json_number_out_of_reach_exit_2(capsys, monkeypatch, number):
+    # not a number, or past a bound: one parse error line, without first
+    # raising 10 to a huge exponent or reading a 5000-digit integer
+    payload, message = _entries_payload(number), _OUT_OF_REACH[number]
+    for which in ("kernel", "cokernel"):
+        code, out, err = run(capsys, which, stdin=payload, monkeypatch=monkeypatch)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("parse error: ") and message in err, err[:200]
 
 
 _WITH_CLUSTER_SUMMAND = {"src": ["M(0,1/2)", "M(1/8,1/4)"], "dst": ["M(1/4,3/4)"]}

@@ -14,7 +14,7 @@ from moebius.quotient import (SumObj, MorQ, identity_mor, zero_mor, basic_mor, c
                               _vertex_matrices)
 from moebius.errors import MoebiusError, ShapeMismatch
 from moebius.strings import decompose_rep, overlap, to_rep, _candidate_words
-from moebius.walk import hom_ct_dim, support
+from moebius.walk import hom_ct_dim, support, walk_of
 
 from oracles import (induced_support_map, classify_per_point, _classify_by_translates,
                      decompose_rep_by_peeling, decompose_rep_by_rescans, _rref_on_fractions,
@@ -75,6 +75,9 @@ _VALUES = {
     "ClusterOverlay": (lambda: mutate(STANDARD, M("M(0,0)"))[0],
                        (frozenset({T(0, 0)}), frozenset({M("M(1/2,1/2)")}))),
     "RepFin": (lambda: to_rep(obj_to_string(_Y)), None),
+    "Obj": (lambda: M("M(1/8,1/4)"), (1, 1, 3)),
+    "Walk": (lambda: walk_of.__wrapped__(M("M(1/2,9/8)")),
+             ((T(1, 1), T(2, 1), T(3, 2)), (8, 4, 4), (16, 16, 18), 4, ("h", "v"), ("sink", "source", "sink"))),
 }
 
 
