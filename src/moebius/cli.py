@@ -1,8 +1,9 @@
 """Command-line front end: queries, invariant suites, SVG rendering.
 
-Exit codes: 0 success, 1 domain error (message names the error class),
-2 malformed arguments or input syntax (including a `check --depth`
-outside 1-MAX_CHECK_DEPTH), 3 internal error: a broken invariant,
+Exit codes: 0 success, 1 domain error (message names the error class,
+`AnswerTooLarge` for an int past the digits Python writes as text), 2
+malformed arguments or input syntax (including a `check --depth` outside
+1-MAX_CHECK_DEPTH), 3 internal error: a broken invariant,
 reported as one `internal error: ...` line, 141 stdout closed before the
 output was written (the shell's status for SIGPIPE), with nothing printed.
 Every error is one line on stderr, argparse's included; with --json it is
@@ -28,7 +29,8 @@ import os
 import re
 import sys
 
-from .errors import MAX_CHECK_DEPTH, MAX_CLUSTER_DEPTH, MoebiusError, ParseError, ShapeMismatch
+from .errors import (MAX_CHECK_DEPTH, MAX_CLUSTER_DEPTH, AnswerTooLarge, MoebiusError, ParseError,
+                     ShapeMismatch)
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a process the signal ended
 _LONG_EXPONENT_RE = re.compile(r"[eE][-+]?[\d_]{4}")  # past 999: `Fraction` would raise 10 to it
@@ -245,7 +247,7 @@ def _cmd_render(args) -> int:
             else:
                 with open(args.spec) as fh:
                     data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed, or an integer past Python's digit limit
             raise ParseError(f"render spec is not JSON: {exc}")
         except OSError as exc:
             raise ParseError(f"cannot read render spec: {exc}")
@@ -342,6 +344,13 @@ def main(argv=None) -> int:
             code = _report(exc, 1, as_json)
         except AssertionError as exc:
             code = _report(exc, 3, as_json)
+        except ValueError as exc:
+            # an int of the answer past Python's digit limit for text (an input's
+            # is a parse error); the limit stays, as writing an int is quadratic
+            if "integer string conversion" not in str(exc):
+                raise
+            limit = sys.get_int_max_str_digits()
+            code = _report(AnswerTooLarge(f"the answer holds an integer past {limit} digits"), 1, as_json)
         sys.stdout.flush()  # so a closed stdout raises here, not at interpreter exit
         return code
     except BrokenPipeError:

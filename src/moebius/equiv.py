@@ -43,7 +43,8 @@ def string_to_obj(w: StringWord) -> Obj:
         a, b = chord_at(att, k)
         ends.append(b if a in chord_at(end, k) else a)
     x = obj_from_ends(*ends, k)
-    if obj_to_string(x) != w:
+    # a valid unmarked word is fixed by its vertices, read in either direction
+    if w.verts not in (path := crossing_path(x), path[::-1]):
         raise AssertionError(f"the chord between the attach ends of {w} does not carry it")
     return x
 

@@ -75,5 +75,9 @@ class AllOnesTail(MoebiusError):
     """Digit prefix consists entirely of ones; such tails are excluded."""
 
 
+class AnswerTooLarge(MoebiusError):
+    """An answer holds an int past the digits Python writes as text (`sys.get_int_max_str_digits`)."""
+
+
 class ParseError(MoebiusError):
     """Malformed textual input."""

@@ -8,7 +8,9 @@ and enter it from `cluster.out_neighbors(v)`; `cluster.triangle` names the
 triangle of an arrow and `cluster.arrow_dir` orients it.  A letter is the
 (src, dst) pair of its arrow, the key of `RepFin.mats`.  Finite-length
 modules are direct sums of standard string modules, one dimension per vertex
-of a reduced word.
+of a reduced word.  The maps from a string module into a representation are
+one nullspace (`_word_maps`), and the maps out of it that nullspace over the
+opposite quiver; it depends only on the rows' span, so their order is free.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-from .cluster import (ClusterPt, arrow_dir, in_neighbors, out_neighbors, parse_cluster_pt,
-                      triangle)
+from .cluster import ClusterPt, arrow_dir, in_neighbors, parse_cluster_pt, triangle
 from .errors import InvalidWord, NoMorphism, NotAModule, ParseError
 
 # `linalg` (and with it `fractions`) is imported by the functions that build
@@ -170,8 +171,10 @@ def overlap(w1: StringWord, w2: StringWord) -> frozenset[ClusterPt]:
     return frozenset(w1.verts[occ[0]:occ[1] + 1]) if occ else frozenset()
 
 
-def _subword(w: StringWord, i: int, j: int) -> StringWord:
-    return StringWord(w.verts[i:j + 1], w.directs[i:j])
+def _outside(w: StringWord, i: int, j: int) -> list[StringWord]:
+    """The words of w left and right of its run w[i..j], the empty ones left out."""
+    last = len(w.verts) - 1
+    return [StringWord(w.verts[a:b + 1], w.directs[a:b]) for a, b in ((0, i - 1), (j + 1, last)) if a <= b]
 
 
 def kernel_cokernel_strings(w1: StringWord, w2: StringWord) -> tuple[list[StringWord], list[StringWord]]:
@@ -181,16 +184,7 @@ def kernel_cokernel_strings(w1: StringWord, w2: StringWord) -> tuple[list[String
     if occ is None:
         raise NoMorphism(f"no basic morphism {w1} -> {w2}")
     i1, j1, i2, j2 = occ
-    ker = []
-    if i1 > 0:
-        ker.append(_subword(w1, 0, i1 - 1))
-    if j1 < len(w1.verts) - 1:
-        ker.append(_subword(w1, j1 + 1, len(w1.verts) - 1))
-    cok = []
-    if i2 > 0:
-        cok.append(_subword(w2, 0, i2 - 1))
-    if j2 < len(w2.verts) - 1:
-        cok.append(_subword(w2, j2 + 1, len(w2.verts) - 1))
+    ker, cok = _outside(w1, i1, j1), _outside(w2, i2, j2)
     total = sum(len(k) for k in ker) - len(w1) + len(w2) - sum(len(c) for c in cok)
     if total != 0:
         raise AssertionError("dimension count broken in string kernel/cokernel")
@@ -259,12 +253,11 @@ def _candidate_words(supp: list[ClusterPt], letters):
     each start keeps one parent pointer per vertex.  A word is kept from its
     smaller end, and built only when the listing reaches its length."""
     adj = {v: [] for v in supp}
-    for v in supp:
-        for u in in_neighbors(v):
-            if u in adj and (v, u) in letters:
-                t = triangle(v, u)
-                adj[v].append((u, True, t))
-                adj[u].append((v, False, t))
+    for v, u in letters:
+        if v in adj and u in adj:
+            t = triangle(v, u)
+            adj[v].append((u, True, t))
+            adj[u].append((v, False, t))
     by_len = [[] for _ in range(len(supp) + 1)]  # by word length: (parent pointers, end)
     for start in supp:
         tree = {start: None}  # vertex: (previous vertex, letter direction)
@@ -290,84 +283,55 @@ def _candidate_words(supp: list[ClusterPt], letters):
         yield from group
 
 
-def _word_coords(w: StringWord, rep: RepFin):
-    """Offsets of the vertices of w in the stacked coordinates of rep, their
-    total, and the letters of w as (src, dst) pairs; None when rep vanishes
-    at a vertex of w."""
-    if any(rep.dim(v) == 0 for v in w.verts):
-        return None
-    offs, total = {}, 0
-    for v in w.verts:
-        offs[v] = total
-        total += rep.dim(v)
-    return (offs, total, set(_letters(w.verts, w.directs)))
-
-
 def _letters(verts, directs):
     """The letters of the word (verts, directs) as (src, dst) pairs."""
     return [(a, b) if d else (b, a) for a, b, d in zip(verts, verts[1:], directs)]
 
 
-def _solutions(rows, offs, total, rep) -> list[dict[ClusterPt, tuple[int | Fraction, ...]]]:
-    """Nullspace basis of the constraint rows, split into one vector per vertex."""
+def _word_maps(verts, letters, dims, mats) -> list[dict[ClusterPt, tuple[int | Fraction, ...]]]:
+    """Basis of the maps from the string module on verts and letters, as
+    (src, dst) pairs, into the representation (dims, mats), each as its
+    vector phi_v at every vertex of the word; none when dims vanish at one.
+    Each arrow v -> u from a vertex of the word that has a matrix M or is a
+    letter gives one row per coordinate of u, over the vertex spaces stacked
+    as verts: M phi_v (0 if M is absent) is phi_u on a letter, else 0.  The
+    basis is read off the unique reduced echelon form of the rows' span, so
+    the order of the rows changes neither it nor its values."""
     from . import linalg
-    basis = linalg.nullspace(tuple(tuple(r) for r in rows), total)
-    return [{v: vec[offs[v]:offs[v] + rep.dims[v]] for v in offs} for vec in basis]
+    if any(v not in dims for v in verts):
+        return []
+    offs, total = {}, 0
+    for v in verts:
+        offs[v] = total
+        total += dims[v]
+    rows = []
+    for v, u in mats.keys() | letters:
+        if v in offs:
+            a, letter = mats.get((v, u)), (v, u) in letters
+            for i in range(dims.get(u, 0)):
+                row = [0] * total
+                if a is not None:
+                    row[offs[v]:offs[v] + dims[v]] = a[i]
+                if letter:
+                    row[offs[u] + i] -= 1
+                rows.append(row)
+    return [{v: vec[offs[v]:offs[v] + dims[v]] for v in verts}
+            for vec in linalg.nullspace(tuple(map(tuple, rows)), total)]
 
 
 def _hom_word_to_rep(w: StringWord, rep: RepFin) -> list[dict[ClusterPt, tuple[int | Fraction, ...]]]:
     """Basis of module maps from the standard module of w into rep,
     each given by its vector at every vertex of w."""
-    coords = _word_coords(w, rep)
-    if coords is None:
-        return []
-    offs, total, letters = coords
-    rows = []
-    for v in w.verts:
-        lo, hi = offs[v], offs[v] + rep.dims[v]
-        for u in in_neighbors(v):
-            if u not in rep.dims:
-                continue
-            a = rep.mats.get((v, u))
-            letter = (v, u) in letters
-            if a is None and not letter:
-                continue  # only zero rows
-            # rep map M_v -> M_u; along an arrow leaving the word the image must vanish
-            for i in range(rep.dims[u]):
-                row = [0] * total
-                if a is not None:
-                    row[lo:hi] = a[i]
-                if letter:
-                    row[offs[u] + i] -= 1
-                rows.append(row)
-    return _solutions(rows, offs, total, rep)
+    return _word_maps(w.verts, set(_letters(w.verts, w.directs)), rep.dims, rep.mats)
 
 
 def _hom_rep_to_word(rep: RepFin, w: StringWord) -> list[dict[ClusterPt, tuple[int | Fraction, ...]]]:
-    """Basis of module maps rep -> standard module of w, as row functionals."""
-    coords = _word_coords(w, rep)
-    if coords is None:
-        return []
-    offs, total, letters = coords
-    rows = []
-    for u in w.verts:
-        for v in out_neighbors(u):
-            if v not in rep.dims:
-                continue
-            a = rep.mats.get((v, u))
-            letter = (v, u) in letters
-            if a is None and not letter:
-                continue
-            lo, hi = offs[u], offs[u] + rep.dims[u]
-            # psi_u . M_alpha = [letter] psi_v   (row constraints, one per coord of M_v)
-            for j in range(rep.dims[v]):
-                row = [0] * total
-                if a is not None:
-                    row[lo:hi] = [a_i[j] for a_i in a]
-                if letter:
-                    row[offs[v] + j] -= 1
-                rows.append(row)
-    return _solutions(rows, offs, total, rep)
+    """Basis of module maps rep -> standard module of w, as row functionals:
+    the maps from M(w) into the dual of rep over the opposite quiver, each
+    letter reversed and each matrix into w transposed (no other gives rows)."""
+    on = set(w.verts)
+    return _word_maps(w.verts, {(b, a) for a, b in _letters(w.verts, w.directs)}, rep.dims,
+                      {(u, v): tuple(zip(*m)) for (v, u), m in rep.mats.items() if u in on})
 
 
 def decompose_rep(rep: RepFin) -> list[tuple[StringWord, dict[ClusterPt, tuple[int | Fraction, ...]]]]:
@@ -416,9 +380,10 @@ def decompose_rep(rep: RepFin) -> list[tuple[StringWord, dict[ClusterPt, tuple[i
     The maps M(w) -> M(w) are scalars, so it is one summand and nothing is
     peeled.  `_hom_word_to_rep` writes phi_b = x phi_a for each letter a -> b
     of scalar x, one row per letter with its nonzeros at the columns of
-    its two vertices, ordered as w.verts, and no other nonzero row; the
-    rows are bidiagonal, so all columns but the last are pivots, and the
-    one nullspace vector is 1 at the last vertex."""
+    its two vertices, which are ordered as w.verts, and no other nonzero
+    row.  The nullspace depends only on the rows' span, so take the rows in
+    the order of w.verts: they are bidiagonal, so all columns but the last
+    are pivots, and the one nullspace vector is 1 at the last vertex."""
     from . import linalg
     rep.check_relations()
     work = [(rep, {v: linalg.identity(rep.dim(v)) for v in rep.dims})]
@@ -536,26 +501,26 @@ def restrict_rep(rep: RepFin, basis) -> RepFin:
     """The subrepresentation spanned at each vertex v of basis by the
     columns of basis[v] (rep.dim(v) rows), and all of rep at the other
     vertices, with its arrow matrices in those bases; the subspaces must be
-    carried into each other along every arrow.  Only the arrows at a vertex
-    of basis are solved again, each basis[v] with a unit row per column, as
-    from `linalg.nullspace` or `row_kernel` (`linalg.solve_on_unit_rows`);
-    every other matrix is kept as it is."""
+    carried into each other along every arrow.  One pass over the arrows
+    solves again only those at a vertex of basis, each basis[v] with a unit
+    row per column, as from `linalg.nullspace` or `row_kernel`
+    (`linalg.solve_on_unit_rows`), and keeps every other matrix as it is."""
     from . import linalg
     dims = {v: len(basis[v][0]) if v in basis else d for v, d in rep.dims.items()}
-    mats = {key: m for key, m in rep.mats.items() if key[0] not in basis and key[1] not in basis}
-    for v in basis:
-        for u, w in [*((v, u) for u in in_neighbors(v)),
-                     *((u, v) for u in out_neighbors(v) if u not in basis)]:
-            m = rep.mats.get((u, w))
-            if m is None or not (dims.get(u) and dims.get(w)):
+    mats = {}
+    for (u, w), m in rep.mats.items():
+        if u in basis or w in basis:
+            if not (dims.get(u) and dims.get(w)):
                 continue
-            coords = linalg.matmul(m, basis[u]) if u in basis else m
+            if u in basis:
+                m = linalg.matmul(m, basis[u])
             if w in basis:
-                coords = linalg.solve_on_unit_rows(basis[w], coords)
-                if coords is None:
+                m = linalg.solve_on_unit_rows(basis[w], m)
+                if m is None:
                     raise AssertionError("subspace not arrow-stable")
-            if any(x != 0 for row in coords for x in row):
-                mats[(u, w)] = coords
+            if not any(map(any, m)):
+                continue
+        mats[(u, w)] = m
     return RepFin(dims, mats)
 
 
@@ -563,26 +528,16 @@ def parse_word(text: str) -> StringWord:
     """Parse "T(1,0) > T(0,0) < T(1,1)" with optional ~ ray markers at the ends."""
     s = text.strip()
     lmark = s.startswith("~")
-    if lmark:
-        s = s[1:]
+    s = s.removeprefix("~")
     rmark = s.endswith("~")
-    if rmark:
-        s = s[:-1]
-    parts = re.split(r"([<>])", s)
-    verts, directs = [], []
-    for i, part in enumerate(parts):
-        part = part.strip()
-        if i % 2 == 0:
-            if not part:
-                raise ParseError(f"malformed word: {text!r}")
-            verts.append(parse_cluster_pt(part))
-        else:
-            directs.append(part == ">")
+    parts = re.split(r"([<>])", s.removesuffix("~"))
+    verts = []
+    for part in map(str.strip, parts[::2]):
+        if not part:
+            raise ParseError(f"malformed word: {text!r}")
+        verts.append(parse_cluster_pt(part))
+    directs = [part == ">" for part in parts[1::2]]
     try:
-        w = StringWord(verts, directs, lmark, rmark)
+        return word(verts, directs, lmark, rmark)
     except InvalidWord as exc:
         raise ParseError(str(exc))
-    ok, reason = validate_word(w)
-    if not ok:
-        raise ParseError(reason)
-    return w

@@ -68,7 +68,9 @@ rather than by the library's fast path:
   candidate words of the remaining support again after every peel and
   re-solving every arrow of the remainder (`_peel_everywhere`,
   `_restrict_everywhere`), with dense constraint rows for both hom spaces
-  (`_hom_word_to_rep_dense`, `_hom_rep_to_word_dense`);
+  (`_hom_word_to_rep_dense`, `_hom_rep_to_word_dense`), each its own row
+  loop over the arrows at the word's vertices, where the library builds
+  the second as the first over the opposite quiver (`strings._word_maps`);
 - `decompose_rep_by_peeling` checks `strings.decompose_rep`, which splits
   each piece into connected components and reads a thin component off as
   its path word, by peeling the whole representation a word at a time in
@@ -121,8 +123,7 @@ from moebius.quotient import (Classification, MorQ, SumObj, zero_mor, _scalar_of
                               _vertex_matrices)
 from moebius import linalg
 from moebius.strings import (StringWord, RepFin, word, _candidate_words, _letters, _peel,
-                             _solutions, _split_off, _word_coords, decompose_rep, direct_sum,
-                             overlap, to_rep)
+                             _split_off, decompose_rep, direct_sum, overlap, to_rep)
 
 
 # -- the quiver as arrows that carry their triangle -----------------------------
@@ -1010,6 +1011,25 @@ def _matrix(rep, u, v):
     """The matrix of rep on the arrow u -> v, zero where rep holds none."""
     m = rep.mats.get((u, v))
     return linalg.zeros(rep.dim(v), rep.dim(u)) if m is None else m
+
+
+def _word_coords(w, rep):
+    """Offsets of the vertices of w in the stacked coordinates of rep, their
+    total, and the letters of w as (src, dst) pairs; None when rep vanishes
+    at a vertex of w."""
+    if any(rep.dim(v) == 0 for v in w.verts):
+        return None
+    offs, total = {}, 0
+    for v in w.verts:
+        offs[v] = total
+        total += rep.dim(v)
+    return (offs, total, set(_letters(w.verts, w.directs)))
+
+
+def _solutions(rows, offs, total, rep):
+    """Nullspace basis of the constraint rows, split into one vector per vertex."""
+    basis = linalg.nullspace(tuple(tuple(r) for r in rows), total)
+    return [{v: vec[offs[v]:offs[v] + rep.dims[v]] for v in offs} for vec in basis]
 
 
 def _hom_word_to_rep_dense(w, rep):

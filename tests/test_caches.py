@@ -7,7 +7,9 @@ from coming back, and the inventory keeps a cache with no documented bound
 because earlier tests warm the caches.
 """
 
+import itertools
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,6 +71,20 @@ def test_every_cache_is_hit(audit):
 def test_caches_are_the_listed_ones_with_their_bounds(audit):
     assert {name: bound for name, (_, bound) in audit.items()} == INVENTORY
     assert all(isinstance(bound, int) for bound in INVENTORY.values())
+
+
+def test_readme_cache_table_is_the_inventory():
+    # the README table after "The bounds:": each cache named in backticks, by
+    # the first integer of its bound
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = readme.split("The bounds:", 1)[1].strip().splitlines()
+    rows = list(itertools.takewhile(lambda line: line.startswith("|"), lines))[2:]  # past the header
+    table = {}
+    for row in rows:
+        name, bound = row.split("|")[1:3]
+        bound = re.search(r"\d[\d,]*", bound)[0]
+        table["moebius." + re.search(r"`(.+?)`", name)[1]] = int(bound.replace(",", ""))
+    assert table == INVENTORY
 
 
 def test_run_all_drops_the_hom_tables():

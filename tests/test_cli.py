@@ -216,6 +216,33 @@ def test_kernel_stdin_error_json(capsys, monkeypatch):
     assert code == 1 and _assert_json_error(code, out, err)["error"] == "ShapeMismatch"
 
 
+_BIG = "1" + "0" * 3000  # 10^3000, within the digit limit as input
+
+
+@pytest.mark.parametrize("json_flag", [False, True])
+@pytest.mark.parametrize("argv, stdin", [
+    (["simple", "T(15000,1)"], None),  # a Dyadic over 2^15000
+    (["mutate", "T(15000,1)"], None),
+    (["from-string", "T(15000,1)"], None),
+    (["kernel"], json.dumps({"src": ["M(1/8,1/4)", "M(1/4,3/4)"], "dst": ["M(1/4,3/4)"],
+                             "entries": [["1/" + _BIG, _BIG]]})),  # an entry over 10^6000
+])
+def test_answer_past_the_digit_limit_is_one_line_exit_1(capsys, monkeypatch, argv, stdin, json_flag):
+    argv = [*argv, *(["--json"] if json_flag else [])]
+    code, out, err = run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 1
+    if json_flag:
+        assert _assert_json_error(code, out, err)["error"] == "AnswerTooLarge"
+    else:
+        assert out == "" and err.startswith("AnswerTooLarge: ") and err.count("\n") == 1
+
+
+def test_render_spec_integer_past_the_digit_limit_exit_2(capsys, monkeypatch):
+    spec = '{"cluster_depth": 1' + "0" * 5000 + "}"
+    code, out, err = run(capsys, "render", "--spec", "-", stdin=spec, monkeypatch=monkeypatch)
+    assert code == 2 and out == "" and err.startswith("parse error: render spec is not JSON")
+
+
 def test_render_stdout(capsys):
     code, out, _ = run(capsys, "render", "--cluster-depth", "2")
     assert code == 0

@@ -13,12 +13,14 @@ from moebius.quotient import (SumObj, MorQ, identity_mor, zero_mor, basic_mor, c
                               classify, kernel, cokernel, hom_dim, _kernel_rep, _cokernel_rep,
                               _vertex_matrices)
 from moebius.errors import MoebiusError, ShapeMismatch
-from moebius.strings import decompose_rep, overlap, to_rep, _candidate_words
+from moebius.strings import (RepFin, decompose_rep, overlap, to_rep, _candidate_words, _hom_rep_to_word,
+                             _hom_word_to_rep, _letters)
 from moebius.walk import hom_ct_dim, support, walk_of
 
 from oracles import (induced_support_map, classify_per_point, _classify_by_translates,
                      decompose_rep_by_peeling, decompose_rep_by_rescans, _rref_on_fractions,
-                     cokernel_by_quotients, candidate_words_by_paths)
+                     cokernel_by_quotients, candidate_words_by_paths, _hom_rep_to_word_dense,
+                     _hom_word_to_rep_dense)
 
 T = ClusterPt
 M = parse_obj
@@ -414,6 +416,45 @@ def test_candidate_words_match_paths_on_deep_matrix_kernels(monkeypatch):
     for rep in reps:
         supp = sorted(rep.dims)
         assert list(_candidate_words(supp, rep.mats)) == candidate_words_by_paths(supp, rep.mats)
+
+
+def test_hom_solvers_match_dense_oracles_on_split_candidates(monkeypatch):
+    # both hom directions, one nullspace over the quiver and its opposite,
+    # against their dense row loops on each (w, rep) that `_split_off` sees,
+    # and on each rep again without a letter's matrix and without a vertex
+    # of w: equal lists, values and int/Fraction types
+    cases = []
+    split_off = strings._split_off
+
+    def recording(w, rep):
+        cases.append((w, rep))
+        return split_off(w, rep)
+
+    monkeypatch.setattr(strings, "_split_off", recording)
+    rng = random.Random(30)
+    for e in (3, 4, 5, 6):
+        for ns, nd in ((2, 2), (2, 3), (3, 2), (3, 3)):
+            f = _seeded_matrix_morphism(rng, e, ns, nd)
+            kernel(f)
+            cokernel(f)
+    seen, leaving, entering = len(cases), 0, 0
+    for w, rep in cases[:seen]:
+        on = set(w.verts)
+        leaving += any(a in on and b not in on for a, b in rep.mats)
+        entering += any(a not in on and b in on for a, b in rep.mats)
+        if len(w) > 1:
+            first = _letters(w.verts, w.directs)[0]
+            cases.append((w, RepFin(rep.dims, {k: m for k, m in rep.mats.items() if k != first})))
+        v = w.verts[-1]
+        cases.append((w, RepFin({u: d for u, d in rep.dims.items() if u != v},
+                                {k: m for k, m in rep.mats.items() if v not in k})))
+    vanishing = 0
+    for w, rep in cases:
+        phis, psis = _hom_word_to_rep(w, rep), _hom_rep_to_word(rep, w)
+        assert repr(phis) == repr(_hom_word_to_rep_dense(w, rep)), w  # repr tells 2 from Fraction(2)
+        assert repr(psis) == repr(_hom_rep_to_word_dense(rep, w)), w
+        vanishing += phis == psis == [] and any(u not in rep.dims for u in w.verts)
+    assert seen > 50 and leaving and entering and len(cases) > 2 * seen and vanishing == seen
 
 
 def test_matrix_kernels_row_reduce_only_where_f_acts(monkeypatch):
