@@ -414,7 +414,7 @@ def check_ray_functors(e: int) -> tuple[bool, str]:
         truncs = []  # the truncations of w1, read against every w2
         for k in (2, 3):
             g = g_extend(w1, k)
-            truncs.append((k, word(g.verts, g.directs)))
+            truncs.append((k, word(g.verts)))
         for x2 in sample:
             w2 = obj_to_string(x2)
             homs = []

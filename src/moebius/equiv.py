@@ -16,8 +16,8 @@ from functools import lru_cache
 
 from .dyadic import Dyadic
 from .band import Obj, Rep, normal_form, obj_from_ends
-from .cluster import (ClusterPt, member, object_of, chord_at, crossing_path, arrow_dir,
-                      attach, in_neighbors)
+from .cluster import (ClusterPt, member, object_of, chord_at, crossing_path, attach,
+                      in_neighbors)
 from .strings import StringWord, word
 from .errors import InCluster, InvalidWord, NoMorphism, Unreachable, AllOnesTail
 
@@ -28,7 +28,7 @@ def obj_to_string(x: Obj) -> StringWord:
     path = crossing_path(x)
     if not path:
         raise InCluster(f"{x} lies in the standard cluster")
-    return StringWord(path, map(arrow_dir, path, path[1:]))
+    return StringWord(path)
 
 
 @lru_cache(maxsize=8192)
@@ -174,10 +174,7 @@ def g_extend(w: StringWord, k: int) -> StringWord:
     for _ in range(k):
         left, right = attach(verts, in_neighbors)
         verts = (left, *verts, right)
-    # Ray letters point outward (toward the marked end); the attach letters
-    # point into the original word.
-    directs = (tuple([False] * k) + (True,)) + w.directs + ((False,) + tuple([True] * k))
-    return StringWord(verts, directs, lmark=True, rmark=True)
+    return StringWord(verts, lmark=True, rmark=True)
 
 
 def f_strip(w: StringWord) -> StringWord | None:
@@ -193,4 +190,4 @@ def f_strip(w: StringWord) -> StringWord | None:
     hi = next((i + 1 for i in reversed(range(n - 1)) if not w.directs[i]), 0) if w.rmark else n
     if lo >= hi:
         return None
-    return StringWord(w.verts[lo:hi], w.directs[lo:hi - 1])
+    return StringWord(w.verts[lo:hi])

@@ -26,81 +26,60 @@ from .errors import InvalidWord, NoMorphism, NotAModule, ParseError
 # annotations that name `linalg.Matrix` and `Fraction` are never evaluated.
 
 
-class StringWord:
+class StringWord(namedtuple("StringWord", "verts directs lmark rmark")):
     """Reduced word: distinct vertices and, between consecutive ones, the
-    direction of the unique arrow (True for v_i -> v_{i+1}).  Words equal
-    their reversals; construction canonicalizes the orientation.  Ray
-    markers flag truncated infinite tails at either end."""
+    direction of the unique arrow (True for v_i -> v_{i+1}), read off the
+    quiver (`cluster.arrow_dir`).  Words equal their reversals; construction
+    canonicalizes the orientation.  Ray markers flag truncated infinite
+    tails at either end.  It equals and hashes as the tuple of its fields."""
 
-    __slots__ = ("verts", "directs", "lmark", "rmark")
+    __slots__ = ()
 
-    def __init__(self, verts, directs, lmark: bool = False, rmark: bool = False):
-        verts, directs = tuple(verts), tuple(bool(d) for d in directs)
-        if len(directs) != max(len(verts) - 1, 0):
-            raise InvalidWord("letter count must be one less than vertex count")
-        if not verts:
-            raise InvalidWord("empty word")
-        if verts[0] != verts[-1]:
-            # the two orientations first differ at their first vertex
-            flip = verts[-1] < verts[0]
-        else:
-            flip = ((verts[::-1], tuple(not d for d in directs[::-1]), (rmark, lmark))
-                    < (verts, directs, (lmark, rmark)))
-        if flip:
-            verts, directs = verts[::-1], tuple(not d for d in directs[::-1])
-            lmark, rmark = rmark, lmark
-        object.__setattr__(self, "verts", verts)
-        object.__setattr__(self, "directs", directs)
-        object.__setattr__(self, "lmark", lmark)
-        object.__setattr__(self, "rmark", rmark)
+    def __new__(cls, verts, lmark: bool = False, rmark: bool = False):
+        verts = tuple(verts)
+        if (verts[::-1], (rmark, lmark)) < (verts, (lmark, rmark)):
+            verts, lmark, rmark = verts[::-1], rmark, lmark
+        return tuple.__new__(cls, (verts, tuple(map(arrow_dir, verts, verts[1:])), lmark, rmark))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("StringWord is immutable")
+    def __getnewargs__(self):  # pickle and copy rebuild through __new__
+        return (self.verts, self.lmark, self.rmark)
 
-    def _key(self):
-        return (self.verts, self.directs, self.lmark, self.rmark)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, StringWord) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __len__(self) -> int:
+    def __len__(self) -> int:  # the module's dimension, not the tuple's four fields
         return len(self.verts)
 
     def sort_key(self):
-        """Longest first, then by vertices and letter directions."""
-        return (-len(self.verts), self.verts, self.directs)
+        """Longest first, then by vertices, which fix the letters."""
+        return (-len(self.verts), self.verts)
 
     @property
     def marked(self) -> bool:
         return self.lmark or self.rmark
 
     def __str__(self) -> str:
-        parts = ["~" if self.lmark else ""]
-        for i, v in enumerate(self.verts):
-            if i:
-                parts.append(" > " if self.directs[i - 1] else " < ")
-            parts.append(str(v))
-        parts.append("~" if self.rmark else "")
-        return "".join(parts)
+        arrows = ("", *(" > " if d else " < " for d in self.directs))
+        body = "".join(a + str(v) for a, v in zip(arrows, self.verts))
+        return ("~" if self.lmark else "") + body + ("~" if self.rmark else "")
 
     __repr__ = __str__
 
 
 def word(verts, directs=None, lmark=False, rmark=False) -> StringWord:
-    """Build a word, inferring letter directions from the quiver when omitted."""
+    """Build a word; letter directions, when given, must be the quiver's."""
     verts = tuple(verts)
+    if directs is not None and len(directs) != max(len(verts) - 1, 0):
+        raise InvalidWord("letter count must be one less than vertex count")
+    if not verts:
+        raise InvalidWord("empty word")
+    if len(set(verts)) != len(verts):
+        raise InvalidWord("repeated vertex")  # as validate_word says, before any letter
+    w = StringWord(verts, lmark, rmark)
     if directs is None:
-        if len(set(verts)) != len(verts):
-            raise InvalidWord("repeated vertex")  # as validate_word says, before any letter
-        directs = []
-        for u, v in zip(verts, verts[1:]):
-            if triangle(u, v) is None:
-                raise InvalidWord(f"no arrow between {u} and {v}")
-            directs.append(arrow_dir(u, v))
-    w = StringWord(verts, directs, lmark, rmark)
+        directs = map(arrow_dir, verts, verts[1:])
+    elif w.verts != verts:  # a bad letter is named in the orientation w keeps
+        verts, directs = w.verts, [not d for d in directs[::-1]]
+    for u, v, d in zip(verts, verts[1:], directs):
+        if triangle(u, v) is None or arrow_dir(u, v) != d:
+            raise InvalidWord(f"no arrow between {u} and {v}")
     ok, reason = validate_word(w)
     if not ok:
         raise InvalidWord(reason)
@@ -113,11 +92,10 @@ def validate_word(w: StringWord) -> tuple[bool, str]:
     to reject: letters i and i+1 are one arrow only if v_i = v_{i+2}."""
     if len(set(w.verts)) != len(w.verts):
         return (False, "repeated vertex")
-    tris = []
-    for u, v, d in zip(w.verts, w.verts[1:], w.directs):
-        tris.append(triangle(u, v))
-        if tris[-1] is None or arrow_dir(u, v) != d:
-            return (False, f"no arrow between {u} and {v}")
+    tris = [triangle(u, v) for u, v in zip(w.verts, w.verts[1:])]
+    if None in tris:
+        i = tris.index(None)
+        return (False, f"no arrow between {w.verts[i]} and {w.verts[i + 1]}")
     for i in range(len(tris) - 1):
         if w.directs[i] == w.directs[i + 1] and tris[i] == tris[i + 1]:
             return (False, f"letters {i},{i + 1} compose inside a triangle")
@@ -132,9 +110,9 @@ def _occurrences(w1: StringWord, w2: StringWord):
     there is no graph map.
 
     By steps 1-2 of the lemma in `quotient._vertex_matrices` the vertices
-    the two words share form one run with the same letters in both
-    (asserted), and by step 3 a graph map covers that whole run.  So the
-    run is the one candidate: it must be a factor of w1 (the adjacent
+    the two words share form one run in both (asserted), with the letters
+    its vertices fix, and by step 3 a graph map covers that whole run.  So
+    the run is the one candidate: it must be a factor of w1 (the adjacent
     letters point out of it) and a submodule of w2 (they point into it).
     """
     if w1.marked or w2.marked:
@@ -147,10 +125,8 @@ def _occurrences(w1: StringWord, w2: StringWord):
     run = [pos[w1.verts[i]] for i in common]
     step = 1 if run[-1] >= run[0] else -1
     i2, j2 = min(run[0], run[-1]), max(run[0], run[-1])
-    letters = w2.directs[i2:j2] if step > 0 else tuple(not d for d in w2.directs[i2:j2][::-1])
-    # one run in w2, and in w1 too, or the two letter slices differ in length
-    if run != list(range(run[0], run[-1] + step, step)) or letters != w1.directs[i1:j1]:
-        raise AssertionError(f"common vertices not one run with the same letters: {w1} -> {w2}")
+    if j1 - i1 != len(common) - 1 or run != list(range(run[0], run[-1] + step, step)):
+        raise AssertionError(f"common vertices not one run in both words: {w1} -> {w2}")
     n1, n2 = len(w1.verts), len(w2.verts)
     if ((i1 == 0 or not w1.directs[i1 - 1]) and (j1 == n1 - 1 or w1.directs[j1])
             and (i2 == 0 or w2.directs[i2 - 1]) and (j2 == n2 - 1 or not w2.directs[j2])):
@@ -174,7 +150,7 @@ def overlap(w1: StringWord, w2: StringWord) -> frozenset[ClusterPt]:
 def _outside(w: StringWord, i: int, j: int) -> list[StringWord]:
     """The words of w left and right of its run w[i..j], the empty ones left out."""
     last = len(w.verts) - 1
-    return [StringWord(w.verts[a:b + 1], w.directs[a:b]) for a, b in ((0, i - 1), (j + 1, last)) if a <= b]
+    return [StringWord(w.verts[a:b + 1]) for a, b in ((0, i - 1), (j + 1, last)) if a <= b]
 
 
 def kernel_cokernel_strings(w1: StringWord, w2: StringWord) -> tuple[list[StringWord], list[StringWord]]:
@@ -224,7 +200,7 @@ def to_rep(w: StringWord) -> RepFin:
         raise InvalidWord("marked words have no finite representation")
     from . import linalg
     one = linalg.identity(1)
-    return RepFin(dict.fromkeys(w.verts, 1), dict.fromkeys(_letters(w.verts, w.directs), one))
+    return RepFin(dict.fromkeys(w.verts, 1), dict.fromkeys(_letters(w), one))
 
 
 def direct_sum(reps: list[RepFin]) -> RepFin:
@@ -245,7 +221,7 @@ def direct_sum(reps: list[RepFin]) -> RepFin:
 
 def _candidate_words(supp: list[ClusterPt], letters):
     """Every reduced word on the support whose letters, as (src, dst)
-    pairs, are in letters, as (verts, directs) in `StringWord` orientation,
+    pairs, are in letters, as its vertex tuple in `StringWord` orientation,
     lazily and longest first (`StringWord.sort_key`).  Two letters of one
     triangle compose or backtrack, so a word leaves each vertex by the
     triangle it did not enter by: it is the one path in the dual tree between
@@ -256,36 +232,35 @@ def _candidate_words(supp: list[ClusterPt], letters):
     for v, u in letters:
         if v in adj and u in adj:
             t = triangle(v, u)
-            adj[v].append((u, True, t))
-            adj[u].append((v, False, t))
+            adj[v].append((u, t))
+            adj[u].append((v, t))
     by_len = [[] for _ in range(len(supp) + 1)]  # by word length: (parent pointers, end)
     for start in supp:
-        tree = {start: None}  # vertex: (previous vertex, letter direction)
+        tree = {start: None}  # vertex: previous vertex
         stack = [(start, None, 1)]  # a vertex, the triangle it was entered by, the length
         while stack:
             v, tri, n = stack.pop()
             if start <= v:
                 by_len[n].append((tree, v))
-            for u, d, t in adj[v]:
+            for u, t in adj[v]:
                 if t != tri:
-                    tree[u] = (v, d)
+                    tree[u] = v
                     stack.append((u, t, n + 1))
     for ends in reversed(by_len):
         group = []
         for tree, v in ends:
-            verts, directs = [v], []
-            while tree[v]:
-                v, d = tree[v]
+            verts = [v]
+            while tree[v] is not None:
+                v = tree[v]
                 verts.append(v)
-                directs.append(d)
-            group.append((tuple(verts[::-1]), tuple(directs[::-1])))
+            group.append(tuple(verts[::-1]))
         group.sort()
         yield from group
 
 
-def _letters(verts, directs):
-    """The letters of the word (verts, directs) as (src, dst) pairs."""
-    return [(a, b) if d else (b, a) for a, b, d in zip(verts, verts[1:], directs)]
+def _letters(w: StringWord):
+    """The letters of w as (src, dst) pairs."""
+    return [(a, b) if d else (b, a) for a, b, d in zip(w.verts, w.verts[1:], w.directs)]
 
 
 def _word_maps(verts, letters, dims, mats) -> list[dict[ClusterPt, tuple[int | Fraction, ...]]]:
@@ -322,7 +297,7 @@ def _word_maps(verts, letters, dims, mats) -> list[dict[ClusterPt, tuple[int | F
 def _hom_word_to_rep(w: StringWord, rep: RepFin) -> list[dict[ClusterPt, tuple[int | Fraction, ...]]]:
     """Basis of module maps from the standard module of w into rep,
     each given by its vector at every vertex of w."""
-    return _word_maps(w.verts, set(_letters(w.verts, w.directs)), rep.dims, rep.mats)
+    return _word_maps(w.verts, set(_letters(w)), rep.dims, rep.mats)
 
 
 def _hom_rep_to_word(rep: RepFin, w: StringWord) -> list[dict[ClusterPt, tuple[int | Fraction, ...]]]:
@@ -330,7 +305,7 @@ def _hom_rep_to_word(rep: RepFin, w: StringWord) -> list[dict[ClusterPt, tuple[i
     the maps from M(w) into the dual of rep over the opposite quiver, each
     letter reversed and each matrix into w transposed (no other gives rows)."""
     on = set(w.verts)
-    return _word_maps(w.verts, {(b, a) for a, b in _letters(w.verts, w.directs)}, rep.dims,
+    return _word_maps(w.verts, {(b, a) for a, b in _letters(w)}, rep.dims,
                       {(u, v): tuple(zip(*m)) for (v, u), m in rep.mats.items() if u in on})
 
 
@@ -396,7 +371,7 @@ def decompose_rep(rep: RepFin) -> list[tuple[StringWord, dict[ClusterPt, tuple[i
             else:
                 sub = RepFin({v: piece.dims[v] for v in verts}, mats)
                 for cand in _candidate_words(sorted(verts), mats):
-                    w = StringWord(*cand)
+                    w = StringWord(cand)
                     split = _split_off(w, sub)
                     if split:
                         break
@@ -442,20 +417,18 @@ def _thin_summand(verts, mats):
     from .linalg import exact
     links = {v: [] for v in verts}
     for a, b in mats:
-        links[a].append((b, True))
-        links[b].append((a, False))
-    path, directs = [min(verts, key=lambda v: len(links[v]))], []
+        links[a].append(b)
+        links[b].append(a)
+    path = [min(verts, key=lambda v: len(links[v]))]
     while len(path) < len(verts):
-        step = [(u, d) for u, d in links[path[-1]] if len(path) == 1 or u != path[-2]]
+        step = [u for u in links[path[-1]] if len(path) == 1 or u != path[-2]]
         if len(step) != 1:
             raise AssertionError("thin component is not a path")
-        path.append(step[0][0])
-        directs.append(step[0][1])
-    w = StringWord(path, directs)
+        path.append(step[0])
+    w = StringWord(path)
     phi = {w.verts[-1]: 1}
-    for i in reversed(range(len(w.directs))):
-        a, b = w.verts[i], w.verts[i + 1]
-        if w.directs[i]:
+    for a, b, d in reversed(tuple(zip(w.verts, w.verts[1:], w.directs))):
+        if d:
             phi[a] = exact(phi[b] / Fraction(mats[(a, b)][0][0]))
         else:
             phi[a] = exact(mats[(b, a)][0][0] * phi[b])

@@ -197,10 +197,12 @@ def g_extend_by_arrows(w: StringWord, k: int) -> StringWord:
             used = nxt.triangle
         return chain
 
+    # the ray letters point outward, the attach letters into w; `word`
+    # checks them against the quiver
     left, right = (ray(att) for att in attach_arrows(w))
-    return StringWord((*reversed(left), *w.verts, *right),
-                      (False,) * k + (True,) + w.directs + (False,) + (True,) * k,
-                      lmark=True, rmark=True)
+    return word((*reversed(left), *w.verts, *right),
+                (False,) * k + (True,) + w.directs + (False,) + (True,) * k,
+                lmark=True, rmark=True)
 
 
 # -- the geometry on Dyadic coordinates -----------------------------------------
@@ -658,7 +660,7 @@ def _walk_word(walk: Walk) -> StringWord:
     inner = walk.pts[1:-1]
     if not inner:
         raise AssertionError("empty support off the cluster")
-    return StringWord(inner, [step == "h" for step in walk.steps[1:-1]])
+    return word(inner, [step == "h" for step in walk.steps[1:-1]])
 
 
 def obj_to_string_by_walk(x: Obj) -> StringWord:
@@ -1023,7 +1025,7 @@ def _word_coords(w, rep):
     for v in w.verts:
         offs[v] = total
         total += rep.dim(v)
-    return (offs, total, set(_letters(w.verts, w.directs)))
+    return (offs, total, set(_letters(w)))
 
 
 def _solutions(rows, offs, total, rep):
@@ -1089,8 +1091,8 @@ def decompose_rep_by_rescans(rep):
     while current.dims:
         supp = sorted((v for v in current.dims), key=lambda p: (p.n, p.m))
         split = None
-        for verts, directs in candidate_words_by_paths(supp, {(v, a.dst) for v in supp for a in arrows_at(v)[1]}):
-            w = StringWord(verts, directs)
+        for verts, _ in candidate_words_by_paths(supp, {(v, a.dst) for v in supp for a in arrows_at(v)[1]}):
+            w = StringWord(verts)
             phis = _hom_word_to_rep_dense(w, current)
             if not phis:
                 continue
@@ -1136,10 +1138,9 @@ def decompose_rep_by_peeling(rep):
         while True:
             if cand is None:
                 raise NotAModule("representation does not split into strings")
-            verts, directs = cand
-            if (all(v in current.dims for v in verts)
-                    and all(key in current.mats for key in _letters(verts, directs))):
-                w = StringWord(verts, directs)
+            w = StringWord(cand)
+            if (all(v in current.dims for v in w.verts)
+                    and all(key in current.mats for key in _letters(w))):
                 split = _split_off(w, current)
                 if split:
                     break
@@ -1346,26 +1347,27 @@ def candidate_words_by_paths(supp, letters):
 
 
 def _brute_force_candidates(supp):
-    """Every simple path in the support validated through word(): the
-    enumeration _candidate_words replaced, kept as its oracle."""
+    """Every simple path in the support, its letters oriented as `arrows_at`
+    says, validated through word(), which checks them against the quiver:
+    the enumeration _candidate_words replaced, kept as its oracle."""
     adj = {v: [] for v in supp}
     for v in supp:
         for arr in arrows_at(v)[1]:
             if arr.dst in adj:
-                adj[v].append(arr.dst)
-                adj[arr.dst].append(v)
+                adj[v].append((arr.dst, True))
+                adj[arr.dst].append((v, False))
     words = set()
     for start in supp:
-        stack = [(start,)]
+        stack = [((start,), ())]
         while stack:
-            path = stack.pop()
+            path, directs = stack.pop()
             try:
-                words.add(word(path))
+                words.add(word(path, directs))
             except InvalidWord:
                 continue
-            for nxt in adj[path[-1]]:
+            for nxt, d in adj[path[-1]]:
                 if nxt not in path:
-                    stack.append(path + (nxt,))
+                    stack.append((path + (nxt,), directs + (d,)))
     key = lambda w: (-len(w), tuple((p.n, p.m) for p in w.verts), w.directs)
     return sorted(words, key=key)
 
@@ -1393,5 +1395,4 @@ def f_strip_by_search(w: StringWord) -> StringWord | None:
     if not keep:
         return None
     assert keep == list(range(keep[0], keep[-1] + 1)), "stripped word not contiguous"
-    return StringWord(tuple(w.verts[i] for i in keep),
-                      tuple(w.directs[i] for i in range(keep[0], keep[-1])))
+    return StringWord(tuple(w.verts[i] for i in keep))

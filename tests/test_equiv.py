@@ -392,19 +392,25 @@ def test_f_strip():
     for k in range(4):
         assert f_strip(g_extend(w, k)) == w
     assert f_strip(w) == w
-    outward = StringWord([T(1, 0), T(2, 7)], [False], lmark=True, rmark=False)
+    outward = StringWord([T(1, 0), T(2, 7)], rmark=True)  # T(1,0) -> T(2,7), towards the mark
     assert f_strip(outward) is None
 
 
 def test_f_strip_matches_search_on_every_short_word():
     # every letter sequence of up to 11 letters under each marking, on the
-    # distinct vertices 0..n, which the word does not flip
+    # path down the tree from T(1,1) that steps to the odd child T(n+1, 2m-1)
+    # on a forward letter and to the even child T(n+1, 2m) on a backward one;
+    # the word does not flip
     words = 0
     for letters in range(12):
         for bits in range(1 << letters):
-            directs = [bool(bits >> i & 1) for i in range(letters)]
+            directs = tuple(bool(bits >> i & 1) for i in range(letters))
+            path = [T(1, 1)]
+            for d in directs:
+                path.append(T(path[-1].n + 1, 2 * path[-1].m - d))
             for lmark, rmark in ((True, False), (False, True), (True, True)):
-                w = StringWord(range(letters + 1), directs, lmark=lmark, rmark=rmark)
+                w = StringWord(path, lmark=lmark, rmark=rmark)
+                assert w.verts == tuple(path) and w.directs == directs, w
                 assert f_strip(w) == f_strip_by_search(w), w
                 words += 1
     assert words == 12_285
@@ -430,4 +436,4 @@ def test_truncation_objects_converge_to_simple():
     want = ["M(3/4,3/4)", "M(5/8,5/8)", "M(9/16,9/16)", "M(17/32,17/32)"]
     for k, text in enumerate(want):
         g = g_extend(w, k)
-        assert string_to_obj(StringWord(g.verts, g.directs)) == M(text)
+        assert string_to_obj(StringWord(g.verts)) == M(text)

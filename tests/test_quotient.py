@@ -13,8 +13,8 @@ from moebius.quotient import (SumObj, MorQ, identity_mor, zero_mor, basic_mor, c
                               classify, kernel, cokernel, hom_dim, _kernel_rep, _cokernel_rep,
                               _vertex_matrices)
 from moebius.errors import MoebiusError, ShapeMismatch
-from moebius.strings import (RepFin, decompose_rep, overlap, to_rep, _candidate_words, _hom_rep_to_word,
-                             _hom_word_to_rep, _letters)
+from moebius.strings import (RepFin, StringWord, decompose_rep, overlap, to_rep, _candidate_words,
+                             _hom_rep_to_word, _hom_word_to_rep, _letters)
 from moebius.walk import hom_ct_dim, support, walk_of
 
 from oracles import (induced_support_map, classify_per_point, _classify_by_translates,
@@ -415,7 +415,10 @@ def test_candidate_words_match_paths_on_deep_matrix_kernels(monkeypatch):
     assert len(reps) == 4
     for rep in reps:
         supp = sorted(rep.dims)
-        assert list(_candidate_words(supp, rep.mats)) == candidate_words_by_paths(supp, rep.mats)
+        paths = candidate_words_by_paths(supp, rep.mats)
+        got = list(_candidate_words(supp, rep.mats))
+        assert got == [verts for verts, _ in paths]
+        assert [StringWord(verts).directs for verts in got] == [directs for _, directs in paths]
 
 
 def test_hom_solvers_match_dense_oracles_on_split_candidates(monkeypatch):
@@ -443,7 +446,7 @@ def test_hom_solvers_match_dense_oracles_on_split_candidates(monkeypatch):
         leaving += any(a in on and b not in on for a, b in rep.mats)
         entering += any(a not in on and b in on for a, b in rep.mats)
         if len(w) > 1:
-            first = _letters(w.verts, w.directs)[0]
+            first = _letters(w)[0]
             cases.append((w, RepFin(rep.dims, {k: m for k, m in rep.mats.items() if k != first})))
         v = w.verts[-1]
         cases.append((w, RepFin({u: d for u, d in rep.dims.items() if u != v},

@@ -102,6 +102,11 @@ REJECTIONS = [
      r"^letters 0,1 compose inside a triangle$"),
     ([T(1, 0), T(0, 0), T(1, 0)], "T(1,0) > T(0,0) < T(1,0)", r"^repeated vertex$"),
     ([T(0, 0), T(0, 0)], "T(0,0) > T(0,0)", r"^repeated vertex$"),
+    # a bad letter is named in the orientation the word keeps
+    (None, "T(1,1) > T(0,0)", r"^no arrow between T\(0,0\) and T\(1,1\)$"),
+    (None, "T(2,1) > T(1,1) > T(0,0) > T(1,3)", r"^no arrow between T\(0,0\) and T\(1,1\)$"),
+    (None, "~T(1,1) > T(0,0)", r"^no arrow between T\(0,0\) and T\(1,1\)$"),
+    (None, "T(1,3) > T(0,0) > T(1,1) < T(2,1)~", r"^no arrow between T\(1,3\) and T\(0,0\)$"),
 ]
 
 
@@ -123,16 +128,35 @@ def test_word_reversal_equality():
 
 @settings(deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 7)), min_size=1, max_size=5),
-       st.lists(st.booleans(), min_size=4, max_size=4), st.booleans(), st.booleans())
-def test_word_keeps_the_smaller_orientation(pts, directs, lmark, rmark):
+       st.booleans(), st.booleans())
+def test_word_keeps_the_smaller_orientation(pts, lmark, rmark):
     # repeated vertices included: StringWord itself does not validate
     verts = [T(n, m) for n, m in pts]
-    directs = directs[:len(verts) - 1]
-    w = StringWord(verts, directs, lmark, rmark)
-    key = lambda vs, ds, marks: (tuple((p.n, p.m) for p in vs), tuple(ds), marks)
-    fwd = key(verts, directs, (lmark, rmark))
-    rev = key(verts[::-1], [not d for d in directs[::-1]], (rmark, lmark))
-    assert key(w.verts, w.directs, (w.lmark, w.rmark)) == min(fwd, rev)
+    w = StringWord(verts, lmark, rmark)
+    key = lambda vs, marks: (tuple((p.n, p.m) for p in vs), marks)
+    fwd = key(verts, (lmark, rmark))
+    rev = key(verts[::-1], (rmark, lmark))
+    assert key(w.verts, (w.lmark, w.rmark)) == min(fwd, rev)
+    assert w.directs == tuple(map(arrow_dir, w.verts, w.verts[1:]))
+
+
+def test_word_is_a_tuple_of_its_fields():
+    # words of G(3) and their ray truncations: the length is the vertex
+    # count, the hash that of the field tuple, and copies and pickles
+    # rebuild equal words
+    import copy
+    import pickle
+    from moebius.checks import grid_off_cluster
+    from moebius.equiv import g_extend, obj_to_string
+    plain = [obj_to_string(x) for x in grid_off_cluster(3)]
+    ws = plain + [g_extend(w, k) for w in plain for k in range(3)]
+    for w in ws:
+        assert len(w) == len(w.verts)
+        assert hash(w) == hash((w.verts, w.directs, w.lmark, w.rmark))
+        for back in (pickle.loads(pickle.dumps(w)), copy.copy(w)):
+            assert type(back) is StringWord and back == w and str(back) == str(w)
+    by_fields = lambda w: (-len(w.verts), tuple((p.n, p.m) for p in w.verts), w.directs)
+    assert sorted(ws, key=StringWord.sort_key) == sorted(ws, key=by_fields)
 
 
 def test_hom_dim_strings_examples():
@@ -199,7 +223,7 @@ def test_decompose_twisted_basis():
     w = w_of("M(1/4,3/4)")
     one = Fraction(1)
     dims = {v: 2 for v in w.verts}
-    mats = dict.fromkeys(_letters(w.verts, w.directs), ((one, Fraction(3)), (Fraction(0), one)))
+    mats = dict.fromkeys(_letters(w), ((one, Fraction(3)), (Fraction(0), one)))
     rep = RepFin(dims, mats)
     pieces = decompose_rep(rep)
     assert len(pieces) == 2
@@ -342,6 +366,12 @@ def test_word_str_and_parse():
         parse_word("T(1,0) > T(0,0) < T(1,1)")  # no arrow T(1,1) -> T(0,0)
 
 
+def _candidate_words_with_letters(supp, letters):
+    """The vertex tuples `_candidate_words` lists, each with the letters of
+    its word, to hold against the oracles' letters from `arrows_at`."""
+    return [(verts, StringWord(verts).directs) for verts in _candidate_words(supp, letters)]
+
+
 def test_candidate_words_match_brute_force():
     from moebius.checks import grid_off_cluster
     from moebius.equiv import obj_to_string
@@ -352,7 +382,7 @@ def test_candidate_words_match_brute_force():
     for supp in supports + unions:
         every_arrow = {(v, arr.dst) for v in supp for arr in arrows_at(v)[1]}
         expected = [(w.verts, w.directs) for w in _brute_force_candidates(list(supp))]
-        assert list(_candidate_words(list(supp), every_arrow)) == expected
+        assert _candidate_words_with_letters(list(supp), every_arrow) == expected
         assert candidate_words_by_paths(list(supp), every_arrow) == expected
 
 
@@ -367,7 +397,7 @@ def test_candidate_words_on_given_letters_match_brute_force():
             letters = letters_of(a) | letters_of(b)
             expected = [(w.verts, w.directs) for w in _brute_force_candidates(supp)
                         if letters_of(w) <= letters]
-            assert list(_candidate_words(supp, letters)) == expected
+            assert _candidate_words_with_letters(supp, letters) == expected
             assert candidate_words_by_paths(supp, letters) == expected
 
 
@@ -416,14 +446,11 @@ def test_occurrences_match_brute_force_on_nearby_objects():
 
 
 def test_occurrences_assert_one_run():
-    # StringWord does not validate: common vertices split in either word, and
-    # common letters that disagree, break the run the lemma promises
-    split = (StringWord([T(0, 0), T(1, 0), T(1, 1)], [True, True]),
-             StringWord([T(0, 0), T(2, 0), T(1, 1)], [True, True]))
-    split_once = (StringWord([T(0, 0), T(1, 0), T(1, 1)], [True, True]),
-                  StringWord([T(0, 0), T(1, 1)], [True]))
-    disagree = (StringWord([T(0, 0), T(1, 0)], [True]), StringWord([T(0, 0), T(1, 0)], [False]))
-    for w1, w2 in (split, split_once, split_once[::-1], disagree, disagree[::-1]):
+    # StringWord does not validate: common vertices split in either word
+    # break the run the lemma promises
+    split = (StringWord([T(0, 0), T(1, 0), T(1, 1)]), StringWord([T(0, 0), T(2, 0), T(1, 1)]))
+    split_once = (StringWord([T(0, 0), T(1, 0), T(1, 1)]), StringWord([T(0, 0), T(1, 1)]))
+    for w1, w2 in (split, split[::-1], split_once, split_once[::-1]):
         with pytest.raises(AssertionError, match="not one run"):
             _occurrences(w1, w2)
 
