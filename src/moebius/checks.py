@@ -25,8 +25,8 @@ from .walk import (support, walk_of, approximation, hom_ct_dim, tau_dims,
                    compose_basic_nonzero, chain_box_nonzero, concrete_epsilon, shifted,
                    factors_through_sink)
 from .strings import hom_dim_strings, overlap, word
-from .equiv import (obj_to_string, string_to_obj, DigitPrefix,
-                    digits_to_coords, digit_vertex, coords_to_digits,
+from .equiv import (obj_to_string, string_to_obj, DigitPrefix, _digit_point,
+                    _tree_vertex, coords_to_digits,
                     g_extend, f_strip, tail_case)
 from .quotient import SumObj, MorQ, basic_mor, compose, classify, kernel, cokernel
 from .errors import Unreachable, AllOnesTail
@@ -365,27 +365,32 @@ def check_noncrossing(e: int) -> tuple[bool, str]:
 
 
 def check_digits(e: int) -> tuple[bool, str]:
+    """Every prefix of at most 10 digits below each base of depth < e: its
+    b_m reaches the digit tree's vertex, grows with each digit, and the
+    vertex reads back its digits.  The search carries each prefix's binary
+    value D and b_m's numerator, at the scale that doubles with each digit,
+    so a prefix reads its digits once, in `coords_to_digits`."""
     bases = cluster_points(max(e - 1, 0))
     count = 0
     max_len = 10
     for v in bases:
-        stack = [((), None)]
+        base = object_of(v)
+        stack = [((), 0, None)]
         while stack:
-            digits, prev_b = stack.pop()
-            p = DigitPrefix(v, digits)
-            am, bm = digits_to_coords(p)
-            if prev_b is not None and bm < prev_b:
-                return (False, f"b_m not monotone along {p}")
-            w = digit_vertex(p)
+            digits, d, prev_b = stack.pop()
+            m = len(digits)
+            _, bm, pt = _digit_point(base, m, d)
+            if prev_b is not None and bm < 2 * prev_b:
+                return (False, f"b_m not monotone along {DigitPrefix(v, digits)}")
             # the b_m formula against the digit tree
-            if member(normal_form(am, bm)) != w:
-                return (False, f"b_m leaves the digit tree at {p}")
-            if coords_to_digits(v, w, max_len).digits != digits:
-                return (False, f"digit round trip fails at {p}")
+            if pt != _tree_vertex(v, m, d):
+                return (False, f"b_m leaves the digit tree at {DigitPrefix(v, digits)}")
+            if coords_to_digits(v, pt, max_len).digits != digits:
+                return (False, f"digit round trip fails at {DigitPrefix(v, digits)}")
             count += 1
-            if len(digits) < max_len:
-                stack.append((digits + (0,), bm))
-                stack.append((digits + (1,), bm))
+            if m < max_len:
+                stack.append((digits + (0,), 2 * d, bm))
+                stack.append((digits + (1,), 2 * d + 1, bm))
     try:
         tail_case(DigitPrefix(ClusterPt(1, 1), (1, 1, 1)), DigitPrefix(ClusterPt(1, 1), (0,)))
         return (False, "all-ones prefix not rejected")

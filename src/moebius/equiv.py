@@ -97,6 +97,20 @@ def _binary(digits) -> int:
     return d
 
 
+def _digit_point(base: Obj, m: int, d: int) -> tuple[int, int, ClusterPt]:
+    """The numerators of `digits_to_coords` at the scale 2^(e+m), for m
+    digits of binary value d below the base object, and the cluster point
+    they name."""
+    k = base.e + m
+    theta = (1 << base.e) - base.dn  # a + 1 - b
+    bm = ((base.xn + base.dn) << m) + theta * d
+    am = bm - (1 << k) + theta
+    pt = member(normal_form(am, bm, k))
+    if pt is None:
+        raise AssertionError("digit walk left the cluster")
+    return am, bm, pt
+
+
 def digits_to_coords(p: DigitPrefix) -> Rep:
     """Coordinates (a_m, b_m) of the vertex reached from the base:
     b_m = b + sum d_i theta/2^i and a_m = b_m - 1 + theta/2^m.
@@ -106,21 +120,21 @@ def digits_to_coords(p: DigitPrefix) -> Rep:
     multiplication of numerators instead of m additions."""
     base = object_of(p.base)  # its representative (a, b) = (base.x, base.y)
     m = len(p.digits)
+    am, bm, _ = _digit_point(base, m, _binary(p.digits))
     k = base.e + m
-    theta = (1 << base.e) - base.dn  # a + 1 - b
-    bm = ((base.xn + base.dn) << m) + theta * _binary(p.digits)
-    am = bm - (1 << k) + theta
-    if member(normal_form(am, bm, k)) is None:
-        raise AssertionError("digit walk left the cluster")
     return (Dyadic(am, k), Dyadic(bm, k))
 
 
+def _tree_vertex(v: ClusterPt, k: int, d: int) -> ClusterPt:
+    """The vertex k digits with binary value d reach from v on the digit
+    tree: digit b steps from (n, m) to the child (n + 1, 2m - 1 + b), so
+    (n + k, 2^k m - 2^k + 1 + d)."""
+    return ClusterPt(v.n + k, ((v.m - 1) << k) + 1 + d)
+
+
 def digit_vertex(p: DigitPrefix) -> ClusterPt:
-    """The vertex reached from the base on the digit tree: digit d steps
-    from (n, m) to the child (n + 1, 2m - 1 + d), so k digits, read as the
-    binary integer D, reach (n + k, 2^k m - 2^k + 1 + D)."""
-    k = len(p.digits)
-    return ClusterPt(p.base.n + k, ((p.base.m - 1) << k) + 1 + _binary(p.digits))
+    """The vertex reached from the base on the digit tree (`_tree_vertex`)."""
+    return _tree_vertex(p.base, len(p.digits), _binary(p.digits))
 
 
 def coords_to_digits(v: ClusterPt, w: ClusterPt, bound: int) -> DigitPrefix:

@@ -10,7 +10,7 @@ command line reports a `check` or `render` depth past its bound as a
 #   depth 5: 1,891 classes, 3.6 MB
 #   depth 6: 7,875 classes, 62 MB
 # Depth 6 would take about 15 min in criterion 1 and 50 min in criterion 6
-# (12M basics), so the bound is 5, which takes about 4 min (README).
+# (12M basics), so the bound is 5, which takes about 2 min (README).
 MAX_CHECK_DEPTH = 5
 
 # The deepest cluster dots `render` draws: 2^(d+1) - 1 dots, and depth 12

@@ -75,9 +75,7 @@ def word(verts, directs=None, lmark=False, rmark=False) -> StringWord:
     w = StringWord(verts, lmark, rmark)
     if directs is None:
         directs = map(arrow_dir, verts, verts[1:])
-    elif w.verts != verts:  # a bad letter is named in the orientation w keeps
-        verts, directs = w.verts, [not d for d in directs[::-1]]
-    for u, v, d in zip(verts, verts[1:], directs):
+    for u, v, d in zip(verts, verts[1:], directs):  # a bad letter is named as written
         if triangle(u, v) is None or arrow_dir(u, v) != d:
             raise InvalidWord(f"no arrow between {u} and {v}")
     ok, reason = validate_word(w)

@@ -117,3 +117,58 @@ def test_criterion_9_fails_when_compatible_is_constant(monkeypatch, constant):
     for depth in (1, DEPTH):
         ok, detail = checks.check_noncrossing(depth)
         assert not ok and detail.startswith("compatibility vs crossing disagree"), detail
+
+
+# -- the work each criterion counts at DEPTH -------------------------------------
+
+DETAILS = [
+    "8281 ordered pairs agree",
+    "91 objects round-trip both ways",
+    "91 objects, 467 walk vertices, worked values included",
+    "balance on 91 objects; 769 maps factor through sinks",
+    "5551 (S, X) pairs",
+    "1820 basics exact; 982 factorizations over 100 sampled maps",
+    "1820 basic morphisms checked",
+    "29 vertices flipped and restored; 60 pairs sharing no triangle commute",
+    "1830 cluster pairs; 5551 object-cluster pairs, 285 crossing",
+    "26611 prefixes from 13 bases round-trip, b_m monotone",
+    "91 words x k<=3; 144 truncation pairs stable",
+]
+
+
+def test_detail_strings_at_depth_3():
+    # a faster suite must still do the same work: each count is pinned
+    assert [_run(i).detail for i in range(1, len(CRITERIA) + 1)] == DETAILS
+
+
+# -- criterion 10: digit tails ----------------------------------------------------
+
+def test_criterion_10_fails_when_b_m_falls(monkeypatch):
+    from moebius import checks
+    core = checks._digit_point
+
+    def falling(base, m, d):
+        am, bm, pt = core(base, m, d)
+        return am, -bm, pt
+
+    monkeypatch.setattr(checks, "_digit_point", falling)
+    assert checks.check_digits(1) == (False, "b_m not monotone along T(0,0):1")
+
+
+def test_criterion_10_fails_when_the_tree_vertex_moves(monkeypatch):
+    from moebius import checks
+    vertex = checks._tree_vertex
+    monkeypatch.setattr(checks, "_tree_vertex", lambda v, k, d: vertex(v, k, d + 1))
+    assert checks.check_digits(1) == (False, "b_m leaves the digit tree at T(0,0):1")
+
+
+def test_criterion_10_fails_when_a_read_back_digit_flips(monkeypatch):
+    from moebius import checks
+    read = checks.coords_to_digits
+
+    def flipped(v, w, bound):
+        p = read(v, w, bound)
+        return p._replace(digits=p.digits[:-1] + (1 - p.digits[-1],)) if p.digits else p
+
+    monkeypatch.setattr(checks, "coords_to_digits", flipped)
+    assert checks.check_digits(1) == (False, "digit round trip fails at T(0,0):1")

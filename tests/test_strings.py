@@ -102,11 +102,13 @@ REJECTIONS = [
      r"^letters 0,1 compose inside a triangle$"),
     ([T(1, 0), T(0, 0), T(1, 0)], "T(1,0) > T(0,0) < T(1,0)", r"^repeated vertex$"),
     ([T(0, 0), T(0, 0)], "T(0,0) > T(0,0)", r"^repeated vertex$"),
-    # a bad letter is named in the orientation the word keeps
-    (None, "T(1,1) > T(0,0)", r"^no arrow between T\(0,0\) and T\(1,1\)$"),
-    (None, "T(2,1) > T(1,1) > T(0,0) > T(1,3)", r"^no arrow between T\(0,0\) and T\(1,1\)$"),
-    (None, "~T(1,1) > T(0,0)", r"^no arrow between T\(0,0\) and T\(1,1\)$"),
+    # a bad letter is named as written, whichever orientation the word keeps
+    (None, "T(1,1) > T(0,0)", r"^no arrow between T\(1,1\) and T\(0,0\)$"),
+    (None, "T(2,1) > T(1,1) > T(0,0) > T(1,3)", r"^no arrow between T\(2,1\) and T\(1,1\)$"),
+    (None, "~T(1,1) > T(0,0)", r"^no arrow between T\(1,1\) and T\(0,0\)$"),
     (None, "T(1,3) > T(0,0) > T(1,1) < T(2,1)~", r"^no arrow between T\(1,3\) and T\(0,0\)$"),
+    ([T(2, 5), T(0, 0), T(1, 1)], "T(2,5) > T(0,0) > T(1,1)",
+     r"^no arrow between T\(2,5\) and T\(0,0\)$"),
 ]
 
 
