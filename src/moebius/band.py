@@ -147,9 +147,13 @@ def hom_c_configs(src: Obj, dst: Obj) -> list[tuple[IntRep, IntRep]]:
     """
     e = max(src.e, dst.e)
     one, period = 1 << e, 2 << e
-    dst_reps = dst.reps_at(e)
+    # `reps_at(e)` of both sides, inline
+    s, t = e - src.e, e - dst.e
+    p, q = src.xn << s, (src.xn + src.dn) << s
+    u, v = dst.xn << t, (dst.xn + dst.dn) << t
+    dst_reps = ((u, v), (v + one, u + one))
     out = []
-    for (a0, b0) in src.reps_at(e):
+    for (a0, b0) in ((p, q), (q + one, p + one)):
         for (x, y) in dst_reps:
             shift = (x - a0) // period * period
             a, b = a0 + shift, b0 + shift

@@ -243,15 +243,16 @@ def box_meets_cluster(x_lo: int, x_hi: int, y_lo: int, y_hi: int, e: int) -> boo
     lines cross the box's range of y - x are tried.  Builds no points."""
     k = reduced_exp(x_lo | x_hi | y_lo | y_hi, e) + 1
     s, one = e + 1, 2 << e
-    box = x_lo, x_hi, y_lo, y_hi = x_lo << 1, x_hi << 1, y_lo << 1, y_hi << 1
+    x_lo, x_hi, y_lo, y_hi = x_lo << 1, x_hi << 1, y_lo << 1, y_hi << 1
     for sign in (1, -1):
         lo, hi = (y_lo - x_hi, y_hi - x_lo) if sign > 0 else (x_lo - y_hi, x_hi - y_lo)
         # the j with one - hi <= 2^j <= one - lo and s - k <= j <= s
         j_lo = max((one - hi - 1).bit_length() if hi < one else 0, s - k)
         j_hi = min((one - lo).bit_length() - 1, s) if lo < one else -1
         for j in range(j_lo, j_hi + 1):
-            t_min, t_max = _t_range(box, 1 << j, sign * (one - (1 << j)))
-            if t_min <= t_max:
+            # `_t_range` of the box, step 2^j, on the line y = x + d
+            d = sign * (one - (1 << j))
+            if -(-max(x_lo, y_lo - d) >> j) <= min(x_hi, y_hi - d) >> j:
                 return True
     return False
 

@@ -147,9 +147,9 @@ def coords_to_digits(v: ClusterPt, w: ClusterPt, bound: int) -> DigitPrefix:
     d = (w.m - ((v.m - 1) << k) - 1) % (1 << (w.n + 1))
     if d >= 1 << k:
         raise Unreachable(f"{w} is not on the digit tree below {v}")
-    # the k low bits of d, read off below a leading 1; they are 0s and 1s,
-    # so the prefix needs no validation
-    p = tuple.__new__(DigitPrefix, (v, tuple(map(int, bin(d | 1 << k)[3:]))))
+    # the k bits of d, most significant first; they are 0s and 1s, so the
+    # prefix needs no validation
+    p = tuple.__new__(DigitPrefix, (v, tuple([d >> i & 1 for i in range(k - 1, -1, -1)])))
     if digit_vertex(p) != w:
         raise AssertionError("digit prefix does not reach its target")
     return p

@@ -9,8 +9,10 @@ command line reports a `check` or `render` depth past its bound as a
 #   depth 4:   435 classes, 189 kB
 #   depth 5: 1,891 classes, 3.6 MB
 #   depth 6: 7,875 classes, 62 MB
-# Depth 6 would take about 15 min in criterion 1 and 50 min in criterion 6
-# (12M basics), so the bound is 5, which takes about 2 min (README).
+# Depth 6 has about 16 times the pairs of depth 5 and 19 times the basics
+# (12M), so scaling a depth-5 run (criterion 1 23 s, criterion 6 70 s) puts
+# it near 6 min in criterion 1 and 22 min in criterion 6.  The bound is 5,
+# which takes under 2 min (README).
 MAX_CHECK_DEPTH = 5
 
 # The deepest cluster dots `render` draws: 2^(d+1) - 1 dots, and depth 12

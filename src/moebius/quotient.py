@@ -159,14 +159,19 @@ def _vertex_matrices(f: MorQ, supp_src, supp_dst):
 
 def classify(f: MorQ) -> Classification:
     """Zero/mono/epi/iso from F(f), one rank per signature (a row or a column
-    has rank 1 iff it has a nonzero entry).  A 1x1 f is zero when its entry
-    is 0 or its supports are disjoint, and otherwise a nonzero scalar on the
-    common support: mono iff sx <= sy, epi iff sy <= sx."""
+    has rank 1 iff it has a nonzero entry).  An all-zero f has F(f) = 0, and
+    every summand, being off the cluster, has a nonempty support: so it is
+    mono iff it has no source summand and epi iff it has no target summand.
+    A 1x1 f is zero when its entry is 0 or its supports are disjoint, and
+    otherwise a nonzero scalar on the common support: mono iff sx <= sy,
+    epi iff sy <= sx."""
+    if not any(map(any, f.entries)):
+        return Classification(True, not f.src, not f.dst, not f.src and not f.dst)
     supp_src = [support(x) for x in f.src]
     supp_dst = [support(y) for y in f.dst]
     if len(supp_src) == len(supp_dst) == 1:
         (sx,), (sy,) = supp_src, supp_dst
-        if not f.entries[0][0] or sx.isdisjoint(sy):
+        if sx.isdisjoint(sy):
             return Classification(True, not sx, not sy, not sx and not sy)
         return Classification(False, sx <= sy, sy <= sx, sx == sy)
     is_zero = is_mono = is_epi = True

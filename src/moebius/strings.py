@@ -135,7 +135,7 @@ def _occurrences(w1: StringWord, w2: StringWord):
 def hom_dim_strings(w1: StringWord, w2: StringWord) -> int:
     """Graph-map dimension: 0 or 1, since the common run of the two words
     is the one candidate (lemma steps 1-3, `_occurrences`)."""
-    return 1 if overlap(w1, w2) else 0
+    return 0 if _occurrences(w1, w2) is None else 1
 
 
 def overlap(w1: StringWord, w2: StringWord) -> frozenset[ClusterPt]:

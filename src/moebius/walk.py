@@ -158,7 +158,10 @@ def hom_ct_dim(src: Obj, dst: Obj) -> int:
     the suite reads the grid's pairs from `checks._hom_table`.
     """
     e = max(src.e, dst.e)
-    return int(any(not box_meets_cluster(a, x, b, y, e) for (a, b), (x, y) in hom_c_configs(src, dst)))
+    for (a, b), (x, y) in hom_c_configs(src, dst):
+        if not box_meets_cluster(a, x, b, y, e):
+            return 1
+    return 0
 
 
 def compose_basic_nonzero(x: Obj, y: Obj, z: Obj) -> bool:

@@ -59,8 +59,9 @@ rather than by the library's fast path:
   composing with a translate of each common support point, each composite
   read off the rectangles (`walk.chain_box_nonzero`), not the supports;
 - `classify_per_point` checks `quotient.classify`, which takes one rank per
-  set of summands present and decides a 1x1 morphism by subset tests, by
-  building F(f) at every support point and taking its rank;
+  set of summands present, decides a 1x1 morphism by subset tests and an
+  all-zero matrix by its shape, by building F(f) at every support point
+  and taking its rank;
 - `_classify_by_translates` checks `quotient.classify` by building F(f) at
   each point from one epsilon over every summand and a translate composite
   per entry, read off the rectangles;

@@ -119,6 +119,28 @@ def test_criterion_9_fails_when_compatible_is_constant(monkeypatch, constant):
         assert not ok and detail.startswith("compatibility vs crossing disagree"), detail
 
 
+# -- criteria 5 and 6: the translates, built once per (point, eps) ------------------
+
+def _unmoved(s, dx, dy):
+    from moebius.cluster import object_of
+    return object_of(s)
+
+
+def _moved_back(s, dx, dy):
+    from moebius.walk import shifted
+    return shifted(s, -dx, -dy)
+
+
+@pytest.mark.parametrize("wrong", [_unmoved, _moved_back], ids=["no move", "moved by -eps"])
+def test_criteria_5_and_6_fail_on_a_wrong_translate(monkeypatch, wrong):
+    from moebius import checks
+    monkeypatch.setattr(checks, "shifted", wrong)
+    ok, detail = checks.check_ar_duality(2)
+    assert not ok and detail.startswith("translate duality fails at"), detail
+    ok, detail = checks.check_abelian(2)
+    assert not ok and detail.startswith("basic dies on a translate of its common support"), detail
+
+
 # -- the work each criterion counts at DEPTH -------------------------------------
 
 DETAILS = [

@@ -5,7 +5,7 @@ import pytest
 
 from moebius.band import Obj, normal_form, parse_obj
 from moebius.checks import _basics, grid_off_cluster
-from moebius.cluster import STANDARD, ClusterPt, member, mutate
+from moebius.cluster import STANDARD, ClusterPt, member, mutate, object_of
 from moebius.dyadic import Dyadic
 from moebius.equiv import obj_to_string
 from moebius import linalg, quotient, strings
@@ -618,6 +618,47 @@ def _depth3_matrix_morphisms(seed, count):
         entries = [[Fraction(rng.choice((0, 1, -1, 2, 3)), rng.choice((1, 2))) for _ in src]
                    for _ in dst]
         yield MorQ(src, dst, entries)
+
+
+def _zero_morphisms():
+    """Zero morphisms of shapes the suite never builds: 0xn, nx0, 2x2 and
+    3x3, and a zero MorQ whose cluster summands SumObj drops."""
+    a, b, c = M("M(1/8,1/4)"), M("M(1/4,3/4)"), M("M(1/2,9/8)")
+    empty = SumObj()
+    yield zero_mor(empty, empty)
+    yield zero_mor(SumObj([a, b]), empty)
+    yield zero_mor(empty, SumObj([a, b, c]))
+    yield zero_mor(SumObj([a, b]), SumObj([b, c]))
+    yield zero_mor(SumObj([a, b, c]), SumObj([c, a, b]))
+    cluster = object_of(T(1, 1))
+    src, dst = SumObj([a, cluster, b]), SumObj([cluster, c])
+    assert (len(src), len(dst)) == (2, 1)
+    yield MorQ(src, dst, [[0, 0]])
+
+
+def test_classify_decides_zero_morphisms_as_the_per_point_oracle():
+    shapes = set()
+    for f in _zero_morphisms():
+        assert not any(map(any, f.entries))
+        c = classify(f)
+        assert c == classify_per_point(f) == _classify_by_translates(f), f
+        assert c == (True, not f.src, not f.dst, not f.src and not f.dst), f
+        shapes.add((len(f.dst), len(f.src)))
+    assert {(0, 2), (3, 0), (2, 2), (3, 3), (1, 2)} <= shapes
+
+
+def test_classify_reads_a_single_nonzero_entry_per_signature(monkeypatch):
+    # one nonzero entry, not all zero: classify takes the signature path
+    a, b, c = M("M(1/8,1/4)"), M("M(1/4,3/4)"), M("M(1/2,9/8)")
+    assert hom_ct_dim(a, b)
+    f = MorQ(SumObj([a, c]), SumObj([b, c]), [[1, 0], [0, 0]])
+    assert sum(v != 0 for row in f.entries for v in row) == 1
+    calls = []
+    real = quotient._vertex_matrices
+    monkeypatch.setattr(quotient, "_vertex_matrices", lambda *args: calls.append(1) or real(*args))
+    c_f = classify(f)
+    assert calls and not c_f.is_zero
+    assert c_f == classify_per_point(f) == _classify_by_translates(f)
 
 
 def test_classify_matches_translates_on_matrix_morphisms():
