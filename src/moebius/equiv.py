@@ -150,7 +150,7 @@ def coords_to_digits(v: ClusterPt, w: ClusterPt, bound: int) -> DigitPrefix:
     # the k bits of d, most significant first; they are 0s and 1s, so the
     # prefix needs no validation
     p = tuple.__new__(DigitPrefix, (v, tuple([d >> i & 1 for i in range(k - 1, -1, -1)])))
-    if digit_vertex(p) != w:
+    if _tree_vertex(v, k, d) != w:
         raise AssertionError("digit prefix does not reach its target")
     return p
 

@@ -3,7 +3,8 @@ walks and object markers.
 
 All geometry is dyadic and printed as exact terminating decimals, so equal
 inputs give byte-identical documents.  Cluster dots are drawn once per iso
-class, at the canonical representative with first coordinate in [0, 1).
+class, at the canonical representative with first coordinate in [0, 1).  The
+frame and each walk format each of their distinct pixel values once.
 """
 
 from __future__ import annotations
@@ -62,12 +63,25 @@ class _Canvas:
     def circle(self, cx, cy, r, cls):
         self.elements.append(f'<circle class="{cls}" cx="{cx}" cy="{cy}" r="{r}"/>')
 
-    def diagonal(self, c: Dyadic, cls: str):
-        """Clipped segment of the line y = x + c."""
-        xa = max(self.x_lo, self.y_lo - c)
-        xb = min(self.x_hi, self.y_hi - c)
-        if xa <= xb:
-            self.line(self.px(xa), self.py(xa + c), self.px(xb), self.py(xb + c), cls)
+    def frame(self) -> tuple[str, str]:
+        """Draw the boundary lines y = x +- 1 and the axis y = x, clipped, and
+        return the width and height, on numerators at the canvas scale 2^e,
+        that of the finest bound, each distinct one formatted once per axis."""
+        bounds = (self.x_lo, self.x_hi, self.y_lo, self.y_hi)
+        e = max(b.exp for b in bounds)
+        x_lo, x_hi, y_lo, y_hi = (b.num << (e - b.exp) for b in bounds)
+        segments = []
+        for c, cls in ((1, "boundary"), (-1, "boundary"), (0, "axis")):
+            c <<= e
+            xa, xb = max(x_lo, y_lo - c), min(x_hi, y_hi - c)
+            if xa <= xb:
+                segments.append((xa, xa + c, xb, xb + c, cls))
+        x_at, y_at = self.x_at(e), self.y_at(e)
+        px = {x: x_at(x) for x in {x_hi, *(s[0] for s in segments), *(s[2] for s in segments)}}
+        py = {y: y_at(y) for y in {y_lo, *(s[1] for s in segments), *(s[3] for s in segments)}}
+        for xa, ya, xb, yb, cls in segments:
+            self.line(px[xa], py[ya], px[xb], py[yb], cls)
+        return px[x_hi], py[y_lo]
 
 
 _STYLE = ("line.boundary{stroke:#333;stroke-width:1.5}"
@@ -97,9 +111,7 @@ def render(spec: RenderSpec) -> str:
     y_lo, y_hi = min(ys) - PAD, max(ys) + PAD
     cv = _Canvas(x_lo, x_hi, y_lo, y_hi)
 
-    cv.diagonal(ONE, "boundary")
-    cv.diagonal(-ONE, "boundary")
-    cv.diagonal(ZERO, "axis")
+    width, height = cv.frame()
 
     if spec.cluster_depth is not None:
         for n in range(spec.cluster_depth + 1):
@@ -124,7 +136,6 @@ def render(spec: RenderSpec) -> str:
     for o in spec.objects:
         cv.circle(cv.px(o.x), cv.py(o.y), "4", "object")
 
-    width, height = cv.px(x_hi), cv.py(y_lo)
     head = ('<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">\n'
@@ -136,21 +147,26 @@ def render(spec: RenderSpec) -> str:
 def _draw_walk(cv: _Canvas, w: Walk):
     """The walk on integer numerators at the scale 2^(k+6), where the step
     midpoints and the arrow half-width 1/32 are integers; `x_at`/`y_at`
-    rescale to the canvas bounds where those are finer, once per walk."""
+    rescale to the canvas bounds where those are finer, once per walk.  Each
+    distinct numerator of the vertices and arrow corners, which neighbouring
+    steps and their vertices share, is formatted once per axis."""
     e, h = w.k + 6, 1 << (w.k + 1)
-    x_at, y_at = cv.x_at(e), cv.y_at(e)
     xs, ys = [p << 6 for p in w.xs], [q << 6 for q in w.ys]
-    px, py = list(map(x_at, xs)), list(map(y_at, ys))
+    arrows = []  # per step: its lower or left vertex a, the other b, the corners
     for i, step in enumerate(w.steps):
         # arrows point up (vertical steps) and right (horizontal steps)
         a, b = (i, i + 1) if step == "v" else (i + 1, i)
-        cv.line(px[a], py[a], px[b], py[b], "walk")
         mx, my = (xs[a] + xs[b]) >> 1, (ys[a] + ys[b]) >> 1
         if step == "v":
-            arrow = ((mx - h, my - h), (mx + h, my - h), (mx, my + h))
+            arrows.append((a, b, mx - h, my - h, mx + h, my - h, mx, my + h))
         else:
-            arrow = ((mx - h, my - h), (mx - h, my + h), (mx + h, my))
-        cv.elements.append('<path class="arrow" d="M {} {} L {} {} L {} {} Z"/>'.format(
-            *(c for x, y in arrow for c in (x_at(x), y_at(y)))))
-    for x, y in zip(px, py):
-        cv.circle(x, y, "2.5", "walkpt")
+            arrows.append((a, b, mx - h, my - h, mx - h, my + h, mx + h, my))
+    x_at, y_at = cv.x_at(e), cv.y_at(e)
+    px = {x: x_at(x) for x in {*xs, *(x for arrow in arrows for x in arrow[2::2])}}
+    py = {y: y_at(y) for y in {*ys, *(y for arrow in arrows for y in arrow[3::2])}}
+    for a, b, x1, y1, x2, y2, x3, y3 in arrows:
+        cv.line(px[xs[a]], py[ys[a]], px[xs[b]], py[ys[b]], "walk")
+        cv.elements.append(f'<path class="arrow" d="M {px[x1]} {py[y1]} L {px[x2]} {py[y2]} '
+                           f'L {px[x3]} {py[y3]} Z"/>')
+    for x, y in zip(xs, ys):
+        cv.circle(px[x], py[y], "2.5", "walkpt")

@@ -64,39 +64,38 @@ class StringWord(namedtuple("StringWord", "verts directs lmark rmark")):
 
 
 def word(verts, directs=None, lmark=False, rmark=False) -> StringWord:
-    """Build a word; letter directions, when given, must be the quiver's."""
+    """Build a word; letter directions, when given, must be the quiver's.  A bad
+    letter is named as written, a composing pair in the word's orientation."""
     verts = tuple(verts)
     if directs is not None and len(directs) != max(len(verts) - 1, 0):
         raise InvalidWord("letter count must be one less than vertex count")
     if not verts:
         raise InvalidWord("empty word")
     if len(set(verts)) != len(verts):
-        raise InvalidWord("repeated vertex")  # as validate_word says, before any letter
+        raise InvalidWord("repeated vertex")
     w = StringWord(verts, lmark, rmark)
-    if directs is None:
-        directs = map(arrow_dir, verts, verts[1:])
-    for u, v, d in zip(verts, verts[1:], directs):  # a bad letter is named as written
-        if triangle(u, v) is None or arrow_dir(u, v) != d:
+    tris = []
+    for i, (u, v) in enumerate(zip(verts, verts[1:])):
+        tri = triangle(u, v)
+        if tri is None or directs is not None and arrow_dir(u, v) != directs[i]:
             raise InvalidWord(f"no arrow between {u} and {v}")
-    ok, reason = validate_word(w)
-    if not ok:
-        raise InvalidWord(reason)
+        tris.append(tri)
+    if w.verts != verts:  # StringWord reversed the word
+        tris.reverse()
+    for i in range(len(tris) - 1):  # distinct vertices leave no backtrack to reject
+        if w.directs[i] == w.directs[i + 1] and tris[i] == tris[i + 1]:
+            raise InvalidWord(f"letters {i},{i + 1} compose inside a triangle")
     return w
 
 
 def validate_word(w: StringWord) -> tuple[bool, str]:
-    """Vertices must be distinct, letters exist, and consecutive letters
-    not compose inside one triangle.  Distinct vertices leave no backtrack
-    to reject: letters i and i+1 are one arrow only if v_i = v_{i+2}."""
-    if len(set(w.verts)) != len(w.verts):
-        return (False, "repeated vertex")
-    tris = [triangle(u, v) for u, v in zip(w.verts, w.verts[1:])]
-    if None in tris:
-        i = tris.index(None)
-        return (False, f"no arrow between {w.verts[i]} and {w.verts[i + 1]}")
-    for i in range(len(tris) - 1):
-        if w.directs[i] == w.directs[i + 1] and tris[i] == tris[i + 1]:
-            return (False, f"letters {i},{i + 1} compose inside a triangle")
+    """(True, "") when `word` accepts the vertices and marks of w, else
+    (False, its message): vertices must be distinct, letters exist, and
+    consecutive letters not compose inside one triangle."""
+    try:
+        word(w.verts, None, w.lmark, w.rmark)
+    except InvalidWord as exc:
+        return (False, str(exc))
     return (True, "")
 
 

@@ -26,8 +26,8 @@ deeper.  A walk that does not end on the line y' = y left of x raises
 
 A `Walk` keeps the cluster points, their representatives as two tuples `xs`
 and `ys` of integer numerators at the scale 2^k, the steps and the roles.
-`Dyadic` representatives are built on demand (`vertices`, `sinks`,
-`sources`, `to_json`).
+`Dyadic` representatives are built on demand (`vertices`, `to_json`), and
+`approximation` builds those of the sources and sinks alone.
 """
 
 from __future__ import annotations
@@ -79,12 +79,6 @@ class Walk(namedtuple("Walk", "pts xs ys k steps roles")):
 
     def role_of(self, pt: ClusterPt) -> str | None:
         return self.roles[self.pts.index(pt)] if pt in self.pts else None
-
-    def sinks(self) -> tuple[WalkVertex, ...]:
-        return tuple(self._vertex(i) for i, r in enumerate(self.roles) if r == SINK)
-
-    def sources(self) -> tuple[WalkVertex, ...]:
-        return tuple(self._vertex(i) for i, r in enumerate(self.roles) if r == SOURCE)
 
     def to_json(self) -> list[dict]:
         return [{"pt": [v.pt.n, v.pt.m], "rep": [str(v.rep[0]), str(v.rep[1])], "role": v.role}
@@ -139,11 +133,16 @@ def walk_of(x: Obj) -> Walk:
 
 
 def approximation(x: Obj) -> Approximation:
+    """The sources and sinks of the walk of x, picked from its roles in one pass."""
     walk = walk_of(x)
-    src = walk.sources()
-    snk = walk.sinks()
-    return Approximation(tuple(v.pt for v in src), tuple(v.pt for v in snk),
-                         tuple(v.rep for v in src), tuple(v.rep for v in snk))
+    picked = {SOURCE: [], SINK: [], THROUGH: []}
+    for i, role in enumerate(walk.roles):
+        picked[role].append(i)
+    src, snk = picked[SOURCE], picked[SINK]
+    pts, xs, ys, k = walk.pts, walk.xs, walk.ys, walk.k
+    reps = lambda idx: tuple([(Dyadic(xs[i], k), Dyadic(ys[i], k)) for i in idx])
+    return Approximation(tuple([pts[i] for i in src]), tuple([pts[i] for i in snk]),
+                         reps(src), reps(snk))
 
 
 # -- Homs in the quotient ----------------------------------------------------

@@ -1,9 +1,11 @@
 import random
+import re
 from pathlib import Path
 
 from moebius.dyadic import Dyadic
 from moebius.band import Rect, normal_form, parse_obj
 from moebius.cluster import member
+from moebius import render as render_module
 from moebius.render import RenderSpec, render
 from moebius.walk import walk_of
 
@@ -86,3 +88,32 @@ def test_cluster_depth_and_worked_specs_match_dyadic_reference():
                  RenderSpec(walks=[parse_obj("M(1/4,3/4)")], cluster_depth=3),
                  RenderSpec(walks=[parse_obj("M(1/18446744073709551616,3/4)")], cluster_depth=5)):
         assert render(spec) == render_by_dyadics(spec)
+
+
+# -- each pixel value is formatted once -----------------------------------------
+
+def _distinct_values(doc: str) -> int:
+    """The distinct pixel values of a walk-only document, per axis and per
+    scale: the canvas's (diagonals and document size) and the walk's, whose
+    scale 2^(k+6) is finer than the canvas's.  In one scale distinct
+    values are distinct numerators."""
+    canvas = set(zip("xy", re.search(r'<svg [^>]*width="([^"]+)" height="([^"]+)"', doc).groups()))
+    walk = set()
+    lines = re.findall(r'<line class="(\w+)" x1="([^"]+)" y1="([^"]+)" x2="([^"]+)" y2="([^"]+)"', doc)
+    for cls, *ends in lines:
+        (walk if cls == "walk" else canvas).update(zip("xyxy", ends))
+    for corners in re.findall(r'<path class="arrow" d="M ([^"]+) Z"', doc):
+        walk.update(zip("xyxyxy", corners.replace("L ", "").split()))
+    for centre in re.findall(r'<circle class="walkpt" cx="([^"]+)" cy="([^"]+)"', doc):
+        walk.update(zip("xy", centre))
+    return len(canvas) + len(walk)
+
+
+def test_each_pixel_value_is_formatted_once(monkeypatch):
+    calls = []
+    decimal = render_module.decimal
+    monkeypatch.setattr(render_module, "decimal", lambda num, e: calls.append(1) or decimal(num, e))
+    for x in (parse_obj("M(1/8,1/4)"), _off_cluster(random.Random(14), 14)):
+        calls.clear()
+        doc = render(RenderSpec(walks=[x]))
+        assert len(calls) == _distinct_values(doc), x

@@ -92,6 +92,10 @@ def test_validate_word():
     assert validate_word(word([T(0, 0)]))[0]
     with pytest.raises(InvalidWord):
         word([T(0, 0), T(2, 1)])  # no arrow
+    # StringWord itself does not validate; the reason is the one word gives
+    assert validate_word(StringWord([T(1, 3), T(0, 0), T(1, 0)])) == (
+        False, "letters 0,1 compose inside a triangle")
+    assert validate_word(StringWord([T(2, 5), T(0, 0)])) == (False, "no arrow between T(0,0) and T(2,5)")
 
 
 # The rejections of a word, as `from-string` prints them.
@@ -109,6 +113,12 @@ REJECTIONS = [
     (None, "T(1,3) > T(0,0) > T(1,1) < T(2,1)~", r"^no arrow between T\(1,3\) and T\(0,0\)$"),
     ([T(2, 5), T(0, 0), T(1, 1)], "T(2,5) > T(0,0) > T(1,1)",
      r"^no arrow between T\(2,5\) and T\(0,0\)$"),
+    # a composing pair is indexed in the word's canonical orientation, so
+    # a word written against it is reported by its reversed letter indices
+    ([T(2, 0), T(1, 0), T(0, 0), T(1, 3)], "T(2,0) > T(1,0) > T(0,0) > T(1,3)",
+     r"^letters 0,1 compose inside a triangle$"),
+    ([T(1, 1), T(1, 2), T(0, 0), T(1, 0)], "T(1,1) > T(1,2) > T(0,0) < T(1,0)",
+     r"^letters 1,2 compose inside a triangle$"),
 ]
 
 
