@@ -11,8 +11,13 @@ At a scale 2^k, k >= n, the ends are the integer numerators lo = (m-1) d
 and lo + d mod 2^(k+1), d = 2^(k-n) (`chord_at`).  So a chord is standard when, in one
 order (lo, hi) of its ends, d = (hi - lo) mod 2^(k+1) is a power of two
 dividing lo, and it is then T(k - log2 d, lo/d + 1).  `mutate` reads every
-chord this way, and `crossing_path` reads the cluster chords that a chord
-crosses off its two ends.
+chord this way.  `crossing_path` reads the cluster chords that a chord
+crosses off the binary digits of its ends: the arcs strictly around an end
+are the blocks of its digit prefixes, one per depth, and they nest, so the
+crossed ones are a suffix of that chain.  It starts at the highest digit
+where the two ends differ, or below it while the other end is the arc's far
+end.  A chord of depth n >= 1 has one such arc, so only T(0,0), whose arcs
+are the two halves of the circle, can be listed from both ends.
 """
 
 from __future__ import annotations
@@ -184,13 +189,23 @@ def crossing_path(x: Obj) -> tuple[ClusterPt, ...]:
     At the scale 2^k, k = x.e, T(n, m) with arc ((m-1)d, md), d = 2^(k-n),
     is crossed when one end lies strictly inside its arc and the other
     outside the closed arc, mod 2^(k+1) as end 0 is end 2.  An end p lies
-    strictly inside one arc at each depth n below its exponent, so each end
-    lists those arcs, shallow to deep.  Only T(0,0), with two arcs, can be
-    listed by both ends."""
-    k, period = x.e, 2 << x.e
-    ends = (x.xn, (x.xn + x.dn + (1 << k)) % period)
-    near, far = ([ClusterPt(k - s, (p >> s) + 1) for s in range(k, k - reduced_exp(p, k), -1)
-                  if (q - (p >> s << s)) % period > 1 << s] for p, q in (ends, ends[::-1]))
+    strictly inside one arc at each depth n below its reduced exponent r,
+    [lo, lo + d] with lo = p >> (k-n) << (k-n), of T(n, (p >> (k-n)) + 1).
+    The arcs nest, so the depths crossed at p are a run n0..r-1.  Where
+    d > 2^s, s the highest digit on which the ends differ, the other end q
+    shares p's block [lo, lo + d) and is inside; where d <= 2^s it is outside
+    unless it is the far end lo + d, which it stays down each 1 digit of p
+    below s.  Only T(0,0), whose arcs are the two halves of the circle, can
+    be listed by both ends."""
+    k, mask = x.e, (2 << x.e) - 1
+    p, q = x.xn, (x.xn + x.dn + (1 << k)) & mask
+    s = (p ^ q).bit_length() - 1  # the ends differ, as dn < 2^k
+    near, far = [], []
+    for a, b, run in ((p, q, near), (q, p, far)):
+        t = s if b != ((a >> s) + 1 << s) & mask else (~a & (1 << s) - 1).bit_length() - 1
+        for n in range(k - t, reduced_exp(a, k)):
+            m = (a >> (k - n)) + 1 & (2 << n) - 1
+            run.append(_SHARED[n][m] if n <= _SHARED_DEPTH else tuple.__new__(ClusterPt, (n, m)))
     if near and far and near[0] == far[0]:  # T(0,0)
         del far[0]
     return (*reversed(near), *far)

@@ -129,9 +129,7 @@ def decimal(num: int, exp: int) -> str:
     return sign + whole + ("." + frac if frac else "")
 
 
-ZERO = Dyadic(0)
 ONE = Dyadic(1)
-TWO = Dyadic(2)
 
 
 def parse_dyadic(text: str) -> Dyadic:

@@ -4,14 +4,15 @@ walks and object markers.
 All geometry is dyadic and printed as exact terminating decimals, so equal
 inputs give byte-identical documents.  Cluster dots are drawn once per iso
 class, at the canonical representative with first coordinate in [0, 1).  The
-frame and each walk format each of their distinct pixel values once.
+bounds are integer numerators at one canvas scale, and the frame and each
+walk format each of their distinct pixel values once.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .dyadic import Dyadic, ZERO, ONE, TWO, decimal
+from .dyadic import Dyadic, decimal
 from .band import Obj, Rect
 from .cluster import ClusterPt, object_of
 from .walk import Walk, walk_of
@@ -28,27 +29,30 @@ RenderSpec = namedtuple("RenderSpec", "objects rects walks cluster_depth",
                         defaults=((), (), (), None))
 
 
-def _axis(origin: Dyadic, e: int, scale: int):
+def _axis(origin: int, origin_e: int, e: int, scale: int):
     """The pixel string of num/2^e on an axis, as a function of num: its
-    distance from `origin` times `scale`, the offset and power of 5 computed
-    once for the axis and e."""
-    f = max(e, origin.exp)
-    up, off, mul = f - e, origin.num << (f - origin.exp), scale * 5 ** f
+    distance from origin/2^origin_e times `scale`, the offset and power of 5
+    computed once for the axis and e."""
+    f = max(e, origin_e)
+    up, off, mul = f - e, origin << (f - origin_e), scale * 5 ** f
     return lambda num: decimal(((num << up) - off) * mul, f)
 
 
 class _Canvas:
-    def __init__(self, x_lo, x_hi, y_lo, y_hi):
-        self.x_lo, self.x_hi, self.y_lo, self.y_hi = x_lo, x_hi, y_lo, y_hi
+    """The document's bounds, as numerators at the canvas scale 2^e, and its
+    elements."""
+
+    def __init__(self, x_lo, x_hi, y_lo, y_hi, e):
+        self.x_lo, self.x_hi, self.y_lo, self.y_hi, self.e = x_lo, x_hi, y_lo, y_hi, e
         self.elements: list[str] = []
 
     def x_at(self, e: int):
         """The pixel column of x = num/2^e, as a function of num."""
-        return _axis(self.x_lo, e, SCALE)
+        return _axis(self.x_lo, self.e, e, SCALE)
 
     def y_at(self, e: int):
         """The pixel row of y = num/2^e, as a function of num."""
-        return _axis(self.y_hi, e, -SCALE)
+        return _axis(self.y_hi, self.e, e, -SCALE)
 
     def px(self, x: Dyadic) -> str:
         return self.x_at(x.exp)(x.num)
@@ -66,10 +70,8 @@ class _Canvas:
     def frame(self) -> tuple[str, str]:
         """Draw the boundary lines y = x +- 1 and the axis y = x, clipped, and
         return the width and height, on numerators at the canvas scale 2^e,
-        that of the finest bound, each distinct one formatted once per axis."""
-        bounds = (self.x_lo, self.x_hi, self.y_lo, self.y_hi)
-        e = max(b.exp for b in bounds)
-        x_lo, x_hi, y_lo, y_hi = (b.num << (e - b.exp) for b in bounds)
+        each distinct one formatted once per axis."""
+        x_lo, x_hi, y_lo, y_hi, e = self.x_lo, self.x_hi, self.y_lo, self.y_hi, self.e
         segments = []
         for c, cls in ((1, "boundary"), (-1, "boundary"), (0, "axis")):
             c <<= e
@@ -96,20 +98,23 @@ _STYLE = ("line.boundary{stroke:#333;stroke-width:1.5}"
 
 
 def render(spec: RenderSpec) -> str:
-    xs = [ZERO, ONE]
-    ys = [-ONE, TWO]
-    xs += [o.x for o in spec.objects]
-    ys += [o.y for o in spec.objects]
+    # the extreme coordinates, as (numerator, exponent): the band's strip
+    # 0 <= x <= 1, -1 <= y <= 2, the objects, the rectangles and the walks
+    xs, ys = [(0, 0), (1, 0)], [(-1, 0), (2, 0)]
+    for o in spec.objects:
+        xs.append((o.xn, o.e))
+        ys.append((o.xn + o.dn, o.e))
     for r in spec.rects:
-        xs += [r.x_lo, r.x_hi]
-        ys += [r.y_lo, r.y_hi]
+        xs += [(r.x_lo.num, r.x_lo.exp), (r.x_hi.num, r.x_hi.exp)]
+        ys += [(r.y_lo.num, r.y_lo.exp), (r.y_hi.num, r.y_hi.exp)]
     walks = [walk_of(o) for o in spec.walks]
     for w in walks:  # the walk runs up and left from its lower-right corner
-        xs += [Dyadic(w.xs[-1], w.k), Dyadic(w.xs[0], w.k)]
-        ys += [Dyadic(w.ys[0], w.k), Dyadic(w.ys[-1], w.k)]
-    x_lo, x_hi = min(xs) - PAD, max(xs) + PAD
-    y_lo, y_hi = min(ys) - PAD, max(ys) + PAD
-    cv = _Canvas(x_lo, x_hi, y_lo, y_hi)
+        xs += [(w.xs[-1], w.k), (w.xs[0], w.k)]
+        ys += [(w.ys[0], w.k), (w.ys[-1], w.k)]
+    e = max(PAD.exp, *(f for _, f in xs), *(f for _, f in ys))  # the canvas scale
+    xs, ys = [num << (e - f) for num, f in xs], [num << (e - f) for num, f in ys]
+    pad = PAD.num << (e - PAD.exp)
+    cv = _Canvas(min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad, e)
 
     width, height = cv.frame()
 

@@ -9,10 +9,11 @@ corners of the zig-zag (including both endpoints), sources the lower-left
 ones, and everything else is a through vertex.
 
 The walk is read off the chords that x crosses, not stepped.  Its
-interior is the support, the path `cluster.crossing_path` in its order, and
-its two ends are the attach vertices of that path (`cluster.attach`); a
-one-vertex path starts at the attach vertex whose chord has the end x.  A
-step is horizontal exactly where the quiver arrow runs along it
+interior is the support, the path that `cluster.crossing_path` reads off
+the binary digits of the chord's two ends, in its order, and its two ends
+are the attach vertices of that path (`cluster.attach`); a one-vertex path
+starts at the attach vertex whose chord has the end x.  A step is
+horizontal exactly where the quiver arrow runs along it
 (`cluster.arrow_dir`).  At the scale 2^k, the representatives of T(n, m)
 lie on the lines y' - x' = +-s, s = 2^k - 2^(k-n): a vertical step into
 T(n, m) keeps p and sets q = p + s when p is the chord end m/2^n, q = p - s

@@ -43,6 +43,9 @@ rather than by the library's fast path:
   chord ends as integer numerators mod 2^(k+1) at one scale, with each end a
   `Fraction` in [0, 2) from the public coordinates; `ends_cross_on_fractions`
   checks the crossing test of criterion 9 (`checks._ends_cross`);
+- `crossing_path_by_levels` checks `cluster.crossing_path`, which reads
+  each end's run of crossed depths off its binary digits, by testing every
+  depth below each end's reduced exponent;
 - `_member_by_ends` checks `cluster.member` by searching the ends of x for
   an arc of length 1/2^n between points of the 1/2^n grid;
 - `mutate_on_angles` checks `cluster.mutate`, which reads every chord end
@@ -111,7 +114,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from moebius.dyadic import Dyadic, ONE, ZERO, decimal
+from moebius.dyadic import Dyadic, ONE, decimal, reduced_exp
 from moebius.band import Obj, Rect, Rep, normal_form
 from moebius.cluster import (ClusterPt, ClusterOverlay, object_of, member, neighbors,
                              enum_in_rect_with_reps, box_meets_cluster, _box, _t_range)
@@ -729,6 +732,21 @@ def ends_cross_on_fractions(ends_a, ends_b):
     return (p1 < p2 < q1) != (p1 < q2 < q1)
 
 
+# -- the crossed chords level by level --------------------------------------------
+
+def crossing_path_by_levels(x: Obj) -> tuple[ClusterPt, ...]:
+    """Reference for `cluster.crossing_path`: at each depth below each end's
+    reduced exponent, test whether the other end lies outside the closed arc
+    around it, one modular comparison and one `ClusterPt` per level."""
+    k, period = x.e, 2 << x.e
+    ends = (x.xn, (x.xn + x.dn + (1 << k)) % period)
+    near, far = ([ClusterPt(k - s, (p >> s) + 1) for s in range(k, k - reduced_exp(p, k), -1)
+                  if (q - (p >> s << s)) % period > 1 << s] for p, q in (ends, ends[::-1]))
+    if near and far and near[0] == far[0]:  # T(0,0)
+        del far[0]
+    return (*reversed(near), *far)
+
+
 # -- membership by an end search -----------------------------------------------
 
 def _member_by_ends(x):
@@ -843,7 +861,7 @@ def _flip_by_fan(overlay, x):
 
 # -- SVG pictures in Dyadic arithmetic ------------------------------------------
 
-_SCALE, _HALF = Dyadic(240), Dyadic(1, 1)
+ZERO, _SCALE, _HALF = Dyadic(0), Dyadic(240), Dyadic(1, 1)
 
 
 def _scaled(d: Dyadic) -> str:

@@ -4,17 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from moebius.dyadic import Dyadic
-from moebius.band import Rect, parse_obj, ends, compatible, obj_from_ends
+from moebius.dyadic import Dyadic, reduced_exp
+from moebius.band import Obj, Rect, parse_obj, ends, compatible, obj_from_ends, mirror
 from moebius import cluster
 from moebius.cluster import (ClusterPt, ClusterOverlay, STANDARD, member, object_of, chord, chord_at,
                              depth, neighbors, in_neighbors, out_neighbors, triangle, arrow_dir,
                              enum_in_rect, enum_in_rect_with_reps, box_meets_cluster,
-                             mutate, parse_cluster_pt)
+                             crossing_path, mutate, parse_cluster_pt)
 from moebius.errors import NotInCluster, UnboundedRect, ParseError
 
 from oracles import (_ends, _flip_by_fan, _member_by_ends, arrow_between, arrows_at, meets_cluster,
-                     meets_cluster_by_level_scan, mutate_on_angles, fraction)
+                     meets_cluster_by_level_scan, mutate_on_angles, fraction, crossing_path_by_levels)
 
 T = ClusterPt
 M = parse_obj
@@ -448,3 +448,57 @@ def test_box_tests_match_level_scan_on_random_boxes():
             assert box_meets_cluster(x_lo, x_hi, y_lo, y_hi, e) == want, r
         kinds.add((any(flags), want))
     assert len(kinds) == 4
+
+
+# -- the crossed chords off the ends' digits against the level-by-level test ----
+
+def _seeded_objects(e, count):
+    """count canonical objects of exponent at most e, drawn from a seeded rng."""
+    rng, out = random.Random(e), []
+    for _ in range(count):
+        dn = rng.randrange(1 << e)
+        out.append(Obj(D(rng.randrange((2 if dn else 1) << e), e), D(dn, e)))
+    return out
+
+
+def _assert_crossing_path_matches_levels(xs):
+    for x in xs:
+        path = crossing_path(x)
+        assert path == crossing_path_by_levels(x), x
+        assert all(type(v) is T and (v.n > 8 or v is T(*v)) for v in path), x
+
+
+def test_crossing_path_matches_levels_on_grid_and_mirrors():
+    from moebius.checks import grid
+    xs = grid(7)  # every object of G(0)-G(7)
+    _assert_crossing_path_matches_levels(xs + [mirror(x) for x in xs])
+
+
+def test_crossing_path_matches_levels_on_simple_objects():
+    from moebius.equiv import simple_object
+    for v in all_points(10):
+        x = simple_object(v)
+        assert crossing_path(x) == crossing_path_by_levels(x) == (v,), v
+
+
+@pytest.mark.parametrize("e", [16, 32, 64, 128])
+def test_crossing_path_matches_levels_on_seeded_objects(e):
+    _assert_crossing_path_matches_levels(_seeded_objects(e, 500))
+
+
+def test_crossed_points_at_each_end_are_a_suffix_of_its_digit_chain():
+    # the points whose arcs lie strictly around an end a, shallow to deep,
+    # are T(n, (a >> (k-n)) + 1) for n below its reduced exponent; the path
+    # crosses a run of them that ends at the deepest, and nothing else
+    from moebius.checks import grid
+    for x in grid(6) + _seeded_objects(16, 300) + _seeded_objects(64, 300):
+        k, path = x.e, crossing_path(x)
+        ends = (x.xn, (x.xn + x.dn + (1 << k)) % (2 << k))
+        runs = []
+        for a in ends:
+            r = reduced_exp(a, k)
+            run = [v for v in (T(n, (a >> (k - n)) + 1) for n in range(r)) if v in path]
+            assert [v.n for v in run] == list(range(r - len(run), r)), (x, a)
+            runs.append(run)
+        near, far = runs
+        assert path == (*reversed(near), *far[bool(near and far and far[0] == near[0]):]), x

@@ -117,3 +117,13 @@ def test_each_pixel_value_is_formatted_once(monkeypatch):
         calls.clear()
         doc = render(RenderSpec(walks=[x]))
         assert len(calls) == _distinct_values(doc), x
+
+
+def test_walk_only_document_builds_no_dyadic(monkeypatch):
+    # the walk, the bounds and every pixel value come from integer numerators
+    xs, calls = (parse_obj("M(1/8,1/4)"), _off_cluster(random.Random(14), 14)), []
+    init = Dyadic.__init__
+    monkeypatch.setattr(Dyadic, "__init__", lambda self, *a: calls.append(1) or init(self, *a))
+    for x in xs:
+        render(RenderSpec(walks=[x]))
+    assert not calls
