@@ -3,7 +3,8 @@
 The grid G(e) holds every iso class with canonical coordinates of exponent
 at most e (120 classes at e = 3, of which 29 lie on the cluster).  Each
 criterion returns a result record; `run_all` drives them in order and is
-shared by the test suite and the command line.
+shared by the test suite and the command line, which bounds the depth by
+`errors.MAX_CHECK_DEPTH`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .equiv import (obj_to_string, string_to_obj, DigitPrefix, _digit_point,
                     g_extend, f_strip, tail_case)
 from .quotient import SumObj, MorQ, basic_mor, compose, classify, kernel, cokernel
 from .errors import Unreachable, AllOnesTail
-from .errors import MAX_CHECK_DEPTH  # the depth bound of this suite, defined where the CLI reads it
 
 # The geometry of `hom_ct_dim` without its cache: the suite asks each grid
 # pair once, into `_hom_table`, and each translate of criterion 5 and each
@@ -222,15 +222,15 @@ def _basic(x: Obj, y: Obj) -> MorQ:
     return MorQ._from_clean(SumObj([x]), SumObj([y]), ((1,),))
 
 
-def check_abelian(e: int, samples: int = 100) -> tuple[bool, str]:
+def check_abelian(e: int) -> tuple[bool, str]:
     """Exactness of every basic of G(e), then the universal property of the
-    kernel on sampled basics of G(max(e, 2)): the one basic of G(1) is an
-    identity, which kills no nonzero map.  First, the lemma of
-    `quotient._vertex_matrices` on each basic x -> y: the translates of its
-    common points see all of support(x) & support(y).  The overlap test
-    before it compares the common run of the two words, which `overlap`
-    reads off by lemma steps 1-3, with the common vertices, so it checks
-    only that every basic has a graph map, as criterion 1 does.  The
+    kernel on 100 sampled basics of G(max(e, 2)), or on all 70 of G(2): the
+    one basic of G(1) is an identity, which kills no nonzero map.  First, the
+    lemma of `quotient._vertex_matrices` on each basic x -> y: the
+    translates of its common points see all of support(x) & support(y).  The
+    overlap test before it compares the common run of the two words, which
+    `overlap` reads off by lemma steps 1-3, with the common vertices, so it
+    checks only that every basic has a graph map, as criterion 1 does.  The
     lemma's independent checks are the tier-1 comparison of graph maps with
     the brute-force segment scan, criterion 1 and the translate test.  The
     zero composites f . incl and proj . f are read off the supports
@@ -272,7 +272,7 @@ def check_abelian(e: int, samples: int = 100) -> tuple[bool, str]:
     n = len(objs)
     pool = array("L", compress(range(n * n), table))  # p for the basic objs[p // n] -> objs[p % n]
     rng = random.Random(20240801)
-    chosen = rng.sample(pool, min(samples, len(pool)))
+    chosen = rng.sample(pool, min(100, len(pool)))
     factored = 0
     for p in chosen:
         i, j = divmod(p, n)

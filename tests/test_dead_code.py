@@ -20,6 +20,10 @@ so a method shares its references with every attribute of its name: a
 `speed.scale()` in `perfbench` would keep a `scale` method of the package
 alive.  Dunders are exempt, and so is a method that overrides an inherited
 one, whose callers are in the base class (`argparse.ArgumentParser.error`).
+
+Every name a module of `src/moebius` imports is loaded in that module: an
+import kept only to name a bound in a comment says it in the docstring
+instead.
 """
 
 import ast
@@ -99,3 +103,24 @@ def unreferenced_methods() -> list[str]:
 def test_every_top_level_definition_has_a_user():
     assert unreferenced_names() == []
     assert unreferenced_methods() == []
+
+
+def unread_imports() -> list[str]:
+    """`module:line name` for each name that a module of `src/moebius`
+    imports and never loads; `from __future__` imports are compiler flags."""
+    unread = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text())
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                 and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in loaded:
+                        unread.append(f"{path.name}:{node.lineno} {name}")
+    return unread
+
+
+def test_every_import_is_read():
+    assert unread_imports() == []
