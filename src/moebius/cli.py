@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 domain error (message names the error class,
 `AnswerTooLarge` for an int past the digits Python writes as text), 2
 malformed arguments or input syntax (including a `check --depth` outside
-1-MAX_CHECK_DEPTH), 3 internal error: a broken invariant,
+1-MAX_CHECK_DEPTH, and a `kernel` or `cokernel` morphism past
+MAX_KERNEL_DIM), 3 internal error: a broken invariant,
 reported as one `internal error: ...` line, 141 stdout closed before the
 output was written (the shell's status for SIGPIPE), with nothing printed.
 Every error is one line on stderr, argparse's included; with --json it is
@@ -29,8 +30,8 @@ import os
 import re
 import sys
 
-from .errors import (MAX_CHECK_DEPTH, MAX_CLUSTER_DEPTH, AnswerTooLarge, MoebiusError, ParseError,
-                     ShapeMismatch)
+from .errors import (MAX_CHECK_DEPTH, MAX_CLUSTER_DEPTH, MAX_KERNEL_DIM, AnswerTooLarge, MoebiusError,
+                     ParseError, ShapeMismatch)
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a process the signal ended
 _LONG_EXPONENT_RE = re.compile(r"[eE][-+]?[\d_]{4}")  # past 999: `Fraction` would raise 10 to it
@@ -153,7 +154,11 @@ def _simple(args):
 
 def _kernel_or_cokernel(args):
     """The kernel and its inclusion, or the cokernel and its projection, as
-    `args.command` names, of the JSON morphism on stdin."""
+    `args.command` names, of the JSON morphism on stdin.  Any morphism but a
+    single nonzero basic one, which has a closed form, is split as string
+    modules, so its source and its target may each cross at most
+    MAX_KERNEL_DIM cluster chords in all (`errors`)."""
+    from .equiv import obj_to_string
     from .quotient import kernel, cokernel
 
     try:  # a decimal as its text, which `_morphism_from_json` reads exactly
@@ -161,6 +166,12 @@ def _kernel_or_cokernel(args):
     except ValueError as exc:  # malformed, or an integer past Python's digit limit
         raise ParseError(f"stdin is not JSON: {exc}")
     f = _morphism_from_json(data)
+    if not (len(f.src) == len(f.dst) == 1 and f.entries[0][0]):
+        for key, objs in (("src", f.src), ("dst", f.dst)):
+            dim = sum(len(obj_to_string(x)) for x in objs)
+            if dim > MAX_KERNEL_DIM:
+                raise ParseError(f"morphism {key!r} crosses {dim} cluster chords, past the "
+                                 f"{MAX_KERNEL_DIM} that kernel and cokernel accept")
     fn, key = (kernel, "inclusion") if args.command == "kernel" else (cokernel, "projection")
     obj, mor = fn(f)
     out = {"object": [str(s) for s in obj],

@@ -3,10 +3,10 @@ simple objects, digit-encoded walk tails, and the truncated ray functors.
 
 An object off the cluster corresponds to the word on its support: the
 cluster chords its chord crosses, in order (`cluster.crossing_path`), with
-letters oriented as the quiver (`cluster.arrow_dir`).  The inverse attaches,
-at each end of a word, the unique incoming arrow from the triangle not used
-by the word; the object's chord joins the apexes of the two attach
-triangles, the ends of the attach chords that the word does not share.
+letters oriented as the quiver (`cluster.arrow_dir`).  The inverse reads,
+at each end of a word, the triangle that the word does not use there; the
+object's chord joins the apexes of those two end triangles, each in closed
+form on integers (`_end_apex`), and is checked to cross the word.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from functools import lru_cache
 
 from .dyadic import Dyadic
 from .band import Obj, Rep, normal_form, obj_from_ends
-from .cluster import (ClusterPt, member, object_of, chord_at, crossing_path, attach,
-                      in_neighbors)
+from .cluster import (ClusterPt, member, object_of, crossing_path, attach, in_neighbors,
+                      triangle)
 from .strings import StringWord, word
 from .errors import InCluster, InvalidWord, NoMorphism, Unreachable, AllOnesTail
 
@@ -33,20 +33,39 @@ def obj_to_string(x: Obj) -> StringWord:
 
 @lru_cache(maxsize=8192)
 def string_to_obj(w: StringWord) -> Obj:
-    """The object whose support word is w: the chord joining the far ends of
-    its two attach chords, at the scale 2^k, k one past the deepest vertex."""
+    """The object whose support word is w: the chord joining the apexes of
+    its two end triangles, the triangles at its ends that w does not use,
+    at the scale 2^k, k one past the deepest vertex (`_end_apex`)."""
     if w.marked:
         raise InvalidWord("ray-marked words do not name finite objects")
-    k = 1 + max(v.n for v in w.verts)  # an attach vertex is at most one deeper
-    ends = []
-    for att, end in zip(attach(w.verts), (w.verts[0], w.verts[-1])):
-        a, b = chord_at(att, k)
-        ends.append(b if a in chord_at(end, k) else a)
-    x = obj_from_ends(*ends, k)
+    verts = w.verts
+    first, last = verts[0], verts[-1]
+    k = 1 + max(verts).n  # points sort by depth first
+    if len(verts) == 1:  # one vertex: the triangle below it, then the one above
+        x = obj_from_ends(_end_apex(first, False, k), _end_apex(first, True, k), k)
+    else:  # a letter in the triangle below an end, named as the end, leaves the one above
+        x = obj_from_ends(_end_apex(first, triangle(first, verts[1]) == first, k),
+                          _end_apex(last, triangle(last, verts[-2]) == last, k), k)
     # a valid unmarked word is fixed by its vertices, read in either direction
-    if w.verts not in (path := crossing_path(x), path[::-1]):
-        raise AssertionError(f"the chord between the attach ends of {w} does not carry it")
+    if verts not in (path := crossing_path(x), path[::-1]):
+        raise AssertionError(f"the chord between the end apexes of {w} does not carry it")
     return x
+
+
+def _end_apex(v: ClusterPt, above: bool, k: int) -> int:
+    """The apex of the triangle above or below v = T(n, m), its corner off
+    the chord of v, as a numerator mod 2^(k+1) at the scale 2^k, k > n.
+    Below, the two children split the arc ((m-1)/2^n, m/2^n) at
+    (2m-1)/2^(n+1).  Above, the parent's arc is the arcs of v and its
+    sibling joined, and the apex is its end off v: (m+1)/2^n for odd m, the
+    first child, and (m-2)/2^n for even m.  T(0,0) has T(1,1) and T(1,2)
+    above it, which meet at 1/2."""
+    n, m = v
+    if not above:
+        return ((2 * m - 1) << (k - n - 1)) % (2 << k)
+    if not n:
+        return 1 << (k - 1)
+    return ((m + 1 if m & 1 else m - 2) << (k - n)) % (2 << k)
 
 
 def simple_object(v: ClusterPt) -> Obj:

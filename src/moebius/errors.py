@@ -1,6 +1,7 @@
-"""Exception types shared across the library, and the depth bounds: the
-command line reports a `check` or `render` depth past its bound as a
-`ParseError`, and the rectangle scan raises `DepthLimit` past its own."""
+"""Exception types shared across the library, and the bounds on input size:
+the command line reports a `check` or `render` depth, or a `kernel` or
+`cokernel` morphism, past its bound as a `ParseError`, and the rectangle
+scan raises `DepthLimit` past its own."""
 
 # The deepest grid `check --depth` accepts.  G(e) grows about 4x per
 # exponent, and criterion 1 reads every ordered pair of it into
@@ -18,6 +19,18 @@ MAX_CHECK_DEPTH = 5
 # The deepest cluster dots `render` draws: 2^(d+1) - 1 dots, and depth 12
 # writes about 0.5 MB.
 MAX_CLUSTER_DEPTH = 12
+
+# The most cluster chords that the source summands, and the target
+# summands, of a `kernel` or `cokernel` morphism may cross in all: the
+# dimension of the string module that `strings.decompose_rep` splits.  A
+# single nonzero basic morphism has a closed form and no bound.  Kernel plus
+# cokernel of seeded n x n morphisms (`perfbench` `_matrix_morphism`, seeded
+# "scale2:e:n"; 2-core Xeon VM, Python 3.11.7, one run each) took at most
+# 5.0 s on each of 192 draws at or under the bound, 6x6 to 14x14 at
+# exponents 16-64; the slowest, 14x14 at 32, took 3.2 s when run again
+# alone.  Past it the tail grows fast: 12x12 at exponent 64 (about 1,490
+# chords a side) took up to 7.0 s and 14x14 (about 1,750) up to 19.6 s.
+MAX_KERNEL_DIM = 1024
 
 # The deepest level `cluster.enum_in_rect_with_reps` scans, so rectangles
 # of exponent 14 and below.  Only criterion 3 scans, to depth 7 at most

@@ -145,9 +145,18 @@ def overlap(w1: StringWord, w2: StringWord) -> frozenset[ClusterPt]:
 
 
 def _outside(w: StringWord, i: int, j: int) -> list[StringWord]:
-    """The words of w left and right of its run w[i..j], the empty ones left out."""
-    last = len(w.verts) - 1
-    return [StringWord(w.verts[a:b + 1]) for a, b in ((0, i - 1), (j + 1, last)) if a <= b]
+    """The words of w left and right of its run w[i..j], the empty ones left
+    out, sliced from w: a piece keeps its vertices and letters, and where
+    `StringWord` orientation reverses it, its letters are read backwards and
+    each points the other way."""
+    pieces = []
+    for a, b in ((0, i - 1), (j + 1, len(w.verts) - 1)):
+        if a <= b:
+            verts, directs = w.verts[a:b + 1], w.directs[a:b]
+            if verts[::-1] < verts:
+                verts, directs = verts[::-1], tuple([not d for d in reversed(directs)])
+            pieces.append(tuple.__new__(StringWord, (verts, directs, False, False)))
+    return pieces
 
 
 def kernel_cokernel_strings(w1: StringWord, w2: StringWord) -> tuple[list[StringWord], list[StringWord]]:
@@ -316,6 +325,8 @@ def decompose_rep(rep: RepFin) -> list[tuple[StringWord, dict[ClusterPt, tuple[i
     its path word (lemma B).  Any other component lists the reduced words on
     its own support (`_candidate_words`), splits off the first that
     `_split_off` accepts, and puts its remainder (`_peel`) back on the list.
+    A word that fails the local test of lemma C (`_local_test`) is not
+    tried: `_split_off` would find no split for it.
     Only words on the arrows with a nonzero matrix are listed: a summand
     M(w) maps each letter of w by an identity.  End(M(w)) = k, since homs
     between strings are at most one dimensional (`overlap`), so the
@@ -355,7 +366,19 @@ def decompose_rep(rep: RepFin) -> list[tuple[StringWord, dict[ClusterPt, tuple[i
     its two vertices, which are ordered as w.verts, and no other nonzero
     row.  The nullspace depends only on the rows' span, so take the rows in
     the order of w.verts: they are bidiagonal, so all columns but the last
-    are pivots, and the one nullspace vector is 1 at the last vertex."""
+    are pivots, and the one nullspace vector is 1 at the last vertex.
+
+    Lemma C: if M(w) -> V -> M(w) composes to a nonzero scalar, through phi
+    and psi, then at every vertex v of w, phi_v is nonzero and lies in the
+    kernel of every arrow out of v that is not a letter of w, and psi_v is
+    nonzero and vanishes on the image of every arrow into v that is not a
+    letter.  The composite is c != 0 at each vertex, psi_v phi_v = c on the
+    line M(w)_v, so neither vanishes.  M(w) is zero on every arrow that is
+    not a letter: its vertices are distinct and two of them share a triangle
+    only along a letter, as a word is a path in the dual tree.  So for such
+    an arrow a: v -> u, V_a phi_v = phi_u M(w)_a = 0, and for such an arrow
+    b: u -> v, psi_v V_b = M(w)_b psi_u = 0.  Hence w cannot split off when,
+    at some vertex, those kernels meet in 0 or those images span V_v."""
     from . import linalg
     rep.check_relations()
     work = [(rep, {v: linalg.identity(rep.dim(v)) for v in rep.dims})]
@@ -367,11 +390,13 @@ def decompose_rep(rep: RepFin) -> list[tuple[StringWord, dict[ClusterPt, tuple[i
                 w, phi = _thin_summand(verts, mats)
             else:
                 sub = RepFin({v: piece.dims[v] for v in verts}, mats)
+                passes = _local_test(sub)
                 for cand in _candidate_words(sorted(verts), mats):
-                    w = StringWord(cand)
-                    split = _split_off(w, sub)
-                    if split:
-                        break
+                    if passes(cand):
+                        w = StringWord(cand)
+                        split = _split_off(w, sub)
+                        if split:
+                            break
                 else:
                     raise NotAModule("representation does not split into strings")
                 phi, psi = split
@@ -379,6 +404,41 @@ def decompose_rep(rep: RepFin) -> list[tuple[StringWord, dict[ClusterPt, tuple[i
             out.append((w, {v: linalg.matvec(acc[v], phi[v]) for v in w.verts}))
     out.sort(key=lambda summand: summand[0].sort_key())
     return out
+
+
+def _local_test(rep: RepFin):
+    """The local necessary test of lemma C in `decompose_rep`, as a function
+    of a word's vertex tuple, on words whose letters are arrows of rep: False
+    when at some vertex v the arrows out of v that are not letters have
+    kernels meeting in 0, or the arrows into v that are not letters have
+    images spanning V_v.  A neighbour of v in the word is joined to it by a
+    letter, so those arrows are the ones to other vertices.  Each answer is
+    cached by v, the side and the arrows it reads: at most 3 keys per vertex
+    and side, the nonempty sets of its two arrows out or of its two in."""
+    from . import linalg
+    sides = {v: ([], []) for v in rep.dims}  # per vertex: arrows out, arrows in
+    for (v, u), m in rep.mats.items():
+        sides[v][0].append((u, m))
+        sides[u][1].append((v, m))
+    known = {}
+
+    def passes(verts) -> bool:
+        for i, v in enumerate(verts):
+            near = verts[max(i - 1, 0):i + 2]
+            for side, arrows in enumerate(sides[v]):
+                others = tuple(u for u, _ in arrows if u not in near)
+                if others:
+                    key = (v, side, others)
+                    ok = known.get(key)
+                    if ok is None:
+                        # the kernels' rows, or the images' columns
+                        rows = tuple(row for u, m in arrows if u in others
+                                     for row in (zip(*m) if side else m))
+                        ok = known[key] = linalg.rank(rows) < rep.dims[v]
+                    if not ok:
+                        return False
+        return True
+    return passes
 
 
 def _components(rep: RepFin):

@@ -8,7 +8,7 @@ rather than by the library's fast path:
   off integers, each arrow a `QArrow` that carries its triangle as the
   frozenset of its points, built on the 3-cycles of `cluster.neighbors`;
   `attach_arrows` and `g_extend_by_arrows` check `cluster.attach` (through
-  `equiv.string_to_obj`) and `equiv.g_extend` on those arrows;
+  `equiv.g_extend`) and `equiv.g_extend` on those arrows;
 - `tau_dims_via_epsilon` checks `walk.tau_dims` by the defining epsilon
   limits of the translates;
 - `hom0_via_factoring` checks `TauDims.hom0` by enumerating the rectangles
@@ -34,8 +34,8 @@ rather than by the library's fast path:
 - `support_by_walk`, `obj_to_string_by_walk` and `string_to_obj_by_walk`
   check `walk.support`, `equiv.obj_to_string` and `equiv.string_to_obj`,
   which read the crossed chords off the chord's two ends
-  (`cluster.crossing_path`, `cluster.arrow_dir`) and the object off the far
-  ends of the attach chords, on that stepped walk: the interior of the walk
+  (`cluster.crossing_path`, `cluster.arrow_dir`) and the object off the
+  apexes of its end triangles, on that stepped walk: the interior of the walk
   of x, its word with a horizontal step as a forward letter (`_walk_word`),
   and the corners of the `minimal_walk` between the two attach vertices;
 - `_ends`, `_gap` and `_obj_from_ends` check `Obj.ends_at`, `band.ends`,

@@ -289,6 +289,30 @@ def test_kernel_src_not_a_list_exit_2(capsys, monkeypatch):
     assert "'src' must be a list" in err
 
 
+def test_kernel_past_its_bound_exit_2_before_any_split(capsys, monkeypatch):
+    # the zero morphism on an object whose chord crosses 1,039 cluster
+    # chords is split as string modules, so it is refused before any split;
+    # the identity on it is basic, read off in closed form, and not bounded
+    from moebius import quotient
+    from moebius.band import normal_form
+    from moebius.dyadic import Dyadic
+    from moebius.errors import MAX_KERNEL_DIM
+
+    def no_split(f):
+        raise AssertionError("split past the bound")
+
+    x = str(normal_form(Dyadic(1, 520), Dyadic((1 << 519) + 3, 520)))
+    monkeypatch.setattr(quotient, "_kernel_rep", no_split)
+    monkeypatch.setattr(quotient, "_cokernel_rep", no_split)
+    err = _kernel_stdin_error(capsys, monkeypatch, {"src": [x], "dst": [x], "entries": [["0"]]})
+    assert err == (f"parse error: morphism 'src' crosses 1039 cluster chords, past the "
+                   f"{MAX_KERNEL_DIM} that kernel and cokernel accept\n")
+    for which in ("kernel", "cokernel"):
+        payload = json.dumps({"src": [x], "dst": [x], "entries": [["1"]]})
+        code, out, _ = run(capsys, which, "--json", stdin=payload, monkeypatch=monkeypatch)
+        assert code == 0 and json.loads(out)["object"] == []
+
+
 def _entries_payload(number: str) -> str:
     # a JSON number written as is, so no float comes between it and the CLI
     return ('{"src": ["M(1/8,1/4)", "M(1/4,3/4)"], "dst": ["M(1/4,3/4)"], '

@@ -117,6 +117,37 @@ def test_string_to_obj_matches_stepper_at_high_exponents():
             assert string_to_obj.__wrapped__(w) == x == string_to_obj_by_steps(w), x
 
 
+def test_string_to_obj_matches_both_oracles_on_kernel_and_cokernel_pieces():
+    # the words left of and right of every run of every word of G(5), among
+    # them the pieces of every basic of G(5), and the kernel and cokernel
+    # pieces of basics between objects that share a support point at
+    # exponents 16-64: each end apex against the stepped attach
+    # representatives and against the walk between the attach vertices
+    import random
+    from moebius.checks import grid_off_cluster
+    from moebius.strings import _outside, kernel_cokernel_strings
+    pieces = set()
+    for w in map(obj_to_string, grid_off_cluster(5)):
+        for i in range(len(w)):
+            for j in range(i, len(w)):
+                pieces.update(_outside(w, i, j))
+    assert len(pieces) == 1395
+    rng = random.Random(1664)
+    for e in (16, 24, 32, 48, 64):
+        basics = 0
+        while basics < 20:
+            x, y = _seeded_off_cluster(rng, e, 2)
+            while not support(x) & support(y):
+                (y,) = _seeded_off_cluster(rng, e, 1)
+            wx, wy = obj_to_string(x), obj_to_string(y)
+            if hom_dim_strings(wx, wy):
+                basics += 1
+                for part in kernel_cokernel_strings(wx, wy):
+                    pieces.update(part)
+    for w in pieces:
+        assert string_to_obj.__wrapped__(w) == string_to_obj_by_steps(w) == string_to_obj_by_walk(w), w
+
+
 @pytest.mark.parametrize("e, pairs", [(16, 60), (32, 60), (64, 40)])
 def test_hom_ct_dim_matches_strings_on_pairs_sharing_support(e, pairs):
     # unbiased random pairs have a nonzero Hom only 11-18 % of the time, so

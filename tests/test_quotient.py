@@ -1,5 +1,7 @@
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -425,7 +427,9 @@ def test_hom_solvers_match_dense_oracles_on_split_candidates(monkeypatch):
     # both hom directions, one nullspace over the quiver and its opposite,
     # against their dense row loops on each (w, rep) that `_split_off` sees,
     # and on each rep again without a letter's matrix and without a vertex
-    # of w: equal lists, values and int/Fraction types
+    # of w: equal lists, values and int/Fraction types; two morphisms per
+    # shape and exponent, as `decompose_rep` tries only the words that pass
+    # its local test
     cases = []
     split_off = strings._split_off
 
@@ -435,8 +439,8 @@ def test_hom_solvers_match_dense_oracles_on_split_candidates(monkeypatch):
 
     monkeypatch.setattr(strings, "_split_off", recording)
     rng = random.Random(30)
-    for e in (3, 4, 5, 6):
-        for ns, nd in ((2, 2), (2, 3), (3, 2), (3, 3)):
+    for e in (3, 4, 5, 6, 7):
+        for ns, nd in ((2, 2), (2, 3), (3, 2), (3, 3)) * 2:
             f = _seeded_matrix_morphism(rng, e, ns, nd)
             kernel(f)
             cokernel(f)
@@ -458,6 +462,43 @@ def test_hom_solvers_match_dense_oracles_on_split_candidates(monkeypatch):
         assert repr(psis) == repr(_hom_rep_to_word_dense(rep, w)), w
         vanishing += phis == psis == [] and any(u not in rep.dims for u in w.verts)
     assert seen > 50 and leaving and entering and len(cases) > 2 * seen and vanishing == seen
+
+
+_WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def test_local_test_bounds_split_trials_on_seeded_8x8_morphisms(monkeypatch):
+    # draws 0-2 of the benchmark's matrix morphisms at 8x8, exponent 16
+    # (seeded "scale2:16:8"): with the local test, at most 2 `_split_off`
+    # trials per summand in each kernel and cokernel split, where trying
+    # every listed word took up to 5.7; and the summands of peeling
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    trials, splits = [0], []
+    split_off = strings._split_off
+
+    def counting(w, rep):
+        trials[0] += 1
+        return split_off(w, rep)
+
+    def recording(rep):
+        trials[0] = 0
+        pieces = decompose_rep(rep)
+        splits.append((rep, len(pieces), trials[0]))
+        return pieces
+
+    monkeypatch.setattr(strings, "_split_off", counting)
+    monkeypatch.setattr(quotient, "decompose_rep", recording)
+    rng = random.Random("scale2:16:8")
+    for _ in range(3):
+        f = workloads._make_morphism(*workloads._morphism_data(workloads._matrix_morphism(rng, 16, 8, 8)))
+        kernel(f)
+        cokernel(f)
+    assert [n for _, n, _ in splits] == [16, 16, 14, 14, 15, 15]
+    assert all(t <= 2 * n for _, n, t in splits), splits
+    for rep, _, _ in splits:
+        assert repr(decompose_rep(rep)) == repr(decompose_rep_by_peeling(rep))
 
 
 def test_matrix_kernels_row_reduce_only_where_f_acts(monkeypatch):

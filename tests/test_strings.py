@@ -201,6 +201,55 @@ def test_kernel_cokernel_strings():
         kernel_cokernel_strings(wY, wX)
 
 
+def _sliced_as_built(w, pieces, i, j) -> int:
+    """Assert the pieces of w off its run w[i..j] are the words built on
+    their vertices; the number of them turned round."""
+    runs = [w.verts[a:b + 1] for a, b in ((0, i - 1), (j + 1, len(w.verts) - 1)) if a <= b]
+    assert pieces == list(map(StringWord, runs)), (w, i, j)
+    assert all(type(p) is StringWord for p in pieces), (w, i, j)
+    return sum(p.verts != run for p, run in zip(pieces, runs))
+
+
+def test_pieces_sliced_from_their_word_are_the_words_built_anew():
+    # `_outside` slices a piece's vertices and letters off its word, and
+    # reverses and negates them where `StringWord` turns the piece round:
+    # the same vertices, letters and orientation, on every run of every word
+    # of G(5), among them the pieces of every basic of G(5), and on the
+    # kernel and cokernel pieces of nearby pairs at exponents 16-64
+    import random
+    from moebius.band import normal_form
+    from moebius.checks import grid_off_cluster
+    from moebius.cluster import member
+    from moebius.equiv import obj_to_string
+    from moebius.strings import _outside
+    turned = 0
+    for w in map(obj_to_string, grid_off_cluster(5)):
+        for i in range(len(w)):
+            for j in range(i, len(w)):
+                turned += _sliced_as_built(w, _outside(w, i, j), i, j)
+    rng = random.Random(1664)
+    for e in (16, 24, 32, 48, 64):
+        one, r = 1 << e, 1 << (e - 6)
+        basics = 0
+        while basics < 40:
+            p = rng.randrange(2 * one)
+            q = p + rng.randrange(1, one)
+            p2, q2 = p + rng.randint(0, r), q + rng.randint(0, r)
+            if q2 - p2 >= one:
+                continue
+            x, y = normal_form(p, q, e), normal_form(p2, q2, e)
+            if member(x) is not None or member(y) is not None:
+                continue
+            w1, w2 = obj_to_string(x), obj_to_string(y)
+            occ = _occurrences(w1, w2)
+            if occ is None:
+                continue
+            basics += 1
+            ker, cok = kernel_cokernel_strings(w1, w2)
+            turned += _sliced_as_built(w1, ker, occ[0], occ[1]) + _sliced_as_built(w2, cok, occ[2], occ[3])
+    assert turned
+
+
 def test_to_rep_and_roundtrip():
     for text in ("M(1/8,1/4)", "M(1/4,3/4)", "M(1/2,1/2)"):
         w = w_of(text)
