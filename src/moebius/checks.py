@@ -13,19 +13,18 @@ import random
 import time
 from array import array
 from collections import namedtuple
+from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, compress, product
 
-from . import linalg
 from .dyadic import Dyadic, ONE
 from .band import (Obj, Rect, normal_form, compatible, triangle_complete, hom_c_dim,
                    parse_obj)
 from .cluster import (ClusterPt, STANDARD, member, object_of, mutate,
                       out_neighbors, triangle, enum_in_rect)
 from .walk import (support, walk_of, approximation, hom_ct_dim, tau_dims,
-                   compose_basic_nonzero, chain_box_nonzero, concrete_epsilon, shifted,
-                   factors_through_sink)
-from .strings import hom_dim_strings, overlap, word
+                   compose_basic_nonzero, chain_box_nonzero, shifted, factors_through_sink)
+from .strings import hom_dim_strings, word
 from .equiv import (obj_to_string, string_to_obj, DigitPrefix, _digit_point,
                     _tree_vertex, coords_to_digits,
                     g_extend, f_strip, tail_case)
@@ -172,34 +171,35 @@ def check_approximation(e: int) -> tuple[bool, str]:
     return (True, f"balance on {len(objs)} objects; {checked} maps factor through sinks")
 
 
-def _translate(moved: dict, s: ClusterPt, eps: Dyadic) -> Obj:
-    """`shifted(s, eps, eps)`, built at the first request for (s, eps) and
-    kept in `moved`, a dict local to one criterion run: across the grid
-    each translate is asked for many times."""
-    key = (s, eps.num, eps.exp)
-    obj = moved.get(key)
+def _translate(moved: dict, s: ClusterPt, k: int, sign: int = 1) -> Obj:
+    """`shifted(s, eps, eps)` for eps = sign/2^k, built at the first request
+    for (s, k) and kept in `moved`, a dict local to one criterion run and
+    one sign: across the grid each translate is asked for many times."""
+    obj = moved.get((s, k))
     if obj is None:
-        obj = moved[key] = shifted(s, eps, eps)
+        eps = Dyadic(sign, k)
+        obj = moved[(s, k)] = shifted(s, eps, eps)
     return obj
 
 
 def check_ar_duality(e: int) -> tuple[bool, str]:
     """On every pair of an object x of G(e) and a cluster point s of depth
     <= e + 1: with tau^-1 s and tau s the translates of s by +eps and -eps
-    in both coordinates (eps = `concrete_epsilon` of s and x), the
-    geometric dims of Hom(tau^-1 s, x) and Hom(x, tau s) both equal the
-    ones read off the walk of x (`tau_dims`), and its four-term sum is 0.
-    eps takes a few values per point as x runs over the grid, so the
-    criterion builds one translate pair per (point, eps)."""
+    in both coordinates (eps = `concrete_epsilon` of s and x, 1/2^k with k
+    read off the exponents: T(n, m) has exponent n), the geometric dims of
+    Hom(tau^-1 s, x) and Hom(x, tau s) both equal the ones read off the
+    walk of x (`tau_dims`), and its four-term sum is 0.  eps takes a few
+    values per point as x runs over the grid, so the criterion builds one
+    translate pair per (point, eps)."""
     objs = grid_off_cluster(e)
     pts = cluster_points(e + 1)
-    moved = {}
+    up, down = {}, {}
     n = 0
     for x in objs:
         for s in pts:
-            eps_s = concrete_epsilon([object_of(s), x])
-            tinv = _hom_geometry(_translate(moved, s, eps_s), x)
-            tau = _hom_geometry(x, _translate(moved, s, -eps_s))
+            k = 2 + max(s.n, x.e)
+            tinv = _hom_geometry(_translate(up, s, k), x)
+            tau = _hom_geometry(x, _translate(down, s, k, -1))
             td = tau_dims(s, x)
             if not (tinv == tau == td.tau_inv == td.tau):
                 return (False, f"translate duality fails at ({s}, {x})")
@@ -216,39 +216,56 @@ def _basics(e: int):
     return ((x, y) for i, x in enumerate(objs) for y in compress(objs, _row(table, n, i)))
 
 
-def _basic(x: Obj, y: Obj) -> MorQ:
+def _summands(e: int) -> dict[Obj, SumObj]:
+    """The one-summand `SumObj` of each object of G(e), built once per
+    criterion run: `_basic` reads its ends here."""
+    return {x: SumObj([x]) for x in grid_off_cluster(e)}
+
+
+def _basic(sums: dict[Obj, SumObj], x: Obj, y: Obj) -> MorQ:
     """`basic_mor(x, y)` of a pair that `_hom_table` shows nonzero, without
-    its `hom_ct_dim` lookup."""
-    return MorQ._from_clean(SumObj([x]), SumObj([y]), ((1,),))
+    its `hom_ct_dim` lookup, on the summands of `_summands`."""
+    return MorQ._from_clean(sums[x], sums[y], ((1,),))
 
 
 def check_abelian(e: int) -> tuple[bool, str]:
     """Exactness of every basic of G(e), then the universal property of the
     kernel on 100 sampled basics of G(max(e, 2)), or on all 70 of G(2): the
-    one basic of G(1) is an identity, which kills no nonzero map.  First, the
-    lemma of `quotient._vertex_matrices` on each basic x -> y: the
-    translates of its common points see all of support(x) & support(y).  The
-    overlap test before it compares the common run of the two words, which
-    `overlap` reads off by lemma steps 1-3, with the common vertices, so it
-    checks only that every basic has a graph map, as criterion 1 does.  The
-    lemma's independent checks are the tier-1 comparison of graph maps with
-    the brute-force segment scan, criterion 1 and the translate test.  The
-    zero composites f . incl and proj . f are read off the supports
-    (`compose_basic_nonzero`, which rests on the lemma); the rectangle test
-    `chain_box_nonzero` gives the translate test and must agree with the
-    support rule on every chain z -> x -> y of the universal-property sample."""
-    basics, moved = 0, {}
+    one basic of G(1) is an identity, which kills no nonzero map.
+
+    Each basic x -> y takes one graph-map scan: `kernel` and `cokernel`
+    share it (`quotient._basic_word_lists`), and the overlap check reads
+    its run back off the cokernel words, the target's word less the run.
+    The run must be support(x) & support(y), from the geometry.  By lemma
+    steps 1-3 of `quotient._vertex_matrices` it is the common run of the
+    two words, so the check shows that every basic has a graph map, as
+    criterion 1 does, and that the cokernel words are cut where the
+    geometry says.  The rest of that lemma is the translate test: the
+    translates of the common points by eps (`concrete_epsilon` of x, y and
+    those points, 1/2^k with k read off the exponents, as T(n, m) has
+    exponent n) see all of the common support.  The lemma's independent
+    checks are the tier-1 comparison of graph maps with the brute-force
+    segment scan, criterion 1 and this translate test.  The zero
+    composites f . incl and proj . f are read off the supports
+    (`compose_basic_nonzero`, which rests on the lemma); the rectangle
+    test `chain_box_nonzero` gives the translate test and must agree with
+    the support rule on every chain z -> x -> y of the universal-property
+    sample, where that rule then picks the basics z -> x that f kills,
+    each of which must factor through the kernel.  The single-summand
+    objects of the basics are built once per run (`_summands`)."""
+    sums, moved, basics = _summands(max(e, 2)), {}, 0
     for basics, (x, y) in enumerate(_basics(e), 1):
-        common = support(x) & support(y)
-        if overlap(obj_to_string(x), obj_to_string(y)) != common:
-            return (False, f"graph-map overlap != common support at {x}->{y}")
-        eps = concrete_epsilon([x, y] + [object_of(s) for s in common])
-        # the translate's hom to x may be zero, so not the support rule here
-        if not all(chain_box_nonzero(_translate(moved, s, eps), x, y) for s in common):
-            return (False, f"basic dies on a translate of its common support at {x}->{y}")
-        f = _basic(x, y)
+        f = _basic(sums, x, y)
         k_obj, incl = kernel(f)
         c_obj, proj = cokernel(f)
+        wy, c_words = obj_to_string(y), [obj_to_string(c) for c in c_obj]
+        common = support(x) & support(y)
+        if frozenset(wy.verts).difference(*[w.verts for w in c_words]) != common:
+            return (False, f"graph-map overlap != common support at {x}->{y}")
+        k = 2 + max(x.e, y.e, *[s.n for s in common])
+        # the translate's hom to x may be zero, so not the support rule here
+        if not all(chain_box_nonzero(_translate(moved, s, k), x, y) for s in common):
+            return (False, f"basic dies on a translate of its common support at {x}->{y}")
         if not classify(incl).is_mono:
             return (False, f"kernel inclusion not mono at {x}->{y}")
         if not classify(proj).is_epi:
@@ -258,8 +275,7 @@ def check_abelian(e: int) -> tuple[bool, str]:
         if not classify(compose(proj, f)).is_zero:
             return (False, f"proj . f != 0 at {x}->{y}")
         dk = sum(len(obj_to_string(s)) for s in k_obj)
-        dc = sum(len(obj_to_string(s)) for s in c_obj)
-        if dk - len(obj_to_string(x)) + len(obj_to_string(y)) - dc != 0:
+        if dk - len(obj_to_string(x)) + len(wy) - sum(map(len, c_words)) != 0:
             return (False, f"dimension exactness fails at {x}->{y}")
     f0 = basic_mor(parse_obj("M(1/8,1/4)"), parse_obj("M(1/4,3/4)"))
     k_obj, _ = kernel(f0)
@@ -277,14 +293,15 @@ def check_abelian(e: int) -> tuple[bool, str]:
     for p in chosen:
         i, j = divmod(p, n)
         x, y = objs[i], objs[j]
-        f = _basic(x, y)
+        f = _basic(sums, x, y)
         k_obj, incl = kernel(f)
         for z in compress(objs, table[i::n]):  # the z with a basic z -> x
-            if compose_basic_nonzero(z, x, y) != chain_box_nonzero(z, x, y):
+            survives = compose_basic_nonzero(z, x, y)
+            if survives != chain_box_nonzero(z, x, y):
                 return (False, f"supports and rectangles disagree on {z}->{x}->{y}")
-            g = _basic(z, x)
-            if not classify(compose(f, g)).is_zero:
+            if survives:  # f . g != 0, so g does not factor through the kernel
                 continue
+            g = _basic(sums, z, x)
             if not _factors_through(g, k_obj, incl):
                 return (False, f"universal property fails for {z} -> {x} over {x}->{y}")
             factored += 1
@@ -292,30 +309,31 @@ def check_abelian(e: int) -> tuple[bool, str]:
 
 
 def _factors_through(g: MorQ, k_obj: SumObj, incl: MorQ) -> bool:
-    """Solve incl . h = g for h across the one-dimensional hom spaces."""
-    z = g.src[0]
-    rows = []
-    rhs = []
-    for j in range(len(incl.dst)):
-        row = []
-        for k in range(len(k_obj)):
-            c = incl.entries[j][k]
-            alive = (c != 0 and hom_ct_dim(z, k_obj[k]) == 1
-                     and compose_basic_nonzero(z, k_obj[k], incl.dst[j]))
-            row.append(c if alive else 0)
-        rows.append(tuple(row))
-        rhs.append((g.entries[j][0],))
-    sol = linalg.solve(tuple(rows), tuple(rhs))
-    if sol is None:
-        return False
-    h = MorQ(g.src, k_obj, tuple((row[0],) for row in sol))
-    return compose(incl, h) == g
+    """Solve incl . h = g for h across the one-dimensional hom spaces, and
+    check the product.  The inclusion of a basic's kernel has one row, its
+    source x, so the system is one equation over the live columns: those
+    whose entry c is nonzero, whose hom z -> k_obj[col] is nonzero and
+    whose composite z -> k_obj[col] -> x survives.  h is g's scalar over c
+    at the first live column and 0 elsewhere, the solution row reduction
+    gives, as it pivots on that column, so h is 0 over every zero hom
+    space.  With no live column h is 0, which solves the equation only for
+    g = 0: the product decides in every case."""
+    z, x = g.src[0], incl.dst[0]
+    (row,) = incl.entries
+    h = [(0,)] * len(k_obj)
+    for col, (c, k) in enumerate(zip(row, k_obj)):
+        if c and hom_ct_dim(z, k) == 1 and compose_basic_nonzero(z, k, x):
+            a = g.entries[0][0]
+            h[col] = (a // c if not a % c else Fraction(a) / c,)  # exact, as in `linalg`
+            break
+    return compose(incl, MorQ._from_clean(g.src, k_obj, tuple(h))) == g
 
 
 def check_mono_epi_iso(e: int) -> tuple[bool, str]:
     checked = 0
+    sums = _summands(e)
     for (x, y) in _basics(e):
-        f = _basic(x, y)
+        f = _basic(sums, x, y)
         c = classify(f)
         if c.is_mono and c.is_epi:
             if not c.is_iso or not f.src.isomorphic(f.dst):

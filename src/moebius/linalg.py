@@ -129,29 +129,13 @@ def row_kernel(row) -> Matrix:
 
 
 def solve_on_unit_rows(a: Matrix, b: Matrix) -> Matrix | None:
-    """`solve(a, b)` for an a of full column rank with a unit row e_j for
-    each column j, as bases from `nullspace` and `row_kernel` have: X is
-    read off those rows of b, and a X == b is then solve's consistency test."""
+    """X with a X = b, or None if there is none, for an a of full column
+    rank with a unit row e_j for each column j, as bases from `nullspace`
+    and `row_kernel` have: X is read off those rows of b, and a X == b is
+    then the consistency test."""
     units = {row.index(1): i for i, row in enumerate(a) if 1 in row and sum(map(bool, row)) == 1}
     x = tuple(tuple(map(exact, b[units[j]])) for j in range(len(a[0])))
     return x if matmul(a, x) == tuple(map(tuple, b)) else None
-
-
-def solve(a: Matrix, b: Matrix) -> Matrix | None:
-    """X with a X = b, or None if inconsistent (any solution)."""
-    acols = len(a[0]) if a else 0
-    bcols = len(b[0]) if b else 0
-    if acols == 0:
-        if any(v != 0 for row in b for v in row):
-            return None
-        return zeros(0, bcols)
-    m, pivots = _rref(tuple(tuple(a[i]) + tuple(b[i]) for i in range(len(a))))
-    if pivots and pivots[-1] >= acols:
-        return None  # a pivot among the columns of b
-    x = [[0] * bcols for _ in range(acols)]
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][acols:]
-    return tuple(tuple(row) for row in x)
 
 
 def from_columns(cols, nrows: int) -> Matrix:

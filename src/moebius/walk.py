@@ -183,17 +183,28 @@ def chain_box_nonzero(x: Obj, y: Obj, z: Obj) -> bool:
     composite is basic when rx -> rz is.  Translating or flipping a whole
     chain changes nothing, and the rectangle is narrower than 2, so the
     translate of ry with c - 2 < p <= c is the only candidate.  All of it
-    runs on numerators at the scale 2^e of the finest of the three.
+    runs on numerators at the scale 2^e of the finest of the three: the
+    configs rx -> rz of `band.hom_c_configs` are built there one at a time,
+    y's representatives are read once, and a config's closed box is tested
+    once, when a representative of y lies in it.
     """
     e = max(x.e, y.e, z.e)
-    up, period = e - max(x.e, z.e), 2 << e
+    one, period = 1 << e, 2 << e
+    s, t = e - x.e, e - z.e
+    p0, q0 = x.xn << s, (x.xn + x.dn) << s
+    u, v = z.xn << t, (z.xn + z.dn) << t
     y_reps = y.reps_at(e)
-    for (a, b), (c, d) in hom_c_configs(x, z):
-        a, b, c, d = a << up, b << up, c << up, d << up
-        for p, q in y_reps:
-            shift = (c - p) // period * period
-            if a <= p + shift and b <= q + shift <= d and not box_meets_cluster(a, c, b, d, e):
-                return True
+    for c, d in ((u, v), (v + one, u + one)):
+        for a0, b0 in ((p0, q0), (q0 + one, p0 + one)):
+            shift = (c - a0) // period * period
+            a, b = a0 + shift, b0 + shift
+            if d - one < a and c - one < b <= d:  # a config of `hom_c_configs(x, z)`
+                for p, q in y_reps:
+                    lift = (c - p) // period * period
+                    if a <= p + lift and b <= q + lift <= d:
+                        if not box_meets_cluster(a, c, b, d, e):
+                            return True
+                        break
     return False
 
 

@@ -87,6 +87,8 @@ rather than by the library's fast path:
   vertices with a path to a marked end off in closed form, by a frontier
   search along the letters from each marked end;
 - `_rref_on_fractions` checks `linalg._rref` by eliminating on `Fraction`s;
+- `solve` checks `linalg.solve_on_unit_rows`, which reads X off the unit
+  rows of a basis, by row reduction of the whole system;
 - `normal_form_on_dyadics`, `member_on_dyadics`, `hom_c_configs_on_dyadics`,
   `hom_ct_dim_on_dyadics`, `compose_basic_nonzero_on_dyadics` (of
   `walk.chain_box_nonzero`),
@@ -1188,7 +1190,7 @@ def _restrict_everywhere(rep, basis):
         u, w = arr.src, arr.dst
         if not (dims.get(u) and dims.get(w)):
             continue
-        coords = linalg.solve(basis[w], linalg.matmul(_matrix(rep, u, w), basis[u]))
+        coords = solve(basis[w], linalg.matmul(_matrix(rep, u, w), basis[u]))
         if coords is None:
             raise AssertionError("subspace not arrow-stable")
         if any(x != 0 for row in coords for x in row):
@@ -1211,8 +1213,27 @@ def column_space_basis(a):
     return linalg._rref(a)[1]
 
 
+def solve(a, b):
+    """X with a X = b, or None if inconsistent (any solution), by row
+    reduction of [a | b]: the solver of `_restrict_everywhere` and
+    `invert`, and the reference for `linalg.solve_on_unit_rows`."""
+    acols = len(a[0]) if a else 0
+    bcols = len(b[0]) if b else 0
+    if acols == 0:
+        if any(v != 0 for row in b for v in row):
+            return None
+        return linalg.zeros(0, bcols)
+    m, pivots = linalg._rref(tuple(tuple(a[i]) + tuple(b[i]) for i in range(len(a))))
+    if pivots and pivots[-1] >= acols:
+        return None  # a pivot among the columns of b
+    x = [[0] * bcols for _ in range(acols)]
+    for r, pc in enumerate(pivots):
+        x[pc] = m[r][acols:]
+    return tuple(tuple(row) for row in x)
+
+
 def invert(a):
-    x = linalg.solve(a, linalg.identity(len(a)))
+    x = solve(a, linalg.identity(len(a)))
     if x is None:
         raise ValueError("matrix not invertible")
     return x

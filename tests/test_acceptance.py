@@ -141,6 +141,103 @@ def test_criteria_5_and_6_fail_on_a_wrong_translate(monkeypatch, wrong):
     assert not ok and detail.startswith("basic dies on a translate of its common support"), detail
 
 
+# -- criterion 6: a fault in what it reads fails it with its own message -----------
+
+@pytest.fixture
+def fresh_basic_words():
+    # the kernel and cokernel words of the last few basics are cached, and a
+    # patched scan must neither be hidden by them nor leave its own behind
+    from moebius import quotient
+    quotient._basic_word_lists.cache_clear()
+    yield
+    quotient._basic_word_lists.cache_clear()
+
+
+def test_criterion_6_fails_on_a_short_graph_map_run(monkeypatch, fresh_basic_words):
+    # the run of each graph map loses w1's first vertex and the vertex of w2
+    # it matches, so the kernel and cokernel words still add up
+    from moebius import checks, strings
+    real = strings._occurrences
+
+    def short(w1, w2):
+        occ = real(w1, w2)
+        if occ is None:
+            return None
+        i1, j1, i2, j2 = occ
+        return (i1 + 1, j1, i2 + 1, j2) if w1.verts[i1] == w2.verts[i2] else (i1 + 1, j1, i2, j2 - 1)
+
+    monkeypatch.setattr(strings, "_occurrences", short)
+    ok, detail = checks.check_abelian(2)
+    assert not ok and detail.startswith("graph-map overlap != common support"), detail
+
+
+def test_criterion_6_fails_when_the_kernel_loses_a_summand(monkeypatch):
+    from moebius import checks
+    from moebius.quotient import MorQ, SumObj
+    real = checks.kernel
+
+    def lossy(f):
+        k_obj, incl = real(f)
+        kept = SumObj(k_obj[:-1])
+        return kept, MorQ._from_clean(kept, incl.dst, tuple(row[:len(kept)] for row in incl.entries))
+
+    monkeypatch.setattr(checks, "kernel", lossy)
+    ok, detail = checks.check_abelian(2)
+    assert not ok and detail.startswith(("kernel inclusion not mono", "dimension exactness fails")), detail
+
+
+def test_criterion_6_fails_when_the_rectangle_reference_is_constant(monkeypatch):
+    from moebius import checks
+    monkeypatch.setattr(checks, "chain_box_nonzero", lambda x, y, z: True)
+    ok, detail = checks.check_abelian(2)
+    assert not ok and detail.startswith("supports and rectangles disagree"), detail
+
+
+def _twice(entries):
+    return tuple(tuple(2 * v for v in row) for row in entries)
+
+
+def test_criterion_6_fails_when_the_factorization_is_doubled(monkeypatch):
+    # every morphism the criterion builds comes out doubled: twice a basic
+    # has the basic's kernel, cokernel and zero composites, so only the
+    # final compose(incl, h) == g can see an h twice what solves for g
+    from moebius import checks
+    real = checks.MorQ
+
+    class Doubled(real):
+        __slots__ = ()
+
+        def __new__(cls, src, dst, entries):
+            return real.__new__(cls, src, dst, _twice(entries))
+
+        @classmethod
+        def _from_clean(cls, src, dst, entries):
+            return real._from_clean.__func__(cls, src, dst, _twice(entries))
+
+    monkeypatch.setattr(checks, "MorQ", Doubled)
+    ok, detail = checks.check_abelian(2)
+    assert not ok and detail.startswith("universal property fails"), detail
+
+
+@pytest.mark.parametrize("depth,most", [(2, 141), (3, 1921)])
+def test_criterion_6_scans_each_graph_map_once(monkeypatch, fresh_basic_words, depth, most):
+    # one scan per basic, one per sampled map and one for the worked example:
+    # the overlap check and the kernel and cokernel words share it
+    from moebius import checks, strings
+    real = strings._occurrences
+    scans = 0
+
+    def counting(w1, w2):
+        nonlocal scans
+        scans += 1
+        return real(w1, w2)
+
+    monkeypatch.setattr(strings, "_occurrences", counting)
+    ok, detail = checks.check_abelian(depth)
+    assert ok, detail
+    assert scans <= most
+
+
 # -- the work each criterion counts at DEPTH -------------------------------------
 
 DETAILS = [
@@ -161,6 +258,15 @@ DETAILS = [
 def test_detail_strings_at_depth_3():
     # a faster suite must still do the same work: each count is pinned
     assert [_run(i).detail for i in range(1, len(CRITERIA) + 1)] == DETAILS
+
+
+@pytest.mark.parametrize("depth,detail", [
+    (1, "1 basics exact; 136 factorizations over 70 sampled maps"),
+    (2, "70 basics exact; 136 factorizations over 70 sampled maps"),
+])
+def test_criterion_6_detail_strings_at_depths_1_and_2(depth, detail):
+    from moebius.checks import check_abelian
+    assert check_abelian(depth) == (True, detail)
 
 
 # -- criterion 10: digit tails ----------------------------------------------------

@@ -5,7 +5,7 @@ module m of `src/moebius`.  A reference to the name n of m, in `src/` or
 `perfbench/`, is one of:
 
 - an import `from .m import n` (or `from moebius.m import n`);
-- an attribute `m.n` (as in `linalg.solve` or `moebius.quotient.kernel`);
+- an attribute `m.n` (as in `linalg.rank` or `moebius.quotient.kernel`);
 - a load of n inside m, outside n's own definition.
 
 `moebius.__all__` exports count as references, and the interpreter reads

@@ -2,7 +2,7 @@
 sparse on Fractions (`oracles._rref_on_fractions`) and dense.
 `column_space_basis` is the copy in `oracles`, read through `linalg._rref`.
 The closed forms that skip row reduction (`row_kernel`,
-`solve_on_unit_rows`) against `nullspace` and `solve`."""
+`solve_on_unit_rows`) against `nullspace` and the oracle `solve`."""
 
 import random
 from fractions import Fraction
@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from moebius import linalg
 
-from oracles import _rref_on_fractions, column_space_basis
+from oracles import _rref_on_fractions, column_space_basis, solve
 
 
 def _dense_rref(a):
@@ -79,7 +79,7 @@ def test_sparse_rref_matches_dense(ab):
     cols = len(a[0])
     assert linalg._rref(a) == _dense_rref(a)
     for fn, args in ((linalg.rank, (a,)), (linalg.nullspace, (a,)),
-                     (column_space_basis, (a,)), (linalg.solve, (a, b))):
+                     (column_space_basis, (a,)), (solve, (a, b))):
         assert _sparse(fn, *args) == _dense(fn, *args)
     null = linalg.nullspace(a)
     assert len(null) == cols - linalg.rank(a)
@@ -130,7 +130,7 @@ def test_results_are_ints_exactly_where_integral(a, data):
     vec = data.draw(st.lists(entry, min_size=cols, max_size=cols))
     b, c = data.draw(matrices(rows, 3)), data.draw(matrices(cols, 3))
     results = [*linalg.nullspace(a, cols), linalg.matvec(a, vec), *linalg.matmul(a, c)]
-    solution = linalg.solve(a, b)
+    solution = solve(a, b)
     if solution is not None:
         results.extend(solution)
     assert _exact(x for row in results for x in row)
@@ -182,12 +182,12 @@ def test_unit_row_coordinates_match_solve():
             continue
         x0 = tuple(tuple(_seeded_value(rng) for _ in range(3)) for _ in range(k))
         b = linalg.matmul(basis, x0)
-        got, want = linalg.solve_on_unit_rows(basis, b), linalg.solve(basis, b)
+        got, want = linalg.solve_on_unit_rows(basis, b), solve(basis, b)
         assert got == want == x0 and _types(got) == _types(want), (basis, b)
         # one entry moved, mostly off the column space
         off = [list(row) for row in b]
         off[rng.randrange(len(off))][rng.randrange(3)] += Fraction(1, 2)
-        got, want = linalg.solve_on_unit_rows(basis, off), linalg.solve(basis, off)
+        got, want = linalg.solve_on_unit_rows(basis, off), solve(basis, off)
         assert got == want and (got is None or _types(got) == _types(want)), (basis, off)
         inconsistent += got is None
         checked += 1
