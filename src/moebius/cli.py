@@ -3,10 +3,11 @@
 Exit codes: 0 success, 1 domain error (message names the error class,
 `AnswerTooLarge` for an int past the digits Python writes as text), 2
 malformed arguments or input syntax (including a `check --depth` outside
-1-MAX_CHECK_DEPTH, and a `kernel` or `cokernel` morphism past
-MAX_KERNEL_DIM), 3 internal error: a broken invariant,
-reported as one `internal error: ...` line, 141 stdout closed before the
-output was written (the shell's status for SIGPIPE), with nothing printed.
+1-MAX_CHECK_DEPTH, a cluster point deeper than MAX_POINT_DEPTH, and a
+`kernel` or `cokernel` morphism past MAX_KERNEL_DIM), 3 internal error: a
+broken invariant, reported as one `internal error: ...` line, 141 stdout
+closed before the output was written (the shell's status for SIGPIPE), with
+nothing printed.
 Every error is one line on stderr, argparse's included; with --json it is
 instead one JSON object on stdout, `{"error": <class>, "message": ...}`
 (`ParseError` for exit 2, `AssertionError` for exit 3), and stderr stays

@@ -218,9 +218,9 @@ def f_strip(w: StringWord) -> StringWord | None:
     vertex after the last letter that points left."""
     if not w.marked:
         return w
-    n = len(w.verts)
-    lo = next((i + 1 for i, d in enumerate(w.directs) if d), n) if w.lmark else 0
-    hi = next((i + 1 for i in reversed(range(n - 1)) if not w.directs[i]), 0) if w.rmark else n
+    n, directs = len(w.verts), w.directs
+    lo = next((i + 1 for i, d in enumerate(directs) if d), n) if w.lmark else 0
+    hi = next((i + 1 for i in reversed(range(n - 1)) if not directs[i]), 0) if w.rmark else n
     if lo >= hi:
         return None
     return StringWord(w.verts[lo:hi])

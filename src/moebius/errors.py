@@ -1,7 +1,7 @@
 """Exception types shared across the library, and the bounds on input size:
-the command line reports a `check` or `render` depth, or a `kernel` or
-`cokernel` morphism, past its bound as a `ParseError`, and the rectangle
-scan raises `DepthLimit` past its own."""
+the command line reports a `check` or `render` depth, a cluster point's
+depth, or a `kernel` or `cokernel` morphism, past its bound as a
+`ParseError`, and the rectangle scan raises `DepthLimit` past its own."""
 
 # The deepest grid `check --depth` accepts.  G(e) grows about 4x per
 # exponent, and criterion 1 reads every ordered pair of it into
@@ -31,6 +31,14 @@ MAX_CLUSTER_DEPTH = 12
 # alone.  Past it the tail grows fast: 12x12 at exponent 64 (about 1,490
 # chords a side) took up to 7.0 s and 14x14 (about 1,750) up to 19.6 s.
 MAX_KERNEL_DIM = 1024
+
+# The deepest cluster point T(n, m) that `cluster.parse_cluster_pt` reads,
+# so that no input builds an integer of more bits than this.  Answers on
+# points far shallower already hold integers past the digits Python writes
+# as text: at depth 10^6 and at the bound, `simple`, `mutate`, `digits` and
+# `from-string` end in `AnswerTooLarge` in under 0.05 s each (2-core Xeon
+# VM, Python 3.11.7).
+MAX_POINT_DEPTH = 1 << 20
 
 # The deepest level `cluster.enum_in_rect_with_reps` scans, so rectangles
 # of exponent 14 and below.  Only criterion 3 scans, to depth 7 at most

@@ -121,7 +121,10 @@ def nullspace(a: Matrix, ncols: int | None = None) -> list[tuple[int | Fraction,
 def row_kernel(row) -> Matrix:
     """`from_columns(nullspace((row,)))` of a nonzero row in closed form: the
     vector of a free column fc has 1 at fc and -row[fc] / row[c0] at the
-    first nonzero column c0."""
+    first nonzero column c0.  It is the cheaper: on the 567 rows that kernel
+    plus cokernel of the `scale2:16:14` draw 0 peel, 6.0-6.2 ms against
+    7.9-8.0 ms for the nullspace (best of five, 2-core Xeon VM, Python
+    3.11.7), though the draw's 0.6-0.9 s end to end shows no gap."""
     c0 = next(c for c, x in enumerate(row) if x)
     p, free = Fraction(row[c0]), [c for c in range(len(row)) if c != c0]
     return tuple(tuple(exact(-row[fc] / p) for fc in free) if i == c0 else tuple(int(i == fc) for fc in free)

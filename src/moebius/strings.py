@@ -6,7 +6,9 @@ irreducible cluster maps, and the composition of two arrows of the same
 triangle is zero.  So the arrows leave v towards `cluster.in_neighbors(v)`
 and enter it from `cluster.out_neighbors(v)`; `cluster.triangle` names the
 triangle of an arrow and `cluster.arrow_dir` orients it.  A letter is the
-(src, dst) pair of its arrow, the key of `RepFin.mats`.  Finite-length
+(src, dst) pair of its arrow, the key of `RepFin.mats`; two adjacent points
+share one triangle and one arrow, so a word holds only its vertices and
+marks, and its letters are read off the quiver.  Finite-length
 modules are direct sums of standard string modules, one dimension per vertex
 of a reduced word.  The maps from a string module into a representation are
 one nullspace (`_word_maps`), and the maps out of it that nullspace over the
@@ -26,12 +28,11 @@ from .errors import InvalidWord, NoMorphism, NotAModule, ParseError
 # annotations that name `linalg.Matrix` and `Fraction` are never evaluated.
 
 
-class StringWord(namedtuple("StringWord", "verts directs lmark rmark")):
-    """Reduced word: distinct vertices and, between consecutive ones, the
-    direction of the unique arrow (True for v_i -> v_{i+1}), read off the
-    quiver (`cluster.arrow_dir`).  Words equal their reversals; construction
-    canonicalizes the orientation.  Ray markers flag truncated infinite
-    tails at either end.  It equals and hashes as the tuple of its fields."""
+class StringWord(namedtuple("StringWord", "verts lmark rmark")):
+    """Reduced word: distinct vertices, joined by the letters `directs` reads
+    off the quiver.  Words equal their reversals; construction canonicalizes
+    the orientation.  Ray markers flag truncated infinite tails at either
+    end.  It equals and hashes as the tuple of its fields."""
 
     __slots__ = ()
 
@@ -39,13 +40,15 @@ class StringWord(namedtuple("StringWord", "verts directs lmark rmark")):
         verts = tuple(verts)
         if (verts[::-1], (rmark, lmark)) < (verts, (lmark, rmark)):
             verts, lmark, rmark = verts[::-1], rmark, lmark
-        return tuple.__new__(cls, (verts, tuple(map(arrow_dir, verts, verts[1:])), lmark, rmark))
+        return tuple.__new__(cls, (verts, lmark, rmark))
 
-    def __getnewargs__(self):  # pickle and copy rebuild through __new__
-        return (self.verts, self.lmark, self.rmark)
-
-    def __len__(self) -> int:  # the module's dimension, not the tuple's four fields
+    def __len__(self) -> int:  # the module's dimension, not the tuple's three fields
         return len(self.verts)
+
+    @property
+    def directs(self) -> tuple[bool, ...]:
+        """Each letter's direction, True for v_i -> v_{i+1} (`cluster.arrow_dir`)."""
+        return tuple(map(arrow_dir, self.verts, self.verts[1:]))
 
     def sort_key(self):
         """Longest first, then by vertices, which fix the letters."""
@@ -65,7 +68,8 @@ class StringWord(namedtuple("StringWord", "verts directs lmark rmark")):
 
 def word(verts, directs=None, lmark=False, rmark=False) -> StringWord:
     """Build a word; letter directions, when given, must be the quiver's.  A bad
-    letter is named as written, a composing pair in the word's orientation."""
+    letter is named as written, a composing pair in the word's orientation:
+    consecutive letters of one triangle run round its 3-cycle, so compose."""
     verts = tuple(verts)
     if directs is not None and len(directs) != max(len(verts) - 1, 0):
         raise InvalidWord("letter count must be one less than vertex count")
@@ -73,17 +77,17 @@ def word(verts, directs=None, lmark=False, rmark=False) -> StringWord:
         raise InvalidWord("empty word")
     if len(set(verts)) != len(verts):
         raise InvalidWord("repeated vertex")
-    w = StringWord(verts, lmark, rmark)
     tris = []
     for i, (u, v) in enumerate(zip(verts, verts[1:])):
         tri = triangle(u, v)
         if tri is None or directs is not None and arrow_dir(u, v) != directs[i]:
             raise InvalidWord(f"no arrow between {u} and {v}")
         tris.append(tri)
+    w = StringWord(verts, lmark, rmark)
     if w.verts != verts:  # StringWord reversed the word
         tris.reverse()
-    for i in range(len(tris) - 1):  # distinct vertices leave no backtrack to reject
-        if w.directs[i] == w.directs[i + 1] and tris[i] == tris[i + 1]:
+    for i in range(len(tris) - 1):
+        if tris[i] == tris[i + 1]:
             raise InvalidWord(f"letters {i},{i + 1} compose inside a triangle")
     return w
 
@@ -124,9 +128,10 @@ def _occurrences(w1: StringWord, w2: StringWord):
     i2, j2 = min(run[0], run[-1]), max(run[0], run[-1])
     if j1 - i1 != len(common) - 1 or run != list(range(run[0], run[-1] + step, step)):
         raise AssertionError(f"common vertices not one run in both words: {w1} -> {w2}")
-    n1, n2 = len(w1.verts), len(w2.verts)
-    if ((i1 == 0 or not w1.directs[i1 - 1]) and (j1 == n1 - 1 or w1.directs[j1])
-            and (i2 == 0 or w2.directs[i2 - 1]) and (j2 == n2 - 1 or not w2.directs[j2])):
+    v1, v2 = w1.verts, w2.verts
+    if ((i1 == 0 or arrow_dir(v1[i1], v1[i1 - 1])) and (j1 == len(v1) - 1 or arrow_dir(v1[j1], v1[j1 + 1]))
+            and (i2 == 0 or arrow_dir(v2[i2 - 1], v2[i2]))
+            and (j2 == len(v2) - 1 or arrow_dir(v2[j2 + 1], v2[j2]))):
         return (i1, j1, i2, j2)
     return None
 
@@ -146,17 +151,8 @@ def overlap(w1: StringWord, w2: StringWord) -> frozenset[ClusterPt]:
 
 def _outside(w: StringWord, i: int, j: int) -> list[StringWord]:
     """The words of w left and right of its run w[i..j], the empty ones left
-    out, sliced from w: a piece keeps its vertices and letters, and where
-    `StringWord` orientation reverses it, its letters are read backwards and
-    each points the other way."""
-    pieces = []
-    for a, b in ((0, i - 1), (j + 1, len(w.verts) - 1)):
-        if a <= b:
-            verts, directs = w.verts[a:b + 1], w.directs[a:b]
-            if verts[::-1] < verts:
-                verts, directs = verts[::-1], tuple([not d for d in reversed(directs)])
-            pieces.append(tuple.__new__(StringWord, (verts, directs, False, False)))
-    return pieces
+    out: each is the word on its run of w's vertices."""
+    return [StringWord(w.verts[a:b + 1]) for a, b in ((0, i - 1), (j + 1, len(w.verts) - 1)) if a <= b]
 
 
 def kernel_cokernel_strings(w1: StringWord, w2: StringWord) -> tuple[list[StringWord], list[StringWord]]:

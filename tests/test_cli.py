@@ -5,6 +5,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from moebius.cli import main
+from moebius.errors import MAX_POINT_DEPTH
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -226,6 +227,8 @@ _BIG = "1" + "0" * 3000  # 10^3000, within the digit limit as input
     (["from-string", "T(15000,1)"], None),
     (["kernel"], json.dumps({"src": ["M(1/8,1/4)", "M(1/4,3/4)"], "dst": ["M(1/4,3/4)"],
                              "entries": [["1/" + _BIG, _BIG]]})),  # an entry over 10^6000
+    *(([command, f"T({MAX_POINT_DEPTH},1)"], None)  # the deepest point read
+      for command in ("simple", "mutate", "digits", "from-string")),
 ])
 def test_answer_past_the_digit_limit_is_one_line_exit_1(capsys, monkeypatch, argv, stdin, json_flag):
     argv = [*argv, *(["--json"] if json_flag else [])]
@@ -235,6 +238,27 @@ def test_answer_past_the_digit_limit_is_one_line_exit_1(capsys, monkeypatch, arg
         assert _assert_json_error(code, out, err)["error"] == "AnswerTooLarge"
     else:
         assert out == "" and err.startswith("AnswerTooLarge: ") and err.count("\n") == 1
+
+
+_DEEP = f"T({MAX_POINT_DEPTH + 1},1)"  # one past the deepest point read
+_HUGE = "T(99999999999999999999999,1)"
+
+
+@pytest.mark.parametrize("json_flag", [False, True])
+@pytest.mark.parametrize("argv", [
+    ["simple", _HUGE], ["mutate", _HUGE], ["digits", _HUGE, "1", "0"], ["from-string", _HUGE],
+    ["from-string", f"T(0,0) > {_HUGE}"], ["simple", "T(9999999999,1)"],
+    ["simple", _DEEP], ["mutate", _DEEP], ["digits", _DEEP], ["from-string", _DEEP],
+], ids=" ".join)
+def test_point_past_the_depth_bound_is_one_line_exit_2(capsys, argv, json_flag):
+    argv = [*argv, *(["--json"] if json_flag else [])]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    if json_flag:
+        assert _assert_json_error(code, out, err)["message"].startswith(f"depth past {MAX_POINT_DEPTH} in ")
+    else:
+        assert out == "" and err.startswith(f"parse error: depth past {MAX_POINT_DEPTH} in ")
+        assert err.count("\n") == 1
 
 
 def test_render_spec_integer_past_the_digit_limit_exit_2(capsys, monkeypatch):

@@ -124,3 +124,25 @@ def unread_imports() -> list[str]:
 
 def test_every_import_is_read():
     assert unread_imports() == []
+
+
+def words_built_past_new() -> list[str]:
+    """`module:line` for each call in `src/moebius` that builds a `StringWord`
+    without its `__new__`: `tuple.__new__(StringWord, ...)` or
+    `StringWord._make(...)`.  A word is built by `StringWord(...)` or
+    `strings.word`, so that its one constructor canonicalizes it; inside
+    `StringWord.__new__` the tuple is built from `cls`."""
+    found = []
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and isinstance(node.func.value, ast.Name):
+                call, args = (node.func.value.id, node.func.attr), node.args
+                if (call == ("tuple", "__new__") and args and isinstance(args[0], ast.Name)
+                        and args[0].id == "StringWord") or call == ("StringWord", "_make"):
+                    found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_every_word_is_built_by_its_constructor():
+    assert words_built_past_new() == []

@@ -153,22 +153,42 @@ def test_word_keeps_the_smaller_orientation(pts, lmark, rmark):
 
 
 def test_word_is_a_tuple_of_its_fields():
-    # words of G(3) and their ray truncations: the length is the vertex
-    # count, the hash that of the field tuple, and copies and pickles
+    # words of G(3), their ray truncations and the pieces off every run of
+    # them: the fields are the vertices and the marks, the length is the
+    # vertex count, the hash that of the field tuple, and copies and pickles
     # rebuild equal words
     import copy
     import pickle
     from moebius.checks import grid_off_cluster
     from moebius.equiv import g_extend, obj_to_string
+    from moebius.strings import _outside
+    assert StringWord._fields == ("verts", "lmark", "rmark")
     plain = [obj_to_string(x) for x in grid_off_cluster(3)]
-    ws = plain + [g_extend(w, k) for w in plain for k in range(3)]
+    pieces = [p for w in plain for i in range(len(w)) for j in range(i, len(w)) for p in _outside(w, i, j)]
+    ws = plain + [g_extend(w, k) for w in plain for k in range(3)] + pieces
+    assert any(w.marked for w in ws) and pieces
     for w in ws:
         assert len(w) == len(w.verts)
-        assert hash(w) == hash((w.verts, w.directs, w.lmark, w.rmark))
-        for back in (pickle.loads(pickle.dumps(w)), copy.copy(w)):
+        assert hash(w) == hash((w.verts, w.lmark, w.rmark))
+        for back in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
             assert type(back) is StringWord and back == w and str(back) == str(w)
     by_fields = lambda w: (-len(w.verts), tuple((p.n, p.m) for p in w.verts), w.directs)
     assert sorted(ws, key=StringWord.sort_key) == sorted(ws, key=by_fields)
+
+
+def test_consecutive_letters_of_one_triangle_point_the_same_way():
+    # `word` rejects two consecutive letters of one triangle by the triangles
+    # alone: on distinct vertices they run round the triangle's 3-cycle, so
+    # they point the same way, on every such pair of points of depth <= 7
+    pts = [T(0, 0)] + [T(n, m) for n in range(1, 8) for m in range(1 << (n + 1))]
+    pairs = 0
+    for v in pts:
+        for u in (*in_neighbors(v), *out_neighbors(v)):
+            for w in (*in_neighbors(v), *out_neighbors(v)):
+                if u != w and triangle(u, v) == triangle(v, w):
+                    assert arrow_dir(u, v) == arrow_dir(v, w), (u, v, w)
+                    pairs += 1
+    assert pairs == 4 * len(pts)
 
 
 def test_hom_dim_strings_examples():
@@ -211,9 +231,8 @@ def _sliced_as_built(w, pieces, i, j) -> int:
 
 
 def test_pieces_sliced_from_their_word_are_the_words_built_anew():
-    # `_outside` slices a piece's vertices and letters off its word, and
-    # reverses and negates them where `StringWord` turns the piece round:
-    # the same vertices, letters and orientation, on every run of every word
+    # a piece of a word off a run is the word on its run of vertices, turned
+    # round where `StringWord` orientation asks, on every run of every word
     # of G(5), among them the pieces of every basic of G(5), and on the
     # kernel and cokernel pieces of nearby pairs at exponents 16-64
     import random
