@@ -26,7 +26,7 @@ from .walk import (support, walk_of, approximation, hom_ct_dim, tau_dims,
                    compose_basic_nonzero, chain_box_nonzero, shifted, factors_through_sink)
 from .strings import hom_dim_strings, word
 from .equiv import (obj_to_string, string_to_obj, DigitPrefix, _digit_point,
-                    _tree_vertex, coords_to_digits,
+                    _tree_vertex, _digit_index, _digit_prefix, coords_to_digits,
                     g_extend, f_strip, tail_case)
 from .quotient import SumObj, MorQ, basic_mor, compose, classify, kernel, cokernel
 from .errors import Unreachable, AllOnesTail
@@ -404,30 +404,30 @@ def check_noncrossing(e: int) -> tuple[bool, str]:
 def check_digits(e: int) -> tuple[bool, str]:
     """Every prefix of at most 10 digits below each base of depth < e: its
     b_m reaches the digit tree's vertex, grows with each digit, and the
-    vertex reads back its digits.  The search carries each prefix's binary
-    value D and b_m's numerator, at the scale that doubles with each digit,
-    so a prefix reads its digits once, in `coords_to_digits`."""
+    vertex reads back its digits.  The search carries each prefix as its
+    length m and binary value D, with b_m's numerator at the scale that
+    doubles with each digit, and the read-back (`_digit_index`) returns the
+    two integers, so no digit tuple is built unless a check fails."""
     bases = cluster_points(max(e - 1, 0))
     count = 0
     max_len = 10
     for v in bases:
         base = object_of(v)
-        stack = [((), 0, None)]
+        stack = [(0, 0, None)]
         while stack:
-            digits, d, prev_b = stack.pop()
-            m = len(digits)
+            m, d, prev_b = stack.pop()
             _, bm, pt = _digit_point(base, m, d)
             if prev_b is not None and bm < 2 * prev_b:
-                return (False, f"b_m not monotone along {DigitPrefix(v, digits)}")
+                return (False, f"b_m not monotone along {_digit_prefix(v, m, d)}")
             # the b_m formula against the digit tree
             if pt != _tree_vertex(v, m, d):
-                return (False, f"b_m leaves the digit tree at {DigitPrefix(v, digits)}")
-            if coords_to_digits(v, pt, max_len).digits != digits:
-                return (False, f"digit round trip fails at {DigitPrefix(v, digits)}")
+                return (False, f"b_m leaves the digit tree at {_digit_prefix(v, m, d)}")
+            if _digit_index(v, pt, max_len) != (m, d):
+                return (False, f"digit round trip fails at {_digit_prefix(v, m, d)}")
             count += 1
             if m < max_len:
-                stack.append((digits + (0,), 2 * d, bm))
-                stack.append((digits + (1,), 2 * d + 1, bm))
+                stack.append((m + 1, 2 * d, bm))
+                stack.append((m + 1, 2 * d + 1, bm))
     try:
         tail_case(DigitPrefix(ClusterPt(1, 1), (1, 1, 1)), DigitPrefix(ClusterPt(1, 1), (0,)))
         return (False, "all-ones prefix not rejected")

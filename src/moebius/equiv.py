@@ -91,13 +91,16 @@ def transport_mor_inverse(w1: StringWord, w2: StringWord, scalar) -> tuple[Obj, 
 
 class DigitPrefix(namedtuple("DigitPrefix", "base digits")):
     """Truncated binary tail at a base vertex: digit 1 steps to the upper
-    child (second coordinate grows), digit 0 to the left child.  It equals
-    and hashes as the tuple (base, digits)."""
+    child (second coordinate grows), digit 0 to the left child.  The digits,
+    the ints 0 and 1 in any iterable, are stored as a tuple, so a prefix
+    equals and hashes as the tuple (base, digits)."""
 
     __slots__ = ()
 
-    def __new__(cls, base: ClusterPt, digits: tuple[int, ...]):
-        if digits.count(0) + digits.count(1) != len(digits):
+    def __new__(cls, base: ClusterPt, digits):
+        digits = tuple(digits)
+        # True prints as "True" and 1.0 fails `&`, though both equal 1
+        if not {int}.issuperset(map(type, digits)) or not {0, 1}.issuperset(digits):
             raise ValueError("digits must be 0 or 1")
         return tuple.__new__(cls, (base, digits))
 
@@ -156,22 +159,33 @@ def digit_vertex(p: DigitPrefix) -> ClusterPt:
     return _tree_vertex(p.base, len(p.digits), _binary(p.digits))
 
 
-def coords_to_digits(v: ClusterPt, w: ClusterPt, bound: int) -> DigitPrefix:
-    """The unique prefix of length <= bound walking from v to w: its length
-    is k = depth(w) - depth(v) and its digits D = w.m - 2^k v.m + 2^k - 1,
-    taken mod 2^(depth(w) + 1), which must lie below 2^k."""
+def _digit_index(v: ClusterPt, w: ClusterPt, bound: int) -> tuple[int, int]:
+    """The length k and binary value d of the unique prefix of length
+    <= bound walking from v to w: k = depth(w) - depth(v) and
+    d = w.m - 2^k v.m + 2^k - 1, taken mod 2^(depth(w) + 1), which must lie
+    below 2^k."""
     k = w.n - v.n
     if not 0 <= k <= bound:
         raise Unreachable(f"{w} not within {bound} digit steps of {v}")
     d = (w.m - ((v.m - 1) << k) - 1) % (1 << (w.n + 1))
     if d >= 1 << k:
         raise Unreachable(f"{w} is not on the digit tree below {v}")
-    # the k bits of d, most significant first; they are 0s and 1s, so the
-    # prefix needs no validation
-    p = tuple.__new__(DigitPrefix, (v, tuple([d >> i & 1 for i in range(k - 1, -1, -1)])))
+    return k, d
+
+
+def _digit_prefix(v: ClusterPt, k: int, d: int) -> DigitPrefix:
+    """The prefix at v of the k bits of d, most significant first; they
+    are 0s and 1s, so it needs no validation."""
+    return tuple.__new__(DigitPrefix, (v, tuple([d >> i & 1 for i in range(k - 1, -1, -1)])))
+
+
+def coords_to_digits(v: ClusterPt, w: ClusterPt, bound: int) -> DigitPrefix:
+    """The unique prefix of length <= bound walking from v to w
+    (`_digit_index`), checked to reach w on the digit tree."""
+    k, d = _digit_index(v, w, bound)
     if _tree_vertex(v, k, d) != w:
         raise AssertionError("digit prefix does not reach its target")
-    return p
+    return _digit_prefix(v, k, d)
 
 
 def tail_case(first: DigitPrefix, second: DigitPrefix, swapped: bool = False) -> str:

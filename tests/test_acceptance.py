@@ -292,11 +292,50 @@ def test_criterion_10_fails_when_the_tree_vertex_moves(monkeypatch):
 
 def test_criterion_10_fails_when_a_read_back_digit_flips(monkeypatch):
     from moebius import checks
-    read = checks.coords_to_digits
+    read = checks._digit_index
 
     def flipped(v, w, bound):
-        p = read(v, w, bound)
-        return p._replace(digits=p.digits[:-1] + (1 - p.digits[-1],)) if p.digits else p
+        k, d = read(v, w, bound)
+        return (k, d ^ 1) if k else (k, d)
 
-    monkeypatch.setattr(checks, "coords_to_digits", flipped)
+    monkeypatch.setattr(checks, "_digit_index", flipped)
     assert checks.check_digits(1) == (False, "digit round trip fails at T(0,0):1")
+
+
+def test_criterion_10_fails_when_a_read_back_length_is_wrong(monkeypatch):
+    from moebius import checks
+    read = checks._digit_index
+
+    def longer(v, w, bound):
+        k, d = read(v, w, bound)
+        return k + 1, d
+
+    monkeypatch.setattr(checks, "_digit_index", longer)
+    assert checks.check_digits(1) == (False, "digit round trip fails at T(0,0):")
+
+
+@pytest.mark.parametrize("depth,prefixes", [(1, 2047), (3, 26611)])
+def test_criterion_10_reads_each_prefix_once(monkeypatch, depth, prefixes):
+    # one point, one tree vertex and one read-back per prefix; the digit
+    # tuple of `coords_to_digits` is left to the unreachable-vertex probe,
+    # whose read-back raises before it reaches the tree
+    from collections import Counter
+    from moebius import checks, equiv
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(equiv, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    for name in ("_digit_point", "_tree_vertex", "_digit_index", "coords_to_digits"):
+        counted = counting(name)
+        monkeypatch.setattr(equiv, name, counted)
+        monkeypatch.setattr(checks, name, counted)
+    ok, detail = checks.check_digits(depth)
+    assert ok and detail.startswith(f"{prefixes} prefixes"), detail
+    assert calls == {"_digit_point": prefixes, "_tree_vertex": prefixes,
+                     "_digit_index": prefixes + 1, "coords_to_digits": 1}

@@ -8,7 +8,7 @@ from moebius.walk import hom_ct_dim, support, walk_of
 from moebius.strings import word, parse_word, hom_dim_strings, StringWord
 from moebius.equiv import (obj_to_string, string_to_obj, simple_object,
                            transport_mor, transport_mor_inverse, DigitPrefix,
-                           digits_to_coords, digit_vertex, coords_to_digits,
+                           digits_to_coords, digit_vertex, coords_to_digits, _digit_index,
                            tail_case, g_extend, f_strip)
 from moebius.errors import InCluster, InvalidWord, NoMorphism, Unreachable, AllOnesTail
 
@@ -274,6 +274,21 @@ def test_digit_prefix_is_an_immutable_value():
         DigitPrefix(T(1, 1), (1, 2))
 
 
+def test_digit_prefix_takes_only_the_ints_0_and_1():
+    # True and 1.0 equal 1, but print as "True" and fail `&` in `digit_vertex`
+    with pytest.raises(ValueError, match="digits must be 0 or 1"):
+        DigitPrefix(T(0, 0), (True, False))
+    with pytest.raises(ValueError, match="digits must be 0 or 1"):
+        DigitPrefix(T(0, 0), (1.0, 0.0))
+
+
+def test_digit_prefix_stores_its_digits_as_a_tuple():
+    p = DigitPrefix(T(0, 0), [1, 0])
+    assert type(p.digits) is tuple and p == DigitPrefix(T(0, 0), (1, 0))
+    assert hash(p) == hash(DigitPrefix(T(0, 0), (1, 0)))
+    assert str(p) == "T(0,0):10" and digit_vertex(p) == T(2, 7)
+
+
 def test_digit_examples():
     p = DigitPrefix(T(0, 0), (1,))
     assert tuple(map(str, digits_to_coords(p))) == ("0", "1/2")
@@ -322,6 +337,10 @@ def _digit_vertex_geometric(p):
     return member(normal_form(*digits_to_coords(p)))
 
 
+def _binary_value(digits):
+    return int("".join(map(str, digits)), 2) if digits else 0
+
+
 def _coords_to_digits_by_climb(v, w, bound):
     """Climb from w to v one parent at a time, as the prefix was found
     before the closed form."""
@@ -363,6 +382,12 @@ def test_digit_tree_matches_geometry_and_climb():
                 except Unreachable:
                     got = None
                 assert got == want, (v, w, bound)
+                try:
+                    index = _digit_index(v, w, bound)
+                except Unreachable:
+                    index = None
+                want = None if want is None else (len(want.digits), _binary_value(want.digits))
+                assert index == want, (v, w, bound)
 
 
 def test_digit_unreachable():
